@@ -8,7 +8,6 @@ import numpy as np
 
 from crowdirl import (
     AgentState,
-    ControlInput,
     JointState,
     ProximityConfig,
     ScenarioSpec,
@@ -16,17 +15,17 @@ from crowdirl import (
     cost,
     CostParams,
     from_dataset_row,
-    propagate,
     rollout_openloop,
     to_dataset_row,
 )
+from crowdirl.trajectory import propagate_joint
 
 print("== exact double-integrator stepping ==")
 state = AgentState(px=0.0, py=0.0, vx=1.0, vy=0.0)
-push = ControlInput(ax=2.0, ay=0.0)
-after = propagate(state, push, dt=0.5)
+push = np.array([[2.0, 0.0]])  # (ax, ay) per agent
+after = AgentState.from_array(propagate_joint(state.as_array(), push, dt=0.5))
 print(f"start {state}")
-print(f"after 0.5 s under {push}: {after}")
+print(f"after 0.5 s under acceleration {push[0]}: {after}")
 print(f"(hand check: px = 0 + 1*0.5 + 0.5*2*0.25 = {0 + 0.5 + 0.25})")
 
 print("\n== dataset row layout: (px, py, speed, heading) per agent ==")

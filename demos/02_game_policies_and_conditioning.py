@@ -33,9 +33,8 @@ tame = CostParams(np.array([1.0, 0.5, 0.2]))
 policies = build_policies([tame, tame], spec, SolverConfig(entropy_temp=1e-3))
 print(f"conditioned stages: {policies.diagnostics.conditioned_stages}"
       f" / {policies.diagnostics.horizon * policies.diagnostics.k}")
-stage = policies.stages[0][0]
-print(f"agent 0, t=0 gain row 0: {np.round(stage.K[0], 3)}")
-print(f"agent 0, t=0 covariance diag: {np.round(np.diag(stage.Sigma), 6)}")
+print(f"agent 0, t=0 gain row 0: {np.round(policies.K[0, 0, 0], 3)}")
+print(f"agent 0, t=0 covariance diag: {np.round(np.diag(policies.Sigma[0, 0]), 6)}")
 
 print("\n== crowded + near-zero effort cost: curvature degenerates ==")
 edgy = CostParams(np.array([0.5, 8.0, 0.01]))

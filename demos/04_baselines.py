@@ -3,14 +3,18 @@
 Each baseline predicts agents independently. The Gaussian mixture is fitted
 with EM and queried by conditioning on the observed state; the implicit
 behavior cloner scores actions with a quadratic energy and takes the argmin;
-constant velocity just coasts. All three are deterministic predictors.
+the `cv` predictor (the same one `crowdirl eval --baseline cv` runs) just
+coasts from a demonstration's start state. All three are deterministic
+predictors.
 """
 import numpy as np
 
 from crowdirl import (
     AgentState,
+    JointState,
+    PredictorContext,
+    ScenarioSpec,
     action_grid,
-    constant_velocity_predict,
     ebm_argmin,
     ebm_energy,
     ebm_minimizer,
@@ -19,6 +23,8 @@ from crowdirl import (
     gmm_fit,
     gmm_pdf,
     gmm_sample,
+    make_predictor,
+    rollout_openloop,
 )
 
 rng = np.random.default_rng(5)
@@ -49,5 +55,10 @@ print(f"argmin over a 61x61 grid: {np.round(picked, 3)} "
       f"(within half a grid cell of the minimizer)")
 
 print("\n== constant velocity ==")
-history = [AgentState(0.0, 0.0, 1.2, -0.3)]
-print("next four positions:", np.round(constant_velocity_predict(history, 4, dt=0.5), 2).tolist())
+spec = ScenarioSpec(k=1, x0=JointState((AgentState(0.0, 0.0, 1.2, -0.3),)), goals=None,
+                    horizon=4, dt=0.5)
+# a walker who turns north; the predictor sees only the start state
+walker = rollout_openloop(spec, np.tile([0.0, 0.8], (4, 1, 1)))
+coast = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))(walker)
+print("next four positions, predicted:", np.round(coast[1:, 0], 2).tolist())
+print("next four positions, walked:   ", np.round(walker.positions(0)[1:], 2).tolist())

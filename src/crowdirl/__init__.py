@@ -10,7 +10,6 @@ from .baselines import (
     EnergyParams,
     GmmModel,
     action_grid,
-    constant_velocity_predict,
     ebm_argmin,
     ebm_energy,
     ebm_minimizer,
@@ -39,8 +38,8 @@ from .features import (
     trajectory_cost,
 )
 from .game import (
+    Game,
     PolicySequence,
-    PolicyStage,
     SolverConfig,
     SolverDiagnostics,
     build_policies,
@@ -54,11 +53,9 @@ from .game import (
 from .irl import (
     TrainingConfig,
     TrainingTrace,
-    feature_gap,
     infer_goals,
     multi_agent_irl,
     single_agent_maxent_irl,
-    update_theta,
 )
 from .metrics import (
     CdfSeries,
@@ -103,13 +100,11 @@ from .quadratic import (
 )
 from .trajectory import (
     AgentState,
-    ControlInput,
     JointState,
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,
     from_dataset_row,
-    propagate,
     rollout_openloop,
     to_dataset_row,
 )

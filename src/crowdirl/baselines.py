@@ -1,22 +1,21 @@
 """Reference predictors the learned policies are compared against.
 
-Three families: a constant-velocity extrapolator, a Gaussian mixture over
-(state, action) pairs fitted with EM and queried through conditioning, and an
-implicit behavior-cloning policy that picks actions by minimizing a quadratic
-energy. Each one predicts agents independently, which is exactly the failure
-mode that interaction-aware models are meant to expose.
+Two families: a Gaussian mixture over (state, action) pairs fitted with EM
+and queried through conditioning, and an implicit behavior-cloning policy
+that picks actions by minimizing a quadratic energy. The third baseline,
+constant velocity, is the zero-control `cv` predictor in
+`metrics.make_predictor`. Each one predicts agents independently, which is
+exactly the failure mode that interaction-aware models are meant to expose.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .rng import substream
-from .trajectory import AgentState, ControlInput, propagate
 
 logger = logging.getLogger(__name__)
 
@@ -317,23 +316,3 @@ def ebm_train(states: np.ndarray, actions: np.ndarray) -> EnergyParams:
     residual = float(np.sqrt(np.mean((A @ coef - U) ** 2)))
     logger.info("energy fit residual (rms): %.3e", residual)
     return EnergyParams(W=np.eye(du), L=L, b=b)
-
-
-# --- constant velocity -------------------------------------------------------
-
-
-def constant_velocity_predict(
-    history: Sequence[AgentState], horizon: int, dt: float
-) -> np.ndarray:
-    """Extrapolate the last state's velocity; returns (horizon, 2) positions."""
-    if not history:
-        raise ValidationError("history must contain at least one state")
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
-    state = history[-1]
-    zero = ControlInput(0.0, 0.0)
-    out = np.empty((horizon, 2))
-    for t in range(horizon):
-        state = propagate(state, zero, dt)
-        out[t] = (state.px, state.py)
-    return out

@@ -11,19 +11,27 @@ uniform diagonal shift that restores a configurable eigenvalue floor. The
 repair trades modeled decision randomness for numerical tractability and is
 recorded per stage in the solver diagnostics.
 
+`Game` is the one place a scenario's game is built and solved: it owns the
+dynamics, the constant-velocity nominal, the per-agent cost models with their
+cached quadratic expansions, and the outer re-expansion loop. Synthesis and
+evaluation reach it through `build_policies` / `solve_scenario`; both IRL
+loops hold a `Game` and update one agent's weights at a time. Solved policies
+are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
+(T, k, 2) and covariances Sigma (T, k, 2, 2).
+
 Rollouts draw controls from per-(seed, rollout) Philox streams, so sampled
 trajectory sets are bit-reproducible for a given seed regardless of batching
 or thread count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalError, SolverError, ValidationError
-from .features import ProximityConfig, StageCostModel, stage_cost_models
+from .features import CostParams, ProximityConfig, StageCostModel, stage_cost_models
 from .quadratic import (
     DEFAULT_FD_STEP,
     LinearDynamics,
@@ -36,6 +44,7 @@ from .rng import substream
 from .trajectory import (
     CONTROL_DIM,
     DEFAULT_U_MAX,
+    STATE_DIM,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -71,36 +80,6 @@ class SolverConfig:
             raise ValidationError("max_outer_iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class PolicyStage:
-    """Affine Gaussian feedback at one step: u = kff - K (x - x_nom) + noise."""
-
-    K: np.ndarray  # (2, 4k)
-    kff: np.ndarray  # (2,)
-    Sigma: np.ndarray  # (2, 2)
-
-    def __post_init__(self):
-        K = np.array(self.K, dtype=float)
-        kff = np.array(self.kff, dtype=float).ravel()
-        Sigma = np.array(self.Sigma, dtype=float)
-        if K.ndim != 2 or K.shape[0] != CONTROL_DIM:
-            raise ValidationError(f"K must be (2, 4k), got {K.shape}")
-        if kff.shape != (CONTROL_DIM,):
-            raise ValidationError(f"kff must be length 2, got {kff.shape}")
-        if Sigma.shape != (CONTROL_DIM, CONTROL_DIM):
-            raise ValidationError(f"Sigma must be 2x2, got {Sigma.shape}")
-        for name, arr in (("K", K), ("kff", kff), ("Sigma", Sigma)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"PolicyStage.{name} contains non-finite values")
-        if np.max(np.abs(Sigma - Sigma.T)) > 1e-9:
-            raise ValidationError("Sigma must be symmetric")
-        for arr in (K, kff, Sigma):
-            arr.setflags(write=False)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "kff", kff)
-        object.__setattr__(self, "Sigma", Sigma)
-
-
 @dataclass
 class SolverDiagnostics:
     """Per-solve record of covariance repairs: (timestep, agent, shift)."""
@@ -127,40 +106,56 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class PolicySequence:
-    """Time-varying feedback policies of all agents plus their reference path.
+    """Time-varying affine Gaussian feedback of all agents plus their reference path.
 
-    stages[i][t] is agent i's policy at step t; deviations are measured from
-    nominal_states, the trajectory the quadratic stages were expanded around.
+    Agent i at step t plays u = kff[t, i] - K[t, i] (x - nominal_states[t])
+    plus zero-mean noise of covariance Sigma[t, i], where nominal_states is
+    the trajectory the quadratic stages were expanded around. Shapes:
+    K (T, k, 2, 4k), kff (T, k, 2), Sigma (T, k, 2, 2) symmetric,
+    nominal_states (T+1, 4k). All four arrays are read-only copies.
     """
 
-    stages: tuple[tuple[PolicyStage, ...], ...]
-    nominal_states: np.ndarray  # (T+1, 4k)
+    K: np.ndarray
+    kff: np.ndarray
+    Sigma: np.ndarray
+    nominal_states: np.ndarray
     dt: float
     diagnostics: SolverDiagnostics = field(default_factory=SolverDiagnostics)
 
     def __post_init__(self):
-        if not self.stages or not self.stages[0]:
-            raise ValidationError("policy sequence must cover >= 1 agent and >= 1 step")
-        T = len(self.stages[0])
-        if any(len(s) != T for s in self.stages):
-            raise ValidationError("all agents must share the horizon")
+        K = np.array(self.K, dtype=float)
+        kff = np.array(self.kff, dtype=float)
+        Sigma = np.array(self.Sigma, dtype=float)
         nominal = np.array(self.nominal_states, dtype=float)
-        n = self.stages[0][0].K.shape[1]
+        if K.ndim != 4 or K.shape[0] < 1 or K.shape[1] < 1 or K.shape[2:] != (
+            CONTROL_DIM, STATE_DIM * K.shape[1]
+        ):
+            raise ValidationError(f"K must be (T, k, 2, 4k) with T, k >= 1, got {K.shape}")
+        T, k, _, n = K.shape
+        if kff.shape != (T, k, CONTROL_DIM):
+            raise ValidationError(f"kff must be ({T}, {k}, 2), got {kff.shape}")
+        if Sigma.shape != (T, k, CONTROL_DIM, CONTROL_DIM):
+            raise ValidationError(f"Sigma must be ({T}, {k}, 2, 2), got {Sigma.shape}")
         if nominal.shape != (T + 1, n):
             raise ValidationError(
                 f"nominal_states must be ({T + 1}, {n}), got {nominal.shape}"
             )
-        nominal.setflags(write=False)
-        object.__setattr__(self, "nominal_states", nominal)
-        object.__setattr__(self, "stages", tuple(tuple(s) for s in self.stages))
+        for name, arr in (("K", K), ("kff", kff), ("Sigma", Sigma)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"PolicySequence.{name} contains non-finite values")
+        if np.max(np.abs(Sigma - np.swapaxes(Sigma, -1, -2))) > 1e-9:
+            raise ValidationError("Sigma must be symmetric")
+        for name, arr in (("K", K), ("kff", kff), ("Sigma", Sigma), ("nominal_states", nominal)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def k(self) -> int:
-        return len(self.stages)
+        return self.K.shape[1]
 
     @property
     def horizon(self) -> int:
-        return len(self.stages[0])
+        return self.K.shape[0]
 
 
 def min_eigenvalue(M: np.ndarray) -> float:
@@ -230,7 +225,9 @@ def solve_lq_game(
     Z = [terminal[i].H.copy() for i in range(k)]
     zeta = [terminal[i].l.copy() for i in range(k)]
     diag = SolverDiagnostics(horizon=T, k=k)
-    out: list[list[PolicyStage]] = [[] for _ in range(k)]
+    K_out = np.empty((T, k, CONTROL_DIM, n))
+    kff_out = np.empty((T, k, CONTROL_DIM))
+    Sigma_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
 
     for t in range(T - 1, -1, -1):
         st = [stages[i][t] for i in range(k)]
@@ -275,7 +272,9 @@ def solve_lq_game(
                 diag.events.append((t, i, shift))
             else:
                 sigma = sigma_raw
-            out[i].append(PolicyStage(K=K[i], kff=u_nom[i] - alpha[i], Sigma=sigma))
+            K_out[t, i] = K[i]
+            kff_out[t, i] = u_nom[i] - alpha[i]
+            Sigma_out[t, i] = sigma
 
         # Closed-loop value recursion for every agent.
         F = A - sum(B[j] @ K[j] for j in range(k))
@@ -298,13 +297,13 @@ def solve_lq_game(
             Z[i] = 0.5 * (Z_new + Z_new.T)
             zeta[i] = zeta_new
 
-    for seq in out:
-        seq.reverse()
     nominal_states = (
         nominal.states if nominal is not None else np.zeros((T + 1, n))
     )
     return PolicySequence(
-        stages=tuple(tuple(seq) for seq in out),
+        K=K_out,
+        kff=kff_out,
+        Sigma=Sigma_out,
         nominal_states=nominal_states,
         dt=nominal.dt if nominal is not None else 1.0,
         diagnostics=diag,
@@ -321,40 +320,72 @@ def _robust_inverse(M: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(M, rcond=PINV_CUTOFF)
 
 
+class Game:
+    """One scenario's game: dynamics, nominal, per-agent costs and the solve.
+
+    Every agent's cost is expanded to quadratics along the constant-velocity
+    nominal and the coupled game is solved there. With cfg.max_outer_iters > 1
+    the costs are re-expanded around the latest mean rollout until the mean
+    trajectory moves less than cfg.outer_tol. Expansions along the
+    constant-velocity nominal are cached per agent, so after set_theta only
+    that agent is re-expanded by the next solve. Synthesis, training and
+    evaluation all solve through this class.
+    """
+
+    def __init__(
+        self,
+        models: Sequence[StageCostModel],
+        spec: ScenarioSpec,
+        cfg: SolverConfig = SolverConfig(),
+        fd_step: float = DEFAULT_FD_STEP,
+    ):
+        if len(models) != spec.k:
+            raise ValidationError(f"need {spec.k} cost models, got {len(models)}")
+        self.models = list(models)
+        self.spec = spec
+        self.cfg = cfg
+        self.fd_step = fd_step
+        self.dyn = linearize_dynamics(spec.k, spec.dt)
+        self.nominal = constant_velocity_rollout(spec)
+        self._expansions: list = [None] * spec.k
+
+    def set_theta(self, agent: int, theta: CostParams) -> None:
+        """Replace one agent's cost weights; its expansion is redone lazily."""
+        self.models[agent] = replace(self.models[agent], theta=theta)
+        self._expansions[agent] = None
+
+    def solve(self) -> PolicySequence:
+        """Policies of the game at the current weights."""
+        for i, model in enumerate(self.models):
+            if self._expansions[i] is None:
+                self._expansions[i] = expand_model_along(model, self.nominal, self.fd_step)
+        expansions, nominal = self._expansions, self.nominal
+        for it in range(self.cfg.max_outer_iters):
+            policies = solve_lq_game(
+                self.dyn,
+                [e[0] for e in expansions],
+                self.cfg,
+                terminal=[e[1] for e in expansions],
+                nominal=nominal,
+            )
+            if it + 1 == self.cfg.max_outer_iters:
+                break
+            refit = mean_rollout(policies, self.spec)
+            if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
+                break
+            nominal = refit
+            expansions = [expand_model_along(m, nominal, self.fd_step) for m in self.models]
+        return policies
+
+
 def solve_scenario(
     models: Sequence[StageCostModel],
     spec: ScenarioSpec,
     cfg: SolverConfig = SolverConfig(),
     fd_step: float = DEFAULT_FD_STEP,
 ) -> PolicySequence:
-    """Expand every agent's cost along the constant-velocity nominal and solve.
-
-    With cfg.max_outer_iters > 1, re-expands around the latest mean rollout
-    until the mean trajectory moves less than cfg.outer_tol.
-    """
-    if len(models) != spec.k:
-        raise ValidationError(f"need {spec.k} cost models, got {len(models)}")
-    dyn = linearize_dynamics(spec.k, spec.dt)
-    nominal = constant_velocity_rollout(spec)
-    policies = None
-    for it in range(cfg.max_outer_iters):
-        expansions = [expand_model_along(m, nominal, fd_step) for m in models]
-        policies = solve_lq_game(
-            dyn,
-            [e[0] for e in expansions],
-            cfg,
-            terminal=[e[1] for e in expansions],
-            nominal=nominal,
-        )
-        if it + 1 == cfg.max_outer_iters:
-            break
-        refit = mean_rollout(policies, spec)
-        if float(np.max(np.abs(refit.states - nominal.states))) < cfg.outer_tol:
-            break
-        nominal = refit
-    if policies is None:  # pragma: no cover - max_outer_iters >= 1
-        raise InternalError("solver loop did not run")
-    return policies
+    """Solve the game of the given cost models once (see Game)."""
+    return Game(models, spec, cfg, fd_step).solve()
 
 
 def _rollout_batch(
@@ -379,29 +410,28 @@ def _rollout_batch(
     for t in range(T):
         dx = states[:, t] - policies.nominal_states[t]
         for i in range(k):
-            stg = policies.stages[i][t]
-            u = stg.kff - np.sum(dx[:, None, :] * stg.K, axis=-1)
+            u = policies.kff[t, i] - np.sum(dx[:, None, :] * policies.K[t, i], axis=-1)
             if noise is not None:
-                u = u + np.sum(noise[:, t, i][:, None, :] * chol[i][t], axis=-1)
+                u = u + np.sum(noise[:, t, i][:, None, :] * chol[t, i], axis=-1)
             controls[:, t, i] = clamp_control(u, u_max)
         states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], spec.dt)
     return states, controls
 
 
-def _stage_cholesky(policies: PolicySequence) -> list[list[np.ndarray]]:
-    chol = []
-    for i in range(policies.k):
-        per_agent = []
-        for t, stg in enumerate(policies.stages[i]):
+def _stage_cholesky(policies: PolicySequence) -> np.ndarray:
+    """Cholesky factors of every Sigma[t, i]; shape (T, k, 2, 2)."""
+    try:
+        return np.linalg.cholesky(policies.Sigma)
+    except np.linalg.LinAlgError:
+        for t, i in np.ndindex(policies.horizon, policies.k):
             try:
-                per_agent.append(np.linalg.cholesky(stg.Sigma))
+                np.linalg.cholesky(policies.Sigma[t, i])
             except np.linalg.LinAlgError as exc:
                 raise InternalError(
                     f"covariance at (t={t}, agent={i}) is not positive definite; "
                     "it must have been conditioned at solve time"
                 ) from exc
-        chol.append(per_agent)
-    return chol
+        raise
 
 
 def mean_rollout(

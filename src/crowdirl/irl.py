@@ -11,6 +11,12 @@ Weights multiply cost features, so matching requires moving *with* the gap:
 if the policy accrues more of a feature than the experts do, that feature
 must become more expensive. Updates are projected onto the nonnegative
 orthant to keep every agent's control cost convex.
+
+Both loops build their costs with `stage_cost_models` and solve through one
+`game.Game`, the same game synthesis and evaluation solve (outer
+re-expansion under `solver.max_outer_iters` included). Each update record in
+the trace holds the sampled gap and theta_after = max(theta_before +
+beta * gap, 0).
 """
 from __future__ import annotations
 
@@ -23,25 +29,15 @@ import numpy as np
 from .errors import ValidationError
 from .features import (
     CostParams,
-    FeatureVector,
     ProximityConfig,
-    StageCostModel,
     expected_features,
+    stage_cost_models,
 )
-from .game import (
-    PolicySequence,
-    SolverConfig,
-    sample_rollouts,
-    solve_lq_game,
-)
-from .quadratic import DEFAULT_FD_STEP, expand_model_along, linearize_dynamics
+from .game import Game, SolverConfig, sample_rollouts
+from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
+from .quadratic import DEFAULT_FD_STEP
 from .rng import derive_seed
-from .trajectory import (
-    DEFAULT_U_MAX,
-    ScenarioSpec,
-    Trajectory,
-    constant_velocity_rollout,
-)
+from .trajectory import DEFAULT_U_MAX, ScenarioSpec, Trajectory
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
@@ -125,21 +121,6 @@ def _apply_update(theta: CostParams, gap: np.ndarray, beta: float) -> CostParams
     return CostParams(theta.weights + beta * gap).project_nonneg()
 
 
-def update_theta(
-    theta: CostParams,
-    phi_policy: FeatureVector,
-    phi_expert: FeatureVector,
-    beta: float,
-) -> CostParams:
-    """One projected feature-matching step on a cost weight vector.
-
-    Features the policy over-accrues relative to the experts get a larger
-    weight (they must cost more), and vice versa; the result is clipped to
-    the nonnegative orthant.
-    """
-    return _apply_update(theta, phi_policy.as_array() - phi_expert.as_array(), beta)
-
-
 def infer_goals(dataset: Sequence[Trajectory]) -> np.ndarray:
     """Per-agent goal estimate: mean final demonstrated position."""
     if not dataset:
@@ -177,57 +158,15 @@ def _rollout_features(
     return expected_features(rollouts, agent, goal, cfg.proximity).as_array()
 
 
-def feature_gap(
-    dataset: Sequence[Trajectory],
-    policies: PolicySequence,
-    spec: ScenarioSpec,
-    agent: int,
-    cfg: TrainingConfig,
-    seed: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Policy-minus-demonstration feature expectations and their norm."""
+def _training_game(
+    dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig
+) -> tuple[Game, list[np.ndarray]]:
+    """Game at the all-ones start weights (goals inferred if the spec has none), plus demo features."""
     _check_dataset(dataset, spec)
-    goals = spec.goals if spec.goals is not None else infer_goals(dataset)
-    rollouts = sample_rollouts(
-        policies, spec, cfg.M, cfg.seed if seed is None else seed, cfg.u_max
-    )
-    gap = (
-        _rollout_features(rollouts, agent, goals[agent], cfg)
-        - expected_features(dataset, agent, goals[agent], cfg.proximity).as_array()
-    )
-    return gap, float(np.linalg.norm(gap))
-
-
-class _GameState:
-    """Cached expansions and solver plumbing shared by both training loops."""
-
-    def __init__(self, spec: ScenarioSpec, goals: np.ndarray, cfg: TrainingConfig):
-        self.spec = spec
-        self.goals = goals
-        self.cfg = cfg
-        self.nominal = constant_velocity_rollout(spec)
-        self.dyn = linearize_dynamics(spec.k, spec.dt)
-        self.expansions: list = [None] * spec.k
-
-    def set_theta(self, agent: int, theta: CostParams) -> None:
-        model = StageCostModel(
-            theta=theta,
-            agent=agent,
-            goal=self.goals[agent],
-            k=self.spec.k,
-            horizon=self.spec.horizon,
-            sigma=self.cfg.proximity.sigma,
-        )
-        self.expansions[agent] = expand_model_along(model, self.nominal, self.cfg.fd_step)
-
-    def solve(self) -> PolicySequence:
-        return solve_lq_game(
-            self.dyn,
-            [e[0] for e in self.expansions],
-            self.cfg.solver,
-            terminal=[e[1] for e in self.expansions],
-            nominal=self.nominal,
-        )
+    if spec.goals is None:
+        spec = spec.with_goals(infer_goals(dataset))
+    models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
+    return Game(models, spec, cfg.solver, cfg.fd_step), _demo_features(dataset, spec.goals, cfg)
 
 
 def multi_agent_irl(
@@ -241,19 +180,14 @@ def multi_agent_irl(
     with a seed derived from (cfg.seed, sweep, agent). Non-convergence within
     cfg.max_iters sweeps is reported via trace.converged, not an error.
     """
-    _check_dataset(dataset, spec)
-    goals = spec.goals if spec.goals is not None else infer_goals(dataset)
-    demo_phi = _demo_features(dataset, goals, cfg)
-
+    game, demo_phi = _training_game(dataset, spec, cfg)
+    goals = game.spec.goals
     thetas = [CostParams.ones() for _ in range(spec.k)]
-    state = _GameState(spec, goals, cfg)
-    for i in range(spec.k):
-        state.set_theta(i, thetas[i])
 
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
         for i in range(spec.k):
-            policies = state.solve()
+            policies = game.solve()
             rollouts = sample_rollouts(
                 policies, spec, cfg.M, derive_seed(cfg.seed, sweep, i), cfg.u_max
             )
@@ -271,7 +205,7 @@ def multi_agent_irl(
                 )
             )
             thetas[i] = theta_new
-            state.set_theta(i, theta_new)
+            game.set_theta(i, theta_new)
         trace.sweeps = sweep + 1
         if trace.sweep_max_gap(sweep) < cfg.tol:
             trace.converged = True
@@ -289,18 +223,13 @@ def single_agent_maxent_irl(
     Per sweep the game is solved once, one rollout set is drawn, each agent's
     gap is measured and the mean gap drives a single shared update.
     """
-    _check_dataset(dataset, spec)
-    goals = spec.goals if spec.goals is not None else infer_goals(dataset)
-    demo_phi = _demo_features(dataset, goals, cfg)
-
+    game, demo_phi = _training_game(dataset, spec, cfg)
+    goals = game.spec.goals
     theta = CostParams.ones()
-    state = _GameState(spec, goals, cfg)
-    for i in range(spec.k):
-        state.set_theta(i, theta)
 
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
-        policies = state.solve()
+        policies = game.solve()
         rollouts = sample_rollouts(
             policies, spec, cfg.M, derive_seed(cfg.seed, sweep, 0), cfg.u_max
         )
@@ -323,7 +252,7 @@ def single_agent_maxent_irl(
         )
         theta = theta_new
         for i in range(spec.k):
-            state.set_theta(i, theta)
+            game.set_theta(i, theta)
         trace.sweeps = sweep + 1
         if trace.sweep_max_gap(sweep) < cfg.tol:
             trace.converged = True

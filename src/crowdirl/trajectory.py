@@ -64,24 +64,6 @@ class AgentState:
 
 
 @dataclass(frozen=True)
-class ControlInput:
-    """Planar acceleration command (m/s^2)."""
-
-    ax: float
-    ay: float
-
-    def __post_init__(self):
-        _check_finite("ControlInput", ax=self.ax, ay=self.ay)
-
-    @property
-    def magnitude(self) -> float:
-        return math.hypot(self.ax, self.ay)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ax, self.ay], dtype=float)
-
-
-@dataclass(frozen=True)
 class JointState:
     """Stacked states of k agents; agent order is fixed for a scenario."""
 
@@ -116,18 +98,6 @@ def clamp_control(u: np.ndarray, u_max: float = DEFAULT_U_MAX) -> np.ndarray:
     return u * scale
 
 
-def propagate(state: AgentState, control: ControlInput, dt: float) -> AgentState:
-    """One exact double-integrator step of length dt."""
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be a positive finite number, got {dt!r}")
-    return AgentState(
-        px=state.px + state.vx * dt + 0.5 * control.ax * dt * dt,
-        py=state.py + state.vy * dt + 0.5 * control.ay * dt * dt,
-        vx=state.vx + control.ax * dt,
-        vy=state.vy + control.ay * dt,
-    )
-
-
 def propagate_joint(states: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
     """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k)."""
     states = np.asarray(states, dtype=float)
@@ -144,9 +114,10 @@ def propagate_joint(states: np.ndarray, controls: np.ndarray, dt: float) -> np.n
 class Trajectory:
     """Joint states (T+1, 4k) plus per-agent controls (T, k, 2) at step dt.
 
-    Solver-generated trajectories satisfy states[t+1] == propagate(states[t],
-    controls[t]); ingested data need not (controls there are reconstructed
-    estimates). Arrays are frozen after construction.
+    Solver-generated trajectories satisfy states[t+1] ==
+    propagate_joint(states[t], controls[t], dt); ingested data need not
+    (controls there are reconstructed estimates). Arrays are frozen after
+    construction.
     """
 
     states: np.ndarray

@@ -79,8 +79,8 @@ def test_criterion_1_solver_oracle_equivalence():
         terminal.H, terminal.l,
     )
     err = max(
-        max(np.max(np.abs(policies.stages[0][t].K - gains[t])) for t in range(10)),
-        max(np.max(np.abs(policies.stages[0][t].kff + ffs[t])) for t in range(10)),
+        max(np.max(np.abs(policies.K[t, 0] - gains[t])) for t in range(10)),
+        max(np.max(np.abs(policies.kff[t, 0] + ffs[t])) for t in range(10)),
     )
     elapsed = time.perf_counter() - start
     _report(1, "solver-oracle equivalence", err < 1e-8 and elapsed < 1.0,
@@ -101,16 +101,15 @@ def test_criterion_2_decoupling_equality(intersection_spec):
             dt=intersection_spec.dt,
         )
         solo = build_policies([theta], sub)
-        for t in range(intersection_spec.horizon):
-            own = joint.stages[i][t].K[:, 4 * i : 4 * i + 4]
-            cross = np.delete(joint.stages[i][t].K, np.s_[4 * i : 4 * i + 4], axis=1)
-            worst = max(
-                worst,
-                float(np.max(np.abs(own - solo.stages[0][t].K))),
-                float(np.max(np.abs(cross))),
-                float(np.max(np.abs(joint.stages[i][t].kff - solo.stages[0][t].kff))),
-                float(np.max(np.abs(joint.stages[i][t].Sigma - solo.stages[0][t].Sigma))),
-            )
+        own = joint.K[:, i, :, 4 * i : 4 * i + 4]
+        cross = np.delete(joint.K[:, i], np.s_[4 * i : 4 * i + 4], axis=-1)
+        worst = max(
+            worst,
+            float(np.max(np.abs(own - solo.K[:, 0]))),
+            float(np.max(np.abs(cross))),
+            float(np.max(np.abs(joint.kff[:, i] - solo.kff[:, 0]))),
+            float(np.max(np.abs(joint.Sigma[:, i] - solo.Sigma[:, 0]))),
+        )
     elapsed = time.perf_counter() - start
     _report(2, "decoupling equality", worst < 1e-9 and elapsed < 1.0,
             f"max dev {worst:.2e}, {elapsed:.2f}s")

@@ -7,7 +7,6 @@ from crowdirl.baselines import (
     EnergyParams,
     GmmModel,
     action_grid,
-    constant_velocity_predict,
     ebm_argmin,
     ebm_energy,
     ebm_minimizer,
@@ -18,6 +17,7 @@ from crowdirl.baselines import (
     gmm_sample,
 )
 from crowdirl.errors import ValidationError
+from crowdirl.metrics import PredictorContext, make_predictor
 from crowdirl.trajectory import AgentState, JointState, ScenarioSpec, rollout_openloop
 
 
@@ -174,18 +174,26 @@ class TestEbm:
 
 
 class TestConstantVelocity:
+    """The constant-velocity baseline is the metrics module's `cv` predictor."""
+
+    @staticmethod
+    def _predict(start, horizon, dt):
+        spec = ScenarioSpec(k=1, x0=JointState((start,)), goals=None, horizon=horizon, dt=dt)
+        predict = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))
+        # the predictor reads only the demo's start state, so its controls are arbitrary
+        wiggle = np.random.default_rng(0).standard_normal((horizon, 1, 2))
+        return spec, predict(rollout_openloop(spec, wiggle))[:, 0]
+
     def test_at_rest_stays(self):
-        out = constant_velocity_predict([AgentState(1, 1, 0, 0)], horizon=4, dt=0.1)
-        assert np.allclose(out, np.tile([1.0, 1.0], (4, 1)))
+        _, out = self._predict(AgentState(1, 1, 0, 0), horizon=4, dt=0.1)
+        assert np.allclose(out, np.tile([1.0, 1.0], (5, 1)))
 
     def test_unit_velocity_advances(self):
-        out = constant_velocity_predict([AgentState(0, 0, 1, 0)], horizon=3, dt=1.0)
-        assert np.allclose(out[:, 0], [1.0, 2.0, 3.0])
+        _, out = self._predict(AgentState(0, 0, 1, 0), horizon=3, dt=1.0)
+        assert np.allclose(out[:, 0], [0.0, 1.0, 2.0, 3.0])
         assert np.allclose(out[:, 1], 0.0)
 
     def test_matches_zero_control_rollout(self):
-        start = AgentState(0.5, -0.2, 0.8, -0.3)
-        spec = ScenarioSpec(k=1, x0=JointState((start,)), goals=None, horizon=6, dt=0.25)
+        spec, out = self._predict(AgentState(0.5, -0.2, 0.8, -0.3), horizon=6, dt=0.25)
         roll = rollout_openloop(spec, np.zeros((6, 1, 2)))
-        out = constant_velocity_predict([AgentState(9, 9, 0, 0), start], horizon=6, dt=0.25)
-        assert np.allclose(out, roll.positions(0)[1:], atol=1e-14)
+        assert np.array_equal(out, roll.positions(0))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crowdirl.errors import SolverError, ValidationError
+from crowdirl.cli import scenario_preset
+from crowdirl.errors import InternalError, SolverError, ValidationError
 from crowdirl.features import CostParams, stage_cost_models
 from crowdirl.game import (
     PolicySequence,
-    PolicyStage,
     SolverConfig,
     build_policies,
     condition_covariance,
@@ -77,9 +79,9 @@ def test_single_agent_matches_textbook_riccati(single_agent_spec):
         terminal.l,
     )
     for t in range(single_agent_spec.horizon):
-        assert np.allclose(policies.stages[0][t].K, gains[t], atol=1e-8)
+        assert np.allclose(policies.K[t, 0], gains[t], atol=1e-8)
         # package kff folds the (zero) nominal control: kff = -oracle_ff
-        assert np.allclose(policies.stages[0][t].kff, -ffs[t], atol=1e-8)
+        assert np.allclose(policies.kff[t, 0], -ffs[t], atol=1e-8)
 
 
 def test_single_agent_mean_rollout_matches_oracle_trajectory(single_agent_spec):
@@ -118,10 +120,9 @@ def test_pure_effort_cost_gives_flat_policy_and_inverse_sigma():
     ]
     dyn = linearize_dynamics(1, spec.dt)
     policies = solve_lq_game(dyn, [stages], SolverConfig(entropy_temp=2.0), nominal=nominal)
-    for stg in policies.stages[0]:
-        assert np.allclose(stg.K, 0, atol=1e-9)
-        assert np.allclose(stg.kff, 0, atol=1e-9)
-        assert np.allclose(stg.Sigma, 2.0 / (2 * theta3) * np.eye(2), atol=1e-6)
+    assert np.allclose(policies.K, 0, atol=1e-9)
+    assert np.allclose(policies.kff, 0, atol=1e-9)
+    assert np.allclose(policies.Sigma, 2.0 / (2 * theta3) * np.eye(2), atol=1e-6)
 
 
 def test_decoupled_game_equals_independent_solves(intersection_spec):
@@ -136,14 +137,12 @@ def test_decoupled_game_equals_independent_solves(intersection_spec):
             dt=intersection_spec.dt,
         )
         solo = build_policies([theta], sub)
-        for t in range(intersection_spec.horizon):
-            K_joint = joint.stages[i][t].K
-            own = K_joint[:, 4 * i : 4 * i + 4]
-            cross = np.delete(K_joint, np.s_[4 * i : 4 * i + 4], axis=1)
-            assert np.max(np.abs(own - solo.stages[0][t].K)) < 1e-9
-            assert np.max(np.abs(cross)) < 1e-12
-            assert np.max(np.abs(joint.stages[i][t].kff - solo.stages[0][t].kff)) < 1e-9
-            assert np.max(np.abs(joint.stages[i][t].Sigma - solo.stages[0][t].Sigma)) < 1e-9
+        own = joint.K[:, i, :, 4 * i : 4 * i + 4]
+        cross = np.delete(joint.K[:, i], np.s_[4 * i : 4 * i + 4], axis=-1)
+        assert np.max(np.abs(own - solo.K[:, 0])) < 1e-9
+        assert np.max(np.abs(cross)) < 1e-12
+        assert np.max(np.abs(joint.kff[:, i] - solo.kff[:, 0])) < 1e-9
+        assert np.max(np.abs(joint.Sigma[:, i] - solo.Sigma[:, 0])) < 1e-9
 
 
 def test_min_eigenvalue_examples():
@@ -203,9 +202,8 @@ def test_conditioning_engages_in_crowded_low_effort_game():
     cfg = SolverConfig(entropy_temp=1.0)
     policies = build_policies([theta, theta], spec, cfg)
     assert policies.diagnostics.conditioned_stages > 0
-    for i in range(2):
-        for stg in policies.stages[i]:
-            assert min_eigenvalue(stg.Sigma) >= cfg.eps_psd - 1e-12
+    for t, i in np.ndindex(policies.horizon, policies.k):
+        assert min_eigenvalue(policies.Sigma[t, i]) >= cfg.eps_psd - 1e-12
     # events carry (t, agent, shift), shifts nonnegative
     for t, i, s in policies.diagnostics.events:
         assert 0 <= t < 30 and i in (0, 1) and s >= 0.0
@@ -242,9 +240,9 @@ def test_vanishing_noise_collapses_to_mean(single_agent_spec):
 
 def test_sampled_control_mean_obeys_clt():
     # zero-gain zero-feedforward unit-covariance policy, one step, dt = 1
-    stage = PolicyStage(K=np.zeros((2, 4)), kff=np.zeros(2), Sigma=np.eye(2))
     policies = PolicySequence(
-        stages=((stage,),), nominal_states=np.zeros((2, 4)), dt=1.0
+        K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), Sigma=np.eye(2)[None, None],
+        nominal_states=np.zeros((2, 4)), dt=1.0,
     )
     spec = ScenarioSpec(
         k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=1.0
@@ -276,9 +274,8 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
         for t in range(intersection_spec.horizon):
             us = []
             for j in range(3):
-                stg = policies.stages[j][t]
-                K = K_override.get((j, t), stg.K)
-                us.append(stg.kff - K @ dx)
+                K = K_override.get((j, t), policies.K[t, j])
+                us.append(policies.kff[t, j] - K @ dx)
             z = np.concatenate([dx, us[agent]])
             total += stages[t].c + stages[t].l @ z + 0.5 * z @ stages[t].H @ z
             dx = dyn.A @ dx + sum(dyn.B[j] @ us[j] for j in range(3))
@@ -293,7 +290,7 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
             dK = rng.standard_normal((2, 12))
             dK *= 1e-4 / np.linalg.norm(dK)
             pert = agent_cost(
-                agent, {(agent, t0): policies.stages[agent][t0].K + dK}, dx0
+                agent, {(agent, t0): policies.K[t0, agent] + dK}, dx0
             )
             assert pert >= base - 1e-6 * np.linalg.norm(dK)
 
@@ -329,3 +326,69 @@ def test_solver_rejects_mismatched_dimensions(single_agent_spec):
     stages, terminal = expand_model_along(models[0], nominal)
     with pytest.raises(ValidationError):
         solve_lq_game(linearize_dynamics(2, 0.1), [stages], SolverConfig())
+
+
+def test_policy_sequence_validates_and_freezes_arrays():
+    good = dict(K=np.zeros((2, 1, 2, 4)), kff=np.zeros((2, 1, 2)),
+                Sigma=np.tile(np.eye(2), (2, 1, 1, 1)), nominal_states=np.zeros((3, 4)), dt=0.1)
+    policies = PolicySequence(**good)
+    assert (policies.horizon, policies.k) == (2, 1)
+    for arr in (policies.K, policies.kff, policies.Sigma, policies.nominal_states):
+        assert not arr.flags.writeable
+    bad_sigma = good["Sigma"].copy()
+    bad_sigma[1, 0, 0, 1] = 0.5
+    for override in (
+        {"K": np.zeros((2, 1, 2, 8))},
+        {"kff": np.zeros((2, 2))},
+        {"Sigma": np.eye(2)},
+        {"nominal_states": np.zeros((2, 4))},
+        {"K": np.full((2, 1, 2, 4), np.nan)},
+        {"Sigma": bad_sigma},
+    ):
+        with pytest.raises(ValidationError):
+            PolicySequence(**{**good, **override})
+
+
+def test_unconditioned_covariance_is_reported_with_its_stage():
+    sigma = np.tile(np.eye(2), (3, 2, 1, 1))
+    sigma[1, 0] = np.diag([1.0, -1.0])
+    policies = PolicySequence(K=np.zeros((3, 2, 2, 8)), kff=np.zeros((3, 2, 2)), Sigma=sigma,
+                              nominal_states=np.zeros((4, 8)), dt=0.1)
+    spec = ScenarioSpec(k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None,
+                        horizon=3, dt=0.1)
+    with pytest.raises(InternalError, match=r"t=1, agent=0"):
+        sample_rollouts(policies, spec, 2, seed=0)
+
+
+# --- property tests -----------------------------------------------------------
+
+INTERSECTION = scenario_preset("intersection_k3")
+weight = st.floats(0.05, 5.0)
+
+
+@settings(deadline=None, max_examples=15)
+@given(goal=weight, proximity=st.floats(0.0, 10.0), effort=st.floats(0.01, 5.0),
+       temp=st.floats(1e-4, 10.0))
+def test_covariance_floor_holds_for_any_weights(goal, proximity, effort, temp):
+    cfg = SolverConfig(entropy_temp=temp)
+    theta = CostParams(np.array([goal, proximity, effort]))
+    policies = build_policies([theta] * 3, INTERSECTION, cfg)
+    # a floored covariance sits at eps_psd up to the rounding of the shift
+    assert np.linalg.eigvalsh(policies.Sigma).min() >= cfg.eps_psd - 1e-12
+
+
+@settings(deadline=None, max_examples=15)
+@given(thetas=st.lists(st.tuples(weight, weight), min_size=3, max_size=3))
+def test_zero_crowding_weight_decouples_the_game(thetas):
+    thetas = [CostParams(np.array([g, 0.0, e])) for g, e in thetas]
+    joint = build_policies(thetas, INTERSECTION)
+    for i in range(3):
+        sub = ScenarioSpec(k=1, x0=JointState((INTERSECTION.x0.agents[i],)),
+                           goals=INTERSECTION.goals[i : i + 1],
+                           horizon=INTERSECTION.horizon, dt=INTERSECTION.dt)
+        solo = build_policies([thetas[i]], sub)
+        own = joint.K[:, i, :, 4 * i : 4 * i + 4]
+        assert np.max(np.abs(own - solo.K[:, 0])) < 1e-9
+        assert not np.any(np.delete(joint.K[:, i], np.s_[4 * i : 4 * i + 4], axis=-1))
+        assert np.max(np.abs(joint.kff[:, i] - solo.kff[:, 0])) < 1e-9
+        assert np.max(np.abs(joint.Sigma[:, i] - solo.Sigma[:, 0])) < 1e-9

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from crowdirl.errors import ValidationError
-from crowdirl.features import CostParams, FeatureVector, ProximityConfig
-from crowdirl.game import SolverConfig, build_policies, mean_rollout
+from crowdirl.features import CostParams, ProximityConfig
+from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from crowdirl.irl import (
     SHARED_AGENT,
     TrainingConfig,
-    feature_gap,
     infer_goals,
     multi_agent_irl,
     single_agent_maxent_irl,
-    update_theta,
 )
 from crowdirl.pipeline import synth_generate
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec
+from crowdirl.rng import derive_seed
+from crowdirl.trajectory import AgentState, JointState, ScenarioSpec, Trajectory
 
 QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
 
@@ -28,24 +27,48 @@ def _cfg(**kw) -> TrainingConfig:
     return TrainingConfig(**base)
 
 
-def test_update_theta_fixed_point_on_matched_features():
-    theta = CostParams(np.array([0.4, 1.2, 0.7]))
-    phi = FeatureVector(3.0, 0.5, 1.0)
-    out = update_theta(theta, phi, phi, beta=0.5)
-    assert np.array_equal(out.weights, theta.weights)
+def _matched_demos(spec, solver, M, seed):
+    """Rollouts of the training start (all weights one) drawn with the first visit's seed."""
+    policies = build_policies([CostParams.ones()] * spec.k, spec, solver)
+    return sample_rollouts(policies, spec, M, derive_seed(seed, 0, 0))
 
 
-def test_update_theta_moves_with_the_gap():
-    # policy over-accrues goal_dist -> its weight must grow
-    theta = CostParams(np.array([1.0, 1.0, 1.0]))
-    out = update_theta(theta, FeatureVector(2.0, 0, 0), FeatureVector(1.0, 0, 0), beta=0.5)
-    assert np.allclose(out.weights, [1.5, 1.0, 1.0])
+def test_update_theta_fixed_point_on_matched_features(single_agent_spec):
+    cfg = _cfg(max_iters=1, M=6, seed=13)
+    demos = _matched_demos(single_agent_spec, cfg.solver, cfg.M, cfg.seed)
+    _, trace = multi_agent_irl(demos, single_agent_spec, cfg)
+    rec = trace.records[0]
+    assert np.all(rec.gap == 0.0)
+    assert np.array_equal(rec.theta_after, rec.theta_before)
 
 
-def test_update_theta_clamps_at_orthant_boundary():
-    theta = CostParams(np.array([0.1, 1.0, 1.0]))
-    out = update_theta(theta, FeatureVector(1.0, 0, 0), FeatureVector(2.0, 0, 0), beta=0.5)
-    assert np.allclose(out.weights, [0.0, 1.0, 1.0])
+def _assert_projected_updates(trace, beta):
+    """Every record moves theta with its gap and clips at zero, bit for bit."""
+    last = {}
+    for rec in trace.records:
+        assert np.array_equal(rec.theta_after, np.maximum(rec.theta_before + beta * rec.gap, 0.0))
+        assert rec.gap_norm == float(np.linalg.norm(rec.gap))
+        if rec.agent in last:
+            assert np.array_equal(rec.theta_before, last[rec.agent])
+        last[rec.agent] = rec.theta_after
+
+
+def test_update_theta_moves_with_the_gap(intersection_spec, theta_star):
+    demos = synth_generate(theta_star, intersection_spec, 4, seed=5, solver_cfg=QUIET_SOLVER)
+    cfg = _cfg(max_iters=2, M=4)
+    for train in (multi_agent_irl, single_agent_maxent_irl):
+        _, trace = train(demos, intersection_spec, cfg)
+        _assert_projected_updates(trace, cfg.beta)
+
+
+def test_update_theta_clamps_at_orthant_boundary(intersection_spec, theta_star):
+    demos = synth_generate(theta_star, intersection_spec, 4, seed=5, solver_cfg=QUIET_SOLVER)
+    cfg = _cfg(beta=100.0, max_iters=1, M=4)
+    for train in (multi_agent_irl, single_agent_maxent_irl):
+        _, trace = train(demos, intersection_spec, cfg)
+        _assert_projected_updates(trace, cfg.beta)
+        clipped = [r for r in trace.records if np.any(r.theta_before + cfg.beta * r.gap < 0)]
+        assert clipped and all(np.any(r.theta_after == 0.0) for r in clipped)
 
 
 def test_infer_goals_mean_final_position(intersection_spec, theta_star):
@@ -56,50 +79,46 @@ def test_infer_goals_mean_final_position(intersection_spec, theta_star):
         assert np.allclose(goals[i], finals[4 * i : 4 * i + 2])
 
 
-def test_feature_gap_exactly_zero_on_matched_draws(single_agent_spec):
-    # demos drawn from the very policies with the same (seed, M): the gap
-    # compares identical trajectory sets and is exactly zero
-    theta = CostParams(np.array([1.0, 0.0, 1.0]))
-    cfg = _cfg(M=6, seed=13)
-    policies = build_policies([theta], single_agent_spec, cfg.solver)
-    from crowdirl.game import sample_rollouts
-
-    demos = sample_rollouts(policies, single_agent_spec, cfg.M, seed=13)
-    gap, norm = feature_gap(demos, policies, single_agent_spec, 0, cfg, seed=13)
-    assert norm == 0.0 and np.all(gap == 0.0)
+def test_feature_gap_exactly_zero_on_matched_draws(intersection_spec):
+    # Demos drawn from the game at the training start with the first visit's
+    # seed: the first gap compares identical trajectory sets and is exactly
+    # zero, but only if training solves the same game, outer
+    # re-expansion included.
+    solver = SolverConfig(entropy_temp=1e-3, max_outer_iters=3)
+    cfg = _cfg(max_iters=1, M=6, seed=13, solver=solver)
+    demos = _matched_demos(intersection_spec, solver, cfg.M, cfg.seed)
+    for train in (multi_agent_irl, single_agent_maxent_irl):
+        _, trace = train(demos, intersection_spec, cfg)
+        assert np.all(trace.records[0].gap == 0.0), train.__name__
 
 
 def test_feature_gap_zero_against_own_mean_rollout(single_agent_spec):
-    theta = CostParams(np.array([1.0, 0.0, 1.0]))
-    cfg = _cfg(M=4, solver=SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
-    policies = build_policies([theta], single_agent_spec, cfg.solver)
+    cfg = _cfg(max_iters=1, M=4, solver=SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
+    policies = build_policies([CostParams.ones()], single_agent_spec, cfg.solver)
     demo = mean_rollout(policies, single_agent_spec)
-    gap, norm = feature_gap([demo], policies, single_agent_spec, 0, cfg)
-    assert norm < 1e-9
+    _, trace = multi_agent_irl([demo], single_agent_spec, cfg)
+    assert trace.records[0].gap_norm < 1e-9
 
 
-def test_feature_gap_goal_component_sign(single_agent_spec):
-    # static demos end far from goal; a goal-seeking policy ends nearer:
-    # policy accrues less goal_dist, so that gap component is negative.
-    theta = CostParams(np.array([5.0, 0.0, 0.1]))
-    cfg = _cfg(M=4)
-    policies = build_policies([theta], single_agent_spec, cfg.solver)
-    x0 = single_agent_spec.x0.as_array()
-    static = np.tile(x0 * [1, 1, 0, 0], (single_agent_spec.horizon + 1, 1))
-    from crowdirl.trajectory import Trajectory
-
-    demo = Trajectory(static, np.zeros((single_agent_spec.horizon, 1, 2)), single_agent_spec.dt)
-    gap, _ = feature_gap([demo], policies, single_agent_spec, 0, cfg)
-    assert gap[0] < 0
+def test_feature_gap_goal_component_sign(intersection_spec):
+    # static demos stay far from the goals; goal-seeking policies end nearer:
+    # policies accrue less goal_dist, so that gap component is negative.
+    x0 = intersection_spec.x0.as_array()
+    static = np.tile(x0 * np.tile([1, 1, 0, 0], 3), (intersection_spec.horizon + 1, 1))
+    demo = Trajectory(static, np.zeros((intersection_spec.horizon, 3, 2)), intersection_spec.dt)
+    cfg = _cfg(max_iters=1, M=4)
+    for train in (multi_agent_irl, single_agent_maxent_irl):
+        _, trace = train([demo], intersection_spec, cfg)
+        assert all(r.gap[0] < 0 for r in trace.records)
 
 
 def test_feature_gap_rejects_mismatched_dataset(single_agent_spec, intersection_spec, theta_star):
     demos = synth_generate(theta_star, intersection_spec, 2, seed=0, solver_cfg=QUIET_SOLVER)
-    policies = build_policies(theta_star, intersection_spec, QUIET_SOLVER)
-    with pytest.raises(ValidationError):
-        feature_gap(demos, policies, single_agent_spec, 0, _cfg())
-    with pytest.raises(ValidationError):
-        feature_gap([], policies, intersection_spec, 0, _cfg())
+    for train in (multi_agent_irl, single_agent_maxent_irl):
+        with pytest.raises(ValidationError):
+            train(demos, single_agent_spec, _cfg())
+        with pytest.raises(ValidationError):
+            train([], intersection_spec, _cfg())
 
 
 def test_multi_agent_irl_reduces_gap(intersection_spec, theta_star):

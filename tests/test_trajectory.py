@@ -6,7 +6,6 @@ import pytest
 from crowdirl.errors import FormatError, ValidationError
 from crowdirl.trajectory import (
     AgentState,
-    ControlInput,
     JointState,
     ScenarioSpec,
     Trajectory,
@@ -14,7 +13,6 @@ from crowdirl.trajectory import (
     constant_velocity_rollout,
     from_dataset_array,
     from_dataset_row,
-    propagate,
     propagate_joint,
     rollout_openloop,
     to_dataset_array,
@@ -22,29 +20,31 @@ from crowdirl.trajectory import (
 )
 
 
+def _step(state, control, dt):
+    """propagate_joint on one agent: (4,) state, (2,) control."""
+    return propagate_joint(np.asarray(state, float), np.asarray(control, float)[None], dt)
+
+
 def test_propagate_zero_acceleration_unit_velocity():
-    out = propagate(AgentState(0, 0, 1, 0), ControlInput(0, 0), dt=1.0)
-    assert out == AgentState(1, 0, 1, 0)
+    assert np.array_equal(_step([0, 0, 1, 0], [0, 0], 1.0), [1, 0, 1, 0])
 
 
 def test_propagate_fixed_point_at_rest():
-    out = propagate(AgentState(0, 0, 0, 0), ControlInput(0, 0), dt=0.1)
-    assert out == AgentState(0, 0, 0, 0)
+    assert np.array_equal(_step([0, 0, 0, 0], [0, 0], 0.1), [0, 0, 0, 0])
 
 
 def test_propagate_hand_arithmetic():
     # p' = 0 + 1*0.5 + 0.5*2*0.25 = 0.75, v' = 1 + 2*0.5 = 2
-    out = propagate(AgentState(0, 0, 1, 0), ControlInput(2, 0), dt=0.5)
-    assert out == AgentState(0.75, 0.0, 2.0, 0.0)
+    assert np.array_equal(_step([0, 0, 1, 0], [2, 0], 0.5), [0.75, 0.0, 2.0, 0.0])
 
 
 def test_propagate_rejects_nonfinite_named_field():
     with pytest.raises(ValidationError, match="vx"):
         AgentState(0, 0, float("nan"), 0)
-    with pytest.raises(ValidationError, match="ay"):
-        ControlInput(0, float("inf"))
+    with pytest.raises(ValidationError, match="py"):
+        AgentState(0, float("inf"), 0, 0)
     with pytest.raises(ValidationError, match="dt"):
-        propagate(AgentState(0, 0, 0, 0), ControlInput(0, 0), dt=0.0)
+        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=0.0)
 
 
 def test_propagate_is_affine_in_state_and_control():
@@ -55,29 +55,24 @@ def test_propagate_is_affine_in_state_and_control():
         u1, u2 = rng.standard_normal(2), rng.standard_normal(2)
         a = rng.uniform(-2, 2)
         b = 1.0 - a
-        mixed = propagate(
-            AgentState.from_array(a * s1 + b * s2),
-            ControlInput(*(a * u1 + b * u2)),
-            dt,
-        ).as_array()
-        parts = a * propagate(AgentState.from_array(s1), ControlInput(*u1), dt).as_array() + (
-            b * propagate(AgentState.from_array(s2), ControlInput(*u2), dt).as_array()
-        )
+        mixed = _step(a * s1 + b * s2, a * u1 + b * u2, dt)
+        parts = a * _step(s1, u1, dt) + b * _step(s2, u2, dt)
         assert np.allclose(mixed, parts, atol=1e-12)
 
 
 def test_propagate_joint_matches_scalar_propagate():
+    # reference: the exact double-integrator step written out per agent
     rng = np.random.default_rng(3)
     states = rng.standard_normal((5, 8))
     controls = rng.standard_normal((5, 2, 2))
-    out = propagate_joint(states, controls, 0.2)
+    dt = 0.2
+    out = propagate_joint(states, controls, dt)
     for r in range(5):
         for i in range(2):
-            ref = propagate(
-                AgentState.from_array(states[r, 4 * i : 4 * i + 4]),
-                ControlInput(*controls[r, i]),
-                0.2,
-            ).as_array()
+            px, py, vx, vy = states[r, 4 * i : 4 * i + 4]
+            ax, ay = controls[r, i]
+            ref = [px + vx * dt + 0.5 * ax * dt * dt, py + vy * dt + 0.5 * ay * dt * dt,
+                   vx + ax * dt, vy + ay * dt]
             assert np.allclose(out[r, 4 * i : 4 * i + 4], ref, atol=1e-14)
 
 
