@@ -179,7 +179,16 @@ def condition_covariance(sigma_raw: np.ndarray, eps_psd: float) -> np.ndarray:
     shift = max(0.0, eps_psd - lam)
     if shift == 0.0:
         return sigma_raw.copy()
-    return sigma_raw + shift * np.eye(sigma_raw.shape[0])
+    eye = np.eye(sigma_raw.shape[0])
+    sigma = sigma_raw + shift * eye
+    # On large diagonal entries the shift rounds, which can leave the floor
+    # short by a few ulps; top it up with growing steps until it holds.
+    bump = float(np.spacing(np.max(np.abs(sigma))))
+    while min_eigenvalue(sigma) < eps_psd:
+        shift += bump
+        bump *= 2.0
+        sigma = sigma_raw + shift * eye
+    return sigma
 
 
 def _covariance_shift(sigma_raw: np.ndarray, eps_psd: float) -> float:

@@ -373,8 +373,7 @@ def test_covariance_floor_holds_for_any_weights(goal, proximity, effort, temp):
     cfg = SolverConfig(entropy_temp=temp)
     theta = CostParams(np.array([goal, proximity, effort]))
     policies = build_policies([theta] * 3, INTERSECTION, cfg)
-    # a floored covariance sits at eps_psd up to the rounding of the shift
-    assert np.linalg.eigvalsh(policies.Sigma).min() >= cfg.eps_psd - 1e-12
+    assert np.linalg.eigvalsh(policies.Sigma).min() >= cfg.eps_psd
 
 
 @settings(deadline=None, max_examples=15)
