@@ -6,7 +6,7 @@ over the agents) drives each agent's feature-expectation gap toward zero;
 with heterogeneous ground-truth weights the shared-weight variant cannot
 match everyone at once, and its held-out prediction error shows it.
 
-Takes roughly half a minute.
+Takes several seconds.
 """
 import numpy as np
 

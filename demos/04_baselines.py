@@ -35,7 +35,8 @@ X = rng.uniform(-4, 4, size=(3000, 2))
 U = -0.6 * X + 0.05 * rng.standard_normal((3000, 2))
 model = gmm_fit(np.concatenate([X, U], axis=1), K=3, seed=1)
 print(f"fitted 3 components over 4-d data; final log-likelihood "
-      f"{model.log_likelihoods[-1]:.1f} after {len(model.log_likelihoods)} EM steps")
+      f"{model.log_likelihoods[-1]:.1f} after {len(model.log_likelihoods)} EM steps "
+      f"(converged: {model.converged})")
 probe = np.array([2.0, -1.0])
 cond = gmm_conditional_mean(model, probe, n_cond=2)
 print(f"E[action | state {probe}] = {np.round(cond, 3)} (behavior says {-0.6 * probe})")

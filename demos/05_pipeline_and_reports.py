@@ -3,7 +3,8 @@
 Builds a synthetic frame stream in the sensor's wire format, runs the full
 preprocessing chain (tracks, filtering, direction groups, combinatorial
 catalog), writes and re-reads the trajectory interchange format, and emits a
-metric report in all three formats.
+metric report in all three formats. The files go to a temporary directory
+that is removed when the script ends.
 """
 import json
 import tempfile
@@ -31,7 +32,8 @@ from crowdirl import (
 from crowdirl.cli import scenario_preset
 from crowdirl.pipeline import travel_direction
 
-out = Path(tempfile.mkdtemp(prefix="crowdirl_demo_"))
+workdir = tempfile.TemporaryDirectory(prefix="crowdirl_demo_")
+out = Path(workdir.name)
 print(f"writing outputs under {out}")
 
 print("\n== frames -> tracks -> catalog ==")
@@ -87,3 +89,4 @@ print("emitted report.csv / report.jsonl / report.svg")
 print((out / "report.csv").read_text().splitlines()[1])
 for rep in reports:
     print(f"  {rep.method}: ADE {rep.ade:.3f} m, FDE {rep.fde:.3f} m")
+workdir.cleanup()

@@ -93,10 +93,7 @@ from .quadratic import (
     LinearDynamics,
     QuadraticStage,
     TerminalQuadratic,
-    expand_along,
-    expand_terminal,
     linearize_dynamics,
-    taylor_expand,
 )
 from .trajectory import (
     AgentState,

@@ -28,12 +28,17 @@ RIDGE_LAMBDA = 1e-6
 
 @dataclass(frozen=True)
 class GmmModel:
-    """Mixture weights, means and covariances; covariances are kept PD."""
+    """Mixture weights, means and covariances; covariances are kept PD.
+
+    converged is False when EM stopped at its iteration cap before the
+    log-likelihood change fell below tol.
+    """
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, d)
     covariances: np.ndarray  # (K, d, d)
     log_likelihoods: np.ndarray = field(default_factory=lambda: np.array([]))
+    converged: bool = True
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float).ravel()
@@ -141,6 +146,7 @@ def gmm_fit(
 
     loglik_trace = []
     prev = -np.inf
+    converged = False
     for _ in range(max_em_iters):
         # E-step in log space.
         logs = np.stack(
@@ -179,14 +185,21 @@ def gmm_fit(
         weights = nk / nk.sum()
 
         if abs(loglik - prev) < tol:
+            converged = True
             break
         prev = loglik
+    if not converged:
+        logger.warning(
+            "EM stopped at max_em_iters=%d before the log-likelihood change fell below tol=%g",
+            max_em_iters, tol,
+        )
 
     return GmmModel(
         weights=weights,
         means=means,
         covariances=covs,
         log_likelihoods=np.array(loglik_trace),
+        converged=converged,
     )
 
 

@@ -64,7 +64,6 @@ EXIT_INTERNAL = 4
 DEFAULT_CONFIG: dict = {
     "seed": 0,
     "threads": 1,
-    "fd_step": 1e-3,
     "u_max": 3.0,
     "solver": {
         "eps_psd": 1e-6,
@@ -91,7 +90,6 @@ DEFAULT_CONFIG: dict = {
 _FLAG_PATHS = {
     "seed": ("seed",),
     "threads": ("threads",),
-    "fd_step": ("fd_step",),
     "u_max": ("u_max",),
     "eps_psd": ("solver", "eps_psd"),
     "entropy_temp": ("solver", "entropy_temp"),
@@ -172,7 +170,6 @@ def _training_config(cfg: dict) -> TrainingConfig:
         tol=float(t["tol"]),
         M=int(t["M"]),
         seed=int(cfg["seed"]),
-        fd_step=float(cfg["fd_step"]),
         u_max=float(cfg["u_max"]),
         solver=_solver_config(cfg),
         proximity=ProximityConfig(sigma=float(cfg["proximity"]["sigma"])),
@@ -338,7 +335,6 @@ def cmd_synth(args, cfg: dict) -> int:
         seed,
         solver_cfg=_solver_config(cfg),
         proximity=ProximityConfig(sigma=float(cfg["proximity"]["sigma"])),
-        fd_step=float(cfg["fd_step"]),
         u_max=float(cfg["u_max"]),
     )
     write_demonstrations(args.out, demos, goals=spec.goals, provenance=provenance)
@@ -424,7 +420,6 @@ def cmd_eval(args, cfg: dict) -> int:
         thetas=thetas,
         solver=_solver_config(cfg),
         proximity=ProximityConfig(sigma=float(cfg["proximity"]["sigma"])),
-        fd_step=float(cfg["fd_step"]),
         u_max=float(cfg["u_max"]),
         best_of=int(cfg["eval"]["best_of"]),
         seed=int(cfg["seed"]),
@@ -515,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, help="global seed (uint64)")
     parser.add_argument("--threads", type=int, help="worker cap; outputs are identical for any value")
-    parser.add_argument("--fd-step", dest="fd_step", type=float, help="finite-difference step")
     parser.add_argument("--eps-psd", dest="eps_psd", type=float, help="covariance eigenvalue floor")
     parser.add_argument("--entropy-temp", dest="entropy_temp", type=float, help="policy covariance scale")
     parser.add_argument("--beta", type=float, help="weight-update learning rate")

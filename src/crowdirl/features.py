@@ -144,9 +144,10 @@ class StageCostModel:
 
     Summing state_cost over all T+1 states and control terms over the T steps
     reproduces cost(theta, compute_features(...)) exactly: state terms carry a
-    1/(T+1) factor and the effort term a 1/T factor. The control dependence is
-    exactly quadratic with no state-control coupling, which the quadratic
-    expansion exploits.
+    1/(T+1) factor and the effort term a 1/T factor. Every term has closed-form
+    derivatives, and the control dependence is exactly quadratic with no
+    state-control coupling; `quadratic.expand_model_along` expands the cost
+    exactly from these facts.
     """
 
     theta: CostParams

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams, ProximityConfig, StageCostModel, stage_cost_models
 from .quadratic import (
-    DEFAULT_FD_STEP,
     LinearDynamics,
     QuadraticStage,
     TerminalQuadratic,
@@ -346,14 +345,12 @@ class Game:
         models: Sequence[StageCostModel],
         spec: ScenarioSpec,
         cfg: SolverConfig = SolverConfig(),
-        fd_step: float = DEFAULT_FD_STEP,
     ):
         if len(models) != spec.k:
             raise ValidationError(f"need {spec.k} cost models, got {len(models)}")
         self.models = list(models)
         self.spec = spec
         self.cfg = cfg
-        self.fd_step = fd_step
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
         self._expansions: list = [None] * spec.k
@@ -367,7 +364,7 @@ class Game:
         """Policies of the game at the current weights."""
         for i, model in enumerate(self.models):
             if self._expansions[i] is None:
-                self._expansions[i] = expand_model_along(model, self.nominal, self.fd_step)
+                self._expansions[i] = expand_model_along(model, self.nominal)
         expansions, nominal = self._expansions, self.nominal
         for it in range(self.cfg.max_outer_iters):
             policies = solve_lq_game(
@@ -383,7 +380,7 @@ class Game:
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
-            expansions = [expand_model_along(m, nominal, self.fd_step) for m in self.models]
+            expansions = [expand_model_along(m, nominal) for m in self.models]
         return policies
 
 
@@ -391,10 +388,9 @@ def solve_scenario(
     models: Sequence[StageCostModel],
     spec: ScenarioSpec,
     cfg: SolverConfig = SolverConfig(),
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> PolicySequence:
     """Solve the game of the given cost models once (see Game)."""
-    return Game(models, spec, cfg, fd_step).solve()
+    return Game(models, spec, cfg).solve()
 
 
 def _rollout_batch(
@@ -479,7 +475,6 @@ def build_policies(
     spec: ScenarioSpec,
     solver_cfg: SolverConfig = SolverConfig(),
     proximity: ProximityConfig = ProximityConfig(),
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> PolicySequence:
     """Convenience wrapper: weight vectors -> solved policies for a scenario."""
-    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg, fd_step)
+    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg)

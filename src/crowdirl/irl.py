@@ -35,7 +35,6 @@ from .features import (
 )
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
-from .quadratic import DEFAULT_FD_STEP
 from .rng import derive_seed
 from .trajectory import DEFAULT_U_MAX, ScenarioSpec, Trajectory
 
@@ -51,7 +50,6 @@ class TrainingConfig:
     tol: float = 1e-3
     M: int = 32
     seed: int = 0
-    fd_step: float = DEFAULT_FD_STEP
     u_max: float = DEFAULT_U_MAX
     solver: SolverConfig = field(default_factory=SolverConfig)
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
@@ -166,7 +164,7 @@ def _training_game(
     if spec.goals is None:
         spec = spec.with_goals(infer_goals(dataset))
     models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
-    return Game(models, spec, cfg.solver, cfg.fd_step), _demo_features(dataset, spec.goals, cfg)
+    return Game(models, spec, cfg.solver), _demo_features(dataset, spec.goals, cfg)
 
 
 def multi_agent_irl(

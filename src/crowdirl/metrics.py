@@ -30,7 +30,6 @@ from .baselines import (
 from .errors import FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
-from .quadratic import DEFAULT_FD_STEP
 from .rng import substream
 from .trajectory import (
     DEFAULT_U_MAX,
@@ -247,7 +246,6 @@ class PredictorContext:
     thetas: Sequence[CostParams] | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
-    fd_step: float = DEFAULT_FD_STEP
     u_max: float = DEFAULT_U_MAX
     best_of: int = 1
     seed: int = 0
@@ -337,7 +335,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Callable[[Trajectory],
             if key not in ctx._policy_cache:
                 demo_spec = spec.with_x0(demo.joint_state(0))
                 ctx._policy_cache[key] = (
-                    build_policies(ctx.thetas, demo_spec, ctx.solver, ctx.proximity, ctx.fd_step),
+                    build_policies(ctx.thetas, demo_spec, ctx.solver, ctx.proximity),
                     demo_spec,
                 )
             policies, demo_spec = ctx._policy_cache[key]

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, sample_rollouts
-from .quadratic import DEFAULT_FD_STEP
 from .trajectory import (
     DEFAULT_U_MAX,
     ScenarioSpec,
@@ -358,13 +357,12 @@ def synth_generate(
     seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
     proximity: ProximityConfig = ProximityConfig(),
-    fd_step: float = DEFAULT_FD_STEP,
     u_max: float = DEFAULT_U_MAX,
 ) -> list[Trajectory]:
     """Roll out demonstrations from known weights; deterministic per seed."""
     if n_demos < 1:
         raise ValidationError("n_demos must be >= 1")
-    policies = build_policies(theta_star, spec, solver_cfg, proximity, fd_step)
+    policies = build_policies(theta_star, spec, solver_cfg, proximity)
     return sample_rollouts(policies, spec, n_demos, seed, u_max)
 
 

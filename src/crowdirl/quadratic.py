@@ -1,10 +1,10 @@
-"""Stagewise quadratic approximation of trajectory costs.
+"""Stagewise quadratic expansion of trajectory costs.
 
-Each agent's running cost is approximated at every step of a nominal
-trajectory by a quadratic in the deviation variables (dx, du): a symmetric
-curvature matrix, a gradient and an offset, obtained by central finite
-differences. Costs whose control dependence is declared exactly quadratic
-take a fast path that differentiates only the state block.
+Each agent's running cost is expanded at every step of a nominal trajectory
+into a quadratic in the deviation variables (dx, du): a symmetric curvature
+matrix, a gradient and an offset. The cost is theta . phi over three features
+with closed-form derivatives, so the expansion is exact and computed for all
+nominal states at once.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .errors import ValidationError
 from .features import StageCostModel
 from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
 
-DEFAULT_FD_STEP = 1e-3
 SYMMETRY_TOL = 1e-9
 
 
@@ -156,54 +155,6 @@ def linearize_dynamics(k: int, dt: float) -> LinearDynamics:
     return LinearDynamics(A, tuple(B))
 
 
-def _fd_steps(z0: np.ndarray, h: float) -> np.ndarray:
-    return h * np.maximum(1.0, np.abs(z0))
-
-
-def fd_gradient(f, z0: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a batch-capable scalar function.
-
-    f maps (n, d) -> (n,); steps are h scaled by max(1, |coordinate|).
-    """
-    z0 = np.asarray(z0, dtype=float).ravel()
-    d = z0.size
-    steps = _fd_steps(z0, h)
-    probes = np.concatenate([z0 + np.diag(steps), z0 - np.diag(steps)], axis=0)
-    vals = _eval_batch(f, probes)
-    return (vals[:d] - vals[d:]) / (2.0 * steps)
-
-
-def fd_hessian(f, z0: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Hessian, symmetrized; same batching contract."""
-    z0 = np.asarray(z0, dtype=float).ravel()
-    d = z0.size
-    steps = _fd_steps(z0, h)
-    E = np.diag(steps)
-
-    probes = [z0[None, :]]
-    probes.append(z0 + E)
-    probes.append(z0 - E)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    for i, j in pairs:
-        probes.append((z0 + E[i] + E[j])[None, :])
-        probes.append((z0 + E[i] - E[j])[None, :])
-        probes.append((z0 - E[i] + E[j])[None, :])
-        probes.append((z0 - E[i] - E[j])[None, :])
-    vals = _eval_batch(f, np.concatenate(probes, axis=0))
-
-    f0 = vals[0]
-    fp = vals[1 : 1 + d]
-    fm = vals[1 + d : 1 + 2 * d]
-    H = np.zeros((d, d))
-    H[np.diag_indices(d)] = (fp - 2.0 * f0 + fm) / steps**2
-    off = vals[1 + 2 * d :].reshape(-1, 4)
-    for (i, j), (fpp, fpm, fmp, fmm) in zip(pairs, off):
-        val = (fpp - fpm - fmp + fmm) / (4.0 * steps[i] * steps[j])
-        H[i, j] = val
-        H[j, i] = val
-    return 0.5 * (H + H.T)
-
-
 def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
     vals = np.asarray(f(probes), dtype=float)
     if vals.shape != (probes.shape[0],):
@@ -216,86 +167,57 @@ def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def taylor_expand(costfn, x_nom, u_nom, h: float = DEFAULT_FD_STEP) -> QuadraticStage:
-    """Quadratic fit of costfn(x, u) around a nominal point.
-
-    costfn must accept batched inputs: x (n, 4k) and u (n, 2) -> (n,).
-    """
-    x_nom = np.asarray(x_nom, dtype=float).ravel()
-    u_nom = np.asarray(u_nom, dtype=float).ravel()
-    nx = x_nom.size
-    z0 = np.concatenate([x_nom, u_nom])
-
-    def f(z: np.ndarray) -> np.ndarray:
-        return costfn(z[:, :nx], z[:, nx:])
-
-    c = float(_eval_batch(f, z0[None, :])[0])
-    l = fd_gradient(f, z0, h)
-    H = fd_hessian(f, z0, h)
-    return QuadraticStage(H=H, l=l, c=c, state_dim=nx)
-
-
-def expand_along(
-    costfn,
-    nominal: Trajectory,
-    agent: int,
-    h: float = DEFAULT_FD_STEP,
-    control_weight: float | None = None,
-) -> list[QuadraticStage]:
-    """One QuadraticStage per step of the nominal trajectory.
-
-    With control_weight given, the control dependence is taken as exactly
-    w*||u||^2 with no state coupling: only the state block is differenced,
-    and the control blocks are filled in analytically.
-    """
-    stages = []
-    for t in range(nominal.horizon):
-        x_nom = nominal.states[t]
-        u_nom = nominal.agent_controls(agent)[t]
-        if control_weight is None:
-            stages.append(taylor_expand(costfn, x_nom, u_nom, h))
-        else:
-            stages.append(_expand_separable(costfn, x_nom, u_nom, h, control_weight))
-    return stages
-
-
-def _expand_separable(
-    costfn, x_nom: np.ndarray, u_nom: np.ndarray, h: float, w: float
-) -> QuadraticStage:
-    x_nom = np.asarray(x_nom, dtype=float).ravel()
-    u_nom = np.asarray(u_nom, dtype=float).ravel()
-    nx, nu = x_nom.size, u_nom.size
-
-    def f_state(x: np.ndarray) -> np.ndarray:
-        return costfn(x, np.broadcast_to(u_nom, (x.shape[0], nu)))
-
-    c = float(_eval_batch(f_state, x_nom[None, :])[0])
-    lx = fd_gradient(f_state, x_nom, h)
-    Hxx = fd_hessian(f_state, x_nom, h)
-
-    d = nx + nu
-    H = np.zeros((d, d))
-    H[:nx, :nx] = Hxx
-    H[nx:, nx:] = 2.0 * w * np.eye(nu)
-    l = np.concatenate([lx, 2.0 * w * u_nom])
-    return QuadraticStage(H=H, l=l, c=c, state_dim=nx)
-
-
-def expand_terminal(state_costfn, x_nom, h: float = DEFAULT_FD_STEP) -> TerminalQuadratic:
-    """Quadratic fit of a state-only cost at the horizon-end nominal state."""
-    x_nom = np.asarray(x_nom, dtype=float).ravel()
-    c = float(_eval_batch(state_costfn, x_nom[None, :])[0])
-    l = fd_gradient(state_costfn, x_nom, h)
-    H = fd_hessian(state_costfn, x_nom, h)
-    return TerminalQuadratic(H=H, l=l, c=c)
-
-
 def expand_model_along(
-    model: StageCostModel, nominal: Trajectory, h: float = DEFAULT_FD_STEP
+    model: StageCostModel, nominal: Trajectory
 ) -> tuple[list[QuadraticStage], TerminalQuadratic]:
-    """Stages plus terminal quadratic for one agent's StageCostModel."""
-    stages = expand_along(
-        model, nominal, model.agent, h, control_weight=model.control_weight
-    )
-    terminal = expand_terminal(model.terminal_cost, nominal.states[-1], h)
-    return stages, terminal
+    """Exact stages plus terminal quadratic of one agent's StageCostModel.
+
+    Every nominal state is expanded at once. With r_j = p_i - p_j and
+    e_j = exp(-|r_j|^2 / sigma^2), the kernel e_j has gradient -2 e_j r_j / sigma^2
+    in p_i and +2 e_j r_j / sigma^2 in p_j, and curvature
+    M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
+    position blocks, -M_j on (i, j) and (j, i). The goal term adds 2 theta0 I
+    to agent i's own position block; state terms carry the 1/(T+1) factor.
+    The effort term theta2/T * |u|^2 gives H_uu = 2 theta2/T I and
+    l_u = 2 theta2/T u. Offsets are cost values at the nominal, so a
+    non-finite cost raises ValidationError.
+    """
+    states = nominal.states
+    T, k, i = nominal.horizon, model.k, model.agent
+    n = STATE_DIM * k
+    s2 = model.sigma * model.sigma
+    w_goal, w_prox, _ = model.theta.weights
+    c_state = _eval_batch(model.state_cost, states)
+
+    pos = states.reshape(T + 1, k, STATE_DIM)[..., :2]
+    r = pos[:, i : i + 1] - pos  # (T+1, k, 2); zero at j == i
+    e = np.exp(-np.sum(r * r, axis=-1) / s2)
+    e[:, i] = 0.0  # no self term
+    grad = (2.0 / s2) * e[..., None] * r  # d e_j / d p_j
+    M = e[..., None, None] * (
+        (4.0 / (s2 * s2)) * r[..., :, None] * r[..., None, :] - (2.0 / s2) * np.eye(2)
+    )  # (T+1, k, 2, 2)
+
+    l = np.zeros((T + 1, k, STATE_DIM))
+    l[:, :, :2] = w_prox * grad
+    l[:, i, :2] = 2.0 * w_goal * (pos[:, i] - model.goal) - w_prox * grad.sum(axis=1)
+    H = np.zeros((T + 1, k, STATE_DIM, k, STATE_DIM))
+    H[:, i, :2, :, :2] = -w_prox * M.transpose(0, 2, 1, 3)
+    H[:, :, :2, i, :2] = -w_prox * M
+    agents = np.arange(k)
+    H[:, agents, :2, agents, :2] = w_prox * M.transpose(1, 0, 2, 3)
+    H[:, i, :2, i, :2] = 2.0 * w_goal * np.eye(2) + w_prox * M.sum(axis=1)
+    Hx = H.reshape(T + 1, n, n) / (T + 1)
+    lx = l.reshape(T + 1, n) / (T + 1)
+
+    w_u = model.control_weight
+    u = nominal.agent_controls(i)
+    Hz = np.zeros((T, n + CONTROL_DIM, n + CONTROL_DIM))
+    Hz[:, :n, :n] = Hx[:T]
+    Hz[:, n:, n:] = 2.0 * w_u * np.eye(CONTROL_DIM)
+    lz = np.concatenate([lx[:T], 2.0 * w_u * u], axis=1)
+    c = c_state[:T] + w_u * np.sum(u * u, axis=-1)
+    stages = [
+        QuadraticStage(H=Hz[t], l=lz[t], c=float(c[t]), state_dim=n) for t in range(T)
+    ]
+    return stages, TerminalQuadratic(H=Hx[T], l=lx[T], c=float(c_state[T]))

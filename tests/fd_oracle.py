@@ -1,0 +1,149 @@
+"""Finite-difference oracle for the closed-form quadratic expansion.
+
+Central differences of a batch-capable cost function, with steps h scaled by
+max(1, |coordinate|). `fd_expand_model_along` expands a StageCostModel the
+way `crowdirl.quadratic.expand_model_along` does, but numerically, so the two
+can be checked against each other.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from crowdirl.features import StageCostModel
+from crowdirl.quadratic import QuadraticStage, TerminalQuadratic, _eval_batch
+from crowdirl.trajectory import Trajectory
+
+DEFAULT_FD_STEP = 1e-3
+
+
+def _fd_steps(z0: np.ndarray, h: float) -> np.ndarray:
+    return h * np.maximum(1.0, np.abs(z0))
+
+
+def fd_gradient(f, z0: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference gradient of a batch-capable scalar function.
+
+    f maps (n, d) -> (n,); steps are h scaled by max(1, |coordinate|).
+    """
+    z0 = np.asarray(z0, dtype=float).ravel()
+    d = z0.size
+    steps = _fd_steps(z0, h)
+    probes = np.concatenate([z0 + np.diag(steps), z0 - np.diag(steps)], axis=0)
+    vals = _eval_batch(f, probes)
+    return (vals[:d] - vals[d:]) / (2.0 * steps)
+
+
+def fd_hessian(f, z0: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Central-difference Hessian, symmetrized; same batching contract."""
+    z0 = np.asarray(z0, dtype=float).ravel()
+    d = z0.size
+    steps = _fd_steps(z0, h)
+    E = np.diag(steps)
+
+    probes = [z0[None, :]]
+    probes.append(z0 + E)
+    probes.append(z0 - E)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for i, j in pairs:
+        probes.append((z0 + E[i] + E[j])[None, :])
+        probes.append((z0 + E[i] - E[j])[None, :])
+        probes.append((z0 - E[i] + E[j])[None, :])
+        probes.append((z0 - E[i] - E[j])[None, :])
+    vals = _eval_batch(f, np.concatenate(probes, axis=0))
+
+    f0 = vals[0]
+    fp = vals[1 : 1 + d]
+    fm = vals[1 + d : 1 + 2 * d]
+    H = np.zeros((d, d))
+    H[np.diag_indices(d)] = (fp - 2.0 * f0 + fm) / steps**2
+    off = vals[1 + 2 * d :].reshape(-1, 4)
+    for (i, j), (fpp, fpm, fmp, fmm) in zip(pairs, off):
+        val = (fpp - fpm - fmp + fmm) / (4.0 * steps[i] * steps[j])
+        H[i, j] = val
+        H[j, i] = val
+    return 0.5 * (H + H.T)
+
+
+def taylor_expand(costfn, x_nom, u_nom, h: float = DEFAULT_FD_STEP) -> QuadraticStage:
+    """Quadratic fit of costfn(x, u) around a nominal point.
+
+    costfn must accept batched inputs: x (n, 4k) and u (n, 2) -> (n,).
+    """
+    x_nom = np.asarray(x_nom, dtype=float).ravel()
+    u_nom = np.asarray(u_nom, dtype=float).ravel()
+    nx = x_nom.size
+    z0 = np.concatenate([x_nom, u_nom])
+
+    def f(z: np.ndarray) -> np.ndarray:
+        return costfn(z[:, :nx], z[:, nx:])
+
+    c = float(_eval_batch(f, z0[None, :])[0])
+    l = fd_gradient(f, z0, h)
+    H = fd_hessian(f, z0, h)
+    return QuadraticStage(H=H, l=l, c=c, state_dim=nx)
+
+
+def expand_along(
+    costfn,
+    nominal: Trajectory,
+    agent: int,
+    h: float = DEFAULT_FD_STEP,
+    control_weight: float | None = None,
+) -> list[QuadraticStage]:
+    """One QuadraticStage per step of the nominal trajectory.
+
+    With control_weight given, the control dependence is taken as exactly
+    w*||u||^2 with no state coupling: only the state block is differenced,
+    and the control blocks are filled in analytically.
+    """
+    stages = []
+    for t in range(nominal.horizon):
+        x_nom = nominal.states[t]
+        u_nom = nominal.agent_controls(agent)[t]
+        if control_weight is None:
+            stages.append(taylor_expand(costfn, x_nom, u_nom, h))
+        else:
+            stages.append(_expand_separable(costfn, x_nom, u_nom, h, control_weight))
+    return stages
+
+
+def _expand_separable(
+    costfn, x_nom: np.ndarray, u_nom: np.ndarray, h: float, w: float
+) -> QuadraticStage:
+    x_nom = np.asarray(x_nom, dtype=float).ravel()
+    u_nom = np.asarray(u_nom, dtype=float).ravel()
+    nx, nu = x_nom.size, u_nom.size
+
+    def f_state(x: np.ndarray) -> np.ndarray:
+        return costfn(x, np.broadcast_to(u_nom, (x.shape[0], nu)))
+
+    c = float(_eval_batch(f_state, x_nom[None, :])[0])
+    lx = fd_gradient(f_state, x_nom, h)
+    Hxx = fd_hessian(f_state, x_nom, h)
+
+    d = nx + nu
+    H = np.zeros((d, d))
+    H[:nx, :nx] = Hxx
+    H[nx:, nx:] = 2.0 * w * np.eye(nu)
+    l = np.concatenate([lx, 2.0 * w * u_nom])
+    return QuadraticStage(H=H, l=l, c=c, state_dim=nx)
+
+
+def expand_terminal(state_costfn, x_nom, h: float = DEFAULT_FD_STEP) -> TerminalQuadratic:
+    """Quadratic fit of a state-only cost at the horizon-end nominal state."""
+    x_nom = np.asarray(x_nom, dtype=float).ravel()
+    c = float(_eval_batch(state_costfn, x_nom[None, :])[0])
+    l = fd_gradient(state_costfn, x_nom, h)
+    H = fd_hessian(state_costfn, x_nom, h)
+    return TerminalQuadratic(H=H, l=l, c=c)
+
+
+def fd_expand_model_along(
+    model: StageCostModel, nominal: Trajectory, h: float = DEFAULT_FD_STEP
+) -> tuple[list[QuadraticStage], TerminalQuadratic]:
+    """Finite-difference counterpart of quadratic.expand_model_along."""
+    stages = expand_along(
+        model, nominal, model.agent, h, control_weight=model.control_weight
+    )
+    terminal = expand_terminal(model.terminal_cost, nominal.states[-1], h)
+    return stages, terminal

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -63,15 +64,27 @@ class TestGmmPdf:
         assert abs(total - 1.0) < 0.02
 
 
+def _two_clusters() -> np.ndarray:
+    rng = np.random.default_rng(100)
+    a = rng.normal(-5.0, 1.0, size=(1000, 1))
+    b = rng.normal(5.0, 1.0, size=(1000, 1))
+    return np.concatenate([a, b])
+
+
 class TestGmmFit:
     def test_two_separated_components_recovered(self):
-        rng = np.random.default_rng(100)
-        a = rng.normal(-5.0, 1.0, size=(1000, 1))
-        b = rng.normal(5.0, 1.0, size=(1000, 1))
-        model = gmm_fit(np.concatenate([a, b]), K=2, seed=4)
+        model = gmm_fit(_two_clusters(), K=2, seed=4)
         mus = np.sort(model.means.ravel())
         assert abs(mus[0] + 5.0) < 0.1 and abs(mus[1] - 5.0) < 0.1
         assert np.all(np.diff(model.log_likelihoods) >= -1e-9)
+        assert model.converged
+
+    def test_iteration_cap_is_reported(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="crowdirl.baselines"):
+            model = gmm_fit(_two_clusters(), K=2, seed=4, max_em_iters=2)
+        assert model.converged is False
+        assert len(model.log_likelihoods) == 2
+        assert "max_em_iters=2" in caplog.text
 
     def test_k1_closed_form_mle(self):
         rng = np.random.default_rng(7)

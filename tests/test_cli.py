@@ -48,6 +48,16 @@ class TestConfig:
         with pytest.raises(FormatError, match="solver.entropy"):
             load_config(str(cfg_path), {})
 
+    def test_removed_fd_step_key_exits_2(self, tmp_path, capsys):
+        # the quadratic expansion is exact, so there is no step to configure
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"fd_step": 1e-3}))
+        rc = main(["--config", str(cfg_path), "synth", str(tmp_path / "d.traj"),
+                   "--preset", "intersection_k3", "--n", "1"])
+        assert rc == 2
+        assert "unknown config key 'fd_step'" in capsys.readouterr().err
+        assert not (tmp_path / "d.traj").exists()
+
     def test_help_lists_every_config_key(self):
         text = build_parser().format_help()
         for line in (

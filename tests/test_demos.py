@@ -1,8 +1,4 @@
-"""The walkthrough scripts under demos/ run to completion.
-
-Demo 03 (weight recovery, about 25 s) is left out: it runs the same
-synthesize-train-evaluate path that acceptance criteria 4 and 5 cover.
-"""
+"""The walkthrough scripts under demos/ run to completion and leave no temp files."""
 import os
 import subprocess
 import sys
@@ -14,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = [
     "01_dynamics_and_features.py",
     "02_game_policies_and_conditioning.py",
+    "03_weight_recovery.py",
     "04_baselines.py",
     "05_pipeline_and_reports.py",
 ]
@@ -21,8 +18,9 @@ DEMOS = [
 
 @pytest.mark.parametrize("script", DEMOS)
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes its outputs to a temp dir
+    env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+    assert list(tmp_path.iterdir()) == []

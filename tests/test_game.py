@@ -16,17 +16,14 @@ from crowdirl.game import (
     sample_rollouts,
     solve_lq_game,
 )
-from crowdirl.quadratic import (
-    expand_model_along,
-    linearize_dynamics,
-    taylor_expand,
-)
+from crowdirl.quadratic import expand_model_along, linearize_dynamics
 from crowdirl.trajectory import (
     AgentState,
     JointState,
     ScenarioSpec,
     constant_velocity_rollout,
 )
+from fd_oracle import taylor_expand
 
 
 # --- independent oracle: textbook affine discrete-time Riccati recursion ----

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from crowdirl.cli import scenario_preset
 from crowdirl.errors import ValidationError
-from crowdirl.features import stage_cost_models
-from crowdirl.quadratic import (
-    QuadraticStage,
+from crowdirl.features import CostParams, StageCostModel, stage_cost_models
+from crowdirl.game import build_policies, mean_rollout
+from crowdirl.quadratic import QuadraticStage, expand_model_along, linearize_dynamics
+from crowdirl.trajectory import (
+    AgentState,
+    JointState,
+    ScenarioSpec,
+    Trajectory,
+    constant_velocity_rollout,
+)
+from fd_oracle import (
     expand_along,
-    expand_model_along,
     expand_terminal,
+    fd_expand_model_along,
     fd_gradient,
     fd_hessian,
-    linearize_dynamics,
     taylor_expand,
 )
-from crowdirl.trajectory import constant_velocity_rollout
 
 
 def test_linearize_dynamics_blocks():
@@ -176,3 +186,95 @@ def test_quadratic_stage_validation():
         QuadraticStage(H=H, l=np.zeros(3), c=0.0, state_dim=1)
     with pytest.raises(ValidationError):
         QuadraticStage(H=np.eye(3), l=np.zeros(2), c=0.0, state_dim=1)
+
+
+# --- closed-form expansion against the finite-difference oracle -------------
+
+
+def _assert_matches_oracle(model, nominal):
+    stages, terminal = expand_model_along(model, nominal)
+    fd_stages, fd_terminal = fd_expand_model_along(model, nominal)
+    assert len(stages) == len(fd_stages) == nominal.horizon
+    for got, ref in list(zip(stages, fd_stages)) + [(terminal, fd_terminal)]:
+        assert np.max(np.abs(got.H - ref.H)) <= 1e-6
+        assert np.max(np.abs(got.l - ref.l)) <= 1e-6
+        assert abs(got.c - ref.c) <= 1e-12
+
+
+def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
+    angles = 2 * np.pi * np.arange(k) / k
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
+    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
+
+
+@pytest.mark.parametrize("agent", [0, 1, 2])
+def test_expansion_matches_oracle_on_intersection(agent):
+    spec = scenario_preset("intersection_k3")
+    models = stage_cost_models([CostParams(np.array([1.0, 2.0, 0.3]))] * 3, spec)
+    _assert_matches_oracle(models[agent], constant_velocity_rollout(spec))
+
+
+def test_expansion_matches_oracle_for_one_agent(single_agent_spec):
+    model = stage_cost_models([CostParams(np.array([1.3, 4.0, 0.7]))], single_agent_spec)[0]
+    _assert_matches_oracle(model, constant_velocity_rollout(single_agent_spec))
+
+
+def test_expansion_matches_oracle_on_eight_agent_ring():
+    spec = _ring_spec(8)
+    models = stage_cost_models([CostParams(np.array([1.0, 3.0, 0.2]))] * 8, spec)
+    nominal = constant_velocity_rollout(spec)
+    for agent in (0, 3):
+        _assert_matches_oracle(models[agent], nominal)
+
+
+def test_expansion_matches_oracle_along_a_controlled_nominal(intersection_spec, theta_star):
+    nominal = mean_rollout(build_policies(theta_star, intersection_spec), intersection_spec)
+    assert np.max(np.abs(nominal.controls)) > 0.1
+    for model in stage_cost_models(theta_star, intersection_spec):
+        _assert_matches_oracle(model, nominal)
+
+
+def test_expansion_rejects_nonfinite_cost(single_agent_spec):
+    model = stage_cost_models([CostParams(np.array([1e308, 0.0, 1.0]))], single_agent_spec)[0]
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        expand_model_along(model, constant_velocity_rollout(single_agent_spec))
+
+
+@st.composite
+def _scenes(draw):
+    k = draw(st.integers(1, 4))
+    T = draw(st.integers(5, 10))
+    # The oracle's truncation error is about 4e-6 * theta1 / ((T+1) sigma^4)
+    # per agent pair at steps of 1e-3 (positions within 1 m of the origin):
+    # these ranges keep it below 1e-6.
+    coords = st.floats(-1.0, 1.0)
+    states = draw(arrays(float, (T + 1, k, 4), elements=coords)).reshape(T + 1, 4 * k)
+    controls = draw(arrays(float, (T, k, 2), elements=coords))
+    goal = draw(arrays(float, 2, elements=st.floats(-5.0, 5.0)))
+    return Trajectory(states, controls, 0.1), draw(st.integers(0, k - 1)), goal
+
+
+_weights = arrays(float, 3, elements=st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=30)
+@given(scene=_scenes(), w1=_weights, w2=_weights, sigma=st.floats(1.0, 3.0),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
+def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a, b):
+    nominal, agent, goal = scene
+
+    def model(w):
+        return StageCostModel(theta=CostParams(w), agent=agent, goal=goal, k=nominal.k,
+                              horizon=nominal.horizon, sigma=sigma)
+
+    _assert_matches_oracle(model(w1), nominal)
+    mixed_stages, mixed_terminal = expand_model_along(model(a * w1 + b * w2), nominal)
+    stages1, terminal1 = expand_model_along(model(w1), nominal)
+    stages2, terminal2 = expand_model_along(model(w2), nominal)
+    for mixed, e1, e2 in list(zip(mixed_stages, stages1, stages2)) + [
+        (mixed_terminal, terminal1, terminal2)
+    ]:
+        assert np.max(np.abs(mixed.H - (a * e1.H + b * e2.H))) <= 1e-12
+        assert np.max(np.abs(mixed.l - (a * e1.l + b * e2.l))) <= 1e-12
+        assert abs(mixed.c - (a * e1.c + b * e2.c)) <= 1e-12
