@@ -89,12 +89,7 @@ from .pipeline import (
     tracks_from_frames,
     write_demonstrations,
 )
-from .quadratic import (
-    LinearDynamics,
-    QuadraticStage,
-    TerminalQuadratic,
-    linearize_dynamics,
-)
+from .quadratic import CostExpansion, LinearDynamics, linearize_dynamics
 from .trajectory import (
     AgentState,
     JointState,

@@ -63,7 +63,6 @@ EXIT_INTERNAL = 4
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "threads": 1,
     "u_max": 3.0,
     "solver": {
         "eps_psd": 1e-6,
@@ -89,7 +88,6 @@ DEFAULT_CONFIG: dict = {
 # flag destination -> config path
 _FLAG_PATHS = {
     "seed": ("seed",),
-    "threads": ("threads",),
     "u_max": ("u_max",),
     "eps_psd": ("solver", "eps_psd"),
     "entropy_temp": ("solver", "entropy_temp"),
@@ -113,6 +111,21 @@ def _config_keys(tree: dict, prefix: str = "") -> list[str]:
     return out
 
 
+def _json_kind(value) -> str:
+    """JSON type of a config leaf; int and float are both a finite number."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, float) and not np.isfinite(value):
+        return "a non-finite number"
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, list):
+        return "a list"
+    return "null" if value is None else "an object"
+
+
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -123,21 +136,29 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise FormatError(f"config key {dotted!r} must be a section")
             out[key] = _merge_config(base[key], value, dotted + ".")
+        elif _json_kind(value) != _json_kind(base[key]):
+            raise FormatError(
+                f"config key {dotted!r} must be {_json_kind(base[key])}, got {json.dumps(value)}"
+            )
         else:
             out[key] = value
     return out
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise FormatError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: str | None, flag_values: dict) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise FormatError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config {path} is not valid JSON: {exc.msg}") from exc
+        file_cfg = _read_json(path, "config")
         if not isinstance(file_cfg, dict):
             raise FormatError("config file must hold a JSON object")
         cfg = _merge_config(cfg, file_cfg)
@@ -185,13 +206,6 @@ def _preprocess_config(cfg: dict) -> PreprocessConfig:
         min_track_len=int(p["min_track_len"]),
         resample_dt=float(p["resample_dt"]),
     )
-
-
-def _reproducible_echo(cfg: dict) -> dict:
-    """Config subset recorded in outputs; excludes execution-only knobs."""
-    echo = copy.deepcopy(cfg)
-    echo.pop("threads", None)
-    return echo
 
 
 # --- scenario presets ---------------------------------------------------------
@@ -363,7 +377,7 @@ def cmd_train(args, cfg: dict) -> int:
         "converged": trace.converged,
         "sweeps": trace.sweeps,
         "final_max_gap": trace.sweep_max_gap(trace.sweeps - 1),
-        "config": _reproducible_echo(cfg),
+        "config": cfg,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -387,9 +401,15 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def _load_thetas(path: str, k: int) -> list[CostParams]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    thetas = [CostParams(np.array(t, dtype=float)) for t in payload["thetas"]]
+    payload = _read_json(path, "weight file")
+    rows = payload.get("thetas") if isinstance(payload, dict) else None
+    if not isinstance(rows, list):
+        raise FormatError(f"weight file {path} must hold an object with a 'thetas' list")
+    try:
+        weights = [np.array(t, dtype=float) for t in rows]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"weight file {path}: 'thetas' entries must be lists of numbers") from exc
+    thetas = [CostParams(w) for w in weights]
     if len(thetas) != k:
         raise FormatError(f"weight file holds {len(thetas)} agents, demos have {k}")
     return thetas
@@ -509,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument("--seed", type=int, help="global seed (uint64)")
-    parser.add_argument("--threads", type=int, help="worker cap; outputs are identical for any value")
     parser.add_argument("--eps-psd", dest="eps_psd", type=float, help="covariance eigenvalue floor")
     parser.add_argument("--entropy-temp", dest="entropy_temp", type=float, help="policy covariance scale")
     parser.add_argument("--beta", type=float, help="weight-update learning rate")

@@ -2,14 +2,16 @@
 
 A backward recursion stacks every agent's first-order optimality condition at
 each timestep into one coupled linear system, yielding simultaneous affine
-feedback laws (a feedback Nash point of the quadratic game). Each agent's
-policy is Gaussian around its feedback mean; the covariance is the tempered
-inverse of that agent's control-space curvature of its Q-function. Along
-near-straight nominal trajectories this curvature can lose positive
-definiteness, in which case the covariance is repaired by the smallest
-uniform diagonal shift that restores a configurable eigenvalue floor. The
-repair trades modeled decision randomness for numerical tractability and is
-recorded per stage in the solver diagnostics.
+feedback laws (a feedback Nash point of the quadratic game). The recursion
+reads each agent's cost as one `CostExpansion` and works on all agents at
+once along a leading agent axis. Each agent's policy is Gaussian around its
+feedback mean; the covariance is the tempered inverse of that agent's
+control-space curvature of its Q-function. Along near-straight nominal
+trajectories this curvature can lose positive definiteness, in which case the
+covariance is repaired by the smallest uniform diagonal shift that restores a
+configurable eigenvalue floor. The repair trades modeled decision randomness
+for numerical tractability; every stage whose covariance was shifted is
+recorded in the solver diagnostics.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 dynamics, the constant-velocity nominal, the per-agent cost models with their
@@ -32,13 +34,7 @@ import numpy as np
 
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams, ProximityConfig, StageCostModel, stage_cost_models
-from .quadratic import (
-    LinearDynamics,
-    QuadraticStage,
-    TerminalQuadratic,
-    expand_model_along,
-    linearize_dynamics,
-)
+from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linearize_dynamics
 from .rng import substream
 from .trajectory import (
     CONTROL_DIM,
@@ -81,7 +77,7 @@ class SolverConfig:
 
 @dataclass
 class SolverDiagnostics:
-    """Per-solve record of covariance repairs: (timestep, agent, shift)."""
+    """Per-solve record of covariance repairs: (timestep, agent, shift > 0)."""
 
     horizon: int = 0
     k: int = 0
@@ -109,7 +105,7 @@ class PolicySequence:
 
     Agent i at step t plays u = kff[t, i] - K[t, i] (x - nominal_states[t])
     plus zero-mean noise of covariance Sigma[t, i], where nominal_states is
-    the trajectory the quadratic stages were expanded around. Shapes:
+    the trajectory the costs were expanded around. Shapes:
     K (T, k, 2, 4k), kff (T, k, 2), Sigma (T, k, 2, 2) symmetric,
     nominal_states (T+1, 4k). All four arrays are read-only copies.
     """
@@ -190,120 +186,88 @@ def condition_covariance(sigma_raw: np.ndarray, eps_psd: float) -> np.ndarray:
     return sigma
 
 
-def _covariance_shift(sigma_raw: np.ndarray, eps_psd: float) -> float:
-    return max(0.0, eps_psd - float(np.linalg.eigvalsh(sigma_raw)[0]))
-
-
 def solve_lq_game(
     dyn: LinearDynamics,
-    stages: Sequence[Sequence[QuadraticStage]],
+    costs: Sequence[CostExpansion],
     cfg: SolverConfig = SolverConfig(),
-    terminal: Sequence[TerminalQuadratic] | None = None,
     nominal: Trajectory | None = None,
 ) -> PolicySequence:
-    """Backward recursion over stacked first-order conditions.
+    """Backward recursion over stacked first-order conditions, all agents at once.
 
-    stages[i][t] is agent i's quadratic cost at step t in deviations from the
-    nominal; terminal (optional, per agent) seeds the value recursion at the
-    horizon end. The returned policies act on deviations from the nominal
-    trajectory (identically zero reference when none is given).
+    costs[i] is agent i's quadratic cost in deviations from the nominal; its
+    row T seeds the value recursion at the horizon end. The returned policies
+    act on deviations from the nominal trajectory (identically zero reference
+    when none is given).
     """
-    k = dyn.k
-    n = dyn.state_dim
-    if len(stages) != k:
-        raise ValidationError(f"need stage sequences for {k} agents, got {len(stages)}")
-    T = len(stages[0])
-    if T < 1 or any(len(s) != T for s in stages):
+    k, n = dyn.k, dyn.state_dim
+    if len(costs) != k:
+        raise ValidationError(f"need cost expansions for {k} agents, got {len(costs)}")
+    T = costs[0].horizon
+    if any(e.horizon != T for e in costs):
         raise ValidationError("all agents must supply the same horizon T >= 1")
-    for i in range(k):
-        for st in stages[i]:
-            if st.state_dim != n or st.control_dim != CONTROL_DIM:
-                raise ValidationError(
-                    f"stage dims ({st.state_dim}+{st.control_dim}) do not match dynamics ({n}+2)"
-                )
-    if terminal is None:
-        terminal = [TerminalQuadratic.zero(n) for _ in range(k)]
-    if len(terminal) != k:
-        raise ValidationError(f"need {k} terminal quadratics, got {len(terminal)}")
+    if any(e.state_dim != n for e in costs):
+        raise ValidationError(f"cost expansions do not match the dynamics' state dimension {n}")
     if nominal is not None and (nominal.horizon != T or nominal.states.shape[1] != n):
-        raise ValidationError("nominal trajectory does not match stages/dynamics")
+        raise ValidationError("nominal trajectory does not match costs/dynamics")
 
+    # Agent axis leads within each step: Q[t] is (k, n, n), r[t] is (k, 2).
+    Q = np.stack([e.Q for e in costs], axis=1)
+    q = np.stack([e.q for e in costs], axis=1)
+    r = np.stack([e.r for e in costs], axis=1)
+    R = np.array([e.R for e in costs])[:, None, None]
     A = dyn.A
-    B = dyn.B
-    Z = [terminal[i].H.copy() for i in range(k)]
-    zeta = [terminal[i].l.copy() for i in range(k)]
+    Bt = np.swapaxes(dyn.B, 1, 2)  # (k, 2, n)
+    B_all = Bt.reshape(CONTROL_DIM * k, n).T  # (n, 2k): every agent's B side by side
+    own = np.arange(k)
+    eye = np.eye(CONTROL_DIM)
+    u_nom = nominal.controls if nominal is not None else np.zeros((T, k, CONTROL_DIM))
+    Z, zeta = Q[T], q[T]
     diag = SolverDiagnostics(horizon=T, k=k)
     K_out = np.empty((T, k, CONTROL_DIM, n))
     kff_out = np.empty((T, k, CONTROL_DIM))
     Sigma_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
 
     for t in range(T - 1, -1, -1):
-        st = [stages[i][t] for i in range(k)]
-        BtZ = [B[i].T @ Z[i] for i in range(k)]  # (2, n) each
-
+        BtZ = Bt @ Z  # (k, 2, n)
+        # Stacked stationarity system: row block i is agent i's gradient wrt
+        # its own control, column block j the coupling to agent j's control.
+        S = BtZ.reshape(CONTROL_DIM * k, n) @ B_all
+        blocks = S.reshape(k, CONTROL_DIM, k, CONTROL_DIM)
         # Control-space curvature of each agent's Q-function.
-        Huu_q = [st[i].H_uu + BtZ[i] @ B[i] for i in range(k)]
-        Huu_q = [0.5 * (M + M.T) for M in Huu_q]
-
-        # Stacked stationarity system: rows are agents' gradients wrt own u.
-        S = np.zeros((CONTROL_DIM * k, CONTROL_DIM * k))
-        Yk = np.zeros((CONTROL_DIM * k, n))
-        yff = np.zeros(CONTROL_DIM * k)
-        for i in range(k):
-            r = slice(CONTROL_DIM * i, CONTROL_DIM * (i + 1))
-            for j in range(k):
-                c = slice(CONTROL_DIM * j, CONTROL_DIM * (j + 1))
-                S[r, c] = Huu_q[i] if i == j else BtZ[i] @ B[j]
-            Yk[r] = st[i].H_xu.T + BtZ[i] @ A
-            yff[r] = st[i].l_u + B[i].T @ zeta[i]
+        Huu_q = blocks[own, :, own, :] + R * eye
+        Huu_q = 0.5 * (Huu_q + np.swapaxes(Huu_q, 1, 2))
+        blocks[own, :, own, :] = Huu_q
+        Yk = (BtZ @ A).reshape(CONTROL_DIM * k, n)
+        yff = r[t] + (Bt @ zeta[..., None])[..., 0]
 
         if np.linalg.cond(S) > MAX_GAIN_CONDITION:
             raise SolverError("coupled gain system is numerically singular", timestep=t)
-        sol = np.linalg.solve(S, np.concatenate([Yk, yff[:, None]], axis=1))
+        sol = np.linalg.solve(S, np.concatenate([Yk, yff.reshape(-1, 1)], axis=1))
         K_all, alpha_all = sol[:, :-1], sol[:, -1]
+        K = K_all.reshape(k, CONTROL_DIM, n)
+        alpha = alpha_all.reshape(k, CONTROL_DIM)
 
-        K = [K_all[CONTROL_DIM * i : CONTROL_DIM * (i + 1)] for i in range(k)]
-        alpha = [alpha_all[CONTROL_DIM * i : CONTROL_DIM * (i + 1)] for i in range(k)]
-        u_nom = (
-            nominal.controls[t]
-            if nominal is not None
-            else np.zeros((k, CONTROL_DIM))
-        )
-
-        for i in range(k):
-            sigma_raw = cfg.entropy_temp * _robust_inverse(Huu_q[i])
-            sigma_raw = 0.5 * (sigma_raw + sigma_raw.T)
-            shift = _covariance_shift(sigma_raw, cfg.eps_psd)
-            needs_repair = shift > 0.0 or min_eigenvalue(Huu_q[i]) < cfg.eps_psd
-            if needs_repair:
-                sigma = condition_covariance(sigma_raw, cfg.eps_psd)
-                diag.events.append((t, i, shift))
-            else:
-                sigma = sigma_raw
-            K_out[t, i] = K[i]
-            kff_out[t, i] = u_nom[i] - alpha[i]
-            Sigma_out[t, i] = sigma
+        sigma = cfg.entropy_temp * _robust_inverse(Huu_q)
+        sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+        shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(sigma)[:, 0])
+        for i in np.flatnonzero(shift > 0.0):
+            sigma[i] = condition_covariance(sigma[i], cfg.eps_psd)
+            diag.events.append((t, int(i), float(shift[i])))
+        K_out[t] = K
+        kff_out[t] = u_nom[t] - alpha
+        Sigma_out[t] = sigma
 
         # Closed-loop value recursion for every agent.
-        F = A - sum(B[j] @ K[j] for j in range(k))
-        beta = -sum(B[j] @ alpha[j] for j in range(k))
-        for i in range(k):
-            Ki, ai = K[i], alpha[i]
-            Z_new = (
-                st[i].H_xx
-                + Ki.T @ st[i].H_uu @ Ki
-                - st[i].H_xu @ Ki
-                - Ki.T @ st[i].H_xu.T
-                + F.T @ Z[i] @ F
-            )
-            zeta_new = (
-                st[i].l_x
-                - st[i].H_xu @ ai
-                + Ki.T @ (st[i].H_uu @ ai - st[i].l_u)
-                + F.T @ (zeta[i] + Z[i] @ beta)
-            )
-            Z[i] = 0.5 * (Z_new + Z_new.T)
-            zeta[i] = zeta_new
+        F = A - B_all @ K_all
+        beta = -B_all @ alpha_all
+        Kt = np.swapaxes(K, 1, 2)  # (k, n, 2)
+        Z_new = Q[t] + R * (Kt @ K) + F.T @ Z @ F
+        zeta = (
+            q[t]
+            + (Kt @ (R[..., 0] * alpha - r[t])[..., None])[..., 0]
+            + ((zeta + (Z @ beta)) @ F)
+        )
+        Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
 
     nominal_states = (
         nominal.states if nominal is not None else np.zeros((T + 1, n))
@@ -319,13 +283,13 @@ def solve_lq_game(
 
 
 def _robust_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverse, falling back to a cutoff pseudo-inverse for singular input."""
-    try:
-        if abs(np.linalg.det(M)) < 1e-300:
-            raise np.linalg.LinAlgError
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(M, rcond=PINV_CUTOFF)
+    """Inverses of a stack of matrices; singular ones get a cutoff pseudo-inverse."""
+    out = np.empty_like(M)
+    ok = np.abs(np.linalg.det(M)) >= 1e-300
+    out[ok] = np.linalg.inv(M[ok])
+    for i in np.flatnonzero(~ok):
+        out[i] = np.linalg.pinv(M[i], rcond=PINV_CUTOFF)
+    return out
 
 
 class Game:
@@ -367,13 +331,7 @@ class Game:
                 self._expansions[i] = expand_model_along(model, self.nominal)
         expansions, nominal = self._expansions, self.nominal
         for it in range(self.cfg.max_outer_iters):
-            policies = solve_lq_game(
-                self.dyn,
-                [e[0] for e in expansions],
-                self.cfg,
-                terminal=[e[1] for e in expansions],
-                nominal=nominal,
-            )
+            policies = solve_lq_game(self.dyn, expansions, self.cfg, nominal=nominal)
             if it + 1 == self.cfg.max_outer_iters:
                 break
             refit = mean_rollout(policies, self.spec)

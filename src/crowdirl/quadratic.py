@@ -1,10 +1,12 @@
 """Stagewise quadratic expansion of trajectory costs.
 
-Each agent's running cost is expanded at every step of a nominal trajectory
-into a quadratic in the deviation variables (dx, du): a symmetric curvature
-matrix, a gradient and an offset. The cost is theta . phi over three features
-with closed-form derivatives, so the expansion is exact and computed for all
-nominal states at once.
+Each agent's cost is expanded along a nominal trajectory into a quadratic in
+the deviations (dx, du) at every step, held as one `CostExpansion` of arrays
+over the whole horizon: state curvature Q, gradient q and offset c for steps
+0..T (row T is the terminal cost), plus the control curvature R and control
+gradient r. The cost is theta . phi over three features with closed-form
+derivatives and no state-control coupling, so the expansion is exact and
+computed for all nominal states at once.
 """
 from __future__ import annotations
 
@@ -20,105 +22,77 @@ SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class QuadraticStage:
-    """Quadratic cost c + l.z + z.H.z/2 in z = (dx, du) for one timestep."""
+class CostExpansion:
+    """One agent's quadratic cost along a nominal, in deviations (dx, du).
 
-    H: np.ndarray  # (d, d), symmetric
-    l: np.ndarray  # (d,)
-    c: float
-    state_dim: int
+    Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
+    row T is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2. The cost has no
+    state-control coupling and its control curvature is R times the identity.
+    Shapes: Q (T+1, n, n) symmetric, q (T+1, n), c (T+1,), r (T, 2). All
+    arrays are read-only copies, checked once for the whole horizon.
+    """
 
-    def __post_init__(self):
-        H = np.array(self.H, dtype=float)
-        l = np.array(self.l, dtype=float).ravel()
-        d = l.size
-        if H.shape != (d, d):
-            raise ValidationError(f"H must be ({d}, {d}), got {H.shape}")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(l)) and np.isfinite(self.c)):
-            raise ValidationError("quadratic stage contains non-finite values")
-        if np.max(np.abs(H - H.T), initial=0.0) > SYMMETRY_TOL:
-            raise ValidationError("H is not symmetric within tolerance")
-        if not 0 < self.state_dim <= d:
-            raise ValidationError(f"state_dim {self.state_dim} out of range for d={d}")
-        H.setflags(write=False)
-        l.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "l", l)
-
-    @property
-    def control_dim(self) -> int:
-        return self.l.size - self.state_dim
-
-    @property
-    def H_xx(self) -> np.ndarray:
-        return self.H[: self.state_dim, : self.state_dim]
-
-    @property
-    def H_xu(self) -> np.ndarray:
-        return self.H[: self.state_dim, self.state_dim :]
-
-    @property
-    def H_uu(self) -> np.ndarray:
-        return self.H[self.state_dim :, self.state_dim :]
-
-    @property
-    def l_x(self) -> np.ndarray:
-        return self.l[: self.state_dim]
-
-    @property
-    def l_u(self) -> np.ndarray:
-        return self.l[self.state_dim :]
-
-
-@dataclass(frozen=True)
-class TerminalQuadratic:
-    """Quadratic state-only cost c + l.dx + dx.H.dx/2 at the horizon end."""
-
-    H: np.ndarray  # (n, n)
-    l: np.ndarray  # (n,)
-    c: float
+    Q: np.ndarray
+    q: np.ndarray
+    c: np.ndarray
+    R: float
+    r: np.ndarray
 
     def __post_init__(self):
-        H = np.array(self.H, dtype=float)
-        l = np.array(self.l, dtype=float).ravel()
-        if H.shape != (l.size, l.size):
-            raise ValidationError(f"H must be square matching l, got {H.shape} vs {l.size}")
-        if np.max(np.abs(H - H.T), initial=0.0) > SYMMETRY_TOL:
-            raise ValidationError("terminal H is not symmetric within tolerance")
-        H.setflags(write=False)
-        l.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "l", l)
+        Q = np.array(self.Q, dtype=float)
+        q = np.array(self.q, dtype=float)
+        c = np.array(self.c, dtype=float)
+        r = np.array(self.r, dtype=float)
+        if Q.ndim != 3 or Q.shape[0] < 2 or Q.shape[1] < 1 or Q.shape[1] != Q.shape[2]:
+            raise ValidationError(f"Q must be (T+1, n, n) with T, n >= 1, got {Q.shape}")
+        T1, n = Q.shape[:2]
+        if q.shape != (T1, n):
+            raise ValidationError(f"q must be ({T1}, {n}), got {q.shape}")
+        if c.shape != (T1,):
+            raise ValidationError(f"c must be ({T1},), got {c.shape}")
+        if r.shape != (T1 - 1, CONTROL_DIM):
+            raise ValidationError(f"r must be ({T1 - 1}, 2), got {r.shape}")
+        if not all(np.all(np.isfinite(a)) for a in (Q, q, c, r, self.R)):
+            raise ValidationError("cost expansion contains non-finite values")
+        if np.max(np.abs(Q - np.swapaxes(Q, 1, 2))) > SYMMETRY_TOL:
+            raise ValidationError("Q is not symmetric within tolerance")
+        for name, arr in (("Q", Q), ("q", q), ("c", c), ("r", r)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "R", float(self.R))
 
-    @classmethod
-    def zero(cls, n: int) -> "TerminalQuadratic":
-        return cls(np.zeros((n, n)), np.zeros(n), 0.0)
+    @property
+    def horizon(self) -> int:
+        return self.r.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.Q.shape[1]
 
 
 @dataclass(frozen=True)
 class LinearDynamics:
-    """Time-invariant joint double integrator: x' = A x + sum_i B_i u_i."""
+    """Time-invariant joint double integrator: x' = A x + sum_i B[i] u_i."""
 
     A: np.ndarray  # (4k, 4k)
-    B: tuple[np.ndarray, ...]  # k matrices (4k, 2)
+    B: np.ndarray  # (k, 4k, 2)
 
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
-        B = tuple(np.array(b, dtype=float) for b in self.B)
+        B = np.array(self.B, dtype=float)
         n = A.shape[0]
         if A.shape != (n, n):
             raise ValidationError(f"A must be square, got {A.shape}")
-        for b in B:
-            if b.shape != (n, CONTROL_DIM):
-                raise ValidationError(f"each B_i must be ({n}, 2), got {b.shape}")
-            b.setflags(write=False)
+        if B.ndim != 3 or B.shape[0] < 1 or B.shape[1:] != (n, CONTROL_DIM):
+            raise ValidationError(f"B must be (k, {n}, 2) with k >= 1, got {B.shape}")
         A.setflags(write=False)
+        B.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
     @property
     def k(self) -> int:
-        return len(self.B)
+        return self.B.shape[0]
 
     @property
     def state_dim(self) -> int:
@@ -145,14 +119,12 @@ def linearize_dynamics(k: int, dt: float) -> LinearDynamics:
     )
     n = STATE_DIM * k
     A = np.zeros((n, n))
-    B = []
+    B = np.zeros((k, n, CONTROL_DIM))
     for i in range(k):
         sl = slice(STATE_DIM * i, STATE_DIM * (i + 1))
         A[sl, sl] = a_blk
-        Bi = np.zeros((n, CONTROL_DIM))
-        Bi[sl, :] = b_blk
-        B.append(Bi)
-    return LinearDynamics(A, tuple(B))
+        B[i, sl] = b_blk
+    return LinearDynamics(A, B)
 
 
 def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
@@ -167,10 +139,8 @@ def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
     return vals
 
 
-def expand_model_along(
-    model: StageCostModel, nominal: Trajectory
-) -> tuple[list[QuadraticStage], TerminalQuadratic]:
-    """Exact stages plus terminal quadratic of one agent's StageCostModel.
+def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpansion:
+    """Exact quadratic expansion of one agent's StageCostModel along a nominal.
 
     Every nominal state is expanded at once. With r_j = p_i - p_j and
     e_j = exp(-|r_j|^2 / sigma^2), the kernel e_j has gradient -2 e_j r_j / sigma^2
@@ -178,8 +148,7 @@ def expand_model_along(
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
     position blocks, -M_j on (i, j) and (j, i). The goal term adds 2 theta0 I
     to agent i's own position block; state terms carry the 1/(T+1) factor.
-    The effort term theta2/T * |u|^2 gives H_uu = 2 theta2/T I and
-    l_u = 2 theta2/T u. Offsets are cost values at the nominal, so a
+    The effort term theta2/T * |u|^2 gives R = 2 theta2/T and r = R u. Offsets are cost values at the nominal, so a
     non-finite cost raises ValidationError.
     """
     states = nominal.states
@@ -210,14 +179,8 @@ def expand_model_along(
     Hx = H.reshape(T + 1, n, n) / (T + 1)
     lx = l.reshape(T + 1, n) / (T + 1)
 
-    w_u = model.control_weight
+    R = 2.0 * model.control_weight
     u = nominal.agent_controls(i)
-    Hz = np.zeros((T, n + CONTROL_DIM, n + CONTROL_DIM))
-    Hz[:, :n, :n] = Hx[:T]
-    Hz[:, n:, n:] = 2.0 * w_u * np.eye(CONTROL_DIM)
-    lz = np.concatenate([lx[:T], 2.0 * w_u * u], axis=1)
-    c = c_state[:T] + w_u * np.sum(u * u, axis=-1)
-    stages = [
-        QuadraticStage(H=Hz[t], l=lz[t], c=float(c[t]), state_dim=n) for t in range(T)
-    ]
-    return stages, TerminalQuadratic(H=Hx[T], l=lx[T], c=float(c_state[T]))
+    c = c_state.copy()
+    c[:T] += 0.5 * R * np.sum(u * u, axis=-1)
+    return CostExpansion(Q=Hx, q=lx, c=c, R=R, r=R * u)

@@ -1,16 +1,18 @@
 """Finite-difference oracle for the closed-form quadratic expansion.
 
 Central differences of a batch-capable cost function, with steps h scaled by
-max(1, |coordinate|). `fd_expand_model_along` expands a StageCostModel the
-way `crowdirl.quadratic.expand_model_along` does, but numerically, so the two
-can be checked against each other.
+max(1, |coordinate|). Expansions are plain (H, l, c) arrays of the cost as a
+quadratic c + l.z + z.H.z/2 in z = (dx, du), or in dx alone for a terminal
+cost. `fd_expand_model_along` expands a StageCostModel the way
+`crowdirl.quadratic.expand_model_along` does, but numerically, so the two can
+be checked against each other.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from crowdirl.features import StageCostModel
-from crowdirl.quadratic import QuadraticStage, TerminalQuadratic, _eval_batch
+from crowdirl.quadratic import CostExpansion, _eval_batch
 from crowdirl.trajectory import Trajectory
 
 DEFAULT_FD_STEP = 1e-3
@@ -64,7 +66,7 @@ def fd_hessian(f, z0: np.ndarray, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def taylor_expand(costfn, x_nom, u_nom, h: float = DEFAULT_FD_STEP) -> QuadraticStage:
+def taylor_expand(costfn, x_nom, u_nom, h: float = DEFAULT_FD_STEP):
     """Quadratic fit of costfn(x, u) around a nominal point.
 
     costfn must accept batched inputs: x (n, 4k) and u (n, 2) -> (n,).
@@ -80,7 +82,7 @@ def taylor_expand(costfn, x_nom, u_nom, h: float = DEFAULT_FD_STEP) -> Quadratic
     c = float(_eval_batch(f, z0[None, :])[0])
     l = fd_gradient(f, z0, h)
     H = fd_hessian(f, z0, h)
-    return QuadraticStage(H=H, l=l, c=c, state_dim=nx)
+    return H, l, c
 
 
 def expand_along(
@@ -89,8 +91,8 @@ def expand_along(
     agent: int,
     h: float = DEFAULT_FD_STEP,
     control_weight: float | None = None,
-) -> list[QuadraticStage]:
-    """One QuadraticStage per step of the nominal trajectory.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked (H, l, c) of every step of the nominal trajectory: (T, d, d), (T, d), (T,).
 
     With control_weight given, the control dependence is taken as exactly
     w*||u||^2 with no state coupling: only the state block is differenced,
@@ -104,12 +106,13 @@ def expand_along(
             stages.append(taylor_expand(costfn, x_nom, u_nom, h))
         else:
             stages.append(_expand_separable(costfn, x_nom, u_nom, h, control_weight))
-    return stages
+    H, l, c = zip(*stages)
+    return np.stack(H), np.stack(l), np.array(c)
 
 
 def _expand_separable(
     costfn, x_nom: np.ndarray, u_nom: np.ndarray, h: float, w: float
-) -> QuadraticStage:
+) -> tuple[np.ndarray, np.ndarray, float]:
     x_nom = np.asarray(x_nom, dtype=float).ravel()
     u_nom = np.asarray(u_nom, dtype=float).ravel()
     nx, nu = x_nom.size, u_nom.size
@@ -126,24 +129,41 @@ def _expand_separable(
     H[:nx, :nx] = Hxx
     H[nx:, nx:] = 2.0 * w * np.eye(nu)
     l = np.concatenate([lx, 2.0 * w * u_nom])
-    return QuadraticStage(H=H, l=l, c=c, state_dim=nx)
+    return H, l, c
 
 
-def expand_terminal(state_costfn, x_nom, h: float = DEFAULT_FD_STEP) -> TerminalQuadratic:
+def expand_terminal(state_costfn, x_nom, h: float = DEFAULT_FD_STEP):
     """Quadratic fit of a state-only cost at the horizon-end nominal state."""
     x_nom = np.asarray(x_nom, dtype=float).ravel()
     c = float(_eval_batch(state_costfn, x_nom[None, :])[0])
     l = fd_gradient(state_costfn, x_nom, h)
     H = fd_hessian(state_costfn, x_nom, h)
-    return TerminalQuadratic(H=H, l=l, c=c)
+    return H, l, c
+
+
+def cost_expansion(stages, terminal, state_dim: int) -> CostExpansion:
+    """CostExpansion of stacked stage (H, l, c) arrays and a terminal (H, l, c).
+
+    R is read off the first stage's H_uu and the H_xu blocks are dropped, so
+    this fits costs with no state-control coupling and H_uu = R I.
+    """
+    (H, l, c), (H_T, l_T, c_T) = stages, terminal
+    n = state_dim
+    return CostExpansion(
+        Q=np.concatenate([H[:, :n, :n], np.asarray(H_T)[None]]),
+        q=np.concatenate([l[:, :n], np.asarray(l_T)[None]]),
+        c=np.append(c, c_T),
+        R=float(H[0, n, n]),
+        r=l[:, n:],
+    )
 
 
 def fd_expand_model_along(
     model: StageCostModel, nominal: Trajectory, h: float = DEFAULT_FD_STEP
-) -> tuple[list[QuadraticStage], TerminalQuadratic]:
+) -> CostExpansion:
     """Finite-difference counterpart of quadratic.expand_model_along."""
     stages = expand_along(
         model, nominal, model.agent, h, control_weight=model.control_weight
     )
     terminal = expand_terminal(model.terminal_cost, nominal.states[-1], h)
-    return stages, terminal
+    return cost_expansion(stages, terminal, nominal.states.shape[1])

@@ -58,6 +58,44 @@ class TestConfig:
         assert "unknown config key 'fd_step'" in capsys.readouterr().err
         assert not (tmp_path / "d.traj").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"seed": "x"}, "'seed' must be a number"),
+        ({"solver": {"eps_psd": "abc"}}, "'solver.eps_psd' must be a number"),
+        ({"training": {"M": None}}, "'training.M' must be a number"),
+        ({"seed": True}, "'seed' must be a number"),
+        ({"u_max": float("nan")}, "'u_max' must be a number"),
+        ({"preprocess": {"scheme": "W-E-S"}}, "'preprocess.scheme' must be a list"),
+        ({"preprocess": {"x_range": 3}}, "'preprocess.x_range' must be a list"),
+    ])
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(override))
+        rc = main(["--config", str(cfg_path), "train", str(tmp_path / "d.traj"),
+                   "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_numbers_are_interchangeable_and_a_list_stays_a_list(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"seed": 3.0, "training": {"beta": 1}, "preprocess": {"scheme": ["W-E-S"]}}
+        ))
+        cfg = load_config(str(cfg_path), {})
+        assert cfg["seed"] == 3.0 and cfg["training"]["beta"] == 1
+        assert cfg["preprocess"]["scheme"] == ["W-E-S"]
+
+    def test_removed_threads_key_and_flag_exit_2(self, tmp_path, capsys):
+        # no worker pool exists, so there is no thread count to configure
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"threads": 4}))
+        rc = main(["--config", str(cfg_path), "synth", str(tmp_path / "d.traj"),
+                   "--preset", "intersection_k3", "--n", "1"])
+        assert rc == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "2", "synth", str(tmp_path / "d.traj")])
+        assert exc.value.code == 2
+
     def test_help_lists_every_config_key(self):
         text = build_parser().format_help()
         for line in (
@@ -132,10 +170,10 @@ class TestTrain:
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         demos = _synth(tmp_path)
         outputs = []
-        for run, threads in (("r1", "1"), ("r2", "8"), ("r3", "1")):
+        for run in ("r1", "r2", "r3"):
             theta = tmp_path / f"theta_{run}.json"
             trace = tmp_path / f"trace_{run}.jsonl"
-            rc = main([*FAST_TRAIN, "--seed", "0", "--threads", threads,
+            rc = main([*FAST_TRAIN, "--seed", "0",
                        "--iters", "4", "--tol", "0", "train", str(demos),
                        "--method", "mairl", "--out", str(theta),
                        "--trace-out", str(trace)])
@@ -193,6 +231,23 @@ class TestEval:
         rc = main(["eval", str(demos), "--baseline", "mairl",
                    "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
         assert rc == 4
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[1]",
+        "not json",
+        '{"thetas": 5}',
+        '{"thetas": [["a", 1, 1]]}',
+    ])
+    def test_malformed_weight_file_exits_2(self, tmp_path, capsys, text):
+        demos = _synth(tmp_path)
+        theta = tmp_path / "bad.json"
+        theta.write_text(text)
+        rc = main(["eval", str(demos), "--baseline", "mairl",
+                   "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert str(theta) in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_theta_roundtrip_through_eval(self, tmp_path):
         demos = _synth(tmp_path)

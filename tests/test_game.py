@@ -23,7 +23,7 @@ from crowdirl.trajectory import (
     ScenarioSpec,
     constant_velocity_rollout,
 )
-from fd_oracle import taylor_expand
+from fd_oracle import cost_expansion, expand_along
 
 
 # --- independent oracle: textbook affine discrete-time Riccati recursion ----
@@ -56,25 +56,24 @@ def textbook_affine_lqr(A, B, Q_seq, q_seq, R_seq, r_seq, Qf, qf):
 def _solve_single_agent(spec, theta, cfg=SolverConfig()):
     models = stage_cost_models([theta], spec)
     nominal = constant_velocity_rollout(spec)
-    stages, terminal = expand_model_along(models[0], nominal)
+    expansion = expand_model_along(models[0], nominal)
     dyn = linearize_dynamics(1, spec.dt)
-    policies = solve_lq_game(dyn, [stages], cfg, terminal=[terminal], nominal=nominal)
-    return policies, stages, terminal, dyn, nominal
+    policies = solve_lq_game(dyn, [expansion], cfg, nominal=nominal)
+    return policies, expansion, dyn, nominal
+
+
+def _textbook_gains(dyn, e):
+    """Textbook LQR gains of a one-agent CostExpansion (row T is the terminal cost)."""
+    T = e.horizon
+    return textbook_affine_lqr(
+        dyn.A, dyn.B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
+    )
 
 
 def test_single_agent_matches_textbook_riccati(single_agent_spec):
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
-    policies, stages, terminal, dyn, _ = _solve_single_agent(single_agent_spec, theta)
-    gains, ffs = textbook_affine_lqr(
-        dyn.A,
-        dyn.B[0],
-        [s.H_xx for s in stages],
-        [s.l_x for s in stages],
-        [s.H_uu for s in stages],
-        [s.l_u for s in stages],
-        terminal.H,
-        terminal.l,
-    )
+    policies, expansion, dyn, _ = _solve_single_agent(single_agent_spec, theta)
+    gains, ffs = _textbook_gains(dyn, expansion)
     for t in range(single_agent_spec.horizon):
         assert np.allclose(policies.K[t, 0], gains[t], atol=1e-8)
         # package kff folds the (zero) nominal control: kff = -oracle_ff
@@ -83,17 +82,8 @@ def test_single_agent_matches_textbook_riccati(single_agent_spec):
 
 def test_single_agent_mean_rollout_matches_oracle_trajectory(single_agent_spec):
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
-    policies, stages, terminal, dyn, nominal = _solve_single_agent(single_agent_spec, theta)
-    gains, ffs = textbook_affine_lqr(
-        dyn.A,
-        dyn.B[0],
-        [s.H_xx for s in stages],
-        [s.l_x for s in stages],
-        [s.H_uu for s in stages],
-        [s.l_u for s in stages],
-        terminal.H,
-        terminal.l,
-    )
+    policies, expansion, dyn, nominal = _solve_single_agent(single_agent_spec, theta)
+    gains, ffs = _textbook_gains(dyn, expansion)
     dx = np.zeros(4)
     oracle_states = [nominal.states[0] + dx]
     for t in range(single_agent_spec.horizon):
@@ -112,11 +102,10 @@ def test_pure_effort_cost_gives_flat_policy_and_inverse_sigma():
     theta3 = 0.8
     costfn = lambda x, u: theta3 * np.sum(u * u, axis=-1)
     nominal = constant_velocity_rollout(spec)
-    stages = [
-        taylor_expand(costfn, nominal.states[t], np.zeros(2)) for t in range(spec.horizon)
-    ]
+    stages = expand_along(costfn, nominal, agent=0)
+    expansion = cost_expansion(stages, (np.zeros((4, 4)), np.zeros(4), 0.0), 4)
     dyn = linearize_dynamics(1, spec.dt)
-    policies = solve_lq_game(dyn, [stages], SolverConfig(entropy_temp=2.0), nominal=nominal)
+    policies = solve_lq_game(dyn, [expansion], SolverConfig(entropy_temp=2.0), nominal=nominal)
     assert np.allclose(policies.K, 0, atol=1e-9)
     assert np.allclose(policies.kff, 0, atol=1e-9)
     assert np.allclose(policies.Sigma, 2.0 / (2 * theta3) * np.eye(2), atol=1e-6)
@@ -201,9 +190,21 @@ def test_conditioning_engages_in_crowded_low_effort_game():
     assert policies.diagnostics.conditioned_stages > 0
     for t, i in np.ndindex(policies.horizon, policies.k):
         assert min_eigenvalue(policies.Sigma[t, i]) >= cfg.eps_psd - 1e-12
-    # events carry (t, agent, shift), shifts nonnegative
+    # events carry (t, agent, shift); only applied shifts are logged
     for t, i, s in policies.diagnostics.events:
-        assert 0 <= t < 30 and i in (0, 1) and s >= 0.0
+        assert 0 <= t < 30 and i in (0, 1) and s > 0.0
+
+
+def test_small_curvature_already_above_the_floor_is_not_a_repair():
+    # own-control curvature 2 * 1.5e-6 / T = 1e-7 sits below eps_psd, but its
+    # covariance 1e7 I already clears the floor: nothing is shifted or logged
+    spec = ScenarioSpec(
+        k=1, x0=JointState((AgentState(4.5, 0, -1.2, 0),)), goals=np.array([[-4.5, 0.0]]),
+        horizon=30, dt=0.1,
+    )
+    policies = build_policies([CostParams(np.array([0.0, 0.0, 1.5e-6]))], spec)
+    assert policies.diagnostics.conditioned_stages == 0
+    assert np.allclose(policies.Sigma, 1e7 * np.eye(2), rtol=1e-9, atol=0)
 
 
 def test_sampling_seed_determinism(intersection_spec, theta_star):
@@ -254,18 +255,11 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
     nominal = constant_velocity_rollout(intersection_spec)
     expansions = [expand_model_along(m, nominal) for m in models]
     dyn = linearize_dynamics(3, intersection_spec.dt)
-    policies = solve_lq_game(
-        dyn,
-        [e[0] for e in expansions],
-        SolverConfig(),
-        terminal=[e[1] for e in expansions],
-        nominal=nominal,
-    )
+    policies = solve_lq_game(dyn, expansions, SolverConfig(), nominal=nominal)
     assert policies.diagnostics.conditioned_stages == 0  # PD game, saddle-free
 
     def agent_cost(agent, K_override, dx0):
-        stages = expansions[agent][0]
-        term = expansions[agent][1]
+        e = expansions[agent]
         dx = dx0.copy()
         total = 0.0
         for t in range(intersection_spec.horizon):
@@ -273,10 +267,12 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
             for j in range(3):
                 K = K_override.get((j, t), policies.K[t, j])
                 us.append(policies.kff[t, j] - K @ dx)
-            z = np.concatenate([dx, us[agent]])
-            total += stages[t].c + stages[t].l @ z + 0.5 * z @ stages[t].H @ z
+            u = us[agent]
+            total += e.c[t] + e.q[t] @ dx + 0.5 * dx @ e.Q[t] @ dx
+            total += e.r[t] @ u + 0.5 * e.R * u @ u
             dx = dyn.A @ dx + sum(dyn.B[j] @ us[j] for j in range(3))
-        total += term.c + term.l @ dx + 0.5 * dx @ term.H @ dx
+        T = intersection_spec.horizon
+        total += e.c[T] + e.q[T] @ dx + 0.5 * dx @ e.Q[T] @ dx
         return total
 
     rng = np.random.default_rng(31)
@@ -299,9 +295,10 @@ def test_singular_gain_system_raises_with_timestep():
     )
     zero = lambda x, u: np.zeros(x.shape[:-1])
     nominal = constant_velocity_rollout(spec)
-    stages = [taylor_expand(zero, nominal.states[t], np.zeros(2)) for t in range(3)]
+    stages = expand_along(zero, nominal, agent=0)
+    expansion = cost_expansion(stages, (np.zeros((4, 4)), np.zeros(4), 0.0), 4)
     with pytest.raises(SolverError) as err:
-        solve_lq_game(linearize_dynamics(1, 0.1), [stages], SolverConfig(), nominal=nominal)
+        solve_lq_game(linearize_dynamics(1, 0.1), [expansion], SolverConfig(), nominal=nominal)
     assert err.value.timestep == 2
 
 
@@ -320,9 +317,9 @@ def test_solver_rejects_mismatched_dimensions(single_agent_spec):
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     models = stage_cost_models([theta], single_agent_spec)
     nominal = constant_velocity_rollout(single_agent_spec)
-    stages, terminal = expand_model_along(models[0], nominal)
+    expansion = expand_model_along(models[0], nominal)
     with pytest.raises(ValidationError):
-        solve_lq_game(linearize_dynamics(2, 0.1), [stages], SolverConfig())
+        solve_lq_game(linearize_dynamics(2, 0.1), [expansion], SolverConfig())
 
 
 def test_policy_sequence_validates_and_freezes_arrays():

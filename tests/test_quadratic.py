@@ -8,7 +8,7 @@ from crowdirl.cli import scenario_preset
 from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams, StageCostModel, stage_cost_models
 from crowdirl.game import build_policies, mean_rollout
-from crowdirl.quadratic import QuadraticStage, expand_model_along, linearize_dynamics
+from crowdirl.quadratic import CostExpansion, expand_model_along, linearize_dynamics
 from crowdirl.trajectory import (
     AgentState,
     JointState,
@@ -73,32 +73,32 @@ def test_taylor_expand_recovers_analytic_quadratic():
     costfn = _quad_costfn(Q, q, 0.7)
     x0, u0 = rng.standard_normal(4), rng.standard_normal(2)
     for h in (1e-4, 1e-3, 1e-2):
-        stage = taylor_expand(costfn, x0, u0, h)
+        H, l, c = taylor_expand(costfn, x0, u0, h)
         z0 = np.concatenate([x0, u0])
-        assert np.allclose(stage.H, Q, rtol=1e-6, atol=1e-6)
-        assert np.allclose(stage.l, Q @ z0 + q, rtol=1e-6, atol=1e-6)
-        assert abs(stage.c - costfn(x0[None], u0[None])[0]) < 1e-12
+        assert np.allclose(H, Q, rtol=1e-6, atol=1e-6)
+        assert np.allclose(l, Q @ z0 + q, rtol=1e-6, atol=1e-6)
+        assert abs(c - costfn(x0[None], u0[None])[0]) < 1e-12
 
 
 def test_taylor_expand_norm_squared_at_origin():
     costfn = lambda x, u: np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)
-    stage = taylor_expand(costfn, np.zeros(4), np.zeros(2), 1e-3)
-    assert np.allclose(stage.H, 2 * np.eye(6), atol=1e-6)
-    assert np.allclose(stage.l, 0, atol=1e-8)
-    assert abs(stage.c) < 1e-12
+    H, l, c = taylor_expand(costfn, np.zeros(4), np.zeros(2), 1e-3)
+    assert np.allclose(H, 2 * np.eye(6), atol=1e-6)
+    assert np.allclose(l, 0, atol=1e-8)
+    assert abs(c) < 1e-12
 
 
 def test_taylor_expand_constant_and_linear():
     const = lambda x, u: np.full(x.shape[:-1], 3.5)
-    stage = taylor_expand(const, np.ones(4), np.ones(2), 1e-3)
-    assert np.allclose(stage.H, 0, atol=1e-9)
-    assert np.allclose(stage.l, 0, atol=1e-9)
+    H, l, _ = taylor_expand(const, np.ones(4), np.ones(2), 1e-3)
+    assert np.allclose(H, 0, atol=1e-9)
+    assert np.allclose(l, 0, atol=1e-9)
 
     a = np.array([1.0, -2.0, 0.5, 0.0, 3.0, -1.0])
     lin = lambda x, u: np.concatenate([x, u], axis=-1) @ a
-    stage = taylor_expand(lin, np.zeros(4), np.zeros(2), 1e-3)
-    assert np.allclose(stage.H, 0, atol=1e-8)
-    assert np.allclose(stage.l, a, atol=1e-8)
+    H, l, _ = taylor_expand(lin, np.zeros(4), np.zeros(2), 1e-3)
+    assert np.allclose(H, 0, atol=1e-8)
+    assert np.allclose(l, a, atol=1e-8)
 
 
 def test_taylor_expand_raises_on_nonfinite_probe():
@@ -141,18 +141,18 @@ def test_gradient_matches_componentwise_differences():
 def test_expand_along_stationary_quadratic(single_agent_spec):
     costfn = lambda x, u: np.sum(x * x, axis=-1) + np.sum(u * u, axis=-1)
     nominal = constant_velocity_rollout(single_agent_spec)
-    stages = expand_along(costfn, nominal, agent=0, h=1e-3)
-    assert len(stages) == single_agent_spec.horizon
-    for st in stages:
-        assert np.allclose(st.H, stages[0].H, atol=1e-6)
+    H, _, _ = expand_along(costfn, nominal, agent=0, h=1e-3)
+    assert len(H) == single_agent_spec.horizon
+    for H_t in H:
+        assert np.allclose(H_t, H[0], atol=1e-6)
 
 
 def test_expand_along_pure_state_cost_zero_control_block(single_agent_spec):
     costfn = lambda x, u: np.sum(x * x, axis=-1)
     nominal = constant_velocity_rollout(single_agent_spec)
-    st = expand_along(costfn, nominal, agent=0, h=1e-3)[0]
-    assert np.allclose(st.H_uu, 0, atol=1e-8)
-    assert np.allclose(st.H_xu, 0, atol=1e-8)
+    H = expand_along(costfn, nominal, agent=0, h=1e-3)[0][0]
+    assert np.allclose(H[4:, 4:], 0, atol=1e-8)  # H_uu
+    assert np.allclose(H[:4, 4:], 0, atol=1e-8)  # H_xu
 
 
 def test_fast_path_matches_full_expansion(intersection_spec, theta_star):
@@ -161,44 +161,59 @@ def test_fast_path_matches_full_expansion(intersection_spec, theta_star):
     nominal = constant_velocity_rollout(intersection_spec)
     fast = expand_along(model, nominal, 0, 1e-3, control_weight=model.control_weight)
     full = expand_along(model, nominal, 0, 1e-3)
-    for sf, sl in zip(fast, full):
-        assert np.allclose(sf.H, sl.H, atol=1e-6)
-        assert np.allclose(sf.l, sl.l, atol=1e-7)
-        assert abs(sf.c - sl.c) < 1e-12
+    for H_f, l_f, c_f, H_l, l_l, c_l in zip(*fast, *full):
+        assert np.allclose(H_f, H_l, atol=1e-6)
+        assert np.allclose(l_f, l_l, atol=1e-7)
+        assert abs(c_f - c_l) < 1e-12
 
 
 def test_expand_model_along_terminal(intersection_spec, theta_star):
     model = stage_cost_models(theta_star, intersection_spec)[2]
     nominal = constant_velocity_rollout(intersection_spec)
-    stages, terminal = expand_model_along(model, nominal)
-    assert len(stages) == intersection_spec.horizon
-    assert terminal.H.shape == (12, 12)
-    # terminal equals a direct expansion of the state cost at the last state
-    direct = expand_terminal(model.state_cost, nominal.states[-1])
-    assert np.allclose(terminal.H, direct.H)
-    assert np.allclose(terminal.l, direct.l)
+    expansion = expand_model_along(model, nominal)
+    assert expansion.horizon == intersection_spec.horizon
+    assert expansion.Q.shape == (intersection_spec.horizon + 1, 12, 12)
+    # row T equals a direct expansion of the state cost at the last state
+    H, l, _ = expand_terminal(model.state_cost, nominal.states[-1])
+    assert np.allclose(expansion.Q[-1], H)
+    assert np.allclose(expansion.q[-1], l)
 
 
 def test_quadratic_stage_validation():
-    H = np.eye(3)
-    H[0, 1] = 0.5  # asymmetric
-    with pytest.raises(ValidationError):
-        QuadraticStage(H=H, l=np.zeros(3), c=0.0, state_dim=1)
-    with pytest.raises(ValidationError):
-        QuadraticStage(H=np.eye(3), l=np.zeros(2), c=0.0, state_dim=1)
+    good = dict(Q=np.tile(np.eye(4), (3, 1, 1)), q=np.zeros((3, 4)), c=np.zeros(3), R=2.0,
+                r=np.zeros((2, 2)))
+    expansion = CostExpansion(**good)
+    assert (expansion.horizon, expansion.state_dim) == (2, 4)
+    for arr in (expansion.Q, expansion.q, expansion.c, expansion.r):
+        assert not arr.flags.writeable
+    asymmetric = good["Q"].copy()
+    asymmetric[1, 0, 1] = 0.5
+    for override in (
+        {"Q": asymmetric},
+        {"q": np.zeros((2, 4))},
+        {"c": np.zeros(2)},
+        {"r": np.zeros((3, 2))},
+        {"Q": np.eye(4)},
+        {"q": np.full((3, 4), np.nan)},
+        {"c": np.array([0.0, np.inf, 0.0])},
+        {"R": np.nan},
+    ):
+        with pytest.raises(ValidationError):
+            CostExpansion(**{**good, **override})
 
 
 # --- closed-form expansion against the finite-difference oracle -------------
 
 
 def _assert_matches_oracle(model, nominal):
-    stages, terminal = expand_model_along(model, nominal)
-    fd_stages, fd_terminal = fd_expand_model_along(model, nominal)
-    assert len(stages) == len(fd_stages) == nominal.horizon
-    for got, ref in list(zip(stages, fd_stages)) + [(terminal, fd_terminal)]:
-        assert np.max(np.abs(got.H - ref.H)) <= 1e-6
-        assert np.max(np.abs(got.l - ref.l)) <= 1e-6
-        assert abs(got.c - ref.c) <= 1e-12
+    got = expand_model_along(model, nominal)
+    ref = fd_expand_model_along(model, nominal)
+    assert got.horizon == ref.horizon == nominal.horizon
+    assert np.max(np.abs(got.Q - ref.Q)) <= 1e-6
+    assert np.max(np.abs(got.q - ref.q)) <= 1e-6
+    assert np.max(np.abs(got.c - ref.c)) <= 1e-12
+    assert got.R == ref.R
+    assert np.max(np.abs(got.r - ref.r)) <= 1e-6
 
 
 def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
@@ -269,12 +284,9 @@ def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a
                               horizon=nominal.horizon, sigma=sigma)
 
     _assert_matches_oracle(model(w1), nominal)
-    mixed_stages, mixed_terminal = expand_model_along(model(a * w1 + b * w2), nominal)
-    stages1, terminal1 = expand_model_along(model(w1), nominal)
-    stages2, terminal2 = expand_model_along(model(w2), nominal)
-    for mixed, e1, e2 in list(zip(mixed_stages, stages1, stages2)) + [
-        (mixed_terminal, terminal1, terminal2)
-    ]:
-        assert np.max(np.abs(mixed.H - (a * e1.H + b * e2.H))) <= 1e-12
-        assert np.max(np.abs(mixed.l - (a * e1.l + b * e2.l))) <= 1e-12
-        assert abs(mixed.c - (a * e1.c + b * e2.c)) <= 1e-12
+    mixed = expand_model_along(model(a * w1 + b * w2), nominal)
+    e1 = expand_model_along(model(w1), nominal)
+    e2 = expand_model_along(model(w2), nominal)
+    for name in ("Q", "q", "c", "R", "r"):
+        combined = a * getattr(e1, name) + b * getattr(e2, name)
+        assert np.max(np.abs(getattr(mixed, name) - combined)) <= 1e-12
