@@ -40,8 +40,10 @@ from .pipeline import (
     combinatorial_scenarios,
     filter_tracks,
     header_goals,
+    json_kind,
     parse_frames,
     read_demonstrations,
+    read_text_lines,
     synth_generate,
     synth_provenance,
     tracks_from_frames,
@@ -111,21 +113,6 @@ def _config_keys(tree: dict, prefix: str = "") -> list[str]:
     return out
 
 
-def _json_kind(value) -> str:
-    """JSON type of a config leaf; int and float are both a finite number."""
-    if isinstance(value, bool):
-        return "a boolean"
-    if isinstance(value, float) and not np.isfinite(value):
-        return "a non-finite number"
-    if isinstance(value, (int, float)):
-        return "a number"
-    if isinstance(value, str):
-        return "a string"
-    if isinstance(value, list):
-        return "a list"
-    return "null" if value is None else "an object"
-
-
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -136,9 +123,9 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise FormatError(f"config key {dotted!r} must be a section")
             out[key] = _merge_config(base[key], value, dotted + ".")
-        elif _json_kind(value) != _json_kind(base[key]):
+        elif json_kind(value) != json_kind(base[key]):
             raise FormatError(
-                f"config key {dotted!r} must be {_json_kind(base[key])}, got {json.dumps(value)}"
+                f"config key {dotted!r} must be {json_kind(base[key])}, got {json.dumps(value)}"
             )
         else:
             out[key] = value
@@ -274,8 +261,7 @@ def cmd_preprocess(args, cfg: dict) -> int:
     group_size = int(cfg["preprocess"]["group_size"])
     scenario_len = int(cfg["preprocess"]["scenario_len"])
 
-    with open(args.raw, "r", encoding="utf-8") as fh:
-        frames = parse_frames(fh)
+    frames = parse_frames(read_text_lines(args.raw))
     tracks = filter_tracks(tracks_from_frames(frames, pre), pre)
 
     groups: dict[str, list] = {}
@@ -461,19 +447,21 @@ def cmd_eval(args, cfg: dict) -> int:
 
 def _read_report_any(path: str) -> tuple[list[dict], dict[str, list[float]]]:
     """Rows plus per-method rmse lists from a csv or jsonl report."""
+    if not path.endswith(".jsonl"):
+        return parse_report_csv(path), {}
     rows, rmse_lists = [], {}
-    if path.endswith(".jsonl"):
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if "rmse_per_traj" in rec:
-                    rmse_lists[rec["method"]] = [float(v) for v in rec["rmse_per_traj"]]
-                elif "method" in rec:
-                    rows.append(rec)
-    else:
-        rows = parse_report_csv(path)
+    for line_no, line in enumerate(read_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if "rmse_per_traj" in rec:
+                rmse_lists[str(rec["method"])] = [float(v) for v in rec["rmse_per_traj"]]
+            elif "method" in rec:
+                rows.append({**rec, "method": str(rec["method"]), "scenario": str(rec["scenario"]),
+                             "ade_m": float(rec["ade_m"]), "fde_m": float(rec["fde_m"])})
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise FormatError(f"{path} line {line_no}: malformed report line ({exc!r})") from exc
     return rows, rmse_lists
 
 
@@ -482,7 +470,7 @@ def cmd_plot(args, cfg: dict) -> int:
     for path in args.reports:
         _, rmse_lists = _read_report_any(path)
         all_rmse.update(rmse_lists)
-    if not all_rmse:
+    if not any(all_rmse.values()):
         raise FormatError("no per-trajectory RMSE data found; plot needs jsonl reports")
     top = max(max(v) for v in all_rmse.values() if v)
     thresholds = np.linspace(0.0, max(top, 1e-9) * 1.05, 25)

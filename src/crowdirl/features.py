@@ -3,14 +3,15 @@
 Three features per agent, each averaged along the trajectory: squared distance
 to the goal, a Gaussian crowding kernel summed over the other agents, and
 squared control effort. State features average over all T+1 states, control
-effort over the T controls. An agent's cost is the dot product of its weight
-vector with this feature vector; `StageCostModel` re-expresses the same cost
-as a sum of per-step terms so the game solver can expand it stage by stage.
+effort over the T controls; `expected_features` forms them for a whole
+trajectory set at once. An agent's cost is the dot product of its weight
+vector with this feature vector; `StageCostModel` re-expresses the same cost,
+through the same `state_features`, as per-step terms the game solver expands.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,41 +81,27 @@ class CostParams:
         return CostParams(np.maximum(self.weights, 0.0))
 
 
-def pairwise_proximity(positions: np.ndarray, agent: int, sigma: float) -> np.ndarray:
-    """Sum over j != agent of exp(-||p_agent - p_j||^2 / sigma^2).
+def state_features(
+    states: np.ndarray, agent: int, goal, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Goal distance and crowding of one agent at joint states (..., 4k); each (...,).
 
-    positions: (..., k, 2); returns (...,). Zero for k == 1.
+    The crowding term sums exp(-||p_agent - p_j||^2 / sigma^2) over j != agent;
+    it is exactly zero for k == 1, where the removed self term exp(0) = 1 is all.
     """
-    positions = np.asarray(positions, dtype=float)
-    k = positions.shape[-2]
-    if k == 1:
-        return np.zeros(positions.shape[:-2])
-    own = positions[..., agent : agent + 1, :]
-    d2 = np.sum((positions - own) ** 2, axis=-1)  # (..., k), zero at j == agent
-    kernel = np.exp(-d2 / (sigma * sigma))
-    return np.sum(kernel, axis=-1) - 1.0  # remove the self term exp(0)
-
-
-def _positions_by_agent(states: np.ndarray) -> np.ndarray:
-    """(T+1, 4k) -> (T+1, k, 2)."""
-    k = states.shape[-1] // STATE_DIM
-    return states.reshape(states.shape[0], k, STATE_DIM)[..., :2]
+    states = np.asarray(states, dtype=float)
+    pos = states.reshape(states.shape[:-1] + (-1, STATE_DIM))[..., :2]
+    own = pos[..., agent : agent + 1, :]
+    goal_dist = np.sum((own[..., 0, :] - goal) ** 2, axis=-1)
+    d2 = np.sum((pos - own) ** 2, axis=-1)  # (..., k), zero at j == agent
+    return goal_dist, np.sum(np.exp(-d2 / (sigma * sigma)), axis=-1) - 1.0
 
 
 def compute_features(
     traj: Trajectory, agent: int, goal, cfg: ProximityConfig = ProximityConfig()
 ) -> FeatureVector:
     """Feature averages of one agent along a trajectory."""
-    if not 0 <= agent < traj.k:
-        raise ValidationError(f"agent index {agent} out of range for k={traj.k}")
-    goal = np.asarray(goal, dtype=float).ravel()
-    if goal.shape != (2,):
-        raise ValidationError(f"goal must be a 2-vector, got shape {goal.shape}")
-    pos = _positions_by_agent(traj.states)  # (T+1, k, 2)
-    goal_dist = float(np.mean(np.sum((pos[:, agent] - goal) ** 2, axis=-1)))
-    proximity = float(np.mean(pairwise_proximity(pos, agent, cfg.sigma)))
-    effort = float(np.mean(np.sum(traj.agent_controls(agent) ** 2, axis=-1)))
-    return FeatureVector(goal_dist, proximity, effort)
+    return expected_features([traj], agent, goal, cfg)
 
 
 def cost(theta: CostParams, phi: FeatureVector) -> float:
@@ -123,19 +110,28 @@ def cost(theta: CostParams, phi: FeatureVector) -> float:
 
 
 def expected_features(
-    rollouts: Sequence[Trajectory] | Iterable[Trajectory],
+    trajs: Sequence[Trajectory],
     agent: int,
     goal,
     cfg: ProximityConfig = ProximityConfig(),
 ) -> FeatureVector:
-    """Arithmetic mean of compute_features over a nonempty trajectory set."""
-    rollouts = list(rollouts)
-    if not rollouts:
-        raise ValidationError("expected_features requires at least one rollout")
-    acc = np.zeros(NUM_FEATURES)
-    for traj in rollouts:
-        acc += compute_features(traj, agent, goal, cfg).as_array()
-    return FeatureVector.from_array(acc / len(rollouts))
+    """Mean feature vector of one agent over a nonempty set of trajectories sharing k and T."""
+    if not trajs:
+        raise ValidationError("expected_features requires at least one trajectory")
+    k, T = trajs[0].k, trajs[0].horizon
+    if any(traj.k != k or traj.horizon != T for traj in trajs):
+        raise ValidationError("expected_features requires trajectories of one k and T")
+    if not 0 <= agent < k:
+        raise ValidationError(f"agent index {agent} out of range for k={k}")
+    goal = np.asarray(goal, dtype=float).ravel()
+    if goal.shape != (2,):
+        raise ValidationError(f"goal must be a 2-vector, got shape {goal.shape}")
+    states = np.stack([traj.states for traj in trajs])  # (N, T+1, 4k)
+    controls = np.stack([traj.controls[:, agent] for traj in trajs])  # (N, T, 2)
+    goal_dist, proximity = state_features(states, agent, goal, cfg.sigma)
+    effort = np.sum(controls**2, axis=-1)
+    per_traj = np.stack([np.mean(f, axis=-1) for f in (goal_dist, proximity, effort)], axis=-1)
+    return FeatureVector.from_array(np.sum(per_traj, axis=0) / len(trajs))
 
 
 @dataclass(frozen=True)
@@ -175,11 +171,7 @@ class StageCostModel:
 
     def state_cost(self, x: np.ndarray) -> np.ndarray:
         """Per-step state term; x has shape (..., 4k), result (...,)."""
-        x = np.asarray(x, dtype=float)
-        pos = x.reshape(x.shape[:-1] + (self.k, STATE_DIM))[..., :2]
-        own = pos[..., self.agent, :]
-        g = np.sum((own - self.goal) ** 2, axis=-1)
-        p = pairwise_proximity(pos, self.agent, self.sigma)
+        g, p = state_features(x, self.agent, self.goal, self.sigma)
         w = self.theta.weights
         return (w[0] * g + w[1] * p) / (self.horizon + 1)
 

@@ -21,9 +21,9 @@ loops hold a `Game` and update one agent's weights at a time. Solved policies
 are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
 (T, k, 2) and covariances Sigma (T, k, 2, 2).
 
-Rollouts draw controls from per-(seed, rollout) Philox streams, so sampled
-trajectory sets are bit-reproducible for a given seed regardless of batching
-or thread count.
+Rollouts step every agent of all M rollouts at once and draw controls from
+per-(seed, rollout) Philox streams, so sampled trajectory sets are
+bit-reproducible for a given seed regardless of the batch size.
 """
 from __future__ import annotations
 
@@ -368,15 +368,14 @@ def _rollout_batch(
     states = np.empty((M, T + 1, n))
     controls = np.empty((M, T, k, CONTROL_DIM))
     states[:, 0] = spec.x0.as_array()
-    # broadcast-and-reduce instead of matmul: reduction trees then depend only
-    # on the row length, so rollout m is bit-identical for any batch size M
+    # broadcast-and-reduce over all agents instead of matmul: reduction trees
+    # then depend only on the row length, so rollout m is bit-identical for any M
     for t in range(T):
         dx = states[:, t] - policies.nominal_states[t]
-        for i in range(k):
-            u = policies.kff[t, i] - np.sum(dx[:, None, :] * policies.K[t, i], axis=-1)
-            if noise is not None:
-                u = u + np.sum(noise[:, t, i][:, None, :] * chol[t, i], axis=-1)
-            controls[:, t, i] = clamp_control(u, u_max)
+        u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
+        if noise is not None:
+            u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
+        controls[:, t] = clamp_control(u, u_max)
         states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], spec.dt)
     return states, controls
 

@@ -14,7 +14,8 @@ orthant to keep every agent's control cost convex.
 
 Both loops build their costs with `stage_cost_models` and solve through one
 `game.Game`, the same game synthesis and evaluation solve (outer
-re-expansion under `solver.max_outer_iters` included). Each update record in
+re-expansion under `solver.max_outer_iters` included), and take feature
+expectations from `features.expected_features`. Each update record in
 the trace holds the sampled gap and theta_after = max(theta_before +
 beta * gap, 0).
 """
@@ -141,21 +142,6 @@ def _check_dataset(dataset: Sequence[Trajectory], spec: ScenarioSpec) -> None:
             raise ValidationError(f"demonstration dt={traj.dt} != scenario dt={spec.dt}")
 
 
-def _demo_features(
-    dataset: Sequence[Trajectory], goals: np.ndarray, cfg: TrainingConfig
-) -> list[np.ndarray]:
-    return [
-        expected_features(dataset, i, goals[i], cfg.proximity).as_array()
-        for i in range(goals.shape[0])
-    ]
-
-
-def _rollout_features(
-    rollouts: Sequence[Trajectory], agent: int, goal, cfg: TrainingConfig
-) -> np.ndarray:
-    return expected_features(rollouts, agent, goal, cfg.proximity).as_array()
-
-
 def _training_game(
     dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig
 ) -> tuple[Game, list[np.ndarray]]:
@@ -164,7 +150,11 @@ def _training_game(
     if spec.goals is None:
         spec = spec.with_goals(infer_goals(dataset))
     models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
-    return Game(models, spec, cfg.solver), _demo_features(dataset, spec.goals, cfg)
+    demo_phi = [
+        expected_features(dataset, i, spec.goals[i], cfg.proximity).as_array()
+        for i in range(spec.k)
+    ]
+    return Game(models, spec, cfg.solver), demo_phi
 
 
 def multi_agent_irl(
@@ -189,7 +179,8 @@ def multi_agent_irl(
             rollouts = sample_rollouts(
                 policies, spec, cfg.M, derive_seed(cfg.seed, sweep, i), cfg.u_max
             )
-            gap = _rollout_features(rollouts, i, goals[i], cfg) - demo_phi[i]
+            phi = expected_features(rollouts, i, goals[i], cfg.proximity).as_array()
+            gap = phi - demo_phi[i]
             theta_new = _apply_update(thetas[i], gap, cfg.beta)
             trace.records.append(
                 IterationRecord(
@@ -232,7 +223,7 @@ def single_agent_maxent_irl(
             policies, spec, cfg.M, derive_seed(cfg.seed, sweep, 0), cfg.u_max
         )
         gaps = [
-            _rollout_features(rollouts, i, goals[i], cfg) - demo_phi[i]
+            expected_features(rollouts, i, goals[i], cfg.proximity).as_array() - demo_phi[i]
             for i in range(spec.k)
         ]
         agg = np.mean(gaps, axis=0)

@@ -30,12 +30,14 @@ from .baselines import (
 from .errors import FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
+from .pipeline import read_text_lines
 from .rng import substream
 from .trajectory import (
     DEFAULT_U_MAX,
     ScenarioSpec,
     Trajectory,
     clamp_control,
+    constant_velocity_rollout,
     propagate_joint,
 )
 
@@ -291,9 +293,8 @@ def make_predictor(method: str, ctx: PredictorContext) -> Callable[[Trajectory],
     if method == "cv":
 
         def predict_cv(demo: Trajectory) -> np.ndarray:
-            return _rollout_per_agent_policy(
-                demo.states[0], spec, lambda s: np.zeros(2), ctx.u_max
-            )
+            traj = constant_velocity_rollout(spec.with_x0(demo.joint_state(0)))
+            return traj.states.reshape(spec.horizon + 1, spec.k, 4)[:, :, :2]
 
         return predict_cv
 
@@ -450,26 +451,24 @@ def emit_report(reports: Sequence[MetricReport], fmt: str, path) -> None:
 
 def parse_report_csv(path) -> list[dict]:
     """Read back a CSV report; inverse of emit_report(..., 'csv', ...)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    lines = [ln for ln in lines if not ln.startswith("#")]
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
-        raise FormatError("missing or malformed CSV header")
+    lines = [
+        (line_no, ln.split(","))
+        for line_no, ln in enumerate(read_text_lines(path), start=1)
+        if ln.strip() and not ln.startswith("#")
+    ]
+    if not lines or tuple(lines[0][1]) != CSV_COLUMNS:
+        raise FormatError(f"{path}: missing or malformed CSV header")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
+    for line_no, parts in lines[1:]:
         if len(parts) != len(CSV_COLUMNS):
-            raise FormatError(f"row has {len(parts)} fields, expected {len(CSV_COLUMNS)}")
-        rows.append(
-            {
-                "method": parts[0],
-                "scenario": parts[1],
-                "agent": parts[2],
-                "ade_m": float(parts[3]),
-                "fde_m": float(parts[4]),
-                "efe_m": float(parts[5]),
-            }
-        )
+            raise FormatError(
+                f"{path} line {line_no}: row has {len(parts)} fields, expected {len(CSV_COLUMNS)}"
+            )
+        try:
+            values = [float(v) for v in parts[3:]]
+        except ValueError as exc:
+            raise FormatError(f"{path} line {line_no}: non-numeric value ({exc})") from exc
+        rows.append(dict(zip(CSV_COLUMNS, parts[:3] + values)))
     return rows
 
 

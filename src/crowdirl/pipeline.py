@@ -20,6 +20,7 @@ import itertools
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -418,14 +419,37 @@ def write_demonstrations(
                 fh.write(_format_row(row) + "\n")
 
 
+def read_text_lines(path) -> list[str]:
+    """Lines of a UTF-8 text file without their newlines; FormatError otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def json_kind(value) -> str:
+    """JSON type of a parsed value; int and float are both a finite number."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        return "a non-finite number"  # NaN, infinity, or an integer beyond float range
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, list):
+        return "a list"
+    return "null" if value is None else "an object"
+
+
 def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
     """Read an interchange file back into trajectories plus its header.
 
     Controls are reconstructed from consecutive velocities (u = dv / dt);
     they are exact for generated data and estimates for resampled data.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    lines = read_text_lines(path)
     if not lines or not lines[0].strip():
         raise FormatError("missing header line")
     try:
@@ -441,14 +465,20 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
     if missing:
         raise FormatError(f"missing header keys {sorted(missing)}")
 
-    k, rows_per, dt, count = (
-        int(header["k"]),
-        int(header["T"]),
-        float(header["dt"]),
-        int(header["count"]),
-    )
-    if rows_per < 2:
-        raise FormatError("each trajectory needs at least 2 rows")
+    for key, least in (("k", 1), ("T", 2), ("count", 0)):
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise FormatError(f"header key {key!r} must be an integer >= {least}, got {value!r}")
+    k, rows_per, count, dt, goals = (header[key] for key in ("k", "T", "count", "dt", "goals"))
+    if json_kind(dt) != "a number" or dt <= 0:
+        raise FormatError(f"header key 'dt' must be a positive finite number, got {dt!r}")
+    pair = ["a number"] * 2
+    if goals is not None and not (
+        isinstance(goals, list)
+        and len(goals) == k
+        and all(isinstance(g, list) and [json_kind(v) for v in g] == pair for g in goals)
+    ):
+        raise FormatError(f"header key 'goals' must be null or {k} pairs of finite numbers")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count * rows_per:
         raise FormatError(

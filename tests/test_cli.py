@@ -66,6 +66,7 @@ class TestConfig:
         ({"u_max": float("nan")}, "'u_max' must be a number"),
         ({"preprocess": {"scheme": "W-E-S"}}, "'preprocess.scheme' must be a list"),
         ({"preprocess": {"x_range": 3}}, "'preprocess.x_range' must be a list"),
+        ({"seed": 10**400}, "'seed' must be a number"),
     ])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override, message):
         cfg_path = tmp_path / "cfg.json"
@@ -347,6 +348,51 @@ class TestPreprocess:
         demos, header = read_demonstrations(out_dir / entry["file"])
         assert header["k"] == 3
         assert demos[0].horizon == 29  # 30 rows
+
+
+NOT_UTF8 = b"\xff\xfe" + '{"k": 1}\n'.encode("utf-16-le")
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "{bad}", "--out", "{out}"],
+    ["eval", "{bad}", "--baseline", "cv", "--out", "{out}"],
+    ["preprocess", "{bad}", "{out}"],
+], ids=["train", "eval", "preprocess"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.traj"
+    bad.write_bytes(NOT_UTF8)
+    rc = main([a.format(bad=bad, out=tmp_path / "out") for a in argv])
+    assert rc == 2
+    assert f"{bad} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("r.jsonl", '{"note": "x"}\nnot json\n', "line 2: malformed"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "fde_m": 1.0}\n', "ade_m"),
+    ("r.jsonl", '{"method": "cv", "agent": "all", "ade_m": 1.0, "fde_m": 1.0}\n', "scenario"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": ["abc"]}\n', "line 1: malformed"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": 5}\n', "line 1: malformed"),
+    ("r.csv", "method,scenario,agent,ade_m,fde_m,efe_m\ncv,s,all,abc,1,1\n", "line 2: non-numeric"),
+    ("r.jsonl", NOT_UTF8, "is not UTF-8"),
+    ("r.csv", NOT_UTF8, "is not UTF-8"),
+])
+@pytest.mark.parametrize("command", ["compare", "plot"])
+def test_malformed_report_exits_2(tmp_path, capsys, command, name, content, message):
+    report = tmp_path / name
+    if isinstance(content, bytes):
+        report.write_bytes(content)
+    else:
+        report.write_text(content)
+    rc = main([command, str(report), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(report) in err and message in err
+
+
+def test_plot_without_rmse_values_exits_2(tmp_path):
+    report = tmp_path / "r.jsonl"
+    report.write_text('{"method": "cv", "scenario": "s", "rmse_per_traj": []}\n')
+    assert main(["plot", str(report), "--out", str(tmp_path / "cdf.svg")]) == 2
 
 
 def test_cli_entry_point_help():

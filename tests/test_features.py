@@ -99,6 +99,41 @@ def test_expected_features_rejects_empty():
         expected_features([], 0, (0, 0))
 
 
+def test_expected_features_rejects_mixed_shapes():
+    one_agent = _static_traj([(0, 0)], T=2)
+    with pytest.raises(ValidationError, match="one k and T"):
+        expected_features([one_agent, _static_traj([(0, 0), (1, 0)], T=2)], 0, (0, 0))
+    with pytest.raises(ValidationError, match="one k and T"):
+        expected_features([one_agent, _static_traj([(0, 0)], T=3)], 0, (0, 0))
+
+
+def _reference_expected_features(trajs, agent, goal, sigma):
+    """Per-trajectory loop: each feature a mean along one trajectory, summed in order."""
+    acc = np.zeros(3)
+    for traj in trajs:
+        pos = traj.states.reshape(traj.horizon + 1, traj.k, 4)[..., :2]
+        goal_dist = float(np.mean(np.sum((pos[:, agent] - goal) ** 2, axis=-1)))
+        d2 = np.sum((pos - pos[:, agent : agent + 1]) ** 2, axis=-1)
+        proximity = float(np.mean(np.sum(np.exp(-d2 / (sigma * sigma)), axis=-1) - 1.0))
+        effort = float(np.mean(np.sum(traj.agent_controls(agent) ** 2, axis=-1)))
+        acc += np.array([goal_dist, proximity, effort])
+    return acc / len(trajs)
+
+
+def test_expected_features_match_per_trajectory_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    k, T = 8, 30
+    trajs = [
+        Trajectory(rng.uniform(-4, 4, (T + 1, 4 * k)), rng.normal(size=(T, k, 2)), 0.1)
+        for _ in range(33)
+    ]
+    goals = rng.uniform(-4, 4, (k, 2))
+    for agent in range(k):
+        got = expected_features(trajs, agent, goals[agent], ProximityConfig(sigma=1.5))
+        ref = _reference_expected_features(trajs, agent, goals[agent], 1.5)
+        assert got.as_array().tobytes() == ref.tobytes()
+
+
 def test_permutation_equivariance_in_neighbors():
     rng = np.random.default_rng(5)
     pos = rng.uniform(-3, 3, size=(4, 2))

@@ -18,6 +18,7 @@ from crowdirl.game import (
 )
 from crowdirl.quadratic import expand_model_along, linearize_dynamics
 from crowdirl.trajectory import (
+    DEFAULT_U_MAX,
     AgentState,
     JointState,
     ScenarioSpec,
@@ -218,11 +219,25 @@ def test_sampling_seed_determinism(intersection_spec, theta_star):
     assert not np.array_equal(a[0].states, c[0].states)
 
 
-def test_sampling_batch_size_invariance(intersection_spec, theta_star):
-    policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
-    one = sample_rollouts(policies, intersection_spec, 1, seed=5)[0]
-    many = sample_rollouts(policies, intersection_spec, 8, seed=5)[0]
-    assert np.array_equal(one.states, many.states)
+def test_sampling_batch_size_invariance(intersection_spec, ring8_spec, theta_star):
+    # on the ring each gain row has 4k = 32 entries, where numpy's pairwise
+    # summation unrolls, and at u_max = 1 the clamp engages on most controls
+    for spec, u_max, sizes in (
+        (intersection_spec, DEFAULT_U_MAX, (1, 8)),
+        (ring8_spec, 1.0, (1, 8, 33)),
+    ):
+        policies = build_policies(
+            [theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3)
+        )
+        ref = sample_rollouts(policies, spec, 40, seed=5, u_max=u_max)
+        for M in sizes:
+            got = sample_rollouts(policies, spec, M, seed=5, u_max=u_max)
+            for a, b in zip(got, ref[:M], strict=True):
+                assert np.array_equal(a.states, b.states)
+                assert np.array_equal(a.controls, b.controls)
+        norms = np.linalg.norm(np.stack([r.controls for r in ref]), axis=-1)
+        assert np.all(norms <= u_max * (1 + 1e-15))
+    assert np.mean(np.abs(norms - 1.0) <= 1e-12) > 0.5
 
 
 def test_vanishing_noise_collapses_to_mean(single_agent_spec):

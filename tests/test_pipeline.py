@@ -275,6 +275,27 @@ class TestInterchange:
         with pytest.raises(FormatError, match="surprise"):
             read_demonstrations(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", None), ("k", "abc"), ("k", 1.7), ("k", True), ("k", 0),
+        ("T", [2]), ("T", "3"), ("T", 1), ("T", 2.0),
+        ("count", None), ("count", -1), ("count", 1.5),
+        ("dt", "x"), ("dt", None), ("dt", float("nan")), ("dt", float("inf")), ("dt", 0),
+        pytest.param("dt", 10**400, id="dt-beyond-float-range"),
+        ("goals", "xy"), ("goals", [[0.0, 0.0], [1.0, 1.0]]), ("goals", [[0.0]]),
+        ("goals", [[0.0, "a"]]), ("goals", [[0.0, float("inf")]]), ("goals", [[0.0, True]]),
+        ("goals", {"0": [0.0, 0.0]}),
+    ])
+    def test_mistyped_header_value_rejected(self, tmp_path, key, value):
+        header = {"k": 1, "T": 2, "dt": 0.1, "goals": [[1.0, 2.0]], "count": 1, "provenance": {}}
+        path = tmp_path / "ok.traj"
+        path.write_text(json.dumps(header) + "\n" + "0,0,0,0\n" * 2)
+        assert len(read_demonstrations(path)[0]) == 1
+        header[key] = value
+        path = tmp_path / "bad.traj"
+        path.write_text(json.dumps(header) + "\n" + "0,0,0,0\n" * 2)
+        with pytest.raises(FormatError, match=f"header key '{key}'"):
+            read_demonstrations(path)
+
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "short.traj"
         header = {"k": 1, "T": 3, "dt": 0.1, "goals": None, "count": 1, "provenance": {}}

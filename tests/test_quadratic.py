@@ -9,13 +9,7 @@ from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams, StageCostModel, stage_cost_models
 from crowdirl.game import build_policies, mean_rollout
 from crowdirl.quadratic import CostExpansion, expand_model_along, linearize_dynamics
-from crowdirl.trajectory import (
-    AgentState,
-    JointState,
-    ScenarioSpec,
-    Trajectory,
-    constant_velocity_rollout,
-)
+from crowdirl.trajectory import Trajectory, constant_velocity_rollout
 from fd_oracle import (
     expand_along,
     expand_terminal,
@@ -216,13 +210,6 @@ def _assert_matches_oracle(model, nominal):
     assert np.max(np.abs(got.r - ref.r)) <= 1e-6
 
 
-def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
-    angles = 2 * np.pi * np.arange(k) / k
-    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
-    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
-
-
 @pytest.mark.parametrize("agent", [0, 1, 2])
 def test_expansion_matches_oracle_on_intersection(agent):
     spec = scenario_preset("intersection_k3")
@@ -235,10 +222,9 @@ def test_expansion_matches_oracle_for_one_agent(single_agent_spec):
     _assert_matches_oracle(model, constant_velocity_rollout(single_agent_spec))
 
 
-def test_expansion_matches_oracle_on_eight_agent_ring():
-    spec = _ring_spec(8)
-    models = stage_cost_models([CostParams(np.array([1.0, 3.0, 0.2]))] * 8, spec)
-    nominal = constant_velocity_rollout(spec)
+def test_expansion_matches_oracle_on_eight_agent_ring(ring8_spec):
+    models = stage_cost_models([CostParams(np.array([1.0, 3.0, 0.2]))] * 8, ring8_spec)
+    nominal = constant_velocity_rollout(ring8_spec)
     for agent in (0, 3):
         _assert_matches_oracle(models[agent], nominal)
 
