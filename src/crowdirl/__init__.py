@@ -93,6 +93,7 @@ from .quadratic import CostExpansion, LinearDynamics, linearize_dynamics
 from .trajectory import (
     AgentState,
     JointState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,

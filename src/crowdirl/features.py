@@ -4,7 +4,7 @@ Three features per agent, each averaged along the trajectory: squared distance
 to the goal, a Gaussian crowding kernel summed over the other agents, and
 squared control effort. State features average over all T+1 states, control
 effort over the T controls; `expected_features` forms them for a whole
-trajectory set at once. An agent's cost is the dot product of its weight
+`RolloutSet` at once. An agent's cost is the dot product of its weight
 vector with this feature vector; `StageCostModel` re-expresses the same cost,
 through the same `state_features`, as per-step terms the game solver expands.
 """
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .trajectory import STATE_DIM, ScenarioSpec, Trajectory
+from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
 
 FEATURE_NAMES = ("goal_dist", "proximity", "effort")
 NUM_FEATURES = 3
@@ -110,26 +110,20 @@ def cost(theta: CostParams, phi: FeatureVector) -> float:
 
 
 def expected_features(
-    trajs: Sequence[Trajectory],
+    trajs: RolloutSet | Sequence[Trajectory],
     agent: int,
     goal,
     cfg: ProximityConfig = ProximityConfig(),
 ) -> FeatureVector:
-    """Mean feature vector of one agent over a nonempty set of trajectories sharing k and T."""
-    if not trajs:
-        raise ValidationError("expected_features requires at least one trajectory")
-    k, T = trajs[0].k, trajs[0].horizon
-    if any(traj.k != k or traj.horizon != T for traj in trajs):
-        raise ValidationError("expected_features requires trajectories of one k and T")
-    if not 0 <= agent < k:
-        raise ValidationError(f"agent index {agent} out of range for k={k}")
+    """Mean feature vector of one agent over a rollout set (a sequence is stacked once)."""
+    trajs = RolloutSet.stack(trajs)
+    if not 0 <= agent < trajs.k:
+        raise ValidationError(f"agent index {agent} out of range for k={trajs.k}")
     goal = np.asarray(goal, dtype=float).ravel()
     if goal.shape != (2,):
         raise ValidationError(f"goal must be a 2-vector, got shape {goal.shape}")
-    states = np.stack([traj.states for traj in trajs])  # (N, T+1, 4k)
-    controls = np.stack([traj.controls[:, agent] for traj in trajs])  # (N, T, 2)
-    goal_dist, proximity = state_features(states, agent, goal, cfg.sigma)
-    effort = np.sum(controls**2, axis=-1)
+    goal_dist, proximity = state_features(trajs.states, agent, goal, cfg.sigma)
+    effort = np.sum(trajs.controls[:, :, agent] ** 2, axis=-1)
     per_traj = np.stack([np.mean(f, axis=-1) for f in (goal_dist, proximity, effort)], axis=-1)
     return FeatureVector.from_array(np.sum(per_traj, axis=0) / len(trajs))
 

@@ -4,14 +4,16 @@ A backward recursion stacks every agent's first-order optimality condition at
 each timestep into one coupled linear system, yielding simultaneous affine
 feedback laws (a feedback Nash point of the quadratic game). The recursion
 reads each agent's cost as one `CostExpansion` and works on all agents at
-once along a leading agent axis. Each agent's policy is Gaussian around its
-feedback mean; the covariance is the tempered inverse of that agent's
-control-space curvature of its Q-function. Along near-straight nominal
-trajectories this curvature can lose positive definiteness, in which case the
-covariance is repaired by the smallest uniform diagonal shift that restores a
-configurable eigenvalue floor. The repair trades modeled decision randomness
-for numerical tractability; every stage whose covariance was shifted is
-recorded in the solver diagnostics.
+once along a leading agent axis; one LU per step gives the gains and the
+inverse whose norm screens the system's condition. Each agent's policy is
+Gaussian around its feedback mean; the covariance is the tempered inverse of
+that agent's control-space curvature of its Q-function. Nothing later in the
+recursion reads it, so all T*k covariances are formed after the sweep. Along
+near-straight nominal trajectories this curvature can lose positive
+definiteness; the covariance is then repaired by the smallest uniform diagonal
+shift that restores a configurable eigenvalue floor. The repair trades modeled
+decision randomness for numerical tractability; every stage whose covariance
+was shifted is recorded in the solver diagnostics.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 dynamics, the constant-velocity nominal, the per-agent cost models with their
@@ -21,9 +23,9 @@ loops hold a `Game` and update one agent's weights at a time. Solved policies
 are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
 (T, k, 2) and covariances Sigma (T, k, 2, 2).
 
-Rollouts step every agent of all M rollouts at once and draw controls from
-per-(seed, rollout) Philox streams, so sampled trajectory sets are
-bit-reproducible for a given seed regardless of the batch size.
+Rollouts step every agent of all M rollouts at once, draw controls from
+per-(seed, rollout) Philox streams (`rng.normal_streams`) and return one
+`RolloutSet`, bit-reproducible for a given seed regardless of the batch size.
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ import numpy as np
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams, ProximityConfig, StageCostModel, stage_cost_models
 from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linearize_dynamics
-from .rng import substream
+from .rng import normal_streams
 from .trajectory import (
     CONTROL_DIM,
     DEFAULT_U_MAX,
     STATE_DIM,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -222,10 +225,9 @@ def solve_lq_game(
     eye = np.eye(CONTROL_DIM)
     u_nom = nominal.controls if nominal is not None else np.zeros((T, k, CONTROL_DIM))
     Z, zeta = Q[T], q[T]
-    diag = SolverDiagnostics(horizon=T, k=k)
     K_out = np.empty((T, k, CONTROL_DIM, n))
     kff_out = np.empty((T, k, CONTROL_DIM))
-    Sigma_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
+    Huu_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
 
     for t in range(T - 1, -1, -1):
         BtZ = Bt @ Z  # (k, 2, n)
@@ -240,22 +242,13 @@ def solve_lq_game(
         Yk = (BtZ @ A).reshape(CONTROL_DIM * k, n)
         yff = r[t] + (Bt @ zeta[..., None])[..., 0]
 
-        if np.linalg.cond(S) > MAX_GAIN_CONDITION:
-            raise SolverError("coupled gain system is numerically singular", timestep=t)
-        sol = np.linalg.solve(S, np.concatenate([Yk, yff.reshape(-1, 1)], axis=1))
+        sol = _solve_gains(S, np.concatenate([Yk, yff.reshape(-1, 1)], axis=1), t)
         K_all, alpha_all = sol[:, :-1], sol[:, -1]
         K = K_all.reshape(k, CONTROL_DIM, n)
         alpha = alpha_all.reshape(k, CONTROL_DIM)
-
-        sigma = cfg.entropy_temp * _robust_inverse(Huu_q)
-        sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
-        shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(sigma)[:, 0])
-        for i in np.flatnonzero(shift > 0.0):
-            sigma[i] = condition_covariance(sigma[i], cfg.eps_psd)
-            diag.events.append((t, int(i), float(shift[i])))
         K_out[t] = K
         kff_out[t] = u_nom[t] - alpha
-        Sigma_out[t] = sigma
+        Huu_out[t] = Huu_q
 
         # Closed-loop value recursion for every agent.
         F = A - B_all @ K_all
@@ -269,17 +262,38 @@ def solve_lq_game(
         )
         Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
 
-    nominal_states = (
-        nominal.states if nominal is not None else np.zeros((T + 1, n))
-    )
-    return PolicySequence(
-        K=K_out,
-        kff=kff_out,
-        Sigma=Sigma_out,
-        nominal_states=nominal_states,
-        dt=nominal.dt if nominal is not None else 1.0,
-        diagnostics=diag,
-    )
+    # Nothing in the recursion reads the covariances, so they are formed for
+    # all stages at once; repairs are logged in recursion order.
+    Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
+    Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
+    shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(Sigma)[..., 0])
+    diag = SolverDiagnostics(horizon=T, k=k)
+    for t_rev, i in np.argwhere(shift[::-1] > 0.0):
+        t = T - 1 - int(t_rev)
+        Sigma[t, i] = condition_covariance(Sigma[t, i], cfg.eps_psd)
+        diag.events.append((t, int(i), float(shift[t, i])))
+
+    if nominal is None:
+        return PolicySequence(K_out, kff_out, Sigma, np.zeros((T + 1, n)), 1.0, diag)
+    return PolicySequence(K_out, kff_out, Sigma, nominal.states, nominal.dt, diag)
+
+
+def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
+    """X with S X = rhs from one LU; SolverError(t) if cond_2(S) > MAX_GAIN_CONDITION.
+
+    The exact (SVD) condition is computed only if its bound ||S||_F ||S^-1||_F fails.
+    """
+    m = S.shape[0]
+    try:
+        X = np.linalg.solve(S, np.concatenate([rhs, np.eye(m)], axis=1))
+        bound = np.linalg.norm(S) * np.linalg.norm(X[:, -m:])
+    except np.linalg.LinAlgError:
+        X, bound = None, np.inf
+    if not bound <= MAX_GAIN_CONDITION and np.linalg.cond(S) > MAX_GAIN_CONDITION:
+        raise SolverError("coupled gain system is numerically singular", timestep=t)
+    if X is None:
+        raise InternalError(f"gain system at timestep {t} has a zero pivot yet cond_2 <= 1e12")
+    return X[:, :-m]
 
 
 def _robust_inverse(M: np.ndarray) -> np.ndarray:
@@ -287,7 +301,7 @@ def _robust_inverse(M: np.ndarray) -> np.ndarray:
     out = np.empty_like(M)
     ok = np.abs(np.linalg.det(M)) >= 1e-300
     out[ok] = np.linalg.inv(M[ok])
-    for i in np.flatnonzero(~ok):
+    for i in zip(*np.nonzero(~ok)):
         out[i] = np.linalg.pinv(M[i], rcond=PINV_CUTOFF)
     return out
 
@@ -297,11 +311,11 @@ class Game:
 
     Every agent's cost is expanded to quadratics along the constant-velocity
     nominal and the coupled game is solved there. With cfg.max_outer_iters > 1
-    the costs are re-expanded around the latest mean rollout until the mean
-    trajectory moves less than cfg.outer_tol. Expansions along the
-    constant-velocity nominal are cached per agent, so after set_theta only
-    that agent is re-expanded by the next solve. Synthesis, training and
-    evaluation all solve through this class.
+    the costs are re-expanded around the latest mean rollout (clamped at u_max,
+    as sampling clamps) until it moves less than cfg.outer_tol. Expansions
+    along the constant-velocity nominal are cached per agent, so after
+    set_theta only that agent is re-expanded by the next solve. Synthesis,
+    training and evaluation all solve through this class.
     """
 
     def __init__(
@@ -309,12 +323,14 @@ class Game:
         models: Sequence[StageCostModel],
         spec: ScenarioSpec,
         cfg: SolverConfig = SolverConfig(),
+        u_max: float = DEFAULT_U_MAX,
     ):
         if len(models) != spec.k:
             raise ValidationError(f"need {spec.k} cost models, got {len(models)}")
         self.models = list(models)
         self.spec = spec
         self.cfg = cfg
+        self.u_max = u_max
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
         self._expansions: list = [None] * spec.k
@@ -334,7 +350,7 @@ class Game:
             policies = solve_lq_game(self.dyn, expansions, self.cfg, nominal=nominal)
             if it + 1 == self.cfg.max_outer_iters:
                 break
-            refit = mean_rollout(policies, self.spec)
+            refit = mean_rollout(policies, self.spec, self.u_max)
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
@@ -346,9 +362,10 @@ def solve_scenario(
     models: Sequence[StageCostModel],
     spec: ScenarioSpec,
     cfg: SolverConfig = SolverConfig(),
+    u_max: float = DEFAULT_U_MAX,
 ) -> PolicySequence:
     """Solve the game of the given cost models once (see Game)."""
-    return Game(models, spec, cfg).solve()
+    return Game(models, spec, cfg, u_max).solve()
 
 
 def _rollout_batch(
@@ -410,7 +427,7 @@ def sample_rollouts(
     M: int,
     seed: int,
     u_max: float = DEFAULT_U_MAX,
-) -> list[Trajectory]:
+) -> RolloutSet:
     """Draw M stochastic rollouts; bit-deterministic for a given seed.
 
     Rollout m consumes the Philox stream keyed by (seed, m); the draw for
@@ -419,12 +436,9 @@ def sample_rollouts(
     """
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
-    T, k = policies.horizon, policies.k
-    noise = np.empty((M, T, k, CONTROL_DIM))
-    for m in range(M):
-        noise[m] = substream(seed, m).standard_normal((T, k, CONTROL_DIM))
+    noise = normal_streams(seed, M, (policies.horizon, policies.k, CONTROL_DIM))
     states, controls = _rollout_batch(policies, spec, noise, u_max)
-    return [Trajectory(states[m], controls[m], spec.dt) for m in range(M)]
+    return RolloutSet(states, controls, spec.dt)
 
 
 def build_policies(
@@ -432,6 +446,7 @@ def build_policies(
     spec: ScenarioSpec,
     solver_cfg: SolverConfig = SolverConfig(),
     proximity: ProximityConfig = ProximityConfig(),
+    u_max: float = DEFAULT_U_MAX,
 ) -> PolicySequence:
     """Convenience wrapper: weight vectors -> solved policies for a scenario."""
-    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg)
+    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg, u_max)

@@ -15,7 +15,8 @@ orthant to keep every agent's control cost convex.
 Both loops build their costs with `stage_cost_models` and solve through one
 `game.Game`, the same game synthesis and evaluation solve (outer
 re-expansion under `solver.max_outer_iters` included), and take feature
-expectations from `features.expected_features`. Each update record in
+expectations from `features.expected_features` on the sampled `RolloutSet`
+and on the demonstrations, stacked into one set once. Each update record in
 the trace holds the sampled gap and theta_after = max(theta_before +
 beta * gap, 0).
 """
@@ -34,10 +35,10 @@ from .features import (
     expected_features,
     stage_cost_models,
 )
-from .game import Game, SolverConfig, sample_rollouts
+from .game import Game, PolicySequence, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
-from .trajectory import DEFAULT_U_MAX, ScenarioSpec, Trajectory
+from .trajectory import DEFAULT_U_MAX, RolloutSet, ScenarioSpec, Trajectory
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
@@ -103,6 +104,12 @@ class TrainingTrace:
         norms = [r.gap_norm for r in self.records if r.sweep == sweep]
         return max(norms) if norms else float("inf")
 
+    def close_sweep(self, sweep: int, tol: float) -> bool:
+        """Count the sweep; converged once its largest gap norm is below tol."""
+        self.sweeps = sweep + 1
+        self.converged = self.sweep_max_gap(sweep) < tol
+        return self.converged
+
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.records:
@@ -116,45 +123,42 @@ class TrainingTrace:
             )
 
 
-def _apply_update(theta: CostParams, gap: np.ndarray, beta: float) -> CostParams:
-    return CostParams(theta.weights + beta * gap).project_nonneg()
+def _apply_update(
+    trace: TrainingTrace, sweep: int, agent: int, theta: CostParams, gap: np.ndarray,
+    beta: float, policies: PolicySequence,
+) -> CostParams:
+    """max(theta + beta * gap, 0), recording the update in the trace."""
+    theta_new = CostParams(theta.weights + beta * gap).project_nonneg()
+    trace.records.append(IterationRecord(
+        sweep=sweep, agent=agent, theta_before=theta.weights.copy(),
+        theta_after=theta_new.weights.copy(), gap=gap, gap_norm=float(np.linalg.norm(gap)),
+        conditioned_stages=policies.diagnostics.conditioned_stages,
+    ))
+    return theta_new
 
 
 def infer_goals(dataset: Sequence[Trajectory]) -> np.ndarray:
     """Per-agent goal estimate: mean final demonstrated position."""
-    if not dataset:
-        raise ValidationError("cannot infer goals from an empty dataset")
-    finals = np.stack([traj.states[-1] for traj in dataset])  # (N, 4k)
-    k = finals.shape[1] // 4
-    return np.stack([finals[:, 4 * i : 4 * i + 2].mean(axis=0) for i in range(k)])
-
-
-def _check_dataset(dataset: Sequence[Trajectory], spec: ScenarioSpec) -> None:
-    if not dataset:
-        raise ValidationError("demonstration dataset is empty")
-    for traj in dataset:
-        if traj.k != spec.k or traj.horizon != spec.horizon:
-            raise ValidationError(
-                f"demonstration with k={traj.k}, T={traj.horizon} does not match "
-                f"scenario k={spec.k}, T={spec.horizon}"
-            )
-        if abs(traj.dt - spec.dt) > 1e-12:
-            raise ValidationError(f"demonstration dt={traj.dt} != scenario dt={spec.dt}")
+    finals = RolloutSet.stack(dataset).states[:, -1]  # (N, 4k)
+    return finals.reshape(len(finals), -1, 4)[..., :2].mean(axis=0)
 
 
 def _training_game(
     dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig
 ) -> tuple[Game, list[np.ndarray]]:
     """Game at the all-ones start weights (goals inferred if the spec has none), plus demo features."""
-    _check_dataset(dataset, spec)
+    demos = RolloutSet.stack(dataset)
+    if (demos.k, demos.horizon) != (spec.k, spec.horizon) or abs(demos.dt - spec.dt) > 1e-12:
+        raise ValidationError(
+            f"demonstrations (k={demos.k}, T={demos.horizon}, dt={demos.dt}) do not match "
+            f"the scenario (k={spec.k}, T={spec.horizon}, dt={spec.dt})"
+        )
     if spec.goals is None:
-        spec = spec.with_goals(infer_goals(dataset))
+        spec = spec.with_goals(infer_goals(demos))
     models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
-    demo_phi = [
-        expected_features(dataset, i, spec.goals[i], cfg.proximity).as_array()
-        for i in range(spec.k)
-    ]
-    return Game(models, spec, cfg.solver), demo_phi
+    demo_phi = [expected_features(demos, i, g, cfg.proximity).as_array()
+                for i, g in enumerate(spec.goals)]
+    return Game(models, spec, cfg.solver, cfg.u_max), demo_phi
 
 
 def multi_agent_irl(
@@ -176,28 +180,13 @@ def multi_agent_irl(
     for sweep in range(cfg.max_iters):
         for i in range(spec.k):
             policies = game.solve()
-            rollouts = sample_rollouts(
-                policies, spec, cfg.M, derive_seed(cfg.seed, sweep, i), cfg.u_max
-            )
-            phi = expected_features(rollouts, i, goals[i], cfg.proximity).as_array()
-            gap = phi - demo_phi[i]
-            theta_new = _apply_update(thetas[i], gap, cfg.beta)
-            trace.records.append(
-                IterationRecord(
-                    sweep=sweep,
-                    agent=i,
-                    theta_before=thetas[i].weights.copy(),
-                    theta_after=theta_new.weights.copy(),
-                    gap=gap,
-                    gap_norm=float(np.linalg.norm(gap)),
-                    conditioned_stages=policies.diagnostics.conditioned_stages,
-                )
-            )
-            thetas[i] = theta_new
-            game.set_theta(i, theta_new)
-        trace.sweeps = sweep + 1
-        if trace.sweep_max_gap(sweep) < cfg.tol:
-            trace.converged = True
+            seed = derive_seed(cfg.seed, sweep, i)
+            rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
+            gap = expected_features(rollouts, i, goals[i], cfg.proximity).as_array() - demo_phi[i]
+            del rollouts  # one rollout set alive at a time keeps the peak memory down
+            thetas[i] = _apply_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
+            game.set_theta(i, thetas[i])
+        if trace.close_sweep(sweep, cfg.tol):
             break
     return thetas, trace
 
@@ -219,31 +208,17 @@ def single_agent_maxent_irl(
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
         policies = game.solve()
-        rollouts = sample_rollouts(
-            policies, spec, cfg.M, derive_seed(cfg.seed, sweep, 0), cfg.u_max
-        )
+        seed = derive_seed(cfg.seed, sweep, 0)
+        rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
         gaps = [
             expected_features(rollouts, i, goals[i], cfg.proximity).as_array() - demo_phi[i]
             for i in range(spec.k)
         ]
+        del rollouts  # one rollout set alive at a time keeps the peak memory down
         agg = np.mean(gaps, axis=0)
-        theta_new = _apply_update(theta, agg, cfg.beta)
-        trace.records.append(
-            IterationRecord(
-                sweep=sweep,
-                agent=SHARED_AGENT,
-                theta_before=theta.weights.copy(),
-                theta_after=theta_new.weights.copy(),
-                gap=agg,
-                gap_norm=float(np.linalg.norm(agg)),
-                conditioned_stages=policies.diagnostics.conditioned_stages,
-            )
-        )
-        theta = theta_new
+        theta = _apply_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)
         for i in range(spec.k):
             game.set_theta(i, theta)
-        trace.sweeps = sweep + 1
-        if trace.sweep_max_gap(sweep) < cfg.tol:
-            trace.converged = True
+        if trace.close_sweep(sweep, cfg.tol):
             break
     return theta, trace

@@ -336,7 +336,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Callable[[Trajectory],
             if key not in ctx._policy_cache:
                 demo_spec = spec.with_x0(demo.joint_state(0))
                 ctx._policy_cache[key] = (
-                    build_policies(ctx.thetas, demo_spec, ctx.solver, ctx.proximity),
+                    build_policies(ctx.thetas, demo_spec, ctx.solver, ctx.proximity, ctx.u_max),
                     demo_spec,
                 )
             policies, demo_spec = ctx._policy_cache[key]

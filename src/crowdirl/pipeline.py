@@ -363,8 +363,8 @@ def synth_generate(
     """Roll out demonstrations from known weights; deterministic per seed."""
     if n_demos < 1:
         raise ValidationError("n_demos must be >= 1")
-    policies = build_policies(theta_star, spec, solver_cfg, proximity)
-    return sample_rollouts(policies, spec, n_demos, seed, u_max)
+    policies = build_policies(theta_star, spec, solver_cfg, proximity, u_max)
+    return list(sample_rollouts(policies, spec, n_demos, seed, u_max))
 
 
 def synth_provenance(theta_star: Sequence[CostParams], seed: int) -> dict:

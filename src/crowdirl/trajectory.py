@@ -110,8 +110,48 @@ def propagate_joint(states: np.ndarray, controls: np.ndarray, dt: float) -> np.n
     return np.concatenate([p_next, v_next], axis=-1).reshape(states.shape)
 
 
+class _TrackArrays:
+    """Shared checks: finite states/controls stored as frozen float copies (SET_AXES set axes)."""
+
+    SET_AXES = 0
+
+    def __post_init__(self):
+        states = np.array(self.states, dtype=float)
+        controls = np.array(self.controls, dtype=float)
+        b = self.SET_AXES
+        lead, m = states.shape[:b], "M, " * b
+        n = states.shape[-1] if states.ndim else 0
+        if states.ndim != 2 + b or 0 in lead or n % STATE_DIM != 0 or n == 0:
+            raise ValidationError(f"states must be ({m}T+1, 4k), got {states.shape}")
+        k = n // STATE_DIM
+        want = (*lead, k, CONTROL_DIM)
+        if controls.ndim != 3 + b or controls.shape[:b] + controls.shape[-2:] != want:
+            raise ValidationError(f"controls must be ({m}T, {k}, 2), got {controls.shape}")
+        T = controls.shape[b]
+        if states.shape[b] != T + 1:
+            raise ValidationError(f"lengths inconsistent: {states.shape[b]} states vs {T} controls")
+        if T < 1:
+            raise ValidationError("a trajectory needs at least one step")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be positive, got {self.dt!r}")
+        for name, arr in (("states", states), ("controls", controls)):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name} contain non-finite values")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "dt", float(self.dt))
+
+    @property
+    def horizon(self) -> int:
+        return self.controls.shape[-3]
+
+    @property
+    def k(self) -> int:
+        return self.controls.shape[-2]
+
+
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_TrackArrays):
     """Joint states (T+1, 4k) plus per-agent controls (T, k, 2) at step dt.
 
     Solver-generated trajectories satisfy states[t+1] ==
@@ -123,40 +163,6 @@ class Trajectory:
     states: np.ndarray
     controls: np.ndarray
     dt: float
-
-    def __post_init__(self):
-        states = np.array(self.states, dtype=float)
-        controls = np.array(self.controls, dtype=float)
-        if states.ndim != 2 or states.shape[1] % STATE_DIM != 0 or states.shape[1] == 0:
-            raise ValidationError(f"states must be (T+1, 4k), got {states.shape}")
-        k = states.shape[1] // STATE_DIM
-        if controls.ndim != 3 or controls.shape[1:] != (k, CONTROL_DIM):
-            raise ValidationError(f"controls must be (T, {k}, 2), got {controls.shape}")
-        if controls.shape[0] != states.shape[0] - 1:
-            raise ValidationError(
-                f"lengths inconsistent: {states.shape[0]} states vs {controls.shape[0]} controls"
-            )
-        if states.shape[0] < 2:
-            raise ValidationError("a trajectory needs at least one step")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
-        if not np.all(np.isfinite(states)):
-            raise ValidationError("states contain non-finite values")
-        if not np.all(np.isfinite(controls)):
-            raise ValidationError("controls contain non-finite values")
-        states.setflags(write=False)
-        controls.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "dt", float(self.dt))
-
-    @property
-    def horizon(self) -> int:
-        return self.controls.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.controls.shape[1]
 
     def joint_state(self, t: int) -> JointState:
         return JointState.from_array(self.states[t])
@@ -182,6 +188,42 @@ class Trajectory:
     def _check_agent(self, agent: int) -> None:
         if not 0 <= agent < self.k:
             raise ValidationError(f"agent index {agent} out of range for k={self.k}")
+
+
+@dataclass(frozen=True)
+class RolloutSet(_TrackArrays):
+    """M trajectories of one k and T as frozen arrays (M, T+1, 4k) and (M, T, k, 2).
+
+    Checked once as a whole. Like a list of M trajectories it has len() and
+    iteration; [m] builds rollout m as a Trajectory, a slice a list of them.
+    """
+
+    SET_AXES = 1
+    states: np.ndarray
+    controls: np.ndarray
+    dt: float
+
+    @classmethod
+    def stack(cls, trajs) -> "RolloutSet":
+        """One set from a nonempty sequence of trajectories sharing k, T and dt."""
+        if isinstance(trajs, RolloutSet):
+            return trajs
+        if not trajs:
+            raise ValidationError("a rollout set needs at least one trajectory")
+        first = trajs[0]
+        if any((t.k, t.horizon) != (first.k, first.horizon) or t.dt != first.dt for t in trajs):
+            raise ValidationError("a rollout set needs trajectories of one k and T and one dt")
+        return cls(
+            np.stack([t.states for t in trajs]), np.stack([t.controls for t in trajs]), first.dt
+        )
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def __getitem__(self, m):
+        if isinstance(m, slice):
+            return [self[i] for i in range(*m.indices(len(self)))]
+        return Trajectory(self.states[m], self.controls[m], self.dt)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ from crowdirl.cli import scenario_preset
 from crowdirl.errors import InternalError, SolverError, ValidationError
 from crowdirl.features import CostParams, stage_cost_models
 from crowdirl.game import (
+    MAX_GAIN_CONDITION,
     PolicySequence,
     SolverConfig,
+    _robust_inverse,
+    _solve_gains,
     build_policies,
     condition_covariance,
     mean_rollout,
@@ -315,6 +318,114 @@ def test_singular_gain_system_raises_with_timestep():
     with pytest.raises(SolverError) as err:
         solve_lq_game(linearize_dynamics(1, 0.1), [expansion], SolverConfig(), nominal=nominal)
     assert err.value.timestep == 2
+
+
+def test_gain_screen_falls_back_to_the_exact_condition():
+    # ||S||_F ||S^-1||_F = 3 / 1.1e-12 overstates cond_2(S) = 1 / 1.1e-12 <= 1e12
+    S = np.diag([1.0, 1.0, 1.0, 1.1e-12, 1.1e-12, 1.1e-12])
+    assert np.linalg.norm(S) * np.linalg.norm(np.linalg.inv(S)) > MAX_GAIN_CONDITION
+    assert np.linalg.cond(S) <= MAX_GAIN_CONDITION
+    rhs = np.arange(12.0).reshape(6, 2)
+    assert np.array_equal(_solve_gains(S, rhs, 4), np.linalg.solve(S, rhs))
+
+
+@pytest.mark.parametrize(
+    "S", [np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 5e-13]), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])],
+    ids=["cond-2e12", "exactly-singular"],
+)
+def test_gain_screen_rejects_ill_conditioned_systems(S):
+    with pytest.raises(SolverError) as err:
+        _solve_gains(S, np.ones((6, 2)), 7)
+    assert err.value.timestep == 7
+
+
+def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
+    angles = 2 * np.pi * np.arange(k) / k
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
+    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
+
+
+def _per_step_reference(dyn, costs, cfg, nominal):
+    """The recursion with the gain condition, solve and covariance formed stage by stage."""
+    k, n, T = dyn.k, dyn.state_dim, costs[0].horizon
+    Q = np.stack([e.Q for e in costs], axis=1)
+    q = np.stack([e.q for e in costs], axis=1)
+    r = np.stack([e.r for e in costs], axis=1)
+    R = np.array([e.R for e in costs])[:, None, None]
+    A, Bt = dyn.A, np.swapaxes(dyn.B, 1, 2)
+    B_all = Bt.reshape(2 * k, n).T
+    own, eye = np.arange(k), np.eye(2)
+    Z, zeta = Q[T], q[T]
+    K_out, kff_out, Sigma_out = np.empty((T, k, 2, n)), np.empty((T, k, 2)), np.empty((T, k, 2, 2))
+    events = []
+    for t in range(T - 1, -1, -1):
+        BtZ = Bt @ Z
+        S = BtZ.reshape(2 * k, n) @ B_all
+        blocks = S.reshape(k, 2, k, 2)
+        Huu_q = blocks[own, :, own, :] + R * eye
+        Huu_q = 0.5 * (Huu_q + np.swapaxes(Huu_q, 1, 2))
+        blocks[own, :, own, :] = Huu_q
+        Yk = (BtZ @ A).reshape(2 * k, n)
+        yff = r[t] + (Bt @ zeta[..., None])[..., 0]
+        if np.linalg.cond(S) > MAX_GAIN_CONDITION:
+            raise SolverError("coupled gain system is numerically singular", timestep=t)
+        sol = np.linalg.solve(S, np.concatenate([Yk, yff.reshape(-1, 1)], axis=1))
+        K_all, alpha_all = sol[:, :-1], sol[:, -1]
+        K, alpha = K_all.reshape(k, 2, n), alpha_all.reshape(k, 2)
+        sigma = cfg.entropy_temp * _robust_inverse(Huu_q)
+        sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+        shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(sigma)[:, 0])
+        for i in np.flatnonzero(shift > 0.0):
+            sigma[i] = condition_covariance(sigma[i], cfg.eps_psd)
+            events.append((t, int(i), float(shift[i])))
+        K_out[t], kff_out[t], Sigma_out[t] = K, nominal.controls[t] - alpha, sigma
+        F = A - B_all @ K_all
+        beta = -B_all @ alpha_all
+        Kt = np.swapaxes(K, 1, 2)
+        Z_new = Q[t] + R * (Kt @ K) + F.T @ Z @ F
+        zeta = (
+            q[t] + (Kt @ (R[..., 0] * alpha - r[t])[..., None])[..., 0] + ((zeta + (Z @ beta)) @ F)
+        )
+        Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
+    return K_out, kff_out, Sigma_out, events
+
+
+@pytest.mark.parametrize(
+    "spec, theta, temp, repaired",
+    [
+        (scenario_preset("intersection_k3"), (0.5, 8.0, 0.01), 1.0, 15),
+        (_ring_spec(8), (1.0, 2.5, 0.3), 1e-3, 16),
+        (_ring_spec(12), (0.5, 8.0, 0.01), 1.0, 60),
+    ],
+    ids=["intersection_k3", "ring8", "ring12"],
+)
+def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, repaired):
+    cfg = SolverConfig(entropy_temp=temp)
+    models = stage_cost_models([CostParams(np.array(theta))] * spec.k, spec)
+    nominal = constant_velocity_rollout(spec)
+    costs = [expand_model_along(m, nominal) for m in models]
+    dyn = linearize_dynamics(spec.k, spec.dt)
+    policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
+    K, kff, Sigma, events = _per_step_reference(dyn, costs, cfg, nominal)
+    assert np.array_equal(policies.K, K)
+    assert np.array_equal(policies.kff, kff)
+    assert np.array_equal(policies.Sigma, Sigma)
+    assert policies.diagnostics.events == events
+    assert len(events) == repaired
+
+
+def test_outer_reexpansion_refits_under_the_configured_clamp(intersection_spec):
+    # at theta = (1, 2.5, 0.3) the mean path asks for more than 1 m/s^2, so the
+    # refitted nominal must be the mean rollout clamped at u_max = 1, as sampled
+    thetas = [CostParams(np.array([1.0, 2.5, 0.3]))] * 3
+    cfg = SolverConfig(entropy_temp=1e-3, max_outer_iters=4)
+    policies = build_policies(thetas, intersection_spec, cfg, u_max=1.0)
+    velocities = policies.nominal_states.reshape(-1, 3, 4)[..., 2:]
+    accel = np.linalg.norm(np.diff(velocities, axis=0), axis=-1) / intersection_spec.dt
+    assert 0.99 < accel.max() <= 1.0 + 1e-9
+    default = build_policies(thetas, intersection_spec, cfg)
+    assert np.max(np.abs(default.nominal_states - policies.nominal_states)) > 0.1
 
 
 def test_reexpansion_loop_is_stationary_for_quadratic_costs(single_agent_spec):

@@ -7,6 +7,7 @@ from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rol
 from crowdirl.irl import (
     SHARED_AGENT,
     TrainingConfig,
+    _training_game,
     infer_goals,
     multi_agent_irl,
     single_agent_maxent_irl,
@@ -204,3 +205,11 @@ def test_trace_jsonl_roundtrip(tmp_path, intersection_spec, theta_star):
     }
     status = json.loads(lines[-1])
     assert status == {"converged": trace.converged, "sweeps": trace.sweeps}
+
+
+def test_training_game_refits_under_the_training_clamp(intersection_spec, theta_star):
+    solver = SolverConfig(entropy_temp=1e-3, max_outer_iters=4)
+    demos = synth_generate(theta_star, intersection_spec, 4, seed=3, solver_cfg=solver)
+    game, _ = _training_game(demos, intersection_spec, _cfg(solver=solver, u_max=1.0))
+    ref = build_policies([CostParams.ones()] * 3, intersection_spec, solver, u_max=1.0)
+    assert np.array_equal(game.solve().nominal_states, ref.nominal_states)

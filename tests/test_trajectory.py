@@ -7,6 +7,7 @@ from crowdirl.errors import FormatError, ValidationError
 from crowdirl.trajectory import (
     AgentState,
     JointState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -184,6 +185,75 @@ def test_trajectory_arrays_frozen():
     )
     with pytest.raises(ValueError):
         traj.states[0, 0] = 99.0
+
+
+def _rollout_set(M=3, T=2, k=2):
+    rng = np.random.default_rng(0)
+    states, controls = rng.standard_normal((M, T + 1, 4 * k)), rng.standard_normal((M, T, k, 2))
+    return RolloutSet(states, controls, 0.1)
+
+
+def test_rollout_set_indexes_into_trajectories():
+    rs = _rollout_set()
+    assert (len(rs), rs.horizon, rs.k, rs.dt) == (3, 2, 2, 0.1)
+    for m, traj in enumerate(rs):
+        assert isinstance(traj, Trajectory)
+        assert np.array_equal(traj.states, rs.states[m])
+        assert np.array_equal(traj.controls, rs.controls[m])
+    assert np.array_equal(rs[-1].states, rs.states[2])
+    tail = rs[1:]
+    assert isinstance(tail, list) and len(tail) == 2
+    assert np.array_equal(tail[0].controls, rs.controls[1])
+    assert [t.dt for t in rs[::2]] == [0.1, 0.1]
+    with pytest.raises(IndexError):
+        rs[3]
+
+
+def test_rollout_set_arrays_are_frozen_copies():
+    states, controls = np.zeros((2, 3, 4)), np.zeros((2, 2, 1, 2))
+    rs = RolloutSet(states, controls, 0.1)
+    states[0, 0, 0] = 5.0
+    assert rs.states[0, 0, 0] == 0.0
+    with pytest.raises(ValueError):
+        rs.states[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rs.controls[0, 0, 0, 0] = 1.0
+
+
+def test_rollout_set_stack_round_trips_and_passes_sets_through():
+    rs = _rollout_set()
+    again = RolloutSet.stack(list(rs))
+    assert np.array_equal(again.states, rs.states)
+    assert np.array_equal(again.controls, rs.controls)
+    assert RolloutSet.stack(rs) is rs
+
+
+def test_rollout_set_rejects_mixed_shapes_and_bad_values():
+    one = _rollout_set(M=1, T=2, k=1)[0]
+    with pytest.raises(ValidationError, match="one k and T"):
+        RolloutSet.stack([one, _rollout_set(M=1, T=2, k=2)[0]])
+    with pytest.raises(ValidationError, match="one k and T"):
+        RolloutSet.stack([one, _rollout_set(M=1, T=3, k=1)[0]])
+    with pytest.raises(ValidationError, match="one dt"):
+        RolloutSet.stack([one, Trajectory(one.states, one.controls, 0.2)])
+    with pytest.raises(ValidationError, match="at least one"):
+        RolloutSet.stack([])
+    states, controls = np.zeros((2, 3, 4)), np.zeros((2, 2, 1, 2))
+    for bad_states, bad_controls in (
+        (states[:1], controls),  # M differs
+        (np.zeros((0, 3, 4)), np.zeros((0, 2, 1, 2))),  # empty set
+        (states, np.zeros((2, 3, 1, 2))),  # T differs
+        (states[0], controls[0]),  # no set axis
+    ):
+        with pytest.raises(ValidationError):
+            RolloutSet(bad_states, bad_controls, 0.1)
+    for name in ("states", "controls"):
+        arrays = {"states": states.copy(), "controls": controls.copy()}
+        arrays[name].flat[-1] = np.nan
+        with pytest.raises(ValidationError, match=f"{name} contain non-finite"):
+            RolloutSet(dt=0.1, **arrays)
+    with pytest.raises(ValidationError, match="dt"):
+        RolloutSet(states, controls, 0.0)
 
 
 def test_clamp_control_scales_norm():
