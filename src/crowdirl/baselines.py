@@ -218,26 +218,34 @@ def gmm_sample(model: GmmModel, seed: int, n: int | None = None) -> np.ndarray:
 
 
 def gmm_conditional_mean(model: GmmModel, x_obs: np.ndarray, n_cond: int) -> np.ndarray:
-    """E[tail | first n_cond coordinates = x_obs] under the mixture."""
-    x_obs = np.asarray(x_obs, dtype=float).ravel()
-    if not 0 < n_cond < model.dim or x_obs.size != n_cond:
+    """E[tail | first n_cond coordinates = x_obs] under the mixture.
+
+    x_obs is (..., n_cond); the result is (..., dim - n_cond), one row per row.
+    """
+    x_obs = np.asarray(x_obs, dtype=float)
+    if not 0 < n_cond < model.dim or x_obs.ndim == 0 or x_obs.shape[-1] != n_cond:
         raise ValidationError("conditioning slice does not match the model dimension")
-    log_post = np.empty(model.n_components)
-    cond_means = np.empty((model.n_components, model.dim - n_cond))
+    log_post = np.empty(x_obs.shape[:-1] + (model.n_components,))
+    cond_means = np.empty(x_obs.shape[:-1] + (model.n_components, model.dim - n_cond))
     for c in range(model.n_components):
         mu, cov = model.means[c], model.covariances[c]
         a, b = mu[:n_cond], mu[n_cond:]
         Saa = cov[:n_cond, :n_cond]
         Sba = cov[n_cond:, :n_cond]
-        sol = np.linalg.solve(Saa, x_obs - a)
-        cond_means[c] = b + Sba @ sol
-        log_post[c] = np.log(model.weights[c]) + _log_gaussian(
-            x_obs[None, :], a, Saa
-        )[0]
-    log_post -= log_post.max()
+        diff = (x_obs - a)[..., None]  # (..., n_cond, 1)
+        cond_means[..., c, :] = b + (Sba @ np.linalg.solve(Saa, diff))[..., 0]
+        # log N(x_obs; a, Saa) as _log_gaussian forms it, but with one single-column
+        # solve per row: its multi-column solve rounds differently
+        L = np.linalg.cholesky(Saa)
+        z = np.linalg.solve(L, diff)[..., 0]
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        log_post[..., c] = np.log(model.weights[c]) - 0.5 * (
+            n_cond * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=-1)
+        )
+    log_post -= log_post.max(axis=-1, keepdims=True)
     post = np.exp(log_post)
-    post /= post.sum()
-    return post @ cond_means
+    post /= post.sum(axis=-1, keepdims=True)
+    return (post[..., None, :] @ cond_means)[..., 0, :]
 
 
 # --- implicit (energy-based) behavior cloning -------------------------------
@@ -276,9 +284,11 @@ def ebm_energy(params: EnergyParams, x, u) -> float:
 
 
 def ebm_minimizer(params: EnergyParams, x) -> np.ndarray:
-    """Closed-form argmin of the energy in u."""
-    x = np.asarray(x, dtype=float).ravel()
-    return params.L @ x + params.b
+    """Closed-form argmin of the energy in u; x is (..., d_x), the result (..., d_u)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != params.L.shape[1]:
+        raise ValidationError(f"x must be (..., {params.L.shape[1]}), got shape {x.shape}")
+    return (params.L @ x[..., None])[..., 0] + params.b
 
 
 def ebm_argmin(params: EnergyParams, x, candidates: np.ndarray) -> np.ndarray:

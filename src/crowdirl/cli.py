@@ -438,8 +438,7 @@ def cmd_eval(args, cfg: dict) -> int:
         f"-> {args.out}"
     )
     if args.overlay:
-        predictor = make_predictor(method, ctx)
-        svg = render_overlay_svg(demos, [predictor(d) for d in demos])
+        svg = render_overlay_svg(demos, make_predictor(method, ctx)(demos))
         with open(args.overlay, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return EXIT_OK

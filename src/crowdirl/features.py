@@ -3,10 +3,11 @@
 Three features per agent, each averaged along the trajectory: squared distance
 to the goal, a Gaussian crowding kernel summed over the other agents, and
 squared control effort. State features average over all T+1 states, control
-effort over the T controls; `expected_features` forms them for a whole
-`RolloutSet` at once. An agent's cost is the dot product of its weight
-vector with this feature vector; `StageCostModel` re-expresses the same cost,
-through the same `state_features`, as per-step terms the game solver expands.
+effort over the T controls; `expected_features` forms them for any list of
+agents over a whole `RolloutSet` in one pass. An agent's cost is the dot
+product of its weight vector with this feature vector; `StageCostModel`
+re-expresses the same cost, through the same `state_features`, as per-step
+terms the game solver expands.
 """
 from __future__ import annotations
 
@@ -34,6 +35,12 @@ class ProximityConfig:
             raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
 
 
+def _check_features(phi: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(phi)) or np.any(phi < 0):
+        raise ValidationError(f"features must be finite and nonnegative, got {phi}")
+    return phi
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """Per-agent feature averages; all components are nonnegative."""
@@ -43,19 +50,14 @@ class FeatureVector:
     effort: float  # (m/s^2)^2
 
     def __post_init__(self):
-        arr = (self.goal_dist, self.proximity, self.effort)
-        if not all(np.isfinite(v) for v in arr):
-            raise ValidationError(f"feature vector has non-finite entries: {arr}")
-        if any(v < 0 for v in arr):
-            raise ValidationError(f"feature vector has negative entries: {arr}")
+        _check_features(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.array([self.goal_dist, self.proximity, self.effort], dtype=float)
 
     @classmethod
     def from_array(cls, arr) -> "FeatureVector":
-        g, p, e = (float(v) for v in arr)
-        return cls(g, p, e)
+        return cls(*(float(v) for v in arr))
 
 
 @dataclass(frozen=True)
@@ -82,26 +84,28 @@ class CostParams:
 
 
 def state_features(
-    states: np.ndarray, agent: int, goal, sigma: float
+    states: np.ndarray, agents: Sequence[int], goals, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Goal distance and crowding of one agent at joint states (..., 4k); each (...,).
+    """Goal distance and crowding of the given agents at joint states (..., 4k).
 
-    The crowding term sums exp(-||p_agent - p_j||^2 / sigma^2) over j != agent;
-    it is exactly zero for k == 1, where the removed self term exp(0) = 1 is all.
+    goals is (len(agents), 2); both results are (..., len(agents)). The crowding
+    term sums exp(-||p_agent - p_j||^2 / sigma^2) over j != agent; it is exactly
+    zero for k == 1, where the removed self term exp(0) = 1 is all.
     """
-    states = np.asarray(states, dtype=float)
-    pos = states.reshape(states.shape[:-1] + (-1, STATE_DIM))[..., :2]
-    own = pos[..., agent : agent + 1, :]
-    goal_dist = np.sum((own[..., 0, :] - goal) ** 2, axis=-1)
-    d2 = np.sum((pos - own) ** 2, axis=-1)  # (..., k), zero at j == agent
-    return goal_dist, np.sum(np.exp(-d2 / (sigma * sigma)), axis=-1) - 1.0
+    s = np.asarray(states, dtype=float)
+    s = s.reshape(s.shape[:-1] + (-1, STATE_DIM))
+    px, py = s[..., 0], s[..., 1]  # (..., k)
+    ox, oy = px[..., agents], py[..., agents]  # (..., a)
+    goal_dist = (ox - goals[:, 0]) ** 2 + (oy - goals[:, 1]) ** 2
+    dx, dy = px[..., None, :] - ox[..., None], py[..., None, :] - oy[..., None]  # (..., a, k)
+    return goal_dist, np.sum(np.exp(-(dx * dx + dy * dy) / (sigma * sigma)), axis=-1) - 1.0
 
 
 def compute_features(
     traj: Trajectory, agent: int, goal, cfg: ProximityConfig = ProximityConfig()
 ) -> FeatureVector:
     """Feature averages of one agent along a trajectory."""
-    return expected_features([traj], agent, goal, cfg)
+    return FeatureVector.from_array(expected_features([traj], [agent], [goal], cfg)[0])
 
 
 def cost(theta: CostParams, phi: FeatureVector) -> float:
@@ -111,21 +115,27 @@ def cost(theta: CostParams, phi: FeatureVector) -> float:
 
 def expected_features(
     trajs: RolloutSet | Sequence[Trajectory],
-    agent: int,
-    goal,
+    agents: Sequence[int],
+    goals,
     cfg: ProximityConfig = ProximityConfig(),
-) -> FeatureVector:
-    """Mean feature vector of one agent over a rollout set (a sequence is stacked once)."""
+) -> np.ndarray:
+    """Mean feature vectors (len(agents), 3) of the given agents over a rollout set.
+
+    goals is (len(agents), 2), one row per index; a sequence is stacked once.
+    """
     trajs = RolloutSet.stack(trajs)
-    if not 0 <= agent < trajs.k:
-        raise ValidationError(f"agent index {agent} out of range for k={trajs.k}")
-    goal = np.asarray(goal, dtype=float).ravel()
-    if goal.shape != (2,):
-        raise ValidationError(f"goal must be a 2-vector, got shape {goal.shape}")
-    goal_dist, proximity = state_features(trajs.states, agent, goal, cfg.sigma)
-    effort = np.sum(trajs.controls[:, :, agent] ** 2, axis=-1)
-    per_traj = np.stack([np.mean(f, axis=-1) for f in (goal_dist, proximity, effort)], axis=-1)
-    return FeatureVector.from_array(np.sum(per_traj, axis=0) / len(trajs))
+    idx = np.asarray(agents)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < trajs.k)):
+        raise ValidationError(f"agent indices {agents!r} must be integers in [0, {trajs.k})")
+    goals = np.asarray(goals, dtype=float)
+    if goals.shape != (idx.size, 2):
+        raise ValidationError(f"goals must be ({idx.size}, 2), got shape {goals.shape}")
+    goal_dist, proximity = state_features(trajs.states, idx, goals, cfg.sigma)
+    effort = np.sum(trajs.controls[:, :, idx] ** 2, axis=-1)
+    # the copy makes each time series contiguous, so its mean sums in one agent's order
+    per_traj = np.stack([np.mean(np.swapaxes(f, 1, 2).copy(), axis=-1)
+                         for f in (goal_dist, proximity, effort)], axis=-1)  # (N, a, 3)
+    return _check_features(np.sum(per_traj, axis=0) / len(trajs))
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,9 @@ class StageCostModel:
 
     def state_cost(self, x: np.ndarray) -> np.ndarray:
         """Per-step state term; x has shape (..., 4k), result (...,)."""
-        g, p = state_features(x, self.agent, self.goal, self.sigma)
+        g, p = state_features(x, [self.agent], self.goal[None], self.sigma)
         w = self.theta.weights
-        return (w[0] * g + w[1] * p) / (self.horizon + 1)
+        return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (self.horizon + 1)
 
     def terminal_cost(self, x: np.ndarray) -> np.ndarray:
         return self.state_cost(x)

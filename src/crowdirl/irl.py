@@ -15,10 +15,11 @@ orthant to keep every agent's control cost convex.
 Both loops build their costs with `stage_cost_models` and solve through one
 `game.Game`, the same game synthesis and evaluation solve (outer
 re-expansion under `solver.max_outer_iters` included), and take feature
-expectations from `features.expected_features` on the sampled `RolloutSet`
-and on the demonstrations, stacked into one set once. Each update record in
-the trace holds the sampled gap and theta_after = max(theta_before +
-beta * gap, 0).
+expectations from `features.expected_features`: one call for every agent on
+the demonstrations (stacked into one set once) and on each single-agent
+rollout set, and one call for the visited agent's row alone in the
+multi-agent loop. Each update record in the trace holds the sampled gap and
+theta_after = max(theta_before + beta * gap, 0).
 """
 from __future__ import annotations
 
@@ -145,8 +146,8 @@ def infer_goals(dataset: Sequence[Trajectory]) -> np.ndarray:
 
 def _training_game(
     dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig
-) -> tuple[Game, list[np.ndarray]]:
-    """Game at the all-ones start weights (goals inferred if the spec has none), plus demo features."""
+) -> tuple[Game, np.ndarray]:
+    """All-ones start game (goals inferred if the spec has none) and the (k, 3) demo features."""
     demos = RolloutSet.stack(dataset)
     if (demos.k, demos.horizon) != (spec.k, spec.horizon) or abs(demos.dt - spec.dt) > 1e-12:
         raise ValidationError(
@@ -156,8 +157,7 @@ def _training_game(
     if spec.goals is None:
         spec = spec.with_goals(infer_goals(demos))
     models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
-    demo_phi = [expected_features(demos, i, g, cfg.proximity).as_array()
-                for i, g in enumerate(spec.goals)]
+    demo_phi = expected_features(demos, range(spec.k), spec.goals, cfg.proximity)
     return Game(models, spec, cfg.solver, cfg.u_max), demo_phi
 
 
@@ -182,7 +182,7 @@ def multi_agent_irl(
             policies = game.solve()
             seed = derive_seed(cfg.seed, sweep, i)
             rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
-            gap = expected_features(rollouts, i, goals[i], cfg.proximity).as_array() - demo_phi[i]
+            gap = expected_features(rollouts, [i], goals[[i]], cfg.proximity)[0] - demo_phi[i]
             del rollouts  # one rollout set alive at a time keeps the peak memory down
             thetas[i] = _apply_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
             game.set_theta(i, thetas[i])
@@ -210,10 +210,7 @@ def single_agent_maxent_irl(
         policies = game.solve()
         seed = derive_seed(cfg.seed, sweep, 0)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
-        gaps = [
-            expected_features(rollouts, i, goals[i], cfg.proximity).as_array() - demo_phi[i]
-            for i in range(spec.k)
-        ]
+        gaps = expected_features(rollouts, range(spec.k), goals, cfg.proximity) - demo_phi
         del rollouts  # one rollout set alive at a time keeps the peak memory down
         agg = np.mean(gaps, axis=0)
         theta = _apply_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)

@@ -33,7 +33,10 @@ from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from .pipeline import read_text_lines
 from .rng import substream
 from .trajectory import (
+    CONTROL_DIM,
     DEFAULT_U_MAX,
+    STATE_DIM,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -135,14 +138,9 @@ def trajectory_entropy(dataset: Sequence[Trajectory], bins: int = 8) -> EntropyR
         raise ValidationError("trajectory_entropy needs a nonempty dataset")
     if bins < 2:
         raise ValidationError("bins must be >= 2")
-    headings = []
-    for traj in dataset:
-        for i in range(traj.k):
-            v = traj.velocities(i)
-            speed = np.linalg.norm(v, axis=1)
-            h = np.where(speed > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)
-            headings.append(h)
-    pooled = np.concatenate(headings)
+    v = np.concatenate([traj.states.reshape(-1, STATE_DIM)[:, 2:] for traj in dataset])
+    speed = np.linalg.norm(v, axis=1)
+    pooled = np.where(speed > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)
     width = 2.0 * np.pi / bins
     idx = np.floor((pooled + np.pi) / width).astype(int) % bins
     counts = np.bincount(idx, minlength=bins)
@@ -257,102 +255,92 @@ class PredictorContext:
     _ebm: EnergyParams | None = None
 
 
+Predictor = Callable[[Sequence[Trajectory]], np.ndarray]  # demos -> (n, T+1, k, 2) positions
+
+
 def _demo_state_action_pairs(demos: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
-    xs, us = [], []
-    for demo in demos:
-        for i in range(demo.k):
-            states = np.concatenate([demo.positions(i), demo.velocities(i)], axis=1)
-            xs.append(states[:-1])
-            us.append(demo.agent_controls(i))
-    return np.concatenate(xs), np.concatenate(us)
+    """Per-agent (state, action) rows of the demonstrations, in demo, agent, step order."""
+    demos = RolloutSet.stack(demos)
+    X = demos.states[:, :-1].reshape(len(demos), demos.horizon, demos.k, STATE_DIM)
+    return (X.transpose(0, 2, 1, 3).reshape(-1, STATE_DIM),
+            demos.controls.transpose(0, 2, 1, 3).reshape(-1, CONTROL_DIM))
 
 
-def _rollout_per_agent_policy(
-    x0: np.ndarray, spec: ScenarioSpec, act: Callable[[np.ndarray], np.ndarray], u_max: float
+def _rollout_state_feedback(
+    demos: Sequence[Trajectory], spec: ScenarioSpec, act: Callable, u_max: float
 ) -> np.ndarray:
-    """Roll a per-agent state->action map forward; returns (T+1, k, 2) positions."""
-    k = spec.k
-    states = np.empty((spec.horizon + 1, 4 * k))
-    states[0] = x0
+    """Positions (n, T+1, k, 2) rolled out from each demo's start state.
+
+    act maps (n, k, 4) agent states to (n, k, 2) actions: one call per step
+    moves every demo and agent at once.
+    """
+    x0 = RolloutSet.stack(demos).states[:, 0]
+    n, k = x0.shape[0], spec.k
+    states = np.empty((n, spec.horizon + 1, STATE_DIM * k))
+    states[:, 0] = x0
     for t in range(spec.horizon):
-        per = states[t].reshape(k, 4)
-        u = np.stack([clamp_control(act(per[i]), u_max) for i in range(k)])
-        states[t + 1] = propagate_joint(states[t], u, spec.dt)
-    return states.reshape(spec.horizon + 1, k, 4)[:, :, :2]
+        u = clamp_control(act(states[:, t].reshape(n, k, STATE_DIM)), u_max)
+        states[:, t + 1] = propagate_joint(states[:, t], u, spec.dt)
+    return states.reshape(n, spec.horizon + 1, k, STATE_DIM)[..., :2]
 
 
-def make_predictor(method: str, ctx: PredictorContext) -> Callable[[Trajectory], np.ndarray]:
-    """Per-demo position predictor for one of the named methods.
+def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
+    """Position predictor for one of the named methods: demos -> (n, T+1, k, 2).
 
     cv extrapolates each agent's initial velocity; gmm and ebm are fitted on
-    the training demonstrations and rolled out agent-by-agent; mairl/sairl
-    solve the game at the supplied weights and follow the feedback mean (or
-    the best of ctx.best_of sampled rollouts when best_of > 1).
+    the training demonstrations and rolled out under state feedback, every
+    demo and agent at once; mairl/sairl solve the game at the supplied weights
+    and follow the feedback mean (or the best of ctx.best_of sampled rollouts
+    when best_of > 1).
     """
     spec = ctx.spec
+    shape = (spec.horizon + 1, spec.k, STATE_DIM)
     if method == "cv":
-
-        def predict_cv(demo: Trajectory) -> np.ndarray:
-            traj = constant_velocity_rollout(spec.with_x0(demo.joint_state(0)))
-            return traj.states.reshape(spec.horizon + 1, spec.k, 4)[:, :, :2]
-
-        return predict_cv
+        return lambda demos: np.stack([
+            constant_velocity_rollout(spec.with_x0(demo.joint_state(0))).states.reshape(shape)
+            for demo in RolloutSet.stack(demos)
+        ])[..., :2]
 
     if method == "gmm":
         if ctx._gmm is None:
-            X, U = _demo_state_action_pairs(ctx.train_demos)
-            ctx._gmm = gmm_fit(
-                np.concatenate([X, U], axis=1), K=ctx.gmm_components, seed=ctx.seed
-            )
+            pairs = np.concatenate(_demo_state_action_pairs(ctx.train_demos), axis=1)
+            ctx._gmm = gmm_fit(pairs, K=ctx.gmm_components, seed=ctx.seed)
         model = ctx._gmm
-
-        def predict_gmm(demo: Trajectory) -> np.ndarray:
-            return _rollout_per_agent_policy(
-                demo.states[0], spec, lambda s: gmm_conditional_mean(model, s, 4), ctx.u_max
-            )
-
-        return predict_gmm
+        return lambda demos: _rollout_state_feedback(
+            demos, spec, lambda s: gmm_conditional_mean(model, s, STATE_DIM), ctx.u_max
+        )
 
     if method == "ebm":
         if ctx._ebm is None:
-            X, U = _demo_state_action_pairs(ctx.train_demos)
-            ctx._ebm = ebm_train(X, U)
+            ctx._ebm = ebm_train(*_demo_state_action_pairs(ctx.train_demos))
         params = ctx._ebm
-
-        def predict_ebm(demo: Trajectory) -> np.ndarray:
-            return _rollout_per_agent_policy(
-                demo.states[0], spec, lambda s: ebm_minimizer(params, s), ctx.u_max
-            )
-
-        return predict_ebm
+        return lambda demos: _rollout_state_feedback(
+            demos, spec, lambda s: ebm_minimizer(params, s), ctx.u_max
+        )
 
     if method in ("mairl", "sairl"):
         if ctx.thetas is None or len(ctx.thetas) != spec.k:
             raise ValidationError(f"method {method!r} needs {spec.k} weight vectors")
 
-        def predict_irl(demo: Trajectory) -> np.ndarray:
-            x0 = demo.states[0]
-            key = x0.tobytes()
-            if key not in ctx._policy_cache:
-                demo_spec = spec.with_x0(demo.joint_state(0))
-                ctx._policy_cache[key] = (
-                    build_policies(ctx.thetas, demo_spec, ctx.solver, ctx.proximity, ctx.u_max),
-                    demo_spec,
-                )
-            policies, demo_spec = ctx._policy_cache[key]
-            candidates = (
-                [mean_rollout(policies, demo_spec, ctx.u_max)]
-                if ctx.best_of <= 1
-                else sample_rollouts(policies, demo_spec, ctx.best_of, ctx.seed, ctx.u_max)
-            )
-            best, best_err = None, np.inf
-            for cand in candidates:
-                err = np.mean(
-                    [ade(cand.positions(i), demo.positions(i)) for i in range(spec.k)]
-                )
-                if err < best_err:
-                    best, best_err = cand, err
-            return np.stack([best.positions(i) for i in range(spec.k)], axis=1)
+        def predict_irl(demos: Sequence[Trajectory]) -> np.ndarray:
+            out = []
+            for demo in RolloutSet.stack(demos):
+                key = demo.states[0].tobytes()
+                if key not in ctx._policy_cache:
+                    demo_spec = spec.with_x0(demo.joint_state(0))
+                    policies = build_policies(
+                        ctx.thetas, demo_spec, ctx.solver, ctx.proximity, ctx.u_max)
+                    ctx._policy_cache[key] = (policies, demo_spec)
+                policies, demo_spec = ctx._policy_cache[key]
+                if ctx.best_of <= 1:
+                    best = mean_rollout(policies, demo_spec, ctx.u_max)
+                else:
+                    cands = sample_rollouts(policies, demo_spec, ctx.best_of, ctx.seed, ctx.u_max)
+                    errs = [np.mean([ade(c.positions(i), demo.positions(i))
+                                     for i in range(spec.k)]) for c in cands]
+                    best = cands[int(np.argmin(errs))]
+                out.append(best.states.reshape(shape)[..., :2])
+            return np.stack(out)
 
         return predict_irl
 
@@ -360,13 +348,9 @@ def make_predictor(method: str, ctx: PredictorContext) -> Callable[[Trajectory],
 
 
 def evaluate_method(
-    method: str,
-    scenario: str,
-    eval_demos: Sequence[Trajectory],
-    ctx: PredictorContext,
+    method: str, scenario: str, eval_demos: Sequence[Trajectory], ctx: PredictorContext
 ) -> MetricReport:
-    predictor = make_predictor(method, ctx)
-    predictions = [predictor(demo) for demo in eval_demos]
+    predictions = make_predictor(method, ctx)(eval_demos)
     return score_predictions(method, scenario, eval_demos, predictions)
 
 
@@ -545,9 +529,7 @@ def render_overlay_svg(
     if not demos:
         raise ValidationError("nothing to plot")
     k = demos[0].k
-    all_pts = np.concatenate(
-        [np.asarray(d.states)[:, [4 * i, 4 * i + 1]] for d in demos for i in range(k)]
-    )
+    all_pts = np.concatenate([np.asarray(d.states).reshape(-1, STATE_DIM)[:, :2] for d in demos])
     lo = all_pts.min(axis=0) - 0.5
     hi = all_pts.max(axis=0) + 0.5
     span = np.maximum(hi - lo, 1e-9)

@@ -18,8 +18,16 @@ from crowdirl.baselines import (
     gmm_sample,
 )
 from crowdirl.errors import ValidationError
-from crowdirl.metrics import PredictorContext, make_predictor
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec, rollout_openloop
+from crowdirl.metrics import PredictorContext, _demo_state_action_pairs, make_predictor
+from crowdirl.trajectory import (
+    AgentState,
+    JointState,
+    ScenarioSpec,
+    Trajectory,
+    clamp_control,
+    propagate_joint,
+    rollout_openloop,
+)
 
 
 def _single_gaussian(mu, cov) -> GmmModel:
@@ -131,6 +139,105 @@ def test_gmm_conditional_mean_tracks_regression_line():
         assert abs(float(est[0]) - 2.0 * q) < 0.15
 
 
+def _random_state_actions(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, 1.5, size=(n, 4))
+    U = X[:, 2:] * [-0.4, 0.3] + rng.normal(0.0, 0.2, size=(n, 2))
+    return X, U
+
+
+class TestBatchedQueries:
+    """Rows (..., d) give, row for row, the bytes of one call per row."""
+
+    def test_gmm_conditional_mean_rows_match_row_calls(self):
+        X, U = _random_state_actions(400, seed=4)
+        model = gmm_fit(np.concatenate([X, U], axis=1), K=3, seed=1)
+        rows = np.random.default_rng(5).normal(0.0, 2.0, size=(60, 4))
+        got = gmm_conditional_mean(model, rows, 4)
+        assert got.shape == (60, 2)
+        for row, out in zip(rows, got):
+            assert out.tobytes() == gmm_conditional_mean(model, row, 4).tobytes()
+        grid = gmm_conditional_mean(model, rows.reshape(6, 10, 4), 4)
+        assert grid.tobytes() == got.tobytes()
+
+    def test_ebm_minimizer_rows_match_row_calls(self):
+        params = ebm_train(*_random_state_actions(200, seed=6))
+        rows = np.random.default_rng(7).normal(0.0, 2.0, size=(60, 4))
+        got = ebm_minimizer(params, rows)
+        assert got.shape == (60, 2)
+        for row, out in zip(rows, got):
+            assert out.tobytes() == ebm_minimizer(params, row).tobytes()
+        assert ebm_minimizer(params, rows.reshape(6, 10, 4)).tobytes() == got.tobytes()
+
+    def test_wrong_trailing_dimension_rejected(self):
+        X, U = _random_state_actions(200, seed=8)
+        model = gmm_fit(np.concatenate([X, U], axis=1), K=2, seed=1)
+        params = ebm_train(X, U)
+        for bad in (np.zeros((5, 3)), np.zeros(5), np.zeros((2, 3, 6))):
+            with pytest.raises(ValidationError):
+                gmm_conditional_mean(model, bad, 4)
+            with pytest.raises(ValidationError):
+                ebm_minimizer(params, bad)
+
+
+def _per_agent_rollout(x0, spec, act, u_max):
+    """Reference: one agent of one demo per `act` call, as the predictors once stepped."""
+    k = spec.k
+    states = np.empty((spec.horizon + 1, 4 * k))
+    states[0] = x0
+    for t in range(spec.horizon):
+        per = states[t].reshape(k, 4)
+        u = np.stack([clamp_control(act(per[i]), u_max) for i in range(k)])
+        states[t + 1] = propagate_joint(states[t], u, spec.dt)
+    return states.reshape(spec.horizon + 1, k, 4)[:, :, :2]
+
+
+class TestStateFeedbackPredictors:
+    K_AGENTS, T = 3, 12
+
+    def _demos(self, n, seed):
+        rng = np.random.default_rng(seed)
+        k, T = self.K_AGENTS, self.T
+        out = []
+        for _ in range(n):
+            spec = ScenarioSpec(k=k, x0=JointState.from_array(rng.normal(0.0, 1.5, 4 * k)),
+                                goals=None, horizon=T, dt=0.1)
+            out.append(rollout_openloop(spec, rng.normal(0.0, 0.6, (T, k, 2))))
+        return out
+
+    @pytest.mark.parametrize("method", ["gmm", "ebm"])
+    @pytest.mark.parametrize("u_max", [0.05, 5.0])
+    def test_matches_per_agent_loop(self, method, u_max):
+        train, held = self._demos(6, seed=11), self._demos(5, seed=12)
+        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].joint_state(0), goals=None,
+                            horizon=self.T, dt=0.1)
+        ctx = PredictorContext(spec=spec, train_demos=train, u_max=u_max, seed=2)
+        got = make_predictor(method, ctx)(held)
+        assert got.shape == (5, self.T + 1, self.K_AGENTS, 2)
+        if method == "gmm":
+            act = lambda s: gmm_conditional_mean(ctx._gmm, s, 4)  # noqa: E731
+        else:
+            act = lambda s: ebm_minimizer(ctx._ebm, s)  # noqa: E731
+        engaged = False
+        for demo, pred in zip(held, got):
+            ref = _per_agent_rollout(demo.states[0], spec, act, u_max)
+            assert pred.tobytes() == ref.tobytes()
+            raw = act(demo.states[0].reshape(self.K_AGENTS, 4))
+            engaged |= bool(np.any(np.linalg.norm(raw, axis=-1) > u_max))
+        assert engaged == (u_max < 1.0)
+
+    def test_training_rows_in_demo_agent_step_order(self):
+        train = self._demos(2, seed=13)
+        X, U = _demo_state_action_pairs(train)
+        xs, us = [], []
+        for demo in train:
+            for i in range(demo.k):
+                xs.append(np.concatenate([demo.positions(i), demo.velocities(i)], axis=1)[:-1])
+                us.append(demo.agent_controls(i))
+        assert X.tobytes() == np.concatenate(xs).tobytes()
+        assert U.tobytes() == np.concatenate(us).tobytes()
+
+
 class TestEbm:
     def test_energy_zero_at_minimizer(self):
         p = EnergyParams(W=np.eye(2), L=np.array([[1.0, 0.0], [0.0, 1.0]]), b=np.zeros(2))
@@ -195,7 +302,7 @@ class TestConstantVelocity:
         predict = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))
         # the predictor reads only the demo's start state, so its controls are arbitrary
         wiggle = np.random.default_rng(0).standard_normal((horizon, 1, 2))
-        return spec, predict(rollout_openloop(spec, wiggle))[:, 0]
+        return spec, predict([rollout_openloop(spec, wiggle)])[0, :, 0]
 
     def test_at_rest_stays(self):
         _, out = self._predict(AgentState(1, 1, 0, 0), horizon=4, dt=0.1)

@@ -250,6 +250,16 @@ class TestEval:
         assert str(theta) in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
+    def test_empty_training_file_exits_2(self, tmp_path, capsys, baseline):
+        held = _synth(tmp_path)
+        empty = _synth(tmp_path, name="empty.traj", n=0)
+        rc = main(["eval", str(held), "--train", str(empty), "--baseline", baseline,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "at least one trajectory" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_theta_roundtrip_through_eval(self, tmp_path):
         demos = _synth(tmp_path)
         theta = tmp_path / "theta.json"

@@ -77,34 +77,39 @@ def test_cost_examples():
     assert cost(CostParams(np.array([1.0, 2, 3])), FeatureVector(1, 1, 1)) == 6.0
 
 
+def _agent_features(trajs, agent, goal):
+    """One agent's row of expected_features, as a FeatureVector."""
+    return FeatureVector.from_array(expected_features(trajs, [agent], [goal])[0])
+
+
 def test_expected_features_mean_behavior():
     t_still = _static_traj([(1.0, 0.0)])
     spec = ScenarioSpec(
         k=1, x0=JointState((AgentState(1, 0, 0, 0),)), goals=None, horizon=1, dt=0.1
     )
     t_push = rollout_openloop(spec, np.full((1, 1, 2), [np.sqrt(2.0), 0.0][0]))
-    one = expected_features([t_still], 0, (0, 0))
+    one = _agent_features([t_still], 0, (0, 0))
     assert one.as_array().tolist() == compute_features(t_still, 0, (0, 0)).as_array().tolist()
     # duplication leaves the mean unchanged
-    dup = expected_features([t_still, t_still], 0, (0, 0))
+    dup = _agent_features([t_still, t_still], 0, (0, 0))
     assert np.allclose(dup.as_array(), one.as_array())
     # effort averages: 0 and 2 -> 1
     t2 = rollout_openloop(spec, np.array([[[np.sqrt(2.0), 0.0]]]))
-    mixed = expected_features([t_still, t2], 0, (0, 0))
+    mixed = _agent_features([t_still, t2], 0, (0, 0))
     assert abs(mixed.effort - 1.0) < 1e-12
 
 
 def test_expected_features_rejects_empty():
     with pytest.raises(ValidationError):
-        expected_features([], 0, (0, 0))
+        expected_features([], [0], [(0, 0)])
 
 
 def test_expected_features_rejects_mixed_shapes():
     one_agent = _static_traj([(0, 0)], T=2)
     with pytest.raises(ValidationError, match="one k and T"):
-        expected_features([one_agent, _static_traj([(0, 0), (1, 0)], T=2)], 0, (0, 0))
+        expected_features([one_agent, _static_traj([(0, 0), (1, 0)], T=2)], [0], [(0, 0)])
     with pytest.raises(ValidationError, match="one k and T"):
-        expected_features([one_agent, _static_traj([(0, 0)], T=3)], 0, (0, 0))
+        expected_features([one_agent, _static_traj([(0, 0)], T=3)], [0], [(0, 0)])
 
 
 def _reference_expected_features(trajs, agent, goal, sigma):
@@ -128,10 +133,32 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit():
         for _ in range(33)
     ]
     goals = rng.uniform(-4, 4, (k, 2))
-    for agent in range(k):
-        got = expected_features(trajs, agent, goals[agent], ProximityConfig(sigma=1.5))
-        ref = _reference_expected_features(trajs, agent, goals[agent], 1.5)
-        assert got.as_array().tobytes() == ref.tobytes()
+    cfg = ProximityConfig(sigma=1.5)
+    # a single trajectory exposes every per-trajectory rounding; sums over many can hide it
+    for subset in (trajs[:1], trajs[:7], trajs):
+        every = expected_features(subset, range(k), goals, cfg)
+        assert every.shape == (k, 3)
+        for agent in range(k):
+            ref = _reference_expected_features(subset, agent, goals[agent], 1.5)
+            assert every[agent].tobytes() == ref.tobytes()
+            one = expected_features(subset, [agent], goals[agent : agent + 1], cfg)
+            assert one.shape == (1, 3) and one[0].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5]])
+def test_expected_features_rejects_out_of_range_agent(agents):
+    trajs = [_static_traj([(0, 0), (1, 0)])]
+    with pytest.raises(ValidationError, match="agent indices"):
+        expected_features(trajs, agents, np.zeros((len(agents), 2)))
+
+
+@pytest.mark.parametrize(
+    "goals", [np.zeros(2), np.zeros((1, 2)), np.zeros((2, 3)), np.zeros((3, 2))]
+)
+def test_expected_features_rejects_misshapen_goals(goals):
+    trajs = [_static_traj([(0, 0), (1, 0)])]
+    with pytest.raises(ValidationError, match="goals must be"):
+        expected_features(trajs, [0, 1], goals)
 
 
 def test_permutation_equivariance_in_neighbors():
