@@ -27,6 +27,7 @@ from .irl import TrainingConfig, infer_goals, multi_agent_irl, single_agent_maxe
 from .metrics import (
     BASELINE_NAMES,
     PredictorContext,
+    cdf_thresholds,
     emit_report,
     evaluate_method,
     make_predictor,
@@ -231,7 +232,10 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
         raise ValidationError(f"need 1 or {k} weight groups, got {len(groups)}")
     out = []
     for g in groups:
-        vals = [float(v) for v in g.split(",")]
+        try:
+            vals = [float(v) for v in g.split(",")]
+        except ValueError:
+            raise ValidationError(f"weight group {g!r} is not comma-separated numbers") from None
         out.append(CostParams(np.array(vals)))
     return out
 
@@ -309,11 +313,7 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
 
 def _write_entry(path: Path, entry, dt: float) -> None:
-    states = from_dataset_array(entry.array)
-    k = states.shape[1] // 4
-    vel = states.reshape(states.shape[0], k, 4)[:, :, 2:]
-    controls = (vel[1:] - vel[:-1]) / dt
-    traj = Trajectory(states=states, controls=controls, dt=dt)
+    traj = Trajectory.from_states(from_dataset_array(entry.array), dt)
     write_demonstrations(path, [traj], goals=None, provenance={"category": entry.category})
 
 
@@ -471,8 +471,7 @@ def cmd_plot(args, cfg: dict) -> int:
         all_rmse.update(rmse_lists)
     if not any(all_rmse.values()):
         raise FormatError("no per-trajectory RMSE data found; plot needs jsonl reports")
-    top = max(max(v) for v in all_rmse.values() if v)
-    thresholds = np.linspace(0.0, max(top, 1e-9) * 1.05, 25)
+    thresholds = cdf_thresholds(max(max(v) for v in all_rmse.values() if v))
     series = {m: rmse_cdf(np.array(v), thresholds) for m, v in sorted(all_rmse.items())}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(render_cdf_svg(series))

@@ -18,14 +18,15 @@ was shifted is recorded in the solver diagnostics.
 `Game` is the one place a scenario's game is built and solved: it owns the
 dynamics, the constant-velocity nominal, the per-agent cost models with their
 cached quadratic expansions, and the outer re-expansion loop. Synthesis and
-evaluation reach it through `build_policies` / `solve_scenario`; both IRL
-loops hold a `Game` and update one agent's weights at a time. Solved policies
+evaluation reach it through `build_policies` / `solve_scenario`; the IRL
+loop holds a `Game` and updates one weight block at a time. Solved policies
 are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
 (T, k, 2) and covariances Sigma (T, k, 2, 2).
 
-Rollouts step every agent of all M rollouts at once, draw controls from
-per-(seed, rollout) Philox streams (`rng.normal_streams`) and return one
-`RolloutSet`, bit-reproducible for a given seed regardless of the batch size.
+Rollouts hand the feedback law to `trajectory.rollout`, which steps every
+agent of all M rollouts at once; controls are drawn from per-(seed, rollout)
+Philox streams (`rng.normal_streams`) and returned as one `RolloutSet`,
+bit-reproducible for a given seed regardless of the batch size.
 """
 from __future__ import annotations
 
@@ -45,9 +46,8 @@ from .trajectory import (
     RolloutSet,
     ScenarioSpec,
     Trajectory,
-    clamp_control,
     constant_velocity_rollout,
-    propagate_joint,
+    rollout,
 )
 
 MAX_GAIN_CONDITION = 1e12
@@ -376,25 +376,21 @@ def _rollout_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate M rollouts at once; noise is (M, T, k, 2) standard normals."""
     T, k = policies.horizon, policies.k
-    n = policies.nominal_states.shape[1]
     if spec.k != k or spec.horizon != T:
         raise ValidationError("scenario does not match the policy sequence")
     M = 1 if noise is None else noise.shape[0]
     chol = _stage_cholesky(policies) if noise is not None else None
 
-    states = np.empty((M, T + 1, n))
-    controls = np.empty((M, T, k, CONTROL_DIM))
-    states[:, 0] = spec.x0.as_array()
     # broadcast-and-reduce over all agents instead of matmul: reduction trees
     # then depend only on the row length, so rollout m is bit-identical for any M
-    for t in range(T):
-        dx = states[:, t] - policies.nominal_states[t]
+    def act(t: int, states: np.ndarray) -> np.ndarray:
+        dx = states - policies.nominal_states[t]
         u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
         if noise is not None:
             u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
-        controls[:, t] = clamp_control(u, u_max)
-        states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], spec.dt)
-    return states, controls
+        return u
+
+    return rollout(np.tile(spec.x0.as_array(), (M, 1)), T, spec.dt, act, u_max)
 
 
 def _stage_cholesky(policies: PolicySequence) -> np.ndarray:

@@ -1,24 +1,22 @@
 """Feature-matching inverse reinforcement learning over game rollouts.
 
-The multi-agent variant runs block coordinate descent: agents are visited in
-a fixed round-robin order, and each visit re-solves the game at the current
-weights, samples rollouts, measures that agent's feature-expectation gap
-against the demonstrations, and moves only that agent's weights along the
-gap. The single-agent variant shares one weight vector across all agents and
-aggregates their gaps before each update.
+Both learners run one loop of block coordinate descent over weight blocks:
+blocks are visited in a fixed round-robin order, and each visit re-solves the
+game at the current weights, samples rollouts, measures the block's mean
+feature-expectation gap against the demonstrations, and moves only that
+block's weights along it. The multi-agent variant gives every agent its own
+block; the single-agent variant ties all agents to one shared block.
 
 Weights multiply cost features, so matching requires moving *with* the gap:
 if the policy accrues more of a feature than the experts do, that feature
 must become more expensive. Updates are projected onto the nonnegative
 orthant to keep every agent's control cost convex.
 
-Both loops build their costs with `stage_cost_models` and solve through one
-`game.Game`, the same game synthesis and evaluation solve (outer
-re-expansion under `solver.max_outer_iters` included), and take feature
-expectations from `features.expected_features`: one call for every agent on
-the demonstrations (stacked into one set once) and on each single-agent
-rollout set, and one call for the visited agent's row alone in the
-multi-agent loop. Each update record in the trace holds the sampled gap and
+The loop builds its costs with `stage_cost_models`, solves through one
+`game.Game` (the game synthesis and evaluation solve, outer re-expansion
+included) and takes the block's rows from one `features.expected_features`
+call per rollout set; the demonstrations are stacked and featurized once.
+Each update record in the trace holds the sampled gap and
 theta_after = max(theta_before + beta * gap, 0).
 """
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .features import (
     expected_features,
     stage_cost_models,
 )
-from .game import Game, PolicySequence, SolverConfig, sample_rollouts
+from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
 from .trajectory import DEFAULT_U_MAX, RolloutSet, ScenarioSpec, Trajectory
@@ -124,20 +122,6 @@ class TrainingTrace:
             )
 
 
-def _apply_update(
-    trace: TrainingTrace, sweep: int, agent: int, theta: CostParams, gap: np.ndarray,
-    beta: float, policies: PolicySequence,
-) -> CostParams:
-    """max(theta + beta * gap, 0), recording the update in the trace."""
-    theta_new = CostParams(theta.weights + beta * gap).project_nonneg()
-    trace.records.append(IterationRecord(
-        sweep=sweep, agent=agent, theta_before=theta.weights.copy(),
-        theta_after=theta_new.weights.copy(), gap=gap, gap_norm=float(np.linalg.norm(gap)),
-        conditioned_stages=policies.diagnostics.conditioned_stages,
-    ))
-    return theta_new
-
-
 def infer_goals(dataset: Sequence[Trajectory]) -> np.ndarray:
     """Per-agent goal estimate: mean final demonstrated position."""
     finals = RolloutSet.stack(dataset).states[:, -1]  # (N, 4k)
@@ -161,6 +145,43 @@ def _training_game(
     return Game(models, spec, cfg.solver, cfg.u_max), demo_phi
 
 
+def _feature_matching(
+    dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig, shared: bool
+) -> tuple[list[CostParams], TrainingTrace]:
+    """The one training loop: block coordinate descent, one theta per weight block.
+
+    The blocks are [[0], ..., [k-1]], or [[0, ..., k-1]] when shared. A visit
+    of block b solves the game, samples with a seed derived from (cfg.seed,
+    sweep, b) and moves the block's theta along the mean gap of its agents.
+    """
+    game, demo_phi = _training_game(dataset, spec, cfg)
+    blocks = [list(range(spec.k))] if shared else [[i] for i in range(spec.k)]
+    thetas = [CostParams.ones() for _ in blocks]
+
+    trace = TrainingTrace()
+    for sweep in range(cfg.max_iters):
+        for b, agents in enumerate(blocks):
+            policies = game.solve()
+            seed = derive_seed(cfg.seed, sweep, b)
+            rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
+            phi = expected_features(rollouts, agents, game.spec.goals[agents], cfg.proximity)
+            del rollouts  # one rollout set alive at a time keeps the peak memory down
+            gap = np.mean(phi - demo_phi[agents], axis=0)
+            theta = thetas[b]
+            thetas[b] = CostParams(theta.weights + cfg.beta * gap).project_nonneg()
+            trace.records.append(IterationRecord(
+                sweep=sweep, agent=SHARED_AGENT if shared else b,  # at k = 1 the labels differ
+                theta_before=theta.weights.copy(), theta_after=thetas[b].weights.copy(), gap=gap,
+                gap_norm=float(np.linalg.norm(gap)),
+                conditioned_stages=policies.diagnostics.conditioned_stages,
+            ))
+            for i in agents:
+                game.set_theta(i, thetas[b])
+        if trace.close_sweep(sweep, cfg.tol):
+            break
+    return thetas, trace
+
+
 def multi_agent_irl(
     dataset: Sequence[Trajectory],
     spec: ScenarioSpec,
@@ -172,23 +193,7 @@ def multi_agent_irl(
     with a seed derived from (cfg.seed, sweep, agent). Non-convergence within
     cfg.max_iters sweeps is reported via trace.converged, not an error.
     """
-    game, demo_phi = _training_game(dataset, spec, cfg)
-    goals = game.spec.goals
-    thetas = [CostParams.ones() for _ in range(spec.k)]
-
-    trace = TrainingTrace()
-    for sweep in range(cfg.max_iters):
-        for i in range(spec.k):
-            policies = game.solve()
-            seed = derive_seed(cfg.seed, sweep, i)
-            rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
-            gap = expected_features(rollouts, [i], goals[[i]], cfg.proximity)[0] - demo_phi[i]
-            del rollouts  # one rollout set alive at a time keeps the peak memory down
-            thetas[i] = _apply_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
-            game.set_theta(i, thetas[i])
-        if trace.close_sweep(sweep, cfg.tol):
-            break
-    return thetas, trace
+    return _feature_matching(dataset, spec, cfg, shared=False)
 
 
 def single_agent_maxent_irl(
@@ -201,21 +206,5 @@ def single_agent_maxent_irl(
     Per sweep the game is solved once, one rollout set is drawn, each agent's
     gap is measured and the mean gap drives a single shared update.
     """
-    game, demo_phi = _training_game(dataset, spec, cfg)
-    goals = game.spec.goals
-    theta = CostParams.ones()
-
-    trace = TrainingTrace()
-    for sweep in range(cfg.max_iters):
-        policies = game.solve()
-        seed = derive_seed(cfg.seed, sweep, 0)
-        rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
-        gaps = expected_features(rollouts, range(spec.k), goals, cfg.proximity) - demo_phi
-        del rollouts  # one rollout set alive at a time keeps the peak memory down
-        agg = np.mean(gaps, axis=0)
-        theta = _apply_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)
-        for i in range(spec.k):
-            game.set_theta(i, theta)
-        if trace.close_sweep(sweep, cfg.tol):
-            break
+    (theta,), trace = _feature_matching(dataset, spec, cfg, shared=True)
     return theta, trace

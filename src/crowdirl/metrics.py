@@ -39,9 +39,7 @@ from .trajectory import (
     RolloutSet,
     ScenarioSpec,
     Trajectory,
-    clamp_control,
-    constant_velocity_rollout,
-    propagate_joint,
+    rollout,
 )
 
 EFE_NOTE = "efe_m is full-horizon ADE on tracker-derived inputs (artifact interpretation)"
@@ -275,31 +273,27 @@ def _rollout_state_feedback(
     moves every demo and agent at once.
     """
     x0 = RolloutSet.stack(demos).states[:, 0]
-    n, k = x0.shape[0], spec.k
-    states = np.empty((n, spec.horizon + 1, STATE_DIM * k))
-    states[:, 0] = x0
-    for t in range(spec.horizon):
-        u = clamp_control(act(states[:, t].reshape(n, k, STATE_DIM)), u_max)
-        states[:, t + 1] = propagate_joint(states[:, t], u, spec.dt)
-    return states.reshape(n, spec.horizon + 1, k, STATE_DIM)[..., :2]
+    states, _ = rollout(x0, spec.horizon, spec.dt,
+                        lambda t, x: act(x.reshape(len(x), spec.k, STATE_DIM)), u_max)
+    return states.reshape(*states.shape[:2], spec.k, STATE_DIM)[..., :2]
 
 
 def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     """Position predictor for one of the named methods: demos -> (n, T+1, k, 2).
 
-    cv extrapolates each agent's initial velocity; gmm and ebm are fitted on
-    the training demonstrations and rolled out under state feedback, every
-    demo and agent at once; mairl/sairl solve the game at the supplied weights
+    cv extrapolates each agent's initial velocity: state feedback with a zero
+    action, never clamped. gmm and ebm are fitted on the training
+    demonstrations and rolled out under state feedback. These three step every
+    demo and agent at once. mairl/sairl solve the game at the supplied weights
     and follow the feedback mean (or the best of ctx.best_of sampled rollouts
     when best_of > 1).
     """
     spec = ctx.spec
     shape = (spec.horizon + 1, spec.k, STATE_DIM)
     if method == "cv":
-        return lambda demos: np.stack([
-            constant_velocity_rollout(spec.with_x0(demo.joint_state(0))).states.reshape(shape)
-            for demo in RolloutSet.stack(demos)
-        ])[..., :2]
+        return lambda demos: _rollout_state_feedback(
+            demos, spec, lambda s: np.zeros_like(s[..., :CONTROL_DIM]), math.inf
+        )
 
     if method == "gmm":
         if ctx._gmm is None:
@@ -423,10 +417,9 @@ def emit_report(reports: Sequence[MetricReport], fmt: str, path) -> None:
             )
         text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in recs)
     elif fmt == "svg":
-        by_method = {
-            rep.method: _auto_cdf(rep.rmse_per_traj, reports) for rep in reports
-        }
-        text = render_cdf_svg(by_method)
+        top = max((float(np.max(r.rmse_per_traj, initial=0.0)) for r in reports), default=0.0)
+        thresholds = cdf_thresholds(top)
+        text = render_cdf_svg({r.method: rmse_cdf(r.rmse_per_traj, thresholds) for r in reports})
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -456,10 +449,9 @@ def parse_report_csv(path) -> list[dict]:
     return rows
 
 
-def _auto_cdf(errors: np.ndarray, reports: Sequence[MetricReport]) -> CdfSeries:
-    top = max(float(np.max(r.rmse_per_traj, initial=0.0)) for r in reports)
-    thresholds = np.linspace(0.0, max(top, 1e-9) * 1.05, 25)
-    return rmse_cdf(errors, thresholds)
+def cdf_thresholds(top: float) -> np.ndarray:
+    """The 25 thresholds of every CDF plot: 0 to 5 % past the largest error top."""
+    return np.linspace(0.0, max(top, 1e-9) * 1.05, 25)
 
 
 # --- deterministic SVG ----------------------------------------------------------

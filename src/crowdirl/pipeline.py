@@ -496,10 +496,7 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
             raise FormatError(
                 f"block {b}: rows have {rows.shape[1]} values, expected {4 * k}"
             )
-        states = from_dataset_array(rows)
-        vel = states.reshape(rows_per, k, 4)[:, :, 2:]
-        controls = (vel[1:] - vel[:-1]) / dt
-        trajs.append(Trajectory(states=states, controls=controls, dt=dt))
+        trajs.append(Trajectory.from_states(from_dataset_array(rows), dt))
     return trajs, header
 
 

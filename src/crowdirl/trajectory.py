@@ -93,6 +93,8 @@ class JointState:
 def clamp_control(u: np.ndarray, u_max: float = DEFAULT_U_MAX) -> np.ndarray:
     """Scale control vectors so that ||u|| <= u_max; shape (..., 2) preserved."""
     u = np.asarray(u, dtype=float)
+    if u_max == math.inf:  # no norm can exceed it: skip the scale (1.0) and its cost
+        return u * 1.0
     norm = np.linalg.norm(u, axis=-1, keepdims=True)
     scale = np.where(norm > u_max, u_max / np.maximum(norm, 1e-300), 1.0)
     return u * scale
@@ -163,6 +165,13 @@ class Trajectory(_TrackArrays):
     states: np.ndarray
     controls: np.ndarray
     dt: float
+
+    @classmethod
+    def from_states(cls, states, dt: float) -> "Trajectory":
+        """Tracked states (T+1, 4k); each control is the velocity change over its step / dt."""
+        states = np.asarray(states, dtype=float)
+        vel = states.reshape(len(states), states.shape[-1] // STATE_DIM, STATE_DIM)[:, :, 2:]
+        return cls(states, (vel[1:] - vel[:-1]) / dt, dt)
 
     def joint_state(self, t: int) -> JointState:
         return JointState.from_array(self.states[t])
@@ -259,6 +268,25 @@ class ScenarioSpec:
         return ScenarioSpec(self.k, x0, self.goals, self.horizon, self.dt)
 
 
+def rollout(
+    x0: np.ndarray, horizon: int, dt: float, act, u_max: float = math.inf
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one time loop: states (n, T+1, 4k) and applied controls (n, T, k, 2) from x0 (n, 4k).
+
+    Per step, act(t, states (n, 4k)) gives controls that broadcast to
+    (n, k, 2); they are clamped to u_max and propagated.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n, k = x0.shape[0], x0.shape[1] // STATE_DIM
+    states = np.empty((n, horizon + 1, x0.shape[1]))
+    controls = np.empty((n, horizon, k, CONTROL_DIM))
+    states[:, 0] = x0
+    for t in range(horizon):
+        controls[:, t] = clamp_control(act(t, states[:, t]), u_max)
+        states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], dt)
+    return states, controls
+
+
 def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> Trajectory:
     """Integrate a fixed (T, k, 2) control tape from spec.x0."""
     controls = np.asarray(controls, dtype=float)
@@ -266,11 +294,9 @@ def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> Trajectory:
         raise ValidationError(
             f"controls must be ({spec.horizon}, {spec.k}, 2), got {controls.shape}"
         )
-    states = np.empty((spec.horizon + 1, STATE_DIM * spec.k))
-    states[0] = spec.x0.as_array()
-    for t in range(spec.horizon):
-        states[t + 1] = propagate_joint(states[t], controls[t], spec.dt)
-    return Trajectory(states, controls, spec.dt)
+    # without a bound the clamp multiplies by exactly 1.0: the tape passes unchanged
+    states, tape = rollout([spec.x0.as_array()], spec.horizon, spec.dt, lambda t, _: controls[t])
+    return Trajectory(states[0], tape[0], spec.dt)
 
 
 def constant_velocity_rollout(spec: ScenarioSpec) -> Trajectory:

@@ -25,6 +25,7 @@ from crowdirl.trajectory import (
     ScenarioSpec,
     Trajectory,
     clamp_control,
+    constant_velocity_rollout,
     propagate_joint,
     rollout_openloop,
 )
@@ -225,6 +226,19 @@ class TestStateFeedbackPredictors:
             raw = act(demo.states[0].reshape(self.K_AGENTS, 4))
             engaged |= bool(np.any(np.linalg.norm(raw, axis=-1) > u_max))
         assert engaged == (u_max < 1.0)
+
+    def test_cv_matches_per_demo_constant_velocity_rollouts(self):
+        held = self._demos(6, seed=14)
+        assert len({demo.states[0].tobytes() for demo in held}) == 6
+        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].joint_state(0), goals=None,
+                            horizon=self.T, dt=0.1)
+        got = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))(held)
+        shape = (self.T + 1, self.K_AGENTS, 4)
+        ref = np.stack([
+            constant_velocity_rollout(spec.with_x0(demo.joint_state(0))).states.reshape(shape)
+            for demo in held
+        ])[..., :2]
+        assert got.tobytes() == ref.tobytes()
 
     def test_training_rows_in_demo_agent_step_order(self):
         train = self._demos(2, seed=13)

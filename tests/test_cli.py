@@ -119,6 +119,16 @@ class TestConfig:
         rep = parse_thetas("1,2,3", 2)
         assert np.array_equal(rep[0].weights, rep[1].weights)
 
+    @pytest.mark.parametrize("theta, group", [
+        ("a,b,c", "'a,b,c'"), ("1,,2", "'1,,2'"), ("1,0,0;0,x,0;0,0,1", "'0,x,0'"),
+    ])
+    def test_non_numeric_theta_exits_2_naming_the_group(self, tmp_path, capsys, theta, group):
+        rc = main(["synth", str(tmp_path / "out.traj"), "--preset", "intersection_k3",
+                   "--theta", theta, "--n", "1"])
+        assert rc == 2
+        assert f"weight group {group}" in capsys.readouterr().err
+        assert not (tmp_path / "out.traj").exists()
+
 
 class TestSynth:
     def test_writes_demonstrations_with_provenance(self, tmp_path):
@@ -291,6 +301,15 @@ class TestPlotCompare:
         assert rc == 0
         text = out.read_text()
         assert text.startswith("<svg") and "cv" in text and "gmm" in text
+
+    def test_plot_equals_the_svg_report_of_eval(self, tmp_path):
+        demos = _synth(tmp_path)
+        jsonl, svg, plotted = (tmp_path / n for n in ("ebm.jsonl", "ebm.svg", "plot.svg"))
+        for path, fmt in ((jsonl, "jsonl"), (svg, "svg")):
+            assert main(["--entropy-temp", "0.001", "eval", str(demos), "--baseline", "ebm",
+                         "--out", str(path), "--format", fmt]) == 0
+        assert main(["plot", str(jsonl), "--out", str(plotted)]) == 0
+        assert plotted.read_bytes() == svg.read_bytes()
 
     def test_compare_ranks_and_writes(self, tmp_path, capsys):
         cv, gmm = self._reports(tmp_path)

@@ -25,8 +25,11 @@ from crowdirl.trajectory import (
     AgentState,
     JointState,
     ScenarioSpec,
+    clamp_control,
     constant_velocity_rollout,
+    propagate_joint,
 )
+from crowdirl.rng import normal_streams
 from fd_oracle import cost_expansion, expand_along
 
 
@@ -241,6 +244,39 @@ def test_sampling_batch_size_invariance(intersection_spec, ring8_spec, theta_sta
         norms = np.linalg.norm(np.stack([r.controls for r in ref]), axis=-1)
         assert np.all(norms <= u_max * (1 + 1e-15))
     assert np.mean(np.abs(norms - 1.0) <= 1e-12) > 0.5
+
+
+def _per_step_rollouts(policies, spec, noise, u_max):
+    """Reference: the game's own time loop, before rollouts shared trajectory.rollout."""
+    T, k = policies.horizon, policies.k
+    M = 1 if noise is None else noise.shape[0]
+    chol = np.linalg.cholesky(policies.Sigma)
+    states = np.empty((M, T + 1, 4 * k))
+    controls = np.empty((M, T, k, 2))
+    states[:, 0] = spec.x0.as_array()
+    for t in range(T):
+        dx = states[:, t] - policies.nominal_states[t]
+        u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
+        if noise is not None:
+            u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
+        controls[:, t] = clamp_control(u, u_max)
+        states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], spec.dt)
+    return states, controls
+
+
+def test_rollouts_equal_the_per_step_loop_bit_for_bit(ring8_spec, theta_star):
+    spec, u_max = ring8_spec, 1.0
+    policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3))
+    got = sample_rollouts(policies, spec, 6, seed=5, u_max=u_max)
+    states, controls = _per_step_rollouts(
+        policies, spec, normal_streams(5, 6, (spec.horizon, spec.k, 2)), u_max)
+    assert got.states.tobytes() == states.tobytes()
+    assert got.controls.tobytes() == controls.tobytes()
+    assert np.any(np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12)  # clamp engaged
+    mean = mean_rollout(policies, spec, u_max)
+    states, controls = _per_step_rollouts(policies, spec, None, u_max)
+    assert mean.states.tobytes() == states[0].tobytes()
+    assert mean.controls.tobytes() == controls[0].tobytes()
 
 
 def test_vanishing_noise_collapses_to_mean(single_agent_spec):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from crowdirl.errors import ValidationError
-from crowdirl.features import CostParams, ProximityConfig
+from crowdirl.features import CostParams, ProximityConfig, expected_features
 from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from crowdirl.irl import (
     SHARED_AGENT,
+    IterationRecord,
     TrainingConfig,
+    TrainingTrace,
     _training_game,
     infer_goals,
     multi_agent_irl,
@@ -213,3 +215,74 @@ def test_training_game_refits_under_the_training_clamp(intersection_spec, theta_
     game, _ = _training_game(demos, intersection_spec, _cfg(solver=solver, u_max=1.0))
     ref = build_policies([CostParams.ones()] * 3, intersection_spec, solver, u_max=1.0)
     assert np.array_equal(game.solve().nominal_states, ref.nominal_states)
+
+
+# Reference: the separate multi-agent and single-agent loops, kept as they
+# were before both learners shared one feature-matching loop.
+def _reference_update(trace, sweep, agent, theta, gap, beta, policies):
+    theta_new = CostParams(theta.weights + beta * gap).project_nonneg()
+    trace.records.append(IterationRecord(
+        sweep=sweep, agent=agent, theta_before=theta.weights.copy(),
+        theta_after=theta_new.weights.copy(), gap=gap, gap_norm=float(np.linalg.norm(gap)),
+        conditioned_stages=policies.diagnostics.conditioned_stages,
+    ))
+    return theta_new
+
+
+def _reference_multi_agent_irl(dataset, spec, cfg):
+    game, demo_phi = _training_game(dataset, spec, cfg)
+    goals = game.spec.goals
+    thetas = [CostParams.ones() for _ in range(spec.k)]
+    trace = TrainingTrace()
+    for sweep in range(cfg.max_iters):
+        for i in range(spec.k):
+            policies = game.solve()
+            seed = derive_seed(cfg.seed, sweep, i)
+            rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
+            gap = expected_features(rollouts, [i], goals[[i]], cfg.proximity)[0] - demo_phi[i]
+            thetas[i] = _reference_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
+            game.set_theta(i, thetas[i])
+        if trace.close_sweep(sweep, cfg.tol):
+            break
+    return thetas, trace
+
+
+def _reference_single_agent_irl(dataset, spec, cfg):
+    game, demo_phi = _training_game(dataset, spec, cfg)
+    goals = game.spec.goals
+    theta = CostParams.ones()
+    trace = TrainingTrace()
+    for sweep in range(cfg.max_iters):
+        policies = game.solve()
+        seed = derive_seed(cfg.seed, sweep, 0)
+        rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
+        gaps = expected_features(rollouts, range(spec.k), goals, cfg.proximity) - demo_phi
+        agg = np.mean(gaps, axis=0)
+        theta = _reference_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)
+        for i in range(spec.k):
+            game.set_theta(i, theta)
+        if trace.close_sweep(sweep, cfg.tol):
+            break
+    return [theta], trace
+
+
+@pytest.mark.parametrize("train, reference", [
+    (multi_agent_irl, _reference_multi_agent_irl),
+    (single_agent_maxent_irl, _reference_single_agent_irl),
+], ids=["mairl", "sairl"])
+def test_shared_loop_equals_the_separate_loops_bit_for_bit(
+    intersection_spec, theta_star, train, reference
+):
+    demos = synth_generate(theta_star, intersection_spec, 5, seed=17, solver_cfg=QUIET_SOLVER)
+    cfg = _cfg(max_iters=3, M=4)
+    got, trace = train(demos, intersection_spec, cfg)
+    ref, ref_trace = reference(demos, intersection_spec, cfg)
+    got = got if isinstance(got, list) else [got]
+    assert [t.weights.tobytes() for t in got] == [t.weights.tobytes() for t in ref]
+    assert (trace.sweeps, trace.converged) == (ref_trace.sweeps, ref_trace.converged) == (3, False)
+    assert len(trace.records) == len(ref_trace.records) == 3 * len(ref)
+    for r, e in zip(trace.records, ref_trace.records):
+        assert (r.sweep, r.agent, r.conditioned_stages) == (e.sweep, e.agent, e.conditioned_stages)
+        assert r.gap.tobytes() == e.gap.tobytes() and r.gap_norm == e.gap_norm
+        assert r.theta_before.tobytes() == e.theta_before.tobytes()
+        assert r.theta_after.tobytes() == e.theta_after.tobytes()

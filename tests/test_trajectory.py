@@ -15,6 +15,7 @@ from crowdirl.trajectory import (
     from_dataset_array,
     from_dataset_row,
     propagate_joint,
+    rollout,
     rollout_openloop,
     to_dataset_array,
     to_dataset_row,
@@ -170,6 +171,66 @@ def test_trajectory_replay_consistency():
     )
     traj = rollout_openloop(spec, rng.standard_normal((20, 2, 2)))
     assert traj.propagation_residual() < 1e-9
+
+
+def _per_step_openloop(x0, tape, dt):
+    """Reference: one propagate_joint per step on a single joint state."""
+    states = np.empty((len(tape) + 1, x0.size))
+    states[0] = x0
+    for t in range(len(tape)):
+        states[t + 1] = propagate_joint(states[t], tape[t], dt)
+    return states
+
+
+def test_openloop_rollout_equals_the_per_step_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    n, T, k, dt = 4, 25, 3, 0.1
+    tapes = rng.standard_normal((n, T, k, 2))
+    tapes[rng.random(tapes.shape) < 0.2] = -0.0
+    x0 = rng.standard_normal((n, 4 * k))
+    x0[:, ::3] = -0.0
+    assert np.sum(np.signbit(tapes) & (tapes == 0.0)) > 100
+    states, controls = rollout(x0, T, dt, lambda t, _: tapes[:, t])
+    assert controls.tobytes() == tapes.tobytes()  # the unbounded clamp keeps every -0.0
+    for j in range(n):
+        ref = _per_step_openloop(x0[j], tapes[j], dt)
+        assert states[j].tobytes() == ref.tobytes()
+        spec = ScenarioSpec(k=k, x0=JointState.from_array(x0[j]), goals=None, horizon=T, dt=dt)
+        traj = rollout_openloop(spec, tapes[j])
+        assert traj.states.tobytes() == ref.tobytes()
+        assert traj.controls.tobytes() == tapes[j].tobytes()
+
+
+def test_state_feedback_rollout_equals_the_per_step_loop_with_the_clamp_engaged():
+    rng = np.random.default_rng(32)
+    n, T, k, dt, u_max = 5, 20, 3, 0.1, 0.05
+    x0 = rng.normal(0.0, 1.5, (n, 4 * k))
+    gain = rng.standard_normal((2, 4))
+
+    def act(s):  # (n, k, 4) agent states -> (n, k, 2) actions
+        return np.sum(s[..., None, :] * gain, axis=-1)
+
+    states, controls = rollout(x0, T, dt, lambda t, x: act(x.reshape(n, k, 4)), u_max)
+    ref = np.empty((n, T + 1, 4 * k))
+    ref[:, 0] = x0
+    ref_u = np.empty((n, T, k, 2))
+    for t in range(T):
+        ref_u[:, t] = clamp_control(act(ref[:, t].reshape(n, k, 4)), u_max)
+        ref[:, t + 1] = propagate_joint(ref[:, t], ref_u[:, t], dt)
+    assert states.tobytes() == ref.tobytes()
+    assert controls.tobytes() == ref_u.tobytes()
+    raw = np.linalg.norm(act(x0.reshape(n, k, 4)), axis=-1)
+    assert np.all(raw > u_max) and np.allclose(np.linalg.norm(controls, axis=-1), u_max)
+
+
+def test_from_states_reconstructs_the_controls_of_a_replay():
+    rng = np.random.default_rng(33)
+    spec = ScenarioSpec(k=2, x0=JointState.from_array(rng.standard_normal(8)), goals=None,
+                        horizon=12, dt=0.1)
+    traj = rollout_openloop(spec, rng.standard_normal((12, 2, 2)))
+    rebuilt = Trajectory.from_states(traj.states, traj.dt)
+    assert rebuilt.states.tobytes() == traj.states.tobytes() and rebuilt.dt == traj.dt
+    assert np.allclose(rebuilt.controls, traj.controls, rtol=0, atol=1e-12)
 
 
 def test_trajectory_shape_validation():
