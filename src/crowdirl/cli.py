@@ -56,6 +56,7 @@ from .trajectory import (
     JointState,
     ScenarioSpec,
     Trajectory,
+    check_u_max,
     from_dataset_array,
 )
 
@@ -158,6 +159,7 @@ def load_config(path: str | None, flag_values: dict) -> dict:
         for p in parents:
             node = node[p]
         node[leaf] = value
+    check_u_max(cfg["u_max"])
     return cfg
 
 
@@ -522,7 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, help="feature-gap convergence threshold")
     parser.add_argument("--rollouts", type=int, help="rollouts per feature expectation")
     parser.add_argument("--best-of", dest="best_of", type=int, help="evaluate best of N sampled rollouts")
-    parser.add_argument("--u-max", dest="u_max", type=float, help="control magnitude clamp")
+    parser.add_argument(
+        "--u-max", dest="u_max", type=float, help="control magnitude clamp (> 0; inf for none)"
+    )
     parser.add_argument("--sigma", type=float, help="proximity kernel width")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -4,8 +4,9 @@ A backward recursion stacks every agent's first-order optimality condition at
 each timestep into one coupled linear system, yielding simultaneous affine
 feedback laws (a feedback Nash point of the quadratic game). The recursion
 reads each agent's cost as one `CostExpansion` and works on all agents at
-once along a leading agent axis; one LU per step gives the gains and the
-inverse whose norm screens the system's condition. Each agent's policy is
+once along a leading agent axis; one LU per step, on one right-hand-side
+buffer [Yk | yff | I] reused by every step, gives the gains and the inverse
+whose norm screens the system's condition. Each agent's policy is
 Gaussian around its feedback mean; the covariance is the tempered inverse of
 that agent's control-space curvature of its Q-function. Nothing later in the
 recursion reads it, so all T*k covariances are formed after the sweep. Along
@@ -24,9 +25,10 @@ are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
 (T, k, 2) and covariances Sigma (T, k, 2, 2).
 
 Rollouts hand the feedback law to `trajectory.rollout`, which steps every
-agent of all M rollouts at once; controls are drawn from per-(seed, rollout)
-Philox streams (`rng.normal_streams`) and returned as one `RolloutSet`,
-bit-reproducible for a given seed regardless of the batch size.
+agent of all M rollouts at once; the noise is drawn from per-(seed, rollout)
+Philox streams (`rng.normal_streams`) and scaled by the covariance factors
+for every step before the time loop. Rollouts are returned as one
+`RolloutSet`, bit-reproducible for a given seed regardless of the batch size.
 """
 from __future__ import annotations
 
@@ -222,7 +224,12 @@ def solve_lq_game(
     Bt = np.swapaxes(dyn.B, 1, 2)  # (k, 2, n)
     B_all = Bt.reshape(CONTROL_DIM * k, n).T  # (n, 2k): every agent's B side by side
     own = np.arange(k)
-    eye = np.eye(CONTROL_DIM)
+    R_eye = R * np.eye(CONTROL_DIM)  # (k, 2, 2): the effort curvature of each agent
+    m = CONTROL_DIM * k
+    # One right-hand side [Yk | yff | I] for every step: the identity columns
+    # give S^-1 for the condition screen; Yk and yff are overwritten per step.
+    rhs = np.zeros((m, n + 1 + m))
+    rhs[:, n + 1 :] = np.eye(m)
     u_nom = nominal.controls if nominal is not None else np.zeros((T, k, CONTROL_DIM))
     Z, zeta = Q[T], q[T]
     K_out = np.empty((T, k, CONTROL_DIM, n))
@@ -233,16 +240,16 @@ def solve_lq_game(
         BtZ = Bt @ Z  # (k, 2, n)
         # Stacked stationarity system: row block i is agent i's gradient wrt
         # its own control, column block j the coupling to agent j's control.
-        S = BtZ.reshape(CONTROL_DIM * k, n) @ B_all
+        S = BtZ.reshape(m, n) @ B_all
         blocks = S.reshape(k, CONTROL_DIM, k, CONTROL_DIM)
         # Control-space curvature of each agent's Q-function.
-        Huu_q = blocks[own, :, own, :] + R * eye
+        Huu_q = blocks[own, :, own, :] + R_eye
         Huu_q = 0.5 * (Huu_q + np.swapaxes(Huu_q, 1, 2))
         blocks[own, :, own, :] = Huu_q
-        Yk = (BtZ @ A).reshape(CONTROL_DIM * k, n)
-        yff = r[t] + (Bt @ zeta[..., None])[..., 0]
+        rhs[:, :n] = (BtZ @ A).reshape(m, n)
+        rhs[:, n] = (r[t] + (Bt @ zeta[..., None])[..., 0]).reshape(m)
 
-        sol = _solve_gains(S, np.concatenate([Yk, yff.reshape(-1, 1)], axis=1), t)
+        sol = _solve_gains(S, rhs, t)
         K_all, alpha_all = sol[:, :-1], sol[:, -1]
         K = K_all.reshape(k, CONTROL_DIM, n)
         alpha = alpha_all.reshape(k, CONTROL_DIM)
@@ -279,14 +286,18 @@ def solve_lq_game(
 
 
 def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
-    """X with S X = rhs from one LU; SolverError(t) if cond_2(S) > MAX_GAIN_CONDITION.
+    """X with S X = B from one LU, where rhs is [B | I]; SolverError(t) if cond_2(S) > 1e12.
 
-    The exact (SVD) condition is computed only if its bound ||S||_F ||S^-1||_F fails.
+    The last m = len(S) columns of rhs must be the identity: their solution is
+    S^-1. The exact (SVD) condition is computed only if the bound
+    ||S||_F ||S^-1||_F exceeds MAX_GAIN_CONDITION; each Frobenius norm is the
+    square root of the raveled dot product, as np.linalg.norm forms it.
     """
     m = S.shape[0]
     try:
-        X = np.linalg.solve(S, np.concatenate([rhs, np.eye(m)], axis=1))
-        bound = np.linalg.norm(S) * np.linalg.norm(X[:, -m:])
+        X = np.linalg.solve(S, rhs)
+        s, x = S.ravel(order="K"), X[:, -m:].ravel(order="K")
+        bound = np.sqrt(s.dot(s)) * np.sqrt(x.dot(x))
     except np.linalg.LinAlgError:
         X, bound = None, np.inf
     if not bound <= MAX_GAIN_CONDITION and np.linalg.cond(S) > MAX_GAIN_CONDITION:
@@ -379,7 +390,11 @@ def _rollout_batch(
     if spec.k != k or spec.horizon != T:
         raise ValidationError("scenario does not match the policy sequence")
     M = 1 if noise is None else noise.shape[0]
-    chol = _stage_cholesky(policies) if noise is not None else None
+    if noise is not None:
+        # the noise term chol[t, i] @ noise[m, t, i] of every step at once; a sum
+        # over a length-2 axis is exactly the one add of its two products
+        prod = noise[..., None, :] * _stage_cholesky(policies)  # (M, T, k, 2, 2)
+        eps = prod[..., 0] + prod[..., 1]
 
     # broadcast-and-reduce over all agents instead of matmul: reduction trees
     # then depend only on the row length, so rollout m is bit-identical for any M
@@ -387,7 +402,7 @@ def _rollout_batch(
         dx = states - policies.nominal_states[t]
         u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
         if noise is not None:
-            u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
+            u = u + eps[:, t]
         return u
 
     return rollout(np.tile(spec.x0.as_array(), (M, 1)), T, spec.dt, act, u_max)

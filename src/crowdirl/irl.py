@@ -37,7 +37,7 @@ from .features import (
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
-from .trajectory import DEFAULT_U_MAX, RolloutSet, ScenarioSpec, Trajectory
+from .trajectory import DEFAULT_U_MAX, RolloutSet, ScenarioSpec, Trajectory, check_u_max
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
@@ -62,6 +62,7 @@ class TrainingConfig:
             raise ValidationError(f"M must be >= 1, got {self.M}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
+        check_u_max(self.u_max)
 
 
 @dataclass(frozen=True)

@@ -90,14 +90,27 @@ class JointState:
         return cls(tuple(AgentState.from_array(arr[4 * i : 4 * i + 4]) for i in range(arr.size // 4)))
 
 
+def check_u_max(u_max: float) -> float:
+    """The control bound as a float; it must be > 0, and inf means no clamp."""
+    u_max = float(u_max)
+    if not u_max > 0:  # also rejects NaN
+        raise ValidationError(f"u_max must be positive (inf for no clamp), got {u_max!r}")
+    return u_max
+
+
 def clamp_control(u: np.ndarray, u_max: float = DEFAULT_U_MAX) -> np.ndarray:
-    """Scale control vectors so that ||u|| <= u_max; shape (..., 2) preserved."""
+    """Scale control vectors so that ||u|| <= u_max (> 0); shape (..., 2) preserved.
+
+    The scale u_max / max(||u||, u_max) is u_max / ||u|| where the bound binds
+    and exactly 1.0 elsewhere; ||u|| is sqrt(u_x**2 + u_y**2), the sum of
+    squares np.linalg.norm forms for a pair.
+    """
     u = np.asarray(u, dtype=float)
-    if u_max == math.inf:  # no norm can exceed it: skip the scale (1.0) and its cost
+    if u_max == math.inf:  # inf / inf would be NaN; no norm exceeds it, so the scale is 1.0
         return u * 1.0
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
-    scale = np.where(norm > u_max, u_max / np.maximum(norm, 1e-300), 1.0)
-    return u * scale
+    sq = u * u
+    norm = np.sqrt(sq[..., 0] + sq[..., 1])
+    return u * (u_max / np.maximum(norm, u_max))[..., None]
 
 
 def propagate_joint(states: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
@@ -274,8 +287,10 @@ def rollout(
     """The one time loop: states (n, T+1, 4k) and applied controls (n, T, k, 2) from x0 (n, 4k).
 
     Per step, act(t, states (n, 4k)) gives controls that broadcast to
-    (n, k, 2); they are clamped to u_max and propagated.
+    (n, k, 2); they are clamped to u_max (> 0, checked once) and propagated
+    by one `propagate_joint` call for all n rows.
     """
+    u_max = check_u_max(u_max)
     x0 = np.asarray(x0, dtype=float)
     n, k = x0.shape[0], x0.shape[1] // STATE_DIM
     states = np.empty((n, horizon + 1, x0.shape[1]))

@@ -97,6 +97,38 @@ class TestConfig:
             main(["--threads", "2", "synth", str(tmp_path / "d.traj")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("u_max", ["-1", "nan", "0", "-0.0", "-inf"])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_bound_that_is_not_positive_exits_2(self, tmp_path, capsys, command, u_max):
+        # -1 would reverse every control, nan switch the clamp off, 0 freeze every agent
+        demos = _synth(tmp_path, n=2)
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(out), "--n", "2"],
+            "train": ["train", str(demos), "--out", str(out)],
+            "eval": ["eval", str(demos), "--baseline", "cv", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([f"--u-max={u_max}", "--iters", "1", *argv]) == 2
+        assert "u_max must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("u_max", [-1, 0, -0.5])
+    def test_bound_that_is_not_positive_in_a_config_file_exits_2(self, tmp_path, capsys, u_max):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"u_max": u_max}))
+        out = tmp_path / "d.traj"
+        assert main(["--config", str(cfg_path), "synth", str(out), "--n", "2"]) == 2
+        assert "u_max must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_bound_means_no_clamp(self, tmp_path):
+        # at entropy_temp 1 most sampled controls exceed 3 m/s^2
+        out = tmp_path / "d.traj"
+        assert main(["--u-max", "inf", "--seed", "1", "synth", str(out), "--n", "4"]) == 0
+        demos, _ = read_demonstrations(out)
+        assert max(np.linalg.norm(d.controls, axis=-1).max() for d in demos) > 3.0
+
     def test_help_lists_every_config_key(self):
         text = build_parser().format_help()
         for line in (

@@ -19,7 +19,7 @@ from crowdirl.game import (
     sample_rollouts,
     solve_lq_game,
 )
-from crowdirl.quadratic import expand_model_along, linearize_dynamics
+from crowdirl.quadratic import CostExpansion, expand_model_along, linearize_dynamics
 from crowdirl.trajectory import (
     DEFAULT_U_MAX,
     AgentState,
@@ -31,6 +31,7 @@ from crowdirl.trajectory import (
 )
 from crowdirl.rng import normal_streams
 from fd_oracle import cost_expansion, expand_along
+from test_trajectory import norm_where_clamp
 
 
 # --- independent oracle: textbook affine discrete-time Riccati recursion ----
@@ -246,7 +247,7 @@ def test_sampling_batch_size_invariance(intersection_spec, ring8_spec, theta_sta
     assert np.mean(np.abs(norms - 1.0) <= 1e-12) > 0.5
 
 
-def _per_step_rollouts(policies, spec, noise, u_max):
+def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control):
     """Reference: the game's own time loop, before rollouts shared trajectory.rollout."""
     T, k = policies.horizon, policies.k
     M = 1 if noise is None else noise.shape[0]
@@ -259,7 +260,7 @@ def _per_step_rollouts(policies, spec, noise, u_max):
         u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
         if noise is not None:
             u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
-        controls[:, t] = clamp_control(u, u_max)
+        controls[:, t] = clamp(u, u_max)
         states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], spec.dt)
     return states, controls
 
@@ -277,6 +278,20 @@ def test_rollouts_equal_the_per_step_loop_bit_for_bit(ring8_spec, theta_star):
     states, controls = _per_step_rollouts(policies, spec, None, u_max)
     assert mean.states.tobytes() == states[0].tobytes()
     assert mean.controls.tobytes() == controls[0].tobytes()
+
+
+def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec, theta_star):
+    # entropy_temp 1 makes most controls exceed u_max: the per-step noise sum
+    # and the norm-and-where clamp are the reference for the noise term and scale
+    spec, M, u_max = ring8_spec, 128, DEFAULT_U_MAX
+    policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1.0))
+    got = sample_rollouts(policies, spec, M, seed=9, u_max=u_max)
+    noise = normal_streams(9, M, (spec.horizon, spec.k, 2))
+    states, controls = _per_step_rollouts(policies, spec, noise, u_max, norm_where_clamp)
+    assert got.states.tobytes() == states.tobytes()
+    assert got.controls.tobytes() == controls.tobytes()
+    clamped = np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12
+    assert np.mean(clamped) > 0.9
 
 
 def test_vanishing_noise_collapses_to_mean(single_agent_spec):
@@ -362,7 +377,8 @@ def test_gain_screen_falls_back_to_the_exact_condition():
     assert np.linalg.norm(S) * np.linalg.norm(np.linalg.inv(S)) > MAX_GAIN_CONDITION
     assert np.linalg.cond(S) <= MAX_GAIN_CONDITION
     rhs = np.arange(12.0).reshape(6, 2)
-    assert np.array_equal(_solve_gains(S, rhs, 4), np.linalg.solve(S, rhs))
+    got = _solve_gains(S, np.concatenate([rhs, np.eye(6)], axis=1), 4)
+    assert np.array_equal(got, np.linalg.solve(S, rhs))
 
 
 @pytest.mark.parametrize(
@@ -371,8 +387,22 @@ def test_gain_screen_falls_back_to_the_exact_condition():
 )
 def test_gain_screen_rejects_ill_conditioned_systems(S):
     with pytest.raises(SolverError) as err:
-        _solve_gains(S, np.ones((6, 2)), 7)
+        _solve_gains(S, np.concatenate([np.ones((6, 2)), np.eye(6)], axis=1), 7)
     assert err.value.timestep == 7
+
+
+def test_solve_screens_the_gain_condition_through_its_identity_columns():
+    # terminal cost on px alone and a tiny effort weight: at t = T-1 the gain
+    # system diag(dt^4/4 + R, R) has an LU but cond_2 = 1.5e12, which only the
+    # ||S||_F ||S^-1||_F screen over the solve's identity columns can flag
+    T, dt = 3, 0.1
+    Q = np.zeros((T + 1, 4, 4))
+    Q[T, 0, 0] = 1.0
+    R = dt**4 / 4 / 1.5e12
+    expansion = CostExpansion(Q, np.zeros((T + 1, 4)), np.zeros(T + 1), R, np.zeros((T, 2)))
+    with pytest.raises(SolverError) as err:
+        solve_lq_game(linearize_dynamics(1, dt), [expansion], SolverConfig())
+    assert err.value.timestep == T - 1
 
 
 def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:

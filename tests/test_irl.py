@@ -124,6 +124,13 @@ def test_feature_gap_rejects_mismatched_dataset(single_agent_spec, intersection_
             train([], intersection_spec, _cfg())
 
 
+@pytest.mark.parametrize("u_max", [0.0, -1.0, float("nan")])
+def test_training_config_rejects_a_bound_that_is_not_positive(u_max):
+    with pytest.raises(ValidationError, match="u_max must be positive"):
+        _cfg(u_max=u_max)
+    assert _cfg(u_max=float("inf")).u_max == float("inf")
+
+
 def test_multi_agent_irl_reduces_gap(intersection_spec, theta_star):
     demos = synth_generate(theta_star, intersection_spec, 10, seed=123, solver_cfg=QUIET_SOLVER)
     cfg = _cfg(max_iters=25, M=16)

@@ -324,3 +324,39 @@ def test_clamp_control_scales_norm():
     assert np.allclose(clamped / np.linalg.norm(clamped), u / 5.0)
     small = np.array([0.3, -0.1])
     assert np.array_equal(clamp_control(small, 3.0), small)
+
+
+def norm_where_clamp(u, u_max):
+    """Reference: the clamp as np.linalg.norm and np.where, before the explicit sum of squares."""
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    scale = np.where(norm > u_max, u_max / np.maximum(norm, 1e-300), 1.0)
+    return u * scale
+
+
+@pytest.mark.parametrize("u_max", [1e-300, 0.05, 3.0, 1e300])
+def test_clamp_control_equals_the_norm_and_where_form_bit_for_bit(u_max):
+    rng = np.random.default_rng(34)
+    u = rng.standard_normal((50, 3, 2)) * 10.0 ** rng.uniform(-300, 150, (50, 3, 2))
+    u[rng.random(u.shape) < 0.1] = 0.0
+    u[rng.random(u.shape) < 0.1] = -0.0
+    assert np.sum(np.signbit(u) & (u == 0.0)) > 10
+    got = clamp_control(u, u_max)
+    with np.errstate(over="ignore"):  # the reference divides by 1e-300 where it discards
+        ref = norm_where_clamp(u, u_max)
+    assert got.tobytes() == ref.tobytes()
+    clamped = np.linalg.norm(u, axis=-1) > u_max
+    assert (u_max == 1e300) == (not np.any(clamped))
+    assert np.all(np.linalg.norm(got, axis=-1) <= u_max * (1 + 1e-15))
+
+
+@pytest.mark.parametrize("u_max", [0.0, -0.0, -1.0, math.nan, -math.inf])
+def test_rollout_rejects_a_bound_that_is_not_positive_before_any_step(u_max):
+    calls = []
+
+    def act(t, states):
+        calls.append(t)
+        return np.zeros((len(states), 1, 2))
+
+    with pytest.raises(ValidationError, match="u_max must be positive"):
+        rollout(np.zeros((2, 4)), 5, 0.1, act, u_max)
+    assert calls == []
