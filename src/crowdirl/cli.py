@@ -29,12 +29,12 @@ from .metrics import (
     PredictorContext,
     cdf_thresholds,
     emit_report,
-    evaluate_method,
     make_predictor,
     parse_report_csv,
     render_overlay_svg,
     rmse_cdf,
     render_cdf_svg,
+    score_predictions,
 )
 from .pipeline import (
     PreprocessConfig,
@@ -160,6 +160,10 @@ def load_config(path: str | None, flag_values: dict) -> dict:
             node = node[p]
         node[leaf] = value
     check_u_max(cfg["u_max"])
+    for key in ("best_of", "gmm_components"):
+        value = cfg["eval"][key]
+        if not (float(value).is_integer() and value >= 1):
+            raise ValidationError(f"eval.{key} must be an integer >= 1, got {value!r}")
     return cfg
 
 
@@ -433,14 +437,15 @@ def cmd_eval(args, cfg: dict) -> int:
         seed=int(cfg["seed"]),
         gmm_components=int(cfg["eval"]["gmm_components"]),
     )
-    report = evaluate_method(method, args.scenario, demos, ctx)
+    predictions = make_predictor(method, ctx)(demos)
+    report = score_predictions(method, args.scenario, demos, predictions)
     emit_report([report], args.format, args.out)
     print(
         f"{method} on {args.scenario}: ADE {report.ade:.4f} m, FDE {report.fde:.4f} m "
         f"-> {args.out}"
     )
     if args.overlay:
-        svg = render_overlay_svg(demos, make_predictor(method, ctx)(demos))
+        svg = render_overlay_svg(demos, predictions)
         with open(args.overlay, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return EXIT_OK

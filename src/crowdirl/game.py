@@ -26,9 +26,13 @@ are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
 
 Rollouts hand the feedback law to `trajectory.rollout`, which steps every
 agent of all M rollouts at once; the noise is drawn from per-(seed, rollout)
-Philox streams (`rng.normal_streams`) and scaled by the covariance factors
-for every step before the time loop. Rollouts are returned as one
-`RolloutSet`, bit-reproducible for a given seed regardless of the batch size.
+Philox streams (`rng.normal_streams`) and scaled by the lower-triangular
+covariance factors for every step before the time loop. The feedback of a
+step is one stacked GEMM over fixed tiles of FEEDBACK_TILE rows, the M rows
+padded with zero-noise rows from x0. Rollouts are returned as one
+`RolloutSet`, bit-reproducible for a given seed regardless of the batch size:
+rollout m always sits at the same place in a product of the same shape. The
+bits depend on the BLAS kernel, as the solve's do.
 """
 from __future__ import annotations
 
@@ -54,6 +58,7 @@ from .trajectory import (
 
 MAX_GAIN_CONDITION = 1e12
 PINV_CUTOFF = 1e-10
+FEEDBACK_TILE = 8  # rollout rows per feedback GEMM (see _rollout_batch)
 
 
 @dataclass(frozen=True)
@@ -390,22 +395,31 @@ def _rollout_batch(
     if spec.k != k or spec.horizon != T:
         raise ValidationError("scenario does not match the policy sequence")
     M = 1 if noise is None else noise.shape[0]
+    # batch invariance comes from fixed row tiles, not from reduction order:
+    # padded (zero-noise rows from x0) to whole tiles, rollout m always sits
+    # at the same place in a GEMM of the same shape, whatever M is
+    Mp = -(-M // FEEDBACK_TILE) * FEEDBACK_TILE
+    n = STATE_DIM * k
+    gains = np.ascontiguousarray(np.swapaxes(policies.K.reshape(T, CONTROL_DIM * k, n), 1, 2))
     if noise is not None:
-        # the noise term chol[t, i] @ noise[m, t, i] of every step at once; a sum
-        # over a length-2 axis is exactly the one add of its two products
-        prod = noise[..., None, :] * _stage_cholesky(policies)  # (M, T, k, 2, 2)
-        eps = prod[..., 0] + prod[..., 1]
+        # the noise term L[t, i] @ noise[m, t, i] of every step at once, over
+        # the nonzero entries of the lower-triangular Cholesky factor; laid
+        # out (T, Mp, k, 2) so that each step reads one contiguous block
+        L = _stage_cholesky(policies)[:, None]  # (T, 1, k, 2, 2)
+        z = np.swapaxes(noise, 0, 1)  # (T, M, k, 2)
+        eps = np.zeros((T, Mp, k, CONTROL_DIM))
+        eps[:, :M, :, 0] = z[..., 0] * L[..., 0, 0]
+        eps[:, :M, :, 1] = z[..., 0] * L[..., 1, 0] + z[..., 1] * L[..., 1, 1]
 
-    # broadcast-and-reduce over all agents instead of matmul: reduction trees
-    # then depend only on the row length, so rollout m is bit-identical for any M
     def act(t: int, states: np.ndarray) -> np.ndarray:
-        dx = states - policies.nominal_states[t]
-        u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
+        dx = (states - policies.nominal_states[t]).reshape(-1, FEEDBACK_TILE, n)
+        u = policies.kff[t] - (dx @ gains[t]).reshape(Mp, k, CONTROL_DIM)  # gains[t]: (4k, 2k)
         if noise is not None:
-            u = u + eps[:, t]
+            u = u + eps[t]
         return u
 
-    return rollout(np.tile(spec.x0.as_array(), (M, 1)), T, spec.dt, act, u_max)
+    states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, u_max)
+    return states[:M], controls[:M]
 
 
 def _stage_cholesky(policies: PolicySequence) -> np.ndarray:

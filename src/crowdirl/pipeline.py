@@ -378,10 +378,6 @@ def synth_provenance(theta_star: Sequence[CostParams], seed: int) -> dict:
 # --- interchange files -------------------------------------------------------
 
 
-def _format_row(row: np.ndarray) -> str:
-    return ",".join(repr(float(v)) for v in row)
-
-
 def write_demonstrations(
     path,
     trajs: Sequence[Trajectory],
@@ -411,12 +407,12 @@ def write_demonstrations(
         "count": len(trajs),
         "provenance": provenance or {},
     }
+    # repr of a Python float is the shortest string that reads back exactly
+    lines = [json.dumps(header, sort_keys=True)]
+    for traj in trajs:
+        lines.extend(",".join(map(repr, row)) for row in to_dataset_array(traj.states).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for traj in trajs:
-            rows = to_dataset_array(traj.states)
-            for row in rows:
-                fh.write(_format_row(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_text_lines(path) -> list[str]:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crowdirl import cli, metrics
 from crowdirl.cli import (
     DEFAULT_CONFIG,
     build_parser,
@@ -11,7 +12,7 @@ from crowdirl.cli import (
     parse_thetas,
 )
 from crowdirl.errors import FormatError
-from crowdirl.metrics import parse_report_csv
+from crowdirl.metrics import emit_report, evaluate_method, parse_report_csv, render_overlay_svg
 from crowdirl.pipeline import read_demonstrations
 
 FAST_TRAIN = [
@@ -128,6 +129,49 @@ class TestConfig:
         assert main(["--u-max", "inf", "--seed", "1", "synth", str(out), "--n", "4"]) == 0
         demos, _ = read_demonstrations(out)
         assert max(np.linalg.norm(d.controls, axis=-1).max() for d in demos) > 3.0
+
+    @pytest.mark.parametrize("best_of", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_best_of_that_is_not_positive_exits_2(self, tmp_path, capsys, command, best_of):
+        # -3 used to mean the mean rollout without a word
+        demos = _synth(tmp_path, n=2)
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(out), "--n", "2"],
+            "train": ["train", str(demos), "--out", str(out)],
+            "eval": ["eval", str(demos), "--baseline", "cv", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([f"--best-of={best_of}", "--iters", "1", *argv]) == 2
+        assert f"eval.best_of must be an integer >= 1, got {best_of}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("gmm_components", 0), ("gmm_components", -2), ("gmm_components", 1.5),
+        ("best_of", 0), ("best_of", -3), ("best_of", 2.5),
+    ])
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_count_that_is_not_positive_in_a_config_file_exits_2(
+        self, tmp_path, capsys, command, key, value
+    ):
+        demos = _synth(tmp_path, n=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eval": {key: value}}))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(out), "--n", "2"],
+            "eval": ["eval", str(demos), "--baseline", "gmm", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), *argv]) == 2
+        assert f"eval.{key} must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_counts_in_a_config_file_are_accepted(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eval": {"best_of": 2.0, "gmm_components": 1}}))
+        cfg = load_config(str(cfg_path), {})
+        assert cfg["eval"] == {"best_of": 2.0, "gmm_components": 1}
 
     def test_help_lists_every_config_key(self):
         text = build_parser().format_help()
@@ -313,6 +357,38 @@ class TestEval:
         assert rc == 0
         recs = [json.loads(l) for l in report.read_text().splitlines()]
         assert any("rmse_per_traj" in r for r in recs)
+
+
+    def test_overlay_draws_the_scored_predictions(self, tmp_path, monkeypatch):
+        # best_of 3 re-samples every candidate set on each prediction
+        demos = _synth(tmp_path)
+        theta = tmp_path / "theta.json"
+        main([*FAST_TRAIN, "--iters", "2", "--tol", "0", "train", str(demos),
+              "--method", "mairl", "--out", str(theta)])
+        calls = []
+        make_predictor = cli.make_predictor
+
+        def counting(method, ctx):
+            predict = make_predictor(method, ctx)
+
+            def counted(eval_demos):
+                calls.append((predict, ctx, eval_demos))
+                return predict(eval_demos)
+            return counted
+
+        for module in (cli, metrics):
+            monkeypatch.setattr(module, "make_predictor", counting)
+        report, overlay = tmp_path / "mairl.jsonl", tmp_path / "mairl.svg"
+        assert main(["--entropy-temp", "0.001", "--best-of", "3", "eval", str(demos),
+                     "--baseline", "mairl", "--theta", str(theta), "--out", str(report),
+                     "--format", "jsonl", "--overlay", str(overlay)]) == 0
+        assert len(calls) == 1
+        # the bytes of scoring and drawing two separate predictions, as eval once did
+        predict, ctx, eval_demos = calls[0]
+        emit_report([evaluate_method("mairl", "default", eval_demos, ctx)], "jsonl",
+                    tmp_path / "ref.jsonl")
+        assert report.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+        assert overlay.read_text() == render_overlay_svg(eval_demos, predict(eval_demos))
 
 
 class TestPlotCompare:

@@ -7,6 +7,7 @@ from crowdirl.cli import scenario_preset
 from crowdirl.errors import InternalError, SolverError, ValidationError
 from crowdirl.features import CostParams, stage_cost_models
 from crowdirl.game import (
+    FEEDBACK_TILE,
     MAX_GAIN_CONDITION,
     PolicySequence,
     SolverConfig,
@@ -76,6 +77,13 @@ def _textbook_gains(dyn, e):
     return textbook_affine_lqr(
         dyn.A, dyn.B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
     )
+
+
+def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
+    angles = 2 * np.pi * np.arange(k) / k
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
+    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
 
 
 def test_single_agent_matches_textbook_riccati(single_agent_spec):
@@ -227,12 +235,10 @@ def test_sampling_seed_determinism(intersection_spec, theta_star):
 
 
 def test_sampling_batch_size_invariance(intersection_spec, ring8_spec, theta_star):
-    # on the ring each gain row has 4k = 32 entries, where numpy's pairwise
-    # summation unrolls, and at u_max = 1 the clamp engages on most controls
-    for spec, u_max, sizes in (
-        (intersection_spec, DEFAULT_U_MAX, (1, 8)),
-        (ring8_spec, 1.0, (1, 8, 33)),
-    ):
+    # sizes on both sides of a feedback tile; at u_max = 1 on the ring the
+    # clamp engages on most controls
+    sizes = (1, FEEDBACK_TILE - 1, FEEDBACK_TILE, FEEDBACK_TILE + 1, 33)
+    for spec, u_max in ((intersection_spec, DEFAULT_U_MAX), (ring8_spec, 1.0)):
         policies = build_policies(
             [theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3)
         )
@@ -247,7 +253,21 @@ def test_sampling_batch_size_invariance(intersection_spec, ring8_spec, theta_sta
     assert np.mean(np.abs(norms - 1.0) <= 1e-12) > 0.5
 
 
-def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control):
+def tiled_feedback(dx, K):
+    """K @ dx of every row as one GEMM per FEEDBACK_TILE rows, padded with zero rows."""
+    M, n = dx.shape
+    rows = np.zeros((-(-M // FEEDBACK_TILE) * FEEDBACK_TILE, n))
+    rows[:M] = dx
+    gains = np.ascontiguousarray(K.reshape(-1, n).T)
+    return (rows.reshape(-1, FEEDBACK_TILE, n) @ gains).reshape(-1, *K.shape[:2])[:M]
+
+
+def reduced_feedback(dx, K):
+    """K @ dx of every row as a broadcast product summed over the state axis."""
+    return np.sum(dx[:, None, None, :] * K, axis=-1)
+
+
+def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control, feedback=tiled_feedback):
     """Reference: the game's own time loop, before rollouts shared trajectory.rollout."""
     T, k = policies.horizon, policies.k
     M = 1 if noise is None else noise.shape[0]
@@ -257,7 +277,7 @@ def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control):
     states[:, 0] = spec.x0.as_array()
     for t in range(T):
         dx = states[:, t] - policies.nominal_states[t]
-        u = policies.kff[t] - np.sum(dx[:, None, None, :] * policies.K[t], axis=-1)
+        u = policies.kff[t] - feedback(dx, policies.K[t])
         if noise is not None:
             u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
         controls[:, t] = clamp(u, u_max)
@@ -292,6 +312,25 @@ def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec,
     assert got.controls.tobytes() == controls.tobytes()
     clamped = np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12
     assert np.mean(clamped) > 0.9
+
+
+@pytest.mark.parametrize(
+    "spec", [scenario_preset("intersection_k3"), _ring_spec(8)], ids=["intersection_k3", "ring8"]
+)
+def test_tiled_feedback_stays_within_rounding_of_the_reduced_loop(spec, theta_star):
+    # the reduced loop was the rollout arithmetic before the feedback became a
+    # tiled GEMM; entropy_temp 1 clamps most controls on the ring
+    M, u_max = 128, DEFAULT_U_MAX
+    policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1.0))
+    noise = normal_streams(9, M, (spec.horizon, spec.k, 2))
+    got = sample_rollouts(policies, spec, M, seed=9, u_max=u_max)
+    states, controls = _per_step_rollouts(policies, spec, noise, u_max, feedback=reduced_feedback)
+    assert np.max(np.abs(got.states - states)) <= 1e-12
+    assert np.max(np.abs(got.controls - controls)) <= 1e-12
+    mean = mean_rollout(policies, spec, u_max)
+    states, controls = _per_step_rollouts(policies, spec, None, u_max, feedback=reduced_feedback)
+    assert np.max(np.abs(mean.states - states[0])) <= 1e-12
+    assert np.max(np.abs(mean.controls - controls[0])) <= 1e-12
 
 
 def test_vanishing_noise_collapses_to_mean(single_agent_spec):
@@ -403,13 +442,6 @@ def test_solve_screens_the_gain_condition_through_its_identity_columns():
     with pytest.raises(SolverError) as err:
         solve_lq_game(linearize_dynamics(1, dt), [expansion], SolverConfig())
     assert err.value.timestep == T - 1
-
-
-def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
-    angles = 2 * np.pi * np.arange(k) / k
-    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
-    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
 
 
 def _per_step_reference(dyn, costs, cfg, nominal):

@@ -19,7 +19,7 @@ from crowdirl.pipeline import (
     travel_direction,
     write_demonstrations,
 )
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec
+from crowdirl.trajectory import AgentState, JointState, ScenarioSpec, Trajectory, to_dataset_array
 
 
 def _frame_line(t, objects):
@@ -266,6 +266,26 @@ class TestInterchange:
         path2 = tmp_path / "demos2.traj"
         write_demonstrations(path2, demos, intersection_spec.goals, {"note": "test"})
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_rows_are_the_repr_of_every_value(self, tmp_path):
+        # -0.0, a subnormal, 1e16 and integral values, in positions and in speeds
+        states = np.array([
+            [-0.0, 5e-324, 1e16, 0.0, 3.0, -2.0, 0.0, -0.0],
+            [1e16, -7.0, 5e-324, 0.0, -0.0, 1.5e-310, -1e16, 2.0],
+            [0.1, 2.0**-1074 * 3, 4.0, 3.0, 123456789.0, -1e-300, 0.0, 1.0],
+        ])
+        demos = [Trajectory(states, np.zeros((2, 2, 2)), 0.1),
+                 Trajectory(states[::-1], np.ones((2, 2, 2)), 0.1)]
+        path = tmp_path / "edge.traj"
+        write_demonstrations(path, demos, None, {"note": "edge"})
+        header = {"k": 2, "T": 3, "dt": 0.1, "goals": None, "count": 2,
+                  "provenance": {"note": "edge"}}
+        lines = [json.dumps(header, sort_keys=True)]
+        for traj in demos:
+            for row in to_dataset_array(traj.states):
+                lines.append(",".join(repr(float(v)) for v in row))
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert {"-0.0", "5e-324", "1e+16", "3.0", "-2.0"} <= set(lines[1].split(","))
 
     def test_unknown_header_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.traj"
