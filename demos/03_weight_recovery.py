@@ -1,8 +1,9 @@
 """Recovering cost weights from demonstrations, per-agent vs shared.
 
 Ground-truth demonstrations are rolled out from known weights on a
-three-pedestrian intersection. Per-agent training (block coordinate descent
-over the agents) drives each agent's feature-expectation gap toward zero;
+three-pedestrian intersection. Per-agent training (one solve and one joint
+sample per sweep; every agent moves along its own gap under that sample)
+drives each agent's feature-expectation gap toward zero;
 with heterogeneous ground-truth weights the shared-weight variant cannot
 match everyone at once, and its held-out prediction error shows it.
 
@@ -37,7 +38,7 @@ print("generating 30 demonstrations from the ground-truth weights...")
 demos = synth_generate(truth, spec, 30, seed=321, solver_cfg=solver)
 train, held = demos[:20], demos[20:]
 
-print("training per-agent weights (block coordinate descent)...")
+print("training per-agent weights (every agent from one joint sample per sweep)...")
 thetas, trace = multi_agent_irl(train, spec, cfg)
 per_sweep = trace.gap_norms().reshape(trace.sweeps, spec.k).max(axis=1)
 print(f"  gap norm: {per_sweep[0]:.3f} -> {per_sweep[-1]:.3f} "

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -64,6 +65,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 DEFAULT_CONFIG: dict = {
     "seed": 0,
@@ -377,10 +379,10 @@ def cmd_train(args, cfg: dict) -> int:
     if args.trace_out:
         trace.to_jsonl(args.trace_out)
     if args.diagnostics:
-        conditioned = int(sum(r.conditioned_stages for r in trace.records))
         print(
             json.dumps(
-                {"conditioned_stage_visits": conditioned, "updates": len(trace.records)},
+                {"conditioned_stage_visits": trace.conditioned_stages(),
+                 "updates": len(trace.records)},
                 sort_keys=True,
             )
         )
@@ -533,6 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--u-max", dest="u_max", type=float, help="control magnitude clamp (> 0; inf for none)"
     )
     parser.add_argument("--sigma", type=float, help="proximity kernel width")
+    parser.add_argument(
+        "--log-level", dest="log_level", choices=LOG_LEVELS, default="warning",
+        help="least severe log record printed to stderr (default: warning)",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -584,6 +590,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the package's log records go to one formatted stderr handler for this
+    # command only, so repeated in-process calls never stack handlers
+    logger = logging.getLogger("crowdirl")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
     try:
         cfg = load_config(args.config, vars(args))
         return args.func(args, cfg)
@@ -599,6 +613,9 @@ def main(argv: list[str] | None = None) -> int:
     except CrowdIrlError as exc:  # pragma: no cover - catch-all for subclasses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

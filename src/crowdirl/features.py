@@ -22,6 +22,7 @@ from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
 FEATURE_NAMES = ("goal_dist", "proximity", "effort")
 NUM_FEATURES = 3
 DEFAULT_SIGMA = 1.5
+FEATURE_ROWS = 16  # trajectories per expected_features block; bounds its (rows, T+1, a, k) arrays
 
 
 @dataclass(frozen=True)
@@ -122,6 +123,8 @@ def expected_features(
     """Mean feature vectors (len(agents), 3) of the given agents over a rollout set.
 
     goals is (len(agents), 2), one row per index; a sequence is stacked once.
+    The per-trajectory rows are formed FEATURE_ROWS trajectories at a time,
+    each on its own, so the block size never changes a bit of the result.
     """
     trajs = RolloutSet.stack(trajs)
     idx = np.asarray(agents)
@@ -130,11 +133,14 @@ def expected_features(
     goals = np.asarray(goals, dtype=float)
     if goals.shape != (idx.size, 2):
         raise ValidationError(f"goals must be ({idx.size}, 2), got shape {goals.shape}")
-    goal_dist, proximity = state_features(trajs.states, idx, goals, cfg.sigma)
-    effort = np.sum(trajs.controls[:, :, idx] ** 2, axis=-1)
-    # the copy makes each time series contiguous, so its mean sums in one agent's order
-    per_traj = np.stack([np.mean(np.swapaxes(f, 1, 2).copy(), axis=-1)
-                         for f in (goal_dist, proximity, effort)], axis=-1)  # (N, a, 3)
+    per_traj = np.empty((len(trajs), idx.size, NUM_FEATURES))
+    for start in range(0, len(trajs), FEATURE_ROWS):
+        rows = slice(start, start + FEATURE_ROWS)
+        goal_dist, proximity = state_features(trajs.states[rows], idx, goals, cfg.sigma)
+        effort = np.sum(trajs.controls[rows, :, idx] ** 2, axis=-1)
+        for j, f in enumerate((goal_dist, proximity, effort)):
+            # the copy makes each time series contiguous, so its mean sums in one agent's order
+            per_traj[rows, :, j] = np.mean(np.swapaxes(f, 1, 2).copy(), axis=-1)
     return _check_features(np.sum(per_traj, axis=0) / len(trajs))
 
 

@@ -20,16 +20,17 @@ was shifted is recorded in the solver diagnostics.
 dynamics, the constant-velocity nominal, the per-agent cost models with their
 cached quadratic expansions, and the outer re-expansion loop. Synthesis and
 evaluation reach it through `build_policies` / `solve_scenario`; the IRL
-loop holds a `Game` and updates one weight block at a time. Solved policies
-are arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff
-(T, k, 2) and covariances Sigma (T, k, 2, 2).
+loop holds a `Game` and sets every agent's new weights once per sweep.
+Solved policies are arrays indexed [t, agent]: gains K (T, k, 2, 4k),
+feedforward kff (T, k, 2) and covariances Sigma (T, k, 2, 2).
 
 Rollouts hand the feedback law to `trajectory.rollout`, which steps every
 agent of all M rollouts at once; the noise is drawn from per-(seed, rollout)
 Philox streams (`rng.normal_streams`) and scaled by the lower-triangular
 covariance factors for every step before the time loop. The feedback of a
 step is one stacked GEMM over fixed tiles of FEEDBACK_TILE rows, the M rows
-padded with zero-noise rows from x0. Rollouts are returned as one
+padded with zero-noise rows from x0; the mean rollout steps its one row and
+pads only that product. Rollouts are returned as one
 `RolloutSet`, bit-reproducible for a given seed regardless of the batch size:
 rollout m always sits at the same place in a product of the same shape. The
 bits depend on the BLAS kernel, as the solve's do.
@@ -394,14 +395,19 @@ def _rollout_batch(
     T, k = policies.horizon, policies.k
     if spec.k != k or spec.horizon != T:
         raise ValidationError("scenario does not match the policy sequence")
-    M = 1 if noise is None else noise.shape[0]
-    # batch invariance comes from fixed row tiles, not from reduction order:
-    # padded (zero-noise rows from x0) to whole tiles, rollout m always sits
-    # at the same place in a GEMM of the same shape, whatever M is
-    Mp = -(-M // FEEDBACK_TILE) * FEEDBACK_TILE
     n = STATE_DIM * k
     gains = np.ascontiguousarray(np.swapaxes(policies.K.reshape(T, CONTROL_DIM * k, n), 1, 2))
-    if noise is not None:
+    if noise is None:
+        # the mean rollout steps one row; only its feedback GEMM sees a whole
+        # tile, the row on top of zeros, so it matches row 0 of a padded set
+        M = Mp = 1
+        tile = np.zeros((FEEDBACK_TILE, n))
+    else:
+        # batch invariance comes from fixed row tiles, not from reduction order:
+        # padded (zero-noise rows from x0) to whole tiles, rollout m always sits
+        # at the same place in a GEMM of the same shape, whatever M is
+        M = noise.shape[0]
+        Mp = -(-M // FEEDBACK_TILE) * FEEDBACK_TILE
         # the noise term L[t, i] @ noise[m, t, i] of every step at once, over
         # the nonzero entries of the lower-triangular Cholesky factor; laid
         # out (T, Mp, k, 2) so that each step reads one contiguous block
@@ -412,11 +418,12 @@ def _rollout_batch(
         eps[:, :M, :, 1] = z[..., 0] * L[..., 1, 0] + z[..., 1] * L[..., 1, 1]
 
     def act(t: int, states: np.ndarray) -> np.ndarray:
-        dx = (states - policies.nominal_states[t]).reshape(-1, FEEDBACK_TILE, n)
-        u = policies.kff[t] - (dx @ gains[t]).reshape(Mp, k, CONTROL_DIM)  # gains[t]: (4k, 2k)
-        if noise is not None:
-            u = u + eps[t]
-        return u
+        dx = states - policies.nominal_states[t]  # gains[t]: (4k, 2k)
+        if noise is None:
+            tile[0] = dx[0]
+            return policies.kff[t] - (tile @ gains[t])[:1].reshape(1, k, CONTROL_DIM)
+        feedback = dx.reshape(-1, FEEDBACK_TILE, n) @ gains[t]
+        return policies.kff[t] - feedback.reshape(Mp, k, CONTROL_DIM) + eps[t]
 
     states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, u_max)
     return states[:M], controls[:M]

@@ -1,11 +1,12 @@
 """Feature-matching inverse reinforcement learning over game rollouts.
 
-Both learners run one loop of block coordinate descent over weight blocks:
-blocks are visited in a fixed round-robin order, and each visit re-solves the
-game at the current weights, samples rollouts, measures the block's mean
-feature-expectation gap against the demonstrations, and moves only that
-block's weights along it. The multi-agent variant gives every agent its own
-block; the single-agent variant ties all agents to one shared block.
+Both learners run one loop of Jacobi sweeps over weight blocks. A sweep
+solves the game at the current weights once, samples one rollout set from
+it, measures every agent's feature-expectation gap against the
+demonstrations under that one joint sample, and moves each block's weights
+along the mean gap of its agents; the game takes all the new weights at the
+end of the sweep. The multi-agent variant gives every agent its own block;
+the single-agent variant ties all agents to one shared block.
 
 Weights multiply cost features, so matching requires moving *with* the gap:
 if the policy accrues more of a feature than the experts do, that feature
@@ -14,10 +15,11 @@ orthant to keep every agent's control cost convex.
 
 The loop builds its costs with `stage_cost_models`, solves through one
 `game.Game` (the game synthesis and evaluation solve, outer re-expansion
-included) and takes the block's rows from one `features.expected_features`
-call per rollout set; the demonstrations are stacked and featurized once.
-Each update record in the trace holds the sampled gap and
-theta_after = max(theta_before + beta * gap, 0).
+included) and takes every agent's row from one `features.expected_features`
+call per sweep; the demonstrations are stacked and featurized once. Each
+update record in the trace holds the sampled gap and
+theta_after = max(theta_before + beta * gap, 0); the records of a sweep
+share its solve.
 """
 from __future__ import annotations
 
@@ -67,7 +69,7 @@ class TrainingConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One coordinate update: which agent moved, from where to where, and why."""
+    """One block update: which agent moved, from where to where, and why."""
 
     sweep: int
     agent: int  # SHARED_AGENT for single-agent (shared theta) updates
@@ -103,6 +105,10 @@ class TrainingTrace:
     def sweep_max_gap(self, sweep: int) -> float:
         norms = [r.gap_norm for r in self.records if r.sweep == sweep]
         return max(norms) if norms else float("inf")
+
+    def conditioned_stages(self) -> int:
+        """Repaired covariance stages of all solves; the records of a sweep share one."""
+        return sum({r.sweep: r.conditioned_stages for r in self.records}.values())
 
     def close_sweep(self, sweep: int, tol: float) -> bool:
         """Count the sweep; converged once its largest gap norm is below tol."""
@@ -149,11 +155,13 @@ def _training_game(
 def _feature_matching(
     dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig, shared: bool
 ) -> tuple[list[CostParams], TrainingTrace]:
-    """The one training loop: block coordinate descent, one theta per weight block.
+    """The one training loop: Jacobi sweeps, one theta per weight block.
 
-    The blocks are [[0], ..., [k-1]], or [[0, ..., k-1]] when shared. A visit
-    of block b solves the game, samples with a seed derived from (cfg.seed,
-    sweep, b) and moves the block's theta along the mean gap of its agents.
+    The blocks are [[0], ..., [k-1]], or [[0, ..., k-1]] when shared. A sweep
+    solves the game once, samples one rollout set with a seed derived from
+    (cfg.seed, sweep, 0), takes every agent's feature gap from it and moves
+    each block's theta along the mean gap of its agents; the game takes the
+    new weights only after every block has moved.
     """
     game, demo_phi = _training_game(dataset, spec, cfg)
     blocks = [list(range(spec.k))] if shared else [[i] for i in range(spec.k)]
@@ -161,13 +169,13 @@ def _feature_matching(
 
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
+        policies = game.solve()
+        seed = derive_seed(cfg.seed, sweep, 0)
+        rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
+        gaps = expected_features(rollouts, range(spec.k), game.spec.goals, cfg.proximity) - demo_phi
+        del rollouts  # one rollout set alive at a time keeps the peak memory down
         for b, agents in enumerate(blocks):
-            policies = game.solve()
-            seed = derive_seed(cfg.seed, sweep, b)
-            rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
-            phi = expected_features(rollouts, agents, game.spec.goals[agents], cfg.proximity)
-            del rollouts  # one rollout set alive at a time keeps the peak memory down
-            gap = np.mean(phi - demo_phi[agents], axis=0)
+            gap = np.mean(gaps[agents], axis=0)
             theta = thetas[b]
             thetas[b] = CostParams(theta.weights + cfg.beta * gap).project_nonneg()
             trace.records.append(IterationRecord(
@@ -176,6 +184,7 @@ def _feature_matching(
                 gap_norm=float(np.linalg.norm(gap)),
                 conditioned_stages=policies.diagnostics.conditioned_stages,
             ))
+        for b, agents in enumerate(blocks):
             for i in agents:
                 game.set_theta(i, thetas[b])
         if trace.close_sweep(sweep, cfg.tol):
@@ -188,11 +197,13 @@ def multi_agent_irl(
     spec: ScenarioSpec,
     cfg: TrainingConfig = TrainingConfig(),
 ) -> tuple[list[CostParams], TrainingTrace]:
-    """Block coordinate descent over per-agent weight vectors.
+    """Jacobi feature matching over per-agent weight vectors.
 
-    Deterministic given (dataset, cfg): each (sweep, agent) visit rolls out
-    with a seed derived from (cfg.seed, sweep, agent). Non-convergence within
-    cfg.max_iters sweeps is reported via trace.converged, not an error.
+    Every sweep solves the game once and draws one rollout set, seeded from
+    (cfg.seed, sweep); each agent's theta moves along its own feature gap
+    under that joint sample. Deterministic given (dataset, cfg).
+    Non-convergence within cfg.max_iters sweeps is reported via
+    trace.converged, not an error.
     """
     return _feature_matching(dataset, spec, cfg, shared=False)
 

@@ -287,6 +287,28 @@ class TestTrain:
         diag = json.loads(lines[0])
         assert set(diag) == {"conditioned_stage_visits", "updates"}
 
+    def test_diagnostics_count_each_sweeps_solve_once(self, tmp_path, capsys):
+        # trained on demos at theta (0.5, 8, 0.01), the weights reach a game
+        # whose solve repairs covariance stages within three sweeps
+        demos = tmp_path / "demos.traj"
+        assert main(["--seed", "3", "--entropy-temp", "0.001", "synth", str(demos),
+                     "--theta", "0.5,8,0.01", "--n", "6"]) == 0
+        capsys.readouterr()
+        trace_path = tmp_path / "trace.jsonl"
+        main(["--seed", "0", "--entropy-temp", "0.001", "--beta", "0.03", "--rollouts", "4",
+              "--iters", "3", "--tol", "0", "train", str(demos), "--method", "mairl",
+              "--out", str(tmp_path / "theta.json"), "--trace-out", str(trace_path),
+              "--diagnostics"])
+        diag = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()][:-1]
+        per_sweep = {}
+        for rec in records:
+            per_sweep.setdefault(rec["sweep"], set()).add(rec["conditioned_stages"])
+        assert all(len(v) == 1 for v in per_sweep.values())  # one solve per sweep
+        solves = [v.pop() for _, v in sorted(per_sweep.items())]
+        assert diag == {"conditioned_stage_visits": sum(solves), "updates": 9}
+        assert sum(solves) > 0
+
 
 class TestEval:
     def test_cv_exact_on_coasting_demos(self, tmp_path):
@@ -530,6 +552,36 @@ def test_plot_without_rmse_values_exits_2(tmp_path):
     report = tmp_path / "r.jsonl"
     report.write_text('{"method": "cv", "scenario": "s", "rmse_per_traj": []}\n')
     assert main(["plot", str(report), "--out", str(tmp_path / "cdf.svg")]) == 2
+
+
+def test_log_level_routes_warnings_and_keeps_every_file(tmp_path, capsys):
+    # one two-step demonstration gives ebm 6 state-action pairs for a 2x4 map,
+    # which the fit warns about
+    demos = _synth(tmp_path, n=1, extra=["--horizon", "2"])
+    outputs = {}
+    for level in (None, "warning", "error"):
+        flags = [] if level is None else ["--log-level", level]
+        names = [tmp_path / f"{stem}_{level}" for stem in ("theta.json", "trace.jsonl", "ebm.csv")]
+        capsys.readouterr()
+        main([*flags, *FAST_TRAIN, "--iters", "2", "--tol", "0", "train", str(demos),
+              "--out", str(names[0]), "--trace-out", str(names[1])])
+        for _ in range(2):  # a second in-process call must not add a second handler
+            assert main([*flags, "eval", str(demos), "--baseline", "ebm",
+                         "--out", str(names[2])]) == 0
+        outputs[level] = [p.read_bytes() for p in names]
+        err = capsys.readouterr().err
+        warning = "WARNING crowdirl.baselines: only 6 pairs for a 2x4 map"
+        assert err.count(warning) == (0 if level == "error" else 2)
+        if level == "error":
+            assert err == ""
+    assert outputs[None] == outputs["warning"] == outputs["error"]
+
+
+def test_unknown_log_level_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--log-level", "verbose", "compare", "x.csv"])
+    assert exc.value.code == 2
+    assert "--log-level" in capsys.readouterr().err
 
 
 def test_cli_entry_point_help():

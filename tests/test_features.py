@@ -5,6 +5,7 @@ import pytest
 
 from crowdirl.errors import ValidationError
 from crowdirl.features import (
+    FEATURE_ROWS,
     CostParams,
     FeatureVector,
     ProximityConfig,
@@ -17,6 +18,7 @@ from crowdirl.features import (
 from crowdirl.trajectory import (
     AgentState,
     JointState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,
@@ -143,6 +145,21 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit():
             assert every[agent].tobytes() == ref.tobytes()
             one = expected_features(subset, [agent], goals[agent : agent + 1], cfg)
             assert one.shape == (1, 3) and one[0].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, FEATURE_ROWS - 1, FEATURE_ROWS, FEATURE_ROWS + 1, 128])
+def test_row_blocked_features_equal_per_agent_and_per_trajectory_calls(N):
+    # sets on both sides of a row block: every agent at once, one agent at a
+    # time and one trajectory at a time (summed in order) give the same bytes
+    rng = np.random.default_rng(N)
+    k, T = 8, 30
+    trajs = RolloutSet(rng.uniform(-4, 4, (N, T + 1, 4 * k)), rng.normal(size=(N, T, k, 2)), 0.1)
+    goals = rng.uniform(-4, 4, (k, 2))
+    every = expected_features(trajs, range(k), goals)
+    one_agent = np.concatenate([expected_features(trajs, [i], goals[[i]]) for i in range(k)])
+    assert every.tobytes() == one_agent.tobytes()
+    rows = np.stack([expected_features([traj], range(k), goals) for traj in trajs])
+    assert every.tobytes() == (np.sum(rows, axis=0) / N).tobytes()
 
 
 @pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5]])

@@ -29,6 +29,7 @@ from crowdirl.trajectory import (
     clamp_control,
     constant_velocity_rollout,
     propagate_joint,
+    rollout,
 )
 from crowdirl.rng import normal_streams
 from fd_oracle import cost_expansion, expand_along
@@ -312,6 +313,27 @@ def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec,
     assert got.controls.tobytes() == controls.tobytes()
     clamped = np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12
     assert np.mean(clamped) > 0.9
+
+
+@pytest.mark.parametrize("k", [3, 8, 12])
+def test_mean_rollout_equals_row_0_of_a_padded_tile_bit_for_bit(k, theta_star):
+    # the mean rollout used to step FEEDBACK_TILE identical rows from x0; now
+    # only its feedback GEMM is padded, and row 0 keeps every bit
+    spec, u_max = _ring_spec(k), 1.0
+    policies = build_policies([theta_star[0]] * k, spec, SolverConfig(entropy_temp=1e-3))
+    n = 4 * k
+    gains = np.ascontiguousarray(np.swapaxes(policies.K.reshape(spec.horizon, 2 * k, n), 1, 2))
+
+    def act(t, states):
+        dx = (states - policies.nominal_states[t]).reshape(-1, FEEDBACK_TILE, n)
+        return policies.kff[t] - (dx @ gains[t]).reshape(FEEDBACK_TILE, k, 2)
+
+    x0 = np.tile(spec.x0.as_array(), (FEEDBACK_TILE, 1))
+    states, controls = rollout(x0, spec.horizon, spec.dt, act, u_max)
+    mean = mean_rollout(policies, spec, u_max)
+    assert mean.states.tobytes() == states[0].tobytes()
+    assert mean.controls.tobytes() == controls[0].tobytes()
+    assert np.any(np.abs(np.linalg.norm(controls[0], axis=-1) - u_max) <= 1e-12)  # clamp engaged
 
 
 @pytest.mark.parametrize(

@@ -143,6 +143,30 @@ def test_multi_agent_irl_reduces_gap(intersection_spec, theta_star):
     assert per_sweep[-1] < 0.35 * per_sweep[0]
 
 
+def test_mairl_gaps_of_the_first_sweep_average_to_the_sairl_gap(intersection_spec, theta_star):
+    # both learners start at all-ones weights and draw the sweep's one rollout
+    # set with the same seed, so they measure the same per-agent rows
+    demos = synth_generate(theta_star, intersection_spec, 5, seed=4, solver_cfg=QUIET_SOLVER)
+    cfg = _cfg(max_iters=1, M=6)
+    _, trace_m = multi_agent_irl(demos, intersection_spec, cfg)
+    _, trace_s = single_agent_maxent_irl(demos, intersection_spec, cfg)
+    gaps = np.array([r.gap for r in trace_m.records])
+    assert gaps.shape == (3, 3) and not np.all(gaps == gaps[0])
+    assert np.mean(gaps, axis=0).tobytes() == trace_s.records[0].gap.tobytes()
+
+
+def test_jacobi_sweeps_settle_on_the_eight_agent_ring(ring8_spec):
+    # every agent moves against the same joint sample at once; at beta = 0.1
+    # the per-sweep max gap still falls without oscillating (5.1 -> 0.20 here)
+    k = ring8_spec.k
+    demos = synth_generate([CostParams(np.array([1.0, 0.5, 0.2]))] * k, ring8_spec, 8, seed=5,
+                           solver_cfg=QUIET_SOLVER)
+    _, trace = multi_agent_irl(demos, ring8_spec, _cfg(beta=0.1, max_iters=20, M=32))
+    per_sweep = trace.gap_norms().reshape(trace.sweeps, k).max(axis=1)
+    assert np.all(per_sweep[1:] < per_sweep[:-1] * 1.1)
+    assert per_sweep[-1] < 0.1 * per_sweep[0]
+
+
 def test_training_is_bitwise_reproducible(intersection_spec, theta_star):
     demos = synth_generate(theta_star, intersection_spec, 5, seed=9, solver_cfg=QUIET_SOLVER)
     cfg = _cfg(max_iters=3, M=4)
@@ -224,8 +248,10 @@ def test_training_game_refits_under_the_training_clamp(intersection_spec, theta_
     assert np.array_equal(game.solve().nominal_states, ref.nominal_states)
 
 
-# Reference: the separate multi-agent and single-agent loops, kept as they
-# were before both learners shared one feature-matching loop.
+# References: an independent Jacobi multi-agent loop (one solve and one rollout
+# set per sweep, one expected_features call per agent, every theta set after
+# the sweep) and the single-agent loop as it was before both learners shared
+# one feature-matching loop.
 def _reference_update(trace, sweep, agent, theta, gap, beta, policies):
     theta_new = CostParams(theta.weights + beta * gap).project_nonneg()
     trace.records.append(IterationRecord(
@@ -242,12 +268,13 @@ def _reference_multi_agent_irl(dataset, spec, cfg):
     thetas = [CostParams.ones() for _ in range(spec.k)]
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
+        policies = game.solve()
+        seed = derive_seed(cfg.seed, sweep, 0)
+        rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
         for i in range(spec.k):
-            policies = game.solve()
-            seed = derive_seed(cfg.seed, sweep, i)
-            rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
             gap = expected_features(rollouts, [i], goals[[i]], cfg.proximity)[0] - demo_phi[i]
             thetas[i] = _reference_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
+        for i in range(spec.k):
             game.set_theta(i, thetas[i])
         if trace.close_sweep(sweep, cfg.tol):
             break
