@@ -249,7 +249,11 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
 
 
 def _spec_from_demos(demos: list[Trajectory], header: dict) -> ScenarioSpec:
-    """Scenario implied by a demonstration file: mean x0, header or inferred goals."""
+    """Scenario implied by a demonstration file: mean x0, header or inferred goals.
+
+    train admits only files whose demonstrations share one start; eval's
+    predictors start each demo from its own x0.
+    """
     k, dt = demos[0].k, demos[0].dt
     x0_mean = np.mean([d.states[0] for d in demos], axis=0)
     goals = header_goals(header)
@@ -354,6 +358,13 @@ def cmd_train(args, cfg: dict) -> int:
     demos, header = read_demonstrations(args.demos)
     if not demos:
         raise FormatError(f"{args.demos} holds no demonstrations")
+    # training solves one game from one start; a mean start is no demo's scene
+    for j, demo in enumerate(demos):
+        if not np.array_equal(demo.states[0], demos[0].states[0]):
+            raise FormatError(
+                f"{args.demos}: demonstration {j} starts from a different joint state than "
+                "demonstration 0; train needs demonstrations of one start"
+            )
     spec = _spec_from_demos(demos, header)
     tcfg = _training_config(cfg)
 

@@ -185,9 +185,6 @@ class StageCostModel:
         w = self.theta.weights
         return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (self.horizon + 1)
 
-    def terminal_cost(self, x: np.ndarray) -> np.ndarray:
-        return self.state_cost(x)
-
     def __call__(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         return self.state_cost(x) + self.control_weight * np.sum(u * u, axis=-1)

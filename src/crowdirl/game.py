@@ -17,23 +17,24 @@ decision randomness for numerical tractability; every stage whose covariance
 was shifted is recorded in the solver diagnostics.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
-dynamics, the constant-velocity nominal, the per-agent cost models with their
-cached quadratic expansions, and the outer re-expansion loop. Synthesis and
-evaluation reach it through `build_policies` / `solve_scenario`; the IRL
-loop holds a `Game` and sets every agent's new weights once per sweep.
-Solved policies are arrays indexed [t, agent]: gains K (T, k, 2, 4k),
-feedforward kff (T, k, 2) and covariances Sigma (T, k, 2, 2).
+dynamics, the constant-velocity nominal, the per-agent cost models and the
+outer re-expansion loop. Synthesis and evaluation reach it through
+`build_policies` / `solve_scenario`; the IRL loop holds a `Game` and sets
+every agent's new weights once per sweep, so every solve expands every
+agent's cost afresh. Solved policies are arrays indexed [t, agent]: gains K
+(T, k, 2, 4k), feedforward kff (T, k, 2) and covariances Sigma (T, k, 2, 2).
 
 Rollouts hand the feedback law to `trajectory.rollout`, which steps every
-agent of all M rollouts at once; the noise is drawn from per-(seed, rollout)
-Philox streams (`rng.normal_streams`) and scaled by the lower-triangular
-covariance factors for every step before the time loop. The feedback of a
-step is one stacked GEMM over fixed tiles of FEEDBACK_TILE rows, the M rows
-padded with zero-noise rows from x0; the mean rollout steps its one row and
-pads only that product. Rollouts are returned as one
-`RolloutSet`, bit-reproducible for a given seed regardless of the batch size:
-rollout m always sits at the same place in a product of the same shape. The
-bits depend on the BLAS kernel, as the solve's do.
+agent of all M rollouts at once; the noise of the whole set is one
+(M, T, k, 2) draw from the Philox stream of the seed, read in row order, and
+is scaled by the lower-triangular covariance factors for every step before
+the time loop. The feedback of a step is one stacked GEMM over fixed tiles of
+FEEDBACK_TILE rows, the M rows padded with zero-noise rows from x0; the mean
+rollout steps its one row and pads only that product. Rollouts are returned
+as one `RolloutSet`, bit-reproducible for a given seed regardless of the
+batch size: rollout m always reads the same stretch of the stream and sits
+at the same place in a product of the same shape. The bits depend on the
+BLAS kernel, as the solve's do.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams, ProximityConfig, StageCostModel, stage_cost_models
 from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linearize_dynamics
-from .rng import normal_streams
+from .rng import substream
 from .trajectory import (
     CONTROL_DIM,
     DEFAULT_U_MAX,
@@ -177,24 +178,37 @@ def condition_covariance(sigma_raw: np.ndarray, eps_psd: float) -> np.ndarray:
     """Minimal uniform diagonal shift making the eigenvalues >= eps_psd.
 
     Returns sigma_raw + s*I with s = max(0, eps_psd - lambda_min), the
-    smallest such shift; already well-conditioned inputs pass through
-    unchanged. Idempotent.
+    smallest such shift, topped up until the result has a Cholesky factor;
+    already well-conditioned inputs pass through unchanged. Idempotent.
     """
     sigma_raw = np.asarray(sigma_raw, dtype=float)
     lam = min_eigenvalue(sigma_raw)
     shift = max(0.0, eps_psd - lam)
-    if shift == 0.0:
+    if shift == 0.0 and _has_cholesky(sigma_raw):
         return sigma_raw.copy()
     eye = np.eye(sigma_raw.shape[0])
     sigma = sigma_raw + shift * eye
     # On large diagonal entries the shift rounds, which can leave the floor
-    # short by a few ulps; top it up with growing steps until it holds.
+    # short by a few ulps, and a floor below the eigensolver's rounding can
+    # pass a matrix with no Cholesky factor; top it up with growing steps
+    # until both hold.
     bump = float(np.spacing(np.max(np.abs(sigma))))
-    while min_eigenvalue(sigma) < eps_psd:
+    while min_eigenvalue(sigma) < eps_psd or not _has_cholesky(sigma):
         shift += bump
         bump *= 2.0
         sigma = sigma_raw + shift * eye
     return sigma
+
+
+def _has_cholesky(S: np.ndarray) -> np.ndarray:
+    """Mask over the stack S (..., n, n): which matrices have a Cholesky factor."""
+    try:
+        np.linalg.cholesky(S)
+        return np.ones(S.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        if S.ndim == 2:
+            return np.zeros((), dtype=bool)
+        return np.array([_has_cholesky(s) for s in S])
 
 
 def solve_lq_game(
@@ -280,11 +294,14 @@ def solve_lq_game(
     Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
     Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
     shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(Sigma)[..., 0])
+    repair = (shift > 0.0) | ~_has_cholesky(Sigma)
     diag = SolverDiagnostics(horizon=T, k=k)
-    for t_rev, i in np.argwhere(shift[::-1] > 0.0):
+    for t_rev, i in np.argwhere(repair[::-1]):
         t = T - 1 - int(t_rev)
-        Sigma[t, i] = condition_covariance(Sigma[t, i], cfg.eps_psd)
-        diag.events.append((t, int(i), float(shift[t, i])))
+        raw = Sigma[t, i].copy()
+        Sigma[t, i] = condition_covariance(raw, cfg.eps_psd)
+        # a stage above the floor with no Cholesky factor logs its top-up
+        diag.events.append((t, int(i), float(shift[t, i] or Sigma[t, i, 0, 0] - raw[0, 0])))
 
     if nominal is None:
         return PolicySequence(K_out, kff_out, Sigma, np.zeros((T + 1, n)), 1.0, diag)
@@ -329,9 +346,7 @@ class Game:
     Every agent's cost is expanded to quadratics along the constant-velocity
     nominal and the coupled game is solved there. With cfg.max_outer_iters > 1
     the costs are re-expanded around the latest mean rollout (clamped at u_max,
-    as sampling clamps) until it moves less than cfg.outer_tol. Expansions
-    along the constant-velocity nominal are cached per agent, so after
-    set_theta only that agent is re-expanded by the next solve. Synthesis,
+    as sampling clamps) until it moves less than cfg.outer_tol. Synthesis,
     training and evaluation all solve through this class.
     """
 
@@ -350,20 +365,16 @@ class Game:
         self.u_max = u_max
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
-        self._expansions: list = [None] * spec.k
 
     def set_theta(self, agent: int, theta: CostParams) -> None:
-        """Replace one agent's cost weights; its expansion is redone lazily."""
+        """Replace one agent's cost weights; the next solve uses them."""
         self.models[agent] = replace(self.models[agent], theta=theta)
-        self._expansions[agent] = None
 
     def solve(self) -> PolicySequence:
         """Policies of the game at the current weights."""
-        for i, model in enumerate(self.models):
-            if self._expansions[i] is None:
-                self._expansions[i] = expand_model_along(model, self.nominal)
-        expansions, nominal = self._expansions, self.nominal
+        nominal = self.nominal
         for it in range(self.cfg.max_outer_iters):
+            expansions = [expand_model_along(m, nominal) for m in self.models]
             policies = solve_lq_game(self.dyn, expansions, self.cfg, nominal=nominal)
             if it + 1 == self.cfg.max_outer_iters:
                 break
@@ -371,7 +382,6 @@ class Game:
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
-            expansions = [expand_model_along(m, nominal) for m in self.models]
         return policies
 
 
@@ -433,16 +443,12 @@ def _stage_cholesky(policies: PolicySequence) -> np.ndarray:
     """Cholesky factors of every Sigma[t, i]; shape (T, k, 2, 2)."""
     try:
         return np.linalg.cholesky(policies.Sigma)
-    except np.linalg.LinAlgError:
-        for t, i in np.ndindex(policies.horizon, policies.k):
-            try:
-                np.linalg.cholesky(policies.Sigma[t, i])
-            except np.linalg.LinAlgError as exc:
-                raise InternalError(
-                    f"covariance at (t={t}, agent={i}) is not positive definite; "
-                    "it must have been conditioned at solve time"
-                ) from exc
-        raise
+    except np.linalg.LinAlgError as exc:
+        t, i = np.argwhere(~_has_cholesky(policies.Sigma))[0]
+        raise InternalError(
+            f"covariance at (t={t}, agent={i}) is not positive definite; "
+            "it must have been conditioned at solve time"
+        ) from exc
 
 
 def mean_rollout(
@@ -462,13 +468,14 @@ def sample_rollouts(
 ) -> RolloutSet:
     """Draw M stochastic rollouts; bit-deterministic for a given seed.
 
-    Rollout m consumes the Philox stream keyed by (seed, m); the draw for
-    (step t, agent i) sits at a fixed counter offset inside that stream, so
-    results do not depend on M, batching or scheduling.
+    The set's noise is one (M, T, k, 2) draw of standard normals from the
+    Philox stream keyed by seed, filled in row order: rollout m reads normals
+    m*S to (m+1)*S - 1 of that stream, S = T*k*2, so its bits do not depend
+    on M.
     """
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
-    noise = normal_streams(seed, M, (policies.horizon, policies.k, CONTROL_DIM))
+    noise = substream(seed).standard_normal((M, policies.horizon, policies.k, CONTROL_DIM))
     states, controls = _rollout_batch(policies, spec, noise, u_max)
     return RolloutSet(states, controls, spec.dt)
 

@@ -159,7 +159,7 @@ def _feature_matching(
 
     The blocks are [[0], ..., [k-1]], or [[0, ..., k-1]] when shared. A sweep
     solves the game once, samples one rollout set with a seed derived from
-    (cfg.seed, sweep, 0), takes every agent's feature gap from it and moves
+    (cfg.seed, sweep), takes every agent's feature gap from it and moves
     each block's theta along the mean gap of its agents; the game takes the
     new weights only after every block has moved.
     """
@@ -170,7 +170,7 @@ def _feature_matching(
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
         policies = game.solve()
-        seed = derive_seed(cfg.seed, sweep, 0)
+        seed = derive_seed(cfg.seed, sweep)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
         gaps = expected_features(rollouts, range(spec.k), game.spec.goals, cfg.proximity) - demo_phi
         del rollouts  # one rollout set alive at a time keeps the peak memory down

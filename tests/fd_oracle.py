@@ -165,5 +165,5 @@ def fd_expand_model_along(
     stages = expand_along(
         model, nominal, model.agent, h, control_weight=model.control_weight
     )
-    terminal = expand_terminal(model.terminal_cost, nominal.states[-1], h)
+    terminal = expand_terminal(model.state_cost, nominal.states[-1], h)
     return cost_expansion(stages, terminal, nominal.states.shape[1])

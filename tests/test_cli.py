@@ -13,7 +13,8 @@ from crowdirl.cli import (
 )
 from crowdirl.errors import FormatError
 from crowdirl.metrics import emit_report, evaluate_method, parse_report_csv, render_overlay_svg
-from crowdirl.pipeline import read_demonstrations
+from crowdirl.pipeline import header_goals, read_demonstrations, write_demonstrations
+from crowdirl.trajectory import Trajectory
 
 FAST_TRAIN = [
     "--entropy-temp", "0.001", "--beta", "0.03", "--rollouts", "8",
@@ -231,6 +232,15 @@ class TestSynth:
         demos, header = read_demonstrations(path)
         assert header["k"] == 2 and demos[0].k == 2
 
+    def test_floor_below_eigensolver_rounding_still_samples(self, tmp_path):
+        # at eps_psd 1e-18 a repaired covariance on this scene clears the floor
+        # with no Cholesky factor; the repair tops it up until it has one
+        rc = main(["--seed", "11", "--entropy-temp", "0.001", "--eps-psd", "1e-18", "synth",
+                   str(tmp_path / "d.traj"), "--preset", "intersection_k3",
+                   "--theta", "0.5,8,0.01", "--n", "6"])
+        assert rc == 0
+        assert len(read_demonstrations(tmp_path / "d.traj")[0]) == 6
+
 
 class TestTrain:
     def test_converges_with_loose_tolerance(self, tmp_path):
@@ -276,6 +286,21 @@ class TestTrain:
         assert rc == 3
         payload = json.loads(out.read_text())
         assert payload["thetas"][0] == payload["thetas"][1] == payload["thetas"][2]
+
+    def test_demonstrations_from_different_starts_exit_2(self, tmp_path, capsys):
+        demos, header = read_demonstrations(_synth(tmp_path))
+        moved = demos[2].states.copy()
+        moved[:, 0::4] += 0.5  # every agent starts half a metre further east
+        demos[2] = Trajectory.from_states(moved, demos[2].dt)
+        mixed = tmp_path / "mixed.traj"
+        write_demonstrations(mixed, demos, goals=header_goals(header))
+        capsys.readouterr()
+        rc = main(["train", str(mixed), "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "demonstration 2 starts from a different joint state" in capsys.readouterr().err
+        # eval predicts each demo from its own start and still takes the file
+        rc = main(["eval", str(mixed), "--baseline", "cv", "--out", str(tmp_path / "cv.csv")])
+        assert rc == 0
 
     def test_diagnostics_flag_prints_json(self, tmp_path, capsys):
         demos = _synth(tmp_path)

@@ -31,7 +31,7 @@ from crowdirl.trajectory import (
     propagate_joint,
     rollout,
 )
-from crowdirl.rng import normal_streams
+from crowdirl.rng import substream
 from fd_oracle import cost_expansion, expand_along
 from test_trajectory import norm_where_clamp
 
@@ -188,6 +188,20 @@ class TestConditionCovariance:
             if lam.min() < eps:
                 assert abs(shift - (eps - lam.min())) < 1e-9
 
+    @pytest.mark.parametrize("a, b, c", [
+        (0.29621784042087357, 0.17214920138308412, 0.10004578891915161),
+        (0.1694396984756563, 0.42913033744089385, 1.0868341254667249),
+    ])
+    def test_floor_below_rounding_still_yields_a_cholesky_factor(self, a, b, c):
+        # rounded rank-one matrices: the smallest eigenvalue computes to 1e-17
+        # or more, above a 1e-18 floor, yet LAPACK finds no Cholesky factor
+        S = np.array([[a, b], [b, c]])
+        out = condition_covariance(S, 1e-18)
+        np.linalg.cholesky(out)
+        assert min_eigenvalue(out) >= 1e-18
+        assert np.allclose(out - S, (out - S)[0, 0] * np.eye(2), rtol=0, atol=1e-15)
+        assert np.array_equal(condition_covariance(out, 1e-18), out)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             condition_covariance(np.array([[1.0, 0.1], [0.0, 1.0]]), 1e-6)
@@ -291,7 +305,7 @@ def test_rollouts_equal_the_per_step_loop_bit_for_bit(ring8_spec, theta_star):
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3))
     got = sample_rollouts(policies, spec, 6, seed=5, u_max=u_max)
     states, controls = _per_step_rollouts(
-        policies, spec, normal_streams(5, 6, (spec.horizon, spec.k, 2)), u_max)
+        policies, spec, substream(5).standard_normal((6, spec.horizon, spec.k, 2)), u_max)
     assert got.states.tobytes() == states.tobytes()
     assert got.controls.tobytes() == controls.tobytes()
     assert np.any(np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12)  # clamp engaged
@@ -307,7 +321,7 @@ def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec,
     spec, M, u_max = ring8_spec, 128, DEFAULT_U_MAX
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1.0))
     got = sample_rollouts(policies, spec, M, seed=9, u_max=u_max)
-    noise = normal_streams(9, M, (spec.horizon, spec.k, 2))
+    noise = substream(9).standard_normal((M, spec.horizon, spec.k, 2))
     states, controls = _per_step_rollouts(policies, spec, noise, u_max, norm_where_clamp)
     assert got.states.tobytes() == states.tobytes()
     assert got.controls.tobytes() == controls.tobytes()
@@ -344,7 +358,7 @@ def test_tiled_feedback_stays_within_rounding_of_the_reduced_loop(spec, theta_st
     # tiled GEMM; entropy_temp 1 clamps most controls on the ring
     M, u_max = 128, DEFAULT_U_MAX
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1.0))
-    noise = normal_streams(9, M, (spec.horizon, spec.k, 2))
+    noise = substream(9).standard_normal((M, spec.horizon, spec.k, 2))
     got = sample_rollouts(policies, spec, M, seed=9, u_max=u_max)
     states, controls = _per_step_rollouts(policies, spec, noise, u_max, feedback=reduced_feedback)
     assert np.max(np.abs(got.states - states)) <= 1e-12
@@ -367,17 +381,31 @@ def test_vanishing_noise_collapses_to_mean(single_agent_spec):
 
 
 def test_sampled_control_mean_obeys_clt():
-    # zero-gain zero-feedforward unit-covariance policy, one step, dt = 1
+    # zero-gain zero-feedforward policy of two agents, one step, dt = 1, no
+    # clamp: the step-0 controls are the scaled noise; bounds are 4 standard errors
+    sigma = np.array([[[1.0, 0.6], [0.6, 2.0]], [[0.5, -0.3], [-0.3, 1.5]]])
     policies = PolicySequence(
-        K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), Sigma=np.eye(2)[None, None],
-        nominal_states=np.zeros((2, 4)), dt=1.0,
+        K=np.zeros((1, 2, 2, 8)), kff=np.zeros((1, 2, 2)), Sigma=sigma[None],
+        nominal_states=np.zeros((2, 8)), dt=1.0,
     )
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=1.0
+        k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None, horizon=1, dt=1.0
     )
-    rollouts = sample_rollouts(policies, spec, 1000, seed=2024)
-    mean_u = np.mean([r.controls[0, 0] for r in rollouts], axis=0)
-    assert np.all(np.abs(mean_u) < 0.1)  # 3 sigma / sqrt(M) with sigma = 1
+    M = 4000
+    u = sample_rollouts(policies, spec, M, seed=2024, u_max=np.inf).controls[:, 0]  # (M, 2, 2)
+    var = np.diagonal(sigma, axis1=1, axis2=2)  # (agent, component)
+    assert np.all(np.abs(u.mean(axis=0)) < 4 * np.sqrt(var / M))
+    # each agent's second moment is its Sigma; Var(x_a x_b) = S_aa S_bb + S_ab^2
+    cov = np.einsum("mia,mib->iab", u, u) / M
+    se = np.sqrt((var[:, :, None] * var[:, None, :] + sigma**2) / M)
+    assert np.all(np.abs(cov - sigma) < 4 * se)
+    # the agents' noise is independent: cross moments about 0
+    cross = u[:, 0].T @ u[:, 1] / M
+    assert np.all(np.abs(cross) < 4 * np.sqrt(np.outer(var[0], var[1]) / M))
+    # consecutive rollouts read disjoint stretches of one stream: no lag-1 correlation
+    z = (u / np.sqrt(var)).reshape(M, 4)
+    lag = z[:-1].T @ z[1:] / (M - 1)
+    assert np.all(np.abs(lag) < 4 / np.sqrt(M - 1))
 
 
 def test_nash_first_order_stationarity(intersection_spec, theta_star):

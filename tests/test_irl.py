@@ -33,7 +33,7 @@ def _cfg(**kw) -> TrainingConfig:
 def _matched_demos(spec, solver, M, seed):
     """Rollouts of the training start (all weights one) drawn with the first visit's seed."""
     policies = build_policies([CostParams.ones()] * spec.k, spec, solver)
-    return sample_rollouts(policies, spec, M, derive_seed(seed, 0, 0))
+    return sample_rollouts(policies, spec, M, derive_seed(seed, 0))
 
 
 def test_update_theta_fixed_point_on_matched_features(single_agent_spec):
@@ -269,7 +269,7 @@ def _reference_multi_agent_irl(dataset, spec, cfg):
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
         policies = game.solve()
-        seed = derive_seed(cfg.seed, sweep, 0)
+        seed = derive_seed(cfg.seed, sweep)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
         for i in range(spec.k):
             gap = expected_features(rollouts, [i], goals[[i]], cfg.proximity)[0] - demo_phi[i]
@@ -288,7 +288,7 @@ def _reference_single_agent_irl(dataset, spec, cfg):
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
         policies = game.solve()
-        seed = derive_seed(cfg.seed, sweep, 0)
+        seed = derive_seed(cfg.seed, sweep)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
         gaps = expected_features(rollouts, range(spec.k), goals, cfg.proximity) - demo_phi
         agg = np.mean(gaps, axis=0)

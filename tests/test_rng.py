@@ -8,40 +8,37 @@ import pytest
 
 import crowdirl
 from crowdirl.errors import ValidationError
-from crowdirl.rng import _stream_keys, derive_seed, normal_streams, substream
+from crowdirl.game import PolicySequence, sample_rollouts
+from crowdirl.rng import derive_seed, substream
+from crowdirl.trajectory import AgentState, JointState, ScenarioSpec
 
 
 @pytest.mark.parametrize(
     "seed", [0, 2**64 - 1, derive_seed(11, 3, 2), 2**32 - 1, 2**32, derive_seed(0, 0, 0)]
 )
 @pytest.mark.parametrize("M", [1, 7, 40])
-def test_normal_streams_equal_substream_draws_bit_for_bit(seed, M):
+def test_rows_of_one_stream_do_not_depend_on_the_draw_size(seed, M):
+    # a rollout set's noise is one draw filled in row order: row m is the same
+    # stretch of the stream whatever M is, and chunked draws continue it
     shape = (30, 3, 2)
-    got = normal_streams(seed, M, shape)
-    assert got.shape == (M, *shape)
-    for m in range(M):
-        assert np.array_equal(got[m], substream(seed, m).standard_normal(shape))
+    ref = substream(seed).standard_normal((64, *shape))
+    assert np.array_equal(substream(seed).standard_normal((M, *shape)), ref[:M])
+    gen = substream(seed)
+    chunks = [gen.standard_normal((m, *shape)) for m in (M, 64 - M)]
+    assert np.array_equal(np.concatenate(chunks), ref)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(11, 3, 2)])
-def test_stream_keys_equal_seed_sequence_states(seed):
-    # the seed is one 32-bit entropy word below 2**32 and two from there on
-    keys = _stream_keys(seed, 1000)
-    ref = [np.random.SeedSequence([seed, m]).generate_state(2, np.uint64) for m in range(1000)]
-    assert keys.dtype == np.uint64
-    assert np.array_equal(keys, np.array(ref))
-
-
-def test_normal_streams_reject_two_word_stream_indices():
-    # (2**32, 2**32) normals could never be allocated: the bound is checked first
-    for call in (lambda: _stream_keys(0, 2**32), lambda: normal_streams(0, 2**32, (2**32,))):
-        with pytest.raises(ValidationError, match="2\\*\\*32 - 1 streams"):
+def test_negative_seeds_are_rejected():
+    policies = PolicySequence(
+        K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), Sigma=np.eye(2)[None, None],
+        nominal_states=np.zeros((2, 4)), dt=1.0,
+    )
+    spec = ScenarioSpec(
+        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=1.0
+    )
+    for call in (lambda: substream(-1), lambda: sample_rollouts(policies, spec, 2, seed=-1)):
+        with pytest.raises(ValidationError, match="nonnegative"):
             call()
-
-
-def test_normal_streams_reject_negative_seeds():
-    with pytest.raises(ValidationError):
-        normal_streams(-1, 2, (3,))
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
