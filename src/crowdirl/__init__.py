@@ -35,7 +35,6 @@ from .features import (
     cost,
     expected_features,
     stage_cost_models,
-    trajectory_cost,
 )
 from .game import (
     Game,
@@ -68,10 +67,8 @@ from .metrics import (
     evaluate_method,
     fde,
     make_predictor,
-    rank_methods,
     rmse,
     rmse_cdf,
-    split_dataset,
     trajectory_entropy,
 )
 from .pipeline import (

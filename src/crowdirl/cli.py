@@ -162,6 +162,7 @@ def load_config(path: str | None, flag_values: dict) -> dict:
             node = node[p]
         node[leaf] = value
     check_u_max(cfg["u_max"])
+    _solver_config(cfg)
     for key in ("best_of", "gmm_components"):
         value = cfg["eval"][key]
         if not (float(value).is_integer() and value >= 1):
@@ -249,19 +250,18 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
 
 
 def _spec_from_demos(demos: list[Trajectory], header: dict) -> ScenarioSpec:
-    """Scenario implied by a demonstration file: mean x0, header or inferred goals.
+    """Scenario implied by a demonstration file: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
     predictors start each demo from its own x0.
     """
     k, dt = demos[0].k, demos[0].dt
-    x0_mean = np.mean([d.states[0] for d in demos], axis=0)
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
     return ScenarioSpec(
         k=k,
-        x0=JointState.from_array(x0_mean),
+        x0=JointState.from_array(demos[0].states[0]),
         goals=goals,
         horizon=demos[0].horizon,
         dt=dt,

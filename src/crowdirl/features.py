@@ -206,9 +206,3 @@ def stage_cost_models(
         for i in range(spec.k)
     ]
 
-
-def trajectory_cost(model: StageCostModel, traj: Trajectory) -> float:
-    """Total cost of a trajectory under a stage model (equals theta . features)."""
-    state_terms = model.state_cost(traj.states)
-    u = traj.agent_controls(model.agent)
-    return float(np.sum(state_terms) + model.control_weight * np.sum(u * u))

@@ -2,27 +2,26 @@
 
 A backward recursion stacks every agent's first-order optimality condition at
 each timestep into one coupled linear system, yielding simultaneous affine
-feedback laws (a feedback Nash point of the quadratic game). The recursion
-reads each agent's cost as one `CostExpansion` and works on all agents at
-once along a leading agent axis; one LU per step, on one right-hand-side
-buffer [Yk | yff | I] reused by every step, gives the gains and the inverse
-whose norm screens the system's condition. Each agent's policy is
-Gaussian around its feedback mean; the covariance is the tempered inverse of
-that agent's control-space curvature of its Q-function. Nothing later in the
-recursion reads it, so all T*k covariances are formed after the sweep. Along
-near-straight nominal trajectories this curvature can lose positive
-definiteness; the covariance is then repaired by the smallest uniform diagonal
-shift that restores a configurable eigenvalue floor. The repair trades modeled
-decision randomness for numerical tractability; every stage whose covariance
-was shifted is recorded in the solver diagnostics.
+feedback laws (a feedback Nash point of the quadratic game). It runs on the
+augmented state [dx; 1], each agent's `CostExpansion` read as one
+(n+1, n+1) cost per step: per step, one LU of the right-hand side
+[B^T Z A | I] gives every agent's [K | alpha] and the inverse that screens
+the condition, and one symmetrized update every value matrix. Each policy is
+Gaussian around its feedback mean, with covariance the tempered inverse of
+the agent's control-space curvature of its Q-function, formed for all T*k
+stages after the sweep. Where that curvature loses positive definiteness
+(near-straight nominals) the covariance is repaired by the smallest uniform
+diagonal shift that restores a configurable eigenvalue floor, trading
+modeled decision randomness for tractability; the diagnostics record every
+repaired stage.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
-dynamics, the constant-velocity nominal, the per-agent cost models and the
-outer re-expansion loop. Synthesis and evaluation reach it through
-`build_policies` / `solve_scenario`; the IRL loop holds a `Game` and sets
-every agent's new weights once per sweep, so every solve expands every
-agent's cost afresh. Solved policies are arrays indexed [t, agent]: gains K
-(T, k, 2, 4k), feedforward kff (T, k, 2) and covariances Sigma (T, k, 2, 2).
+dynamics, the constant-velocity nominal, every agent's expansion along it
+(formed once, re-weighted by `set_theta`) and the outer re-expansion loop.
+Synthesis and evaluation reach it through `build_policies`; the IRL loop
+holds a `Game` and sets every agent's weights once per sweep. Policies are
+arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
+and covariances Sigma (T, k, 2, 2).
 
 Rollouts hand the feedback law to `trajectory.rollout`, which steps every
 agent of all M rollouts at once; the noise of the whole set is one
@@ -79,10 +78,9 @@ class SolverConfig:
     outer_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.eps_psd > 0:
-            raise ValidationError(f"eps_psd must be positive, got {self.eps_psd!r}")
-        if not self.entropy_temp > 0:
-            raise ValidationError(f"entropy_temp must be positive, got {self.entropy_temp!r}")
+        for key, value in (("eps_psd", self.eps_psd), ("entropy_temp", self.entropy_temp)):
+            if not (value > 0 and np.isfinite(value)):
+                raise ValidationError(f"{key} must be positive and finite, got {value!r}")
         if self.max_outer_iters < 1:
             raise ValidationError("max_outer_iters must be >= 1")
 
@@ -235,60 +233,58 @@ def solve_lq_game(
     if nominal is not None and (nominal.horizon != T or nominal.states.shape[1] != n):
         raise ValidationError("nominal trajectory does not match costs/dynamics")
 
-    # Agent axis leads within each step: Q[t] is (k, n, n), r[t] is (k, 2).
-    Q = np.stack([e.Q for e in costs], axis=1)
-    q = np.stack([e.q for e in costs], axis=1)
-    r = np.stack([e.r for e in costs], axis=1)
+    # On the augmented state [dx; 1], agent i's stage cost is
+    # Qa[t, i] = [[Q, q], [q^T, 2c]] and its policy u_i = -[K | alpha] [dx; 1].
+    m, n1 = CONTROL_DIM * k, n + 1
+    Qa = np.empty((T + 1, k, n1, n1))
+    for i, e in enumerate(costs):
+        e.fill(Qa[:, i])
+    r = np.stack([e.r for e in costs], axis=1)  # (T, k, 2)
     R = np.array([e.R for e in costs])[:, None, None]
-    A = dyn.A
-    Bt = np.swapaxes(dyn.B, 1, 2)  # (k, 2, n)
-    B_all = Bt.reshape(CONTROL_DIM * k, n).T  # (n, 2k): every agent's B side by side
-    own = np.arange(k)
+    A = np.pad(dyn.A, (0, 1))
+    A[n, n] = 1.0
+    Bt = np.pad(np.swapaxes(dyn.B, 1, 2), ((0, 0), (0, 0), (0, 1)))  # (k, 2, n+1)
+    B_all = Bt.reshape(m, n1).T  # (n+1, 2k): every agent's B side by side
+    # where each agent's own 2x2 block of the (2k, 2k) gain system sits in its ravel
+    own = (2 * m + 2) * np.arange(k)[:, None, None] + m * np.arange(2)[:, None] + np.arange(2)
     R_eye = R * np.eye(CONTROL_DIM)  # (k, 2, 2): the effort curvature of each agent
-    m = CONTROL_DIM * k
-    # One right-hand side [Yk | yff | I] for every step: the identity columns
-    # give S^-1 for the condition screen; Yk and yff are overwritten per step.
-    rhs = np.zeros((m, n + 1 + m))
-    rhs[:, n + 1 :] = np.eye(m)
+    # One right-hand side [B^T Z A | I] for every step: the identity columns
+    # give S^-1 for the condition screen; the others are overwritten per step.
+    rhs = np.zeros((m, n1 + m))
+    rhs[:, n1:] = np.eye(m)
     u_nom = nominal.controls if nominal is not None else np.zeros((T, k, CONTROL_DIM))
-    Z, zeta = Q[T], q[T]
-    K_out = np.empty((T, k, CONTROL_DIM, n))
-    kff_out = np.empty((T, k, CONTROL_DIM))
+    Z = Qa[T]
+    gains_out = np.empty((T, m, n1))
     Huu_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
 
     for t in range(T - 1, -1, -1):
-        BtZ = Bt @ Z  # (k, 2, n)
+        BtZ = Bt @ Z  # (k, 2, n+1)
         # Stacked stationarity system: row block i is agent i's gradient wrt
         # its own control, column block j the coupling to agent j's control.
-        S = BtZ.reshape(m, n) @ B_all
-        blocks = S.reshape(k, CONTROL_DIM, k, CONTROL_DIM)
+        S = BtZ.reshape(m, n1) @ B_all
+        S_flat = S.reshape(-1)
         # Control-space curvature of each agent's Q-function.
-        Huu_q = blocks[own, :, own, :] + R_eye
+        Huu_q = S_flat[own] + R_eye
         Huu_q = 0.5 * (Huu_q + np.swapaxes(Huu_q, 1, 2))
-        blocks[own, :, own, :] = Huu_q
-        rhs[:, :n] = (BtZ @ A).reshape(m, n)
-        rhs[:, n] = (r[t] + (Bt @ zeta[..., None])[..., 0]).reshape(m)
-
-        sol = _solve_gains(S, rhs, t)
-        K_all, alpha_all = sol[:, :-1], sol[:, -1]
-        K = K_all.reshape(k, CONTROL_DIM, n)
-        alpha = alpha_all.reshape(k, CONTROL_DIM)
-        K_out[t] = K
-        kff_out[t] = u_nom[t] - alpha
+        S_flat[own] = Huu_q
+        # S [K | alpha] = B^T Z A, with each agent's r added to the last column
+        rhs[:, :n1] = (BtZ @ A).reshape(m, n1)
+        rhs[:, n] += r[t].reshape(m)
+        gains = _solve_gains(S, rhs, t)  # (2k, n+1)
+        G = gains.reshape(k, CONTROL_DIM, n1)
+        gains_out[t] = gains
         Huu_out[t] = Huu_q
 
-        # Closed-loop value recursion for every agent.
-        F = A - B_all @ K_all
-        beta = -B_all @ alpha_all
-        Kt = np.swapaxes(K, 1, 2)  # (k, n, 2)
-        Z_new = Q[t] + R * (Kt @ K) + F.T @ Z @ F
-        zeta = (
-            q[t]
-            + (Kt @ (R[..., 0] * alpha - r[t])[..., None])[..., 0]
-            + ((zeta + (Z @ beta)) @ F)
-        )
+        # Closed-loop value recursion for every agent; the stage cost of
+        # u_i = -G_i [dx; 1] is G_i^T (R G_i - 2 r e_n^T) before symmetrization.
+        F = A - B_all @ gains
+        RG = R * G
+        RG[..., n] -= 2.0 * r[t]
+        Z_new = Qa[t] + np.swapaxes(G, 1, 2) @ RG + F.T @ Z @ F
         Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
 
+    K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
+    kff_out = u_nom - gains_out[..., n].reshape(T, k, CONTROL_DIM)
     # Nothing in the recursion reads the covariances, so they are formed for
     # all stages at once; repairs are logged in recursion order.
     Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
@@ -343,11 +339,10 @@ def _robust_inverse(M: np.ndarray) -> np.ndarray:
 class Game:
     """One scenario's game: dynamics, nominal, per-agent costs and the solve.
 
-    Every agent's cost is expanded to quadratics along the constant-velocity
-    nominal and the coupled game is solved there. With cfg.max_outer_iters > 1
-    the costs are re-expanded around the latest mean rollout (clamped at u_max,
-    as sampling clamps) until it moves less than cfg.outer_tol. Synthesis,
-    training and evaluation all solve through this class.
+    Every agent's cost is expanded once along the constant-velocity nominal
+    and re-weighted when its weights change. With cfg.max_outer_iters > 1
+    each solve re-expands the costs around the latest mean rollout (clamped
+    at u_max, as sampling clamps) until it moves less than cfg.outer_tol.
     """
 
     def __init__(
@@ -365,23 +360,25 @@ class Game:
         self.u_max = u_max
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
+        self.costs = [expand_model_along(m, self.nominal) for m in self.models]
 
     def set_theta(self, agent: int, theta: CostParams) -> None:
         """Replace one agent's cost weights; the next solve uses them."""
         self.models[agent] = replace(self.models[agent], theta=theta)
+        self.costs[agent] = self.costs[agent].reweighted(theta.weights)
 
     def solve(self) -> PolicySequence:
         """Policies of the game at the current weights."""
-        nominal = self.nominal
+        nominal, costs = self.nominal, self.costs
         for it in range(self.cfg.max_outer_iters):
-            expansions = [expand_model_along(m, nominal) for m in self.models]
-            policies = solve_lq_game(self.dyn, expansions, self.cfg, nominal=nominal)
+            policies = solve_lq_game(self.dyn, costs, self.cfg, nominal=nominal)
             if it + 1 == self.cfg.max_outer_iters:
                 break
             refit = mean_rollout(policies, self.spec, self.u_max)
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
+            costs = [expand_model_along(m, nominal) for m in self.models]
         return policies
 
 

@@ -31,7 +31,6 @@ from .errors import FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from .pipeline import read_text_lines
-from .rng import substream
 from .trajectory import (
     CONTROL_DIM,
     DEFAULT_U_MAX,
@@ -227,11 +226,6 @@ def score_predictions(
     )
 
 
-def rank_methods(reports: Sequence[MetricReport]) -> list[MetricReport]:
-    """Sort by aggregate ADE, breaking ties by FDE, then by label."""
-    return sorted(reports, key=lambda r: (r.ade, r.fde, r.method))
-
-
 # --- scoring protocol ---------------------------------------------------------
 
 
@@ -346,17 +340,6 @@ def evaluate_method(
 ) -> MetricReport:
     predictions = make_predictor(method, ctx)(eval_demos)
     return score_predictions(method, scenario, eval_demos, predictions)
-
-
-def split_dataset(
-    demos: Sequence[Trajectory], train_frac: float = 0.6, seed: int = 0
-) -> tuple[list[Trajectory], list[Trajectory]]:
-    """Seed-shuffled train/validation split (default 60-40)."""
-    if not 0 < train_frac < 1:
-        raise ValidationError("train_frac must be in (0, 1)")
-    order = substream(seed, 0x5317).permutation(len(demos))
-    cut = int(round(train_frac * len(demos)))
-    return [demos[j] for j in order[:cut]], [demos[j] for j in order[cut:]]
 
 
 # --- emission -----------------------------------------------------------------

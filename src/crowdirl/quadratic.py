@@ -4,18 +4,20 @@ Each agent's cost is expanded along a nominal trajectory into a quadratic in
 the deviations (dx, du) at every step, held as one `CostExpansion` of arrays
 over the whole horizon: state curvature Q, gradient q and offset c for steps
 0..T (row T is the terminal cost), plus the control curvature R and control
-gradient r. The cost is theta . phi over three features with closed-form
-derivatives and no state-control coupling, so the expansion is exact and
-computed for all nominal states at once.
+gradient r. The cost is theta . phi over three closed-form features with no
+state-control coupling, so the expansion is exact and linear in theta:
+`expand_model_along` forms the features' theta-free terms once per nominal,
+and the `FeatureExpansion` it returns re-weights them without expanding again.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
-from .features import StageCostModel
+from .errors import InternalError, ValidationError
+from .features import StageCostModel, state_features
 from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
 
 SYMMETRY_TOL = 1e-9
@@ -68,6 +70,13 @@ class CostExpansion:
     @property
     def state_dim(self) -> int:
         return self.Q.shape[1]
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
+        n = self.state_dim
+        out[:, :n, :n] = self.Q
+        out[:, :n, n] = out[:, n, :n] = self.q
+        out[:, n, n] = 2.0 * self.c
 
 
 @dataclass(frozen=True)
@@ -139,6 +148,53 @@ def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
     return vals
 
 
+class FeatureExpansion(CostExpansion):
+    """The CostExpansion of theta . phi, weighted from theta-free feature terms.
+
+    basis[f, t, e] is the goal (f = 0) or crowding (f = 1) feature's part of
+    entry (rows[e], cols[e]) of the augmented cost [[Q, q], [q^T, 2c]] at state
+    t, 2c last; the effort feature reads the nominal controls (T, 2). Formed and
+    checked finite here: the entries (w0 basis[0] + w1 basis[1]) / (T+1) plus
+    R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly symmetric
+    because the terms are; dense Q, q and c are formed only when read.
+    """
+
+    def __init__(self, rows, cols, basis, controls, weights: np.ndarray):
+        w_goal, w_crowd, w_effort = (float(w) for w in weights)
+        entries = (w_goal * basis[0] + w_crowd * basis[1]) / (len(controls) + 1)
+        R = 2.0 * (w_effort / len(controls))
+        entries[:-1, -1] += R * np.sum(controls * controls, axis=-1)
+        r = R * controls
+        if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(r))):
+            raise ValidationError("cost expansion contains non-finite values")
+        r.setflags(write=False)
+        vars(self).update(rows=rows, cols=cols, basis=basis, controls=controls,
+                          _entries=entries, R=R, r=r)
+
+    def reweighted(self, weights: np.ndarray) -> "FeatureExpansion":
+        """The expansion of the same terms at new weights (theta0, theta1, theta2)."""
+        return FeatureExpansion(self.rows, self.cols, self.basis, self.controls, weights)
+
+    @property
+    def state_dim(self) -> int:
+        return int(self.rows[-1])
+
+    def fill(self, out: np.ndarray) -> None:
+        out[...] = 0.0
+        out[:, self.rows, self.cols] = self._entries
+
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        out = np.empty((self.horizon + 1, self.state_dim + 1, self.state_dim + 1))
+        self.fill(out)
+        out.setflags(write=False)
+        return out
+
+    Q = property(lambda self: self._dense[:, :-1, :-1])
+    q = property(lambda self: self._dense[:, :-1, -1])
+    c = property(lambda self: self._dense[:, -1, -1] / 2.0)
+
+
 def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpansion:
     """Exact quadratic expansion of one agent's StageCostModel along a nominal.
 
@@ -146,41 +202,49 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     e_j = exp(-|r_j|^2 / sigma^2), the kernel e_j has gradient -2 e_j r_j / sigma^2
     in p_i and +2 e_j r_j / sigma^2 in p_j, and curvature
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
-    position blocks, -M_j on (i, j) and (j, i). The goal term adds 2 theta0 I
-    to agent i's own position block; state terms carry the 1/(T+1) factor.
-    The effort term theta2/T * |u|^2 gives R = 2 theta2/T and r = R u. Offsets are cost values at the nominal, so a
-    non-finite cost raises ValidationError.
+    position blocks, -M_j on (i, j) and (j, i). The goal term |p_i - g|^2 has
+    gradient 2 (p_i - g) and curvature 2 I on p_i. These terms are checked
+    once, finite and exactly symmetric, then weighted by the model's theta.
     """
-    states = nominal.states
     T, k, i = nominal.horizon, model.k, model.agent
     n = STATE_DIM * k
     s2 = model.sigma * model.sigma
-    w_goal, w_prox, _ = model.theta.weights
-    c_state = _eval_batch(model.state_cost, states)
+    goal_value, crowd_value = state_features(nominal.states, [i], model.goal[None], model.sigma)
 
-    pos = states.reshape(T + 1, k, STATE_DIM)[..., :2]
+    pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
     r = pos[:, i : i + 1] - pos  # (T+1, k, 2); zero at j == i
     e = np.exp(-np.sum(r * r, axis=-1) / s2)
     e[:, i] = 0.0  # no self term
     grad = (2.0 / s2) * e[..., None] * r  # d e_j / d p_j
+    # r r^T is formed before scaling, so that each M_j is exactly symmetric
     M = e[..., None, None] * (
-        (4.0 / (s2 * s2)) * r[..., :, None] * r[..., None, :] - (2.0 / s2) * np.eye(2)
+        (4.0 / (s2 * s2)) * (r[..., :, None] * r[..., None, :]) - (2.0 / s2) * np.eye(2)
     )  # (T+1, k, 2, 2)
 
-    l = np.zeros((T + 1, k, STATE_DIM))
-    l[:, :, :2] = w_prox * grad
-    l[:, i, :2] = 2.0 * w_goal * (pos[:, i] - model.goal) - w_prox * grad.sum(axis=1)
-    H = np.zeros((T + 1, k, STATE_DIM, k, STATE_DIM))
-    H[:, i, :2, :, :2] = -w_prox * M.transpose(0, 2, 1, 3)
-    H[:, :, :2, i, :2] = -w_prox * M
-    agents = np.arange(k)
-    H[:, agents, :2, agents, :2] = w_prox * M.transpose(1, 0, 2, 3)
-    H[:, i, :2, i, :2] = 2.0 * w_goal * np.eye(2) + w_prox * M.sum(axis=1)
-    Hx = H.reshape(T + 1, n, n) / (T + 1)
-    lx = l.reshape(T + 1, n) / (T + 1)
-
-    R = 2.0 * model.control_weight
-    u = nominal.agent_controls(i)
-    c = c_state.copy()
-    c[:T] += 0.5 * R * np.sum(u * u, axis=-1)
-    return CostExpansion(Q=Hx, q=lx, c=c, R=R, r=R * u)
+    # H, l and 2c of the goal (0) and crowding (1) features, laid out densely
+    # once to find the entries they occupy (H and l are views: reshapes split axes)
+    aug = np.zeros((2, T + 1, n + 1, n + 1))
+    H = aug[:, :, :n, :n].reshape(2, T + 1, k, STATE_DIM, k, STATE_DIM)
+    l = aug[:, :, n, :n].reshape(2, T + 1, k, STATE_DIM)
+    H[0, :, i, :2, i, :2] = 2.0 * np.eye(2)
+    crowd, agents = H[1], np.arange(k)
+    crowd[:, i, :2, :, :2] = -M.transpose(0, 2, 1, 3)
+    crowd[:, :, :2, i, :2] = -M
+    crowd[:, agents, :2, agents, :2] = M.transpose(1, 0, 2, 3)
+    crowd[:, i, :2, i, :2] = M.sum(axis=1)
+    l[0, :, i, :2] = 2.0 * (pos[:, i] - model.goal)
+    l[1, :, :, :2] = grad
+    l[1, :, i, :2] = -grad.sum(axis=1)
+    aug[:, :, :n, n] = aug[:, :, n, :n]
+    aug[:, :, n, n] = 2.0 * np.stack([goal_value[:, 0], crowd_value[:, 0]])
+    if not np.all(np.isfinite(aug)):
+        raise ValidationError("cost function returned non-finite values along the nominal")
+    if not np.array_equal(aug, np.swapaxes(aug, -1, -2)):
+        raise InternalError("feature curvature is not exactly symmetric")
+    used = np.any(aug != 0.0, axis=(0, 1))
+    used[n, n] = True  # 2c, the last entry
+    rows, cols = np.nonzero(used)
+    basis = aug[:, :, rows, cols]
+    for a in (rows, cols, basis):
+        a.setflags(write=False)
+    return FeatureExpansion(rows, cols, basis, nominal.agent_controls(i), model.theta.weights)

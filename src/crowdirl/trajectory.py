@@ -202,11 +202,6 @@ class Trajectory(_TrackArrays):
         self._check_agent(agent)
         return self.controls[:, agent, :]
 
-    def propagation_residual(self) -> float:
-        """Max deviation between recorded states and a replay of the controls."""
-        replay = propagate_joint(self.states[:-1], self.controls, self.dt)
-        return float(np.max(np.abs(replay - self.states[1:])))
-
     def _check_agent(self, agent: int) -> None:
         if not 0 <= agent < self.k:
             raise ValidationError(f"agent index {agent} out of range for k={self.k}")

@@ -115,6 +115,22 @@ class TestConfig:
         assert "u_max must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--entropy-temp", "entropy_temp"), ("--eps-psd", "eps_psd")])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_infinite_solver_setting_exits_2_naming_the_key(self, tmp_path, capsys, command, flag, key):
+        # both used to pass the config and fail only after a solve, as non-finite Sigma
+        demos = _synth(tmp_path, n=2)
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(out), "--n", "2"],
+            "train": ["train", str(demos), "--out", str(out)],
+            "eval": ["eval", str(demos), "--baseline", "cv", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([flag, "inf", "--iters", "1", *argv]) == 2
+        assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("u_max", [-1, 0, -0.5])
     def test_bound_that_is_not_positive_in_a_config_file_exits_2(self, tmp_path, capsys, u_max):
         cfg_path = tmp_path / "cfg.json"
@@ -286,6 +302,22 @@ class TestTrain:
         assert rc == 3
         payload = json.loads(out.read_text())
         assert payload["thetas"][0] == payload["thetas"][1] == payload["thetas"][2]
+
+    def test_trains_from_demo_0s_start_bit_for_bit(self, tmp_path, monkeypatch):
+        # the mean of six equal starts is an ulp off them; training must not see it
+        demos, _ = read_demonstrations(_synth(tmp_path))
+        assert not np.array_equal(np.mean([d.states[0] for d in demos], axis=0), demos[0].states[0])
+        specs, train = [], cli.multi_agent_irl
+
+        def recording(dataset, spec, cfg):
+            specs.append(spec)
+            return train(dataset, spec, cfg)
+
+        monkeypatch.setattr(cli, "multi_agent_irl", recording)
+        rc = main([*FAST_TRAIN, "--iters", "1", "train", str(tmp_path / "demos.traj"),
+                   "--out", str(tmp_path / "t.json")])
+        assert rc in (0, 3)
+        assert specs[0].x0.as_array().tobytes() == demos[0].states[0].tobytes()
 
     def test_demonstrations_from_different_starts_exit_2(self, tmp_path, capsys):
         demos, header = read_demonstrations(_synth(tmp_path))

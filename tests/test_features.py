@@ -13,7 +13,6 @@ from crowdirl.features import (
     cost,
     expected_features,
     stage_cost_models,
-    trajectory_cost,
 )
 from crowdirl.trajectory import (
     AgentState,
@@ -218,6 +217,12 @@ def test_stage_cost_model_reproduces_weighted_features(intersection_spec, theta_
         direct = cost(theta_star[i], phi)
         staged = trajectory_cost(model, traj)
         assert abs(direct - staged) < 1e-10
+
+
+def trajectory_cost(model, traj):
+    """Total cost of a trajectory under a stage model, summed term by term."""
+    u = traj.agent_controls(model.agent)
+    return float(np.sum(model.state_cost(traj.states)) + model.control_weight * np.sum(u * u))
 
 
 def test_stage_cost_model_control_weight(intersection_spec, theta_star):

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from crowdirl.cli import scenario_preset
 from crowdirl.errors import InternalError, SolverError, ValidationError
-from crowdirl.features import CostParams, stage_cost_models
+from crowdirl.features import (
+    DEFAULT_SIGMA,
+    CostParams,
+    expected_features,
+    stage_cost_models,
+    state_features,
+)
 from crowdirl.game import (
     FEEDBACK_TILE,
     MAX_GAIN_CONDITION,
@@ -33,6 +39,7 @@ from crowdirl.trajectory import (
 )
 from crowdirl.rng import substream
 from fd_oracle import cost_expansion, expand_along
+from moment_oracle import exact_features
 from test_trajectory import norm_where_clamp
 
 
@@ -408,6 +415,28 @@ def test_sampled_control_mean_obeys_clt():
     assert np.all(np.abs(lag) < 4 / np.sqrt(M - 1))
 
 
+def test_sampled_features_match_the_exact_moments_of_the_coupled_game(theta_star):
+    # no clamp, so the joint state is Gaussian; at entropy_temp 1 the noise moves
+    # every feature 20 to 350 standard errors away from the mean path's
+    spec, M = scenario_preset("intersection_k3"), 4000
+    policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1.0))
+    rollouts = sample_rollouts(policies, spec, M, seed=3, u_max=np.inf)
+    got = expected_features(rollouts, range(3), spec.goals)
+    goal, crowd = state_features(rollouts.states, np.arange(3), spec.goals, DEFAULT_SIGMA)
+    effort = np.sum(rollouts.controls**2, axis=-1)
+    per_traj = np.stack([goal.mean(axis=1), crowd.mean(axis=1), effort.mean(axis=1)], axis=-1)
+    se = per_traj.std(axis=0, ddof=1) / np.sqrt(M)
+    assert np.all(np.abs(got - exact_features(policies, spec)) < 4 * se)
+
+
+def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
+    spec = scenario_preset("intersection_k3")
+    policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
+    mean = mean_rollout(policies, spec, u_max=np.inf)
+    ref = expected_features([mean], range(3), spec.goals)
+    assert np.max(np.abs(exact_features(policies, spec) - ref)) <= 1e-9
+
+
 def test_nash_first_order_stationarity(intersection_spec, theta_star):
     models = stage_cost_models(theta_star, intersection_spec)
     nominal = constant_velocity_rollout(intersection_spec)
@@ -495,7 +524,54 @@ def test_solve_screens_the_gain_condition_through_its_identity_columns():
 
 
 def _per_step_reference(dyn, costs, cfg, nominal):
-    """The recursion with the gain condition, solve and covariance formed stage by stage."""
+    """The augmented recursion with the gain condition, solve and covariance formed stage by stage."""
+    k, n, T = dyn.k, dyn.state_dim, costs[0].horizon
+    Qa = np.zeros((T + 1, k, n + 1, n + 1))
+    for i, e in enumerate(costs):
+        Qa[:, i, :n, :n] = e.Q
+        Qa[:, i, :n, n] = Qa[:, i, n, :n] = e.q
+        Qa[:, i, n, n] = 2.0 * e.c
+    r = np.stack([e.r for e in costs], axis=1)
+    R = np.array([e.R for e in costs])[:, None, None]
+    A = np.eye(n + 1)
+    A[:n, :n] = dyn.A
+    Bt = np.zeros((k, 2, n + 1))
+    Bt[..., :n] = np.swapaxes(dyn.B, 1, 2)
+    B_all = Bt.reshape(2 * k, n + 1).T
+    own, eye = np.arange(k), np.eye(2)
+    Z = Qa[T]
+    K_out, kff_out, Sigma_out = np.empty((T, k, 2, n)), np.empty((T, k, 2)), np.empty((T, k, 2, 2))
+    events = []
+    for t in range(T - 1, -1, -1):
+        BtZ = Bt @ Z
+        S = BtZ.reshape(2 * k, n + 1) @ B_all
+        blocks = S.reshape(k, 2, k, 2)
+        Huu_q = blocks[own, :, own, :] + R * eye
+        Huu_q = 0.5 * (Huu_q + np.swapaxes(Huu_q, 1, 2))
+        blocks[own, :, own, :] = Huu_q
+        Y = (BtZ @ A).reshape(2 * k, n + 1)
+        Y[:, n] += r[t].reshape(-1)
+        if np.linalg.cond(S) > MAX_GAIN_CONDITION:
+            raise SolverError("coupled gain system is numerically singular", timestep=t)
+        sol = np.linalg.solve(S, Y)
+        G = sol.reshape(k, 2, n + 1)
+        sigma = cfg.entropy_temp * _robust_inverse(Huu_q)
+        sigma = 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+        shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(sigma)[:, 0])
+        for i in np.flatnonzero(shift > 0.0):
+            sigma[i] = condition_covariance(sigma[i], cfg.eps_psd)
+            events.append((t, int(i), float(shift[i])))
+        K_out[t], kff_out[t], Sigma_out[t] = G[..., :n], nominal.controls[t] - G[..., n], sigma
+        F = A - B_all @ sol
+        RG = R * G
+        RG[..., n] -= 2.0 * r[t]
+        Z_new = Qa[t] + np.swapaxes(G, 1, 2) @ RG + F.T @ Z @ F
+        Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
+    return K_out, kff_out, Sigma_out, events
+
+
+def _unaugmented_reference(dyn, costs, cfg, nominal):
+    """The recursion on dx alone: [K | alpha] from [Yk | yff], then separate Z and zeta updates."""
     k, n, T = dyn.k, dyn.state_dim, costs[0].horizon
     Q = np.stack([e.Q for e in costs], axis=1)
     q = np.stack([e.q for e in costs], axis=1)
@@ -516,8 +592,6 @@ def _per_step_reference(dyn, costs, cfg, nominal):
         blocks[own, :, own, :] = Huu_q
         Yk = (BtZ @ A).reshape(2 * k, n)
         yff = r[t] + (Bt @ zeta[..., None])[..., 0]
-        if np.linalg.cond(S) > MAX_GAIN_CONDITION:
-            raise SolverError("coupled gain system is numerically singular", timestep=t)
         sol = np.linalg.solve(S, np.concatenate([Yk, yff.reshape(-1, 1)], axis=1))
         K_all, alpha_all = sol[:, :-1], sol[:, -1]
         K, alpha = K_all.reshape(k, 2, n), alpha_all.reshape(k, 2)
@@ -539,7 +613,13 @@ def _per_step_reference(dyn, costs, cfg, nominal):
     return K_out, kff_out, Sigma_out, events
 
 
-@pytest.mark.parametrize(
+def _expanded_scene(spec, theta):
+    models = stage_cost_models([CostParams(np.array(theta))] * spec.k, spec)
+    nominal = constant_velocity_rollout(spec)
+    return [expand_model_along(m, nominal) for m in models], linearize_dynamics(spec.k, spec.dt), nominal
+
+
+REPAIRED_SCENES = pytest.mark.parametrize(
     "spec, theta, temp, repaired",
     [
         (scenario_preset("intersection_k3"), (0.5, 8.0, 0.01), 1.0, 15),
@@ -548,12 +628,12 @@ def _per_step_reference(dyn, costs, cfg, nominal):
     ],
     ids=["intersection_k3", "ring8", "ring12"],
 )
+
+
+@REPAIRED_SCENES
 def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, repaired):
     cfg = SolverConfig(entropy_temp=temp)
-    models = stage_cost_models([CostParams(np.array(theta))] * spec.k, spec)
-    nominal = constant_velocity_rollout(spec)
-    costs = [expand_model_along(m, nominal) for m in models]
-    dyn = linearize_dynamics(spec.k, spec.dt)
+    costs, dyn, nominal = _expanded_scene(spec, theta)
     policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
     K, kff, Sigma, events = _per_step_reference(dyn, costs, cfg, nominal)
     assert np.array_equal(policies.K, K)
@@ -561,6 +641,42 @@ def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, rep
     assert np.array_equal(policies.Sigma, Sigma)
     assert policies.diagnostics.events == events
     assert len(events) == repaired
+
+
+def _relative_drift(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("spec, theta", [
+    (scenario_preset("intersection_k3"), (1.0, 0.5, 0.2)),
+    (_ring_spec(8), (1.0, 0.5, 0.2)),
+], ids=["intersection_k3", "ring8"])
+def test_augmented_recursion_stays_within_rounding_of_the_unaugmented_one(spec, theta):
+    cfg = SolverConfig(entropy_temp=1e-3)
+    costs, dyn, nominal = _expanded_scene(spec, theta)
+    policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
+    K, kff, Sigma, events = _unaugmented_reference(dyn, costs, cfg, nominal)
+    assert policies.diagnostics.events == events == []
+    for got, ref in ((policies.K, K), (policies.kff, kff), (policies.Sigma, Sigma)):
+        assert _relative_drift(got, ref) <= 1e-12
+
+
+@REPAIRED_SCENES
+def test_augmented_recursion_keeps_every_repair_of_the_unaugmented_one(spec, theta, temp, repaired):
+    # the same repaired (t, agent) stages; the bounds (K, Sigma, kff) sit just
+    # above the measured drift between the two recursions (1.5e-10, 5.0e-12,
+    # 4.8e-10 / 1.5e-9, 4.3e-7, 1.3e-5 / 2.6e-10, 3.1e-8, 5.3e-9 relative).
+    # These scenes are ill-conditioned: one ulp more in every entry of Q moves
+    # the unaugmented solve's K by 2.9e-11 / 2.3e-9 / 5.0e-10 relative.
+    bounds = {15: (3e-10, 1e-11, 1e-9), 16: (3e-9, 1e-6, 3e-5), 60: (5e-10, 1e-7, 1e-8)}[repaired]
+    cfg = SolverConfig(entropy_temp=temp)
+    costs, dyn, nominal = _expanded_scene(spec, theta)
+    policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
+    K, kff, Sigma, events = _unaugmented_reference(dyn, costs, cfg, nominal)
+    assert [(t, i) for t, i, _ in policies.diagnostics.events] == [(t, i) for t, i, _ in events]
+    drift = [_relative_drift(got, ref) for got, ref in
+             ((policies.K, K), (policies.Sigma, Sigma), (policies.kff, kff))]
+    assert all(d <= b for d, b in zip(drift, bounds)), drift
 
 
 def test_outer_reexpansion_refits_under_the_configured_clamp(intersection_spec):

