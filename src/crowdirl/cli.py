@@ -38,6 +38,7 @@ from .metrics import (
     score_predictions,
 )
 from .pipeline import (
+    DIRECTIONS,
     PreprocessConfig,
     combinatorial_scenarios,
     filter_tracks,
@@ -132,8 +133,17 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
                 f"config key {dotted!r} must be {json_kind(base[key])}, got {json.dumps(value)}"
             )
         else:
+            if isinstance(base[key], int):
+                _check_integer(dotted, value)
             out[key] = value
     return out
+
+
+def _check_integer(dotted: str, value) -> None:
+    """An integer key takes a whole number: the seed >= 0, every other one (a count) >= 1."""
+    least = 0 if dotted == "seed" else 1
+    if not (float(value).is_integer() and value >= least):
+        raise ValidationError(f"{dotted} must be an integer >= {least}, got {value!r}")
 
 
 def _read_json(path: str, what: str):
@@ -163,10 +173,9 @@ def load_config(path: str | None, flag_values: dict) -> dict:
         node[leaf] = value
     check_u_max(cfg["u_max"])
     _solver_config(cfg)
-    for key in ("best_of", "gmm_components"):
-        value = cfg["eval"][key]
-        if not (float(value).is_integer() and value >= 1):
-            raise ValidationError(f"eval.{key} must be an integer >= 1, got {value!r}")
+    _preprocess_config(cfg)
+    for key in ("best_of", "gmm_components"):  # the flags that set them skip the merge
+        _check_integer(f"eval.{key}", cfg["eval"][key])
     return cfg
 
 
@@ -195,7 +204,12 @@ def _training_config(cfg: dict) -> TrainingConfig:
 
 
 def _preprocess_config(cfg: dict) -> PreprocessConfig:
+    """The preprocess section as a checked config; also checks its scheme."""
     p = cfg["preprocess"]
+    for cat in p["scheme"]:
+        if not (isinstance(cat, str) and all(d in DIRECTIONS for d in cat.split("-"))):
+            raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} must be "
+                                  f"directions from {', '.join(DIRECTIONS)} joined by '-'")
     return PreprocessConfig(
         x_range=tuple(p["x_range"]),
         y_range=tuple(p["y_range"]),

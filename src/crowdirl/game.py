@@ -97,17 +97,6 @@ class SolverDiagnostics:
     def conditioned_stages(self) -> int:
         return len(self.events)
 
-    def as_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "agents": self.k,
-            "conditioned_stages": self.conditioned_stages,
-            "total_stages": self.horizon * self.k,
-            "events": [
-                {"t": t, "agent": i, "shift": s} for (t, i, s) in self.events
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class PolicySequence:

@@ -19,14 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import (
-    EnergyParams,
-    GmmModel,
-    ebm_minimizer,
-    ebm_train,
-    gmm_conditional_mean,
-    gmm_fit,
-)
+from .baselines import ebm_minimizer, ebm_train, gmm_conditional_mean, gmm_fit
 from .errors import FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
@@ -229,9 +222,12 @@ def score_predictions(
 # --- scoring protocol ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictorContext:
-    """Everything a method needs to turn a demo's start state into positions."""
+    """Everything a method needs to turn a demo's start state into positions.
+
+    Read-only and cache-free: make_predictor does all fitting and solving.
+    """
 
     spec: ScenarioSpec
     train_demos: Sequence[Trajectory]
@@ -242,9 +238,6 @@ class PredictorContext:
     best_of: int = 1
     seed: int = 0
     gmm_components: int = 3
-    _policy_cache: dict = field(default_factory=dict)
-    _gmm: GmmModel | None = None
-    _ebm: EnergyParams | None = None
 
 
 Predictor = Callable[[Sequence[Trajectory]], np.ndarray]  # demos -> (n, T+1, k, 2) positions
@@ -276,11 +269,11 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     """Position predictor for one of the named methods: demos -> (n, T+1, k, 2).
 
     cv extrapolates each agent's initial velocity: state feedback with a zero
-    action, never clamped. gmm and ebm are fitted on the training
+    action, never clamped. gmm and ebm are fitted here on the training
     demonstrations and rolled out under state feedback. These three step every
     demo and agent at once. mairl/sairl solve the game at the supplied weights
-    and follow the feedback mean (or the best of ctx.best_of sampled rollouts
-    when best_of > 1).
+    once per distinct start and give each of its demos the feedback mean (or
+    the closest of one set of ctx.best_of sampled rollouts when best_of > 1).
     """
     spec = ctx.spec
     shape = (spec.horizon + 1, spec.k, STATE_DIM)
@@ -290,18 +283,14 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
         )
 
     if method == "gmm":
-        if ctx._gmm is None:
-            pairs = np.concatenate(_demo_state_action_pairs(ctx.train_demos), axis=1)
-            ctx._gmm = gmm_fit(pairs, K=ctx.gmm_components, seed=ctx.seed)
-        model = ctx._gmm
+        pairs = np.concatenate(_demo_state_action_pairs(ctx.train_demos), axis=1)
+        model = gmm_fit(pairs, K=ctx.gmm_components, seed=ctx.seed)
         return lambda demos: _rollout_state_feedback(
             demos, spec, lambda s: gmm_conditional_mean(model, s, STATE_DIM), ctx.u_max
         )
 
     if method == "ebm":
-        if ctx._ebm is None:
-            ctx._ebm = ebm_train(*_demo_state_action_pairs(ctx.train_demos))
-        params = ctx._ebm
+        params = ebm_train(*_demo_state_action_pairs(ctx.train_demos))
         return lambda demos: _rollout_state_feedback(
             demos, spec, lambda s: ebm_minimizer(params, s), ctx.u_max
         )
@@ -311,24 +300,26 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
             raise ValidationError(f"method {method!r} needs {spec.k} weight vectors")
 
         def predict_irl(demos: Sequence[Trajectory]) -> np.ndarray:
-            out = []
-            for demo in RolloutSet.stack(demos):
-                key = demo.states[0].tobytes()
-                if key not in ctx._policy_cache:
-                    demo_spec = spec.with_x0(demo.joint_state(0))
-                    policies = build_policies(
-                        ctx.thetas, demo_spec, ctx.solver, ctx.proximity, ctx.u_max)
-                    ctx._policy_cache[key] = (policies, demo_spec)
-                policies, demo_spec = ctx._policy_cache[key]
+            demos = RolloutSet.stack(demos)
+            rows_by_start: dict[bytes, list[int]] = {}
+            for j, x0 in enumerate(demos.states[:, 0]):
+                rows_by_start.setdefault(x0.tobytes(), []).append(j)
+            out = np.empty((len(demos), *shape[:2], 2))
+            for rows in rows_by_start.values():
+                start_spec = spec.with_x0(demos[rows[0]].joint_state(0))
+                policies = build_policies(
+                    ctx.thetas, start_spec, ctx.solver, ctx.proximity, ctx.u_max)
                 if ctx.best_of <= 1:
-                    best = mean_rollout(policies, demo_spec, ctx.u_max)
-                else:
-                    cands = sample_rollouts(policies, demo_spec, ctx.best_of, ctx.seed, ctx.u_max)
+                    mean = mean_rollout(policies, start_spec, ctx.u_max)
+                    out[rows] = mean.states.reshape(shape)[..., :2]
+                    continue
+                cands = sample_rollouts(policies, start_spec, ctx.best_of, ctx.seed, ctx.u_max)
+                for j in rows:
+                    demo = demos[j]
                     errs = [np.mean([ade(c.positions(i), demo.positions(i))
                                      for i in range(spec.k)]) for c in cands]
-                    best = cands[int(np.argmin(errs))]
-                out.append(best.states.reshape(shape)[..., :2])
-            return np.stack(out)
+                    out[j] = cands.states[int(np.argmin(errs))].reshape(shape)[..., :2]
+            return out
 
         return predict_irl
 

@@ -44,6 +44,22 @@ _FRAME_KEYS = {"t", "objects"}
 _OBJECT_KEYS = {"id", "x", "y", "w", "l", "angle", "class", "speed", "acc"}
 _HEADER_KEYS = {"k", "T", "dt", "goals", "count", "provenance"}
 GAP_SPLIT_FACTOR = 5
+DIRECTIONS = ("E", "W", "N", "S")  # every value travel_direction returns
+
+
+def json_kind(value) -> str:
+    """JSON type of a parsed value; int and float are both a finite number."""
+    if isinstance(value, bool):
+        return "a boolean"
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        return "a non-finite number"  # NaN, infinity, or an integer beyond float range
+    if isinstance(value, (int, float)):
+        return "a number"
+    if isinstance(value, str):
+        return "a string"
+    if isinstance(value, list):
+        return "a list"
+    return "null" if value is None else "an object"
 
 
 @dataclass(frozen=True)
@@ -86,8 +102,12 @@ class PreprocessConfig:
     resample_dt: float = 0.1
 
     def __post_init__(self):
-        if self.x_range[0] >= self.x_range[1] or self.y_range[0] >= self.y_range[1]:
-            raise ValidationError("clip ranges must be ordered (lo, hi)")
+        for name in ("x_range", "y_range"):
+            lo_hi = tuple(getattr(self, name))
+            if not (len(lo_hi) == 2 and all(json_kind(v) == "a number" for v in lo_hi)
+                    and lo_hi[0] < lo_hi[1]):
+                raise ValidationError(
+                    f"{name} must be two finite numbers lo < hi, got {list(lo_hi)}")
         if self.resample_dt <= 0:
             raise ValidationError("resample_dt must be positive")
 
@@ -422,21 +442,6 @@ def read_text_lines(path) -> list[str]:
             return [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def json_kind(value) -> str:
-    """JSON type of a parsed value; int and float are both a finite number."""
-    if isinstance(value, bool):
-        return "a boolean"
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        return "a non-finite number"  # NaN, infinity, or an integer beyond float range
-    if isinstance(value, (int, float)):
-        return "a number"
-    if isinstance(value, str):
-        return "a string"
-    if isinstance(value, list):
-        return "a list"
-    return "null" if value is None else "an object"
 
 
 def read_demonstrations(path) -> tuple[list[Trajectory], dict]:

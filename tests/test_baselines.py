@@ -215,10 +215,14 @@ class TestStateFeedbackPredictors:
         ctx = PredictorContext(spec=spec, train_demos=train, u_max=u_max, seed=2)
         got = make_predictor(method, ctx)(held)
         assert got.shape == (5, self.T + 1, self.K_AGENTS, 2)
+        # the reference model is fitted the way make_predictor fits it
         if method == "gmm":
-            act = lambda s: gmm_conditional_mean(ctx._gmm, s, 4)  # noqa: E731
+            pairs = np.concatenate(_demo_state_action_pairs(train), axis=1)
+            model = gmm_fit(pairs, K=ctx.gmm_components, seed=ctx.seed)
+            act = lambda s: gmm_conditional_mean(model, s, 4)  # noqa: E731
         else:
-            act = lambda s: ebm_minimizer(ctx._ebm, s)  # noqa: E731
+            params = ebm_train(*_demo_state_action_pairs(train))
+            act = lambda s: ebm_minimizer(params, s)  # noqa: E731
         engaged = False
         for demo, pred in zip(held, got):
             ref = _per_agent_rollout(demo.states[0], spec, act, u_max)

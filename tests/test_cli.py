@@ -69,6 +69,18 @@ class TestConfig:
         ({"preprocess": {"scheme": "W-E-S"}}, "'preprocess.scheme' must be a list"),
         ({"preprocess": {"x_range": 3}}, "'preprocess.x_range' must be a list"),
         ({"seed": 10**400}, "'seed' must be a number"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"training": {"M": 2.5}}, "training.M must be an integer >= 1, got 2.5"),
+        ({"training": {"M": 0}}, "training.M must be an integer >= 1, got 0"),
+        ({"training": {"max_iters": 0.5}}, "training.max_iters must be an integer >= 1, got 0.5"),
+        ({"solver": {"max_outer_iters": 1.5}},
+         "solver.max_outer_iters must be an integer >= 1, got 1.5"),
+        ({"preprocess": {"min_track_len": 9.5}},
+         "preprocess.min_track_len must be an integer >= 1, got 9.5"),
+        ({"preprocess": {"group_size": 2.5}}, "preprocess.group_size must be an integer >= 1, got 2.5"),
+        ({"preprocess": {"scenario_len": 30.5}},
+         "preprocess.scenario_len must be an integer >= 1, got 30.5"),
     ])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override, message):
         cfg_path = tmp_path / "cfg.json"
@@ -564,6 +576,30 @@ class TestPreprocess:
         demos, header = read_demonstrations(out_dir / entry["file"])
         assert header["k"] == 3
         assert demos[0].horizon == 29  # 30 rows
+
+    @pytest.mark.parametrize("override, message", [
+        ({"x_range": ["a", "b"]}, "x_range must be two finite numbers lo < hi, got ['a', 'b']"),
+        ({"x_range": [1, "b"]}, "x_range must be two finite numbers lo < hi, got [1, 'b']"),
+        ({"x_range": [1]}, "x_range must be two finite numbers lo < hi, got [1]"),
+        ({"y_range": [1, 2, 3]}, "y_range must be two finite numbers lo < hi, got [1, 2, 3]"),
+        ({"y_range": [2, 1]}, "y_range must be two finite numbers lo < hi, got [2, 1]"),
+        ({"scheme": [5]}, "preprocess.scheme entry 5 must be directions from E, W, N, S"),
+        ({"scheme": ["W-X"]}, 'preprocess.scheme entry "W-X" must be directions'),
+        ({"scheme": ["W-E-S", ""]}, 'preprocess.scheme entry "" must be directions'),
+    ])
+    @pytest.mark.parametrize("command", ["preprocess", "synth"])
+    def test_malformed_preprocess_list_exits_2(self, tmp_path, capsys, command, override, message):
+        # a malformed section is refused up front, whichever command reads the config
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(_walker_frames())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preprocess": override}))
+        out = tmp_path / "out"
+        argv = {"preprocess": ["preprocess", str(raw), str(out)],
+                "synth": ["synth", str(out), "--n", "1"]}[command]
+        assert main(["--config", str(cfg), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 NOT_UTF8 = b"\xff\xfe" + '{"k": 1}\n'.encode("utf-16-le")

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from crowdirl import metrics
 from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams
-from crowdirl.game import SolverConfig
+from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from crowdirl.metrics import (
     CdfSeries,
     EntropyReport,
@@ -27,7 +28,7 @@ from crowdirl.metrics import (
 )
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import substream
-from crowdirl.trajectory import Trajectory
+from crowdirl.trajectory import JointState, Trajectory
 
 QUIET = SolverConfig(entropy_temp=1e-3)
 
@@ -247,6 +248,51 @@ class TestPredictors:
         r1 = evaluate_method("mairl", "s", demos, base)
         r5 = evaluate_method("mairl", "s", demos, best5)
         assert r5.ade <= r1.ade + 0.02
+
+    def test_demos_of_one_start_are_solved_and_rolled_out_once(
+        self, intersection_spec, theta_star, monkeypatch
+    ):
+        demos = synth_generate(theta_star, intersection_spec, 4, seed=1, solver_cfg=QUIET)
+        calls = {"build_policies": 0, "mean_rollout": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(metrics, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(metrics, name, counted)
+        ctx = PredictorContext(
+            spec=intersection_spec, train_demos=demos, thetas=theta_star, solver=QUIET
+        )
+        got = make_predictor("mairl", ctx)(demos)
+        assert calls == {"build_policies": 1, "mean_rollout": 1}
+        assert len({pred.tobytes() for pred in got}) == 1
+
+    @pytest.mark.parametrize("best_of", [1, 3])
+    def test_interleaved_starts_match_a_per_demo_solve(self, intersection_spec, theta_star, best_of):
+        other = intersection_spec.with_x0(
+            JointState.from_array(intersection_spec.x0.as_array() + 0.05))
+        a = synth_generate(theta_star, intersection_spec, 2, seed=1)
+        b = synth_generate(theta_star, other, 2, seed=2)
+        demos = [a[0], b[0], a[1], b[1]]
+        ctx = PredictorContext(spec=intersection_spec, train_demos=demos, thetas=theta_star,
+                               best_of=best_of, seed=4)
+        got = make_predictor("mairl", ctx)(demos)
+        shape = (intersection_spec.horizon + 1, 3, 4)
+        # reference: one solve and one rollout (set) per demonstration
+        picks = []
+        for demo, pred in zip(demos, got):
+            demo_spec = intersection_spec.with_x0(demo.joint_state(0))
+            policies = build_policies(theta_star, demo_spec, ctx.solver, ctx.proximity, ctx.u_max)
+            if best_of == 1:
+                best = mean_rollout(policies, demo_spec, ctx.u_max)
+            else:
+                cands = sample_rollouts(policies, demo_spec, best_of, ctx.seed, ctx.u_max)
+                errs = [np.mean([ade(c.positions(i), demo.positions(i)) for i in range(3)])
+                        for c in cands]
+                picks.append(int(np.argmin(errs)))
+                best = cands[picks[-1]]
+            assert pred.tobytes() == best.states.reshape(shape)[..., :2].tobytes()
+        if best_of > 1:  # the two demos of the first start pick different rollouts of one set
+            assert picks[0] != picks[2]
 
 
 def rank_methods(reports):
