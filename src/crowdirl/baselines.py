@@ -73,8 +73,8 @@ class GmmModel:
 def _log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     d = mean.size
     L = np.linalg.cholesky(cov)
-    diff = x - mean
-    sol = np.linalg.solve(L, diff.T)
+    # one product by the d x d inv(L) whitens all n samples; an n-column LU solve costs far more
+    sol = np.linalg.inv(L) @ (x - mean).T
     maha = np.sum(sol * sol, axis=0)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
@@ -234,8 +234,8 @@ def gmm_conditional_mean(model: GmmModel, x_obs: np.ndarray, n_cond: int) -> np.
         Sba = cov[n_cond:, :n_cond]
         diff = (x_obs - a)[..., None]  # (..., n_cond, 1)
         cond_means[..., c, :] = b + (Sba @ np.linalg.solve(Saa, diff))[..., 0]
-        # log N(x_obs; a, Saa) as _log_gaussian forms it, but with one single-column
-        # solve per row: its multi-column solve rounds differently
+        # log N(x_obs; a, Saa) like _log_gaussian, but with one single-column solve
+        # per row, so that a row's value does not depend on the rows beside it
         L = np.linalg.cholesky(Saa)
         z = np.linalg.solve(L, diff)[..., 0]
         logdet = 2.0 * np.sum(np.log(np.diag(L)))

@@ -27,6 +27,7 @@ from .game import SolverConfig
 from .irl import TrainingConfig, infer_goals, multi_agent_irl, single_agent_maxent_irl
 from .metrics import (
     BASELINE_NAMES,
+    FITTED_BASELINES,
     PredictorContext,
     cdf_thresholds,
     emit_report,
@@ -206,10 +207,14 @@ def _training_config(cfg: dict) -> TrainingConfig:
 def _preprocess_config(cfg: dict) -> PreprocessConfig:
     """The preprocess section as a checked config; also checks its scheme."""
     p = cfg["preprocess"]
-    for cat in p["scheme"]:
+    for i, cat in enumerate(p["scheme"]):
         if not (isinstance(cat, str) and all(d in DIRECTIONS for d in cat.split("-"))):
             raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} must be "
                                   f"directions from {', '.join(DIRECTIONS)} joined by '-'")
+        # a repeated direction casts one track as two agents, a repeated entry doubles its scenes
+        if len(set(cat.split("-"))) < len(cat.split("-")) or cat in p["scheme"][:i]:
+            raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} repeats a "
+                                  "direction or an earlier entry")
     return PreprocessConfig(
         x_range=tuple(p["x_range"]),
         y_range=tuple(p["y_range"]),
@@ -300,32 +305,22 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    usable = {
-        d: trks[:group_size]
-        for d, trks in groups.items()
-        if len(trks) >= group_size
-    }
-    feasible = [
-        cat for cat in scheme if all(d in usable for d in cat.split("-"))
-    ]
-    if feasible:
-        catalog = combinatorial_scenarios(usable, feasible, scenario_len)
-    else:
-        catalog = None
+    usable = {d: trks[:group_size] for d, trks in groups.items() if len(trks) >= group_size}
+    feasible = [cat for cat in scheme if all(d in usable for d in cat.split("-"))]
+    catalog = combinatorial_scenarios(usable, feasible, scenario_len)  # empty when none is feasible
 
     entries_meta = []
-    if catalog is not None:
-        for idx, entry in enumerate(catalog.entries):
-            fname = f"{entry.category}_{idx:04d}.traj"
-            _write_entry(out_dir / fname, entry, pre.resample_dt)
-            entries_meta.append(
-                {"category": entry.category, "tracks": list(entry.track_ids), "file": fname}
-            )
+    for idx, entry in enumerate(catalog.entries):
+        fname = f"{entry.category}_{idx:04d}.traj"
+        _write_entry(out_dir / fname, entry, pre.resample_dt)
+        entries_meta.append(
+            {"category": entry.category, "tracks": list(entry.track_ids), "file": fname}
+        )
     summary = {
         "tracks_kept": len(tracks),
         "direction_counts": {d: len(t) for d, t in sorted(groups.items())},
-        "categories": catalog.count_by_category() if catalog else {},
-        "total_entries": catalog.size if catalog else 0,
+        "categories": catalog.count_by_category(),
+        "total_entries": catalog.size,
         "entries": entries_meta,
     }
     with open(out_dir / "catalog.json", "w", encoding="utf-8") as fh:
@@ -439,14 +434,12 @@ def cmd_eval(args, cfg: dict) -> int:
     if not demos:
         raise FormatError(f"{args.demos} holds no demonstrations")
     spec = _spec_from_demos(demos, header)
-    if args.train_demos:
-        train_demos, _ = read_demonstrations(args.train_demos)
-    else:
-        train_demos = demos
-
     method = args.baseline
     if method not in BASELINE_NAMES:
         raise ValidationError(f"unknown baseline {method!r}; choose from {BASELINE_NAMES}")
+    train_demos = demos  # a --train file is read only by the baselines that fit on it
+    if args.train_demos and method in FITTED_BASELINES:
+        train_demos, _ = read_demonstrations(args.train_demos)
     thetas = None
     if method in ("mairl", "sairl"):
         if not args.theta:
@@ -592,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("demos", help="evaluation demonstration file")
     p.add_argument("--baseline", required=True, help=f"one of {', '.join(BASELINE_NAMES)}")
     p.add_argument("--theta", help="weight file (required for mairl/sairl)")
-    p.add_argument("--train", dest="train_demos", help="separate training demonstrations")
+    p.add_argument("--train", dest="train_demos",
+                   help="demonstrations gmm and ebm fit on (default: DEMOS); other baselines never read it")
     p.add_argument("--scenario", default="default", help="scenario label for reports")
     p.add_argument("--out", required=True, help="report file to write")
     p.add_argument("--format", choices=("csv", "jsonl", "svg"), default="csv")

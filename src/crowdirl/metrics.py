@@ -36,6 +36,7 @@ from .trajectory import (
 
 EFE_NOTE = "efe_m is full-horizon ADE on tracker-derived inputs (artifact interpretation)"
 BASELINE_NAMES = ("cv", "gmm", "ebm", "mairl", "sairl")
+FITTED_BASELINES = ("gmm", "ebm")  # the only ones that read PredictorContext.train_demos
 
 
 # --- metric math -------------------------------------------------------------

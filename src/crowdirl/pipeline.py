@@ -486,19 +486,23 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
             f"expected {count * rows_per} data rows ({count} blocks of {rows_per}), got {len(body)}"
         )
 
-    trajs = []
-    for b in range(count):
-        block = body[b * rows_per : (b + 1) * rows_per]
+    # every row is checked and parsed into one list and the whole file converted at once;
+    # the conversion is elementwise, so each block reads bit for bit as it would alone
+    width = 4 * k
+    values: list[float] = []
+    for i, ln in enumerate(body):
+        b, row = divmod(i, rows_per)
+        if "_" in ln:  # float() reads "1_0" as 10.0; repr never writes an underscore
+            raise FormatError(f"non-numeric value in block {b}: digit-group underscore in row {row}")
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise FormatError(f"block {b}: row {row} has {len(fields)} values, expected {width}")
         try:
-            rows = np.array([[float(v) for v in ln.split(",")] for ln in block])
+            values += map(float, fields)
         except ValueError as exc:
             raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
-        if rows.shape[1] != 4 * k:
-            raise FormatError(
-                f"block {b}: rows have {rows.shape[1]} values, expected {4 * k}"
-            )
-        trajs.append(Trajectory.from_states(from_dataset_array(rows), dt))
-    return trajs, header
+    states = from_dataset_array(np.array(values).reshape(count, rows_per, width))
+    return [Trajectory.from_states(s, dt) for s in states], header
 
 
 def header_goals(header: dict) -> np.ndarray | None:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from crowdirl import baselines
 from crowdirl.baselines import (
     EnergyParams,
     GmmModel,
@@ -17,8 +18,10 @@ from crowdirl.baselines import (
     gmm_pdf,
     gmm_sample,
 )
+from crowdirl.cli import main
 from crowdirl.errors import ValidationError
 from crowdirl.metrics import PredictorContext, _demo_state_action_pairs, make_predictor
+from crowdirl.pipeline import read_demonstrations
 from crowdirl.trajectory import (
     AgentState,
     JointState,
@@ -127,6 +130,45 @@ class TestGmmSample:
         draws = gmm_sample(model, seed=99, n=10_000)
         assert abs(float(np.mean(draws))) < 0.03  # 3 / sqrt(1e4)
         assert abs(float(np.var(draws)) - 1.0) < 0.05
+
+
+def _lu_log_gaussian(x, mean, cov):
+    """The log-density with the whitening as an LU solve on all samples at once."""
+    L = np.linalg.cholesky(cov)
+    sol = np.linalg.solve(L, (x - mean).T)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return -0.5 * (mean.size * np.log(2.0 * np.pi) + logdet + np.sum(sol * sol, axis=0))
+
+
+class TestWhitening:
+    """_log_gaussian whitens with one product by inv(L); an LU solve differs by rounding."""
+
+    def test_random_well_conditioned_covariances_stay_within_rounding(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            d = int(rng.integers(1, 8))
+            A = rng.normal(size=(d, d))
+            cov = A @ A.T + d * np.eye(d)
+            mean = rng.normal(size=d)
+            x = mean + 2.0 * rng.normal(size=(50, d))
+            ref = _lu_log_gaussian(x, mean, cov)
+            got = baselines._log_gaussian(x, mean, cov)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_round_trip_fit_keeps_its_em_count(self, tmp_path, monkeypatch, seed):
+        # the README round trip's gmm training pairs: 20 of 30 synthesized demos
+        path = tmp_path / "demos.traj"
+        assert main(["--seed", "11", "--entropy-temp", "1e-3", "synth", str(path),
+                     "--preset", "intersection_k3", "--theta", "1.0,0.5,0.2", "--n", "30"]) == 0
+        pairs = np.concatenate(_demo_state_action_pairs(read_demonstrations(path)[0][:20]), axis=1)
+        got = gmm_fit(pairs, K=3, seed=seed)
+        monkeypatch.setattr(baselines, "_log_gaussian", _lu_log_gaussian)
+        ref = gmm_fit(pairs, K=3, seed=seed)
+        assert len(got.log_likelihoods) == len(ref.log_likelihoods)
+        for name in ("weights", "means", "covariances", "log_likelihoods"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b)), name
 
 
 def test_gmm_conditional_mean_tracks_regression_line():

@@ -437,6 +437,57 @@ class TestEval:
         assert "at least one trajectory" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("baseline", ["cv", "mairl", "sairl"])
+    def test_baselines_that_fit_nothing_never_read_the_training_file(
+        self, tmp_path, monkeypatch, baseline
+    ):
+        demos = _synth(tmp_path)
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
+        reads = []
+        monkeypatch.setattr(cli, "read_demonstrations",
+                            lambda path: reads.append(path) or read_demonstrations(path))
+        argv = ["--entropy-temp", "0.001", "eval", str(demos), "--baseline", baseline,
+                "--theta", str(theta), "--format", "jsonl", "--out"]
+        assert main([*argv, str(tmp_path / "plain.jsonl")]) == 0
+        assert main([*argv, str(tmp_path / "train.jsonl"),
+                     "--train", str(tmp_path / "missing.traj")]) == 0
+        assert reads == [str(demos)] * 2
+        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "train.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
+    def test_fitted_baselines_read_the_training_file(self, tmp_path, monkeypatch, capsys, baseline):
+        held = _synth(tmp_path)
+        train = _synth(tmp_path, name="train.traj", n=9)
+        reads = []
+        monkeypatch.setattr(cli, "read_demonstrations",
+                            lambda path: reads.append(path) or read_demonstrations(path))
+        argv = ["eval", str(held), "--baseline", baseline, "--format", "jsonl", "--out"]
+        assert main([*argv, str(tmp_path / "plain.jsonl")]) == 0
+        assert main([*argv, str(tmp_path / "train.jsonl"), "--train", str(train)]) == 0
+        assert reads == [str(held), str(held), str(train)]
+        assert (tmp_path / "plain.jsonl").read_bytes() != (tmp_path / "train.jsonl").read_bytes()
+        missing = tmp_path / "missing.traj"
+        assert main([*argv, str(tmp_path / "x.jsonl"), "--train", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ln: ln + ",0.5", "block 1: row 4 has 13 values, expected 12"),
+        (lambda ln: ln.split(",", 1)[1], "block 1: row 4 has 11 values, expected 12"),
+        (lambda ln: "1_0," + ln.split(",", 1)[1],
+         "non-numeric value in block 1: digit-group underscore in row 4"),
+    ])
+    def test_malformed_row_exits_2_naming_block_and_row(self, tmp_path, capsys, edit, message):
+        demos = _synth(tmp_path, n=3)
+        lines = demos.read_text().splitlines()
+        at = 1 + json.loads(lines[0])["T"] + 4  # block 1, row 4
+        lines[at] = edit(lines[at])
+        demos.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["eval", str(demos), "--baseline", "cv", "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_theta_roundtrip_through_eval(self, tmp_path):
         demos = _synth(tmp_path)
         theta = tmp_path / "theta.json"
@@ -586,6 +637,11 @@ class TestPreprocess:
         ({"scheme": [5]}, "preprocess.scheme entry 5 must be directions from E, W, N, S"),
         ({"scheme": ["W-X"]}, 'preprocess.scheme entry "W-X" must be directions'),
         ({"scheme": ["W-E-S", ""]}, 'preprocess.scheme entry "" must be directions'),
+        ({"scheme": ["W-W"]}, 'preprocess.scheme entry "W-W" repeats a direction'),
+        ({"scheme": ["E-W-E"]}, 'preprocess.scheme entry "E-W-E" repeats a direction'),
+        ({"scheme": ["W-E-S", "W-E-S"]}, 'preprocess.scheme entry "W-E-S" repeats a direction '
+                                         'or an earlier entry'),
+        ({"scheme": ["S-N-W", "W-E-S", "S-N-W"]}, 'entry "S-N-W" repeats'),
     ])
     @pytest.mark.parametrize("command", ["preprocess", "synth"])
     def test_malformed_preprocess_list_exits_2(self, tmp_path, capsys, command, override, message):

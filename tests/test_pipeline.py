@@ -19,7 +19,14 @@ from crowdirl.pipeline import (
     travel_direction,
     write_demonstrations,
 )
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec, Trajectory, to_dataset_array
+from crowdirl.trajectory import (
+    AgentState,
+    JointState,
+    ScenarioSpec,
+    Trajectory,
+    from_dataset_array,
+    to_dataset_array,
+)
 
 
 def _frame_line(t, objects):
@@ -328,3 +335,76 @@ class TestInterchange:
         write_demonstrations(path, [], intersection_spec.goals, {}, spec=intersection_spec)
         trajs, header = read_demonstrations(path)
         assert trajs == [] and header["count"] == 0
+
+    @pytest.mark.parametrize("count", [0, 1, 40])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_whole_file_read_equals_a_per_block_read_bit_for_bit(self, tmp_path, count, seed):
+        k, rows_per, dt = 2, 6, 0.1
+        rows = _awkward_dataset_rows(np.random.default_rng(seed), count * rows_per, k)
+        path = tmp_path / "r.traj"
+        _write_rows(path, k, rows_per, count, rows, dt)
+        trajs, _ = read_demonstrations(path)
+        ref = _per_block_read(path)
+        assert len(trajs) == len(ref) == count
+        for got, want in zip(trajs, ref):
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.controls.tobytes() == want.controls.tobytes()
+            assert got.dt == want.dt
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,0,0,0,0", "block 1: row 2 has 5 values, expected 4"),
+        ("0,0,0", "block 1: row 2 has 3 values, expected 4"),
+        ("0,0,1_0,0", "non-numeric value in block 1: digit-group underscore in row 2"),
+        ("0,0,abc,0", "non-numeric value in block 1: could not convert string to float: 'abc'"),
+        ("0,0,-1,0", "dataset rows contain negative speed"),
+    ])
+    def test_bad_row_is_named(self, tmp_path, row, message):
+        lines = ["0,0,1,0"] * 9
+        lines[3 + 2] = row  # block 1 of three blocks of 3 rows, its row 2
+        path = tmp_path / "bad.traj"
+        header = {"k": 1, "T": 3, "dt": 0.1, "goals": None, "count": 3, "provenance": {}}
+        path.write_text(json.dumps(header) + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_demonstrations(path)
+        assert str(err.value) == message
+
+    def test_every_row_of_a_wide_block_is_named_by_the_first(self, tmp_path):
+        path = tmp_path / "wide.traj"
+        header = {"k": 1, "T": 2, "dt": 0.1, "goals": None, "count": 2, "provenance": {}}
+        path.write_text(json.dumps(header) + "\n" + "0,0,0,0\n" * 2 + "0,0,0,0,0\n" * 2)
+        with pytest.raises(FormatError, match="^block 1: row 0 has 5 values, expected 4$"):
+            read_demonstrations(path)
+
+
+def _awkward_dataset_rows(rng, n, k):
+    """(n, 4k) dataset rows with -0.0 coordinates, zero speeds and headings at +-pi."""
+    rows = rng.normal(scale=3.0, size=(n, k, 4))
+    rows[..., 2] = np.abs(rows[..., 2])
+    rows[..., 3] = rng.uniform(-np.pi, np.pi, size=(n, k))
+    pick = rng.random((n, k))
+    rows[..., 0][pick < 0.2] = -0.0
+    rows[..., 1][pick > 0.8] = -0.0
+    rows[..., 2][pick < 0.3] = 0.0
+    rows[..., 2][pick > 0.9] = -0.0
+    rows[..., 3][(pick > 0.5) & (pick < 0.6)] = np.pi
+    rows[..., 3][(pick > 0.6) & (pick < 0.7)] = -np.pi
+    return rows.reshape(n, 4 * k)
+
+
+def _write_rows(path, k, rows_per, count, rows, dt):
+    header = {"k": k, "T": rows_per, "dt": dt, "goals": None, "count": count, "provenance": {}}
+    lines = [json.dumps(header)] + [",".join(map(repr, row)) for row in rows.tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _per_block_read(path):
+    """Reference reader: parse, convert and validate one block at a time."""
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    rows_per = header["T"]
+    out = []
+    for b in range(header["count"]):
+        block = lines[1 + b * rows_per : 1 + (b + 1) * rows_per]
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in block])
+        out.append(Trajectory.from_states(from_dataset_array(rows), header["dt"]))
+    return out
