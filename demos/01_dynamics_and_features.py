@@ -14,11 +14,9 @@ from crowdirl import (
     compute_features,
     cost,
     CostParams,
-    from_dataset_row,
     rollout_openloop,
-    to_dataset_row,
 )
-from crowdirl.trajectory import propagate_joint
+from crowdirl.trajectory import from_dataset_array, propagate_joint, to_dataset_array
 
 print("== exact double-integrator stepping ==")
 state = AgentState(px=0.0, py=0.0, vx=1.0, vy=0.0)
@@ -30,9 +28,9 @@ print(f"(hand check: px = 0 + 1*0.5 + 0.5*2*0.25 = {0 + 0.5 + 0.25})")
 
 print("\n== dataset row layout: (px, py, speed, heading) per agent ==")
 joint = JointState((AgentState(0.0, 0.0, 0.0, 1.0), AgentState(3.0, 1.0, -1.0, 0.0)))
-row = to_dataset_row(joint)
+row = to_dataset_array(joint.as_array())
 print(f"row: {np.round(row, 4)}")
-back = from_dataset_row(row)
+back = JointState.from_array(from_dataset_array(row))
 print(f"round trip error: {np.max(np.abs(back.as_array() - joint.as_array())):.2e}")
 
 print("\n== trajectory features ==")

@@ -94,9 +94,7 @@ from .trajectory import (
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,
-    from_dataset_row,
     rollout_openloop,
-    to_dataset_row,
 )
 
 __version__ = "0.1.0"

@@ -54,6 +54,7 @@ from .pipeline import (
     travel_direction,
     write_demonstrations,
 )
+from .rng import KEY_LIMIT
 from .trajectory import (
     AgentState,
     JointState,
@@ -141,10 +142,12 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _check_integer(dotted: str, value) -> None:
-    """An integer key takes a whole number: the seed >= 0, every other one (a count) >= 1."""
+    """An integer key takes a whole number: the seed in [0, 2**64), every other one (a count) >= 1."""
     least = 0 if dotted == "seed" else 1
-    if not (float(value).is_integer() and value >= least):
+    if not ((isinstance(value, int) or float(value).is_integer()) and value >= least):
         raise ValidationError(f"{dotted} must be an integer >= {least}, got {value!r}")
+    if dotted == "seed" and value >= KEY_LIMIT:
+        raise ValidationError(f"seed must be an integer below 2**64, got {value!r}")
 
 
 def _read_json(path: str, what: str):
@@ -172,11 +175,12 @@ def load_config(path: str | None, flag_values: dict) -> dict:
         for p in parents:
             node = node[p]
         node[leaf] = value
-    check_u_max(cfg["u_max"])
-    _solver_config(cfg)
-    _preprocess_config(cfg)
-    for key in ("best_of", "gmm_components"):  # the flags that set them skip the merge
+    _check_integer("seed", cfg["seed"])  # the flags that set these skip the merge's check
+    for key in ("best_of", "gmm_components"):
         _check_integer(f"eval.{key}", cfg["eval"][key])
+    check_u_max(cfg["u_max"])
+    _training_config(cfg)  # checks the solver section too
+    _preprocess_config(cfg)
     return cfg
 
 
@@ -265,6 +269,8 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
         except ValueError:
             raise ValidationError(f"weight group {g!r} is not comma-separated numbers") from None
         out.append(CostParams(np.array(vals)))
+        if np.any(out[-1].weights < 0):
+            raise ValidationError(f"weight group {g!r} has a negative weight")
     return out
 
 
@@ -424,6 +430,9 @@ def _load_thetas(path: str, k: int) -> list[CostParams]:
     except (TypeError, ValueError) as exc:
         raise FormatError(f"weight file {path}: 'thetas' entries must be lists of numbers") from exc
     thetas = [CostParams(w) for w in weights]
+    for i, w in enumerate(weights):
+        if np.any(w < 0):
+            raise FormatError(f"weight file {path}: 'thetas' row {i} has a negative weight")
     if len(thetas) != k:
         raise FormatError(f"weight file holds {len(thetas)} agents, demos have {k}")
     return thetas

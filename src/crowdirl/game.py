@@ -3,8 +3,9 @@
 A backward recursion stacks every agent's first-order optimality condition at
 each timestep into one coupled linear system, yielding simultaneous affine
 feedback laws (a feedback Nash point of the quadratic game). It runs on the
-augmented state [dx; 1], each agent's `CostExpansion` read as one
-(n+1, n+1) cost per step: per step, one LU of the right-hand side
+augmented state [dx; 1] of deviations from the nominal the costs were
+expanded along, which every solve takes, and each agent's `CostExpansion`
+fills one (n+1, n+1) cost per step: per step, one LU of the right-hand side
 [B^T Z A | I] gives every agent's [K | alpha] and the inverse that screens
 the condition, and one symmetrized update every value matrix. Each policy is
 Gaussian around its feedback mean, with covariance the tempered inverse of
@@ -202,14 +203,14 @@ def solve_lq_game(
     dyn: LinearDynamics,
     costs: Sequence[CostExpansion],
     cfg: SolverConfig = SolverConfig(),
-    nominal: Trajectory | None = None,
+    *,
+    nominal: Trajectory,
 ) -> PolicySequence:
     """Backward recursion over stacked first-order conditions, all agents at once.
 
     costs[i] is agent i's quadratic cost in deviations from the nominal; its
     row T seeds the value recursion at the horizon end. The returned policies
-    act on deviations from the nominal trajectory (identically zero reference
-    when none is given).
+    act on deviations from the nominal trajectory.
     """
     k, n = dyn.k, dyn.state_dim
     if len(costs) != k:
@@ -219,7 +220,7 @@ def solve_lq_game(
         raise ValidationError("all agents must supply the same horizon T >= 1")
     if any(e.state_dim != n for e in costs):
         raise ValidationError(f"cost expansions do not match the dynamics' state dimension {n}")
-    if nominal is not None and (nominal.horizon != T or nominal.states.shape[1] != n):
+    if nominal.horizon != T or nominal.states.shape[1] != n:
         raise ValidationError("nominal trajectory does not match costs/dynamics")
 
     # On the augmented state [dx; 1], agent i's stage cost is
@@ -241,7 +242,6 @@ def solve_lq_game(
     # give S^-1 for the condition screen; the others are overwritten per step.
     rhs = np.zeros((m, n1 + m))
     rhs[:, n1:] = np.eye(m)
-    u_nom = nominal.controls if nominal is not None else np.zeros((T, k, CONTROL_DIM))
     Z = Qa[T]
     gains_out = np.empty((T, m, n1))
     Huu_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
@@ -273,7 +273,7 @@ def solve_lq_game(
         Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
 
     K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
-    kff_out = u_nom - gains_out[..., n].reshape(T, k, CONTROL_DIM)
+    kff_out = nominal.controls - gains_out[..., n].reshape(T, k, CONTROL_DIM)
     # Nothing in the recursion reads the covariances, so they are formed for
     # all stages at once; repairs are logged in recursion order.
     Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
@@ -288,8 +288,6 @@ def solve_lq_game(
         # a stage above the floor with no Cholesky factor logs its top-up
         diag.events.append((t, int(i), float(shift[t, i] or Sigma[t, i, 0, 0] - raw[0, 0])))
 
-    if nominal is None:
-        return PolicySequence(K_out, kff_out, Sigma, np.zeros((T + 1, n)), 1.0, diag)
     return PolicySequence(K_out, kff_out, Sigma, nominal.states, nominal.dt, diag)
 
 

@@ -58,8 +58,10 @@ class TrainingConfig:
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValidationError(f"beta must be positive, got {self.beta!r}")
+        if not 0 < self.beta < np.inf:
+            raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
+        if not 0 <= self.tol < np.inf:
+            raise ValidationError(f"tol must be nonnegative and finite, got {self.tol!r}")
         if self.M < 1:
             raise ValidationError(f"M must be >= 1, got {self.M}")
         if self.max_iters < 1:

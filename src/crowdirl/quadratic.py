@@ -1,13 +1,14 @@
 """Stagewise quadratic expansion of trajectory costs.
 
 Each agent's cost is expanded along a nominal trajectory into a quadratic in
-the deviations (dx, du) at every step, held as one `CostExpansion` of arrays
-over the whole horizon: state curvature Q, gradient q and offset c for steps
-0..T (row T is the terminal cost), plus the control curvature R and control
+the deviations (dx, du) at every step, held as one `CostExpansion` over the
+whole horizon: state curvature Q, gradient q and offset c for steps 0..T
+(row T is the terminal cost), plus the control curvature R and control
 gradient r. The cost is theta . phi over three closed-form features with no
 state-control coupling, so the expansion is exact and linear in theta:
 `expand_model_along` forms the features' theta-free terms once per nominal,
-and the `FeatureExpansion` it returns re-weights them without expanding again.
+and `CostExpansion.reweighted` weights them anew without expanding again.
+The solve reads each step as one augmented cost through `fill`.
 """
 from __future__ import annotations
 
@@ -19,64 +20,6 @@ import numpy as np
 from .errors import InternalError, ValidationError
 from .features import StageCostModel, state_features
 from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
-
-SYMMETRY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CostExpansion:
-    """One agent's quadratic cost along a nominal, in deviations (dx, du).
-
-    Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
-    row T is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2. The cost has no
-    state-control coupling and its control curvature is R times the identity.
-    Shapes: Q (T+1, n, n) symmetric, q (T+1, n), c (T+1,), r (T, 2). All
-    arrays are read-only copies, checked once for the whole horizon.
-    """
-
-    Q: np.ndarray
-    q: np.ndarray
-    c: np.ndarray
-    R: float
-    r: np.ndarray
-
-    def __post_init__(self):
-        Q = np.array(self.Q, dtype=float)
-        q = np.array(self.q, dtype=float)
-        c = np.array(self.c, dtype=float)
-        r = np.array(self.r, dtype=float)
-        if Q.ndim != 3 or Q.shape[0] < 2 or Q.shape[1] < 1 or Q.shape[1] != Q.shape[2]:
-            raise ValidationError(f"Q must be (T+1, n, n) with T, n >= 1, got {Q.shape}")
-        T1, n = Q.shape[:2]
-        if q.shape != (T1, n):
-            raise ValidationError(f"q must be ({T1}, {n}), got {q.shape}")
-        if c.shape != (T1,):
-            raise ValidationError(f"c must be ({T1},), got {c.shape}")
-        if r.shape != (T1 - 1, CONTROL_DIM):
-            raise ValidationError(f"r must be ({T1 - 1}, 2), got {r.shape}")
-        if not all(np.all(np.isfinite(a)) for a in (Q, q, c, r, self.R)):
-            raise ValidationError("cost expansion contains non-finite values")
-        if np.max(np.abs(Q - np.swapaxes(Q, 1, 2))) > SYMMETRY_TOL:
-            raise ValidationError("Q is not symmetric within tolerance")
-        for name, arr in (("Q", Q), ("q", q), ("c", c), ("r", r)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "R", float(self.R))
-
-    @property
-    def horizon(self) -> int:
-        return self.r.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.Q.shape[1]
-
-    def fill(self, out: np.ndarray) -> None:
-        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
-        n = self.state_dim
-        out[:, :n, :n] = self.Q
-        out[:, :n, n] = out[:, n, :n] = self.q
-        out[:, n, n] = 2.0 * self.c
 
 
 @dataclass(frozen=True)
@@ -148,15 +91,18 @@ def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
     return vals
 
 
-class FeatureExpansion(CostExpansion):
-    """The CostExpansion of theta . phi, weighted from theta-free feature terms.
+class CostExpansion:
+    """One agent's quadratic cost theta . phi along a nominal, in deviations (dx, du).
 
-    basis[f, t, e] is the goal (f = 0) or crowding (f = 1) feature's part of
-    entry (rows[e], cols[e]) of the augmented cost [[Q, q], [q^T, 2c]] at state
-    t, 2c last; the effort feature reads the nominal controls (T, 2). Formed and
-    checked finite here: the entries (w0 basis[0] + w1 basis[1]) / (T+1) plus
-    R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly symmetric
-    because the terms are; dense Q, q and c are formed only when read.
+    Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
+    row T is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2, with Q (T+1, n, n),
+    q (T+1, n), c (T+1,) and r (T, 2). It is weighted from theta-free feature
+    terms: basis[f, t, e] is the goal (f = 0) or crowding (f = 1) feature's part
+    of entry (rows[e], cols[e]) of the augmented cost [[Q, q], [q^T, 2c]] at
+    state t, 2c last; the effort feature reads the nominal controls (T, 2).
+    Formed and checked finite here: the entries (w0 basis[0] + w1 basis[1]) / (T+1)
+    plus R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly
+    symmetric because the terms are; dense Q, q and c are formed only when read.
     """
 
     def __init__(self, rows, cols, basis, controls, weights: np.ndarray):
@@ -168,18 +114,23 @@ class FeatureExpansion(CostExpansion):
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(r))):
             raise ValidationError("cost expansion contains non-finite values")
         r.setflags(write=False)
-        vars(self).update(rows=rows, cols=cols, basis=basis, controls=controls,
-                          _entries=entries, R=R, r=r)
+        self.rows, self.cols, self.basis, self.controls = rows, cols, basis, controls
+        self._entries, self.R, self.r = entries, R, r
 
-    def reweighted(self, weights: np.ndarray) -> "FeatureExpansion":
+    def reweighted(self, weights: np.ndarray) -> "CostExpansion":
         """The expansion of the same terms at new weights (theta0, theta1, theta2)."""
-        return FeatureExpansion(self.rows, self.cols, self.basis, self.controls, weights)
+        return CostExpansion(self.rows, self.cols, self.basis, self.controls, weights)
+
+    @property
+    def horizon(self) -> int:
+        return self.r.shape[0]
 
     @property
     def state_dim(self) -> int:
         return int(self.rows[-1])
 
     def fill(self, out: np.ndarray) -> None:
+        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
         out[...] = 0.0
         out[:, self.rows, self.cols] = self._entries
 
@@ -247,4 +198,4 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     basis = aug[:, :, rows, cols]
     for a in (rows, cols, basis):
         a.setflags(write=False)
-    return FeatureExpansion(rows, cols, basis, nominal.agent_controls(i), model.theta.weights)
+    return CostExpansion(rows, cols, basis, nominal.agent_controls(i), model.theta.weights)

@@ -12,14 +12,14 @@ import numpy as np
 
 from .errors import ValidationError
 
-_MASK64 = (1 << 64) - 1
+KEY_LIMIT = 1 << 64  # stream keys are uint64
 
 
 def _key(k: int) -> int:
     k = int(k)
-    if k < 0:
-        raise ValidationError(f"stream keys must be nonnegative, got {k}")
-    return k & _MASK64
+    if not 0 <= k < KEY_LIMIT:
+        raise ValidationError(f"stream keys must be nonnegative and below 2**64, got {k}")
+    return k
 
 
 def _seed_sequence(keys: tuple[int, ...]) -> np.random.SeedSequence:

@@ -349,14 +349,3 @@ def from_dataset_array(rows: np.ndarray) -> np.ndarray:
     vy = np.where(speed == 0.0, 0.0, vy)
     out = np.stack([r[..., 0], r[..., 1], vx, vy], axis=-1)
     return out.reshape(rows.shape)
-
-
-def to_dataset_row(x: JointState) -> np.ndarray:
-    """Joint state -> flat (4k,) dataset row."""
-    return to_dataset_array(x.as_array())
-
-
-def from_dataset_row(row) -> JointState:
-    """Flat (4k,) dataset row -> joint state."""
-    row = np.asarray(row, dtype=float).ravel()
-    return JointState.from_array(from_dataset_array(row))

@@ -5,17 +5,51 @@ max(1, |coordinate|). Expansions are plain (H, l, c) arrays of the cost as a
 quadratic c + l.z + z.H.z/2 in z = (dx, du), or in dx alone for a terminal
 cost. `fd_expand_model_along` expands a StageCostModel the way
 `crowdirl.quadratic.expand_model_along` does, but numerically, so the two can
-be checked against each other.
+be checked against each other. `DenseCost` carries hand-built or
+finite-difference costs into `solve_lq_game`.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from crowdirl.features import StageCostModel
-from crowdirl.quadratic import CostExpansion, _eval_batch
+from crowdirl.quadratic import _eval_batch
 from crowdirl.trajectory import Trajectory
 
 DEFAULT_FD_STEP = 1e-3
+
+
+@dataclass(frozen=True)
+class DenseCost:
+    """A cost held as dense arrays, read by the solve as a CostExpansion is; not validated.
+
+    Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
+    row T is the terminal cost. Shapes: Q (T+1, n, n), q (T+1, n), c (T+1,),
+    r (T, 2).
+    """
+
+    Q: np.ndarray
+    q: np.ndarray
+    c: np.ndarray
+    R: float
+    r: np.ndarray
+
+    @property
+    def horizon(self) -> int:
+        return self.r.shape[0]
+
+    @property
+    def state_dim(self) -> int:
+        return self.Q.shape[1]
+
+    def fill(self, out: np.ndarray) -> None:
+        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
+        n = self.state_dim
+        out[:, :n, :n] = self.Q
+        out[:, :n, n] = out[:, n, :n] = self.q
+        out[:, n, n] = 2.0 * self.c
 
 
 def _fd_steps(z0: np.ndarray, h: float) -> np.ndarray:
@@ -141,15 +175,15 @@ def expand_terminal(state_costfn, x_nom, h: float = DEFAULT_FD_STEP):
     return H, l, c
 
 
-def cost_expansion(stages, terminal, state_dim: int) -> CostExpansion:
-    """CostExpansion of stacked stage (H, l, c) arrays and a terminal (H, l, c).
+def cost_expansion(stages, terminal, state_dim: int) -> DenseCost:
+    """DenseCost of stacked stage (H, l, c) arrays and a terminal (H, l, c).
 
     R is read off the first stage's H_uu and the H_xu blocks are dropped, so
     this fits costs with no state-control coupling and H_uu = R I.
     """
     (H, l, c), (H_T, l_T, c_T) = stages, terminal
     n = state_dim
-    return CostExpansion(
+    return DenseCost(
         Q=np.concatenate([H[:, :n, :n], np.asarray(H_T)[None]]),
         q=np.concatenate([l[:, :n], np.asarray(l_T)[None]]),
         c=np.append(c, c_T),
@@ -160,7 +194,7 @@ def cost_expansion(stages, terminal, state_dim: int) -> CostExpansion:
 
 def fd_expand_model_along(
     model: StageCostModel, nominal: Trajectory, h: float = DEFAULT_FD_STEP
-) -> CostExpansion:
+) -> DenseCost:
     """Finite-difference counterpart of quadratic.expand_model_along."""
     stages = expand_along(
         model, nominal, model.agent, h, control_weight=model.control_weight

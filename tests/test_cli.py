@@ -81,6 +81,7 @@ class TestConfig:
         ({"preprocess": {"group_size": 2.5}}, "preprocess.group_size must be an integer >= 1, got 2.5"),
         ({"preprocess": {"scenario_len": 30.5}},
          "preprocess.scenario_len must be an integer >= 1, got 30.5"),
+        ({"seed": 2**64}, "seed must be an integer below 2**64, got 18446744073709551616"),
     ])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override, message):
         cfg_path = tmp_path / "cfg.json"
@@ -89,6 +90,33 @@ class TestConfig:
                    "--out", str(tmp_path / "t.json")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "seed must be an integer >= 0, got -1"),
+        (str(2**64), "seed must be an integer below 2**64"),
+    ])
+    def test_seed_flag_is_checked_like_the_config_key(self, tmp_path, capsys, seed, message):
+        # the flag is checked as the config key is: stream keys are uint64, never wrapped
+        out = tmp_path / "d.traj"
+        assert main([f"--seed={seed}", "synth", str(out), "--n", "1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["--seed", str(2**64 - 1), "synth", str(out), "--n", "1"]) == 0
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--tol=nan", "tol must be nonnegative and finite, got nan"),
+        ("--tol=-1", "tol must be nonnegative and finite, got -1.0"),
+        ("--beta=inf", "beta must be positive and finite, got inf"),
+    ])
+    def test_training_knob_out_of_range_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, flag, message
+    ):
+        demos = _synth(tmp_path, n=2)
+        monkeypatch.setattr(cli, "multi_agent_irl", None)  # never reached
+        out = tmp_path / "t.json"
+        assert main([flag, "train", str(demos), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numbers_are_interchangeable_and_a_list_stays_a_list(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -232,6 +260,16 @@ class TestConfig:
                    "--theta", theta, "--n", "1"])
         assert rc == 2
         assert f"weight group {group}" in capsys.readouterr().err
+        assert not (tmp_path / "out.traj").exists()
+
+    @pytest.mark.parametrize("theta, group", [
+        ("1,0.5,-0.2", "'1,0.5,-0.2'"), ("1,0,0;0,-1,0;0,0,1", "'0,-1,0'"),
+    ])
+    def test_negative_theta_exits_2_naming_the_group(self, tmp_path, capsys, theta, group):
+        rc = main(["synth", str(tmp_path / "out.traj"), "--preset", "intersection_k3",
+                   f"--theta={theta}", "--n", "1"])
+        assert rc == 2
+        assert f"weight group {group} has a negative weight" in capsys.readouterr().err
         assert not (tmp_path / "out.traj").exists()
 
 
@@ -425,6 +463,16 @@ class TestEval:
                    "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert str(theta) in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_weight_file_exits_2_naming_the_row(self, tmp_path, capsys):
+        demos = _synth(tmp_path)
+        theta = tmp_path / "neg.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2], [1.0, 0.5, -0.2], [1.0, 0.5, 0.2]]}))
+        rc = main(["eval", str(demos), "--baseline", "mairl",
+                   "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert f"weight file {theta}: 'thetas' row 1 has a negative weight" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("baseline", ["gmm", "ebm"])

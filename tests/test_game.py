@@ -26,19 +26,20 @@ from crowdirl.game import (
     sample_rollouts,
     solve_lq_game,
 )
-from crowdirl.quadratic import CostExpansion, expand_model_along, linearize_dynamics
+from crowdirl.quadratic import expand_model_along, linearize_dynamics
 from crowdirl.trajectory import (
     DEFAULT_U_MAX,
     AgentState,
     JointState,
     ScenarioSpec,
+    Trajectory,
     clamp_control,
     constant_velocity_rollout,
     propagate_joint,
     rollout,
 )
 from crowdirl.rng import substream
-from fd_oracle import cost_expansion, expand_along
+from fd_oracle import DenseCost, cost_expansion, expand_along
 from moment_oracle import exact_features
 from test_trajectory import norm_where_clamp
 
@@ -517,9 +518,10 @@ def test_solve_screens_the_gain_condition_through_its_identity_columns():
     Q = np.zeros((T + 1, 4, 4))
     Q[T, 0, 0] = 1.0
     R = dt**4 / 4 / 1.5e12
-    expansion = CostExpansion(Q, np.zeros((T + 1, 4)), np.zeros(T + 1), R, np.zeros((T, 2)))
+    expansion = DenseCost(Q, np.zeros((T + 1, 4)), np.zeros(T + 1), R, np.zeros((T, 2)))
+    nominal = Trajectory(np.zeros((T + 1, 4)), np.zeros((T, 1, 2)), dt)
     with pytest.raises(SolverError) as err:
-        solve_lq_game(linearize_dynamics(1, dt), [expansion], SolverConfig())
+        solve_lq_game(linearize_dynamics(1, dt), [expansion], SolverConfig(), nominal=nominal)
     assert err.value.timestep == T - 1
 
 
@@ -708,8 +710,11 @@ def test_solver_rejects_mismatched_dimensions(single_agent_spec):
     models = stage_cost_models([theta], single_agent_spec)
     nominal = constant_velocity_rollout(single_agent_spec)
     expansion = expand_model_along(models[0], nominal)
-    with pytest.raises(ValidationError):
-        solve_lq_game(linearize_dynamics(2, 0.1), [expansion], SolverConfig())
+    with pytest.raises(ValidationError, match="2 agents"):
+        solve_lq_game(linearize_dynamics(2, 0.1), [expansion], SolverConfig(), nominal=nominal)
+    shorter = Trajectory(nominal.states[:-1], nominal.controls[:-1], nominal.dt)
+    with pytest.raises(ValidationError, match="nominal"):
+        solve_lq_game(linearize_dynamics(1, 0.1), [expansion], SolverConfig(), nominal=shorter)
 
 
 def test_policy_sequence_validates_and_freezes_arrays():

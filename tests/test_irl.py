@@ -82,6 +82,16 @@ def test_infer_goals_mean_final_position(intersection_spec, theta_star):
         assert np.allclose(goals[i], finals[4 * i : 4 * i + 2])
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("beta", 0.0), ("beta", -1.0), ("beta", float("inf")), ("beta", float("nan")),
+    ("tol", -1.0), ("tol", float("inf")), ("tol", float("nan")),
+])
+def test_training_config_rejects_out_of_range_knobs(knob, value):
+    with pytest.raises(ValidationError, match=f"{knob} must be"):
+        _cfg(**{knob: value})
+    _cfg(tol=0.0)  # the workloads train with --tol 0
+
+
 def test_feature_gap_exactly_zero_on_matched_draws(intersection_spec):
     # Demos drawn from the game at the training start with the first visit's
     # seed: the first gap compares identical trajectory sets and is exactly

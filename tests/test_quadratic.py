@@ -8,9 +8,10 @@ from crowdirl.cli import scenario_preset
 from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams, StageCostModel, stage_cost_models
 from crowdirl.game import build_policies, mean_rollout
-from crowdirl.quadratic import CostExpansion, expand_model_along, linearize_dynamics
+from crowdirl.quadratic import expand_model_along, linearize_dynamics
 from crowdirl.trajectory import Trajectory, constant_velocity_rollout
 from fd_oracle import (
+    DenseCost,
     expand_along,
     expand_terminal,
     fd_expand_model_along,
@@ -173,29 +174,6 @@ def test_expand_model_along_terminal(intersection_spec, theta_star):
     assert np.allclose(expansion.q[-1], l)
 
 
-def test_quadratic_stage_validation():
-    good = dict(Q=np.tile(np.eye(4), (3, 1, 1)), q=np.zeros((3, 4)), c=np.zeros(3), R=2.0,
-                r=np.zeros((2, 2)))
-    expansion = CostExpansion(**good)
-    assert (expansion.horizon, expansion.state_dim) == (2, 4)
-    for arr in (expansion.Q, expansion.q, expansion.c, expansion.r):
-        assert not arr.flags.writeable
-    asymmetric = good["Q"].copy()
-    asymmetric[1, 0, 1] = 0.5
-    for override in (
-        {"Q": asymmetric},
-        {"q": np.zeros((2, 4))},
-        {"c": np.zeros(2)},
-        {"r": np.zeros((3, 2))},
-        {"Q": np.eye(4)},
-        {"q": np.full((3, 4), np.nan)},
-        {"c": np.array([0.0, np.inf, 0.0])},
-        {"R": np.nan},
-    ):
-        with pytest.raises(ValidationError):
-            CostExpansion(**{**good, **override})
-
-
 # --- closed-form expansion against the finite-difference oracle -------------
 
 
@@ -297,7 +275,7 @@ def test_fill_writes_the_augmented_cost_of_the_dense_arrays(intersection_spec, t
         out = np.full((e.horizon + 1, e.state_dim + 1, e.state_dim + 1), np.nan)
         e.fill(out)
         dense = np.zeros_like(out)
-        CostExpansion(e.Q, e.q, e.c, e.R, e.r).fill(dense)
+        DenseCost(e.Q, e.q, e.c, e.R, e.r).fill(dense)
         assert np.array_equal(out, dense)
         assert np.array_equal(out, np.swapaxes(out, 1, 2))
         assert not any(a.flags.writeable for a in (e.Q, e.q, e.r))

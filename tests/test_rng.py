@@ -50,3 +50,11 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_keys_beyond_64_bits_are_rejected():
+    # masking 2**64 to 64 bits would hand it the stream of key 0
+    for call in (lambda: substream(2**64), lambda: substream(3, 2**64 + 5),
+                 lambda: derive_seed(2**64)):
+        with pytest.raises(ValidationError, match="below 2\\*\\*64"):
+            call()

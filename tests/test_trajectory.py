@@ -13,12 +13,10 @@ from crowdirl.trajectory import (
     clamp_control,
     constant_velocity_rollout,
     from_dataset_array,
-    from_dataset_row,
     propagate_joint,
     rollout,
     rollout_openloop,
     to_dataset_array,
-    to_dataset_row,
 )
 
 
@@ -82,34 +80,34 @@ def test_propagate_joint_matches_scalar_propagate():
 
 
 def test_to_dataset_row_axis_aligned():
-    row = to_dataset_row(JointState((AgentState(1, 2, 3, 0),)))
+    row = to_dataset_array(JointState((AgentState(1, 2, 3, 0),)).as_array())
     assert np.allclose(row, [1, 2, 3, 0])
 
 
 def test_to_dataset_row_quarter_turn():
-    row = to_dataset_row(JointState((AgentState(0, 0, 0, 1),)))
+    row = to_dataset_array(JointState((AgentState(0, 0, 0, 1),)).as_array())
     assert np.allclose(row, [0, 0, 1, math.pi / 2])
 
 
 def test_to_dataset_row_rest_convention():
-    row = to_dataset_row(JointState((AgentState(5, 5, 0, 0),)))
+    row = to_dataset_array(JointState((AgentState(5, 5, 0, 0),)).as_array())
     assert np.allclose(row, [5, 5, 0, 0])
 
 
 def test_from_dataset_row_inverse_cases():
-    st = from_dataset_row([1, 2, 3, 0]).agents[0]
+    st = AgentState.from_array(from_dataset_array([1, 2, 3, 0]))
     assert (st.px, st.py, st.vx, st.vy) == (1, 2, 3, 0)
-    st = from_dataset_row([0, 0, 1, math.pi / 2]).agents[0]
+    st = AgentState.from_array(from_dataset_array([0, 0, 1, math.pi / 2]))
     assert abs(st.vx) < 1e-12 and abs(st.vy - 1) < 1e-12
-    st = from_dataset_row([0, 0, 0, 2.7]).agents[0]
+    st = AgentState.from_array(from_dataset_array([0, 0, 0, 2.7]))
     assert (st.vx, st.vy) == (0.0, 0.0)
 
 
 def test_from_dataset_row_rejects_bad_rows():
     with pytest.raises(FormatError):
-        from_dataset_row([1, 2, 3])
+        from_dataset_array([1, 2, 3])
     with pytest.raises(FormatError):
-        from_dataset_row([0, 0, -1.0, 0])
+        from_dataset_array([0, 0, -1.0, 0])
 
 
 def test_dataset_roundtrip_moving_states():
