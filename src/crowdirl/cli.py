@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import sys
@@ -56,12 +57,12 @@ from .pipeline import (
 )
 from .rng import KEY_LIMIT
 from .trajectory import (
+    DEFAULT_U_MAX,
     AgentState,
     JointState,
     ScenarioSpec,
     Trajectory,
     check_u_max,
-    from_dataset_array,
 )
 
 EXIT_OK = 0
@@ -70,28 +71,27 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_INTERNAL = 4
 LOG_LEVELS = ("debug", "info", "warning", "error")
 
+
+def _defaults(cls, *names: str) -> dict:
+    """A config dataclass's field defaults (every field unless some are named), tuples as lists."""
+    fields = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {n: list(fields[n]) if isinstance(fields[n], tuple) else fields[n] for n in names or fields}
+
+
+# every key a library dataclass declares takes its default from there
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "u_max": 3.0,
-    "solver": {
-        "eps_psd": 1e-6,
-        "entropy_temp": 1.0,
-        "max_outer_iters": 1,
-        "outer_tol": 1e-6,
-    },
-    "training": {"beta": 3e-4, "max_iters": 500, "tol": 1e-3, "M": 32},
-    "proximity": {"sigma": 1.5},
+    "u_max": DEFAULT_U_MAX,
+    "solver": _defaults(SolverConfig),
+    "training": _defaults(TrainingConfig, "beta", "max_iters", "tol", "M"),
+    "proximity": _defaults(ProximityConfig),
     "preprocess": {
-        "x_range": [-20.0, 20.0],
-        "y_range": [-10.0, 15.0],
-        "standstill_speed": 0.2,
-        "min_track_len": 10,
-        "resample_dt": 0.1,
+        **_defaults(PreprocessConfig),
         "scheme": ["W-E-S", "W-E-N", "S-N-W", "S-N-E"],
         "group_size": 5,
         "scenario_len": 30,
     },
-    "eval": {"best_of": 1, "gmm_components": 3},
+    "eval": _defaults(PredictorContext, "best_of", "gmm_components"),
 }
 
 # flag destination -> config path
@@ -137,7 +137,7 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
         else:
             if isinstance(base[key], int):
                 _check_integer(dotted, value)
-            out[key] = value
+            out[key] = type(base[key])(value)  # a number takes its default's type
     return out
 
 
@@ -176,36 +176,17 @@ def load_config(path: str | None, flag_values: dict) -> dict:
             node = node[p]
         node[leaf] = value
     _check_integer("seed", cfg["seed"])  # the flags that set these skip the merge's check
-    for key in ("best_of", "gmm_components"):
-        _check_integer(f"eval.{key}", cfg["eval"][key])
+    _check_integer("eval.best_of", cfg["eval"]["best_of"])
     check_u_max(cfg["u_max"])
-    _training_config(cfg)  # checks the solver section too
+    _training_config(cfg)  # checks the solver and proximity sections too
     _preprocess_config(cfg)
     return cfg
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    s = cfg["solver"]
-    return SolverConfig(
-        eps_psd=float(s["eps_psd"]),
-        entropy_temp=float(s["entropy_temp"]),
-        max_outer_iters=int(s["max_outer_iters"]),
-        outer_tol=float(s["outer_tol"]),
-    )
-
-
 def _training_config(cfg: dict) -> TrainingConfig:
-    t = cfg["training"]
-    return TrainingConfig(
-        beta=float(t["beta"]),
-        max_iters=int(t["max_iters"]),
-        tol=float(t["tol"]),
-        M=int(t["M"]),
-        seed=int(cfg["seed"]),
-        u_max=float(cfg["u_max"]),
-        solver=_solver_config(cfg),
-        proximity=ProximityConfig(sigma=float(cfg["proximity"]["sigma"])),
-    )
+    return TrainingConfig(**cfg["training"], seed=cfg["seed"], u_max=cfg["u_max"],
+                          solver=SolverConfig(**cfg["solver"]),
+                          proximity=ProximityConfig(**cfg["proximity"]))
 
 
 def _preprocess_config(cfg: dict) -> PreprocessConfig:
@@ -219,13 +200,7 @@ def _preprocess_config(cfg: dict) -> PreprocessConfig:
         if len(set(cat.split("-"))) < len(cat.split("-")) or cat in p["scheme"][:i]:
             raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} repeats a "
                                   "direction or an earlier entry")
-    return PreprocessConfig(
-        x_range=tuple(p["x_range"]),
-        y_range=tuple(p["y_range"]),
-        standstill_speed=float(p["standstill_speed"]),
-        min_track_len=int(p["min_track_len"]),
-        resample_dt=float(p["resample_dt"]),
-    )
+    return PreprocessConfig(**{f.name: p[f.name] for f in dataclasses.fields(PreprocessConfig)})
 
 
 # --- scenario presets ---------------------------------------------------------
@@ -298,9 +273,8 @@ def _spec_from_demos(demos: list[Trajectory], header: dict) -> ScenarioSpec:
 
 def cmd_preprocess(args, cfg: dict) -> int:
     pre = _preprocess_config(cfg)
-    scheme = list(cfg["preprocess"]["scheme"])
-    group_size = int(cfg["preprocess"]["group_size"])
-    scenario_len = int(cfg["preprocess"]["scenario_len"])
+    scheme, group_size, scenario_len = (cfg["preprocess"][key]
+                                        for key in ("scheme", "group_size", "scenario_len"))
 
     frames = parse_frames(read_text_lines(args.raw))
     tracks = filter_tracks(tracks_from_frames(frames, pre), pre)
@@ -340,7 +314,7 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
 
 def _write_entry(path: Path, entry, dt: float) -> None:
-    traj = Trajectory.from_states(from_dataset_array(entry.array), dt)
+    traj = Trajectory.from_states(entry.array, dt)
     write_demonstrations(path, [traj], goals=None, provenance={"category": entry.category})
 
 
@@ -349,21 +323,17 @@ def cmd_synth(args, cfg: dict) -> int:
     if args.horizon is not None:
         spec = ScenarioSpec(spec.k, spec.x0, spec.goals, int(args.horizon), spec.dt)
     thetas = parse_thetas(args.theta, spec.k)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     provenance = synth_provenance(thetas, seed)
     if args.n == 0:
         write_demonstrations(args.out, [], goals=spec.goals, provenance=provenance, spec=spec)
         print(f"wrote header-only demonstration file to {args.out}")
         return EXIT_OK
-    demos = synth_generate(
-        thetas,
-        spec,
-        args.n,
-        seed,
-        solver_cfg=_solver_config(cfg),
-        proximity=ProximityConfig(sigma=float(cfg["proximity"]["sigma"])),
-        u_max=float(cfg["u_max"]),
-    )
+    try:
+        demos = synth_generate(thetas, spec, args.n, seed, SolverConfig(**cfg["solver"]),
+                               ProximityConfig(**cfg["proximity"]), cfg["u_max"])
+    except SolverError as exc:  # the weights are the user's, so this is an input error
+        raise ValidationError(f"weights --theta {args.theta!r} give no solvable game: {exc}") from exc
     write_demonstrations(args.out, demos, goals=spec.goals, provenance=provenance)
     print(f"wrote {len(demos)} demonstrations ({spec.k} agents, T={spec.horizon}) to {args.out}")
     return EXIT_OK
@@ -455,18 +425,14 @@ def cmd_eval(args, cfg: dict) -> int:
             raise ValidationError(f"--theta FILE is required for baseline {method!r}")
         thetas = _load_thetas(args.theta, spec.k)
 
-    ctx = PredictorContext(
-        spec=spec,
-        train_demos=train_demos,
-        thetas=thetas,
-        solver=_solver_config(cfg),
-        proximity=ProximityConfig(sigma=float(cfg["proximity"]["sigma"])),
-        u_max=float(cfg["u_max"]),
-        best_of=int(cfg["eval"]["best_of"]),
-        seed=int(cfg["seed"]),
-        gmm_components=int(cfg["eval"]["gmm_components"]),
-    )
-    predictions = make_predictor(method, ctx)(demos)
+    ctx = PredictorContext(spec=spec, train_demos=train_demos, thetas=thetas,
+                           solver=SolverConfig(**cfg["solver"]),
+                           proximity=ProximityConfig(**cfg["proximity"]),
+                           u_max=cfg["u_max"], seed=cfg["seed"], **cfg["eval"])
+    try:
+        predictions = make_predictor(method, ctx)(demos)
+    except SolverError as exc:  # only mairl and sairl solve, at the weight file's weights
+        raise ValidationError(f"weight file {args.theta} gives no solvable game: {exc}") from exc
     report = score_predictions(method, args.scenario, demos, predictions)
     emit_report([report], args.format, args.out)
     print(

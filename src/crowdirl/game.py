@@ -30,7 +30,7 @@ agent of all M rollouts at once; the noise of the whole set is one
 is scaled by the lower-triangular covariance factors for every step before
 the time loop. The feedback of a step is one stacked GEMM over fixed tiles of
 FEEDBACK_TILE rows, the M rows padded with zero-noise rows from x0; the mean
-rollout steps its one row and pads only that product. Rollouts are returned
+rollout is a set of one zero-noise row. Rollouts are returned
 as one `RolloutSet`, bit-reproducible for a given seed regardless of the
 batch size: rollout m always reads the same stretch of the stream and sits
 at the same place in a product of the same shape. The bits depend on the
@@ -382,7 +382,7 @@ def solve_scenario(
 def _rollout_batch(
     policies: PolicySequence,
     spec: ScenarioSpec,
-    noise: np.ndarray | None,
+    noise: np.ndarray,
     u_max: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate M rollouts at once; noise is (M, T, k, 2) standard normals."""
@@ -391,31 +391,22 @@ def _rollout_batch(
         raise ValidationError("scenario does not match the policy sequence")
     n = STATE_DIM * k
     gains = np.ascontiguousarray(np.swapaxes(policies.K.reshape(T, CONTROL_DIM * k, n), 1, 2))
-    if noise is None:
-        # the mean rollout steps one row; only its feedback GEMM sees a whole
-        # tile, the row on top of zeros, so it matches row 0 of a padded set
-        M = Mp = 1
-        tile = np.zeros((FEEDBACK_TILE, n))
-    else:
-        # batch invariance comes from fixed row tiles, not from reduction order:
-        # padded (zero-noise rows from x0) to whole tiles, rollout m always sits
-        # at the same place in a GEMM of the same shape, whatever M is
-        M = noise.shape[0]
-        Mp = -(-M // FEEDBACK_TILE) * FEEDBACK_TILE
-        # the noise term L[t, i] @ noise[m, t, i] of every step at once, over
-        # the nonzero entries of the lower-triangular Cholesky factor; laid
-        # out (T, Mp, k, 2) so that each step reads one contiguous block
-        L = _stage_cholesky(policies)[:, None]  # (T, 1, k, 2, 2)
-        z = np.swapaxes(noise, 0, 1)  # (T, M, k, 2)
-        eps = np.zeros((T, Mp, k, CONTROL_DIM))
-        eps[:, :M, :, 0] = z[..., 0] * L[..., 0, 0]
-        eps[:, :M, :, 1] = z[..., 0] * L[..., 1, 0] + z[..., 1] * L[..., 1, 1]
+    # batch invariance comes from fixed row tiles, not from reduction order:
+    # padded (zero-noise rows from x0) to whole tiles, rollout m always sits
+    # at the same place in a GEMM of the same shape, whatever M is
+    M = noise.shape[0]
+    Mp = -(-M // FEEDBACK_TILE) * FEEDBACK_TILE
+    # the noise term L[t, i] @ noise[m, t, i] of every step at once, over
+    # the nonzero entries of the lower-triangular Cholesky factor; laid
+    # out (T, Mp, k, 2) so that each step reads one contiguous block
+    L = _stage_cholesky(policies)[:, None]  # (T, 1, k, 2, 2)
+    z = np.swapaxes(noise, 0, 1)  # (T, M, k, 2)
+    eps = np.zeros((T, Mp, k, CONTROL_DIM))
+    eps[:, :M, :, 0] = z[..., 0] * L[..., 0, 0]
+    eps[:, :M, :, 1] = z[..., 0] * L[..., 1, 0] + z[..., 1] * L[..., 1, 1]
 
     def act(t: int, states: np.ndarray) -> np.ndarray:
         dx = states - policies.nominal_states[t]  # gains[t]: (4k, 2k)
-        if noise is None:
-            tile[0] = dx[0]
-            return policies.kff[t] - (tile @ gains[t])[:1].reshape(1, k, CONTROL_DIM)
         feedback = dx.reshape(-1, FEEDBACK_TILE, n) @ gains[t]
         return policies.kff[t] - feedback.reshape(Mp, k, CONTROL_DIM) + eps[t]
 
@@ -438,8 +429,9 @@ def _stage_cholesky(policies: PolicySequence) -> np.ndarray:
 def mean_rollout(
     policies: PolicySequence, spec: ScenarioSpec, u_max: float = DEFAULT_U_MAX
 ) -> Trajectory:
-    """Deterministic rollout under the feedback means (zero policy noise)."""
-    states, controls = _rollout_batch(policies, spec, None, u_max)
+    """Deterministic rollout under the feedback means: row 0 of a zero-noise set."""
+    noise = np.zeros((1, policies.horizon, policies.k, CONTROL_DIM))
+    states, controls = _rollout_batch(policies, spec, noise, u_max)
     return Trajectory(states[0], controls[0], spec.dt)
 
 

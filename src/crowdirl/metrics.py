@@ -151,11 +151,10 @@ class MetricReport:
     scenario: str
     per_agent_ade: np.ndarray  # (k,)
     per_agent_fde: np.ndarray
-    per_agent_efe: np.ndarray
     rmse_per_traj: np.ndarray  # (n_demos,)
 
     def __post_init__(self):
-        for name in ("per_agent_ade", "per_agent_fde", "per_agent_efe", "rmse_per_traj"):
+        for name in ("per_agent_ade", "per_agent_fde", "rmse_per_traj"):
             arr = np.array(getattr(self, name), dtype=float)
             if np.any(arr < 0):
                 raise ValidationError(f"{name} contains negative values")
@@ -172,7 +171,7 @@ class MetricReport:
 
     @property
     def efe(self) -> float:
-        return float(np.mean(self.per_agent_efe))
+        return self.ade  # EFE is full-horizon ADE; see module docstring
 
     @property
     def k(self) -> int:
@@ -215,7 +214,6 @@ def score_predictions(
         scenario=scenario,
         per_agent_ade=ades / n,
         per_agent_fde=fdes / n,
-        per_agent_efe=ades / n,  # full-horizon reading; see module docstring
         rmse_per_traj=np.array(rmses),
     )
 
@@ -349,7 +347,7 @@ def report_rows(reports: Sequence[MetricReport]) -> list[dict]:
                     "agent": str(i),
                     "ade_m": float(rep.per_agent_ade[i]),
                     "fde_m": float(rep.per_agent_fde[i]),
-                    "efe_m": float(rep.per_agent_efe[i]),
+                    "efe_m": float(rep.per_agent_ade[i]),  # EFE is full-horizon ADE
                 }
             )
         rows.append(

@@ -3,11 +3,12 @@
 Raw input is a line-delimited stream of tracker frames (one JSON object per
 line carrying a timestamp and detected objects). Frames become per-id tracks
 resampled onto a uniform time grid, standstill and out-of-range data are
-dropped, and surviving tracks are stacked into T x 4k joint arrays, either
-directly or combinatorially, crossing direction groups into scenario
-catalogs. A synthetic generator produces ground-truth demonstrations by
-rolling out game policies at known cost weights, emitted in the same
-interchange format the readers accept.
+dropped, and surviving tracks are stacked into T x 4k arrays of Cartesian
+joint states, either directly or combinatorially, crossing direction groups
+into scenario catalogs; only the writer converts them to the dataset layout,
+once. A synthetic generator produces ground-truth demonstrations by rolling
+out game policies at known cost weights, emitted in the same interchange
+format the readers accept.
 
 Interchange file layout: one JSON header line (k, T, dt, goals, count,
 provenance) followed by `count` blocks of T comma-separated rows, each row a
@@ -108,6 +109,7 @@ class PreprocessConfig:
                     and lo_hi[0] < lo_hi[1]):
                 raise ValidationError(
                     f"{name} must be two finite numbers lo < hi, got {list(lo_hi)}")
+            object.__setattr__(self, name, lo_hi)  # a JSON list is stored as the tuple it means
         if self.resample_dt <= 0:
             raise ValidationError("resample_dt must be positive")
 
@@ -298,8 +300,9 @@ def travel_direction(track: Track) -> str:
 def assemble_joint(tracks: Sequence[Track], T: int) -> np.ndarray:
     """Stack k tracks (aligned from their own starts) into a (T, 4k) array.
 
-    Rows are dataset-layout states; column blocks follow the given track
-    order. Every track must supply at least T samples.
+    Rows are Cartesian joint states (x, y, vx, vy per agent), converted to
+    the dataset layout only when written; column blocks follow the given
+    track order. Every track must supply at least T samples.
     """
     if not tracks:
         raise ValidationError("need at least one track")
@@ -308,15 +311,14 @@ def assemble_joint(tracks: Sequence[Track], T: int) -> np.ndarray:
         raise ValidationError(
             f"track {shortest.track_id!r} covers only {len(shortest)} < {T} steps"
         )
-    joint = np.concatenate([trk.states[:T] for trk in tracks], axis=1)
-    return to_dataset_array(joint)
+    return np.concatenate([trk.states[:T] for trk in tracks], axis=1)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     category: str
     track_ids: tuple[str, ...]
-    array: np.ndarray  # (T, 4k) dataset layout
+    array: np.ndarray  # (T, 4k) Cartesian joint states
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +14,26 @@ from crowdirl.cli import (
     parse_thetas,
 )
 from crowdirl.errors import FormatError
-from crowdirl.metrics import emit_report, evaluate_method, parse_report_csv, render_overlay_svg
-from crowdirl.pipeline import header_goals, read_demonstrations, write_demonstrations
-from crowdirl.trajectory import Trajectory
+from crowdirl.features import ProximityConfig
+from crowdirl.game import SolverConfig
+from crowdirl.irl import TrainingConfig
+from crowdirl.metrics import (
+    PredictorContext,
+    emit_report,
+    evaluate_method,
+    parse_report_csv,
+    render_overlay_svg,
+)
+from crowdirl.pipeline import (
+    PreprocessConfig,
+    filter_tracks,
+    header_goals,
+    parse_frames,
+    read_demonstrations,
+    tracks_from_frames,
+    write_demonstrations,
+)
+from crowdirl.trajectory import Trajectory, to_dataset_array
 
 FAST_TRAIN = [
     "--entropy-temp", "0.001", "--beta", "0.03", "--rollouts", "8",
@@ -126,6 +145,36 @@ class TestConfig:
         cfg = load_config(str(cfg_path), {})
         assert cfg["seed"] == 3.0 and cfg["training"]["beta"] == 1
         assert cfg["preprocess"]["scheme"] == ["W-E-S"]
+
+    def test_numbers_are_stored_as_their_defaults_type(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"training": {"M": 8.0}, "solver": {"entropy_temp": 1}}))
+        cfg = load_config(str(cfg_path), {})
+        assert type(cfg["training"]["M"]) is int and cfg["training"]["M"] == 8
+        assert type(cfg["solver"]["entropy_temp"]) is float and cfg["solver"]["entropy_temp"] == 1.0
+        demos = _synth(tmp_path, n=2)
+        out = tmp_path / "t.json"
+        rc = main(["--config", str(cfg_path), "--iters", "1", "train", str(demos), "--out", str(out)])
+        assert rc in (0, 3)
+        recorded = json.loads(out.read_text())["config"]
+        assert recorded["training"]["M"] == 8 and type(recorded["training"]["M"]) is int
+        assert type(recorded["solver"]["entropy_temp"]) is float
+
+    def test_each_default_section_is_its_dataclass_defaults(self):
+        def as_json(instance, *names: str) -> str:  # JSON tells 1 from 1.0, writes a tuple as a list
+            fields = dataclasses.asdict(instance)
+            return json.dumps({name: fields[name] for name in names or fields})
+
+        cfg = {key: json.dumps(value) for key, value in DEFAULT_CONFIG.items()}
+        assert cfg["solver"] == as_json(SolverConfig())
+        assert cfg["training"] == as_json(TrainingConfig(), "beta", "max_iters", "tol", "M")
+        assert cfg["proximity"] == as_json(ProximityConfig())
+        assert json.dumps(dict(list(DEFAULT_CONFIG["preprocess"].items())[:5])) == as_json(
+            PreprocessConfig())
+        assert cfg["eval"] == as_json(PredictorContext(spec=None, train_demos=()),
+                                      "best_of", "gmm_components")
+        assert json.dumps({key: DEFAULT_CONFIG[key] for key in ("seed", "u_max")}) == as_json(
+            TrainingConfig(), "seed", "u_max")
 
     def test_removed_threads_key_and_flag_exit_2(self, tmp_path, capsys):
         # no worker pool exists, so there is no thread count to configure
@@ -261,6 +310,15 @@ class TestConfig:
         assert rc == 2
         assert f"weight group {group}" in capsys.readouterr().err
         assert not (tmp_path / "out.traj").exists()
+
+    @pytest.mark.parametrize("theta", ["0,0,0", "0,1,0"])  # no weight at all; crowding only
+    def test_weights_without_a_solvable_game_exit_2_naming_them(self, tmp_path, capsys, theta):
+        # zero effort weight leaves the gain system singular; the weights are the user's input
+        out = tmp_path / "out.traj"
+        assert main(["synth", str(out), "--theta", theta, "--n", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"weights --theta '{theta}' give no solvable game" in err and "(timestep " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta, group", [
         ("1,0.5,-0.2", "'1,0.5,-0.2'"), ("1,0,0;0,-1,0;0,0,1", "'0,-1,0'"),
@@ -439,14 +497,18 @@ class TestEval:
         rc = main(["eval", str(demos), "--baseline", "mairl", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_degenerate_weights_exit_4(self, tmp_path):
-        # all-zero weights make the stacked gain system singular: internal error
+    def test_degenerate_weights_exit_2(self, tmp_path, capsys):
+        # all-zero weights make the stacked gain system singular; the weights are the user's
         demos = _synth(tmp_path)
         theta = tmp_path / "zero.json"
         theta.write_text(json.dumps({"thetas": [[0.0, 0.0, 0.0]] * 3}))
-        rc = main(["eval", str(demos), "--baseline", "mairl",
-                   "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
-        assert rc == 4
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        rc = main(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"weight file {theta} gives no solvable game" in err and "(timestep " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         "{}",
@@ -621,7 +683,8 @@ class TestPlotCompare:
         assert ades == sorted(ades)
 
 
-def _walker_frames(n_per_dir=2, steps=40, dt=0.1):
+def _walker_frames(n_per_dir=2, steps=40, dt=0.1, wobble=0.0):
+    # wobble varies the reported box angles and speeds (so the velocities), not the positions
     starts = {
         "E": (-15.0, 0.0, 1.2, 0.0, 0.0),
         "W": (15.0, 1.0, -1.2, 0.0, np.pi),
@@ -636,8 +699,8 @@ def _walker_frames(n_per_dir=2, steps=40, dt=0.1):
             for m in range(n_per_dir):
                 objs.append({
                     "id": f"{d}{m}", "x": x0 + vx * t, "y": y0 + vy * t + 0.3 * m,
-                    "w": 0.5, "l": 0.5, "angle": ang, "class": "pedestrian",
-                    "speed": 1.2, "acc": 0.9,
+                    "w": 0.5, "l": 0.5, "angle": ang + wobble * math.sin(j + m),
+                    "class": "pedestrian", "speed": 1.2 + wobble * math.cos(j), "acc": 0.9,
                 })
         lines.append(json.dumps({"t": t, "objects": objs}))
     return "\n".join(lines) + "\n"
@@ -675,6 +738,24 @@ class TestPreprocess:
         demos, header = read_demonstrations(out_dir / entry["file"])
         assert header["k"] == 3
         assert demos[0].horizon == 29  # 30 rows
+
+    def test_catalog_rows_are_the_tracked_states_converted_once(self, tmp_path):
+        # each written row is to_dataset_array of the tracked Cartesian states, bit for bit,
+        # not a dataset -> Cartesian -> dataset round trip of them
+        raw = tmp_path / "raw.jsonl"
+        frames = _walker_frames(wobble=0.3)
+        raw.write_text(frames)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preprocess": {"scheme": ["W-E-S", "S-N-W"], "group_size": 2}}))
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(cfg), "preprocess", str(raw), str(out_dir)]) == 0
+        tracks = filter_tracks(tracks_from_frames(parse_frames(frames.splitlines())))
+        summary = json.loads((out_dir / "catalog.json").read_text())
+        assert summary["total_entries"] == 16
+        for entry in summary["entries"]:
+            joint = np.concatenate([tracks[t].states[:30] for t in entry["tracks"]], axis=1)
+            rows = (out_dir / entry["file"]).read_text().splitlines()[1:]
+            assert rows == [",".join(map(repr, row)) for row in to_dataset_array(joint).tolist()]
 
     @pytest.mark.parametrize("override, message", [
         ({"x_range": ["a", "b"]}, "x_range must be two finite numbers lo < hi, got ['a', 'b']"),

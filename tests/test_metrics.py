@@ -185,7 +185,7 @@ class TestReports:
         mk = lambda m, a, f: MetricReport(
             method=m, scenario="s",
             per_agent_ade=np.array([a]), per_agent_fde=np.array([f]),
-            per_agent_efe=np.array([a]), rmse_per_traj=np.array([a]),
+            rmse_per_traj=np.array([a]),
         )
         ranked = rank_methods([mk("slow", 2.0, 1.0), mk("tie_b", 1.0, 2.0),
                                mk("tie_a", 1.0, 1.0), mk("fast", 0.5, 3.0)])
