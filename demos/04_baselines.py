@@ -16,16 +16,14 @@ from crowdirl import (
     ScenarioSpec,
     action_grid,
     ebm_argmin,
-    ebm_energy,
     ebm_minimizer,
     ebm_train,
     gmm_conditional_mean,
     gmm_fit,
-    gmm_pdf,
-    gmm_sample,
     make_predictor,
     rollout_openloop,
 )
+from crowdirl.baselines import ebm_energy, gmm_pdf, gmm_sample
 
 rng = np.random.default_rng(5)
 

@@ -11,13 +11,10 @@ from .baselines import (
     GmmModel,
     action_grid,
     ebm_argmin,
-    ebm_energy,
     ebm_minimizer,
     ebm_train,
     gmm_conditional_mean,
     gmm_fit,
-    gmm_pdf,
-    gmm_sample,
 )
 from .errors import (
     CrowdIrlError,

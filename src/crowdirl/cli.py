@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -538,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="raw frame stream -> scenario catalog")
     p.add_argument("raw", help="line-delimited frame stream")
     p.add_argument("out", help="output directory")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("synth", help="generate ground-truth demonstrations")
     p.add_argument("out", help="output demonstration file")
@@ -546,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default="1.0,0.5,0.2", help="weights 'a,b,c' or per-agent 'a,b,c;...'")
     p.add_argument("--n", type=int, default=20, help="number of demonstrations")
     p.add_argument("--horizon", type=int, default=None, help="override preset horizon")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="learn cost weights from demonstrations")
     p.add_argument("demos", help="demonstration file")
@@ -554,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="weight file to write")
     p.add_argument("--trace-out", dest="trace_out", help="write per-update trace JSONL")
     p.add_argument("--diagnostics", action="store_true", help="print solver conditioning stats")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a method against demonstrations")
     p.add_argument("demos", help="evaluation demonstration file")
@@ -566,24 +564,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report file to write")
     p.add_argument("--format", choices=("csv", "jsonl", "svg"), default="csv")
     p.add_argument("--overlay", help="also write a trajectory overlay SVG here")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render CDF curves from jsonl reports")
     p.add_argument("reports", nargs="+", help="report files")
     p.add_argument("--out", required=True, help="SVG file to write")
-    p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("compare", help="rank methods across reports")
     p.add_argument("reports", nargs="+", help="report files")
     p.add_argument("--out", help="optional JSONL ranking output")
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every `main` call in this process parses with, built on the first call.
+
+    `build_parser` still returns a fresh parser, so a caller that changes the one
+    it gets never changes what `main` parses. The shared parser holds no function
+    and no mutable default, and parsing or printing help leaves it as it was.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     # the package's log records go to one formatted stderr handler for this
     # command only, so repeated in-process calls never stack handlers
     logger = logging.getLogger("crowdirl")
@@ -594,7 +599,8 @@ def main(argv: list[str] | None = None) -> int:
     logger.setLevel(args.log_level.upper())
     try:
         cfg = load_config(args.config, vars(args))
-        return args.func(args, cfg)
+        # subcommand NAME runs cmd_NAME, looked up per call so a rebound cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args, cfg)
     except (FormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -866,3 +867,103 @@ def test_cli_entry_point_help():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+SUBCOMMANDS = ("preprocess", "synth", "train", "eval", "plot", "compare")
+
+
+def _parsers(parser):
+    """The parser and every subcommand's parser."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def _help_text(parse, argv, capsys) -> str:
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        parse([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestRepeatedCalls:
+    """In-process `main` calls share one parser and nothing else."""
+
+    def test_main_builds_its_parser_once(self, tmp_path, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._shared_parser.cache_clear()
+        for n in range(4):
+            assert main(["synth", str(tmp_path / f"{n}.traj"), "--n", "0"]) == 0
+        assert main(["compare", str(tmp_path / "missing.csv")]) == 2
+        assert len(builds) == 1
+
+    def test_a_name_patched_after_the_first_call_takes_effect(self, tmp_path, monkeypatch):
+        demos = _synth(tmp_path)
+        argv = ["eval", str(demos), "--baseline", "cv", "--out"]
+        assert main([*argv, str(tmp_path / "a.csv")]) == 0
+        reads = []
+        monkeypatch.setattr(cli, "read_demonstrations",
+                            lambda path: reads.append(path) or read_demonstrations(path))
+        assert main([*argv, str(tmp_path / "b.csv")]) == 0
+        assert reads == [str(demos)]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_eval_flags_of_one_call_do_not_reach_the_next(self, tmp_path):
+        demos = _synth(tmp_path)
+        argv = ["eval", str(demos), "--baseline", "cv", "--out"]
+        overlay = tmp_path / "o.svg"
+        assert main([*argv, str(tmp_path / "r.jsonl"), "--format", "jsonl",
+                     "--overlay", str(overlay)]) == 0
+        assert overlay.exists() and (tmp_path / "r.jsonl").read_text().startswith("{")
+        overlay.unlink()
+        assert main([*argv, str(tmp_path / "r.csv")]) == 0
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[1] == ",".join(metrics.CSV_COLUMNS)
+        assert {row["method"] for row in parse_report_csv(tmp_path / "r.csv")} == {"cv"}
+        assert not overlay.exists()
+
+    def test_train_diagnostics_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        demos = _synth(tmp_path)
+        argv = [*FAST_TRAIN, "--iters", "1", "--tol", "100", "train", str(demos),
+                "--out", str(tmp_path / "theta.json")]
+        capsys.readouterr()
+        main([*argv, "--diagnostics"])
+        assert capsys.readouterr().out.startswith("{")
+        main(argv)
+        out = capsys.readouterr().out
+        assert out.startswith("mairl:") and "{" not in out
+
+    def test_log_level_of_one_call_does_not_reach_the_next(self, tmp_path, capsys):
+        demos = _synth(tmp_path)
+        argv = ["eval", str(demos), "--baseline", "ebm", "--out", str(tmp_path / "ebm.csv")]
+        capsys.readouterr()
+        assert main(["--log-level", "info", *argv]) == 0
+        assert "INFO crowdirl.baselines: energy fit residual" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert "INFO" not in capsys.readouterr().err
+
+    def test_help_is_the_fresh_parsers_after_other_commands(self, tmp_path, capsys):
+        # the shared parser first serves a command, an input error and a usage error
+        _synth(tmp_path, n=0)
+        assert main(["compare", str(tmp_path / "missing.csv")]) == 2
+        with pytest.raises(SystemExit):
+            main(["eval", str(tmp_path / "d.traj")])
+        for argv in ([], *([name] for name in SUBCOMMANDS)):
+            fresh = _help_text(build_parser().parse_args, argv, capsys)
+            assert _help_text(main, argv, capsys) == fresh
+            assert _help_text(main, argv, capsys) == fresh  # printing help changes nothing
+
+    def test_no_argument_carries_state_between_parses(self):
+        accumulating = (argparse._AppendAction, argparse._AppendConstAction, argparse._ExtendAction)
+        parsers = list(_parsers(cli._shared_parser()))
+        assert [p.prog for p in parsers[1:]] == [f"crowdirl {name}" for name in SUBCOMMANDS]
+        for parser in parsers:
+            assert parser._defaults == {}, parser.prog  # no set_defaults, so no function objects
+            for action in parser._actions:
+                assert not isinstance(action, accumulating), action.dest
+                assert action.default is None or isinstance(action.default, (str, int, float)), \
+                    action.dest
