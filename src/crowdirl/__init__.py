@@ -81,6 +81,7 @@ from .pipeline import (
     read_demonstrations,
     synth_generate,
     tracks_from_frames,
+    write_catalog,
     write_demonstrations,
 )
 from .quadratic import CostExpansion, LinearDynamics, linearize_dynamics

@@ -54,6 +54,7 @@ from .pipeline import (
     synth_provenance,
     tracks_from_frames,
     travel_direction,
+    write_catalog,
     write_demonstrations,
 )
 from .rng import KEY_LIMIT
@@ -290,33 +291,21 @@ def cmd_preprocess(args, cfg: dict) -> int:
     feasible = [cat for cat in scheme if all(d in usable for d in cat.split("-"))]
     catalog = combinatorial_scenarios(usable, feasible, scenario_len)  # empty when none is feasible
 
-    entries_meta = []
-    for idx, entry in enumerate(catalog.entries):
-        fname = f"{entry.category}_{idx:04d}.traj"
-        _write_entry(out_dir / fname, entry, pre.resample_dt)
-        entries_meta.append(
-            {"category": entry.category, "tracks": list(entry.track_ids), "file": fname}
-        )
     summary = {
         "tracks_kept": len(tracks),
         "direction_counts": {d: len(t) for d, t in sorted(groups.items())},
         "categories": catalog.count_by_category(),
         "total_entries": catalog.size,
-        "entries": entries_meta,
+        "entries": write_catalog(out_dir, catalog, pre.resample_dt),
     }
-    with open(out_dir / "catalog.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # one string, one write: json.dump would issue a write call per token
+    (out_dir / "catalog.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n",
+                                          encoding="utf-8")
     print(
         f"kept {len(tracks)} tracks; catalog entries: {summary['total_entries']} "
         f"({', '.join(f'{k}={v}' for k, v in summary['categories'].items()) or 'none'})"
     )
     return EXIT_OK
-
-
-def _write_entry(path: Path, entry, dt: float) -> None:
-    traj = Trajectory.from_states(entry.array, dt)
-    write_demonstrations(path, [traj], goals=None, provenance={"category": entry.category})
 
 
 def cmd_synth(args, cfg: dict) -> int:

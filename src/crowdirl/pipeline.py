@@ -6,9 +6,11 @@ resampled onto a uniform time grid, standstill and out-of-range data are
 dropped, and surviving tracks are stacked into T x 4k arrays of Cartesian
 joint states, either directly or combinatorially, crossing direction groups
 into scenario catalogs; only the writer converts them to the dataset layout,
-once. A synthetic generator produces ground-truth demonstrations by rolling
-out game policies at known cost weights, emitted in the same interchange
-format the readers accept.
+once. A catalog shares each track among many entries, so its writer checks,
+converts and formats each track's block once and joins every entry's rows
+from that text. A synthetic generator produces ground-truth demonstrations by
+rolling out game policies at known cost weights, emitted in the same
+interchange format the readers accept.
 
 Interchange file layout: one JSON header line (k, T, dt, goals, count,
 provenance) followed by `count` blocks of T comma-separated rows, each row a
@@ -23,6 +25,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,16 +49,16 @@ _OBJECT_KEYS = {"id", "x", "y", "w", "l", "angle", "class", "speed", "acc"}
 _HEADER_KEYS = {"k", "T", "dt", "goals", "count", "provenance"}
 GAP_SPLIT_FACTOR = 5
 DIRECTIONS = ("E", "W", "N", "S")  # every value travel_direction returns
+_FLOAT_MAX = sys.float_info.max
 
 
 def json_kind(value) -> str:
     """JSON type of a parsed value; int and float are both a finite number."""
     if isinstance(value, bool):
         return "a boolean"
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        return "a non-finite number"  # NaN, infinity, or an integer beyond float range
     if isinstance(value, (int, float)):
-        return "a number"
+        # NaN, infinity, or an integer beyond float range fail both comparisons
+        return "a number" if -_FLOAT_MAX <= value <= _FLOAT_MAX else "a non-finite number"
     if isinstance(value, str):
         return "a string"
     if isinstance(value, list):
@@ -143,20 +146,22 @@ def _parse_object(obj: dict, line_no: int) -> RawFrameObject:
     missing = _OBJECT_KEYS - set(obj)
     if missing:
         raise FormatError(f"line {line_no}: missing object keys {sorted(missing)}")
-    try:
-        return RawFrameObject(
-            object_id=str(obj["id"]),
-            x=float(obj["x"]),
-            y=float(obj["y"]),
-            width=float(obj["w"]),
-            length=float(obj["l"]),
-            angle=float(obj["angle"]),
-            agent_class=str(obj["class"]),
-            speed=float(obj["speed"]),
-            accuracy=float(obj["acc"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"line {line_no}: {exc}") from exc
+    oid = obj["id"]
+    if isinstance(oid, bool) or not isinstance(oid, (str, int)):
+        raise FormatError(f"line {line_no}: key 'id' must be a string or an integer, "
+                          f"got {json_kind(oid)}")
+    x, y, width, length, angle, speed, accuracy = [
+        _number_field(obj, key, line_no) for key in ("x", "y", "w", "l", "angle", "speed", "acc")]
+    return RawFrameObject(object_id=str(oid), x=x, y=y, width=width, length=length, angle=angle,
+                          agent_class=str(obj["class"]), speed=speed, accuracy=accuracy)
+
+
+def _number_field(rec: dict, key: str, line_no: int) -> float:
+    value = rec[key]
+    if json_kind(value) != "a number":
+        raise FormatError(f"line {line_no}: key {key!r} must be a finite number, "
+                          f"got {json_kind(value)}")
+    return float(value)
 
 
 def parse_frames(stream: Iterable[str] | str) -> list[RawFrame]:
@@ -179,10 +184,7 @@ def parse_frames(stream: Iterable[str] | str) -> list[RawFrame]:
             raise FormatError(f"line {line_no}: unknown frame keys {sorted(unknown)}")
         if _FRAME_KEYS - set(rec):
             raise FormatError(f"line {line_no}: frame needs keys 't' and 'objects'")
-        try:
-            t = float(rec["t"])
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"line {line_no}: timestamp must be a number") from exc
+        t = _number_field(rec, "t", line_no)
         if frames and t <= frames[-1].timestamp:
             raise FormatError(
                 f"line {line_no}: timestamp {t} not after previous frame "
@@ -421,20 +423,63 @@ def write_demonstrations(
     for traj in trajs:
         if traj.k != k or traj.horizon != T_steps or abs(traj.dt - dt) > 1e-12:
             raise ValidationError("all trajectories in one file must share (k, T, dt)")
-    header = {
-        "k": k,
-        "T": T_steps + 1,  # rows per block
-        "dt": dt,
-        "goals": None if goals is None else [[float(g[0]), float(g[1])] for g in np.asarray(goals)],
-        "count": len(trajs),
-        "provenance": provenance or {},
-    }
-    # repr of a Python float is the shortest string that reads back exactly
-    lines = [json.dumps(header, sort_keys=True)]
+    lines = [_header_line(k, T_steps + 1, dt, goals, len(trajs), provenance)]
     for traj in trajs:
-        lines.extend(",".join(map(repr, row)) for row in to_dataset_array(traj.states).tolist())
+        lines.extend(_dataset_rows(traj.states))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _header_line(k: int, rows: int, dt: float, goals, count: int, provenance: dict | None) -> str:
+    header = {
+        "k": k,
+        "T": rows,  # rows per block
+        "dt": dt,
+        "goals": None if goals is None else [[float(g[0]), float(g[1])] for g in np.asarray(goals)],
+        "count": count,
+        "provenance": provenance or {},
+    }
+    return json.dumps(header, sort_keys=True)
+
+
+def _dataset_rows(states: np.ndarray) -> list[str]:
+    # repr of a Python float is the shortest string that reads back exactly
+    return [",".join(map(repr, row)) for row in to_dataset_array(states).tolist()]
+
+
+def write_catalog(out_dir, catalog: ScenarioCatalog, dt: float) -> list[dict]:
+    """Write entry i as `{category}_{i:04d}.traj` in out_dir; return each entry's metadata.
+
+    Each file holds what write_demonstrations writes for the entry's one
+    trajectory (goals None, provenance its category), byte for byte. The
+    dataset conversion is elementwise within an agent's column block, so each
+    distinct block is checked and formatted once per call, keyed by its
+    bytes, and an entry's rows are its blocks' row text joined by commas.
+    """
+    dt = float(dt)
+    block_rows: dict[bytes, list[str]] = {}
+    entries_meta = []
+    for idx, entry in enumerate(catalog.entries):
+        k = entry.array.shape[1] // 4
+        per_agent = []
+        for block in (entry.array[:, 4 * j:4 * j + 4] for j in range(k)):
+            key = block.tobytes()
+            if key not in block_rows:
+                try:
+                    Trajectory.from_states(block, dt)  # the checks the entry's trajectory applies
+                except ValidationError:
+                    Trajectory.from_states(entry.array, dt)  # the entry's own message, states first
+                    raise
+                block_rows[key] = _dataset_rows(block)
+            per_agent.append(block_rows[key])
+        lines = [_header_line(k, len(entry.array), dt, None, 1, {"category": entry.category})]
+        lines.extend(map(",".join, zip(*per_agent)))
+        fname = f"{entry.category}_{idx:04d}.traj"
+        with open(Path(out_dir) / fname, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        entries_meta.append({"category": entry.category, "tracks": list(entry.track_ids),
+                             "file": fname})
+    return entries_meta
 
 
 def read_text_lines(path) -> list[str]:

@@ -2,11 +2,15 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdirl import cli, metrics
+from crowdirl import cli, metrics, pipeline
 from crowdirl.cli import (
     DEFAULT_CONFIG,
     build_parser,
@@ -36,6 +40,7 @@ from crowdirl.pipeline import (
 )
 from crowdirl.trajectory import Trajectory, to_dataset_array
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 FAST_TRAIN = [
     "--entropy-temp", "0.001", "--beta", "0.03", "--rollouts", "8",
 ]
@@ -758,6 +763,48 @@ class TestPreprocess:
             rows = (out_dir / entry["file"]).read_text().splitlines()[1:]
             assert rows == [",".join(map(repr, row)) for row in to_dataset_array(joint).tolist()]
 
+    def _two_scheme_catalog(self, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        frames = _walker_frames(wobble=0.3)
+        raw.write_text(frames)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preprocess": {"scheme": ["W-E-S", "S-N-W"], "group_size": 2}}))
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(cfg), "preprocess", str(raw), str(out_dir)]) == 0
+        return frames, out_dir
+
+    def test_entry_files_are_what_write_demonstrations_writes(self, tmp_path):
+        frames, out_dir = self._two_scheme_catalog(tmp_path)
+        tracks = filter_tracks(tracks_from_frames(parse_frames(frames.splitlines())))
+        summary = json.loads((out_dir / "catalog.json").read_text())
+        assert summary["total_entries"] == 16
+        ref = tmp_path / "ref.traj"
+        for entry in summary["entries"]:
+            joint = np.concatenate([tracks[t].states[:30] for t in entry["tracks"]], axis=1)
+            write_demonstrations(ref, [Trajectory.from_states(joint, 0.1)], goals=None,
+                                 provenance={"category": entry["category"]})
+            assert (out_dir / entry["file"]).read_bytes() == ref.read_bytes()
+
+    def test_each_track_is_converted_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "to_dataset_array",
+                            lambda states: calls.append(states.shape) or to_dataset_array(states))
+        _, out_dir = self._two_scheme_catalog(tmp_path)
+        assert len(list(out_dir.glob("*.traj"))) == 16
+        assert calls == [(30, 4)] * 8  # the 6 W, E and S tracks for W-E-S, then N0 and N1
+
+    @pytest.mark.parametrize("key, value", [("x", '"1.5"'), ("t", "true"), ("x", "NaN"),
+                                            ("angle", "Infinity"), ("speed", "1e400")])
+    def test_bad_frame_field_exits_2_naming_line_and_key(self, tmp_path, capsys, key, value):
+        lines = _walker_frames().splitlines()
+        rec = json.loads(lines[4])
+        (rec if key == "t" else rec["objects"][1])[key] = "@"
+        lines[4] = json.dumps(rec).replace('"@"', value)
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("\n".join(lines) + "\n")
+        assert main(["preprocess", str(raw), str(tmp_path / "out")]) == 2
+        assert f"line 5: key {key!r} must be a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override, message", [
         ({"x_range": ["a", "b"]}, "x_range must be two finite numbers lo < hi, got ['a', 'b']"),
         ({"x_range": [1, "b"]}, "x_range must be two finite numbers lo < hi, got [1, 'b']"),
@@ -867,6 +914,17 @@ def test_cli_entry_point_help():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch):
+    # a source checkout has no installed script; `python -m crowdirl` is its entry point
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to COLUMNS in both processes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "crowdirl", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == build_parser().format_help()
 
 
 SUBCOMMANDS = ("preprocess", "synth", "train", "eval", "plot", "compare")

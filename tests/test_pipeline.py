@@ -7,7 +7,9 @@ from crowdirl.errors import FormatError, ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig
 from crowdirl.pipeline import (
+    CatalogEntry,
     PreprocessConfig,
+    ScenarioCatalog,
     Track,
     assemble_joint,
     combinatorial_scenarios,
@@ -17,6 +19,7 @@ from crowdirl.pipeline import (
     synth_generate,
     tracks_from_frames,
     travel_direction,
+    write_catalog,
     write_demonstrations,
 )
 from crowdirl.trajectory import (
@@ -82,6 +85,44 @@ class TestParseFrames:
     def test_rejects_unknown_class_and_bad_ranges(self):
         with pytest.raises(FormatError):
             parse_frames([_frame_line(0.0, [("a", 0, 0, -1.0, 0)])])  # speed < 0
+
+    @pytest.mark.parametrize("key, text, kind", [
+        ("x", '"1.5"', "a string"),
+        ("t", '"2.0"', "a string"),
+        ("t", "true", "a boolean"),
+        ("y", "null", "null"),
+        ("x", "NaN", "a non-finite number"),
+        ("x", "Infinity", "a non-finite number"),
+        ("t", "-Infinity", "a non-finite number"),
+        ("x", "1e400", "a non-finite number"),
+        ("angle", "NaN", "a non-finite number"),
+        ("speed", "NaN", "a non-finite number"),
+        ("w", "[1]", "a list"),
+        ("acc", '{"v": 1}', "an object"),
+    ])
+    def test_frame_fields_must_be_finite_numbers(self, key, text, kind):
+        rec = json.loads(_frame_line(0.1, [("a", 1.0, 2.0, 1.3, 0.2)]))
+        (rec if key == "t" else rec["objects"][0])[key] = "@"
+        line = json.dumps(rec).replace('"@"', text)
+        with pytest.raises(FormatError) as exc:
+            parse_frames([_frame_line(0.0, []), line])
+        assert str(exc.value) == f"line 2: key {key!r} must be a finite number, got {kind}"
+
+    @pytest.mark.parametrize("oid, kind", [(True, "a boolean"), (1.5, "a number"),
+                                           (None, "null"), (["a"], "a list")])
+    def test_object_id_must_be_a_string_or_an_integer(self, oid, kind):
+        rec = json.loads(_frame_line(0.0, [("a", 1.0, 2.0, 1.3, 0.2)]))
+        rec["objects"][0]["id"] = oid
+        with pytest.raises(FormatError) as exc:
+            parse_frames([json.dumps(rec)])
+        assert str(exc.value) == f"line 1: key 'id' must be a string or an integer, got {kind}"
+
+    def test_integer_id_and_integral_fields_are_accepted(self):
+        rec = json.loads(_frame_line(0.0, [("a", 1.0, 2.0, 1.3, 0.2)]))
+        rec["t"] = 0
+        rec["objects"][0].update(id=7, x=3)
+        [frame] = parse_frames([json.dumps(rec)])
+        assert (frame.timestamp, frame.objects[0].object_id, frame.objects[0].x) == (0.0, "7", 3.0)
 
 
 class TestTracks:
@@ -220,6 +261,50 @@ class TestCombinatorialScenarios:
         del groups["S"]
         with pytest.raises(ValidationError, match="S"):
             combinatorial_scenarios(groups, ["W-E-S"], T=30)
+
+
+class TestWriteCatalog:
+    def _reference(self, path, entry, dt=0.1):
+        write_demonstrations(path, [Trajectory.from_states(entry.array, dt)], goals=None,
+                             provenance={"category": entry.category})
+        return path.read_bytes()
+
+    def test_tracks_sharing_an_id_keep_their_own_rows(self, tmp_path):
+        line, flat = np.linspace(0, 4, 40), np.zeros(40)
+        east, west = _track("p", line, flat), _track("p", -line, flat + 1.0)
+        catalog = combinatorial_scenarios({"E": [east], "W": [west]}, ["E-W", "W-E"], T=30)
+        meta = write_catalog(tmp_path, catalog, 0.1)
+        assert meta == [{"category": "E-W", "tracks": ["p", "p"], "file": "E-W_0000.traj"},
+                        {"category": "W-E", "tracks": ["p", "p"], "file": "W-E_0001.traj"}]
+        for entry, m in zip(catalog.entries, meta):
+            assert (tmp_path / m["file"]).read_bytes() == self._reference(tmp_path / "ref", entry)
+        rows = [r.split(",") for r in (tmp_path / "E-W_0000.traj").read_text().splitlines()[1:]]
+        assert [r[:4] for r in rows] != [r[4:] for r in rows]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad, message", [
+        ({(5, 5): np.nan}, "states contain non-finite values"),
+        ({(5, 2): 1e308, (6, 2): -1e308}, "controls contain non-finite values"),
+        # a block whose controls overflow, then one with a NaN state: the entry's states
+        # are checked before its controls, so the NaN is what it reports
+        ({(5, 2): 1e308, (6, 2): -1e308, (9, 4): np.inf}, "states contain non-finite values"),
+    ])
+    def test_non_finite_block_raises_what_the_entry_trajectory_raises(self, tmp_path, bad,
+                                                                      message):
+        line, flat = np.linspace(0, 4, 30), np.zeros(30)
+        good = np.concatenate([_track("a", line, flat).states, _track("b", flat, line).states],
+                              axis=1)
+        broken = good.copy()
+        for index, value in bad.items():
+            broken[index] = value
+        catalog = ScenarioCatalog(("E-N",), (CatalogEntry("E-N", ("a", "b"), good),
+                                            CatalogEntry("E-N", ("a", "b"), broken)))
+        with pytest.raises(ValidationError) as before:
+            Trajectory.from_states(broken, 0.1)
+        with pytest.raises(ValidationError) as after:
+            write_catalog(tmp_path, catalog, 0.1)
+        assert str(after.value) == str(before.value) == message
+        assert [p.name for p in tmp_path.iterdir()] == ["E-N_0000.traj"]
 
 
 class TestSynthGenerate:
