@@ -5,16 +5,16 @@ each timestep into one coupled linear system, yielding simultaneous affine
 feedback laws (a feedback Nash point of the quadratic game). It runs on the
 augmented state [dx; 1] of deviations from the nominal the costs were
 expanded along, which every solve takes, and each agent's `CostExpansion`
-fills one (n+1, n+1) cost per step: per step, one LU of the right-hand side
-[B^T Z A | I] gives every agent's [K | alpha] and the inverse that screens
-the condition, and one symmetrized update every value matrix. Each policy is
-Gaussian around its feedback mean, with covariance the tempered inverse of
-the agent's control-space curvature of its Q-function, formed for all T*k
-stages after the sweep. Where that curvature loses positive definiteness
-(near-straight nominals) the covariance is repaired by the smallest uniform
-diagonal shift that restores a configurable eigenvalue floor, trading
-modeled decision randomness for tractability; the diagnostics record every
-repaired stage.
+fills one (n+1, n+1) cost per step. Each step writes into buffers allocated
+once per solve: one LU of the right-hand side [B^T Z A | I] gives every
+agent's [K | alpha] and the inverse that screens the condition, and one
+symmetrized update every value matrix. Each policy is Gaussian around its
+feedback mean, with covariance the tempered inverse of the agent's
+control-space curvature of its Q-function, formed for all T*k stages after
+the sweep. Where that curvature loses positive definiteness (near-straight
+nominals) the covariance is repaired by the smallest uniform diagonal shift
+that restores a configurable eigenvalue floor, trading modeled decision
+randomness for tractability; the diagnostics record every repaired stage.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 dynamics, the constant-velocity nominal, every agent's expansion along it
@@ -38,6 +38,7 @@ BLAS kernel, as the solve's do.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -199,6 +200,7 @@ def _has_cholesky(S: np.ndarray) -> np.ndarray:
         return np.array([_has_cholesky(s) for s in S])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_lq_game(
     dyn: LinearDynamics,
     costs: Sequence[CostExpansion],
@@ -211,6 +213,8 @@ def solve_lq_game(
     costs[i] is agent i's quadratic cost in deviations from the nominal; its
     row T seeds the value recursion at the horizon end. The returned policies
     act on deviations from the nominal trajectory.
+
+    Steps write into buffers allocated once per call; overflow raises no numpy warning.
     """
     k, n = dyn.k, dyn.state_dim
     if len(costs) != k:
@@ -230,47 +234,56 @@ def solve_lq_game(
     for i, e in enumerate(costs):
         e.fill(Qa[:, i])
     r = np.stack([e.r for e in costs], axis=1)  # (T, k, 2)
+    m2r = -2.0 * r
     R = np.array([e.R for e in costs])[:, None, None]
-    A = np.pad(dyn.A, (0, 1))
-    A[n, n] = 1.0
-    Bt = np.pad(np.swapaxes(dyn.B, 1, 2), ((0, 0), (0, 0), (0, 1)))  # (k, 2, n+1)
+    A = np.zeros((n1, n1))
+    A[:n, :n], A[n, n] = dyn.A, 1.0
+    Bt = np.zeros((k, CONTROL_DIM, n1))
+    Bt[..., :n] = np.swapaxes(dyn.B, 1, 2)
     B_all = Bt.reshape(m, n1).T  # (n+1, 2k): every agent's B side by side
     # where each agent's own 2x2 block of the (2k, 2k) gain system sits in its ravel
     own = (2 * m + 2) * np.arange(k)[:, None, None] + m * np.arange(2)[:, None] + np.arange(2)
     R_eye = R * np.eye(CONTROL_DIM)  # (k, 2, 2): the effort curvature of each agent
     # One right-hand side [B^T Z A | I] for every step: the identity columns
     # give S^-1 for the condition screen; the others are overwritten per step.
-    rhs = np.zeros((m, n1 + m))
+    rhs = np.zeros((k, CONTROL_DIM, n1 + m))
+    rhs_A, rhs = rhs[..., :n1], rhs.reshape(m, n1 + m)
     rhs[:, n1:] = np.eye(m)
-    Z = Qa[T]
     gains_out = np.empty((T, m, n1))
     Huu_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
+    # Every step writes into these buffers; each product keeps its operand
+    # shapes and each sum its association, so the bits are those of fresh arrays.
+    Z, P, FtZ, S = Qa[T].copy(), np.empty((k, n1, n1)), np.empty((k, n1, n1)), np.empty((m, m))
+    BtZ, RG, F, Huu_T = np.empty_like(Bt), np.empty_like(Bt), np.empty_like(A), np.empty_like(R_eye)
+    G = gains_out.reshape(T, k, CONTROL_DIM, n1)  # G[t, i] = [K | alpha] of agent i
+    S_flat, Ft, Pt, Gt = S.reshape(-1), F.T, P.swapaxes(1, 2), G.swapaxes(2, 3)
 
     for t in range(T - 1, -1, -1):
-        BtZ = Bt @ Z  # (k, 2, n+1)
+        np.matmul(Bt, Z, out=BtZ)  # (k, 2, n+1)
         # Stacked stationarity system: row block i is agent i's gradient wrt
         # its own control, column block j the coupling to agent j's control.
-        S = BtZ.reshape(m, n1) @ B_all
-        S_flat = S.reshape(-1)
+        np.matmul(BtZ.reshape(m, n1), B_all, out=S)
         # Control-space curvature of each agent's Q-function.
-        Huu_q = S_flat[own] + R_eye
-        Huu_q = 0.5 * (Huu_q + np.swapaxes(Huu_q, 1, 2))
+        Huu_q = np.add(S_flat[own], R_eye, out=Huu_out[t])
+        Huu_T[...] = Huu_q.swapaxes(1, 2)
+        Huu_q += Huu_T
+        Huu_q *= 0.5
         S_flat[own] = Huu_q
         # S [K | alpha] = B^T Z A, with each agent's r added to the last column
-        rhs[:, :n1] = (BtZ @ A).reshape(m, n1)
-        rhs[:, n] += r[t].reshape(m)
-        gains = _solve_gains(S, rhs, t)  # (2k, n+1)
-        G = gains.reshape(k, CONTROL_DIM, n1)
-        gains_out[t] = gains
-        Huu_out[t] = Huu_q
+        np.matmul(BtZ, A, out=rhs_A)
+        rhs_A[..., n] += r[t]
+        gains_out[t] = _solve_gains(S, rhs, t)  # (2k, n+1)
 
         # Closed-loop value recursion for every agent; the stage cost of
         # u_i = -G_i [dx; 1] is G_i^T (R G_i - 2 r e_n^T) before symmetrization.
-        F = A - B_all @ gains
-        RG = R * G
-        RG[..., n] -= 2.0 * r[t]
-        Z_new = Qa[t] + np.swapaxes(G, 1, 2) @ RG + F.T @ Z @ F
-        Z = 0.5 * (Z_new + np.swapaxes(Z_new, 1, 2))
+        np.subtract(A, np.matmul(B_all, gains_out[t], out=F), out=F)
+        np.multiply(R, G[t], out=RG)
+        RG[..., n] += m2r[t]
+        np.matmul(Gt[t], RG, out=P)
+        np.matmul(np.matmul(Ft, Z, out=FtZ), F, out=Z)
+        P += Qa[t]  # Z_new = (Qa[t] + G^T RG) + F^T Z F
+        P += Z
+        np.multiply(np.add(P, Pt, out=Z), 0.5, out=Z)
 
     K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
     kff_out = nominal.controls - gains_out[..., n].reshape(T, k, CONTROL_DIM)
@@ -303,9 +316,9 @@ def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
     try:
         X = np.linalg.solve(S, rhs)
         s, x = S.ravel(order="K"), X[:, -m:].ravel(order="K")
-        bound = np.sqrt(s.dot(s)) * np.sqrt(x.dot(x))
+        bound = math.sqrt(s.dot(s)) * math.sqrt(x.dot(x))
     except np.linalg.LinAlgError:
-        X, bound = None, np.inf
+        X, bound = None, math.inf
     if not bound <= MAX_GAIN_CONDITION and np.linalg.cond(S) > MAX_GAIN_CONDITION:
         raise SolverError("coupled gain system is numerically singular", timestep=t)
     if X is None:
@@ -315,9 +328,9 @@ def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
 
 def _robust_inverse(M: np.ndarray) -> np.ndarray:
     """Inverses of a stack of matrices; singular ones get a cutoff pseudo-inverse."""
-    out = np.empty_like(M)
     ok = np.abs(np.linalg.det(M)) >= 1e-300
-    out[ok] = np.linalg.inv(M[ok])
+    # singular members are inverted as the identity, then overwritten
+    out = np.linalg.inv(np.where(ok[..., None, None], M, np.eye(M.shape[-1])))
     for i in zip(*np.nonzero(~ok)):
         out[i] = np.linalg.pinv(M[i], rcond=PINV_CUTOFF)
     return out

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crowdirl import cli, metrics, pipeline
+from crowdirl import cli, game, metrics, pipeline
 from crowdirl.cli import (
     DEFAULT_CONFIG,
     build_parser,
@@ -370,6 +371,21 @@ class TestSynth:
                    "--theta", "0.5,8,0.01", "--n", "6"])
         assert rc == 0
         assert len(read_demonstrations(tmp_path / "d.traj")[0]) == 6
+
+    def test_overflowing_weights_solve_silently_and_decide_as_before(self, tmp_path, monkeypatch):
+        # at goal weight 1e200 the gain screen's bound is NaN and every
+        # covariance determinant overflows; the solve warns about neither, and
+        # its output is that of the solve run without its error-state guard
+        def synth(name, action):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                assert main(["--entropy-temp", "1e-3", "synth", str(tmp_path / name), "--preset",
+                             "intersection_k3", "--theta", "1e200,1,1", "--n", "2"]) == 0
+            return (tmp_path / name).read_bytes()
+
+        quiet = synth("quiet.traj", "error")
+        monkeypatch.setattr(game, "solve_lq_game", game.solve_lq_game.__wrapped__)
+        assert synth("unguarded.traj", "ignore") == quiet
 
 
 class TestTrain:

@@ -15,6 +15,8 @@ from crowdirl.features import (
 from crowdirl.game import (
     FEEDBACK_TILE,
     MAX_GAIN_CONDITION,
+    PINV_CUTOFF,
+    Game,
     PolicySequence,
     SolverConfig,
     _robust_inverse,
@@ -621,18 +623,24 @@ def _expanded_scene(spec, theta):
     return [expand_model_along(m, nominal) for m in models], linearize_dynamics(spec.k, spec.dt), nominal
 
 
-REPAIRED_SCENES = pytest.mark.parametrize(
-    "spec, theta, temp, repaired",
-    [
-        (scenario_preset("intersection_k3"), (0.5, 8.0, 0.01), 1.0, 15),
-        (_ring_spec(8), (1.0, 2.5, 0.3), 1e-3, 16),
-        (_ring_spec(12), (0.5, 8.0, 0.01), 1.0, 60),
-    ],
-    ids=["intersection_k3", "ring8", "ring12"],
-)
+_REPAIRED = [
+    pytest.param(scenario_preset("intersection_k3"), (0.5, 8.0, 0.01), 1.0, 15, id="intersection_k3"),
+    pytest.param(_ring_spec(8), (1.0, 2.5, 0.3), 1e-3, 16, id="ring8"),
+    pytest.param(_ring_spec(12), (0.5, 8.0, 0.01), 1.0, 60, id="ring12"),
+]
+REPAIRED_SCENES = pytest.mark.parametrize("spec, theta, temp, repaired", _REPAIRED)
+_ONE_AGENT = ScenarioSpec(k=1, x0=JointState((AgentState(2.0, -1.0, 0.3, 0.1),)),
+                          goals=np.array([[0.0, 0.0]]), horizon=10, dt=0.1)
+# well-conditioned scenes: no repair runs, so only the recursion's reused
+# buffers stand between the solve and the reference
+_UNREPAIRED = [
+    pytest.param(spec, (1.0, 0.5, 0.2), 1e-3, 0, id=f"{name}-unrepaired")
+    for name, spec in [("intersection_k3", scenario_preset("intersection_k3")), ("ring8", _ring_spec(8)),
+                       ("head_on_k2", scenario_preset("head_on_k2")), ("one_agent", _ONE_AGENT)]
+]
 
 
-@REPAIRED_SCENES
+@pytest.mark.parametrize("spec, theta, temp, repaired", _REPAIRED + _UNREPAIRED)
 def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, repaired):
     cfg = SolverConfig(entropy_temp=temp)
     costs, dyn, nominal = _expanded_scene(spec, theta)
@@ -643,6 +651,41 @@ def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, rep
     assert np.array_equal(policies.Sigma, Sigma)
     assert policies.diagnostics.events == events
     assert len(events) == repaired
+
+
+def test_successive_solves_of_one_game_share_no_storage():
+    spec = scenario_preset("intersection_k3")
+    cfg = SolverConfig(entropy_temp=1e-3)
+    game = Game(stage_cost_models([CostParams(np.array([1.0, 0.5, 0.2]))] * 3, spec), spec, cfg)
+    old_costs = list(game.costs)
+    first = game.solve()
+    for i in range(3):
+        game.set_theta(i, CostParams(np.array([0.5, 8.0, 0.01])))
+    second = game.solve()
+    fresh = solve_lq_game(game.dyn, old_costs, cfg, nominal=game.nominal)
+    for name in ("K", "kff", "Sigma"):
+        assert np.array_equal(getattr(first, name), getattr(fresh, name))
+        assert not np.array_equal(getattr(first, name), getattr(second, name))
+        for other in ("K", "kff", "Sigma"):
+            assert not np.shares_memory(getattr(first, name), getattr(second, other))
+
+
+def _masked_inverse(M):
+    """The gather/scatter form: inv of the nonsingular members alone, pinv of the rest."""
+    out = np.empty_like(M)
+    ok = np.abs(np.linalg.det(M)) >= 1e-300
+    out[ok] = np.linalg.inv(M[ok])
+    for i in zip(*np.nonzero(~ok)):
+        out[i] = np.linalg.pinv(M[i], rcond=PINV_CUTOFF)
+    return out
+
+
+@pytest.mark.parametrize("singular", [None, (2, 1)], ids=["all-invertible", "one-singular"])
+def test_robust_inverse_matches_the_masked_form_bit_for_bit(singular):
+    M = substream(5).standard_normal((4, 3, 2, 2)) + 3.0 * np.eye(2)
+    if singular is not None:
+        M[singular] = [[1.0, 2.0], [2.0, 4.0]]
+    assert np.array_equal(_robust_inverse(M), _masked_inverse(M))
 
 
 def _relative_drift(got, ref):
