@@ -11,9 +11,8 @@ from crowdirl import (
     JointState,
     ProximityConfig,
     ScenarioSpec,
-    compute_features,
-    cost,
     CostParams,
+    expected_features,
     rollout_openloop,
 )
 from crowdirl.trajectory import from_dataset_array, propagate_joint, to_dataset_array
@@ -43,12 +42,12 @@ spec = ScenarioSpec(
     dt=0.1,
 )
 traj = rollout_openloop(spec, np.zeros((spec.horizon, spec.k, 2)))
-for i in range(spec.k):
-    phi = compute_features(traj, i, spec.goals[i], ProximityConfig(sigma=1.5))
+# one row (goal_dist, proximity, effort) per agent, here over a set of one trajectory
+phi = expected_features([traj], range(spec.k), spec.goals, ProximityConfig(sigma=1.5))
+for i, (goal_dist, proximity, effort) in enumerate(phi):
     print(
-        f"agent {i}: goal_dist {phi.goal_dist:7.3f} m^2 | "
-        f"proximity {phi.proximity:6.4f} | effort {phi.effort:.4f}"
+        f"agent {i}: goal_dist {goal_dist:7.3f} m^2 | "
+        f"proximity {proximity:6.4f} | effort {effort:.4f}"
     )
 theta = CostParams(np.array([1.0, 0.5, 0.2]))
-phi0 = compute_features(traj, 0, spec.goals[0])
-print(f"weighted cost for agent 0 at theta {theta.weights}: {cost(theta, phi0):.3f}")
+print(f"weighted cost for agent 0 at theta {theta.weights}: {theta.weights @ phi[0]:.3f}")

@@ -17,6 +17,7 @@ from .baselines import (
     gmm_fit,
 )
 from .errors import (
+    CostRangeError,
     CrowdIrlError,
     FormatError,
     InternalError,
@@ -25,11 +26,8 @@ from .errors import (
 )
 from .features import (
     CostParams,
-    FeatureVector,
     ProximityConfig,
     StageCostModel,
-    compute_features,
-    cost,
     expected_features,
     stage_cost_models,
 )

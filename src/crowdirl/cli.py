@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CrowdIrlError, FormatError, InternalError, SolverError, ValidationError
+from .errors import CostRangeError, CrowdIrlError, FormatError, InternalError, SolverError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig
 from .irl import TrainingConfig, infer_goals, multi_agent_irl, single_agent_maxent_irl
@@ -324,6 +324,8 @@ def cmd_synth(args, cfg: dict) -> int:
                                ProximityConfig(**cfg["proximity"]), cfg["u_max"])
     except SolverError as exc:  # the weights are the user's, so this is an input error
         raise ValidationError(f"weights --theta {args.theta!r} give no solvable game: {exc}") from exc
+    except CostRangeError as exc:  # a preset's nominal is in range, so the weights are not
+        raise ValidationError(f"weights --theta {args.theta!r} are out of range: {exc}") from exc
     write_demonstrations(args.out, demos, goals=spec.goals, provenance=provenance)
     print(f"wrote {len(demos)} demonstrations ({spec.k} agents, T={spec.horizon}) to {args.out}")
     return EXIT_OK
@@ -343,12 +345,15 @@ def cmd_train(args, cfg: dict) -> int:
     spec = _spec_from_demos(demos, header)
     tcfg = _training_config(cfg)
 
-    if args.method == "mairl":
-        thetas, trace = multi_agent_irl(demos, spec, tcfg)
-        theta_lists = [[float(v) for v in th.weights] for th in thetas]
-    else:
-        theta, trace = single_agent_maxent_irl(demos, spec, tcfg)
-        theta_lists = [[float(v) for v in theta.weights] for _ in range(spec.k)]
+    try:  # the weights start at ones, so whatever overflows comes from the demonstrations
+        if args.method == "mairl":
+            thetas, trace = multi_agent_irl(demos, spec, tcfg)
+            theta_lists = [[float(v) for v in th.weights] for th in thetas]
+        else:
+            theta, trace = single_agent_maxent_irl(demos, spec, tcfg)
+            theta_lists = [[float(v) for v in theta.weights] for _ in range(spec.k)]
+    except CostRangeError as exc:
+        raise FormatError(f"{args.demos} is out of range: {exc}") from exc
 
     payload = {
         "method": args.method,
@@ -423,6 +428,9 @@ def cmd_eval(args, cfg: dict) -> int:
         predictions = make_predictor(method, ctx)(demos)
     except SolverError as exc:  # only mairl and sairl solve, at the weight file's weights
         raise ValidationError(f"weight file {args.theta} gives no solvable game: {exc}") from exc
+    except CostRangeError as exc:  # the games are expanded along the demonstrations' starts
+        culprit = f"weight file {args.theta}" if exc.source == "weights" else args.demos
+        raise ValidationError(f"{culprit} is out of range: {exc}") from exc
     report = score_predictions(method, args.scenario, demos, predictions)
     emit_report([report], args.format, args.out)
     print(

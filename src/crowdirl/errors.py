@@ -9,6 +9,14 @@ class ValidationError(CrowdIrlError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class CostRangeError(ValidationError):
+    """Finite inputs whose cost terms overflow; source is "weights" or "states"."""
+
+    def __init__(self, message: str, source: str):
+        super().__init__(message)
+        self.source = source
+
+
 class FormatError(CrowdIrlError, ValueError):
     """External data (frame stream, trajectory file, config) is malformed."""
 

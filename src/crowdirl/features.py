@@ -16,10 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CostRangeError, ValidationError
 from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
 
-FEATURE_NAMES = ("goal_dist", "proximity", "effort")
 NUM_FEATURES = 3
 DEFAULT_SIGMA = 1.5
 FEATURE_ROWS = 16  # trajectories per expected_features block; bounds its (rows, T+1, a, k) arrays
@@ -37,28 +36,11 @@ class ProximityConfig:
 
 
 def _check_features(phi: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(phi)) or np.any(phi < 0):
-        raise ValidationError(f"features must be finite and nonnegative, got {phi}")
+    if not np.all(np.isfinite(phi)):  # finite states far enough out overflow a square
+        raise CostRangeError("features contain non-finite values", "states")
+    if np.any(phi < 0):
+        raise ValidationError(f"features must be nonnegative, got {phi}")
     return phi
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Per-agent feature averages; all components are nonnegative."""
-
-    goal_dist: float  # m^2
-    proximity: float  # dimensionless
-    effort: float  # (m/s^2)^2
-
-    def __post_init__(self):
-        _check_features(self.as_array())
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.goal_dist, self.proximity, self.effort], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "FeatureVector":
-        return cls(*(float(v) for v in arr))
 
 
 @dataclass(frozen=True)
@@ -102,18 +84,7 @@ def state_features(
     return goal_dist, np.sum(np.exp(-(dx * dx + dy * dy) / (sigma * sigma)), axis=-1) - 1.0
 
 
-def compute_features(
-    traj: Trajectory, agent: int, goal, cfg: ProximityConfig = ProximityConfig()
-) -> FeatureVector:
-    """Feature averages of one agent along a trajectory."""
-    return FeatureVector.from_array(expected_features([traj], [agent], [goal], cfg)[0])
-
-
-def cost(theta: CostParams, phi: FeatureVector) -> float:
-    """Weighted cost theta . phi; linear in both arguments."""
-    return float(theta.weights @ phi.as_array())
-
-
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as an error
 def expected_features(
     trajs: RolloutSet | Sequence[Trajectory],
     agents: Sequence[int],
@@ -148,12 +119,12 @@ def expected_features(
 class StageCostModel:
     """One agent's running cost as per-step terms over (joint state, own control).
 
-    Summing state_cost over all T+1 states and control terms over the T steps
-    reproduces cost(theta, compute_features(...)) exactly: state terms carry a
-    1/(T+1) factor and the effort term a 1/T factor. Every term has closed-form
-    derivatives, and the control dependence is exactly quadratic with no
-    state-control coupling; `quadratic.expand_model_along` expands the cost
-    exactly from these facts.
+    The goal and crowding terms of `state_features` at each of the T+1 states,
+    weighted by theta / (T+1), plus theta2 |u|^2 / T at each of the T steps sum
+    to theta . phi, phi the agent's row of `expected_features`. Every term has
+    closed-form derivatives, and the control dependence is exactly quadratic
+    with no state-control coupling; `quadratic.expand_model_along` expands the
+    cost exactly from these facts.
     """
 
     theta: CostParams
@@ -173,21 +144,6 @@ class StageCostModel:
             raise ValidationError(f"agent index {self.agent} out of range for k={self.k}")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
-
-    @property
-    def control_weight(self) -> float:
-        """Coefficient w of the per-step effort term w * ||u||^2."""
-        return float(self.theta.weights[2]) / self.horizon
-
-    def state_cost(self, x: np.ndarray) -> np.ndarray:
-        """Per-step state term; x has shape (..., 4k), result (...,)."""
-        g, p = state_features(x, [self.agent], self.goal[None], self.sigma)
-        w = self.theta.weights
-        return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (self.horizon + 1)
-
-    def __call__(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.state_cost(x) + self.control_weight * np.sum(u * u, axis=-1)
 
 
 def stage_cost_models(

@@ -5,19 +5,21 @@ the deviations (dx, du) at every step, held as one `CostExpansion` over the
 whole horizon: state curvature Q, gradient q and offset c for steps 0..T
 (row T is the terminal cost), plus the control curvature R and control
 gradient r. The cost is theta . phi over three closed-form features with no
-state-control coupling, so the expansion is exact and linear in theta:
-`expand_model_along` forms the features' theta-free terms once per nominal,
-and `CostExpansion.reweighted` weights them anew without expanding again.
-The solve reads each step as one augmented cost through `fill`.
+state-control coupling, so the expansion is exact and linear in theta. Agent
+i's goal and crowding terms occupy 16k - 7 entries of the augmented cost
+[[Q, q], [q^T, 2c]], fixed by (k, i) alone (`cost_pattern`):
+`expand_model_along` writes them there once per nominal, theta-free,
+`CostExpansion.reweighted` weights them anew, and the solve reads each step
+through `fill`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import InternalError, ValidationError
+from .errors import CostRangeError, InternalError, ValidationError
 from .features import StageCostModel, state_features
 from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
 
@@ -96,15 +98,17 @@ class CostExpansion:
 
     Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
     row T is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2, with Q (T+1, n, n),
-    q (T+1, n), c (T+1,) and r (T, 2). It is weighted from theta-free feature
-    terms: basis[f, t, e] is the goal (f = 0) or crowding (f = 1) feature's part
-    of entry (rows[e], cols[e]) of the augmented cost [[Q, q], [q^T, 2c]] at
-    state t, 2c last; the effort feature reads the nominal controls (T, 2).
+    q (T+1, n), c (T+1,) and r (T, 2). The cost occupies the fixed entries
+    (rows[e], cols[e]) of the augmented cost [[Q, q], [q^T, 2c]] that
+    `expand_model_along` lays out, (n, n) last; every other entry is 0.
+    basis[f, t, e] is the goal (f = 0) or crowding (f = 1) feature's part of
+    entry e at state t; the effort feature reads the nominal controls (T, 2).
     Formed and checked finite here: the entries (w0 basis[0] + w1 basis[1]) / (T+1)
     plus R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly
     symmetric because the terms are; dense Q, q and c are formed only when read.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
     def __init__(self, rows, cols, basis, controls, weights: np.ndarray):
         w_goal, w_crowd, w_effort = (float(w) for w in weights)
         entries = (w_goal * basis[0] + w_crowd * basis[1]) / (len(controls) + 1)
@@ -112,7 +116,7 @@ class CostExpansion:
         entries[:-1, -1] += R * np.sum(controls * controls, axis=-1)
         r = R * controls
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(r))):
-            raise ValidationError("cost expansion contains non-finite values")
+            raise CostRangeError("cost expansion contains non-finite values", "weights")
         r.setflags(write=False)
         self.rows, self.cols, self.basis, self.controls = rows, cols, basis, controls
         self._entries, self.R, self.r = entries, R, r
@@ -146,6 +150,32 @@ class CostExpansion:
     c = property(lambda self: self._dense[:, -1, -1] / 2.0)
 
 
+@lru_cache(maxsize=None)
+def cost_pattern(k: int, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols) of the 16k - 7 augmented-cost entries of an agent's cost, and their mirrors.
+
+    With i = agent, j over the other agents and n = 4k, in order: the (i, i),
+    (i, j), (j, i) and (j, j) position blocks, each 2x2 row by row, then row n
+    and column n over every position, (n, n) last. Entry mirror[e] sits at (cols[e], rows[e]).
+    """
+    n = STATE_DIM * k
+    pos = STATE_DIM * np.arange(k)[:, None] + np.arange(2)  # (k, 2): each agent's position rows
+    own, others = pos[agent][None], np.delete(pos, agent, axis=0)
+    mine, edge, every = np.broadcast_to(own, others.shape), np.array([[n]]), pos.reshape(1, -1)
+    # block b holds the entries (a[b, x], c[b, y]) of its row set a and column set c
+    blocks = [(own, own), (mine, others), (others, mine), (others, others),
+              (edge, every), (every, edge), (edge, edge)]
+    parts = [np.broadcast_arrays(a[:, :, None], c[:, None, :]) for a, c in blocks]
+    rows, cols = (np.concatenate([part[x].ravel() for part in parts]) for x in (0, 1))
+    index = np.empty((n + 1, n + 1), dtype=np.intp)
+    index[rows, cols] = np.arange(rows.size)
+    mirror = index[cols, rows]
+    for a in (rows, cols, mirror):
+        a.setflags(write=False)
+    return rows, cols, mirror
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
 def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpansion:
     """Exact quadratic expansion of one agent's StageCostModel along a nominal.
 
@@ -154,11 +184,12 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     in p_i and +2 e_j r_j / sigma^2 in p_j, and curvature
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
     position blocks, -M_j on (i, j) and (j, i). The goal term |p_i - g|^2 has
-    gradient 2 (p_i - g) and curvature 2 I on p_i. These terms are checked
-    once, finite and exactly symmetric, then weighted by the model's theta.
+    gradient 2 (p_i - g) and curvature 2 I on p_i. These terms go straight into
+    the entries of `cost_pattern(k, i)`, where an entry that is 0.0 along this
+    nominal stays as 0.0. They are checked once, finite and each equal to its
+    mirror, then weighted by the model's theta.
     """
     T, k, i = nominal.horizon, model.k, model.agent
-    n = STATE_DIM * k
     s2 = model.sigma * model.sigma
     goal_value, crowd_value = state_features(nominal.states, [i], model.goal[None], model.sigma)
 
@@ -172,30 +203,28 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
         (4.0 / (s2 * s2)) * (r[..., :, None] * r[..., None, :]) - (2.0 / s2) * np.eye(2)
     )  # (T+1, k, 2, 2)
 
-    # H, l and 2c of the goal (0) and crowding (1) features, laid out densely
-    # once to find the entries they occupy (H and l are views: reshapes split axes)
-    aug = np.zeros((2, T + 1, n + 1, n + 1))
-    H = aug[:, :, :n, :n].reshape(2, T + 1, k, STATE_DIM, k, STATE_DIM)
-    l = aug[:, :, n, :n].reshape(2, T + 1, k, STATE_DIM)
-    H[0, :, i, :2, i, :2] = 2.0 * np.eye(2)
-    crowd, agents = H[1], np.arange(k)
-    crowd[:, i, :2, :, :2] = -M.transpose(0, 2, 1, 3)
-    crowd[:, :, :2, i, :2] = -M
-    crowd[:, agents, :2, agents, :2] = M.transpose(1, 0, 2, 3)
-    crowd[:, i, :2, i, :2] = M.sum(axis=1)
-    l[0, :, i, :2] = 2.0 * (pos[:, i] - model.goal)
-    l[1, :, :, :2] = grad
-    l[1, :, i, :2] = -grad.sum(axis=1)
-    aug[:, :, :n, n] = aug[:, :, n, :n]
-    aug[:, :, n, n] = 2.0 * np.stack([goal_value[:, 0], crowd_value[:, 0]])
-    if not np.all(np.isfinite(aug)):
-        raise ValidationError("cost function returned non-finite values along the nominal")
-    if not np.array_equal(aug, np.swapaxes(aug, -1, -2)):
+    # the goal (0) and crowding (1) features' parts of each entry, in pattern order
+    rows, cols, mirror = cost_pattern(k, i)
+    basis = np.zeros((2, T + 1, rows.size))
+    goal, crowd = basis
+    m = 4 * (k - 1)  # entries in all (i, j) blocks; as many in the (j, i) and (j, j) ones
+    goal[:, 0:4:3] = 2.0  # 2 I
+    crowd[:, :4] = M.sum(axis=1).reshape(T + 1, 4)
+    M_j = M[:, np.arange(k) != i].reshape(T + 1, m)
+    np.negative(M_j, out=crowd[:, 4 : 4 + m])
+    crowd[:, 4 + m : 4 + 2 * m] = crowd[:, 4 : 4 + m]
+    crowd[:, 4 + 2 * m : 4 + 3 * m] = M_j
+    edge = basis[..., 4 + 3 * m : 4 + 3 * m + 2 * k]
+    l = edge.reshape(2, T + 1, k, 2)  # a view: the reshape splits the last axis
+    l[0, :, i] = 2.0 * (pos[:, i] - model.goal)
+    l[1] = grad
+    l[1, :, i] = -grad.sum(axis=1)
+    basis[..., 4 + 3 * m + 2 * k : -1] = edge
+    goal[:, -1] = 2.0 * goal_value[:, 0]
+    crowd[:, -1] = 2.0 * crowd_value[:, 0]
+    if not np.all(np.isfinite(basis)):
+        raise CostRangeError("cost function returned non-finite values along the nominal", "states")
+    if not np.array_equal(basis, basis[..., mirror]):
         raise InternalError("feature curvature is not exactly symmetric")
-    used = np.any(aug != 0.0, axis=(0, 1))
-    used[n, n] = True  # 2c, the last entry
-    rows, cols = np.nonzero(used)
-    basis = aug[:, :, rows, cols]
-    for a in (rows, cols, basis):
-        a.setflags(write=False)
+    basis.setflags(write=False)
     return CostExpansion(rows, cols, basis, nominal.agent_controls(i), model.theta.weights)

@@ -40,11 +40,15 @@ def theta_star() -> list[CostParams]:
     return [CostParams(np.array([1.0, 0.5, 0.2]))] * 3
 
 
-@pytest.fixture
-def ring8_spec() -> ScenarioSpec:
-    """Eight agents on a 4.5 m ring walking at 1.2 m/s towards their antipodes."""
-    k, radius = 8, 4.5
+def ring_spec(k: int) -> ScenarioSpec:
+    """k agents on a 4.5 m ring walking at 1.2 m/s towards their antipodes."""
+    radius = 4.5
     angles = 2 * np.pi * np.arange(k) / k
     unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
     return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
+
+
+@pytest.fixture
+def ring8_spec() -> ScenarioSpec:
+    return ring_spec(8)

@@ -5,8 +5,10 @@ max(1, |coordinate|). Expansions are plain (H, l, c) arrays of the cost as a
 quadratic c + l.z + z.H.z/2 in z = (dx, du), or in dx alone for a terminal
 cost. `fd_expand_model_along` expands a StageCostModel the way
 `crowdirl.quadratic.expand_model_along` does, but numerically, so the two can
-be checked against each other. `DenseCost` carries hand-built or
-finite-difference costs into `solve_lq_game`.
+be checked against each other; `stage_cost` is the per-step cost it differences.
+`dense_feature_terms` lays the closed-form feature terms out densely, the
+reference for the expansion's fixed sparse pattern. `DenseCost` carries
+hand-built or finite-difference costs into `solve_lq_game`.
 """
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdirl.features import StageCostModel
+from crowdirl.features import StageCostModel, state_features
 from crowdirl.quadratic import _eval_batch
-from crowdirl.trajectory import Trajectory
+from crowdirl.trajectory import STATE_DIM, Trajectory
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -50,6 +52,64 @@ class DenseCost:
         out[:, :n, :n] = self.Q
         out[:, :n, n] = out[:, n, :n] = self.q
         out[:, n, n] = 2.0 * self.c
+
+
+def control_weight(model: StageCostModel) -> float:
+    """Coefficient w of the model's per-step effort term w * ||u||^2."""
+    return float(model.theta.weights[2]) / model.horizon
+
+
+def state_cost(model: StageCostModel, x: np.ndarray) -> np.ndarray:
+    """The model's per-step state term; x has shape (..., 4k), result (...,)."""
+    g, p = state_features(x, [model.agent], model.goal[None], model.sigma)
+    w = model.theta.weights
+    return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (model.horizon + 1)
+
+
+def stage_cost(model: StageCostModel):
+    """The model's per-step cost as a function (x (..., 4k), u (..., 2)) -> (...,)."""
+
+    def cost(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return state_cost(model, x) + control_weight(model) * np.sum(u * u, axis=-1)
+
+    return cost
+
+
+def dense_feature_terms(model: StageCostModel, nominal: Trajectory) -> np.ndarray:
+    """The goal (0) and crowding (1) features' augmented costs [[H, l], [l^T, 2c]], (2, T+1, n+1, n+1).
+
+    Laid out densely by the same expressions, in the same order, as
+    `expand_model_along` forms them; its CostExpansion holds these terms at
+    its entries, and every other entry here is 0.
+    """
+    T, k, i = nominal.horizon, model.k, model.agent
+    n = STATE_DIM * k
+    s2 = model.sigma * model.sigma
+    goal_value, crowd_value = state_features(nominal.states, [i], model.goal[None], model.sigma)
+    pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
+    r = pos[:, i : i + 1] - pos
+    e = np.exp(-np.sum(r * r, axis=-1) / s2)
+    e[:, i] = 0.0
+    grad = (2.0 / s2) * e[..., None] * r
+    M = e[..., None, None] * (
+        (4.0 / (s2 * s2)) * (r[..., :, None] * r[..., None, :]) - (2.0 / s2) * np.eye(2)
+    )
+    aug = np.zeros((2, T + 1, n + 1, n + 1))
+    H = aug[:, :, :n, :n].reshape(2, T + 1, k, STATE_DIM, k, STATE_DIM)
+    l = aug[:, :, n, :n].reshape(2, T + 1, k, STATE_DIM)
+    H[0, :, i, :2, i, :2] = 2.0 * np.eye(2)
+    crowd, agents = H[1], np.arange(k)
+    crowd[:, i, :2, :, :2] = -M.transpose(0, 2, 1, 3)
+    crowd[:, :, :2, i, :2] = -M
+    crowd[:, agents, :2, agents, :2] = M.transpose(1, 0, 2, 3)
+    crowd[:, i, :2, i, :2] = M.sum(axis=1)
+    l[0, :, i, :2] = 2.0 * (pos[:, i] - model.goal)
+    l[1, :, :, :2] = grad
+    l[1, :, i, :2] = -grad.sum(axis=1)
+    aug[:, :, :n, n] = aug[:, :, n, :n]
+    aug[:, :, n, n] = 2.0 * np.stack([goal_value[:, 0], crowd_value[:, 0]])
+    return aug
 
 
 def _fd_steps(z0: np.ndarray, h: float) -> np.ndarray:
@@ -197,7 +257,7 @@ def fd_expand_model_along(
 ) -> DenseCost:
     """Finite-difference counterpart of quadratic.expand_model_along."""
     stages = expand_along(
-        model, nominal, model.agent, h, control_weight=model.control_weight
+        stage_cost(model), nominal, model.agent, h, control_weight=control_weight(model)
     )
-    terminal = expand_terminal(model.state_cost, nominal.states[-1], h)
+    terminal = expand_terminal(lambda x: state_cost(model, x), nominal.states[-1], h)
     return cost_expansion(stages, terminal, nominal.states.shape[1])

@@ -58,6 +58,19 @@ def _synth(tmp_path, name="demos.traj", n=6, theta="1.0,0.5,0.2", temp="0.001", 
     return path
 
 
+def _far_demos(tmp_path, steps):
+    """Synthesized demonstrations with agent 0 at x = 1e160 at the given steps of every demo."""
+    demos, header = read_demonstrations(_synth(tmp_path))
+    far = []
+    for demo in demos:
+        states = demo.states.copy()
+        states[steps, 0] = 1e160  # finite, but its square overflows
+        far.append(Trajectory.from_states(states, demo.dt))
+    path = tmp_path / "far.traj"
+    write_demonstrations(path, far, goals=header_goals(header))
+    return path
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = load_config(None, {})
@@ -327,6 +340,17 @@ class TestConfig:
         assert f"weights --theta '{theta}' give no solvable game" in err and "(timestep " in err
         assert not out.exists()
 
+    def test_weights_that_overflow_the_cost_exit_2_naming_them(self, tmp_path, capsys):
+        # finite weights whose cost terms overflow: one message, no numpy warning before it
+        out = tmp_path / "out.traj"
+        assert main(["--entropy-temp", "1e-3", "synth", str(out), "--theta", "1e308,0.5,0.2",
+                     "--n", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: weights --theta '1e308,0.5,0.2' are out of range: "
+            "cost expansion contains non-finite values\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("theta, group", [
         ("1,0.5,-0.2", "'1,0.5,-0.2'"), ("1,0,0;0,-1,0;0,0,1", "'0,-1,0'"),
     ])
@@ -464,6 +488,17 @@ class TestTrain:
         rc = main(["eval", str(mixed), "--baseline", "cv", "--out", str(tmp_path / "cv.csv")])
         assert rc == 0
 
+    @pytest.mark.parametrize("steps", [slice(None), [3]])  # every state; one state mid-demo
+    def test_demonstrations_out_of_range_exit_2_naming_the_file(self, tmp_path, capsys, steps):
+        demos = _far_demos(tmp_path, steps)
+        capsys.readouterr()
+        rc = main(["train", str(demos), "--out", str(tmp_path / "t.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {demos} is out of range: ") and err.count("\n") == 1
+        assert "non-finite" in err and "[" not in err  # no raw feature array
+        assert not (tmp_path / "t.json").exists()
+
     def test_diagnostics_flag_prints_json(self, tmp_path, capsys):
         demos = _synth(tmp_path)
         capsys.readouterr()  # drop synth output
@@ -530,6 +565,35 @@ class TestEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"weight file {theta} gives no solvable game" in err and "(timestep " in err
+        assert not out.exists()
+
+    def test_weights_that_overflow_the_cost_exit_2_naming_the_file(self, tmp_path, capsys):
+        demos = _synth(tmp_path)
+        theta = tmp_path / "huge.json"
+        theta.write_text(json.dumps({"thetas": [[1e308, 0.5, 0.2]] * 3}))
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        rc = main(["eval", str(demos), "--baseline", "sairl", "--theta", str(theta), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: weight file {theta} is out of range: cost expansion contains non-finite values\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("baseline", ["mairl", "sairl"])
+    def test_start_out_of_range_exits_2_naming_the_demo_file(self, tmp_path, capsys, baseline):
+        # the game is expanded along each demo's start; theirs overflows, not the weights'
+        demos = _far_demos(tmp_path, [0])
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
+        out = tmp_path / "x.csv"
+        capsys.readouterr()
+        rc = main(["eval", str(demos), "--baseline", baseline, "--theta", str(theta), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {demos} is out of range: "
+            "cost function returned non-finite values along the nominal\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [

@@ -7,10 +7,7 @@ from crowdirl.errors import ValidationError
 from crowdirl.features import (
     FEATURE_ROWS,
     CostParams,
-    FeatureVector,
     ProximityConfig,
-    compute_features,
-    cost,
     expected_features,
     stage_cost_models,
 )
@@ -23,6 +20,7 @@ from crowdirl.trajectory import (
     constant_velocity_rollout,
     rollout_openloop,
 )
+from fd_oracle import control_weight, stage_cost, state_cost
 
 
 def _static_traj(positions, T=1, dt=0.1) -> Trajectory:
@@ -35,24 +33,32 @@ def _static_traj(positions, T=1, dt=0.1) -> Trajectory:
     return Trajectory(states=states, controls=np.zeros((T, k, 2)), dt=dt)
 
 
+GOAL_DIST, PROXIMITY, EFFORT = range(3)
+
+
+def _features(traj, agent, goal, cfg=ProximityConfig()) -> np.ndarray:
+    """One agent's features (goal_dist, proximity, effort) along one trajectory."""
+    return expected_features([traj], [agent], [goal], cfg)[0]
+
+
 def test_features_vanish_on_goal_without_neighbors():
     traj = _static_traj([(2.0, 3.0)])
-    phi = compute_features(traj, 0, goal=(2.0, 3.0))
-    assert phi.as_array().tolist() == [0.0, 0.0, 0.0]
+    phi = _features(traj, 0, goal=(2.0, 3.0))
+    assert phi.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_features_single_kernel_evaluation():
     traj = _static_traj([(0.0, 0.0), (1.0, 0.0)])
-    phi = compute_features(traj, 0, goal=(0.0, 0.0), cfg=ProximityConfig(sigma=1.0))
-    assert phi.goal_dist == 0.0
-    assert abs(phi.proximity - math.exp(-1.0)) < 1e-12
-    assert phi.effort == 0.0
+    phi = _features(traj, 0, goal=(0.0, 0.0), cfg=ProximityConfig(sigma=1.0))
+    assert phi[GOAL_DIST] == 0.0
+    assert abs(phi[PROXIMITY] - math.exp(-1.0)) < 1e-12
+    assert phi[EFFORT] == 0.0
 
 
 def test_features_squared_goal_distance():
     traj = _static_traj([(2.0, 0.0)])
-    phi = compute_features(traj, 0, goal=(0.0, 0.0))
-    assert abs(phi.goal_dist - 4.0) < 1e-12
+    phi = _features(traj, 0, goal=(0.0, 0.0))
+    assert abs(phi[GOAL_DIST] - 4.0) < 1e-12
 
 
 def test_features_control_averaging_excludes_terminal():
@@ -63,24 +69,18 @@ def test_features_control_averaging_excludes_terminal():
     controls = np.zeros((2, 1, 2))
     controls[0, 0] = [2.0, 0.0]
     traj = rollout_openloop(spec, controls)
-    phi = compute_features(traj, 0, goal=(0.0, 0.0))
-    assert abs(phi.effort - 2.0) < 1e-12
+    phi = _features(traj, 0, goal=(0.0, 0.0))
+    assert abs(phi[EFFORT] - 2.0) < 1e-12
 
 
 def test_features_index_out_of_range():
     with pytest.raises(ValidationError):
-        compute_features(_static_traj([(0, 0)]), 1, goal=(0, 0))
-
-
-def test_cost_examples():
-    assert cost(CostParams(np.array([1.0, 1, 1])), FeatureVector(0, 0, 0)) == 0.0
-    assert cost(CostParams(np.array([2.0, 0, 0])), FeatureVector(4, 9, 9)) == 8.0
-    assert cost(CostParams(np.array([1.0, 2, 3])), FeatureVector(1, 1, 1)) == 6.0
+        _features(_static_traj([(0, 0)]), 1, goal=(0, 0))
 
 
 def _agent_features(trajs, agent, goal):
-    """One agent's row of expected_features, as a FeatureVector."""
-    return FeatureVector.from_array(expected_features(trajs, [agent], [goal])[0])
+    """One agent's row of expected_features."""
+    return expected_features(trajs, [agent], [goal])[0]
 
 
 def test_expected_features_mean_behavior():
@@ -90,14 +90,14 @@ def test_expected_features_mean_behavior():
     )
     t_push = rollout_openloop(spec, np.full((1, 1, 2), [np.sqrt(2.0), 0.0][0]))
     one = _agent_features([t_still], 0, (0, 0))
-    assert one.as_array().tolist() == compute_features(t_still, 0, (0, 0)).as_array().tolist()
+    assert one.tolist() == _features(t_still, 0, (0, 0)).tolist()
     # duplication leaves the mean unchanged
     dup = _agent_features([t_still, t_still], 0, (0, 0))
-    assert np.allclose(dup.as_array(), one.as_array())
+    assert np.allclose(dup, one)
     # effort averages: 0 and 2 -> 1
     t2 = rollout_openloop(spec, np.array([[[np.sqrt(2.0), 0.0]]]))
     mixed = _agent_features([t_still, t2], 0, (0, 0))
-    assert abs(mixed.effort - 1.0) < 1e-12
+    assert abs(mixed[EFFORT] - 1.0) < 1e-12
 
 
 def test_expected_features_rejects_empty():
@@ -183,22 +183,15 @@ def test_permutation_equivariance_in_neighbors():
     traj_a = _static_traj([tuple(p) for p in pos])
     perm = [0, 3, 1, 2]  # keep agent 0, permute the others
     traj_b = _static_traj([tuple(pos[j]) for j in perm])
-    fa = compute_features(traj_a, 0, (0, 0))
-    fb = compute_features(traj_b, 0, (0, 0))
-    assert np.allclose(fa.as_array(), fb.as_array(), atol=1e-12)
+    fa = _features(traj_a, 0, (0, 0))
+    fb = _features(traj_b, 0, (0, 0))
+    assert np.allclose(fa, fb, atol=1e-12)
 
 
 def test_proximity_monotone_in_pairwise_distance():
-    base = compute_features(_static_traj([(0, 0), (1.0, 0.0)]), 0, (0, 0)).proximity
-    farther = compute_features(_static_traj([(0, 0), (1.3, 0.0)]), 0, (0, 0)).proximity
+    base = _features(_static_traj([(0, 0), (1.0, 0.0)]), 0, (0, 0))[PROXIMITY]
+    farther = _features(_static_traj([(0, 0), (1.3, 0.0)]), 0, (0, 0))[PROXIMITY]
     assert farther < base
-
-
-def test_feature_vector_validation():
-    with pytest.raises(ValidationError):
-        FeatureVector(-0.1, 0, 0)
-    with pytest.raises(ValidationError):
-        FeatureVector(float("nan"), 0, 0)
 
 
 def test_theta_projection():
@@ -213,8 +206,8 @@ def test_stage_cost_model_reproduces_weighted_features(intersection_spec, theta_
         intersection_spec, rng.uniform(-1, 1, (intersection_spec.horizon, 3, 2))
     )
     for i, model in enumerate(models):
-        phi = compute_features(traj, i, intersection_spec.goals[i])
-        direct = cost(theta_star[i], phi)
+        phi = _features(traj, i, intersection_spec.goals[i])
+        direct = float(theta_star[i].weights @ phi)
         staged = trajectory_cost(model, traj)
         assert abs(direct - staged) < 1e-10
 
@@ -222,12 +215,12 @@ def test_stage_cost_model_reproduces_weighted_features(intersection_spec, theta_
 def trajectory_cost(model, traj):
     """Total cost of a trajectory under a stage model, summed term by term."""
     u = traj.agent_controls(model.agent)
-    return float(np.sum(model.state_cost(traj.states)) + model.control_weight * np.sum(u * u))
+    return float(np.sum(state_cost(model, traj.states)) + control_weight(model) * np.sum(u * u))
 
 
 def test_stage_cost_model_control_weight(intersection_spec, theta_star):
     model = stage_cost_models(theta_star, intersection_spec)[0]
-    assert abs(model.control_weight - 0.2 / intersection_spec.horizon) < 1e-15
+    assert abs(control_weight(model) - 0.2 / intersection_spec.horizon) < 1e-15
 
 
 def test_stage_cost_models_require_goals(intersection_spec, theta_star):
@@ -240,6 +233,6 @@ def test_stage_cost_batched_evaluation(intersection_spec, theta_star):
     nominal = constant_velocity_rollout(intersection_spec)
     batch = np.tile(nominal.states[0], (7, 1))
     u = np.zeros((7, 2))
-    vals = model(batch, u)
+    vals = stage_cost(model)(batch, u)
     assert vals.shape == (7,)
     assert np.allclose(vals, vals[0])

@@ -40,6 +40,7 @@ from crowdirl.trajectory import (
     propagate_joint,
     rollout,
 )
+from crowdirl import game as game_module
 from crowdirl.rng import substream
 from fd_oracle import DenseCost, cost_expansion, expand_along
 from moment_oracle import exact_features
@@ -746,6 +747,36 @@ def test_reexpansion_loop_is_stationary_for_quadratic_costs(single_agent_spec):
     m1 = mean_rollout(once, single_agent_spec)
     m3 = mean_rollout(thrice, single_agent_spec)
     assert np.max(np.abs(m1.states - m3.states)) < 1e-9
+
+
+def test_one_expansion_per_agent_per_nominal(monkeypatch, intersection_spec):
+    # Game construction expands every agent once along the constant-velocity
+    # nominal; each further outer iteration once along its refitted nominal
+    expanded, solves = [], []
+
+    def expand(model, nominal):
+        expanded.append((model.agent, nominal))  # holding the nominal keeps its id unique
+        return expand_model_along(model, nominal)
+
+    def solve(*args, **kwargs):
+        solves.append(kwargs["nominal"])
+        return solve_lq_game(*args, **kwargs)
+
+    monkeypatch.setattr(game_module, "expand_model_along", expand)
+    monkeypatch.setattr(game_module, "solve_lq_game", solve)
+    thetas = [CostParams(np.array([1.0, 2.5, 0.3]))] * 3
+    g = Game(stage_cost_models(thetas, intersection_spec), intersection_spec,
+             SolverConfig(entropy_temp=1e-3, max_outer_iters=4, outer_tol=1e-12))
+    assert [(i, id(nominal)) for i, nominal in expanded] == [(i, id(g.nominal)) for i in range(3)]
+    del expanded[:]
+    g.solve()
+    assert len(solves) == 4  # the mean path keeps moving by more than outer_tol
+    # the first solve reads the construction's expansions, each later one its own
+    assert solves[0] is g.nominal
+    assert [(i, id(nominal)) for i, nominal in expanded] == [
+        (i, id(nominal)) for nominal in solves[1:] for i in range(3)
+    ]
+    assert len({id(nominal) for nominal in solves}) == 4
 
 
 def test_solver_rejects_mismatched_dimensions(single_agent_spec):

@@ -7,16 +7,21 @@ from hypothesis.extra.numpy import arrays
 from crowdirl.cli import scenario_preset
 from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams, StageCostModel, stage_cost_models
-from crowdirl.game import build_policies, mean_rollout
-from crowdirl.quadratic import expand_model_along, linearize_dynamics
+from crowdirl.game import SolverConfig, build_policies, mean_rollout
+from crowdirl.quadratic import cost_pattern, expand_model_along, linearize_dynamics
 from crowdirl.trajectory import Trajectory, constant_velocity_rollout
+from conftest import ring_spec
 from fd_oracle import (
     DenseCost,
+    control_weight,
+    dense_feature_terms,
     expand_along,
     expand_terminal,
     fd_expand_model_along,
     fd_gradient,
     fd_hessian,
+    stage_cost,
+    state_cost,
     taylor_expand,
 )
 
@@ -154,8 +159,8 @@ def test_fast_path_matches_full_expansion(intersection_spec, theta_star):
     """The separable fast path must agree with the full finite difference."""
     model = stage_cost_models(theta_star, intersection_spec)[0]
     nominal = constant_velocity_rollout(intersection_spec)
-    fast = expand_along(model, nominal, 0, 1e-3, control_weight=model.control_weight)
-    full = expand_along(model, nominal, 0, 1e-3)
+    fast = expand_along(stage_cost(model), nominal, 0, 1e-3, control_weight=control_weight(model))
+    full = expand_along(stage_cost(model), nominal, 0, 1e-3)
     for H_f, l_f, c_f, H_l, l_l, c_l in zip(*fast, *full):
         assert np.allclose(H_f, H_l, atol=1e-6)
         assert np.allclose(l_f, l_l, atol=1e-7)
@@ -169,7 +174,7 @@ def test_expand_model_along_terminal(intersection_spec, theta_star):
     assert expansion.horizon == intersection_spec.horizon
     assert expansion.Q.shape == (intersection_spec.horizon + 1, 12, 12)
     # row T equals a direct expansion of the state cost at the last state
-    H, l, _ = expand_terminal(model.state_cost, nominal.states[-1])
+    H, l, _ = expand_terminal(lambda x: state_cost(model, x), nominal.states[-1])
     assert np.allclose(expansion.Q[-1], H)
     assert np.allclose(expansion.q[-1], l)
 
@@ -242,9 +247,9 @@ def _dense_expansion(model, nominal):
     agents = np.arange(k)
     H[:, agents, :2, agents, :2] = w_prox * M.transpose(1, 0, 2, 3)
     H[:, i, :2, i, :2] = 2.0 * w_goal * np.eye(2) + w_prox * M.sum(axis=1)
-    R = 2.0 * model.control_weight
+    R = 2.0 * control_weight(model)
     u = nominal.agent_controls(i)
-    c = model.state_cost(states)
+    c = state_cost(model, states)
     c[:T] += 0.5 * R * np.sum(u * u, axis=-1)
     return (H.reshape(T + 1, 4 * k, 4 * k) / (T + 1), l.reshape(T + 1, 4 * k) / (T + 1), c, R,
             R * u)
@@ -279,6 +284,46 @@ def test_fill_writes_the_augmented_cost_of_the_dense_arrays(intersection_spec, t
         assert np.array_equal(out, dense)
         assert np.array_equal(out, np.swapaxes(out, 1, 2))
         assert not any(a.flags.writeable for a in (e.Q, e.q, e.r))
+
+
+def _pattern_nominals(spec):
+    """Constant velocity, a controlled mean rollout, and one whose last agent is 1 km away."""
+    coasting = constant_velocity_rollout(spec)
+    thetas = [CostParams(np.array([1.0, 0.5, 0.2]))] * spec.k
+    controlled = mean_rollout(build_policies(thetas, spec, SolverConfig(entropy_temp=1e-3)), spec)
+    far = coasting.states.copy()
+    far[:, -4] += 1000.0  # exp(-(1 km / sigma)^2) is exactly 0.0
+    return coasting, controlled, Trajectory(far, coasting.controls, coasting.dt)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_cost_pattern_is_fixed_by_k_and_agent(k):
+    spec = ring_spec(k)
+    n = 4 * k
+    nominals = _pattern_nominals(spec)
+    assert np.max(np.abs(nominals[1].controls)) > 0.1
+    for model in stage_cost_models([CostParams(np.array([1.0, 3.0, 0.2]))] * k, spec):
+        rows, cols, mirror = cost_pattern(k, model.agent)
+        assert rows.size == cols.size == 16 * k - 7 and (rows[-1], cols[-1]) == (n, n)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+        assert np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
+        for nominal in nominals:
+            e = expand_model_along(model, nominal)
+            assert e.rows is rows and e.cols is cols
+            # fill is the dense feature terms weighted, bit for bit, zeros and their signs too
+            aug = dense_feature_terms(model, nominal)
+            w_goal, w_crowd, _ = model.theta.weights
+            ref = (w_goal * aug[0] + w_crowd * aug[1]) / (nominal.horizon + 1)
+            ref[:-1, n, n] += e.R * np.sum(e.controls * e.controls, axis=-1)
+            out = np.full_like(ref, np.nan)
+            e.fill(out)
+            assert out.tobytes() == ref.tobytes()
+            assert np.array_equal(e.basis, aug[:, :, rows, cols])
+    # far away, an agent's kernel and its derivatives are exactly 0.0, yet its entries stay
+    if k > 1:
+        e = expand_model_along(stage_cost_models([CostParams.ones()] * k, spec)[0], nominals[2])
+        far = (e.rows // 4 == k - 1) | (e.cols // 4 == k - 1)
+        assert far.sum() == 16 and not np.any(e.basis[..., far])
 
 
 @st.composite
