@@ -38,6 +38,7 @@ from .metrics import (
     render_overlay_svg,
     rmse_cdf,
     render_cdf_svg,
+    report_errors,
     score_predictions,
 )
 from .pipeline import (
@@ -426,12 +427,12 @@ def cmd_eval(args, cfg: dict) -> int:
                            u_max=cfg["u_max"], seed=cfg["seed"], **cfg["eval"])
     try:
         predictions = make_predictor(method, ctx)(demos)
+        report = score_predictions(method, args.scenario, demos, predictions)
     except SolverError as exc:  # only mairl and sairl solve, at the weight file's weights
         raise ValidationError(f"weight file {args.theta} gives no solvable game: {exc}") from exc
-    except CostRangeError as exc:  # the games are expanded along the demonstrations' starts
+    except CostRangeError as exc:  # games expand along the demos' starts; errors are scored on them
         culprit = f"weight file {args.theta}" if exc.source == "weights" else args.demos
         raise ValidationError(f"{culprit} is out of range: {exc}") from exc
-    report = score_predictions(method, args.scenario, demos, predictions)
     emit_report([report], args.format, args.out)
     print(
         f"{method} on {args.scenario}: ADE {report.ade:.4f} m, FDE {report.fde:.4f} m "
@@ -454,11 +455,14 @@ def _read_report_any(path: str) -> tuple[list[dict], dict[str, list[float]]]:
             continue
         try:
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError(f"not a JSON object: {line.strip()}")
             if "rmse_per_traj" in rec:
-                rmse_lists[str(rec["method"])] = [float(v) for v in rec["rmse_per_traj"]]
+                rmse_lists[str(rec["method"])] = report_errors(rec["rmse_per_traj"])
             elif "method" in rec:
+                keys = ("ade_m", "fde_m", "efe_m") if "efe_m" in rec else ("ade_m", "fde_m")
                 rows.append({**rec, "method": str(rec["method"]), "scenario": str(rec["scenario"]),
-                             "ade_m": float(rec["ade_m"]), "fde_m": float(rec["fde_m"])})
+                             **dict(zip(keys, report_errors([rec[key] for key in keys])))})
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise FormatError(f"{path} line {line_no}: malformed report line ({exc!r})") from exc
     return rows, rmse_lists

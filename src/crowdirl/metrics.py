@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import ebm_minimizer, ebm_train, gmm_conditional_mean, gmm_fit
-from .errors import FormatError, ValidationError
+from .errors import CostRangeError, FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from .pipeline import read_text_lines
@@ -31,6 +31,7 @@ from .trajectory import (
     RolloutSet,
     ScenarioSpec,
     Trajectory,
+    integrate_controls,
     rollout,
 )
 
@@ -188,6 +189,7 @@ def score_predictions(
 
     predictions[j] has shape (T+1, k, 2) and is compared stepwise against
     demonstration j; per-agent errors are averaged over demonstrations.
+    An error that overflows raises CostRangeError (source "states"), silently.
     """
     if not demos or len(predictions) != len(demos):
         raise ValidationError("need one prediction per demonstration")
@@ -195,19 +197,22 @@ def score_predictions(
     ades = np.zeros(k)
     fdes = np.zeros(k)
     rmses = []
-    for demo, pred in zip(demos, predictions):
-        pred = np.asarray(pred, dtype=float)
-        if pred.shape != (demo.horizon + 1, k, 2):
-            raise ValidationError(
-                f"prediction shape {pred.shape} != ({demo.horizon + 1}, {k}, 2)"
-            )
-        sq = 0.0
-        for i in range(k):
-            gt = demo.positions(i)
-            ades[i] += ade(pred[:, i], gt)
-            fdes[i] += fde(pred[:, i], gt)
-            sq += float(np.mean(np.sum((pred[:, i] - gt) ** 2, axis=1)))
-        rmses.append(math.sqrt(sq / k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for demo, pred in zip(demos, predictions):
+            pred = np.asarray(pred, dtype=float)
+            if pred.shape != (demo.horizon + 1, k, 2):
+                raise ValidationError(
+                    f"prediction shape {pred.shape} != ({demo.horizon + 1}, {k}, 2)"
+                )
+            sq = 0.0
+            for i in range(k):
+                gt = demo.positions(i)
+                ades[i] += ade(pred[:, i], gt)
+                fdes[i] += fde(pred[:, i], gt)
+                sq += float(np.mean(np.sum((pred[:, i] - gt) ** 2, axis=1)))
+            rmses.append(math.sqrt(sq / k))
+    if not np.all(np.isfinite([*ades, *fdes, *rmses])):
+        raise CostRangeError("displacement errors overflow", "states")
     n = len(demos)
     return MetricReport(
         method=method,
@@ -267,19 +272,22 @@ def _rollout_state_feedback(
 def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     """Position predictor for one of the named methods: demos -> (n, T+1, k, 2).
 
-    cv extrapolates each agent's initial velocity: state feedback with a zero
-    action, never clamped. gmm and ebm are fitted here on the training
-    demonstrations and rolled out under state feedback. These three step every
-    demo and agent at once. mairl/sairl solve the game at the supplied weights
-    once per distinct start and give each of its demos the feedback mean (or
+    cv extrapolates each agent's initial velocity: the zero tapes of all demos
+    integrated at once in closed form (`integrate_controls`). gmm and ebm are
+    fitted here on the training demonstrations and rolled out under state
+    feedback, every demo and agent at once. mairl/sairl solve the game at the
+    supplied weights once per distinct start and give each of its demos the feedback mean (or
     the closest of one set of ctx.best_of sampled rollouts when best_of > 1).
     """
     spec = ctx.spec
     shape = (spec.horizon + 1, spec.k, STATE_DIM)
     if method == "cv":
-        return lambda demos: _rollout_state_feedback(
-            demos, spec, lambda s: np.zeros_like(s[..., :CONTROL_DIM]), math.inf
-        )
+        def predict_cv(demos: Sequence[Trajectory]) -> np.ndarray:
+            x0 = RolloutSet.stack(demos).states[:, 0]
+            tapes = np.zeros((len(x0), spec.horizon, spec.k, CONTROL_DIM))
+            return integrate_controls(x0, tapes, spec.dt).reshape(-1, *shape)[..., :2]
+
+        return predict_cv
 
     if method == "gmm":
         pairs = np.concatenate(_demo_state_action_pairs(ctx.train_demos), axis=1)
@@ -315,8 +323,9 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
                 cands = sample_rollouts(policies, start_spec, ctx.best_of, ctx.seed, ctx.u_max)
                 for j in rows:
                     demo = demos[j]
-                    errs = [np.mean([ade(c.positions(i), demo.positions(i))
-                                     for i in range(spec.k)]) for c in cands]
+                    with np.errstate(over="ignore"):  # an overflow is refused when scored
+                        errs = [np.mean([ade(c.positions(i), demo.positions(i))
+                                         for i in range(spec.k)]) for c in cands]
                     out[j] = cands.states[int(np.argmin(errs))].reshape(shape)[..., :2]
             return out
 
@@ -399,6 +408,14 @@ def emit_report(reports: Sequence[MetricReport], fmt: str, path) -> None:
         fh.write(text)
 
 
+def report_errors(values) -> list[float]:
+    """Report errors as floats; ValueError unless each is a finite number >= 0."""
+    out = [float(v) for v in values]
+    if not all(0.0 <= v < math.inf for v in out):  # NaN fails both comparisons
+        raise ValueError(f"errors must be finite and >= 0, got {out}")
+    return out
+
+
 def parse_report_csv(path) -> list[dict]:
     """Read back a CSV report; inverse of emit_report(..., 'csv', ...)."""
     lines = [
@@ -415,9 +432,10 @@ def parse_report_csv(path) -> list[dict]:
                 f"{path} line {line_no}: row has {len(parts)} fields, expected {len(CSV_COLUMNS)}"
             )
         try:
-            values = [float(v) for v in parts[3:]]
+            values = report_errors(parts[3:])
         except ValueError as exc:
-            raise FormatError(f"{path} line {line_no}: non-numeric value ({exc})") from exc
+            raise FormatError(
+                f"{path} line {line_no}: non-numeric or out-of-range value ({exc})") from exc
         rows.append(dict(zip(CSV_COLUMNS, parts[:3] + values)))
     return rows
 

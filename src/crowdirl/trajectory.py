@@ -279,11 +279,12 @@ class ScenarioSpec:
 def rollout(
     x0: np.ndarray, horizon: int, dt: float, act, u_max: float = math.inf
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one time loop: states (n, T+1, 4k) and applied controls (n, T, k, 2) from x0 (n, 4k).
+    """The one feedback loop: states (n, T+1, 4k) and applied controls (n, T, k, 2) from x0 (n, 4k).
 
     Per step, act(t, states (n, 4k)) gives controls that broadcast to
     (n, k, 2); they are clamped to u_max (> 0, checked once) and propagated
-    by one `propagate_joint` call for all n rows.
+    by one `propagate_joint` call for all n rows. A tape fixed in advance
+    needs no loop: `integrate_controls` gives the same bits.
     """
     u_max = check_u_max(u_max)
     x0 = np.asarray(x0, dtype=float)
@@ -297,16 +298,31 @@ def rollout(
     return states, controls
 
 
+def integrate_controls(x0: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
+    """States (n, T+1, 4k) from x0 (n, 4k) under open-loop tapes (n, T, k, 2), with no loop.
+
+    v is the running sum [v0, u0*dt, u1*dt, ...] and p every other entry of the
+    running sum [p0, v0*dt, 0.5*u0*dt*dt, v1*dt, ...]; np.add.accumulate adds in
+    sequence, so these are T `propagate_joint` steps' products and sums, bit for bit.
+    """
+    u = np.asarray(controls, dtype=float)
+    n, T, k = u.shape[:3]
+    s0 = np.asarray(x0, dtype=float).reshape(n, 1, k, STATE_DIM)
+    v = np.add.accumulate(np.concatenate([s0[..., 2:], u * dt], axis=1), axis=1)
+    steps = np.stack([v[:, :-1] * dt, 0.5 * u * dt * dt], axis=2).reshape(n, 2 * T, k, 2)
+    p = np.add.accumulate(np.concatenate([s0[..., :2], steps], axis=1), axis=1)[:, ::2]
+    return np.concatenate([p, v], axis=-1).reshape(n, T + 1, k * STATE_DIM)
+
+
 def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> Trajectory:
-    """Integrate a fixed (T, k, 2) control tape from spec.x0."""
+    """Integrate a fixed (T, k, 2) control tape from spec.x0 (`integrate_controls`, no clamp)."""
     controls = np.asarray(controls, dtype=float)
     if controls.shape != (spec.horizon, spec.k, CONTROL_DIM):
         raise ValidationError(
             f"controls must be ({spec.horizon}, {spec.k}, 2), got {controls.shape}"
         )
-    # without a bound the clamp multiplies by exactly 1.0: the tape passes unchanged
-    states, tape = rollout([spec.x0.as_array()], spec.horizon, spec.dt, lambda t, _: controls[t])
-    return Trajectory(states[0], tape[0], spec.dt)
+    states = integrate_controls(spec.x0.as_array()[None], controls[None], spec.dt)
+    return Trajectory(states[0], controls, spec.dt)
 
 
 def constant_velocity_rollout(spec: ScenarioSpec) -> Trajectory:

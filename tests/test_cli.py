@@ -596,6 +596,26 @@ class TestEval:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("best_of, flags", [
+        ("1", ["--baseline", "cv"]),
+        ("1", ["--baseline", "mairl", "--theta", "{theta}"]),
+        ("3", ["--baseline", "mairl", "--theta", "{theta}"]),
+    ], ids=["cv", "mairl", "mairl-best-of-3"])
+    def test_errors_that_overflow_exit_2_naming_the_demo_file(self, tmp_path, capsys, best_of, flags):
+        # a finite position far past the start: its squared displacement overflows
+        demos = _far_demos(tmp_path, [2])
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
+        out = tmp_path / "r.jsonl"
+        capsys.readouterr()
+        rc = main(["--best-of", best_of, "eval", str(demos), *(f.format(theta=theta) for f in flags),
+                   "--scenario", "x", "--out", str(out), "--format", "jsonl"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {demos} is out of range: displacement errors overflow\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "{}",
         "[1]",
@@ -938,6 +958,20 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
     ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": ["abc"]}\n', "line 1: malformed"),
     ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": 5}\n', "line 1: malformed"),
     ("r.csv", "method,scenario,agent,ade_m,fde_m,efe_m\ncv,s,all,abc,1,1\n", "line 2: non-numeric"),
+    ("r.csv", "method,scenario,agent,ade_m,fde_m,efe_m\ncv,s,all,nan,1,1\n", "line 2: non-numeric"),
+    ("r.csv", "method,scenario,agent,ade_m,fde_m,efe_m\ncv,s,all,1,-1,1\n", "finite and >= 0"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "ade_m": NaN, "fde_m": 1}\n',
+     "line 1: malformed"),
+    ("r.jsonl", '{"note": "x"}\n{"method": "cv", "scenario": "s", "agent": "all", '
+     '"ade_m": -1e400, "fde_m": 1}\n', "line 2: malformed"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "ade_m": 1, "fde_m": -0.5}\n',
+     "finite and >= 0"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "ade_m": 1, "fde_m": 1, '
+     '"efe_m": NaN}\n', "finite and >= 0"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": [0.5, Infinity]}\n',
+     "finite and >= 0"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": [-0.5]}\n', "line 1: malformed"),
+    ("r.jsonl", '{"note": "x"}\n[1, 2]\n', "line 2: malformed report line (TypeError('not a JSON"),
     ("r.jsonl", NOT_UTF8, "is not UTF-8"),
     ("r.csv", NOT_UTF8, "is not UTF-8"),
 ])

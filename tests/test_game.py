@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from crowdirl.trajectory import (
     rollout,
 )
 from crowdirl import game as game_module
+from crowdirl import trajectory as trajectory_module
 from crowdirl.rng import substream
 from fd_oracle import DenseCost, cost_expansion, expand_along
 from moment_oracle import exact_features
@@ -777,6 +780,39 @@ def test_one_expansion_per_agent_per_nominal(monkeypatch, intersection_spec):
         (i, id(nominal)) for nominal in solves[1:] for i in range(3)
     ]
     assert len({id(nominal) for nominal in solves}) == 4
+
+
+@pytest.mark.parametrize("preset", ["intersection_k3", "head_on_k2", "ring8"])
+def test_game_nominal_equals_the_stepped_zero_tape_bit_for_bit(preset, ring8_spec, theta_star):
+    # the nominal is integrated in closed form; the reference steps the
+    # unbounded zero action through the feedback loop, as the nominal once did
+    spec = ring8_spec if preset == "ring8" else scenario_preset(preset)
+    g = Game(stage_cost_models([theta_star[0]] * spec.k, spec), spec, SolverConfig())
+    zeros = np.zeros((spec.k, 2))
+    states, controls = rollout(spec.x0.as_array()[None], spec.horizon, spec.dt,
+                               lambda t, x: zeros, math.inf)
+    assert g.nominal.states.tobytes() == states[0].tobytes()
+    assert g.nominal.controls.tobytes() == controls[0].tobytes()
+
+
+def test_feedback_rollouts_step_through_propagate_joint_once_per_step(
+    monkeypatch, intersection_spec, theta_star
+):
+    # the traced trajectory.propagate span sits on this call: one per step of a rollout set
+    policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return propagate_joint(*args)
+
+    monkeypatch.setattr(trajectory_module, "propagate_joint", counted)
+    T = intersection_spec.horizon
+    sample_rollouts(policies, intersection_spec, 12, seed=3)
+    assert len(calls) == T
+    del calls[:]
+    mean_rollout(policies, intersection_spec)
+    assert len(calls) == T
 
 
 def test_solver_rejects_mismatched_dimensions(single_agent_spec):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crowdirl import metrics
-from crowdirl.errors import ValidationError
+from crowdirl.errors import CostRangeError, ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from crowdirl.metrics import (
@@ -215,6 +215,32 @@ class TestPredictors:
         ctx = PredictorContext(spec=intersection_spec, train_demos=demos)
         rep = evaluate_method("cv", "scene", demos, ctx)
         assert rep.ade < 1e-9
+
+    def test_cv_equals_the_stepped_zero_action_bit_for_bit(self, intersection_spec, theta_star):
+        # the zero tapes are integrated in closed form; the reference steps the
+        # unbounded zero action through the state-feedback loop, as cv once did
+        x0 = intersection_spec.x0.as_array()
+        x0[[1, 3]] = -0.0  # agent 0 starts at y = -0.0 with vy = -0.0
+        other = intersection_spec.with_x0(JointState.from_array(x0))
+        demos = [*synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET),
+                 *synth_generate(theta_star, other, 3, seed=2, solver_cfg=QUIET)]
+        ctx = PredictorContext(spec=intersection_spec, train_demos=demos)
+        got = make_predictor("cv", ctx)(demos)
+        ref = metrics._rollout_state_feedback(
+            demos, intersection_spec, lambda s: np.zeros_like(s[..., :2]), math.inf)
+        assert got.shape == ref.shape == (5, intersection_spec.horizon + 1, 3, 2)
+        assert got.tobytes() == ref.tobytes()
+        assert np.all(np.signbit(got[2:, 0, 0, 1]))
+
+    def test_overflowing_errors_raise_cost_range_error(self, intersection_spec, theta_star):
+        demos = synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET)
+        states = demos[1].states.copy()
+        states[2, 0] = 1e160  # finite, but its square overflows
+        far = [demos[0], Trajectory.from_states(states, demos[1].dt)]
+        ctx = PredictorContext(spec=intersection_spec, train_demos=far)
+        with pytest.raises(CostRangeError, match="displacement errors overflow") as info:
+            evaluate_method("cv", "scene", far, ctx)
+        assert info.value.source == "states"
 
     def test_irl_predictor_requires_thetas(self, intersection_spec, theta_star):
         demos = synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET)

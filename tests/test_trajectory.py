@@ -13,6 +13,7 @@ from crowdirl.trajectory import (
     clamp_control,
     constant_velocity_rollout,
     from_dataset_array,
+    integrate_controls,
     propagate_joint,
     rollout,
     rollout_openloop,
@@ -203,6 +204,29 @@ def test_openloop_rollout_equals_the_per_step_loop_bit_for_bit():
         traj = rollout_openloop(spec, tapes[j])
         assert traj.states.tobytes() == ref.tobytes()
         assert traj.controls.tobytes() == tapes[j].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("T", [1, 30])
+def test_closed_form_integration_equals_the_per_step_loop_bit_for_bit(n, k, T):
+    rng = np.random.default_rng(1000 * n + 10 * k + T)
+    x0 = rng.normal(0.0, 5.0, (n, 4 * k))
+    tapes = rng.normal(0.0, 2.0, (n, T, k, 2))
+    x0.flat[::3] = -0.0
+    tapes.flat[::4] = -0.0
+    for dt in (0.1, 1 / 3):
+        ref = np.empty((n, T + 1, 4 * k))
+        ref[:, 0] = x0
+        for t in range(T):
+            ref[:, t + 1] = propagate_joint(ref[:, t], tapes[:, t], dt)
+        assert integrate_controls(x0, tapes, dt).tobytes() == ref.tobytes()
+    # a coasting start: -0.0 velocities and zero tapes keep the loop's signed zeros
+    x0[:, 2::4] = -0.0
+    zeros = np.zeros((n, T, k, 2))
+    ref, _ = rollout(x0, T, 0.1, lambda t, x: zeros[:, t])
+    got = integrate_controls(x0, zeros, 0.1)
+    assert got.tobytes() == ref.tobytes() and np.any(np.signbit(got) & (got == 0.0))
 
 
 def test_state_feedback_rollout_equals_the_per_step_loop_with_the_clamp_engaged():
