@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CostRangeError, ValidationError
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -98,6 +98,13 @@ def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
     return float(dens[0]) if single else dens
 
 
+def _check_sum(value, fit: str):
+    """value, if finite; else the training pairs overflow the fit's sums of squares."""
+    if not np.all(np.isfinite(value)):
+        raise CostRangeError(f"{fit} contains non-finite values", "states")
+    return value
+
+
 def _floor_covariance(cov: np.ndarray) -> np.ndarray:
     cov = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(cov)
@@ -111,7 +118,7 @@ def _kmeans_pp_init(samples: np.ndarray, K: int, rng: np.random.Generator) -> np
         d2 = np.min(
             np.stack([np.sum((samples - c) ** 2, axis=1) for c in centers]), axis=0
         )
-        total = d2.sum()
+        total = _check_sum(d2.sum(), "gmm fit")
         if total <= 0:
             centers.append(samples[rng.integers(n)])
             continue
@@ -119,6 +126,7 @@ def _kmeans_pp_init(samples: np.ndarray, K: int, rng: np.random.Generator) -> np
     return np.stack(centers)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as an error
 def gmm_fit(
     samples: np.ndarray,
     K: int,
@@ -130,6 +138,7 @@ def gmm_fit(
 
     The per-iteration log-likelihood trace is stored on the returned model;
     it is checked to be non-decreasing (1e-9 slack) as an internal invariant.
+    Samples whose sums of squares overflow raise CostRangeError.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -141,7 +150,8 @@ def gmm_fit(
         )
     rng = substream(seed, 0xE11)
     means = _kmeans_pp_init(samples, K, rng)
-    covs = np.stack([_floor_covariance(np.cov(samples.T).reshape(d, d))] * K)
+    cov = _check_sum(np.cov(samples.T).reshape(d, d), "gmm fit")
+    covs = np.stack([_floor_covariance(cov)] * K)
     weights = np.full(K, 1.0 / K)
 
     loglik_trace = []
@@ -157,7 +167,7 @@ def gmm_fit(
         )  # (K, n)
         m = logs.max(axis=0)
         norm = m + np.log(np.sum(np.exp(logs - m), axis=0))
-        loglik = float(np.sum(norm))
+        loglik = float(_check_sum(np.sum(norm), "gmm fit"))
         resp = np.exp(logs - norm)  # (K, n)
 
         if loglik_trace and loglik < loglik_trace[-1] - 1e-9:
@@ -309,11 +319,12 @@ def action_grid(lo: float, hi: float, n: int, dim: int = 2) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as an error
 def ebm_train(states: np.ndarray, actions: np.ndarray) -> EnergyParams:
     """Least-squares fit of the energy minimizer map u ~ Lx + b (W = I).
 
     Falls back to ridge regression (lambda = 1e-6) with a warning when the
-    regression is rank-deficient.
+    regression is rank-deficient. Pairs whose sums of squares overflow raise CostRangeError.
     """
     X = np.asarray(states, dtype=float)
     U = np.asarray(actions, dtype=float)
@@ -328,14 +339,15 @@ def ebm_train(states: np.ndarray, actions: np.ndarray) -> EnergyParams:
     if n < dx * du:
         logger.warning("only %d pairs for a %dx%d map; fit may be underdetermined", n, du, dx)
     A = np.concatenate([X, np.ones((n, 1))], axis=1)  # (n, dx+1)
+    gram = _check_sum(A.T @ A, "energy fit")
     if np.linalg.matrix_rank(A) < dx + 1:
         logger.warning("rank-deficient regression; using ridge fallback")
-        G = A.T @ A + RIDGE_LAMBDA * np.eye(dx + 1)
+        G = gram + RIDGE_LAMBDA * np.eye(dx + 1)
         coef = np.linalg.solve(G, A.T @ U)
     else:
         coef, *_ = np.linalg.lstsq(A, U, rcond=None)
     L = coef[:dx].T
     b = coef[dx]
-    residual = float(np.sqrt(np.mean((A @ coef - U) ** 2)))
+    residual = float(np.sqrt(_check_sum(np.mean((A @ coef - U) ** 2), "energy fit")))
     logger.info("energy fit residual (rms): %.3e", residual)
     return EnergyParams(W=np.eye(du), L=L, b=b)

@@ -426,7 +426,11 @@ def cmd_eval(args, cfg: dict) -> int:
                            proximity=ProximityConfig(**cfg["proximity"]),
                            u_max=cfg["u_max"], seed=cfg["seed"], **cfg["eval"])
     try:
-        predictions = make_predictor(method, ctx)(demos)
+        predict = make_predictor(method, ctx)
+    except CostRangeError as exc:  # only gmm and ebm fit here, on the training demonstrations
+        raise ValidationError(f"{args.train_demos or args.demos} is out of range: {exc}") from exc
+    try:
+        predictions = predict(demos)
         report = score_predictions(method, args.scenario, demos, predictions)
     except SolverError as exc:  # only mairl and sairl solve, at the weight file's weights
         raise ValidationError(f"weight file {args.theta} gives no solvable game: {exc}") from exc

@@ -66,22 +66,38 @@ class CostParams:
         return CostParams(np.maximum(self.weights, 0.0))
 
 
+def state_terms(
+    states: np.ndarray, agents: Sequence[int], goals, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Goal distance (..., a) and crowding kernel (..., a, k) of agents a at joint states (..., 4k).
+
+    goals is (a, 2); kernel[..., x, j] = exp(-||p_agents[x] - p_j||^2 / sigma^2), self term 1 included.
+    It is formed in place from contiguous copies of the position columns; q / -sigma^2 is -q / sigma^2.
+    """
+    s = np.asarray(states, dtype=float)
+    s = s.reshape(s.shape[:-1] + (-1, STATE_DIM))
+    px, py = s[..., 0].copy(), s[..., 1].copy()  # (..., k)
+    ox, oy = px[..., agents], py[..., agents]  # (..., a)
+    goal_dist = (ox - goals[:, 0]) ** 2 + (oy - goals[:, 1]) ** 2
+    dx, dy = px[..., None, :] - ox[..., None], py[..., None, :] - oy[..., None]  # (..., a, k)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dx /= -(sigma * sigma)
+    return goal_dist, np.exp(dx, out=dx)
+
+
 def state_features(
     states: np.ndarray, agents: Sequence[int], goals, sigma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Goal distance and crowding of the given agents at joint states (..., 4k).
 
     goals is (len(agents), 2); both results are (..., len(agents)). The crowding
-    term sums exp(-||p_agent - p_j||^2 / sigma^2) over j != agent; it is exactly
-    zero for k == 1, where the removed self term exp(0) = 1 is all.
+    term sums the `state_terms` kernel over every j and removes its self term
+    exp(0) = 1; it is exactly zero for k == 1.
     """
-    s = np.asarray(states, dtype=float)
-    s = s.reshape(s.shape[:-1] + (-1, STATE_DIM))
-    px, py = s[..., 0], s[..., 1]  # (..., k)
-    ox, oy = px[..., agents], py[..., agents]  # (..., a)
-    goal_dist = (ox - goals[:, 0]) ** 2 + (oy - goals[:, 1]) ** 2
-    dx, dy = px[..., None, :] - ox[..., None], py[..., None, :] - oy[..., None]  # (..., a, k)
-    return goal_dist, np.sum(np.exp(-(dx * dx + dy * dy) / (sigma * sigma)), axis=-1) - 1.0
+    goal_dist, kernel = state_terms(states, agents, goals, sigma)
+    return goal_dist, np.sum(kernel, axis=-1) - 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as an error
@@ -95,7 +111,9 @@ def expected_features(
 
     goals is (len(agents), 2), one row per index; a sequence is stacked once.
     The per-trajectory rows are formed FEATURE_ROWS trajectories at a time,
-    each on its own, so the block size never changes a bit of the result.
+    each on its own, so the block size never changes a bit of the result:
+    `state_features` on the block's states, and the effort as each control's
+    sum of squares u_x**2 + u_y**2.
     """
     trajs = RolloutSet.stack(trajs)
     idx = np.asarray(agents)
@@ -108,7 +126,9 @@ def expected_features(
     for start in range(0, len(trajs), FEATURE_ROWS):
         rows = slice(start, start + FEATURE_ROWS)
         goal_dist, proximity = state_features(trajs.states[rows], idx, goals, cfg.sigma)
-        effort = np.sum(trajs.controls[rows, :, idx] ** 2, axis=-1)
+        sq = trajs.controls[rows, :, idx]
+        sq *= sq
+        effort = sq[..., 0] + sq[..., 1]  # the pair sum np.sum forms
         for j, f in enumerate((goal_dist, proximity, effort)):
             # the copy makes each time series contiguous, so its mean sums in one agent's order
             per_traj[rows, :, j] = np.mean(np.swapaxes(f, 1, 2).copy(), axis=-1)

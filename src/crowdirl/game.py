@@ -398,7 +398,10 @@ def _rollout_batch(
     noise: np.ndarray,
     u_max: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate M rollouts at once; noise is (M, T, k, 2) standard normals."""
+    """Simulate M rollouts at once; noise is (M, T, k, 2) standard normals.
+
+    Each step's dx, tiled GEMM and control (kff - feedback) + eps go into buffers made once per set.
+    """
     T, k = policies.horizon, policies.k
     if spec.k != k or spec.horizon != T:
         raise ValidationError("scenario does not match the policy sequence")
@@ -417,11 +420,15 @@ def _rollout_batch(
     eps = np.zeros((T, Mp, k, CONTROL_DIM))
     eps[:, :M, :, 0] = z[..., 0] * L[..., 0, 0]
     eps[:, :M, :, 1] = z[..., 0] * L[..., 1, 0] + z[..., 1] * L[..., 1, 1]
+    dx = np.empty((Mp // FEEDBACK_TILE, FEEDBACK_TILE, n))
+    feedback = np.empty((Mp // FEEDBACK_TILE, FEEDBACK_TILE, CONTROL_DIM * k))
+    u = np.empty((Mp, k, CONTROL_DIM))
 
     def act(t: int, states: np.ndarray) -> np.ndarray:
-        dx = states - policies.nominal_states[t]  # gains[t]: (4k, 2k)
-        feedback = dx.reshape(-1, FEEDBACK_TILE, n) @ gains[t]
-        return policies.kff[t] - feedback.reshape(Mp, k, CONTROL_DIM) + eps[t]
+        np.subtract(states.reshape(dx.shape), policies.nominal_states[t], out=dx)
+        np.matmul(dx, gains[t], out=feedback)  # gains[t]: (4k, 2k)
+        np.subtract(policies.kff[t], feedback.reshape(u.shape), out=u)
+        return np.add(u, eps[t], out=u)
 
     states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, u_max)
     return states[:M], controls[:M]

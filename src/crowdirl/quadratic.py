@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
-from .features import StageCostModel, state_features
+from .features import StageCostModel, state_terms
 from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
 
 
@@ -180,7 +180,9 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     """Exact quadratic expansion of one agent's StageCostModel along a nominal.
 
     Every nominal state is expanded at once. With r_j = p_i - p_j and
-    e_j = exp(-|r_j|^2 / sigma^2), the kernel e_j has gradient -2 e_j r_j / sigma^2
+    e_j = exp(-|r_j|^2 / sigma^2), read off `features.state_terms` (which
+    also gives the goal distance and, summed, the crowding offset; there
+    p_j - p_i = -r_j exactly), the kernel e_j has gradient -2 e_j r_j / sigma^2
     in p_i and +2 e_j r_j / sigma^2 in p_j, and curvature
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
     position blocks, -M_j on (i, j) and (j, i). The goal term |p_i - g|^2 has
@@ -191,12 +193,13 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     """
     T, k, i = nominal.horizon, model.k, model.agent
     s2 = model.sigma * model.sigma
-    goal_value, crowd_value = state_features(nominal.states, [i], model.goal[None], model.sigma)
+    goal_value, kernel = state_terms(nominal.states, [i], model.goal[None], model.sigma)
+    e = kernel[:, 0]  # (T+1, k)
+    crowd_value = np.sum(e, axis=-1) - 1.0  # the crowding feature, as state_features forms it
+    e[:, i] = 0.0  # no self term
 
     pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
     r = pos[:, i : i + 1] - pos  # (T+1, k, 2); zero at j == i
-    e = np.exp(-np.sum(r * r, axis=-1) / s2)
-    e[:, i] = 0.0  # no self term
     grad = (2.0 / s2) * e[..., None] * r  # d e_j / d p_j
     # r r^T is formed before scaling, so that each M_j is exactly symmetric
     M = e[..., None, None] * (
@@ -221,7 +224,7 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     l[1, :, i] = -grad.sum(axis=1)
     basis[..., 4 + 3 * m + 2 * k : -1] = edge
     goal[:, -1] = 2.0 * goal_value[:, 0]
-    crowd[:, -1] = 2.0 * crowd_value[:, 0]
+    crowd[:, -1] = 2.0 * crowd_value
     if not np.all(np.isfinite(basis)):
         raise CostRangeError("cost function returned non-finite values along the nominal", "states")
     if not np.array_equal(basis, basis[..., mirror]):

@@ -7,7 +7,8 @@ per-agent layout (position, scalar speed, heading); the conversion helpers at
 the bottom of this module translate between the two. Heading is undefined at
 rest, so a stationary agent is written with heading 0 by convention.
 
-All types are frozen value objects and all functions are pure.
+All types are frozen value objects and all functions are pure, apart from
+the `out=` buffers that the stepping functions fill.
 """
 from __future__ import annotations
 
@@ -98,23 +99,25 @@ def check_u_max(u_max: float) -> float:
     return u_max
 
 
-def clamp_control(u: np.ndarray, u_max: float = DEFAULT_U_MAX) -> np.ndarray:
+def clamp_control(u: np.ndarray, u_max: float = DEFAULT_U_MAX, out: np.ndarray | None = None) -> np.ndarray:
     """Scale control vectors so that ||u|| <= u_max (> 0); shape (..., 2) preserved.
 
     The scale u_max / max(||u||, u_max) is u_max / ||u|| where the bound binds
     and exactly 1.0 elsewhere; ||u|| is sqrt(u_x**2 + u_y**2), the sum of
-    squares np.linalg.norm forms for a pair.
+    squares np.linalg.norm forms for a pair. An out that u broadcasts to is filled and returned.
     """
     u = np.asarray(u, dtype=float)
     if u_max == math.inf:  # inf / inf would be NaN; no norm exceeds it, so the scale is 1.0
-        return u * 1.0
+        return np.multiply(u, 1.0, out=out)
     sq = u * u
     norm = np.sqrt(sq[..., 0] + sq[..., 1])
-    return u * (u_max / np.maximum(norm, u_max))[..., None]
+    return np.multiply(u, (u_max / np.maximum(norm, u_max))[..., None], out=out)
 
 
-def propagate_joint(states: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
-    """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k)."""
+def propagate_joint(
+    states: np.ndarray, controls: np.ndarray, dt: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k), or into a C-contiguous out."""
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
     k = states.shape[-1] // STATE_DIM
@@ -122,17 +125,22 @@ def propagate_joint(states: np.ndarray, controls: np.ndarray, dt: float) -> np.n
     p, v = s[..., :2], s[..., 2:]
     p_next = p + v * dt + 0.5 * controls * dt * dt
     v_next = v + controls * dt
-    return np.concatenate([p_next, v_next], axis=-1).reshape(states.shape)
+    if out is None:
+        return np.concatenate([p_next, v_next], axis=-1).reshape(states.shape)
+    if not out.flags.c_contiguous:  # its reshape would be a copy
+        raise ValidationError("propagate_joint needs a C-contiguous out array")
+    np.concatenate([p_next, v_next], axis=-1, out=out.reshape(s.shape))
+    return out
 
 
 class _TrackArrays:
-    """Shared checks: finite states/controls stored as frozen float copies (SET_AXES set axes)."""
+    """Shared checks: finite states/controls stored as frozen C-order float copies (SET_AXES set axes)."""
 
     SET_AXES = 0
 
     def __post_init__(self):
-        states = np.array(self.states, dtype=float)
-        controls = np.array(self.controls, dtype=float)
+        states = np.array(self.states, dtype=float, order="C")
+        controls = np.array(self.controls, dtype=float, order="C")
         b = self.SET_AXES
         lead, m = states.shape[:b], "M, " * b
         n = states.shape[-1] if states.ndim else 0
@@ -282,20 +290,23 @@ def rollout(
     """The one feedback loop: states (n, T+1, 4k) and applied controls (n, T, k, 2) from x0 (n, 4k).
 
     Per step, act(t, states (n, 4k)) gives controls that broadcast to
-    (n, k, 2); they are clamped to u_max (> 0, checked once) and propagated
-    by one `propagate_joint` call for all n rows. A tape fixed in advance
+    (n, k, 2), possibly in a buffer it reuses: they are clamped to u_max (> 0,
+    checked once) into the step's own block and propagated by one
+    `propagate_joint` call for all n rows. Both arrays are kept time-major,
+    contiguous per step, and returned as transposed views; a Trajectory or
+    RolloutSet copies them into (n, T+1, ...) order. A tape fixed in advance
     needs no loop: `integrate_controls` gives the same bits.
     """
     u_max = check_u_max(u_max)
     x0 = np.asarray(x0, dtype=float)
     n, k = x0.shape[0], x0.shape[1] // STATE_DIM
-    states = np.empty((n, horizon + 1, x0.shape[1]))
-    controls = np.empty((n, horizon, k, CONTROL_DIM))
-    states[:, 0] = x0
+    states = np.empty((horizon + 1, n, x0.shape[1]))
+    controls = np.empty((horizon, n, k, CONTROL_DIM))
+    states[0] = x0
     for t in range(horizon):
-        controls[:, t] = clamp_control(act(t, states[:, t]), u_max)
-        states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], dt)
-    return states, controls
+        clamp_control(act(t, states[t]), u_max, out=controls[t])
+        propagate_joint(states[t], controls[t], dt, out=states[t + 1])
+    return np.swapaxes(states, 0, 1), np.swapaxes(controls, 0, 1)
 
 
 def integrate_controls(x0: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:

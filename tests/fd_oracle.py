@@ -7,8 +7,10 @@ cost. `fd_expand_model_along` expands a StageCostModel the way
 `crowdirl.quadratic.expand_model_along` does, but numerically, so the two can
 be checked against each other; `stage_cost` is the per-step cost it differences.
 `dense_feature_terms` lays the closed-form feature terms out densely, the
-reference for the expansion's fixed sparse pattern. `DenseCost` carries
-hand-built or finite-difference costs into `solve_lq_game`.
+reference for the expansion's fixed sparse pattern. `reference_state_features`
+and `reference_expected_features` are the feature half as broadcast from the
+strided position columns, the byte reference for `crowdirl.features`.
+`DenseCost` carries hand-built or finite-difference costs into `solve_lq_game`.
 """
 from __future__ import annotations
 
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdirl.features import StageCostModel, state_features
+from crowdirl.features import StageCostModel
 from crowdirl.quadratic import _eval_batch
-from crowdirl.trajectory import STATE_DIM, Trajectory
+from crowdirl.trajectory import STATE_DIM, RolloutSet, Trajectory
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -54,6 +56,26 @@ class DenseCost:
         out[:, n, n] = 2.0 * self.c
 
 
+def reference_state_features(states: np.ndarray, agents, goals, sigma: float):
+    """Goal distance and crowding (..., a): the kernel broadcast from strided position columns."""
+    s = np.asarray(states, dtype=float)
+    s = s.reshape(s.shape[:-1] + (-1, STATE_DIM))
+    px, py = s[..., 0], s[..., 1]
+    ox, oy = px[..., agents], py[..., agents]
+    goal_dist = (ox - goals[:, 0]) ** 2 + (oy - goals[:, 1]) ** 2
+    dx, dy = px[..., None, :] - ox[..., None], py[..., None, :] - oy[..., None]
+    return goal_dist, np.sum(np.exp(-(dx * dx + dy * dy) / (sigma * sigma)), axis=-1) - 1.0
+
+
+def reference_expected_features(trajs: RolloutSet, agents, goals, sigma: float) -> np.ndarray:
+    """Mean features (a, 3) of a whole set in one block; effort as np.sum of squared controls."""
+    goal_dist, proximity = reference_state_features(trajs.states, agents, goals, sigma)
+    effort = np.sum(trajs.controls[:, :, agents] ** 2, axis=-1)
+    per_traj = np.stack([np.mean(np.swapaxes(f, 1, 2).copy(), axis=-1)
+                         for f in (goal_dist, proximity, effort)], axis=-1)
+    return np.sum(per_traj, axis=0) / len(trajs)
+
+
 def control_weight(model: StageCostModel) -> float:
     """Coefficient w of the model's per-step effort term w * ||u||^2."""
     return float(model.theta.weights[2]) / model.horizon
@@ -61,7 +83,7 @@ def control_weight(model: StageCostModel) -> float:
 
 def state_cost(model: StageCostModel, x: np.ndarray) -> np.ndarray:
     """The model's per-step state term; x has shape (..., 4k), result (...,)."""
-    g, p = state_features(x, [model.agent], model.goal[None], model.sigma)
+    g, p = reference_state_features(x, [model.agent], model.goal[None], model.sigma)
     w = model.theta.weights
     return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (model.horizon + 1)
 
@@ -86,7 +108,8 @@ def dense_feature_terms(model: StageCostModel, nominal: Trajectory) -> np.ndarra
     T, k, i = nominal.horizon, model.k, model.agent
     n = STATE_DIM * k
     s2 = model.sigma * model.sigma
-    goal_value, crowd_value = state_features(nominal.states, [i], model.goal[None], model.sigma)
+    goal_value, crowd_value = reference_state_features(
+        nominal.states, [i], model.goal[None], model.sigma)
     pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
     r = pos[:, i : i + 1] - pos
     e = np.exp(-np.sum(r * r, axis=-1) / s2)

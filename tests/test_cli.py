@@ -616,6 +616,23 @@ class TestEval:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
+    def test_training_data_out_of_range_exits_2_naming_the_train_file(
+        self, tmp_path, capsys, baseline
+    ):
+        # a fitted baseline squares its training pairs; one finite position at 1e160 overflows them
+        train = _far_demos(tmp_path, [2])
+        demos = _synth(tmp_path)
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        rc = main(["eval", str(demos), "--baseline", baseline, "--train", str(train),
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {train} is out of range: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         "{}",
         "[1]",

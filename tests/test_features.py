@@ -10,6 +10,7 @@ from crowdirl.features import (
     ProximityConfig,
     expected_features,
     stage_cost_models,
+    state_features,
 )
 from crowdirl.trajectory import (
     AgentState,
@@ -20,7 +21,15 @@ from crowdirl.trajectory import (
     constant_velocity_rollout,
     rollout_openloop,
 )
-from fd_oracle import control_weight, stage_cost, state_cost
+from crowdirl.quadratic import expand_model_along
+from fd_oracle import (
+    control_weight,
+    dense_feature_terms,
+    reference_expected_features,
+    reference_state_features,
+    stage_cost,
+    state_cost,
+)
 
 
 def _static_traj(positions, T=1, dt=0.1) -> Trajectory:
@@ -159,6 +168,35 @@ def test_row_blocked_features_equal_per_agent_and_per_trajectory_calls(N):
     assert every.tobytes() == one_agent.tobytes()
     rows = np.stack([expected_features([traj], range(k), goals) for traj in trajs])
     assert every.tobytes() == (np.sum(rows, axis=0) / N).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
+def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
+    # the last agent sits 1 km out, where its kernel underflows to exactly 0.0
+    rng = np.random.default_rng(40 + k)
+    T, sigma = 30, 1.5
+    states = rng.uniform(-4, 4, (128, T + 1, 4 * k))
+    states[..., -4] += 1000.0 * (k > 1)
+    controls = rng.normal(size=(128, T, k, 2))
+    controls.flat[::5] = -0.0
+    goals = rng.uniform(-4, 4, (k, 2))
+    if k > 1:  # every kernel term of the far agent is 0.0
+        assert np.all(reference_state_features(states, [k - 1], goals[-1:], sigma)[1] == 0.0)
+    for agents in (list(range(k)), [k - 1], list(range(k - 1, -1, -2))):
+        g = goals[agents]
+        got = state_features(states, agents, g, sigma)
+        ref = reference_state_features(states, agents, g, sigma)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        for N in (1, FEATURE_ROWS - 1, FEATURE_ROWS + 1, 128):
+            trajs = RolloutSet(states[:N], controls[:N], 0.1)
+            got = expected_features(trajs, agents, g, ProximityConfig(sigma))
+            assert got.tobytes() == reference_expected_features(trajs, agents, g, sigma).tobytes()
+    nominal = Trajectory(states[0], controls[0], 0.1)
+    for model in stage_cost_models([CostParams.ones()] * k,
+                                   ScenarioSpec(k, JointState.from_array(states[0, 0]), goals, T)):
+        e = expand_model_along(model, nominal)
+        ref = np.ascontiguousarray(dense_feature_terms(model, nominal)[:, :, e.rows, e.cols])
+        assert e.basis.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5]])

@@ -315,18 +315,21 @@ def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control, feedba
 
 
 def test_rollouts_equal_the_per_step_loop_bit_for_bit(ring8_spec, theta_star):
-    spec, u_max = ring8_spec, 1.0
+    spec = ring8_spec
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3))
-    got = sample_rollouts(policies, spec, 6, seed=5, u_max=u_max)
-    states, controls = _per_step_rollouts(
-        policies, spec, substream(5).standard_normal((6, spec.horizon, spec.k, 2)), u_max)
-    assert got.states.tobytes() == states.tobytes()
-    assert got.controls.tobytes() == controls.tobytes()
-    assert np.any(np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12)  # clamp engaged
-    mean = mean_rollout(policies, spec, u_max)
-    states, controls = _per_step_rollouts(policies, spec, None, u_max)
-    assert mean.states.tobytes() == states[0].tobytes()
-    assert mean.controls.tobytes() == controls[0].tobytes()
+    for M, u_max in ((6, 1.0), (13, 1.0), (6, math.inf), (13, math.inf)):  # 13: a partial tile
+        got = sample_rollouts(policies, spec, M, seed=5, u_max=u_max)
+        states, controls = _per_step_rollouts(
+            policies, spec, substream(5).standard_normal((M, spec.horizon, spec.k, 2)), u_max)
+        assert got.states.tobytes() == states.tobytes()
+        assert got.controls.tobytes() == controls.tobytes()
+        clamped = np.abs(np.linalg.norm(controls, axis=-1) - 1.0) <= 1e-12
+        assert np.any(clamped) == (u_max == 1.0)  # the clamp engaged only where it binds
+    for u_max in (1.0, math.inf):
+        mean = mean_rollout(policies, spec, u_max)
+        states, controls = _per_step_rollouts(policies, spec, None, u_max)
+        assert mean.states.tobytes() == states[0].tobytes()
+        assert mean.controls.tobytes() == controls[0].tobytes()
 
 
 def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec, theta_star):
@@ -802,9 +805,9 @@ def test_feedback_rollouts_step_through_propagate_joint_once_per_step(
     policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return propagate_joint(*args)
+        return propagate_joint(*args, **kwargs)
 
     monkeypatch.setattr(trajectory_module, "propagate_joint", counted)
     T = intersection_spec.horizon

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crowdirl import metrics
+from crowdirl.baselines import ebm_minimizer, ebm_train, gmm_conditional_mean, gmm_fit
 from crowdirl.errors import CostRangeError, ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
@@ -28,7 +29,13 @@ from crowdirl.metrics import (
 )
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import substream
-from crowdirl.trajectory import JointState, Trajectory
+from crowdirl.trajectory import (
+    JointState,
+    RolloutSet,
+    Trajectory,
+    clamp_control,
+    propagate_joint,
+)
 
 QUIET = SolverConfig(entropy_temp=1e-3)
 
@@ -231,6 +238,33 @@ class TestPredictors:
         assert got.shape == ref.shape == (5, intersection_spec.horizon + 1, 3, 2)
         assert got.tobytes() == ref.tobytes()
         assert np.all(np.signbit(got[2:, 0, 0, 1]))
+
+    @pytest.mark.parametrize("method", ["gmm", "ebm"])
+    def test_fitted_predictors_equal_the_per_step_loop_bit_for_bit(
+        self, intersection_spec, theta_star, method
+    ):
+        # reference: each step reads and writes one strided (n, 4k) slice of (n, T+1, 4k)
+        spec = intersection_spec
+        demos = synth_generate(theta_star, spec, 4, seed=1, solver_cfg=QUIET)
+        ctx = PredictorContext(spec=spec, train_demos=demos)
+        X, U = metrics._demo_state_action_pairs(demos)
+        if method == "gmm":
+            model = gmm_fit(np.concatenate([X, U], axis=1), K=ctx.gmm_components, seed=ctx.seed)
+        else:
+            params = ebm_train(X, U)
+
+        def act(s):
+            return gmm_conditional_mean(model, s, 4) if method == "gmm" else ebm_minimizer(params, s)
+
+        x0 = RolloutSet.stack(demos).states[:, 0]
+        n, T, k = len(demos), spec.horizon, spec.k
+        states = np.empty((n, T + 1, 4 * k))
+        states[:, 0] = x0
+        for t in range(T):
+            u = clamp_control(act(states[:, t].reshape(n, k, 4)), ctx.u_max)
+            states[:, t + 1] = propagate_joint(states[:, t], u, spec.dt)
+        ref = states.reshape(n, T + 1, k, 4)[..., :2]
+        assert make_predictor(method, ctx)(demos).tobytes() == ref.tobytes()
 
     def test_overflowing_errors_raise_cost_range_error(self, intersection_spec, theta_star):
         demos = synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET)

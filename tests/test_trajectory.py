@@ -361,6 +361,26 @@ def norm_where_clamp(u, u_max):
     return u * scale
 
 
+@pytest.mark.parametrize("u_max", [0.05, 3.0, math.inf])
+def test_out_arguments_return_the_buffer_holding_the_bytes_of_the_plain_call(u_max):
+    rng = np.random.default_rng(35)
+    n, k, dt = 7, 3, 0.1
+    u = rng.standard_normal((n, k, 2)) * 2.0
+    u.flat[::5] = -0.0
+    x = rng.standard_normal((n, 4 * k))
+    buf = np.full((n, k, 2), np.nan)
+    assert clamp_control(u, u_max, out=buf) is buf
+    assert buf.tobytes() == clamp_control(u, u_max).tobytes()
+    # a control that broadcasts to the buffer: one action for every row
+    assert clamp_control(u[0], u_max, out=buf) is buf
+    assert buf.tobytes() == np.broadcast_to(clamp_control(u[0], u_max), buf.shape).tobytes()
+    xbuf = np.full((n, 4 * k), np.nan)
+    assert propagate_joint(x, u, dt, out=xbuf) is xbuf
+    assert xbuf.tobytes() == propagate_joint(x, u, dt).tobytes()
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        propagate_joint(x, u, dt, out=np.empty((4 * k, n)).T)
+
+
 @pytest.mark.parametrize("u_max", [1e-300, 0.05, 3.0, 1e300])
 def test_clamp_control_equals_the_norm_and_where_form_bit_for_bit(u_max):
     rng = np.random.default_rng(34)
