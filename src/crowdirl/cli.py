@@ -42,7 +42,6 @@ from .metrics import (
     score_predictions,
 )
 from .pipeline import (
-    DIRECTIONS,
     PreprocessConfig,
     combinatorial_scenarios,
     filter_tracks,
@@ -88,12 +87,7 @@ DEFAULT_CONFIG: dict = {
     "solver": _defaults(SolverConfig),
     "training": _defaults(TrainingConfig, "beta", "max_iters", "tol", "M"),
     "proximity": _defaults(ProximityConfig),
-    "preprocess": {
-        **_defaults(PreprocessConfig),
-        "scheme": ["W-E-S", "W-E-N", "S-N-W", "S-N-E"],
-        "group_size": 5,
-        "scenario_len": 30,
-    },
+    "preprocess": _defaults(PreprocessConfig),
     "eval": _defaults(PredictorContext, "best_of", "gmm_components"),
 }
 
@@ -182,28 +176,14 @@ def load_config(path: str | None, flag_values: dict) -> dict:
     _check_integer("eval.best_of", cfg["eval"]["best_of"])
     check_u_max(cfg["u_max"])
     _training_config(cfg)  # checks the solver and proximity sections too
-    _preprocess_config(cfg)
+    PreprocessConfig(**cfg["preprocess"])
     return cfg
 
 
 def _training_config(cfg: dict) -> TrainingConfig:
-    return TrainingConfig(**cfg["training"], seed=cfg["seed"], u_max=cfg["u_max"],
+    return TrainingConfig(**cfg["training"], seed=cfg["seed"],
                           solver=SolverConfig(**cfg["solver"]),
                           proximity=ProximityConfig(**cfg["proximity"]))
-
-
-def _preprocess_config(cfg: dict) -> PreprocessConfig:
-    """The preprocess section as a checked config; also checks its scheme."""
-    p = cfg["preprocess"]
-    for i, cat in enumerate(p["scheme"]):
-        if not (isinstance(cat, str) and all(d in DIRECTIONS for d in cat.split("-"))):
-            raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} must be "
-                                  f"directions from {', '.join(DIRECTIONS)} joined by '-'")
-        # a repeated direction casts one track as two agents, a repeated entry doubles its scenes
-        if len(set(cat.split("-"))) < len(cat.split("-")) or cat in p["scheme"][:i]:
-            raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} repeats a "
-                                  "direction or an earlier entry")
-    return PreprocessConfig(**{f.name: p[f.name] for f in dataclasses.fields(PreprocessConfig)})
 
 
 # --- scenario presets ---------------------------------------------------------
@@ -252,8 +232,8 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
     return out
 
 
-def _spec_from_demos(demos: list[Trajectory], header: dict) -> ScenarioSpec:
-    """Scenario implied by a demonstration file: demo 0's x0, header or inferred goals.
+def _spec_from_demos(demos: list[Trajectory], header: dict, u_max: float) -> ScenarioSpec:
+    """Scenario of a demonstration file at bound u_max: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
     predictors start each demo from its own x0.
@@ -268,6 +248,7 @@ def _spec_from_demos(demos: list[Trajectory], header: dict) -> ScenarioSpec:
         goals=goals,
         horizon=demos[0].horizon,
         dt=dt,
+        u_max=u_max,
     )
 
 
@@ -275,9 +256,7 @@ def _spec_from_demos(demos: list[Trajectory], header: dict) -> ScenarioSpec:
 
 
 def cmd_preprocess(args, cfg: dict) -> int:
-    pre = _preprocess_config(cfg)
-    scheme, group_size, scenario_len = (cfg["preprocess"][key]
-                                        for key in ("scheme", "group_size", "scenario_len"))
+    pre = PreprocessConfig(**cfg["preprocess"])
 
     frames = parse_frames(read_text_lines(args.raw))
     tracks = filter_tracks(tracks_from_frames(frames, pre), pre)
@@ -288,9 +267,9 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    usable = {d: trks[:group_size] for d, trks in groups.items() if len(trks) >= group_size}
-    feasible = [cat for cat in scheme if all(d in usable for d in cat.split("-"))]
-    catalog = combinatorial_scenarios(usable, feasible, scenario_len)  # empty when none is feasible
+    usable = {d: trks[:pre.group_size] for d, trks in groups.items() if len(trks) >= pre.group_size}
+    feasible = [cat for cat in pre.scheme if all(d in usable for d in cat.split("-"))]
+    catalog = combinatorial_scenarios(usable, feasible, pre.scenario_len)  # empty when none is feasible
 
     summary = {
         "tracks_kept": len(tracks),
@@ -310,9 +289,11 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> int:
-    spec = scenario_preset(args.preset)
+    if args.n < 0:
+        raise ValidationError(f"--n must be >= 0, got {args.n}")
+    spec = dataclasses.replace(scenario_preset(args.preset), u_max=cfg["u_max"])
     if args.horizon is not None:
-        spec = ScenarioSpec(spec.k, spec.x0, spec.goals, int(args.horizon), spec.dt)
+        spec = dataclasses.replace(spec, horizon=int(args.horizon))
     thetas = parse_thetas(args.theta, spec.k)
     seed = cfg["seed"]
     provenance = synth_provenance(thetas, seed)
@@ -322,7 +303,7 @@ def cmd_synth(args, cfg: dict) -> int:
         return EXIT_OK
     try:
         demos = synth_generate(thetas, spec, args.n, seed, SolverConfig(**cfg["solver"]),
-                               ProximityConfig(**cfg["proximity"]), cfg["u_max"])
+                               ProximityConfig(**cfg["proximity"]))
     except SolverError as exc:  # the weights are the user's, so this is an input error
         raise ValidationError(f"weights --theta {args.theta!r} give no solvable game: {exc}") from exc
     except CostRangeError as exc:  # a preset's nominal is in range, so the weights are not
@@ -343,7 +324,7 @@ def cmd_train(args, cfg: dict) -> int:
                 f"{args.demos}: demonstration {j} starts from a different joint state than "
                 "demonstration 0; train needs demonstrations of one start"
             )
-    spec = _spec_from_demos(demos, header)
+    spec = _spec_from_demos(demos, header, cfg["u_max"])
     tcfg = _training_config(cfg)
 
     try:  # the weights start at ones, so whatever overflows comes from the demonstrations
@@ -408,7 +389,7 @@ def cmd_eval(args, cfg: dict) -> int:
     demos, header = read_demonstrations(args.demos)
     if not demos:
         raise FormatError(f"{args.demos} holds no demonstrations")
-    spec = _spec_from_demos(demos, header)
+    spec = _spec_from_demos(demos, header, cfg["u_max"])
     method = args.baseline
     if method not in BASELINE_NAMES:
         raise ValidationError(f"unknown baseline {method!r}; choose from {BASELINE_NAMES}")
@@ -424,7 +405,7 @@ def cmd_eval(args, cfg: dict) -> int:
     ctx = PredictorContext(spec=spec, train_demos=train_demos, thetas=thetas,
                            solver=SolverConfig(**cfg["solver"]),
                            proximity=ProximityConfig(**cfg["proximity"]),
-                           u_max=cfg["u_max"], seed=cfg["seed"], **cfg["eval"])
+                           seed=cfg["seed"], **cfg["eval"])
     try:
         predict = make_predictor(method, ctx)
     except CostRangeError as exc:  # only gmm and ebm fit here, on the training demonstrations

@@ -24,8 +24,9 @@ holds a `Game` and sets every agent's weights once per sweep. Policies are
 arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
 and covariances Sigma (T, k, 2, 2).
 
-Rollouts hand the feedback law to `trajectory.rollout`, which steps every
-agent of all M rollouts at once; the noise of the whole set is one
+Rollouts hand the feedback law to `trajectory.rollout`, which clamps every
+control at the scene's `spec.u_max` and steps every agent of all M rollouts
+at once; the noise of the whole set is one
 (M, T, k, 2) draw from the Philox stream of the seed, read in row order, and
 is scaled by the lower-triangular covariance factors for every step before
 the time loop. The feedback of a step is one stacked GEMM over fixed tiles of
@@ -50,7 +51,6 @@ from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linear
 from .rng import substream
 from .trajectory import (
     CONTROL_DIM,
-    DEFAULT_U_MAX,
     STATE_DIM,
     RolloutSet,
     ScenarioSpec,
@@ -341,23 +341,19 @@ class Game:
 
     Every agent's cost is expanded once along the constant-velocity nominal
     and re-weighted when its weights change. With cfg.max_outer_iters > 1
-    each solve re-expands the costs around the latest mean rollout (clamped
-    at u_max, as sampling clamps) until it moves less than cfg.outer_tol.
+    each solve re-expands the costs around the latest mean rollout until it
+    moves less than cfg.outer_tol; that refit is clamped at spec.u_max, the
+    bound every rollout of the scene is clamped at.
     """
 
     def __init__(
-        self,
-        models: Sequence[StageCostModel],
-        spec: ScenarioSpec,
-        cfg: SolverConfig = SolverConfig(),
-        u_max: float = DEFAULT_U_MAX,
+        self, models: Sequence[StageCostModel], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()
     ):
         if len(models) != spec.k:
             raise ValidationError(f"need {spec.k} cost models, got {len(models)}")
         self.models = list(models)
         self.spec = spec
         self.cfg = cfg
-        self.u_max = u_max
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
         self.costs = [expand_model_along(m, self.nominal) for m in self.models]
@@ -374,7 +370,7 @@ class Game:
             policies = solve_lq_game(self.dyn, costs, self.cfg, nominal=nominal)
             if it + 1 == self.cfg.max_outer_iters:
                 break
-            refit = mean_rollout(policies, self.spec, self.u_max)
+            refit = mean_rollout(policies, self.spec)
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
@@ -383,22 +379,16 @@ class Game:
 
 
 def solve_scenario(
-    models: Sequence[StageCostModel],
-    spec: ScenarioSpec,
-    cfg: SolverConfig = SolverConfig(),
-    u_max: float = DEFAULT_U_MAX,
+    models: Sequence[StageCostModel], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()
 ) -> PolicySequence:
     """Solve the game of the given cost models once (see Game)."""
-    return Game(models, spec, cfg, u_max).solve()
+    return Game(models, spec, cfg).solve()
 
 
 def _rollout_batch(
-    policies: PolicySequence,
-    spec: ScenarioSpec,
-    noise: np.ndarray,
-    u_max: float,
+    policies: PolicySequence, spec: ScenarioSpec, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate M rollouts at once; noise is (M, T, k, 2) standard normals.
+    """Simulate M rollouts at once, clamped at spec.u_max; noise is (M, T, k, 2) standard normals.
 
     Each step's dx, tiled GEMM and control (kff - feedback) + eps go into buffers made once per set.
     """
@@ -430,7 +420,7 @@ def _rollout_batch(
         np.subtract(policies.kff[t], feedback.reshape(u.shape), out=u)
         return np.add(u, eps[t], out=u)
 
-    states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, u_max)
+    states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, spec.u_max)
     return states[:M], controls[:M]
 
 
@@ -446,23 +436,15 @@ def _stage_cholesky(policies: PolicySequence) -> np.ndarray:
         ) from exc
 
 
-def mean_rollout(
-    policies: PolicySequence, spec: ScenarioSpec, u_max: float = DEFAULT_U_MAX
-) -> Trajectory:
-    """Deterministic rollout under the feedback means: row 0 of a zero-noise set."""
+def mean_rollout(policies: PolicySequence, spec: ScenarioSpec) -> Trajectory:
+    """Deterministic rollout under the feedback means, clamped at spec.u_max: row 0 of a zero-noise set."""
     noise = np.zeros((1, policies.horizon, policies.k, CONTROL_DIM))
-    states, controls = _rollout_batch(policies, spec, noise, u_max)
+    states, controls = _rollout_batch(policies, spec, noise)
     return Trajectory(states[0], controls[0], spec.dt)
 
 
-def sample_rollouts(
-    policies: PolicySequence,
-    spec: ScenarioSpec,
-    M: int,
-    seed: int,
-    u_max: float = DEFAULT_U_MAX,
-) -> RolloutSet:
-    """Draw M stochastic rollouts; bit-deterministic for a given seed.
+def sample_rollouts(policies: PolicySequence, spec: ScenarioSpec, M: int, seed: int) -> RolloutSet:
+    """Draw M stochastic rollouts clamped at spec.u_max; bit-deterministic for a given seed.
 
     The set's noise is one (M, T, k, 2) draw of standard normals from the
     Philox stream keyed by seed, filled in row order: rollout m reads normals
@@ -472,7 +454,7 @@ def sample_rollouts(
     if M < 1:
         raise ValidationError(f"M must be >= 1, got {M}")
     noise = substream(seed).standard_normal((M, policies.horizon, policies.k, CONTROL_DIM))
-    states, controls = _rollout_batch(policies, spec, noise, u_max)
+    states, controls = _rollout_batch(policies, spec, noise)
     return RolloutSet(states, controls, spec.dt)
 
 
@@ -481,7 +463,6 @@ def build_policies(
     spec: ScenarioSpec,
     solver_cfg: SolverConfig = SolverConfig(),
     proximity: ProximityConfig = ProximityConfig(),
-    u_max: float = DEFAULT_U_MAX,
 ) -> PolicySequence:
     """Convenience wrapper: weight vectors -> solved policies for a scenario."""
-    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg, u_max)
+    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg)

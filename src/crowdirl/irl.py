@@ -39,21 +39,23 @@ from .features import (
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
-from .trajectory import DEFAULT_U_MAX, RolloutSet, ScenarioSpec, Trajectory, check_u_max
+from .trajectory import RolloutSet, ScenarioSpec, Trajectory
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Learning-rate, budget and sampling knobs of the training loop."""
+    """Learning-rate, budget and sampling knobs of the training loop.
+
+    The control bound of the sampled rollouts is the scenario's spec.u_max.
+    """
 
     beta: float = 3e-4
     max_iters: int = 500
     tol: float = 1e-3
     M: int = 32
     seed: int = 0
-    u_max: float = DEFAULT_U_MAX
     solver: SolverConfig = field(default_factory=SolverConfig)
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
 
@@ -66,7 +68,6 @@ class TrainingConfig:
             raise ValidationError(f"M must be >= 1, got {self.M}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        check_u_max(self.u_max)
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ def _training_game(
         spec = spec.with_goals(infer_goals(demos))
     models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
     demo_phi = expected_features(demos, range(spec.k), spec.goals, cfg.proximity)
-    return Game(models, spec, cfg.solver, cfg.u_max), demo_phi
+    return Game(models, spec, cfg.solver), demo_phi
 
 
 def _feature_matching(
@@ -173,7 +174,7 @@ def _feature_matching(
     for sweep in range(cfg.max_iters):
         policies = game.solve()
         seed = derive_seed(cfg.seed, sweep)
-        rollouts = sample_rollouts(policies, spec, cfg.M, seed, cfg.u_max)
+        rollouts = sample_rollouts(policies, spec, cfg.M, seed)
         gaps = expected_features(rollouts, range(spec.k), game.spec.goals, cfg.proximity) - demo_phi
         del rollouts  # one rollout set alive at a time keeps the peak memory down
         for b, agents in enumerate(blocks):

@@ -26,7 +26,6 @@ from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from .pipeline import read_text_lines
 from .trajectory import (
     CONTROL_DIM,
-    DEFAULT_U_MAX,
     STATE_DIM,
     RolloutSet,
     ScenarioSpec,
@@ -179,6 +178,28 @@ class MetricReport:
         return self.per_agent_ade.size
 
 
+def _displacement_rows(pred, gt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADE, FDE and mean squared displacement (..., k) of positions (..., T+1, k, 2).
+
+    Each row holds the bits of `ade`, `fde` and the mean squared norm of one
+    agent's track: a step's squared norm is dx*dx + dy*dy, as np.linalg.norm
+    sums it along an axis; each agent's T+1 steps are made contiguous, so
+    np.mean sums them as one row; and the final norm is the square root of a
+    (1, 2) @ (2, 1) product, the dot np.linalg.norm takes of a single pair.
+    """
+    d = pred - gt
+    sq = d * d
+    step_sq = np.moveaxis(sq[..., 0] + sq[..., 1], -2, -1).copy()  # (..., k, T+1)
+    last = np.ascontiguousarray(d[..., -1, :, :])  # (..., k, 2)
+    fdes = np.sqrt(last[..., None, :] @ last[..., :, None])[..., 0, 0]
+    return np.mean(np.sqrt(step_sq), axis=-1), fdes, np.mean(step_sq, axis=-1)
+
+
+def _positions(states: np.ndarray) -> np.ndarray:
+    """Positions (..., k, 2) of joint states (..., 4k), as a view."""
+    return states.reshape(*states.shape[:-1], -1, STATE_DIM)[..., :2]
+
+
 def score_predictions(
     method: str,
     scenario: str,
@@ -188,38 +209,31 @@ def score_predictions(
     """Aggregate displacement errors of per-demo position predictions.
 
     predictions[j] has shape (T+1, k, 2) and is compared stepwise against
-    demonstration j; per-agent errors are averaged over demonstrations.
-    An error that overflows raises CostRangeError (source "states"), silently.
+    demonstration j (the demonstrations share k, T and dt); per-agent errors
+    are summed over demonstrations in order and averaged, and each demo's
+    mean squared errors summed over agents in order. An error that overflows
+    raises CostRangeError (source "states"), silently.
     """
     if not demos or len(predictions) != len(demos):
         raise ValidationError("need one prediction per demonstration")
-    k = demos[0].k
-    ades = np.zeros(k)
-    fdes = np.zeros(k)
-    rmses = []
+    demos = RolloutSet.stack(demos)
+    n, T, k = len(demos), demos.horizon, demos.k
+    preds = [np.asarray(pred, dtype=float) for pred in predictions]
+    for pred in preds:
+        if pred.shape != (T + 1, k, 2):
+            raise ValidationError(f"prediction shape {pred.shape} != ({T + 1}, {k}, 2)")
     with np.errstate(over="ignore", invalid="ignore"):
-        for demo, pred in zip(demos, predictions):
-            pred = np.asarray(pred, dtype=float)
-            if pred.shape != (demo.horizon + 1, k, 2):
-                raise ValidationError(
-                    f"prediction shape {pred.shape} != ({demo.horizon + 1}, {k}, 2)"
-                )
-            sq = 0.0
-            for i in range(k):
-                gt = demo.positions(i)
-                ades[i] += ade(pred[:, i], gt)
-                fdes[i] += fde(pred[:, i], gt)
-                sq += float(np.mean(np.sum((pred[:, i] - gt) ** 2, axis=1)))
-            rmses.append(math.sqrt(sq / k))
+        ades, fdes, msq = _displacement_rows(np.stack(preds), _positions(demos.states))
+        rmses = np.sqrt(np.add.accumulate(msq, axis=1)[:, -1] / k)
+        ades, fdes = (np.add.accumulate(rows, axis=0)[-1] for rows in (ades, fdes))
     if not np.all(np.isfinite([*ades, *fdes, *rmses])):
         raise CostRangeError("displacement errors overflow", "states")
-    n = len(demos)
     return MetricReport(
         method=method,
         scenario=scenario,
         per_agent_ade=ades / n,
         per_agent_fde=fdes / n,
-        rmse_per_traj=np.array(rmses),
+        rmse_per_traj=rmses,
     )
 
 
@@ -231,6 +245,7 @@ class PredictorContext:
     """Everything a method needs to turn a demo's start state into positions.
 
     Read-only and cache-free: make_predictor does all fitting and solving.
+    Every prediction's controls are clamped at spec.u_max.
     """
 
     spec: ScenarioSpec
@@ -238,7 +253,6 @@ class PredictorContext:
     thetas: Sequence[CostParams] | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     proximity: ProximityConfig = field(default_factory=ProximityConfig)
-    u_max: float = DEFAULT_U_MAX
     best_of: int = 1
     seed: int = 0
     gmm_components: int = 3
@@ -255,18 +269,16 @@ def _demo_state_action_pairs(demos: Sequence[Trajectory]) -> tuple[np.ndarray, n
             demos.controls.transpose(0, 2, 1, 3).reshape(-1, CONTROL_DIM))
 
 
-def _rollout_state_feedback(
-    demos: Sequence[Trajectory], spec: ScenarioSpec, act: Callable, u_max: float
-) -> np.ndarray:
-    """Positions (n, T+1, k, 2) rolled out from each demo's start state.
+def _rollout_state_feedback(demos: Sequence[Trajectory], spec: ScenarioSpec, act: Callable) -> np.ndarray:
+    """Positions (n, T+1, k, 2) rolled out from each demo's start state, clamped at spec.u_max.
 
     act maps (n, k, 4) agent states to (n, k, 2) actions: one call per step
     moves every demo and agent at once.
     """
     x0 = RolloutSet.stack(demos).states[:, 0]
     states, _ = rollout(x0, spec.horizon, spec.dt,
-                        lambda t, x: act(x.reshape(len(x), spec.k, STATE_DIM)), u_max)
-    return states.reshape(*states.shape[:2], spec.k, STATE_DIM)[..., :2]
+                        lambda t, x: act(x.reshape(len(x), spec.k, STATE_DIM)), spec.u_max)
+    return _positions(states)
 
 
 def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
@@ -280,12 +292,11 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     the closest of one set of ctx.best_of sampled rollouts when best_of > 1).
     """
     spec = ctx.spec
-    shape = (spec.horizon + 1, spec.k, STATE_DIM)
     if method == "cv":
         def predict_cv(demos: Sequence[Trajectory]) -> np.ndarray:
             x0 = RolloutSet.stack(demos).states[:, 0]
             tapes = np.zeros((len(x0), spec.horizon, spec.k, CONTROL_DIM))
-            return integrate_controls(x0, tapes, spec.dt).reshape(-1, *shape)[..., :2]
+            return _positions(integrate_controls(x0, tapes, spec.dt))
 
         return predict_cv
 
@@ -293,14 +304,12 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
         pairs = np.concatenate(_demo_state_action_pairs(ctx.train_demos), axis=1)
         model = gmm_fit(pairs, K=ctx.gmm_components, seed=ctx.seed)
         return lambda demos: _rollout_state_feedback(
-            demos, spec, lambda s: gmm_conditional_mean(model, s, STATE_DIM), ctx.u_max
-        )
+            demos, spec, lambda s: gmm_conditional_mean(model, s, STATE_DIM))
 
     if method == "ebm":
         params = ebm_train(*_demo_state_action_pairs(ctx.train_demos))
         return lambda demos: _rollout_state_feedback(
-            demos, spec, lambda s: ebm_minimizer(params, s), ctx.u_max
-        )
+            demos, spec, lambda s: ebm_minimizer(params, s))
 
     if method in ("mairl", "sairl"):
         if ctx.thetas is None or len(ctx.thetas) != spec.k:
@@ -308,25 +317,23 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
 
         def predict_irl(demos: Sequence[Trajectory]) -> np.ndarray:
             demos = RolloutSet.stack(demos)
+            positions = _positions(demos.states)
             rows_by_start: dict[bytes, list[int]] = {}
             for j, x0 in enumerate(demos.states[:, 0]):
                 rows_by_start.setdefault(x0.tobytes(), []).append(j)
-            out = np.empty((len(demos), *shape[:2], 2))
+            out = np.empty(positions.shape)
             for rows in rows_by_start.values():
                 start_spec = spec.with_x0(demos[rows[0]].joint_state(0))
-                policies = build_policies(
-                    ctx.thetas, start_spec, ctx.solver, ctx.proximity, ctx.u_max)
+                policies = build_policies(ctx.thetas, start_spec, ctx.solver, ctx.proximity)
                 if ctx.best_of <= 1:
-                    mean = mean_rollout(policies, start_spec, ctx.u_max)
-                    out[rows] = mean.states.reshape(shape)[..., :2]
+                    mean = mean_rollout(policies, start_spec)
+                    out[rows] = _positions(mean.states)
                     continue
-                cands = sample_rollouts(policies, start_spec, ctx.best_of, ctx.seed, ctx.u_max)
+                cands = _positions(sample_rollouts(policies, start_spec, ctx.best_of, ctx.seed).states)
                 for j in rows:
-                    demo = demos[j]
                     with np.errstate(over="ignore"):  # an overflow is refused when scored
-                        errs = [np.mean([ade(c.positions(i), demo.positions(i))
-                                         for i in range(spec.k)]) for c in cands]
-                    out[j] = cands.states[int(np.argmin(errs))].reshape(shape)[..., :2]
+                        errs = np.mean(_displacement_rows(cands, positions[j])[0], axis=-1)
+                    out[j] = cands[int(np.argmin(errs))]
             return out
 
         return predict_irl

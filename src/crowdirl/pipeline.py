@@ -34,7 +34,6 @@ from .errors import FormatError, ValidationError
 from .features import CostParams, ProximityConfig
 from .game import SolverConfig, build_policies, sample_rollouts
 from .trajectory import (
-    DEFAULT_U_MAX,
     ScenarioSpec,
     Trajectory,
     from_dataset_array,
@@ -97,13 +96,21 @@ class RawFrame:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Spatial clip window, standstill threshold and resampling grid."""
+    """Spatial clip window, standstill threshold and resampling grid, then the catalog's shape.
+
+    scheme lists the catalog's categories, each distinct directions joined by
+    '-'; group_size tracks per direction are crossed into scenes of
+    scenario_len rows.
+    """
 
     x_range: tuple[float, float] = (-20.0, 20.0)
     y_range: tuple[float, float] = (-10.0, 15.0)
     standstill_speed: float = 0.2
     min_track_len: int = 10
     resample_dt: float = 0.1
+    scheme: tuple[str, ...] = ("W-E-S", "W-E-N", "S-N-W", "S-N-E")
+    group_size: int = 5
+    scenario_len: int = 30
 
     def __post_init__(self):
         for name in ("x_range", "y_range"):
@@ -115,6 +122,19 @@ class PreprocessConfig:
             object.__setattr__(self, name, lo_hi)  # a JSON list is stored as the tuple it means
         if self.resample_dt <= 0:
             raise ValidationError("resample_dt must be positive")
+        scheme = tuple(self.scheme)
+        for i, cat in enumerate(scheme):
+            if not (isinstance(cat, str) and all(d in DIRECTIONS for d in cat.split("-"))):
+                raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} must be "
+                                      f"directions from {', '.join(DIRECTIONS)} joined by '-'")
+            # a repeated direction casts one track as two agents, a repeated entry doubles its scenes
+            if len(set(cat.split("-"))) < len(cat.split("-")) or cat in scheme[:i]:
+                raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} repeats a "
+                                      "direction or an earlier entry")
+        object.__setattr__(self, "scheme", scheme)
+        for name in ("group_size", "scenario_len"):
+            if not getattr(self, name) >= 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -382,13 +402,12 @@ def synth_generate(
     seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
     proximity: ProximityConfig = ProximityConfig(),
-    u_max: float = DEFAULT_U_MAX,
 ) -> list[Trajectory]:
-    """Roll out demonstrations from known weights; deterministic per seed."""
+    """Roll out demonstrations from known weights, clamped at spec.u_max; deterministic per seed."""
     if n_demos < 1:
         raise ValidationError("n_demos must be >= 1")
-    policies = build_policies(theta_star, spec, solver_cfg, proximity, u_max)
-    return list(sample_rollouts(policies, spec, n_demos, seed, u_max))
+    policies = build_policies(theta_star, spec, solver_cfg, proximity)
+    return list(sample_rollouts(policies, spec, n_demos, seed))
 
 
 def synth_provenance(theta_star: Sequence[CostParams], seed: int) -> dict:

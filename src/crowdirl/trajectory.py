@@ -13,7 +13,7 @@ the `out=` buffers that the stepping functions fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -253,13 +253,19 @@ class RolloutSet(_TrackArrays):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Initial joint state, per-agent goals and horizon of one interaction."""
+    """Initial joint state, per-agent goals, horizon and control bound of one interaction.
+
+    u_max (> 0, inf for none) bounds the norm of every control the scene's
+    policies apply: synthesis, training samples, the outer re-expansion's
+    refit and every prediction read it here, so they share one bound.
+    """
 
     k: int
     x0: JointState
     goals: np.ndarray | None  # (k, 2); None means "infer from demonstrations"
     horizon: int
     dt: float = DEFAULT_DT
+    u_max: float = DEFAULT_U_MAX
 
     def __post_init__(self):
         if self.k < 1 or self.x0.k != self.k:
@@ -268,6 +274,7 @@ class ScenarioSpec:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
+        object.__setattr__(self, "u_max", check_u_max(self.u_max))
         if self.goals is not None:
             goals = np.array(self.goals, dtype=float)
             if goals.shape != (self.k, 2):
@@ -278,10 +285,10 @@ class ScenarioSpec:
             object.__setattr__(self, "goals", goals)
 
     def with_goals(self, goals: np.ndarray) -> "ScenarioSpec":
-        return ScenarioSpec(self.k, self.x0, goals, self.horizon, self.dt)
+        return replace(self, goals=goals)
 
     def with_x0(self, x0: JointState) -> "ScenarioSpec":
-        return ScenarioSpec(self.k, x0, self.goals, self.horizon, self.dt)
+        return replace(self, x0=x0)
 
 
 def rollout(

@@ -253,8 +253,8 @@ class TestStateFeedbackPredictors:
     def test_matches_per_agent_loop(self, method, u_max):
         train, held = self._demos(6, seed=11), self._demos(5, seed=12)
         spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].joint_state(0), goals=None,
-                            horizon=self.T, dt=0.1)
-        ctx = PredictorContext(spec=spec, train_demos=train, u_max=u_max, seed=2)
+                            horizon=self.T, dt=0.1, u_max=u_max)
+        ctx = PredictorContext(spec=spec, train_demos=train, seed=2)
         got = make_predictor(method, ctx)(held)
         assert got.shape == (5, self.T + 1, self.K_AGENTS, 2)
         # the reference model is fitted the way make_predictor fits it

@@ -39,7 +39,7 @@ from crowdirl.pipeline import (
     tracks_from_frames,
     write_demonstrations,
 )
-from crowdirl.trajectory import Trajectory, to_dataset_array
+from crowdirl.trajectory import ScenarioSpec, Trajectory, to_dataset_array
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAST_TRAIN = [
@@ -189,12 +189,12 @@ class TestConfig:
         assert cfg["solver"] == as_json(SolverConfig())
         assert cfg["training"] == as_json(TrainingConfig(), "beta", "max_iters", "tol", "M")
         assert cfg["proximity"] == as_json(ProximityConfig())
-        assert json.dumps(dict(list(DEFAULT_CONFIG["preprocess"].items())[:5])) == as_json(
-            PreprocessConfig())
+        assert cfg["preprocess"] == as_json(PreprocessConfig())
         assert cfg["eval"] == as_json(PredictorContext(spec=None, train_demos=()),
                                       "best_of", "gmm_components")
-        assert json.dumps({key: DEFAULT_CONFIG[key] for key in ("seed", "u_max")}) == as_json(
-            TrainingConfig(), "seed", "u_max")
+        spec_defaults = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)}
+        assert json.dumps({key: DEFAULT_CONFIG[key] for key in ("seed", "u_max")}) == json.dumps(
+            {"seed": TrainingConfig().seed, "u_max": spec_defaults["u_max"]})
 
     def test_removed_threads_key_and_flag_exit_2(self, tmp_path, capsys):
         # no worker pool exists, so there is no thread count to configure
@@ -255,6 +255,13 @@ class TestConfig:
         assert main(["--u-max", "inf", "--seed", "1", "synth", str(out), "--n", "4"]) == 0
         demos, _ = read_demonstrations(out)
         assert max(np.linalg.norm(d.controls, axis=-1).max() for d in demos) > 3.0
+
+    def test_negative_demo_count_exits_2_naming_the_flag(self, tmp_path, capsys):
+        # --n 0 writes a header-only file, so the bound is 0, not the library's 1
+        out = tmp_path / "d.traj"
+        assert main(["synth", str(out), "--n", "-1"]) == 2
+        assert "--n must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("best_of", ["0", "-3"])
     @pytest.mark.parametrize("command", ["synth", "train", "eval"])

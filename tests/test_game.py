@@ -1,4 +1,6 @@
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +31,11 @@ from crowdirl.game import (
     min_eigenvalue,
     sample_rollouts,
     solve_lq_game,
+    solve_scenario,
 )
+from crowdirl.irl import TrainingConfig, multi_agent_irl
+from crowdirl.metrics import PredictorContext, make_predictor
+from crowdirl.pipeline import synth_generate
 from crowdirl.quadratic import expand_model_along, linearize_dynamics
 from crowdirl.trajectory import (
     DEFAULT_U_MAX,
@@ -43,6 +49,8 @@ from crowdirl.trajectory import (
     rollout,
 )
 from crowdirl import game as game_module
+from crowdirl import irl as irl_module
+from crowdirl import metrics as metrics_module
 from crowdirl import trajectory as trajectory_module
 from crowdirl.rng import substream
 from fd_oracle import DenseCost, cost_expansion, expand_along
@@ -268,12 +276,13 @@ def test_sampling_batch_size_invariance(intersection_spec, ring8_spec, theta_sta
     # clamp engages on most controls
     sizes = (1, FEEDBACK_TILE - 1, FEEDBACK_TILE, FEEDBACK_TILE + 1, 33)
     for spec, u_max in ((intersection_spec, DEFAULT_U_MAX), (ring8_spec, 1.0)):
+        spec = replace(spec, u_max=u_max)
         policies = build_policies(
             [theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3)
         )
-        ref = sample_rollouts(policies, spec, 40, seed=5, u_max=u_max)
+        ref = sample_rollouts(policies, spec, 40, seed=5)
         for M in sizes:
-            got = sample_rollouts(policies, spec, M, seed=5, u_max=u_max)
+            got = sample_rollouts(policies, spec, M, seed=5)
             for a, b in zip(got, ref[:M], strict=True):
                 assert np.array_equal(a.states, b.states)
                 assert np.array_equal(a.controls, b.controls)
@@ -296,7 +305,7 @@ def reduced_feedback(dx, K):
     return np.sum(dx[:, None, None, :] * K, axis=-1)
 
 
-def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control, feedback=tiled_feedback):
+def _per_step_rollouts(policies, spec, noise, clamp=clamp_control, feedback=tiled_feedback):
     """Reference: the game's own time loop, before rollouts shared trajectory.rollout."""
     T, k = policies.horizon, policies.k
     M = 1 if noise is None else noise.shape[0]
@@ -309,7 +318,7 @@ def _per_step_rollouts(policies, spec, noise, u_max, clamp=clamp_control, feedba
         u = policies.kff[t] - feedback(dx, policies.K[t])
         if noise is not None:
             u = u + np.sum(noise[:, t, :, None, :] * chol[t], axis=-1)
-        controls[:, t] = clamp(u, u_max)
+        controls[:, t] = clamp(u, spec.u_max)
         states[:, t + 1] = propagate_joint(states[:, t], controls[:, t], spec.dt)
     return states, controls
 
@@ -318,16 +327,18 @@ def test_rollouts_equal_the_per_step_loop_bit_for_bit(ring8_spec, theta_star):
     spec = ring8_spec
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3))
     for M, u_max in ((6, 1.0), (13, 1.0), (6, math.inf), (13, math.inf)):  # 13: a partial tile
-        got = sample_rollouts(policies, spec, M, seed=5, u_max=u_max)
+        spec = replace(spec, u_max=u_max)
+        got = sample_rollouts(policies, spec, M, seed=5)
         states, controls = _per_step_rollouts(
-            policies, spec, substream(5).standard_normal((M, spec.horizon, spec.k, 2)), u_max)
+            policies, spec, substream(5).standard_normal((M, spec.horizon, spec.k, 2)))
         assert got.states.tobytes() == states.tobytes()
         assert got.controls.tobytes() == controls.tobytes()
         clamped = np.abs(np.linalg.norm(controls, axis=-1) - 1.0) <= 1e-12
         assert np.any(clamped) == (u_max == 1.0)  # the clamp engaged only where it binds
     for u_max in (1.0, math.inf):
-        mean = mean_rollout(policies, spec, u_max)
-        states, controls = _per_step_rollouts(policies, spec, None, u_max)
+        spec = replace(spec, u_max=u_max)
+        mean = mean_rollout(policies, spec)
+        states, controls = _per_step_rollouts(policies, spec, None)
         assert mean.states.tobytes() == states[0].tobytes()
         assert mean.controls.tobytes() == controls[0].tobytes()
 
@@ -337,9 +348,9 @@ def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec,
     # and the norm-and-where clamp are the reference for the noise term and scale
     spec, M, u_max = ring8_spec, 128, DEFAULT_U_MAX
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1.0))
-    got = sample_rollouts(policies, spec, M, seed=9, u_max=u_max)
+    got = sample_rollouts(policies, spec, M, seed=9)
     noise = substream(9).standard_normal((M, spec.horizon, spec.k, 2))
-    states, controls = _per_step_rollouts(policies, spec, noise, u_max, norm_where_clamp)
+    states, controls = _per_step_rollouts(policies, spec, noise, norm_where_clamp)
     assert got.states.tobytes() == states.tobytes()
     assert got.controls.tobytes() == controls.tobytes()
     clamped = np.abs(np.linalg.norm(controls, axis=-1) - u_max) <= 1e-12
@@ -350,7 +361,7 @@ def test_hot_ring_rollouts_equal_the_norm_and_where_loop_bit_for_bit(ring8_spec,
 def test_mean_rollout_equals_row_0_of_a_padded_tile_bit_for_bit(k, theta_star):
     # the mean rollout used to step FEEDBACK_TILE identical rows from x0; now
     # only its feedback GEMM is padded, and row 0 keeps every bit
-    spec, u_max = _ring_spec(k), 1.0
+    spec = replace(_ring_spec(k), u_max=1.0)
     policies = build_policies([theta_star[0]] * k, spec, SolverConfig(entropy_temp=1e-3))
     n = 4 * k
     gains = np.ascontiguousarray(np.swapaxes(policies.K.reshape(spec.horizon, 2 * k, n), 1, 2))
@@ -360,11 +371,11 @@ def test_mean_rollout_equals_row_0_of_a_padded_tile_bit_for_bit(k, theta_star):
         return policies.kff[t] - (dx @ gains[t]).reshape(FEEDBACK_TILE, k, 2)
 
     x0 = np.tile(spec.x0.as_array(), (FEEDBACK_TILE, 1))
-    states, controls = rollout(x0, spec.horizon, spec.dt, act, u_max)
-    mean = mean_rollout(policies, spec, u_max)
+    states, controls = rollout(x0, spec.horizon, spec.dt, act, spec.u_max)
+    mean = mean_rollout(policies, spec)
     assert mean.states.tobytes() == states[0].tobytes()
     assert mean.controls.tobytes() == controls[0].tobytes()
-    assert np.any(np.abs(np.linalg.norm(controls[0], axis=-1) - u_max) <= 1e-12)  # clamp engaged
+    assert np.any(np.abs(np.linalg.norm(controls[0], axis=-1) - spec.u_max) <= 1e-12)  # clamp engaged
 
 
 @pytest.mark.parametrize(
@@ -373,15 +384,15 @@ def test_mean_rollout_equals_row_0_of_a_padded_tile_bit_for_bit(k, theta_star):
 def test_tiled_feedback_stays_within_rounding_of_the_reduced_loop(spec, theta_star):
     # the reduced loop was the rollout arithmetic before the feedback became a
     # tiled GEMM; entropy_temp 1 clamps most controls on the ring
-    M, u_max = 128, DEFAULT_U_MAX
+    M = 128
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1.0))
     noise = substream(9).standard_normal((M, spec.horizon, spec.k, 2))
-    got = sample_rollouts(policies, spec, M, seed=9, u_max=u_max)
-    states, controls = _per_step_rollouts(policies, spec, noise, u_max, feedback=reduced_feedback)
+    got = sample_rollouts(policies, spec, M, seed=9)
+    states, controls = _per_step_rollouts(policies, spec, noise, feedback=reduced_feedback)
     assert np.max(np.abs(got.states - states)) <= 1e-12
     assert np.max(np.abs(got.controls - controls)) <= 1e-12
-    mean = mean_rollout(policies, spec, u_max)
-    states, controls = _per_step_rollouts(policies, spec, None, u_max, feedback=reduced_feedback)
+    mean = mean_rollout(policies, spec)
+    states, controls = _per_step_rollouts(policies, spec, None, feedback=reduced_feedback)
     assert np.max(np.abs(mean.states - states[0])) <= 1e-12
     assert np.max(np.abs(mean.controls - controls[0])) <= 1e-12
 
@@ -406,10 +417,11 @@ def test_sampled_control_mean_obeys_clt():
         nominal_states=np.zeros((2, 8)), dt=1.0,
     )
     spec = ScenarioSpec(
-        k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None, horizon=1, dt=1.0
+        k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None, horizon=1, dt=1.0,
+        u_max=np.inf,
     )
     M = 4000
-    u = sample_rollouts(policies, spec, M, seed=2024, u_max=np.inf).controls[:, 0]  # (M, 2, 2)
+    u = sample_rollouts(policies, spec, M, seed=2024).controls[:, 0]  # (M, 2, 2)
     var = np.diagonal(sigma, axis1=1, axis2=2)  # (agent, component)
     assert np.all(np.abs(u.mean(axis=0)) < 4 * np.sqrt(var / M))
     # each agent's second moment is its Sigma; Var(x_a x_b) = S_aa S_bb + S_ab^2
@@ -428,9 +440,9 @@ def test_sampled_control_mean_obeys_clt():
 def test_sampled_features_match_the_exact_moments_of_the_coupled_game(theta_star):
     # no clamp, so the joint state is Gaussian; at entropy_temp 1 the noise moves
     # every feature 20 to 350 standard errors away from the mean path's
-    spec, M = scenario_preset("intersection_k3"), 4000
+    spec, M = replace(scenario_preset("intersection_k3"), u_max=np.inf), 4000
     policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1.0))
-    rollouts = sample_rollouts(policies, spec, M, seed=3, u_max=np.inf)
+    rollouts = sample_rollouts(policies, spec, M, seed=3)
     got = expected_features(rollouts, range(3), spec.goals)
     goal, crowd = state_features(rollouts.states, np.arange(3), spec.goals, DEFAULT_SIGMA)
     effort = np.sum(rollouts.controls**2, axis=-1)
@@ -440,9 +452,9 @@ def test_sampled_features_match_the_exact_moments_of_the_coupled_game(theta_star
 
 
 def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
-    spec = scenario_preset("intersection_k3")
+    spec = replace(scenario_preset("intersection_k3"), u_max=np.inf)
     policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
-    mean = mean_rollout(policies, spec, u_max=np.inf)
+    mean = mean_rollout(policies, spec)
     ref = expected_features([mean], range(3), spec.goals)
     assert np.max(np.abs(exact_features(policies, spec) - ref)) <= 1e-9
 
@@ -736,12 +748,64 @@ def test_outer_reexpansion_refits_under_the_configured_clamp(intersection_spec):
     # refitted nominal must be the mean rollout clamped at u_max = 1, as sampled
     thetas = [CostParams(np.array([1.0, 2.5, 0.3]))] * 3
     cfg = SolverConfig(entropy_temp=1e-3, max_outer_iters=4)
-    policies = build_policies(thetas, intersection_spec, cfg, u_max=1.0)
+    policies = build_policies(thetas, replace(intersection_spec, u_max=1.0), cfg)
     velocities = policies.nominal_states.reshape(-1, 3, 4)[..., 2:]
     accel = np.linalg.norm(np.diff(velocities, axis=0), axis=-1) / intersection_spec.dt
     assert 0.99 < accel.max() <= 1.0 + 1e-9
     default = build_policies(thetas, intersection_spec, cfg)
     assert np.max(np.abs(default.nominal_states - policies.nominal_states)) > 0.1
+
+
+def test_the_scene_bound_clamps_every_control_of_every_path(monkeypatch, intersection_spec):
+    # one spec.u_max reaches synthesis, the training samples, the outer
+    # re-expansion's refit and every prediction; at 0.5 it binds on each of them
+    bound = 0.5
+    spec = replace(intersection_spec, u_max=bound)
+    thetas = [CostParams(np.array([1.0, 2.5, 0.3]))] * 3
+    solver = SolverConfig(max_outer_iters=3)
+    applied = {}  # path -> the control arrays its rollouts applied
+
+    def record(module, name, path):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            applied.setdefault(path, []).append(out[1] if isinstance(out, tuple) else out.controls)
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(game_module, "mean_rollout", "refit")
+    record(irl_module, "sample_rollouts", "training samples")
+    record(metrics_module, "mean_rollout", "mairl mean")
+    record(metrics_module, "sample_rollouts", "mairl best-of")
+    record(metrics_module, "rollout", "state feedback")
+    demos = synth_generate(thetas, spec, 6, seed=1, solver_cfg=solver)
+    applied["synth"] = [d.controls for d in demos]
+    multi_agent_irl(demos, spec, TrainingConfig(max_iters=1, M=8, solver=solver))
+    # gmm and ebm fit on demonstrations clamped at the default bound, so they ask for more
+    wide = synth_generate(thetas, intersection_spec, 6, seed=2)
+    for method, best_of in (("mairl", 1), ("mairl", 4), ("gmm", 1), ("ebm", 1)):
+        ctx = PredictorContext(spec=spec, train_demos=wide, thetas=thetas, solver=solver,
+                               best_of=best_of)
+        make_predictor(method, ctx)(demos)
+        if method in ("gmm", "ebm"):
+            applied[method] = applied.pop("state feedback")
+    assert sorted(applied) == sorted(["synth", "training samples", "refit", "mairl mean",
+                                      "mairl best-of", "gmm", "ebm"])
+    for path, controls in applied.items():
+        norms = np.concatenate([np.linalg.norm(c, axis=-1).ravel() for c in controls])
+        assert np.all(norms <= bound * (1 + 1e-15)), path
+        assert np.any(np.abs(norms - bound) <= 1e-12), path  # the bound binds
+
+
+@pytest.mark.parametrize("entry", [
+    Game, solve_scenario, build_policies, mean_rollout, sample_rollouts, synth_generate,
+    TrainingConfig, PredictorContext,
+], ids=lambda entry: entry.__name__)
+def test_no_entry_point_takes_a_bound_of_its_own(entry):
+    # the bound is the scene's: a second one could drift from spec.u_max
+    assert "u_max" not in inspect.signature(entry).parameters
 
 
 def test_reexpansion_loop_is_stationary_for_quadratic_costs(single_agent_spec):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,36 @@ class TestReports:
         assert rep.ade == 0.0 and rep.fde == 0.0
         assert np.all(rep.rmse_per_traj == 0.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
+    @pytest.mark.parametrize("n", [1, 5, 17])
+    def test_scores_equal_the_per_demo_agent_loop_bit_for_bit(self, k, n):
+        # reference: the loop that scored one demo and one agent at a time
+        rng = np.random.default_rng(100 * k + n)
+        T = int(rng.integers(5, 40))
+        for scale in (0.01, 1.0, 100.0):
+            demos = [Trajectory.from_states(rng.normal(0.0, scale, (T + 1, 4 * k)), 0.1)
+                     for _ in range(n)]
+            preds = rng.normal(0.0, scale, (n, T + 1, k, 2))
+            ades, fdes, rmses = np.zeros(k), np.zeros(k), []
+            for demo, pred in zip(demos, preds):
+                sq = 0.0
+                for i in range(k):
+                    gt = demo.positions(i)
+                    ades[i] += ade(pred[:, i], gt)
+                    fdes[i] += fde(pred[:, i], gt)
+                    sq += float(np.mean(np.sum((pred[:, i] - gt) ** 2, axis=1)))
+                rmses.append(math.sqrt(sq / k))
+            rep = score_predictions("m", "s", demos, list(preds))
+            assert rep.per_agent_ade.tobytes() == (ades / n).tobytes()
+            assert rep.per_agent_fde.tobytes() == (fdes / n).tobytes()
+            assert rep.rmse_per_traj.tobytes() == np.array(rmses).tobytes()
+            # the best-of pick's error of every demo, as a candidate, against demo 0
+            errs = [np.mean([ade(c.positions(i), demos[0].positions(i)) for i in range(k)])
+                    for c in demos]
+            positions = metrics._positions(RolloutSet.stack(demos).states)
+            rows = metrics._displacement_rows(positions, positions[0])[0]
+            assert np.mean(rows, axis=-1).tobytes() == np.array(errs).tobytes()
+
     def test_csv_roundtrip(self, tmp_path, intersection_spec, theta_star):
         demos, perfect = self._demo_and_pred(intersection_spec, theta_star)
         rep = score_predictions("oracle", "scene", demos, perfect)
@@ -234,7 +265,7 @@ class TestPredictors:
         ctx = PredictorContext(spec=intersection_spec, train_demos=demos)
         got = make_predictor("cv", ctx)(demos)
         ref = metrics._rollout_state_feedback(
-            demos, intersection_spec, lambda s: np.zeros_like(s[..., :2]), math.inf)
+            demos, replace(intersection_spec, u_max=math.inf), lambda s: np.zeros_like(s[..., :2]))
         assert got.shape == ref.shape == (5, intersection_spec.horizon + 1, 3, 2)
         assert got.tobytes() == ref.tobytes()
         assert np.all(np.signbit(got[2:, 0, 0, 1]))
@@ -261,7 +292,7 @@ class TestPredictors:
         states = np.empty((n, T + 1, 4 * k))
         states[:, 0] = x0
         for t in range(T):
-            u = clamp_control(act(states[:, t].reshape(n, k, 4)), ctx.u_max)
+            u = clamp_control(act(states[:, t].reshape(n, k, 4)), spec.u_max)
             states[:, t + 1] = propagate_joint(states[:, t], u, spec.dt)
         ref = states.reshape(n, T + 1, k, 4)[..., :2]
         assert make_predictor(method, ctx)(demos).tobytes() == ref.tobytes()
@@ -341,11 +372,11 @@ class TestPredictors:
         picks = []
         for demo, pred in zip(demos, got):
             demo_spec = intersection_spec.with_x0(demo.joint_state(0))
-            policies = build_policies(theta_star, demo_spec, ctx.solver, ctx.proximity, ctx.u_max)
+            policies = build_policies(theta_star, demo_spec, ctx.solver, ctx.proximity)
             if best_of == 1:
-                best = mean_rollout(policies, demo_spec, ctx.u_max)
+                best = mean_rollout(policies, demo_spec)
             else:
-                cands = sample_rollouts(policies, demo_spec, best_of, ctx.seed, ctx.u_max)
+                cands = sample_rollouts(policies, demo_spec, best_of, ctx.seed)
                 errs = [np.mean([ade(c.positions(i), demo.positions(i)) for i in range(3)])
                         for c in cands]
                 picks.append(int(np.argmin(errs)))

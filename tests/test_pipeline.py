@@ -167,6 +167,19 @@ def _track(name, xs, ys, v=1.2, dt=0.1):
     return Track(track_id=name, t0=0.0, dt=dt, states=np.stack([xs, ys, vx, vy], axis=1))
 
 
+class TestPreprocessConfig:
+    def test_catalog_settings_are_fields_checked_on_construction(self):
+        cfg = PreprocessConfig(scheme=["W-E-S"], group_size=2, scenario_len=4)
+        assert (cfg.scheme, cfg.group_size, cfg.scenario_len) == (("W-E-S",), 2, 4)
+        with pytest.raises(ValidationError, match='entry "W-X" must be directions'):
+            PreprocessConfig(scheme=["W-X"])
+        with pytest.raises(ValidationError, match='entry "W-E-S" repeats'):
+            PreprocessConfig(scheme=["W-E-S", "W-E-S"])
+        for name in ("group_size", "scenario_len"):
+            with pytest.raises(ValidationError, match=f"{name} must be >= 1, got 0"):
+                PreprocessConfig(**{name: 0})
+
+
 class TestFilterTracks:
     def test_standstill_dropped(self):
         cfg = PreprocessConfig()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -408,3 +409,23 @@ def test_rollout_rejects_a_bound_that_is_not_positive_before_any_step(u_max):
     with pytest.raises(ValidationError, match="u_max must be positive"):
         rollout(np.zeros((2, 4)), 5, 0.1, act, u_max)
     assert calls == []
+
+
+@pytest.mark.parametrize("u_max", [0.0, -1.0, math.nan, -math.inf])
+def test_scenario_spec_rejects_a_bound_that_is_not_positive(u_max):
+    with pytest.raises(ValidationError, match="u_max must be positive"):
+        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1,
+                     u_max=u_max)
+
+
+def test_scenario_spec_keeps_its_bound_through_every_copy():
+    spec = ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=2,
+                        u_max=math.inf)
+    assert spec.u_max == math.inf
+    spec = dataclasses.replace(spec, u_max=0.5)
+    assert spec.u_max == 0.5
+    assert spec.with_goals(np.array([[1.0, 2.0]])).u_max == 0.5
+    assert spec.with_x0(JointState((AgentState(1, 0, 0, 0),))).u_max == 0.5
+    assert dataclasses.replace(spec, horizon=5).u_max == 0.5
+    with pytest.raises(ValidationError, match="u_max must be positive"):
+        dataclasses.replace(spec, u_max=0.0)
