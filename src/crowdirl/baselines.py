@@ -80,6 +80,11 @@ def _log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarra
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
+def _log_components(weights, means, covs, x: np.ndarray) -> np.ndarray:
+    """(K, n) stack of log w_c + log N(x; mu_c, Sigma_c) over the rows of x."""
+    return np.stack([np.log(w) + _log_gaussian(x, mu, cov) for w, mu, cov in zip(weights, means, covs)])
+
+
 def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
     """Mixture density at x; x may be (d,) or (n, d)."""
     x = np.asarray(x, dtype=float)
@@ -87,12 +92,7 @@ def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
     pts = x[None, :] if single else x
     if pts.shape[1] != model.dim:
         raise ValidationError(f"x has dimension {pts.shape[1]}, model expects {model.dim}")
-    logs = np.stack(
-        [
-            np.log(model.weights[c]) + _log_gaussian(pts, model.means[c], model.covariances[c])
-            for c in range(model.n_components)
-        ]
-    )
+    logs = _log_components(model.weights, model.means, model.covariances, pts)
     m = logs.max(axis=0)
     dens = np.exp(m) * np.sum(np.exp(logs - m), axis=0)
     return float(dens[0]) if single else dens
@@ -159,12 +159,7 @@ def gmm_fit(
     converged = False
     for _ in range(max_em_iters):
         # E-step in log space.
-        logs = np.stack(
-            [
-                np.log(weights[c]) + _log_gaussian(samples, means[c], covs[c])
-                for c in range(K)
-            ]
-        )  # (K, n)
+        logs = _log_components(weights, means, covs, samples)  # (K, n)
         m = logs.max(axis=0)
         norm = m + np.log(np.sum(np.exp(logs - m), axis=0))
         loglik = float(_check_sum(np.sum(norm), "gmm fit"))

@@ -232,12 +232,16 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
     return out
 
 
-def _spec_from_demos(demos: list[Trajectory], header: dict, u_max: float) -> ScenarioSpec:
+def _spec_from_demos(path, demos: list[Trajectory], header: dict, u_max: float) -> ScenarioSpec:
     """Scenario of a demonstration file at bound u_max: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
-    predictors start each demo from its own x0.
+    predictors start each demo from its own x0. A file that records its bound is read only at it.
     """
+    recorded = header["provenance"].get("u_max", u_max)
+    if recorded != u_max:
+        raise ValidationError(f"{path} was synthesized at u_max {recorded!r}, but the configured "
+                              f"bound is {u_max!r}; pass --u-max {recorded!r}")
     k, dt = demos[0].k, demos[0].dt
     goals = header_goals(header)
     if goals is None:
@@ -296,7 +300,7 @@ def cmd_synth(args, cfg: dict) -> int:
         spec = dataclasses.replace(spec, horizon=int(args.horizon))
     thetas = parse_thetas(args.theta, spec.k)
     seed = cfg["seed"]
-    provenance = synth_provenance(thetas, seed)
+    provenance = synth_provenance(thetas, seed, spec.u_max)
     if args.n == 0:
         write_demonstrations(args.out, [], goals=spec.goals, provenance=provenance, spec=spec)
         print(f"wrote header-only demonstration file to {args.out}")
@@ -324,7 +328,7 @@ def cmd_train(args, cfg: dict) -> int:
                 f"{args.demos}: demonstration {j} starts from a different joint state than "
                 "demonstration 0; train needs demonstrations of one start"
             )
-    spec = _spec_from_demos(demos, header, cfg["u_max"])
+    spec = _spec_from_demos(args.demos, demos, header, cfg["u_max"])
     tcfg = _training_config(cfg)
 
     try:  # the weights start at ones, so whatever overflows comes from the demonstrations
@@ -389,7 +393,7 @@ def cmd_eval(args, cfg: dict) -> int:
     demos, header = read_demonstrations(args.demos)
     if not demos:
         raise FormatError(f"{args.demos} holds no demonstrations")
-    spec = _spec_from_demos(demos, header, cfg["u_max"])
+    spec = _spec_from_demos(args.demos, demos, header, cfg["u_max"])
     method = args.baseline
     if method not in BASELINE_NAMES:
         raise ValidationError(f"unknown baseline {method!r}; choose from {BASELINE_NAMES}")

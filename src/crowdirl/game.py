@@ -14,7 +14,8 @@ control-space curvature of its Q-function, formed for all T*k stages after
 the sweep. Where that curvature loses positive definiteness (near-straight
 nominals) the covariance is repaired by the smallest uniform diagonal shift
 that restores a configurable eigenvalue floor, trading modeled decision
-randomness for tractability; the diagnostics record every repaired stage.
+randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 2)
+stack, whose repaired stages the diagnostics record; each policy is factored once.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 dynamics, the constant-velocity nominal, every agent's expansion along it
@@ -85,6 +86,8 @@ class SolverConfig:
                 raise ValidationError(f"{key} must be positive and finite, got {value!r}")
         if self.max_outer_iters < 1:
             raise ValidationError("max_outer_iters must be >= 1")
+        if not 0 <= self.outer_tol < np.inf:
+            raise ValidationError(f"outer_tol must be nonnegative and finite, got {self.outer_tol!r}")
 
 
 @dataclass
@@ -108,15 +111,16 @@ class PolicySequence:
     plus zero-mean noise of covariance Sigma[t, i], where nominal_states is
     the trajectory the costs were expanded around. Shapes:
     K (T, k, 2, 4k), kff (T, k, 2), Sigma (T, k, 2, 2) symmetric,
-    nominal_states (T+1, 4k). All four arrays are read-only copies.
+    nominal_states (T+1, 4k). All four arrays are read-only copies; L, set here and not an
+    argument, is the read-only Cholesky factor of each Sigma[t, i] that every rollout reads.
     """
 
     K: np.ndarray
     kff: np.ndarray
     Sigma: np.ndarray
     nominal_states: np.ndarray
-    dt: float
     diagnostics: SolverDiagnostics = field(default_factory=SolverDiagnostics)
+    L: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         K = np.array(self.K, dtype=float)
@@ -141,7 +145,13 @@ class PolicySequence:
                 raise ValidationError(f"PolicySequence.{name} contains non-finite values")
         if np.max(np.abs(Sigma - np.swapaxes(Sigma, -1, -2))) > 1e-9:
             raise ValidationError("Sigma must be symmetric")
-        for name, arr in (("K", K), ("kff", kff), ("Sigma", Sigma), ("nominal_states", nominal)):
+        try:
+            L = np.linalg.cholesky(Sigma)
+        except np.linalg.LinAlgError:
+            t, i = np.argwhere(~_has_cholesky(Sigma))[0]
+            raise ValidationError(f"Sigma at (t={t}, agent={i}) has no Cholesky factor; "
+                                  "repair it with condition_covariance") from None
+        for name, arr in zip(("K", "kff", "Sigma", "nominal_states", "L"), (K, kff, Sigma, nominal, L)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -154,39 +164,50 @@ class PolicySequence:
         return self.K.shape[0]
 
 
-def min_eigenvalue(M: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
+def min_eigenvalue(M: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix of a stack (..., n, n); a float for one matrix."""
     M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
-    if np.max(np.abs(M - M.T), initial=0.0) > 1e-9 * scale:
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), keepdims=True, initial=0.0))
+    if np.any(np.abs(M - np.swapaxes(M, -1, -2)) > 1e-9 * scale):
         raise ValidationError("matrix is not symmetric within tolerance")
-    return float(np.linalg.eigvalsh(M)[0])
+    lam = np.linalg.eigvalsh(M)[..., 0]
+    return float(lam) if M.ndim == 2 else lam
 
 
 def condition_covariance(sigma_raw: np.ndarray, eps_psd: float) -> np.ndarray:
-    """Minimal uniform diagonal shift making the eigenvalues >= eps_psd.
+    """Minimal uniform diagonal shift making the eigenvalues >= eps_psd, member by member.
 
-    Returns sigma_raw + s*I with s = max(0, eps_psd - lambda_min), the
-    smallest such shift, topped up until the result has a Cholesky factor;
-    already well-conditioned inputs pass through unchanged. Idempotent.
+    sigma_raw is one matrix or a stack (..., n, n). Each member S becomes
+    S + s*I with s = max(0, eps_psd - lambda_min(S)), the smallest such
+    shift, topped up until the result has a Cholesky factor; members already
+    above the floor with a factor pass through bit for bit. Idempotent.
+    """
+    return _repair(sigma_raw, eps_psd)[0]
+
+
+def _repair(sigma_raw: np.ndarray, eps_psd: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """condition_covariance, plus which members it changed and the shift each logs.
+
+    That is max(0, eps_psd - lambda_min) of the raw member, or its top-up where that is 0.
     """
     sigma_raw = np.asarray(sigma_raw, dtype=float)
-    lam = min_eigenvalue(sigma_raw)
-    shift = max(0.0, eps_psd - lam)
-    if shift == 0.0 and _has_cholesky(sigma_raw):
-        return sigma_raw.copy()
-    eye = np.eye(sigma_raw.shape[0])
-    sigma = sigma_raw + shift * eye
+    raw = sigma_raw.reshape(-1, *sigma_raw.shape[-2:])
+    shift = np.maximum(0.0, eps_psd - min_eigenvalue(raw))
+    short = (shift > 0.0) | ~_has_cholesky(raw)
+    repaired, s, sigma, eye = short.copy(), shift.copy(), raw.copy(), np.eye(raw.shape[-1])
+    sigma[short] = raw[short] + s[short, None, None] * eye
     # On large diagonal entries the shift rounds, which can leave the floor
     # short by a few ulps, and a floor below the eigensolver's rounding can
-    # pass a matrix with no Cholesky factor; top it up with growing steps
-    # until both hold.
-    bump = float(np.spacing(np.max(np.abs(sigma))))
-    while min_eigenvalue(sigma) < eps_psd or not _has_cholesky(sigma):
-        shift += bump
-        bump *= 2.0
-        sigma = sigma_raw + shift * eye
-    return sigma
+    # pass a matrix with no Cholesky factor; top each such member up with
+    # growing steps until both hold.
+    bump = np.spacing(np.max(np.abs(sigma), axis=(1, 2)))
+    while short.any():
+        short[short] = (min_eigenvalue(sigma[short]) < eps_psd) | ~_has_cholesky(sigma[short])
+        s[short] += bump[short]
+        bump[short] *= 2.0
+        sigma[short] = raw[short] + s[short, None, None] * eye
+    logged = np.where(shift > 0.0, shift, sigma[:, 0, 0] - raw[:, 0, 0]).reshape(sigma_raw.shape[:-2])
+    return sigma.reshape(sigma_raw.shape), repaired.reshape(logged.shape), logged
 
 
 def _has_cholesky(S: np.ndarray) -> np.ndarray:
@@ -287,21 +308,16 @@ def solve_lq_game(
 
     K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
     kff_out = nominal.controls - gains_out[..., n].reshape(T, k, CONTROL_DIM)
-    # Nothing in the recursion reads the covariances, so they are formed for
-    # all stages at once; repairs are logged in recursion order.
+    # Nothing in the recursion reads the covariances, so they are formed and
+    # repaired for all stages at once; repairs are logged in recursion order.
     Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
-    Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
-    shift = np.maximum(0.0, cfg.eps_psd - np.linalg.eigvalsh(Sigma)[..., 0])
-    repair = (shift > 0.0) | ~_has_cholesky(Sigma)
+    Sigma, repaired, shift = _repair(0.5 * (Sigma + np.swapaxes(Sigma, -1, -2)), cfg.eps_psd)
     diag = SolverDiagnostics(horizon=T, k=k)
-    for t_rev, i in np.argwhere(repair[::-1]):
+    for t_rev, i in np.argwhere(repaired[::-1]):
         t = T - 1 - int(t_rev)
-        raw = Sigma[t, i].copy()
-        Sigma[t, i] = condition_covariance(raw, cfg.eps_psd)
-        # a stage above the floor with no Cholesky factor logs its top-up
-        diag.events.append((t, int(i), float(shift[t, i] or Sigma[t, i, 0, 0] - raw[0, 0])))
+        diag.events.append((t, int(i), float(shift[t, i])))
 
-    return PolicySequence(K_out, kff_out, Sigma, nominal.states, nominal.dt, diag)
+    return PolicySequence(K_out, kff_out, Sigma, nominal.states, diag)
 
 
 def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
@@ -405,7 +421,7 @@ def _rollout_batch(
     # the noise term L[t, i] @ noise[m, t, i] of every step at once, over
     # the nonzero entries of the lower-triangular Cholesky factor; laid
     # out (T, Mp, k, 2) so that each step reads one contiguous block
-    L = _stage_cholesky(policies)[:, None]  # (T, 1, k, 2, 2)
+    L = policies.L[:, None]  # (T, 1, k, 2, 2)
     z = np.swapaxes(noise, 0, 1)  # (T, M, k, 2)
     eps = np.zeros((T, Mp, k, CONTROL_DIM))
     eps[:, :M, :, 0] = z[..., 0] * L[..., 0, 0]
@@ -422,18 +438,6 @@ def _rollout_batch(
 
     states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, spec.u_max)
     return states[:M], controls[:M]
-
-
-def _stage_cholesky(policies: PolicySequence) -> np.ndarray:
-    """Cholesky factors of every Sigma[t, i]; shape (T, k, 2, 2)."""
-    try:
-        return np.linalg.cholesky(policies.Sigma)
-    except np.linalg.LinAlgError as exc:
-        t, i = np.argwhere(~_has_cholesky(policies.Sigma))[0]
-        raise InternalError(
-            f"covariance at (t={t}, agent={i}) is not positive definite; "
-            "it must have been conditioned at solve time"
-        ) from exc
 
 
 def mean_rollout(policies: PolicySequence, spec: ScenarioSpec) -> Trajectory:

@@ -15,7 +15,8 @@ interchange format the readers accept.
 Interchange file layout: one JSON header line (k, T, dt, goals, count,
 provenance) followed by `count` blocks of T comma-separated rows, each row a
 4k dataset-layout state (position, speed, heading per agent). T counts rows,
-i.e. steps + 1.
+i.e. steps + 1. The provenance is an object; a synthesized file records in
+it the control bound `u_max` its demonstrations were clamped at.
 """
 from __future__ import annotations
 
@@ -410,11 +411,12 @@ def synth_generate(
     return list(sample_rollouts(policies, spec, n_demos, seed))
 
 
-def synth_provenance(theta_star: Sequence[CostParams], seed: int) -> dict:
+def synth_provenance(theta_star: Sequence[CostParams], seed: int, u_max: float) -> dict:
     return {
         "generator": "game-policy-rollout",
         "theta_star": [[float(v) for v in th.weights] for th in theta_star],
         "seed": int(seed),
+        "u_max": float(u_max),  # the bound the demos were clamped at; no clamp is written Infinity
     }
 
 
@@ -546,6 +548,12 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
         and all(isinstance(g, list) and [json_kind(v) for v in g] == pair for g in goals)
     ):
         raise FormatError(f"header key 'goals' must be null or {k} pairs of finite numbers")
+    provenance = header["provenance"]
+    if not isinstance(provenance, dict):
+        raise FormatError(f"header key 'provenance' must be an object, got {provenance!r}")
+    bound = provenance.get("u_max", math.inf)  # a file may record no bound
+    if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not bound > 0:
+        raise FormatError(f"provenance key 'u_max' must be a positive number, got {bound!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count * rows_per:
         raise FormatError(

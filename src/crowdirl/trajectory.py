@@ -43,18 +43,6 @@ class AgentState:
     def __post_init__(self):
         _check_finite("AgentState", px=self.px, py=self.py, vx=self.vx, vy=self.vy)
 
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
-    @property
-    def heading(self) -> float:
-        """Direction of travel in (-pi, pi]; 0 at rest by convention."""
-        if self.vx == 0.0 and self.vy == 0.0:
-            return 0.0
-        h = math.atan2(self.vy, self.vx)
-        return h if h > -math.pi else math.pi
-
     def as_array(self) -> np.ndarray:
         return np.array([self.px, self.py, self.vx, self.vy], dtype=float)
 

@@ -256,6 +256,15 @@ class TestConfig:
         demos, _ = read_demonstrations(out)
         assert max(np.linalg.norm(d.controls, axis=-1).max() for d in demos) > 3.0
 
+    def test_negative_outer_tolerance_in_a_config_file_exits_2(self, tmp_path, capsys):
+        # it used to pass the config and silently run every outer iteration
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"solver": {"outer_tol": -1.0, "max_outer_iters": 3}}))
+        out = tmp_path / "d.traj"
+        assert main(["--config", str(cfg_path), "synth", str(out), "--n", "2"]) == 2
+        assert "outer_tol must be nonnegative and finite, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_demo_count_exits_2_naming_the_flag(self, tmp_path, capsys):
         # --n 0 writes a header-only file, so the bound is 0, not the library's 1
         out = tmp_path / "d.traj"
@@ -381,6 +390,62 @@ class TestSynth:
         path = _synth(tmp_path, name="empty.traj", n=0)
         demos, header = read_demonstrations(path)
         assert demos == [] and header["count"] == 0
+
+    def test_the_control_bound_travels_with_the_demonstrations(self, tmp_path, capsys):
+        # a file synthesized at --u-max 0.5 used to train and score at 3.0 without a word
+        path = tmp_path / "b.traj"
+        assert main(["--u-max", "0.5", "--entropy-temp", "0.001", "synth", str(path), "--n", "2"]) == 0
+        assert read_demonstrations(path)[1]["provenance"]["u_max"] == 0.5
+        train = [*FAST_TRAIN, "--iters", "1", "--tol", "100", "train", str(path)]
+        score = ["eval", str(path), "--baseline", "cv"]
+        for argv in (train, score):
+            out = tmp_path / "out"
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path} was synthesized at u_max 0.5, but the configured bound is 3.0" in err
+            assert "pass --u-max 0.5" in err and not out.exists()
+            assert main(["--u-max", "0.5", *argv, "--out", str(out)]) == 0 and out.exists()
+            out.unlink()
+
+    def test_header_only_file_records_no_clamp_as_infinity(self, tmp_path):
+        path = tmp_path / "b.traj"
+        assert main(["--u-max", "inf", "synth", str(path), "--n", "0"]) == 0
+        assert '"u_max": Infinity' in path.read_text().splitlines()[0]
+        assert read_demonstrations(path)[1]["provenance"]["u_max"] == math.inf
+
+    def test_files_that_record_no_bound_read_at_the_configured_one(self, tmp_path):
+        path = _synth(tmp_path, n=2)
+        header, *rows = path.read_text().splitlines()
+        header = json.loads(header)
+        assert header["provenance"].pop("u_max") == 3.0
+        path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        for bound in ("3.0", "0.5"):
+            assert main(["--u-max", bound, "eval", str(path), "--baseline", "cv",
+                         "--out", str(tmp_path / f"r{bound}.csv")]) == 0
+
+    @pytest.mark.parametrize("provenance, message", [
+        ([], "header key 'provenance' must be an object, got []"),
+        ("synth", "header key 'provenance' must be an object, got 'synth'"),
+        (None, "header key 'provenance' must be an object, got None"),
+        ({"u_max": 0}, "provenance key 'u_max' must be a positive number, got 0"),
+        ({"u_max": -1.0}, "provenance key 'u_max' must be a positive number, got -1.0"),
+        ({"u_max": "0.5"}, "provenance key 'u_max' must be a positive number, got '0.5'"),
+        ({"u_max": None}, "provenance key 'u_max' must be a positive number, got None"),
+        ({"u_max": True}, "provenance key 'u_max' must be a positive number, got True"),
+        ({"u_max": math.nan}, "provenance key 'u_max' must be a positive number, got nan"),
+        ({"u_max": -math.inf}, "provenance key 'u_max' must be a positive number, got -inf"),
+    ])
+    def test_malformed_provenance_exits_2(self, tmp_path, capsys, provenance, message):
+        path = _synth(tmp_path, n=2)
+        header, *rows = path.read_text().splitlines()
+        header = {**json.loads(header), "provenance": provenance}
+        path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "r.csv"
+        assert main(["eval", str(path), "--baseline", "cv", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_seed_identical_bytes(self, tmp_path):
         a = _synth(tmp_path, name="a.traj")

@@ -1,6 +1,6 @@
 import inspect
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdirl.cli import scenario_preset
-from crowdirl.errors import InternalError, SolverError, ValidationError
+from crowdirl.errors import SolverError, ValidationError
 from crowdirl.features import (
     DEFAULT_SIGMA,
     CostParams,
@@ -23,6 +23,7 @@ from crowdirl.game import (
     Game,
     PolicySequence,
     SolverConfig,
+    _has_cholesky,
     _robust_inverse,
     _solve_gains,
     build_policies,
@@ -229,6 +230,68 @@ class TestConditionCovariance:
             condition_covariance(np.array([[1.0, 0.1], [0.0, 1.0]]), 1e-6)
 
 
+def _scalar_conditioned(S, eps):
+    """The single-matrix repair loop condition_covariance ran before it took stacks."""
+    shift = max(0.0, eps - float(np.linalg.eigvalsh(S)[0]))
+    if shift == 0.0 and _has_cholesky(S):
+        return S.copy()
+    eye = np.eye(len(S))
+    sigma = S + shift * eye
+    bump = float(np.spacing(np.max(np.abs(sigma))))
+    while float(np.linalg.eigvalsh(sigma)[0]) < eps or not _has_cholesky(sigma):
+        shift += bump
+        bump *= 2.0
+        sigma = S + shift * eye
+    return sigma
+
+
+# (matrix, topped up beyond max(0, eps - lambda_min)) at a 1e-18 floor
+_MIXED_STACK = [
+    ([[0.5, -0.0], [-0.0, 2.0]], False),  # untouched, signed zeros and all
+    ([[1.0, -0.0], [-0.0, 1.0]], False),
+    ([[2.0, 1.0], [1.0, 2.0]], False),
+    ([[1e7, 0.0], [0.0, 1e7]], False),
+    ([[1.0, -0.0], [-0.0, 0.0]], False),  # shifted
+    ([[0.0, -0.0], [-0.0, 0.0]], False),
+    ([[2.0, -0.0], [-0.0, -1e-18]], False),
+    # rounded rank-one matrices above the floor with no Cholesky factor
+    ([[0.29621784042087357, 0.17214920138308412], [0.17214920138308412, 0.10004578891915161]], True),
+    ([[0.1694396984756563, 0.42913033744089385], [0.42913033744089385, 1.0868341254667249]], True),
+    # the shift rounds away the floor: at large diagonal entries, or next to a larger eigenvalue
+    ([[126773243.7050385, 156245534.51641378], [156245534.51641378, 192569554.4488903]], True),
+    ([[1.0, 0.0], [0.0, -1.0]], True),
+    ([[1.0, 2.0], [2.0, 1.0]], True),
+]
+
+
+def test_stacked_conditioning_equals_the_per_member_calls_bit_for_bit():
+    eps = 1e-18
+    stack = np.array([m for m, _ in _MIXED_STACK]).reshape(4, 3, 2, 2)
+    out = condition_covariance(stack, eps)
+    per_member = np.array([condition_covariance(S, eps) for S in stack.reshape(-1, 2, 2)])
+    scalar = np.array([_scalar_conditioned(S, eps) for S in stack.reshape(-1, 2, 2)])
+    assert out.shape == stack.shape
+    assert out.tobytes() == per_member.tobytes() == scalar.tobytes()
+    for S, got, (_, topped) in zip(stack.reshape(-1, 2, 2), out.reshape(-1, 2, 2), _MIXED_STACK):
+        shift = max(0.0, eps - min_eigenvalue(S))
+        if shift == 0.0 and not topped:
+            assert got.tobytes() == S.tobytes()  # -0.0 stays -0.0
+        assert np.array_equal(got, S + shift * np.eye(2)) != topped
+    lam = min_eigenvalue(out)
+    assert lam.shape == (4, 3) and np.all(lam >= eps)
+    assert isinstance(min_eigenvalue(out[0, 0]), float)
+    np.linalg.cholesky(out)
+    assert condition_covariance(out, eps).tobytes() == out.tobytes()
+
+
+def test_stacked_eigenvalues_refuse_any_asymmetric_member():
+    stack = np.tile(np.eye(2), (4, 1, 1))
+    stack[2, 0, 1] = 0.5
+    for call in (lambda: min_eigenvalue(stack), lambda: condition_covariance(stack, 1e-6)):
+        with pytest.raises(ValidationError, match="not symmetric"):
+            call()
+
+
 def test_conditioning_engages_in_crowded_low_effort_game():
     spec = ScenarioSpec(
         k=2,
@@ -326,6 +389,8 @@ def _per_step_rollouts(policies, spec, noise, clamp=clamp_control, feedback=tile
 def test_rollouts_equal_the_per_step_loop_bit_for_bit(ring8_spec, theta_star):
     spec = ring8_spec
     policies = build_policies([theta_star[0]] * spec.k, spec, SolverConfig(entropy_temp=1e-3))
+    # the reference factors Sigma itself; the rollouts read the factor the policies carry
+    assert policies.L.tobytes() == np.linalg.cholesky(policies.Sigma).tobytes()
     for M, u_max in ((6, 1.0), (13, 1.0), (6, math.inf), (13, math.inf)):  # 13: a partial tile
         spec = replace(spec, u_max=u_max)
         got = sample_rollouts(policies, spec, M, seed=5)
@@ -414,7 +479,7 @@ def test_sampled_control_mean_obeys_clt():
     sigma = np.array([[[1.0, 0.6], [0.6, 2.0]], [[0.5, -0.3], [-0.3, 1.5]]])
     policies = PolicySequence(
         K=np.zeros((1, 2, 2, 8)), kff=np.zeros((1, 2, 2)), Sigma=sigma[None],
-        nominal_states=np.zeros((2, 8)), dt=1.0,
+        nominal_states=np.zeros((2, 8)),
     )
     spec = ScenarioSpec(
         k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None, horizon=1, dt=1.0,
@@ -896,7 +961,7 @@ def test_solver_rejects_mismatched_dimensions(single_agent_spec):
 
 def test_policy_sequence_validates_and_freezes_arrays():
     good = dict(K=np.zeros((2, 1, 2, 4)), kff=np.zeros((2, 1, 2)),
-                Sigma=np.tile(np.eye(2), (2, 1, 1, 1)), nominal_states=np.zeros((3, 4)), dt=0.1)
+                Sigma=np.tile(np.eye(2), (2, 1, 1, 1)), nominal_states=np.zeros((3, 4)))
     policies = PolicySequence(**good)
     assert (policies.horizon, policies.k) == (2, 1)
     for arr in (policies.K, policies.kff, policies.Sigma, policies.nominal_states):
@@ -916,14 +981,46 @@ def test_policy_sequence_validates_and_freezes_arrays():
 
 
 def test_unconditioned_covariance_is_reported_with_its_stage():
+    # the factor every rollout reads is formed at construction, so that is where it fails
     sigma = np.tile(np.eye(2), (3, 2, 1, 1))
     sigma[1, 0] = np.diag([1.0, -1.0])
-    policies = PolicySequence(K=np.zeros((3, 2, 2, 8)), kff=np.zeros((3, 2, 2)), Sigma=sigma,
-                              nominal_states=np.zeros((4, 8)), dt=0.1)
-    spec = ScenarioSpec(k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None,
-                        horizon=3, dt=0.1)
-    with pytest.raises(InternalError, match=r"t=1, agent=0"):
-        sample_rollouts(policies, spec, 2, seed=0)
+    with pytest.raises(ValidationError, match=r"t=1, agent=0"):
+        PolicySequence(K=np.zeros((3, 2, 2, 8)), kff=np.zeros((3, 2, 2)), Sigma=sigma,
+                       nominal_states=np.zeros((4, 8)))
+
+
+@REPAIRED_SCENES
+def test_policies_carry_the_read_only_factor_of_every_covariance(spec, theta, temp, repaired):
+    policies = build_policies([CostParams(np.array(theta))] * spec.k, spec,
+                              SolverConfig(entropy_temp=temp))
+    assert policies.diagnostics.conditioned_stages == repaired
+    assert policies.L.tobytes() == np.linalg.cholesky(policies.Sigma).tobytes()
+    assert not policies.L.flags.writeable
+    with pytest.raises(TypeError):
+        PolicySequence(policies.K, policies.kff, policies.Sigma, policies.nominal_states,
+                       L=policies.L)
+
+
+def test_the_covariance_repair_has_one_path(monkeypatch, intersection_spec, theta_star):
+    # one stacked repair per solve, which alone decides it; one factor per
+    # policy, which rollouts read; no knob that nothing reads
+    assert "dt" not in {f.name for f in fields(PolicySequence)}
+    assert not hasattr(game_module, "_stage_cholesky")
+    assert not {"speed", "heading"} & set(dir(AgentState))
+    source = inspect.getsource(solve_lq_game)
+    assert not any(name in source for name in ("eigvalsh", "cholesky", "condition_covariance"))
+    calls = []
+    repair = game_module._repair
+    monkeypatch.setattr(game_module, "_repair", lambda *a: calls.append(a) or repair(*a))
+    build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1.0))
+    assert len(calls) == 1 and calls[0][0].shape == (intersection_spec.horizon, 3, 2, 2)
+
+
+@pytest.mark.parametrize("outer_tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_solver_config_refuses_an_outer_tolerance_that_is_negative_or_not_finite(outer_tol):
+    with pytest.raises(ValidationError, match="outer_tol must be nonnegative and finite"):
+        SolverConfig(max_outer_iters=3, outer_tol=outer_tol)
+    assert SolverConfig(outer_tol=0.0).outer_tol == 0.0
 
 
 # --- property tests -----------------------------------------------------------

@@ -31,7 +31,7 @@ def test_rows_of_one_stream_do_not_depend_on_the_draw_size(seed, M):
 def test_negative_seeds_are_rejected():
     policies = PolicySequence(
         K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), Sigma=np.eye(2)[None, None],
-        nominal_states=np.zeros((2, 4)), dt=1.0,
+        nominal_states=np.zeros((2, 4)),
     )
     spec = ScenarioSpec(
         k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=1.0
