@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -31,14 +32,11 @@ from .metrics import (
     BASELINE_NAMES,
     FITTED_BASELINES,
     PredictorContext,
-    cdf_thresholds,
     emit_report,
+    error_cdf_svg,
     make_predictor,
-    parse_report_csv,
+    read_report,
     render_overlay_svg,
-    rmse_cdf,
-    render_cdf_svg,
-    report_errors,
     score_predictions,
 )
 from .pipeline import (
@@ -127,7 +125,8 @@ def _merge_config(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise FormatError(f"config key {dotted!r} must be a section")
             out[key] = _merge_config(base[key], value, dotted + ".")
-        elif json_kind(value) != json_kind(base[key]):
+        elif json_kind(value) != json_kind(base[key]) and (dotted, value) != ("u_max", math.inf):
+            # a finite number everywhere, but u_max also takes inf: no clamp
             raise FormatError(
                 f"config key {dotted!r} must be {json_kind(base[key])}, got {json.dumps(value)}"
             )
@@ -434,49 +433,22 @@ def cmd_eval(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _read_report_any(path: str) -> tuple[list[dict], dict[str, list[float]]]:
-    """Rows plus per-method rmse lists from a csv or jsonl report."""
-    if not path.endswith(".jsonl"):
-        return parse_report_csv(path), {}
-    rows, rmse_lists = [], {}
-    for line_no, line in enumerate(read_text_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            if not isinstance(rec, dict):
-                raise TypeError(f"not a JSON object: {line.strip()}")
-            if "rmse_per_traj" in rec:
-                rmse_lists[str(rec["method"])] = report_errors(rec["rmse_per_traj"])
-            elif "method" in rec:
-                keys = ("ade_m", "fde_m", "efe_m") if "efe_m" in rec else ("ade_m", "fde_m")
-                rows.append({**rec, "method": str(rec["method"]), "scenario": str(rec["scenario"]),
-                             **dict(zip(keys, report_errors([rec[key] for key in keys])))})
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
-            raise FormatError(f"{path} line {line_no}: malformed report line ({exc!r})") from exc
-    return rows, rmse_lists
-
-
 def cmd_plot(args, cfg: dict) -> int:
     all_rmse: dict[str, list[float]] = {}
     for path in args.reports:
-        _, rmse_lists = _read_report_any(path)
-        all_rmse.update(rmse_lists)
+        all_rmse.update(read_report(path)[1])
     if not any(all_rmse.values()):
         raise FormatError("no per-trajectory RMSE data found; plot needs jsonl reports")
-    thresholds = cdf_thresholds(max(max(v) for v in all_rmse.values() if v))
-    series = {m: rmse_cdf(np.array(v), thresholds) for m, v in sorted(all_rmse.items())}
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_cdf_svg(series))
-    print(f"wrote CDF plot for {len(series)} method(s) to {args.out}")
+        fh.write(error_cdf_svg(all_rmse))
+    print(f"wrote CDF plot for {len(all_rmse)} method(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_compare(args, cfg: dict) -> int:
     aggregates = []
     for path in args.reports:
-        rows, _ = _read_report_any(path)
-        for row in rows:
+        for row in read_report(path)[0]:
             if row.get("agent") == "all":
                 aggregates.append(row)
     if not aggregates:
@@ -591,16 +563,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, vars(args))
         # subcommand NAME runs cmd_NAME, looked up per call so a rebound cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args, cfg)
-    except (FormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (SolverError, InternalError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CrowdIrlError as exc:  # pragma: no cover - catch-all for subclasses
+    except (CrowdIrlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:

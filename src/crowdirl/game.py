@@ -165,11 +165,20 @@ class PolicySequence:
 
 
 def min_eigenvalue(M: np.ndarray) -> float | np.ndarray:
-    """Smallest eigenvalue of each symmetric matrix of a stack (..., n, n); a float for one matrix."""
+    """Smallest eigenvalue of each symmetric matrix of a stack (..., n, n); a float for one matrix.
+
+    A member with a non-finite entry is refused by its index in the stack.
+    """
     M = np.asarray(M, dtype=float)
-    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), keepdims=True, initial=0.0))
-    if np.any(np.abs(M - np.swapaxes(M, -1, -2)) > 1e-9 * scale):
-        raise ValidationError("matrix is not symmetric within tolerance")
+    finite = np.isfinite(M).all(axis=(-2, -1))
+    if not finite.all():
+        where = f" {np.argwhere(~finite)[0].tolist()} of the stack" if M.ndim > 2 else ""
+        raise ValidationError(f"matrix{where} has a non-finite entry")
+    MT = np.swapaxes(M, -1, -2)
+    if not np.array_equal(M, MT):  # the tolerance is only needed where symmetry is not exact
+        scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), keepdims=True, initial=0.0))
+        if np.any(np.abs(M - MT) > 1e-9 * scale):
+            raise ValidationError("matrix is not symmetric within tolerance")
     lam = np.linalg.eigvalsh(M)[..., 0]
     return float(lam) if M.ndim == 2 else lam
 
@@ -180,7 +189,8 @@ def condition_covariance(sigma_raw: np.ndarray, eps_psd: float) -> np.ndarray:
     sigma_raw is one matrix or a stack (..., n, n). Each member S becomes
     S + s*I with s = max(0, eps_psd - lambda_min(S)), the smallest such
     shift, topped up until the result has a Cholesky factor; members already
-    above the floor with a factor pass through bit for bit. Idempotent.
+    above the floor with a factor pass through bit for bit. Idempotent. A
+    member with a non-finite entry is refused by its index in the stack.
     """
     return _repair(sigma_raw, eps_psd)[0]
 
@@ -191,9 +201,12 @@ def _repair(sigma_raw: np.ndarray, eps_psd: float) -> tuple[np.ndarray, np.ndarr
     That is max(0, eps_psd - lambda_min) of the raw member, or its top-up where that is 0.
     """
     sigma_raw = np.asarray(sigma_raw, dtype=float)
+    shift = np.maximum(0.0, eps_psd - np.reshape(min_eigenvalue(sigma_raw), -1))
     raw = sigma_raw.reshape(-1, *sigma_raw.shape[-2:])
-    shift = np.maximum(0.0, eps_psd - min_eigenvalue(raw))
     short = (shift > 0.0) | ~_has_cholesky(raw)
+    if not short.any():  # no member needs a shift or a top-up
+        unshifted = np.zeros(sigma_raw.shape[:-2])
+        return sigma_raw.copy(), unshifted.astype(bool), unshifted
     repaired, s, sigma, eye = short.copy(), shift.copy(), raw.copy(), np.eye(raw.shape[-1])
     sigma[short] = raw[short] + s[short, None, None] * eye
     # On large diagonal entries the shift rounds, which can leave the floor

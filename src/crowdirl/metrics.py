@@ -4,7 +4,8 @@ Metric math (ADE, FDE, per-trajectory RMSE, CDF curves, heading entropy) is
 kept exact and branch-free; the scoring protocol turns a method name plus
 training data into per-demonstration position predictions and aggregates the
 errors into reports. Reports serialize to CSV, JSONL or deterministic SVG
-(fixed canvas and palette so outputs are byte-stable for a given input).
+(fixed canvas and palette so outputs are byte-stable for a given input), and
+this module alone reads them back and plots them.
 
 EFE is reported as full-horizon ADE on tracker-derived inputs; that reading
 is an interpretation of this artifact and is labeled as such in emitted
@@ -168,10 +169,6 @@ class MetricReport:
     @property
     def fde(self) -> float:
         return float(np.mean(self.per_agent_fde))
-
-    @property
-    def efe(self) -> float:
-        return self.ade  # EFE is full-horizon ADE; see module docstring
 
     @property
     def k(self) -> int:
@@ -353,29 +350,15 @@ def evaluate_method(
 
 def report_rows(reports: Sequence[MetricReport]) -> list[dict]:
     """Flatten reports into per-agent rows plus an 'all' aggregate row each."""
+    def row(rep: MetricReport, agent: str, ade_m: float, fde_m: float) -> dict:
+        return {"method": rep.method, "scenario": rep.scenario, "agent": agent,
+                "ade_m": ade_m, "fde_m": fde_m, "efe_m": ade_m}  # EFE is full-horizon ADE
+
     rows = []
     for rep in reports:
-        for i in range(rep.k):
-            rows.append(
-                {
-                    "method": rep.method,
-                    "scenario": rep.scenario,
-                    "agent": str(i),
-                    "ade_m": float(rep.per_agent_ade[i]),
-                    "fde_m": float(rep.per_agent_fde[i]),
-                    "efe_m": float(rep.per_agent_ade[i]),  # EFE is full-horizon ADE
-                }
-            )
-        rows.append(
-            {
-                "method": rep.method,
-                "scenario": rep.scenario,
-                "agent": "all",
-                "ade_m": rep.ade,
-                "fde_m": rep.fde,
-                "efe_m": rep.efe,
-            }
-        )
+        rows.extend(row(rep, str(i), float(a), float(f))
+                    for i, (a, f) in enumerate(zip(rep.per_agent_ade, rep.per_agent_fde)))
+        rows.append(row(rep, "all", rep.ade, rep.fde))
     return rows
 
 
@@ -406,9 +389,7 @@ def emit_report(reports: Sequence[MetricReport], fmt: str, path) -> None:
             )
         text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in recs)
     elif fmt == "svg":
-        top = max((float(np.max(r.rmse_per_traj, initial=0.0)) for r in reports), default=0.0)
-        thresholds = cdf_thresholds(top)
-        text = render_cdf_svg({r.method: rmse_cdf(r.rmse_per_traj, thresholds) for r in reports})
+        text = error_cdf_svg({r.method: r.rmse_per_traj for r in reports})
     else:
         raise ValidationError(f"unknown report format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -447,9 +428,32 @@ def parse_report_csv(path) -> list[dict]:
     return rows
 
 
-def cdf_thresholds(top: float) -> np.ndarray:
-    """The 25 thresholds of every CDF plot: 0 to 5 % past the largest error top."""
-    return np.linspace(0.0, max(top, 1e-9) * 1.05, 25)
+def read_report(path) -> tuple[list[dict], dict[str, list[float]]]:
+    """Rows plus per-method RMSE lists of a report; inverse of emit_report(..., 'csv' or 'jsonl', ...).
+
+    A path ending in .jsonl is read as JSON lines, any other as CSV, which
+    holds no RMSE lists. A CSV row needs all six fields; a JSON row needs
+    ade_m and fde_m, and efe_m is checked only where present.
+    """
+    if not str(path).endswith(".jsonl"):
+        return parse_report_csv(path), {}
+    rows, rmse_lists = [], {}
+    for line_no, line in enumerate(read_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise TypeError(f"not a JSON object: {line.strip()}")
+            if "rmse_per_traj" in rec:
+                rmse_lists[str(rec["method"])] = report_errors(rec["rmse_per_traj"])
+            elif "method" in rec:
+                keys = ("ade_m", "fde_m", "efe_m") if "efe_m" in rec else ("ade_m", "fde_m")
+                rows.append({**rec, "method": str(rec["method"]), "scenario": str(rec["scenario"]),
+                             **dict(zip(keys, report_errors([rec[key] for key in keys])))})
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise FormatError(f"{path} line {line_no}: malformed report line ({exc!r})") from exc
+    return rows, rmse_lists
 
 
 # --- deterministic SVG ----------------------------------------------------------
@@ -474,6 +478,13 @@ def _polyline(points: np.ndarray, color: str, dashed: bool, opacity: float = 1.0
         f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
         f'stroke-opacity="{opacity:.2f}"{dash} points="{pts}"/>'
     )
+
+
+def error_cdf_svg(errors_by_method: dict[str, Sequence[float]]) -> str:
+    """The CDF plot of every report: 25 thresholds from 0 to 5 % past the largest error."""
+    top = max((float(np.max(e, initial=0.0)) for e in errors_by_method.values()), default=0.0)
+    thresholds = np.linspace(0.0, max(top, 1e-9) * 1.05, 25)
+    return render_cdf_svg({m: rmse_cdf(e, thresholds) for m, e in errors_by_method.items()})
 
 
 def render_cdf_svg(series_by_method: dict[str, CdfSeries]) -> str:

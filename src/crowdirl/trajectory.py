@@ -87,7 +87,7 @@ def check_u_max(u_max: float) -> float:
     return u_max
 
 
-def clamp_control(u: np.ndarray, u_max: float = DEFAULT_U_MAX, out: np.ndarray | None = None) -> np.ndarray:
+def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) -> np.ndarray:
     """Scale control vectors so that ||u|| <= u_max (> 0); shape (..., 2) preserved.
 
     The scale u_max / max(||u||, u_max) is u_max / ||u|| where the bound binds
@@ -280,7 +280,7 @@ class ScenarioSpec:
 
 
 def rollout(
-    x0: np.ndarray, horizon: int, dt: float, act, u_max: float = math.inf
+    x0: np.ndarray, horizon: int, dt: float, act, u_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one feedback loop: states (n, T+1, 4k) and applied controls (n, T, k, 2) from x0 (n, 4k).
 

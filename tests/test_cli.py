@@ -105,6 +105,7 @@ class TestConfig:
         ({"training": {"M": None}}, "'training.M' must be a number"),
         ({"seed": True}, "'seed' must be a number"),
         ({"u_max": float("nan")}, "'u_max' must be a number"),
+        ({"u_max": -math.inf}, "'u_max' must be a number, got -Infinity"),
         ({"preprocess": {"scheme": "W-E-S"}}, "'preprocess.scheme' must be a list"),
         ({"preprocess": {"x_range": 3}}, "'preprocess.x_range' must be a list"),
         ({"seed": 10**400}, "'seed' must be a number"),
@@ -255,6 +256,17 @@ class TestConfig:
         assert main(["--u-max", "inf", "--seed", "1", "synth", str(out), "--n", "4"]) == 0
         demos, _ = read_demonstrations(out)
         assert max(np.linalg.norm(d.controls, axis=-1).max() for d in demos) > 3.0
+
+    def test_config_block_of_an_unclamped_weight_file_runs_again(self, tmp_path):
+        demos, first, again, cfg_path = (tmp_path / n for n in ("d.traj", "t1.json", "t2.json", "c.json"))
+        assert main(["--u-max", "inf", "--seed", "1", "synth", str(demos), "--n", "2"]) == 0
+        rc = main(["--u-max", "inf", *FAST_TRAIN, "--iters", "1",
+                   "train", str(demos), "--out", str(first)])
+        assert rc in (0, 3)
+        cfg_path.write_text(json.dumps(json.loads(first.read_text())["config"]))
+        assert '"u_max": Infinity' in cfg_path.read_text()
+        assert main(["--config", str(cfg_path), "train", str(demos), "--out", str(again)]) == rc
+        assert again.read_bytes() == first.read_bytes()
 
     def test_negative_outer_tolerance_in_a_config_file_exits_2(self, tmp_path, capsys):
         # it used to pass the config and silently run every outer iteration
@@ -865,6 +877,14 @@ class TestPlotCompare:
                          "--out", str(path), "--format", fmt]) == 0
         assert main(["plot", str(jsonl), "--out", str(plotted)]) == 0
         assert plotted.read_bytes() == svg.read_bytes()
+
+    def test_plot_is_the_cdf_plot_of_the_errors_read_back(self, tmp_path):
+        cv, gmm = self._reports(tmp_path)
+        out = tmp_path / "cdf.svg"
+        assert main(["plot", str(gmm), str(cv), "--out", str(out)]) == 0
+        errors = {**metrics.read_report(cv)[1], **metrics.read_report(gmm)[1]}
+        assert sorted(errors) == ["cv", "gmm"]
+        assert out.read_text() == metrics.error_cdf_svg(errors)
 
     def test_compare_ranks_and_writes(self, tmp_path, capsys):
         cv, gmm = self._reports(tmp_path)

@@ -229,6 +229,30 @@ class TestConditionCovariance:
         with pytest.raises(ValidationError):
             condition_covariance(np.array([[1.0, 0.1], [0.0, 1.0]]), 1e-6)
 
+    def test_rejects_non_finite_members_by_index(self):
+        # LAPACK reads [[nan, 0], [0, 1]] as eigenvalues [0, -0], which used
+        # to give lambda_min 0.0 and an all-NaN "repair"
+        S = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        for check in (min_eigenvalue, lambda M: condition_covariance(M, 1e-6)):
+            with pytest.raises(ValidationError, match="^matrix has a non-finite entry$"):
+                check(S)
+            stack = np.tile(np.eye(2), (4, 3, 1, 1))
+            stack[2, 1] = S[::-1, ::-1]
+            stack[3, 0, 0, 1] = stack[3, 0, 1, 0] = np.inf
+            with pytest.raises(ValidationError,
+                               match=r"^matrix \[2, 1\] of the stack has a non-finite entry$"):
+                check(stack)
+
+    def test_stack_needing_no_repair_passes_through_as_a_copy(self):
+        rng = np.random.default_rng(5)
+        A = rng.normal(size=(30, 3, 2, 2))
+        S = A @ np.swapaxes(A, -1, -2) + 0.5 * np.eye(2)
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        out, repaired, shift = game_module._repair(S, 1e-6)
+        assert out is not S and out.tobytes() == S.tobytes()
+        assert repaired.shape == shift.shape == (30, 3)
+        assert not repaired.any() and shift.tobytes() == np.zeros((30, 3)).tobytes()
+
 
 def _scalar_conditioned(S, eps):
     """The single-matrix repair loop condition_covariance ran before it took stacks."""

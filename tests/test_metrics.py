@@ -17,13 +17,16 @@ from crowdirl.metrics import (
     ade,
     efe,
     emit_report,
+    error_cdf_svg,
     evaluate_method,
     fde,
     make_predictor,
     parse_report_csv,
+    read_report,
     render_cdf_svg,
     render_overlay_svg,
     rmse,
+    report_rows,
     rmse_cdf,
     score_predictions,
     trajectory_entropy,
@@ -205,6 +208,39 @@ class TestReports:
         assert len(rows) == 4  # 3 agents + aggregate
         assert rows[-1]["agent"] == "all"
         assert rows[-1]["ade_m"] == rep.ade
+
+    def _two_reports(self, intersection_spec, theta_star):
+        demos, perfect = self._demo_and_pred(intersection_spec, theta_star)
+        return [score_predictions(m, "scene", demos, [p + off for p in perfect])
+                for m, off in (("near", 0.1), ("far", [0.3, -0.4]))]
+
+    def test_report_rows_hold_each_agent_then_the_aggregate(self):
+        rep = MetricReport(method="m", scenario="s", per_agent_ade=np.array([1.0, 2.0]),
+                           per_agent_fde=np.array([3.0, 5.0]), rmse_per_traj=np.array([0.5]))
+        row = lambda agent, a, f: {"method": "m", "scenario": "s", "agent": agent,
+                                   "ade_m": a, "fde_m": f, "efe_m": a}
+        rows = report_rows([rep])
+        assert rows == [row("0", 1.0, 3.0), row("1", 2.0, 5.0), row("all", 1.5, 4.0)]
+        assert all(type(r[c]) is float for r in rows for c in ("ade_m", "fde_m", "efe_m"))
+
+    def test_csv_and_jsonl_reports_read_back(self, tmp_path, intersection_spec, theta_star):
+        reps = self._two_reports(intersection_spec, theta_star)
+        for fmt in ("csv", "jsonl"):
+            emit_report(reps, fmt, tmp_path / f"r.{fmt}")
+        rows = report_rows(reps)
+        assert read_report(tmp_path / "r.csv") == (rows, {})
+        assert read_report(str(tmp_path / "r.jsonl")) == (
+            rows, {r.method: r.rmse_per_traj.tolist() for r in reps})
+
+    def test_svg_report_is_the_cdf_plot_of_its_errors(self, tmp_path, intersection_spec, theta_star):
+        reps = self._two_reports(intersection_spec, theta_star)
+        emit_report(reps, "svg", tmp_path / "r.svg")
+        errors = {r.method: r.rmse_per_traj for r in reps}
+        assert (tmp_path / "r.svg").read_text() == error_cdf_svg(errors)
+        # 25 thresholds from 0 to 5 % past the largest error of any method
+        thresholds = np.linspace(0.0, max(map(max, errors.values())) * 1.05, 25)
+        assert error_cdf_svg(errors) == render_cdf_svg(
+            {m: rmse_cdf(e, thresholds) for m, e in errors.items()})
 
     def test_empty_report_emits_header(self, tmp_path):
         path = tmp_path / "empty.csv"

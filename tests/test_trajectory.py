@@ -196,7 +196,7 @@ def test_openloop_rollout_equals_the_per_step_loop_bit_for_bit():
     x0 = rng.standard_normal((n, 4 * k))
     x0[:, ::3] = -0.0
     assert np.sum(np.signbit(tapes) & (tapes == 0.0)) > 100
-    states, controls = rollout(x0, T, dt, lambda t, _: tapes[:, t])
+    states, controls = rollout(x0, T, dt, lambda t, _: tapes[:, t], math.inf)
     assert controls.tobytes() == tapes.tobytes()  # the unbounded clamp keeps every -0.0
     for j in range(n):
         ref = _per_step_openloop(x0[j], tapes[j], dt)
@@ -225,7 +225,7 @@ def test_closed_form_integration_equals_the_per_step_loop_bit_for_bit(n, k, T):
     # a coasting start: -0.0 velocities and zero tapes keep the loop's signed zeros
     x0[:, 2::4] = -0.0
     zeros = np.zeros((n, T, k, 2))
-    ref, _ = rollout(x0, T, 0.1, lambda t, x: zeros[:, t])
+    ref, _ = rollout(x0, T, 0.1, lambda t, x: zeros[:, t], math.inf)
     got = integrate_controls(x0, zeros, 0.1)
     assert got.tobytes() == ref.tobytes() and np.any(np.signbit(got) & (got == 0.0))
 
