@@ -24,13 +24,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .features import (
-    CostParams,
-    ProximityConfig,
-    StageCostModel,
-    expected_features,
-    stage_cost_models,
-)
+from .features import CostParams, ProximityConfig, expected_features
 from .game import (
     Game,
     PolicySequence,

@@ -316,10 +316,16 @@ def cmd_synth(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, cfg: dict) -> int:
-    demos, header = read_demonstrations(args.demos)
+def _read_demos(path) -> tuple[list, dict]:
+    """read_demonstrations, refusing a file without a single demonstration."""
+    demos, header = read_demonstrations(path)
     if not demos:
-        raise FormatError(f"{args.demos} holds no demonstrations")
+        raise FormatError(f"{path} holds no demonstrations")
+    return demos, header
+
+
+def cmd_train(args, cfg: dict) -> int:
+    demos, header = _read_demos(args.demos)
     # training solves one game from one start; a mean start is no demo's scene
     for j, demo in enumerate(demos):
         if not np.array_equal(demo.states[0], demos[0].states[0]):
@@ -389,16 +395,14 @@ def _load_thetas(path: str, k: int) -> list[CostParams]:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    demos, header = read_demonstrations(args.demos)
-    if not demos:
-        raise FormatError(f"{args.demos} holds no demonstrations")
+    demos, header = _read_demos(args.demos)
     spec = _spec_from_demos(args.demos, demos, header, cfg["u_max"])
     method = args.baseline
     if method not in BASELINE_NAMES:
         raise ValidationError(f"unknown baseline {method!r}; choose from {BASELINE_NAMES}")
     train_demos = demos  # a --train file is read only by the baselines that fit on it
     if args.train_demos and method in FITTED_BASELINES:
-        train_demos, _ = read_demonstrations(args.train_demos)
+        train_demos, _ = _read_demos(args.train_demos)
     thetas = None
     if method in ("mairl", "sairl"):
         if not args.theta:
@@ -413,6 +417,8 @@ def cmd_eval(args, cfg: dict) -> int:
         predict = make_predictor(method, ctx)
     except CostRangeError as exc:  # only gmm and ebm fit here, on the training demonstrations
         raise ValidationError(f"{args.train_demos or args.demos} is out of range: {exc}") from exc
+    except ValidationError as exc:  # such as too few state-action pairs for gmm's components
+        raise ValidationError(f"{args.train_demos or args.demos}: {exc}") from exc
     try:
         predictions = predict(demos)
         report = score_predictions(method, args.scenario, demos, predictions)

@@ -5,9 +5,9 @@ to the goal, a Gaussian crowding kernel summed over the other agents, and
 squared control effort. State features average over all T+1 states, control
 effort over the T controls; `expected_features` forms them for any list of
 agents over a whole `RolloutSet` in one pass. An agent's cost is the dot
-product of its weight vector with this feature vector; `StageCostModel`
-re-expresses the same cost, through the same `state_features`, as per-step
-terms the game solver expands.
+product of its weight vector `CostParams` with this feature vector;
+`quadratic.expand_model_along` re-expresses the same cost, through the same
+`state_terms`, as per-step terms the game solver expands.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CostRangeError, ValidationError
-from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
+from .trajectory import STATE_DIM, RolloutSet, Trajectory
 
 NUM_FEATURES = 3
 DEFAULT_SIGMA = 1.5
@@ -133,52 +133,3 @@ def expected_features(
             # the copy makes each time series contiguous, so its mean sums in one agent's order
             per_traj[rows, :, j] = np.mean(np.swapaxes(f, 1, 2).copy(), axis=-1)
     return _check_features(np.sum(per_traj, axis=0) / len(trajs))
-
-
-@dataclass(frozen=True)
-class StageCostModel:
-    """One agent's running cost as per-step terms over (joint state, own control).
-
-    The goal and crowding terms of `state_features` at each of the T+1 states,
-    weighted by theta / (T+1), plus theta2 |u|^2 / T at each of the T steps sum
-    to theta . phi, phi the agent's row of `expected_features`. Every term has
-    closed-form derivatives, and the control dependence is exactly quadratic
-    with no state-control coupling; `quadratic.expand_model_along` expands the
-    cost exactly from these facts.
-    """
-
-    theta: CostParams
-    agent: int
-    goal: np.ndarray  # (2,)
-    k: int
-    horizon: int
-    sigma: float = DEFAULT_SIGMA
-
-    def __post_init__(self):
-        goal = np.array(self.goal, dtype=float).ravel()
-        if goal.shape != (2,):
-            raise ValidationError(f"goal must be a 2-vector, got shape {goal.shape}")
-        goal.setflags(write=False)
-        object.__setattr__(self, "goal", goal)
-        if not 0 <= self.agent < self.k:
-            raise ValidationError(f"agent index {self.agent} out of range for k={self.k}")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
-
-
-def stage_cost_models(
-    thetas: Sequence[CostParams],
-    spec: ScenarioSpec,
-    cfg: ProximityConfig = ProximityConfig(),
-) -> list[StageCostModel]:
-    """One StageCostModel per agent for a scenario with known goals."""
-    if spec.goals is None:
-        raise ValidationError("scenario has no goals; infer them before building costs")
-    if len(thetas) != spec.k:
-        raise ValidationError(f"need {spec.k} weight vectors, got {len(thetas)}")
-    return [
-        StageCostModel(theta=thetas[i], agent=i, goal=spec.goals[i], k=spec.k,
-                       horizon=spec.horizon, sigma=cfg.sigma)
-        for i in range(spec.k)
-    ]
-

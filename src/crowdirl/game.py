@@ -18,8 +18,9 @@ randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 
 stack, whose repaired stages the diagnostics record; each policy is factored once.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
-dynamics, the constant-velocity nominal, every agent's expansion along it
-(formed once, re-weighted by `set_theta`) and the outer re-expansion loop.
+dynamics, the constant-velocity nominal, every agent's weight vector and its
+expansion along the nominal (formed once, re-weighted by `set_theta`) and the
+outer re-expansion loop.
 Synthesis and evaluation reach it through `build_policies`; the IRL loop
 holds a `Game` and sets every agent's weights once per sweep. Policies are
 arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
@@ -41,13 +42,13 @@ BLAS kernel, as the solve's do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalError, SolverError, ValidationError
-from .features import CostParams, ProximityConfig, StageCostModel, stage_cost_models
+from .features import CostParams, ProximityConfig
 from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linearize_dynamics
 from .rng import substream
 from .trajectory import (
@@ -375,21 +376,28 @@ class Game:
     bound every rollout of the scene is clamped at.
     """
 
-    def __init__(
-        self, models: Sequence[StageCostModel], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()
-    ):
-        if len(models) != spec.k:
-            raise ValidationError(f"need {spec.k} cost models, got {len(models)}")
-        self.models = list(models)
+    def __init__(self, thetas: Sequence[CostParams], spec: ScenarioSpec,
+                 cfg: SolverConfig = SolverConfig(), proximity: ProximityConfig = ProximityConfig()):
+        if spec.goals is None:
+            raise ValidationError("scenario has no goals; infer them before building costs")
+        if len(thetas) != spec.k:
+            raise ValidationError(f"need {spec.k} weight vectors, got {len(thetas)}")
+        self.thetas = list(thetas)
         self.spec = spec
         self.cfg = cfg
+        self.sigma = proximity.sigma
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
-        self.costs = [expand_model_along(m, self.nominal) for m in self.models]
+        self.costs = self._expand(self.nominal)
+
+    def _expand(self, nominal: Trajectory) -> list[CostExpansion]:
+        """Every agent's cost at its current weights, expanded along nominal."""
+        goals, sigma = self.spec.goals, self.sigma
+        return [expand_model_along(nominal, i, goals[i], sigma, t.weights) for i, t in enumerate(self.thetas)]
 
     def set_theta(self, agent: int, theta: CostParams) -> None:
         """Replace one agent's cost weights; the next solve uses them."""
-        self.models[agent] = replace(self.models[agent], theta=theta)
+        self.thetas[agent] = theta
         self.costs[agent] = self.costs[agent].reweighted(theta.weights)
 
     def solve(self) -> PolicySequence:
@@ -403,15 +411,14 @@ class Game:
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
-            costs = [expand_model_along(m, nominal) for m in self.models]
+            costs = self._expand(nominal)
         return policies
 
 
-def solve_scenario(
-    models: Sequence[StageCostModel], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()
-) -> PolicySequence:
-    """Solve the game of the given cost models once (see Game)."""
-    return Game(models, spec, cfg).solve()
+def solve_scenario(thetas: Sequence[CostParams], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig(),
+                   proximity: ProximityConfig = ProximityConfig()) -> PolicySequence:
+    """Solve the game at the given weight vectors once (see Game)."""
+    return Game(thetas, spec, cfg, proximity).solve()
 
 
 def _rollout_batch(
@@ -482,4 +489,4 @@ def build_policies(
     proximity: ProximityConfig = ProximityConfig(),
 ) -> PolicySequence:
     """Convenience wrapper: weight vectors -> solved policies for a scenario."""
-    return solve_scenario(stage_cost_models(thetas, spec, proximity), spec, solver_cfg)
+    return solve_scenario(thetas, spec, solver_cfg, proximity)

@@ -13,13 +13,12 @@ if the policy accrues more of a feature than the experts do, that feature
 must become more expensive. Updates are projected onto the nonnegative
 orthant to keep every agent's control cost convex.
 
-The loop builds its costs with `stage_cost_models`, solves through one
-`game.Game` (the game synthesis and evaluation solve, outer re-expansion
-included) and takes every agent's row from one `features.expected_features`
-call per sweep; the demonstrations are stacked and featurized once. Each
-update record in the trace holds the sampled gap and
-theta_after = max(theta_before + beta * gap, 0); the records of a sweep
-share its solve.
+The loop hands its weight vectors to one `game.Game` (the game synthesis
+and evaluation solve, outer re-expansion included) and takes every agent's
+row from one `features.expected_features` call per sweep; the
+demonstrations are stacked and featurized once. Each update record in the
+trace holds the sampled gap and theta_after = max(theta_before + beta *
+gap, 0); the records of a sweep share its solve.
 """
 from __future__ import annotations
 
@@ -30,12 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import (
-    CostParams,
-    ProximityConfig,
-    expected_features,
-    stage_cost_models,
-)
+from .features import CostParams, ProximityConfig, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
@@ -150,9 +144,8 @@ def _training_game(
         )
     if spec.goals is None:
         spec = spec.with_goals(infer_goals(demos))
-    models = stage_cost_models([CostParams.ones()] * spec.k, spec, cfg.proximity)
     demo_phi = expected_features(demos, range(spec.k), spec.goals, cfg.proximity)
-    return Game(models, spec, cfg.solver), demo_phi
+    return Game([CostParams.ones()] * spec.k, spec, cfg.solver, cfg.proximity), demo_phi
 
 
 def _feature_matching(

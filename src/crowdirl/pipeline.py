@@ -214,9 +214,12 @@ def parse_frames(stream: Iterable[str] | str) -> list[RawFrame]:
         objs = rec["objects"]
         if not isinstance(objs, list):
             raise FormatError(f"line {line_no}: 'objects' must be a list")
-        frames.append(
-            RawFrame(timestamp=t, objects=tuple(_parse_object(o, line_no) for o in objs))
-        )
+        objects = tuple(_parse_object(o, line_no) for o in objs)
+        ids = [o.object_id for o in objects]  # tracks are keyed by str(id): 7 and "7" are one
+        if len(set(ids)) < len(ids):
+            repeated = next(oid for n, oid in enumerate(ids) if oid in ids[:n])
+            raise FormatError(f"line {line_no}: object id {repeated!r} is listed twice in one frame")
+        frames.append(RawFrame(timestamp=t, objects=objects))
     return frames
 
 
@@ -575,8 +578,18 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
             values += map(float, fields)
         except ValueError as exc:
             raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
-    states = from_dataset_array(np.array(values).reshape(count, rows_per, width))
-    return [Trajectory.from_states(s, dt) for s in states], header
+    data = np.array(values).reshape(count, rows_per, width)
+    bad = np.argwhere(~np.isfinite(data))  # float() reads nan, inf and 1e400
+    if bad.size:
+        raise FormatError(f"block {bad[0][0]}: row {bad[0][1]} has a non-finite value")
+    trajs = []
+    with np.errstate(over="ignore"):  # finite velocities whose change / dt overflows are refused here
+        for b, s in enumerate(from_dataset_array(data)):
+            try:
+                trajs.append(Trajectory.from_states(s, dt))
+            except ValidationError as exc:
+                raise FormatError(f"block {b}: reconstructed {exc}") from exc
+    return trajs, header
 
 
 def header_goals(header: dict) -> np.ndarray | None:

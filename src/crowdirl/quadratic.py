@@ -8,7 +8,8 @@ gradient r. The cost is theta . phi over three closed-form features with no
 state-control coupling, so the expansion is exact and linear in theta. Agent
 i's goal and crowding terms occupy 16k - 7 entries of the augmented cost
 [[Q, q], [q^T, 2c]], fixed by (k, i) alone (`cost_pattern`):
-`expand_model_along` writes them there once per nominal, theta-free,
+`expand_model_along` takes the agent's goal, the kernel width sigma and its
+weight vector, writes the terms there once per nominal, theta-free,
 `CostExpansion.reweighted` weights them anew, and the solve reads each step
 through `fill`.
 """
@@ -20,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
-from .features import StageCostModel, state_terms
+from .features import state_terms
 from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
 
 
@@ -176,8 +177,8 @@ def cost_pattern(k: int, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
-def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpansion:
-    """Exact quadratic expansion of one agent's StageCostModel along a nominal.
+def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weights) -> CostExpansion:
+    """Exact quadratic expansion of one agent's cost theta . phi along a nominal.
 
     Every nominal state is expanded at once. With r_j = p_i - p_j and
     e_j = exp(-|r_j|^2 / sigma^2), read off `features.state_terms` (which
@@ -189,11 +190,17 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     gradient 2 (p_i - g) and curvature 2 I on p_i. These terms go straight into
     the entries of `cost_pattern(k, i)`, where an entry that is 0.0 along this
     nominal stays as 0.0. They are checked once, finite and each equal to its
-    mirror, then weighted by the model's theta.
+    mirror, then weighted by theta = weights. goal is the agent's 2-vector
+    and sigma the crowding kernel's width.
     """
-    T, k, i = nominal.horizon, model.k, model.agent
-    s2 = model.sigma * model.sigma
-    goal_value, kernel = state_terms(nominal.states, [i], model.goal[None], model.sigma)
+    g = np.array(goal, dtype=float).ravel()
+    if g.shape != (2,):
+        raise ValidationError(f"goal must be a 2-vector, got shape {g.shape}")
+    T, k, i = nominal.horizon, nominal.k, agent
+    if not 0 <= i < k:
+        raise ValidationError(f"agent index {i} out of range for k={k}")
+    s2 = sigma * sigma
+    goal_value, kernel = state_terms(nominal.states, [i], g[None], sigma)
     e = kernel[:, 0]  # (T+1, k)
     crowd_value = np.sum(e, axis=-1) - 1.0  # the crowding feature, as state_features forms it
     e[:, i] = 0.0  # no self term
@@ -219,7 +226,7 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     crowd[:, 4 + 2 * m : 4 + 3 * m] = M_j
     edge = basis[..., 4 + 3 * m : 4 + 3 * m + 2 * k]
     l = edge.reshape(2, T + 1, k, 2)  # a view: the reshape splits the last axis
-    l[0, :, i] = 2.0 * (pos[:, i] - model.goal)
+    l[0, :, i] = 2.0 * (pos[:, i] - g)
     l[1] = grad
     l[1, :, i] = -grad.sum(axis=1)
     basis[..., 4 + 3 * m + 2 * k : -1] = edge
@@ -230,4 +237,4 @@ def expand_model_along(model: StageCostModel, nominal: Trajectory) -> CostExpans
     if not np.array_equal(basis, basis[..., mirror]):
         raise InternalError("feature curvature is not exactly symmetric")
     basis.setflags(write=False)
-    return CostExpansion(rows, cols, basis, nominal.agent_controls(i), model.theta.weights)
+    return CostExpansion(rows, cols, basis, nominal.agent_controls(i), weights)

@@ -3,9 +3,11 @@
 Central differences of a batch-capable cost function, with steps h scaled by
 max(1, |coordinate|). Expansions are plain (H, l, c) arrays of the cost as a
 quadratic c + l.z + z.H.z/2 in z = (dx, du), or in dx alone for a terminal
-cost. `fd_expand_model_along` expands a StageCostModel the way
-`crowdirl.quadratic.expand_model_along` does, but numerically, so the two can
-be checked against each other; `stage_cost` is the per-step cost it differences.
+cost. `AgentCost` holds one agent's cost parameters and `agent_costs` makes
+one per agent of a scene; `expand` hands a record to
+`crowdirl.quadratic.expand_model_along`, and `fd_expand_model_along` expands
+it the same way, but numerically, so the two can be checked against each
+other; `stage_cost` is the per-step cost it differences.
 `dense_feature_terms` lays the closed-form feature terms out densely, the
 reference for the expansion's fixed sparse pattern. `reference_state_features`
 and `reference_expected_features` are the feature half as broadcast from the
@@ -18,11 +20,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdirl.features import StageCostModel
-from crowdirl.quadratic import _eval_batch
-from crowdirl.trajectory import STATE_DIM, RolloutSet, Trajectory
+from crowdirl.features import DEFAULT_SIGMA, CostParams
+from crowdirl.quadratic import CostExpansion, _eval_batch, expand_model_along
+from crowdirl.trajectory import STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
 
 DEFAULT_FD_STEP = 1e-3
+
+
+@dataclass(frozen=True)
+class AgentCost:
+    """One agent's cost theta . phi: weights, agent index, goal (2,), agent count, horizon, kernel width."""
+
+    theta: CostParams
+    agent: int
+    goal: np.ndarray
+    k: int
+    horizon: int
+    sigma: float = DEFAULT_SIGMA
+
+
+def agent_costs(thetas, spec: ScenarioSpec, sigma: float = DEFAULT_SIGMA) -> list[AgentCost]:
+    """One AgentCost per agent of a scene with goals."""
+    return [AgentCost(thetas[i], i, spec.goals[i], spec.k, spec.horizon, sigma) for i in range(spec.k)]
+
+
+def expand(model: AgentCost, nominal: Trajectory) -> CostExpansion:
+    """crowdirl's closed-form expansion of the record's cost along nominal."""
+    return expand_model_along(nominal, model.agent, model.goal, model.sigma, model.theta.weights)
 
 
 @dataclass(frozen=True)
@@ -76,19 +100,19 @@ def reference_expected_features(trajs: RolloutSet, agents, goals, sigma: float) 
     return np.sum(per_traj, axis=0) / len(trajs)
 
 
-def control_weight(model: StageCostModel) -> float:
+def control_weight(model: AgentCost) -> float:
     """Coefficient w of the model's per-step effort term w * ||u||^2."""
     return float(model.theta.weights[2]) / model.horizon
 
 
-def state_cost(model: StageCostModel, x: np.ndarray) -> np.ndarray:
+def state_cost(model: AgentCost, x: np.ndarray) -> np.ndarray:
     """The model's per-step state term; x has shape (..., 4k), result (...,)."""
     g, p = reference_state_features(x, [model.agent], model.goal[None], model.sigma)
     w = model.theta.weights
     return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (model.horizon + 1)
 
 
-def stage_cost(model: StageCostModel):
+def stage_cost(model: AgentCost):
     """The model's per-step cost as a function (x (..., 4k), u (..., 2)) -> (...,)."""
 
     def cost(x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -98,7 +122,7 @@ def stage_cost(model: StageCostModel):
     return cost
 
 
-def dense_feature_terms(model: StageCostModel, nominal: Trajectory) -> np.ndarray:
+def dense_feature_terms(model: AgentCost, nominal: Trajectory) -> np.ndarray:
     """The goal (0) and crowding (1) features' augmented costs [[H, l], [l^T, 2c]], (2, T+1, n+1, n+1).
 
     Laid out densely by the same expressions, in the same order, as
@@ -276,7 +300,7 @@ def cost_expansion(stages, terminal, state_dim: int) -> DenseCost:
 
 
 def fd_expand_model_along(
-    model: StageCostModel, nominal: Trajectory, h: float = DEFAULT_FD_STEP
+    model: AgentCost, nominal: Trajectory, h: float = DEFAULT_FD_STEP
 ) -> DenseCost:
     """Finite-difference counterpart of quadratic.expand_model_along."""
     stages = expand_along(

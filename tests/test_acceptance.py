@@ -11,7 +11,7 @@ import numpy as np
 
 from crowdirl.baselines import EnergyParams, action_grid, ebm_argmin, ebm_train, gmm_fit
 from crowdirl.cli import main, scenario_preset
-from crowdirl.features import CostParams, ProximityConfig, stage_cost_models
+from crowdirl.features import CostParams, ProximityConfig
 from crowdirl.game import (
     SolverConfig,
     build_policies,
@@ -67,9 +67,8 @@ def test_criterion_1_solver_oracle_equivalence():
         dt=0.1,
     )
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
-    models = stage_cost_models([theta], spec)
     nominal = constant_velocity_rollout(spec)
-    e = expand_model_along(models[0], nominal)
+    e = expand_model_along(nominal, 0, spec.goals[0], ProximityConfig().sigma, theta.weights)
     dyn = linearize_dynamics(1, spec.dt)
     policies = solve_lq_game(dyn, [e], SolverConfig(), nominal=nominal)
     T = spec.horizon

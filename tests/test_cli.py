@@ -748,10 +748,25 @@ class TestEval:
     def test_empty_training_file_exits_2(self, tmp_path, capsys, baseline):
         held = _synth(tmp_path)
         empty = _synth(tmp_path, name="empty.traj", n=0)
+        capsys.readouterr()
         rc = main(["eval", str(held), "--train", str(empty), "--baseline", baseline,
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert "at least one trajectory" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {empty} holds no demonstrations\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_too_few_training_pairs_for_gmm_exits_2_naming_the_train_file(self, tmp_path, capsys):
+        held = _synth(tmp_path)
+        demos, header = read_demonstrations(_synth(tmp_path, name="long.traj", n=1))
+        short = tmp_path / "short.traj"  # 3 steps of 3 agents: 9 state-action pairs
+        write_demonstrations(short, [Trajectory(demos[0].states[:4], demos[0].controls[:3], demos[0].dt)],
+                             goals=header_goals(header))
+        capsys.readouterr()
+        rc = main(["eval", str(held), "--train", str(short), "--baseline", "gmm",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {short}: need at least K*(d+1)=21 samples to fit 3 components, got 9\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("baseline", ["cv", "mairl", "sairl"])
@@ -793,6 +808,11 @@ class TestEval:
         (lambda ln: ln.split(",", 1)[1], "block 1: row 4 has 11 values, expected 12"),
         (lambda ln: "1_0," + ln.split(",", 1)[1],
          "non-numeric value in block 1: digit-group underscore in row 4"),
+        (lambda ln: "nan," + ln.split(",", 1)[1], "block 1: row 4 has a non-finite value"),
+        (lambda ln: "1e400," + ln.split(",", 1)[1], "block 1: row 4 has a non-finite value"),
+        # a finite speed whose change over dt overflows the reconstructed control
+        (lambda ln: ",".join(ln.split(",")[:2] + ["1e308"] + ln.split(",")[3:]),
+         "block 1: reconstructed controls contain non-finite values"),
     ])
     def test_malformed_row_exits_2_naming_block_and_row(self, tmp_path, capsys, edit, message):
         demos = _synth(tmp_path, n=3)

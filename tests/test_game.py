@@ -13,7 +13,6 @@ from crowdirl.features import (
     DEFAULT_SIGMA,
     CostParams,
     expected_features,
-    stage_cost_models,
     state_features,
 )
 from crowdirl.game import (
@@ -86,10 +85,14 @@ def textbook_affine_lqr(A, B, Q_seq, q_seq, R_seq, r_seq, Qf, qf):
     return gains, ffs
 
 
+def _expand_all(thetas, spec, nominal):
+    """Every agent's cost expansion along nominal, at the default kernel width."""
+    return [expand_model_along(nominal, i, spec.goals[i], DEFAULT_SIGMA, t.weights) for i, t in enumerate(thetas)]
+
+
 def _solve_single_agent(spec, theta, cfg=SolverConfig()):
-    models = stage_cost_models([theta], spec)
     nominal = constant_velocity_rollout(spec)
-    expansion = expand_model_along(models[0], nominal)
+    [expansion] = _expand_all([theta], spec, nominal)
     dyn = linearize_dynamics(1, spec.dt)
     policies = solve_lq_game(dyn, [expansion], cfg, nominal=nominal)
     return policies, expansion, dyn, nominal
@@ -549,9 +552,8 @@ def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
 
 
 def test_nash_first_order_stationarity(intersection_spec, theta_star):
-    models = stage_cost_models(theta_star, intersection_spec)
     nominal = constant_velocity_rollout(intersection_spec)
-    expansions = [expand_model_along(m, nominal) for m in models]
+    expansions = _expand_all(theta_star, intersection_spec, nominal)
     dyn = linearize_dynamics(3, intersection_spec.dt)
     policies = solve_lq_game(dyn, expansions, SolverConfig(), nominal=nominal)
     assert policies.diagnostics.conditioned_stages == 0  # PD game, saddle-free
@@ -726,9 +728,9 @@ def _unaugmented_reference(dyn, costs, cfg, nominal):
 
 
 def _expanded_scene(spec, theta):
-    models = stage_cost_models([CostParams(np.array(theta))] * spec.k, spec)
     nominal = constant_velocity_rollout(spec)
-    return [expand_model_along(m, nominal) for m in models], linearize_dynamics(spec.k, spec.dt), nominal
+    costs = _expand_all([CostParams(np.array(theta))] * spec.k, spec, nominal)
+    return costs, linearize_dynamics(spec.k, spec.dt), nominal
 
 
 _REPAIRED = [
@@ -764,7 +766,7 @@ def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, rep
 def test_successive_solves_of_one_game_share_no_storage():
     spec = scenario_preset("intersection_k3")
     cfg = SolverConfig(entropy_temp=1e-3)
-    game = Game(stage_cost_models([CostParams(np.array([1.0, 0.5, 0.2]))] * 3, spec), spec, cfg)
+    game = Game([CostParams(np.array([1.0, 0.5, 0.2]))] * 3, spec, cfg)
     old_costs = list(game.costs)
     first = game.solve()
     for i in range(3):
@@ -776,6 +778,31 @@ def test_successive_solves_of_one_game_share_no_storage():
         assert not np.array_equal(getattr(first, name), getattr(second, name))
         for other in ("K", "kff", "Sigma"):
             assert not np.shares_memory(getattr(first, name), getattr(second, other))
+
+
+def test_set_theta_then_reexpanded_solve_equals_a_fresh_game_bit_for_bit(intersection_spec):
+    # the outer re-expansion reads the weights set_theta stored, not the construction's
+    spec = intersection_spec
+    cfg = SolverConfig(entropy_temp=1e-3, max_outer_iters=3, outer_tol=0.0)
+    new = [CostParams(np.array(w)) for w in ((0.5, 8.0, 0.01), (1.0, 2.5, 0.3), (2.0, 0.5, 0.2))]
+    game = Game([CostParams.ones()] * spec.k, spec, cfg)
+    game.solve()
+    for i, theta in enumerate(new):
+        game.set_theta(i, theta)
+    got, ref = game.solve(), Game(new, spec, cfg).solve()
+    for name in ("K", "kff", "Sigma"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert got.diagnostics.events == ref.diagnostics.events
+    # the re-expanded solves differ from the first one, so the refit is read
+    once = Game(new, spec, replace(cfg, max_outer_iters=1)).solve()
+    assert not np.array_equal(got.K, once.K)
+
+
+def test_game_requires_goals_and_one_weight_vector_per_agent(intersection_spec, theta_star):
+    with pytest.raises(ValidationError, match="^scenario has no goals; infer them before building costs$"):
+        Game(theta_star, intersection_spec.with_goals(None))
+    with pytest.raises(ValidationError, match="^need 3 weight vectors, got 2$"):
+        Game(theta_star[:2], intersection_spec)
 
 
 def _masked_inverse(M):
@@ -913,9 +940,9 @@ def test_one_expansion_per_agent_per_nominal(monkeypatch, intersection_spec):
     # nominal; each further outer iteration once along its refitted nominal
     expanded, solves = [], []
 
-    def expand(model, nominal):
-        expanded.append((model.agent, nominal))  # holding the nominal keeps its id unique
-        return expand_model_along(model, nominal)
+    def expand(nominal, agent, *args):
+        expanded.append((agent, nominal))  # holding the nominal keeps its id unique
+        return expand_model_along(nominal, agent, *args)
 
     def solve(*args, **kwargs):
         solves.append(kwargs["nominal"])
@@ -924,8 +951,7 @@ def test_one_expansion_per_agent_per_nominal(monkeypatch, intersection_spec):
     monkeypatch.setattr(game_module, "expand_model_along", expand)
     monkeypatch.setattr(game_module, "solve_lq_game", solve)
     thetas = [CostParams(np.array([1.0, 2.5, 0.3]))] * 3
-    g = Game(stage_cost_models(thetas, intersection_spec), intersection_spec,
-             SolverConfig(entropy_temp=1e-3, max_outer_iters=4, outer_tol=1e-12))
+    g = Game(thetas, intersection_spec, SolverConfig(entropy_temp=1e-3, max_outer_iters=4, outer_tol=1e-12))
     assert [(i, id(nominal)) for i, nominal in expanded] == [(i, id(g.nominal)) for i in range(3)]
     del expanded[:]
     g.solve()
@@ -943,7 +969,7 @@ def test_game_nominal_equals_the_stepped_zero_tape_bit_for_bit(preset, ring8_spe
     # the nominal is integrated in closed form; the reference steps the
     # unbounded zero action through the feedback loop, as the nominal once did
     spec = ring8_spec if preset == "ring8" else scenario_preset(preset)
-    g = Game(stage_cost_models([theta_star[0]] * spec.k, spec), spec, SolverConfig())
+    g = Game([theta_star[0]] * spec.k, spec, SolverConfig())
     zeros = np.zeros((spec.k, 2))
     states, controls = rollout(spec.x0.as_array()[None], spec.horizon, spec.dt,
                                lambda t, x: zeros, math.inf)
@@ -973,9 +999,8 @@ def test_feedback_rollouts_step_through_propagate_joint_once_per_step(
 
 def test_solver_rejects_mismatched_dimensions(single_agent_spec):
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
-    models = stage_cost_models([theta], single_agent_spec)
     nominal = constant_velocity_rollout(single_agent_spec)
-    expansion = expand_model_along(models[0], nominal)
+    [expansion] = _expand_all([theta], single_agent_spec, nominal)
     with pytest.raises(ValidationError, match="2 agents"):
         solve_lq_game(linearize_dynamics(2, 0.1), [expansion], SolverConfig(), nominal=nominal)
     shorter = Trajectory(nominal.states[:-1], nominal.controls[:-1], nominal.dt)

@@ -117,6 +117,15 @@ class TestParseFrames:
             parse_frames([json.dumps(rec)])
         assert str(exc.value) == f"line 1: key 'id' must be a string or an integer, got {kind}"
 
+    @pytest.mark.parametrize("first, second", [("a", "a"), (7, 7), (7, "7")],
+                             ids=["strings", "integers", "integer-and-string"])
+    def test_an_object_id_listed_twice_in_one_frame_is_refused(self, first, second):
+        rec = json.loads(_frame_line(0.1, [("a", -4.5, 0.0, 1.0, 0.0), ("b", 3.0, 4.0, 1.0, 0.0)]))
+        rec["objects"][0]["id"], rec["objects"][1]["id"] = first, second
+        with pytest.raises(FormatError) as exc:
+            parse_frames([_frame_line(0.0, []), json.dumps(rec)])
+        assert str(exc.value) == f"line 2: object id {str(second)!r} is listed twice in one frame"
+
     def test_integer_id_and_integral_fields_are_accepted(self):
         rec = json.loads(_frame_line(0.0, [("a", 1.0, 2.0, 1.3, 0.2)]))
         rec["t"] = 0
@@ -455,6 +464,12 @@ class TestInterchange:
         ("0,0,1_0,0", "non-numeric value in block 1: digit-group underscore in row 2"),
         ("0,0,abc,0", "non-numeric value in block 1: could not convert string to float: 'abc'"),
         ("0,0,-1,0", "dataset rows contain negative speed"),
+        ("0,0,nan,0", "block 1: row 2 has a non-finite value"),
+        ("inf,0,1,0", "block 1: row 2 has a non-finite value"),
+        ("0,1e400,1,0", "block 1: row 2 has a non-finite value"),
+        ("0,0,1,-Infinity", "block 1: row 2 has a non-finite value"),
+        # finite, but its velocity change over dt overflows: refused without a RuntimeWarning
+        ("0,0,1e308,0", "block 1: reconstructed controls contain non-finite values"),
     ])
     def test_bad_row_is_named(self, tmp_path, row, message):
         lines = ["0,0,1,0"] * 9

@@ -6,15 +6,18 @@ from hypothesis.extra.numpy import arrays
 
 from crowdirl.cli import scenario_preset
 from crowdirl.errors import ValidationError
-from crowdirl.features import CostParams, StageCostModel, stage_cost_models
+from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout
 from crowdirl.quadratic import cost_pattern, expand_model_along, linearize_dynamics
 from crowdirl.trajectory import Trajectory, constant_velocity_rollout
 from conftest import ring_spec
 from fd_oracle import (
+    AgentCost,
     DenseCost,
+    agent_costs,
     control_weight,
     dense_feature_terms,
+    expand,
     expand_along,
     expand_terminal,
     fd_expand_model_along,
@@ -157,7 +160,7 @@ def test_expand_along_pure_state_cost_zero_control_block(single_agent_spec):
 
 def test_fast_path_matches_full_expansion(intersection_spec, theta_star):
     """The separable fast path must agree with the full finite difference."""
-    model = stage_cost_models(theta_star, intersection_spec)[0]
+    model = agent_costs(theta_star, intersection_spec)[0]
     nominal = constant_velocity_rollout(intersection_spec)
     fast = expand_along(stage_cost(model), nominal, 0, 1e-3, control_weight=control_weight(model))
     full = expand_along(stage_cost(model), nominal, 0, 1e-3)
@@ -168,9 +171,9 @@ def test_fast_path_matches_full_expansion(intersection_spec, theta_star):
 
 
 def test_expand_model_along_terminal(intersection_spec, theta_star):
-    model = stage_cost_models(theta_star, intersection_spec)[2]
+    model = agent_costs(theta_star, intersection_spec)[2]
     nominal = constant_velocity_rollout(intersection_spec)
-    expansion = expand_model_along(model, nominal)
+    expansion = expand(model, nominal)
     assert expansion.horizon == intersection_spec.horizon
     assert expansion.Q.shape == (intersection_spec.horizon + 1, 12, 12)
     # row T equals a direct expansion of the state cost at the last state
@@ -183,7 +186,7 @@ def test_expand_model_along_terminal(intersection_spec, theta_star):
 
 
 def _assert_matches_oracle(model, nominal):
-    got = expand_model_along(model, nominal)
+    got = expand(model, nominal)
     ref = fd_expand_model_along(model, nominal)
     assert got.horizon == ref.horizon == nominal.horizon
     assert np.max(np.abs(got.Q - ref.Q)) <= 1e-6
@@ -196,17 +199,17 @@ def _assert_matches_oracle(model, nominal):
 @pytest.mark.parametrize("agent", [0, 1, 2])
 def test_expansion_matches_oracle_on_intersection(agent):
     spec = scenario_preset("intersection_k3")
-    models = stage_cost_models([CostParams(np.array([1.0, 2.0, 0.3]))] * 3, spec)
+    models = agent_costs([CostParams(np.array([1.0, 2.0, 0.3]))] * 3, spec)
     _assert_matches_oracle(models[agent], constant_velocity_rollout(spec))
 
 
 def test_expansion_matches_oracle_for_one_agent(single_agent_spec):
-    model = stage_cost_models([CostParams(np.array([1.3, 4.0, 0.7]))], single_agent_spec)[0]
+    model = agent_costs([CostParams(np.array([1.3, 4.0, 0.7]))], single_agent_spec)[0]
     _assert_matches_oracle(model, constant_velocity_rollout(single_agent_spec))
 
 
 def test_expansion_matches_oracle_on_eight_agent_ring(ring8_spec):
-    models = stage_cost_models([CostParams(np.array([1.0, 3.0, 0.2]))] * 8, ring8_spec)
+    models = agent_costs([CostParams(np.array([1.0, 3.0, 0.2]))] * 8, ring8_spec)
     nominal = constant_velocity_rollout(ring8_spec)
     for agent in (0, 3):
         _assert_matches_oracle(models[agent], nominal)
@@ -215,14 +218,28 @@ def test_expansion_matches_oracle_on_eight_agent_ring(ring8_spec):
 def test_expansion_matches_oracle_along_a_controlled_nominal(intersection_spec, theta_star):
     nominal = mean_rollout(build_policies(theta_star, intersection_spec), intersection_spec)
     assert np.max(np.abs(nominal.controls)) > 0.1
-    for model in stage_cost_models(theta_star, intersection_spec):
+    for model in agent_costs(theta_star, intersection_spec):
         _assert_matches_oracle(model, nominal)
 
 
 def test_expansion_rejects_nonfinite_cost(single_agent_spec):
-    model = stage_cost_models([CostParams(np.array([1e308, 0.0, 1.0]))], single_agent_spec)[0]
+    model = agent_costs([CostParams(np.array([1e308, 0.0, 1.0]))], single_agent_spec)[0]
     with np.errstate(over="ignore"), pytest.raises(ValidationError, match="non-finite"):
-        expand_model_along(model, constant_velocity_rollout(single_agent_spec))
+        expand(model, constant_velocity_rollout(single_agent_spec))
+
+
+@pytest.mark.parametrize("agent", [-1, 3])
+def test_expansion_rejects_an_agent_out_of_range(intersection_spec, agent):
+    nominal = constant_velocity_rollout(intersection_spec)
+    with pytest.raises(ValidationError, match=f"^agent index {agent} out of range for k=3$"):
+        expand_model_along(nominal, agent, intersection_spec.goals[0], 1.5, np.ones(3))
+
+
+@pytest.mark.parametrize("goal", [[1.0], np.zeros(3), np.zeros((2, 2))])
+def test_expansion_rejects_a_goal_that_is_not_a_2_vector(single_agent_spec, goal):
+    nominal = constant_velocity_rollout(single_agent_spec)
+    with pytest.raises(ValidationError, match="^goal must be a 2-vector"):
+        expand_model_along(nominal, 0, goal, 1.5, np.ones(3))
 
 
 def _dense_expansion(model, nominal):
@@ -267,16 +284,16 @@ def test_weighted_feature_terms_match_the_dense_expansion(preset, ring8_spec):
     spec = ring8_spec if preset == "ring8" else scenario_preset(preset)
     nominal = constant_velocity_rollout(spec)
     for theta in ((1.0, 0.5, 0.2), (0.5, 8.0, 0.01), (0.0, 3.0, 0.0)):
-        models = stage_cost_models([CostParams(np.array(theta))] * spec.k, spec)
+        models = agent_costs([CostParams(np.array(theta))] * spec.k, spec)
         for model in models:
-            _assert_matches_dense(expand_model_along(model, nominal), model, nominal)
+            _assert_matches_dense(expand(model, nominal), model, nominal)
 
 
 def test_fill_writes_the_augmented_cost_of_the_dense_arrays(intersection_spec, theta_star):
     # fill writes the augmented cost [[Q, q], [q^T, 2c]] that the dense arrays read back
     nominal = constant_velocity_rollout(intersection_spec)
-    for model in stage_cost_models(theta_star, intersection_spec):
-        e = expand_model_along(model, nominal)
+    for model in agent_costs(theta_star, intersection_spec):
+        e = expand(model, nominal)
         out = np.full((e.horizon + 1, e.state_dim + 1, e.state_dim + 1), np.nan)
         e.fill(out)
         dense = np.zeros_like(out)
@@ -302,13 +319,13 @@ def test_cost_pattern_is_fixed_by_k_and_agent(k):
     n = 4 * k
     nominals = _pattern_nominals(spec)
     assert np.max(np.abs(nominals[1].controls)) > 0.1
-    for model in stage_cost_models([CostParams(np.array([1.0, 3.0, 0.2]))] * k, spec):
+    for model in agent_costs([CostParams(np.array([1.0, 3.0, 0.2]))] * k, spec):
         rows, cols, mirror = cost_pattern(k, model.agent)
         assert rows.size == cols.size == 16 * k - 7 and (rows[-1], cols[-1]) == (n, n)
         assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
         assert np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
         for nominal in nominals:
-            e = expand_model_along(model, nominal)
+            e = expand(model, nominal)
             assert e.rows is rows and e.cols is cols
             # fill is the dense feature terms weighted, bit for bit, zeros and their signs too
             aug = dense_feature_terms(model, nominal)
@@ -321,7 +338,7 @@ def test_cost_pattern_is_fixed_by_k_and_agent(k):
             assert np.array_equal(e.basis, aug[:, :, rows, cols])
     # far away, an agent's kernel and its derivatives are exactly 0.0, yet its entries stay
     if k > 1:
-        e = expand_model_along(stage_cost_models([CostParams.ones()] * k, spec)[0], nominals[2])
+        e = expand(agent_costs([CostParams.ones()] * k, spec)[0], nominals[2])
         far = (e.rows // 4 == k - 1) | (e.cols // 4 == k - 1)
         assert far.sum() == 16 and not np.any(e.basis[..., far])
 
@@ -350,13 +367,13 @@ def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a
     nominal, agent, goal = scene
 
     def model(w):
-        return StageCostModel(theta=CostParams(w), agent=agent, goal=goal, k=nominal.k,
-                              horizon=nominal.horizon, sigma=sigma)
+        return AgentCost(theta=CostParams(w), agent=agent, goal=goal, k=nominal.k,
+                         horizon=nominal.horizon, sigma=sigma)
 
     _assert_matches_oracle(model(w1), nominal)
-    mixed = expand_model_along(model(a * w1 + b * w2), nominal)
-    e1 = expand_model_along(model(w1), nominal)
-    e2 = expand_model_along(model(w2), nominal)
+    mixed = expand(model(a * w1 + b * w2), nominal)
+    e1 = expand(model(w1), nominal)
+    e2 = expand(model(w2), nominal)
     for name in ("Q", "q", "c", "R", "r"):
         combined = a * getattr(e1, name) + b * getattr(e2, name)
         assert np.max(np.abs(getattr(mixed, name) - combined)) <= 1e-12
