@@ -9,7 +9,6 @@ import numpy as np
 from crowdirl import (
     AgentState,
     JointState,
-    ProximityConfig,
     ScenarioSpec,
     CostParams,
     expected_features,
@@ -40,10 +39,11 @@ spec = ScenarioSpec(
     goals=np.array([[2.0, 0.0], [-2.0, 0.3]]),
     horizon=20,
     dt=0.1,
+    sigma=1.5,  # width (m) of the crowding kernel
 )
 traj = rollout_openloop(spec, np.zeros((spec.horizon, spec.k, 2)))
 # one row (goal_dist, proximity, effort) per agent, here over a set of one trajectory
-phi = expected_features([traj], range(spec.k), spec.goals, ProximityConfig(sigma=1.5))
+phi = expected_features([traj], range(spec.k), spec.goals, spec.sigma)
 for i, (goal_dist, proximity, effort) in enumerate(phi):
     print(
         f"agent {i}: goal_dist {goal_dist:7.3f} m^2 | "

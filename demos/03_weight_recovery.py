@@ -14,7 +14,6 @@ import numpy as np
 from crowdirl import (
     CostParams,
     PredictorContext,
-    ProximityConfig,
     ScenarioSpec,
     SolverConfig,
     TrainingConfig,

@@ -24,7 +24,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .features import CostParams, ProximityConfig, expected_features
+from .features import CostParams, expected_features
 from .game import (
     Game,
     PolicySequence,

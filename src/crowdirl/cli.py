@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CostRangeError, CrowdIrlError, FormatError, InternalError, SolverError, ValidationError
-from .features import CostParams, ProximityConfig
+from .features import CostParams
 from .game import SolverConfig
 from .irl import TrainingConfig, infer_goals, multi_agent_irl, single_agent_maxent_irl
 from .metrics import (
@@ -57,11 +57,13 @@ from .pipeline import (
 )
 from .rng import KEY_LIMIT
 from .trajectory import (
+    DEFAULT_SIGMA,
     DEFAULT_U_MAX,
     AgentState,
     JointState,
     ScenarioSpec,
     Trajectory,
+    check_sigma,
     check_u_max,
 )
 
@@ -84,7 +86,7 @@ DEFAULT_CONFIG: dict = {
     "u_max": DEFAULT_U_MAX,
     "solver": _defaults(SolverConfig),
     "training": _defaults(TrainingConfig, "beta", "max_iters", "tol", "M"),
-    "proximity": _defaults(ProximityConfig),
+    "proximity": {"sigma": DEFAULT_SIGMA},  # ScenarioSpec.sigma of every scene a command builds
     "preprocess": _defaults(PreprocessConfig),
     "eval": _defaults(PredictorContext, "best_of", "gmm_components"),
 }
@@ -174,15 +176,14 @@ def load_config(path: str | None, flag_values: dict) -> dict:
     _check_integer("seed", cfg["seed"])  # the flags that set these skip the merge's check
     _check_integer("eval.best_of", cfg["eval"]["best_of"])
     check_u_max(cfg["u_max"])
-    _training_config(cfg)  # checks the solver and proximity sections too
+    check_sigma(cfg["proximity"]["sigma"])
+    _training_config(cfg)  # checks the solver section too
     PreprocessConfig(**cfg["preprocess"])
     return cfg
 
 
 def _training_config(cfg: dict) -> TrainingConfig:
-    return TrainingConfig(**cfg["training"], seed=cfg["seed"],
-                          solver=SolverConfig(**cfg["solver"]),
-                          proximity=ProximityConfig(**cfg["proximity"]))
+    return TrainingConfig(**cfg["training"], seed=cfg["seed"], solver=SolverConfig(**cfg["solver"]))
 
 
 # --- scenario presets ---------------------------------------------------------
@@ -222,37 +223,33 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
     out = []
     for g in groups:
         try:
-            vals = [float(v) for v in g.split(",")]
+            out.append(CostParams(np.array([float(v) for v in g.split(",")])))
+        except ValidationError as exc:  # a ValueError too, so it is caught first
+            raise ValidationError(f"weight group {g!r}: {exc}") from exc
         except ValueError:
             raise ValidationError(f"weight group {g!r} is not comma-separated numbers") from None
-        out.append(CostParams(np.array(vals)))
         if np.any(out[-1].weights < 0):
             raise ValidationError(f"weight group {g!r} has a negative weight")
     return out
 
 
-def _spec_from_demos(path, demos: list[Trajectory], header: dict, u_max: float) -> ScenarioSpec:
-    """Scenario of a demonstration file at bound u_max: demo 0's x0, header or inferred goals.
+def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> ScenarioSpec:
+    """Scenario of a demonstration file at cfg's u_max and sigma: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
     predictors start each demo from its own x0. A file that records its bound is read only at it.
     """
+    u_max = cfg["u_max"]
     recorded = header["provenance"].get("u_max", u_max)
     if recorded != u_max:
         raise ValidationError(f"{path} was synthesized at u_max {recorded!r}, but the configured "
                               f"bound is {u_max!r}; pass --u-max {recorded!r}")
-    k, dt = demos[0].k, demos[0].dt
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
-    return ScenarioSpec(
-        k=k,
-        x0=JointState.from_array(demos[0].states[0]),
-        goals=goals,
-        horizon=demos[0].horizon,
-        dt=dt,
-        u_max=u_max,
-    )
+    return ScenarioSpec(k=demos[0].k, x0=JointState.from_array(demos[0].states[0]), goals=goals,
+                        horizon=demos[0].horizon, dt=demos[0].dt, u_max=u_max,
+                        sigma=cfg["proximity"]["sigma"])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -270,7 +267,9 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    usable = {d: trks[:pre.group_size] for d, trks in groups.items() if len(trks) >= pre.group_size}
+    # each direction's first group_size tracks that can fill a scene of scenario_len rows
+    fill = {d: [t for t in trks if len(t) >= pre.scenario_len] for d, trks in groups.items()}
+    usable = {d: trks[:pre.group_size] for d, trks in fill.items() if len(trks) >= pre.group_size}
     feasible = [cat for cat in pre.scheme if all(d in usable for d in cat.split("-"))]
     catalog = combinatorial_scenarios(usable, feasible, pre.scenario_len)  # empty when none is feasible
 
@@ -294,7 +293,8 @@ def cmd_preprocess(args, cfg: dict) -> int:
 def cmd_synth(args, cfg: dict) -> int:
     if args.n < 0:
         raise ValidationError(f"--n must be >= 0, got {args.n}")
-    spec = dataclasses.replace(scenario_preset(args.preset), u_max=cfg["u_max"])
+    spec = dataclasses.replace(scenario_preset(args.preset), u_max=cfg["u_max"],
+                               sigma=cfg["proximity"]["sigma"])
     if args.horizon is not None:
         spec = dataclasses.replace(spec, horizon=int(args.horizon))
     thetas = parse_thetas(args.theta, spec.k)
@@ -305,8 +305,7 @@ def cmd_synth(args, cfg: dict) -> int:
         print(f"wrote header-only demonstration file to {args.out}")
         return EXIT_OK
     try:
-        demos = synth_generate(thetas, spec, args.n, seed, SolverConfig(**cfg["solver"]),
-                               ProximityConfig(**cfg["proximity"]))
+        demos = synth_generate(thetas, spec, args.n, seed, SolverConfig(**cfg["solver"]))
     except SolverError as exc:  # the weights are the user's, so this is an input error
         raise ValidationError(f"weights --theta {args.theta!r} give no solvable game: {exc}") from exc
     except CostRangeError as exc:  # a preset's nominal is in range, so the weights are not
@@ -333,7 +332,7 @@ def cmd_train(args, cfg: dict) -> int:
                 f"{args.demos}: demonstration {j} starts from a different joint state than "
                 "demonstration 0; train needs demonstrations of one start"
             )
-    spec = _spec_from_demos(args.demos, demos, header, cfg["u_max"])
+    spec = _spec_from_demos(args.demos, demos, header, cfg)
     tcfg = _training_config(cfg)
 
     try:  # the weights start at ones, so whatever overflows comes from the demonstrations
@@ -385,18 +384,22 @@ def _load_thetas(path: str, k: int) -> list[CostParams]:
         weights = [np.array(t, dtype=float) for t in rows]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"weight file {path}: 'thetas' entries must be lists of numbers") from exc
-    thetas = [CostParams(w) for w in weights]
+    thetas = []
     for i, w in enumerate(weights):
+        try:
+            thetas.append(CostParams(w))
+        except ValidationError as exc:
+            raise FormatError(f"weight file {path}: 'thetas' row {i}: {exc}") from exc
         if np.any(w < 0):
             raise FormatError(f"weight file {path}: 'thetas' row {i} has a negative weight")
     if len(thetas) != k:
-        raise FormatError(f"weight file holds {len(thetas)} agents, demos have {k}")
+        raise FormatError(f"weight file {path} holds {len(thetas)} agents, demos have {k}")
     return thetas
 
 
 def cmd_eval(args, cfg: dict) -> int:
     demos, header = _read_demos(args.demos)
-    spec = _spec_from_demos(args.demos, demos, header, cfg["u_max"])
+    spec = _spec_from_demos(args.demos, demos, header, cfg)
     method = args.baseline
     if method not in BASELINE_NAMES:
         raise ValidationError(f"unknown baseline {method!r}; choose from {BASELINE_NAMES}")
@@ -410,9 +413,7 @@ def cmd_eval(args, cfg: dict) -> int:
         thetas = _load_thetas(args.theta, spec.k)
 
     ctx = PredictorContext(spec=spec, train_demos=train_demos, thetas=thetas,
-                           solver=SolverConfig(**cfg["solver"]),
-                           proximity=ProximityConfig(**cfg["proximity"]),
-                           seed=cfg["seed"], **cfg["eval"])
+                           solver=SolverConfig(**cfg["solver"]), seed=cfg["seed"], **cfg["eval"])
     try:
         predict = make_predictor(method, ctx)
     except CostRangeError as exc:  # only gmm and ebm fit here, on the training demonstrations

@@ -1,13 +1,13 @@
 """Trajectory feature basis and the weighted cost it induces.
 
 Three features per agent, each averaged along the trajectory: squared distance
-to the goal, a Gaussian crowding kernel summed over the other agents, and
-squared control effort. State features average over all T+1 states, control
-effort over the T controls; `expected_features` forms them for any list of
-agents over a whole `RolloutSet` in one pass. An agent's cost is the dot
-product of its weight vector `CostParams` with this feature vector;
-`quadratic.expand_model_along` re-expresses the same cost, through the same
-`state_terms`, as per-step terms the game solver expands.
+to the goal, a Gaussian crowding kernel of width `ScenarioSpec.sigma` summed
+over the other agents, and squared control effort. State features average
+over all T+1 states, control effort over the T controls; `expected_features`
+forms them for any list of agents over a whole `RolloutSet` in one pass. An
+agent's cost is the dot product of its weight vector `CostParams` with this
+feature vector; `quadratic.expand_model_along` re-expresses the same cost,
+through the same `state_terms`, as per-step terms the game solver expands.
 """
 from __future__ import annotations
 
@@ -17,22 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CostRangeError, ValidationError
-from .trajectory import STATE_DIM, RolloutSet, Trajectory
+from .trajectory import STATE_DIM, RolloutSet, Trajectory, check_sigma
 
 NUM_FEATURES = 3
-DEFAULT_SIGMA = 1.5
 FEATURE_ROWS = 16  # trajectories per expected_features block; bounds its (rows, T+1, a, k) arrays
-
-
-@dataclass(frozen=True)
-class ProximityConfig:
-    """Width (m) of the Gaussian crowding kernel exp(-d^2 / sigma^2)."""
-
-    sigma: float = DEFAULT_SIGMA
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
 
 
 def _check_features(phi: np.ndarray) -> np.ndarray:
@@ -105,17 +93,18 @@ def expected_features(
     trajs: RolloutSet | Sequence[Trajectory],
     agents: Sequence[int],
     goals,
-    cfg: ProximityConfig = ProximityConfig(),
+    sigma: float,
 ) -> np.ndarray:
     """Mean feature vectors (len(agents), 3) of the given agents over a rollout set.
 
     goals is (len(agents), 2), one row per index; a sequence is stacked once.
+    sigma is the crowding kernel's width, a scene's `ScenarioSpec.sigma`.
     The per-trajectory rows are formed FEATURE_ROWS trajectories at a time,
     each on its own, so the block size never changes a bit of the result:
     `state_features` on the block's states, and the effort as each control's
     sum of squares u_x**2 + u_y**2.
     """
-    trajs = RolloutSet.stack(trajs)
+    trajs, sigma = RolloutSet.stack(trajs), check_sigma(sigma)
     idx = np.asarray(agents)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < trajs.k)):
         raise ValidationError(f"agent indices {agents!r} must be integers in [0, {trajs.k})")
@@ -125,7 +114,7 @@ def expected_features(
     per_traj = np.empty((len(trajs), idx.size, NUM_FEATURES))
     for start in range(0, len(trajs), FEATURE_ROWS):
         rows = slice(start, start + FEATURE_ROWS)
-        goal_dist, proximity = state_features(trajs.states[rows], idx, goals, cfg.sigma)
+        goal_dist, proximity = state_features(trajs.states[rows], idx, goals, sigma)
         sq = trajs.controls[rows, :, idx]
         sq *= sq
         effort = sq[..., 0] + sq[..., 1]  # the pair sum np.sum forms

@@ -19,8 +19,8 @@ stack, whose repaired stages the diagnostics record; each policy is factored onc
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 dynamics, the constant-velocity nominal, every agent's weight vector and its
-expansion along the nominal (formed once, re-weighted by `set_theta`) and the
-outer re-expansion loop.
+expansion along the nominal at the kernel width `spec.sigma` (formed once,
+re-weighted by `set_theta`) and the outer re-expansion loop.
 Synthesis and evaluation reach it through `build_policies`; the IRL loop
 holds a `Game` and sets every agent's weights once per sweep. Policies are
 arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalError, SolverError, ValidationError
-from .features import CostParams, ProximityConfig
+from .features import CostParams
 from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linearize_dynamics
 from .rng import substream
 from .trajectory import (
@@ -370,14 +370,13 @@ class Game:
     """One scenario's game: dynamics, nominal, per-agent costs and the solve.
 
     Every agent's cost is expanded once along the constant-velocity nominal
-    and re-weighted when its weights change. With cfg.max_outer_iters > 1
-    each solve re-expands the costs around the latest mean rollout until it
-    moves less than cfg.outer_tol; that refit is clamped at spec.u_max, the
-    bound every rollout of the scene is clamped at.
+    at the kernel width spec.sigma and re-weighted when its weights change.
+    With cfg.max_outer_iters > 1 each solve re-expands the costs around the
+    latest mean rollout until it moves less than cfg.outer_tol; that refit
+    is clamped at spec.u_max, the bound of every rollout of the scene.
     """
 
-    def __init__(self, thetas: Sequence[CostParams], spec: ScenarioSpec,
-                 cfg: SolverConfig = SolverConfig(), proximity: ProximityConfig = ProximityConfig()):
+    def __init__(self, thetas: Sequence[CostParams], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()):
         if spec.goals is None:
             raise ValidationError("scenario has no goals; infer them before building costs")
         if len(thetas) != spec.k:
@@ -385,14 +384,13 @@ class Game:
         self.thetas = list(thetas)
         self.spec = spec
         self.cfg = cfg
-        self.sigma = proximity.sigma
         self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
         self.costs = self._expand(self.nominal)
 
     def _expand(self, nominal: Trajectory) -> list[CostExpansion]:
         """Every agent's cost at its current weights, expanded along nominal."""
-        goals, sigma = self.spec.goals, self.sigma
+        goals, sigma = self.spec.goals, self.spec.sigma
         return [expand_model_along(nominal, i, goals[i], sigma, t.weights) for i, t in enumerate(self.thetas)]
 
     def set_theta(self, agent: int, theta: CostParams) -> None:
@@ -415,10 +413,10 @@ class Game:
         return policies
 
 
-def solve_scenario(thetas: Sequence[CostParams], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig(),
-                   proximity: ProximityConfig = ProximityConfig()) -> PolicySequence:
+def solve_scenario(thetas: Sequence[CostParams], spec: ScenarioSpec,
+                   cfg: SolverConfig = SolverConfig()) -> PolicySequence:
     """Solve the game at the given weight vectors once (see Game)."""
-    return Game(thetas, spec, cfg, proximity).solve()
+    return Game(thetas, spec, cfg).solve()
 
 
 def _rollout_batch(
@@ -482,11 +480,6 @@ def sample_rollouts(policies: PolicySequence, spec: ScenarioSpec, M: int, seed: 
     return RolloutSet(states, controls, spec.dt)
 
 
-def build_policies(
-    thetas,
-    spec: ScenarioSpec,
-    solver_cfg: SolverConfig = SolverConfig(),
-    proximity: ProximityConfig = ProximityConfig(),
-) -> PolicySequence:
+def build_policies(thetas, spec: ScenarioSpec, solver_cfg: SolverConfig = SolverConfig()) -> PolicySequence:
     """Convenience wrapper: weight vectors -> solved policies for a scenario."""
-    return solve_scenario(thetas, spec, solver_cfg, proximity)
+    return solve_scenario(thetas, spec, solver_cfg)

@@ -16,9 +16,10 @@ orthant to keep every agent's control cost convex.
 The loop hands its weight vectors to one `game.Game` (the game synthesis
 and evaluation solve, outer re-expansion included) and takes every agent's
 row from one `features.expected_features` call per sweep; the
-demonstrations are stacked and featurized once. Each update record in the
-trace holds the sampled gap and theta_after = max(theta_before + beta *
-gap, 0); the records of a sweep share its solve.
+demonstrations are stacked and featurized once, both at the scene's kernel
+width `spec.sigma`. Each update record in the trace holds the sampled gap
+and theta_after = max(theta_before + beta * gap, 0); the records of a sweep
+share its solve.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .features import CostParams, ProximityConfig, expected_features
+from .features import CostParams, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
@@ -42,7 +43,8 @@ SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 class TrainingConfig:
     """Learning-rate, budget and sampling knobs of the training loop.
 
-    The control bound of the sampled rollouts is the scenario's spec.u_max.
+    The control bound of the sampled rollouts is the scenario's spec.u_max,
+    and the crowding kernel width of every feature is its spec.sigma.
     """
 
     beta: float = 3e-4
@@ -51,7 +53,6 @@ class TrainingConfig:
     M: int = 32
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
-    proximity: ProximityConfig = field(default_factory=ProximityConfig)
 
     def __post_init__(self):
         if not 0 < self.beta < np.inf:
@@ -144,8 +145,8 @@ def _training_game(
         )
     if spec.goals is None:
         spec = spec.with_goals(infer_goals(demos))
-    demo_phi = expected_features(demos, range(spec.k), spec.goals, cfg.proximity)
-    return Game([CostParams.ones()] * spec.k, spec, cfg.solver, cfg.proximity), demo_phi
+    demo_phi = expected_features(demos, range(spec.k), spec.goals, spec.sigma)
+    return Game([CostParams.ones()] * spec.k, spec, cfg.solver), demo_phi
 
 
 def _feature_matching(
@@ -168,7 +169,7 @@ def _feature_matching(
         policies = game.solve()
         seed = derive_seed(cfg.seed, sweep)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed)
-        gaps = expected_features(rollouts, range(spec.k), game.spec.goals, cfg.proximity) - demo_phi
+        gaps = expected_features(rollouts, range(spec.k), game.spec.goals, game.spec.sigma) - demo_phi
         del rollouts  # one rollout set alive at a time keeps the peak memory down
         for b, agents in enumerate(blocks):
             gap = np.mean(gaps[agents], axis=0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import ebm_minimizer, ebm_train, gmm_conditional_mean, gmm_fit
 from .errors import CostRangeError, FormatError, ValidationError
-from .features import CostParams, ProximityConfig
+from .features import CostParams
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from .pipeline import read_text_lines
 from .trajectory import (
@@ -242,14 +242,14 @@ class PredictorContext:
     """Everything a method needs to turn a demo's start state into positions.
 
     Read-only and cache-free: make_predictor does all fitting and solving.
-    Every prediction's controls are clamped at spec.u_max.
+    Every prediction's controls are clamped at spec.u_max, and the games of
+    mairl/sairl cost crowding with the kernel width spec.sigma.
     """
 
     spec: ScenarioSpec
     train_demos: Sequence[Trajectory]
     thetas: Sequence[CostParams] | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
-    proximity: ProximityConfig = field(default_factory=ProximityConfig)
     best_of: int = 1
     seed: int = 0
     gmm_components: int = 3
@@ -321,7 +321,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
             out = np.empty(positions.shape)
             for rows in rows_by_start.values():
                 start_spec = spec.with_x0(demos[rows[0]].joint_state(0))
-                policies = build_policies(ctx.thetas, start_spec, ctx.solver, ctx.proximity)
+                policies = build_policies(ctx.thetas, start_spec, ctx.solver)
                 if ctx.best_of <= 1:
                     mean = mean_rollout(policies, start_spec)
                     out[rows] = _positions(mean.states)

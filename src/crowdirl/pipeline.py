@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .features import CostParams, ProximityConfig
+from .features import CostParams
 from .game import SolverConfig, build_policies, sample_rollouts
 from .trajectory import (
     ScenarioSpec,
@@ -405,12 +405,11 @@ def synth_generate(
     n_demos: int,
     seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
-    proximity: ProximityConfig = ProximityConfig(),
 ) -> list[Trajectory]:
     """Roll out demonstrations from known weights, clamped at spec.u_max; deterministic per seed."""
     if n_demos < 1:
         raise ValidationError("n_demos must be >= 1")
-    policies = build_policies(theta_star, spec, solver_cfg, proximity)
+    policies = build_policies(theta_star, spec, solver_cfg)
     return list(sample_rollouts(policies, spec, n_demos, seed))
 
 
@@ -520,8 +519,16 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
 
     Controls are reconstructed from consecutive velocities (u = dv / dt);
     they are exact for generated data and estimates for resampled data.
+    Every FormatError names the file.
     """
     lines = read_text_lines(path)
+    try:
+        return _parse_demonstrations(lines)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
     if not lines or not lines[0].strip():
         raise FormatError("missing header line")
     try:
@@ -579,9 +586,11 @@ def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
         except ValueError as exc:
             raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
     data = np.array(values).reshape(count, rows_per, width)
-    bad = np.argwhere(~np.isfinite(data))  # float() reads nan, inf and 1e400
-    if bad.size:
-        raise FormatError(f"block {bad[0][0]}: row {bad[0][1]} has a non-finite value")
+    # float() reads nan, inf and 1e400; speeds are every fourth value from the third
+    for what, bad in (("a non-finite value", ~np.isfinite(data)), ("a negative speed", data[..., 2::4] < 0)):
+        if np.any(bad):
+            b, row = np.argwhere(bad)[0][:2]
+            raise FormatError(f"block {b}: row {row} has {what}")
     trajs = []
     with np.errstate(over="ignore"):  # finite velocities whose change / dt overflows are refused here
         for b, s in enumerate(from_dataset_array(data)):

@@ -23,6 +23,7 @@ STATE_DIM = 4  # per-agent (px, py, vx, vy)
 CONTROL_DIM = 2  # per-agent (ax, ay)
 DEFAULT_DT = 0.1
 DEFAULT_U_MAX = 3.0
+DEFAULT_SIGMA = 1.5  # m, the width of the crowding kernel
 
 
 def _check_finite(obj: str, **fields: float) -> None:
@@ -85,6 +86,13 @@ def check_u_max(u_max: float) -> float:
     if not u_max > 0:  # also rejects NaN
         raise ValidationError(f"u_max must be positive (inf for no clamp), got {u_max!r}")
     return u_max
+
+
+def check_sigma(sigma: float) -> float:
+    """The crowding kernel width as a float; it must be positive and finite."""
+    if not 0 < float(sigma) < math.inf:  # also rejects NaN
+        raise ValidationError(f"sigma must be positive, got {sigma!r}")
+    return float(sigma)
 
 
 def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -241,11 +249,13 @@ class RolloutSet(_TrackArrays):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Initial joint state, per-agent goals, horizon and control bound of one interaction.
+    """Initial joint state, per-agent goals, horizon, control bound and kernel width of one interaction.
 
     u_max (> 0, inf for none) bounds the norm of every control the scene's
     policies apply: synthesis, training samples, the outer re-expansion's
-    refit and every prediction read it here, so they share one bound.
+    refit and every prediction read it here, so they share one bound. The
+    game's cost expansion and training's features read sigma (m, the
+    crowding kernel's width) here too, so they share one feature basis.
     """
 
     k: int
@@ -254,6 +264,7 @@ class ScenarioSpec:
     horizon: int
     dt: float = DEFAULT_DT
     u_max: float = DEFAULT_U_MAX
+    sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
         if self.k < 1 or self.x0.k != self.k:
@@ -263,6 +274,7 @@ class ScenarioSpec:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "u_max", check_u_max(self.u_max))
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
         if self.goals is not None:
             goals = np.array(self.goals, dtype=float)
             if goals.shape != (self.k, 2):

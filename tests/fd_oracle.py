@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdirl.features import DEFAULT_SIGMA, CostParams
+from crowdirl.features import CostParams
 from crowdirl.quadratic import CostExpansion, _eval_batch, expand_model_along
-from crowdirl.trajectory import STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
+from crowdirl.trajectory import DEFAULT_SIGMA, STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -39,9 +39,9 @@ class AgentCost:
     sigma: float = DEFAULT_SIGMA
 
 
-def agent_costs(thetas, spec: ScenarioSpec, sigma: float = DEFAULT_SIGMA) -> list[AgentCost]:
-    """One AgentCost per agent of a scene with goals."""
-    return [AgentCost(thetas[i], i, spec.goals[i], spec.k, spec.horizon, sigma) for i in range(spec.k)]
+def agent_costs(thetas, spec: ScenarioSpec) -> list[AgentCost]:
+    """One AgentCost per agent of a scene with goals, at its kernel width."""
+    return [AgentCost(thetas[i], i, spec.goals[i], spec.k, spec.horizon, spec.sigma) for i in range(spec.k)]
 
 
 def expand(model: AgentCost, nominal: Trajectory) -> CostExpansion:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from crowdirl.features import DEFAULT_SIGMA
 from crowdirl.quadratic import linearize_dynamics
 
 
@@ -56,9 +55,9 @@ def _expected_kernel(mu, S, sigma):
     return scale * np.exp(-mu @ np.linalg.solve(s2 * np.eye(2) + 2.0 * S, mu))
 
 
-def exact_features(policies, spec, sigma=DEFAULT_SIGMA):
-    """(k, 3) expected goal distance, crowding and effort of every agent."""
-    T, k = policies.horizon, policies.k
+def exact_features(policies, spec):
+    """(k, 3) expected goal distance, crowding (at spec.sigma) and effort of every agent."""
+    T, k, sigma = policies.horizon, policies.k, spec.sigma
     xm, xc, um, uc = state_control_moments(policies, spec)
     out = np.zeros((k, 3))
     for a in range(k):

@@ -11,7 +11,7 @@ import numpy as np
 
 from crowdirl.baselines import EnergyParams, action_grid, ebm_argmin, ebm_train, gmm_fit
 from crowdirl.cli import main, scenario_preset
-from crowdirl.features import CostParams, ProximityConfig
+from crowdirl.features import CostParams
 from crowdirl.game import (
     SolverConfig,
     build_policies,
@@ -68,7 +68,7 @@ def test_criterion_1_solver_oracle_equivalence():
     )
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     nominal = constant_velocity_rollout(spec)
-    e = expand_model_along(nominal, 0, spec.goals[0], ProximityConfig().sigma, theta.weights)
+    e = expand_model_along(nominal, 0, spec.goals[0], spec.sigma, theta.weights)
     dyn = linearize_dynamics(1, spec.dt)
     policies = solve_lq_game(dyn, [e], SolverConfig(), nominal=nominal)
     T = spec.horizon
@@ -146,7 +146,7 @@ def _recovery_harness(theta_star, seed=123):
     train, held = all_demos[:20], all_demos[20:]
     cfg = TrainingConfig(
         beta=0.03, max_iters=80, tol=0.0, M=32, seed=7,
-        solver=HARNESS_SOLVER, proximity=ProximityConfig(),
+        solver=HARNESS_SOLVER,
     )
     thetas_m, trace_m = multi_agent_irl(train, spec, cfg)
     theta_s, trace_s = single_agent_maxent_irl(train, spec, cfg)

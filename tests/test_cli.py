@@ -20,7 +20,6 @@ from crowdirl.cli import (
     parse_thetas,
 )
 from crowdirl.errors import FormatError
-from crowdirl.features import ProximityConfig
 from crowdirl.game import SolverConfig
 from crowdirl.irl import TrainingConfig
 from crowdirl.metrics import (
@@ -189,11 +188,11 @@ class TestConfig:
         cfg = {key: json.dumps(value) for key, value in DEFAULT_CONFIG.items()}
         assert cfg["solver"] == as_json(SolverConfig())
         assert cfg["training"] == as_json(TrainingConfig(), "beta", "max_iters", "tol", "M")
-        assert cfg["proximity"] == as_json(ProximityConfig())
         assert cfg["preprocess"] == as_json(PreprocessConfig())
         assert cfg["eval"] == as_json(PredictorContext(spec=None, train_demos=()),
                                       "best_of", "gmm_components")
         spec_defaults = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)}
+        assert cfg["proximity"] == json.dumps({"sigma": spec_defaults["sigma"]})
         assert json.dumps({key: DEFAULT_CONFIG[key] for key in ("seed", "u_max")}) == json.dumps(
             {"seed": TrainingConfig().seed, "u_max": spec_defaults["u_max"]})
 
@@ -239,6 +238,29 @@ class TestConfig:
         capsys.readouterr()
         assert main([flag, "inf", "--iters", "1", *argv]) == 2
         assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_kernel_width_that_is_not_positive_exits_2(self, tmp_path, capsys, command, sigma):
+        demos = _synth(tmp_path, n=2)
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(out), "--n", "2"],
+            "train": ["train", str(demos), "--out", str(out)],
+            "eval": ["eval", str(demos), "--baseline", "cv", "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main([f"--sigma={sigma}", "--iters", "1", *argv]) == 2
+        assert capsys.readouterr().err == f"error: sigma must be positive, got {float(sigma)!r}\n"
+        assert not out.exists()
+
+    def test_kernel_width_that_is_not_positive_in_a_config_file_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"proximity": {"sigma": -1}}))
+        out = tmp_path / "d.traj"
+        assert main(["--config", str(cfg_path), "synth", str(out), "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: sigma must be positive, got -1.0\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("u_max", [-1, 0, -0.5])
@@ -377,6 +399,17 @@ class TestConfig:
             "error: weights --theta '1e308,0.5,0.2' are out of range: "
             "cost expansion contains non-finite values\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta, message", [
+        ("1,2", "weight group '1,2': weights must have length 3, got (2,)"),
+        ("1,0,0;0,1;0,0,1", "weight group '0,1': weights must have length 3, got (2,)"),
+        ("nan,1,1", "weight group 'nan,1,1': weights contain non-finite values"),
+    ], ids=["short", "one-short-group", "non-finite"])
+    def test_theta_that_is_no_weight_vector_exits_2_naming_the_group(self, tmp_path, capsys, theta, message):
+        out = tmp_path / "out.traj"
+        assert main(["synth", str(out), f"--theta={theta}", "--n", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("theta, group", [
@@ -744,6 +777,38 @@ class TestEval:
         assert f"weight file {theta}: 'thetas' row 1 has a negative weight" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 0.5, 0.2], [1.0, 2.0], [1.0, 0.5, 0.2]],
+         "'thetas' row 1: weights must have length 3, got (2,)"),
+        ([[1.0, 0.5, 0.2]] * 2 + [[1.0, math.nan, 0.2]], "'thetas' row 2: weights contain non-finite values"),
+        ([[1.0, 0.5, 0.2]] * 2, "holds 2 agents, demos have 3"),
+    ], ids=["short", "non-finite", "agents"])
+    def test_weight_file_row_that_is_no_weight_vector_exits_2_naming_the_row(
+        self, tmp_path, capsys, rows, message
+    ):
+        demos = _synth(tmp_path)
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": rows}))
+        capsys.readouterr()
+        rc = main(["eval", str(demos), "--baseline", "mairl",
+                   "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        sep = " " if message.startswith("holds") else ": "
+        assert capsys.readouterr().err == f"error: weight file {theta}{sep}{message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_kernel_width_reaches_the_games_of_the_report(self, tmp_path):
+        demos = _synth(tmp_path, n=3)
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
+        argv = ["eval", str(demos), "--baseline", "mairl", "--theta", str(theta), "--format", "jsonl"]
+        assert main([*argv, "--out", str(tmp_path / "default.jsonl")]) == 0
+        assert main(["--sigma", "1.5", *argv, "--out", str(tmp_path / "same.jsonl")]) == 0
+        assert main(["--sigma", "1.0", *argv, "--out", str(tmp_path / "narrow.jsonl")]) == 0
+        default = (tmp_path / "default.jsonl").read_bytes()
+        assert (tmp_path / "same.jsonl").read_bytes() == default
+        assert (tmp_path / "narrow.jsonl").read_bytes() != default
+
     @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
     def test_empty_training_file_exits_2(self, tmp_path, capsys, baseline):
         held = _synth(tmp_path)
@@ -822,8 +887,35 @@ class TestEval:
         demos.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["eval", str(demos), "--baseline", "cv", "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {demos}: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("row, field, value, message", [
+        (4, 2, "-1.0", "block 0: row 4 has a negative speed"),
+        (5, 0, "nan", "block 0: row 5 has a non-finite value"),
+        (None, None, None, "missing header keys ['T', 'count', 'dt', 'goals', 'provenance']"),
+    ], ids=["negative-speed", "non-finite", "header"])
+    @pytest.mark.parametrize("command", ["train", "eval --train"])
+    def test_demonstration_file_errors_name_the_file(self, tmp_path, capsys, command, row, field, value,
+                                                      message):
+        good = _synth(tmp_path)
+        bad = tmp_path / "bad.traj"
+        lines = good.read_text().splitlines()
+        if row is None:
+            lines = [json.dumps({"k": 3})]
+        else:
+            fields = lines[1 + row].split(",")
+            fields[field] = value
+            lines[1 + row] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = {"train": ["train", str(bad), "--out", str(out)],
+                "eval --train": ["eval", str(good), "--baseline", "gmm", "--train", str(bad),
+                                 "--out", str(out)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
 
     def test_theta_roundtrip_through_eval(self, tmp_path):
         demos = _synth(tmp_path)
@@ -973,6 +1065,33 @@ class TestPreprocess:
         demos, header = read_demonstrations(out_dir / entry["file"])
         assert header["k"] == 3
         assert demos[0].horizon == 29  # 30 rows
+
+    def test_tracks_too_short_for_a_scene_join_no_direction_group(self, tmp_path, capsys):
+        # w1 is kept (20 >= min_track_len samples) and sorts first among the westbound
+        # tracks, but only w2 covers the 30 rows of a scene
+        def obj(name, x, y, angle):
+            return {"id": name, "x": x, "y": y, "w": 0.5, "l": 0.5, "angle": angle,
+                    "class": "pedestrian", "speed": 1.2, "acc": 0.9}
+
+        lines = []
+        for j in range(40):
+            t = j * 0.1
+            objs = [obj("e1", -15.0 + 1.2 * t, 0.0, 0.0), obj("w2", 15.0 - 1.2 * t, 2.0, np.pi)]
+            if j < 20:
+                objs.append(obj("w1", 15.0 - 1.2 * t, 1.0, np.pi))
+            lines.append(json.dumps({"t": t, "objects": objs}))
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preprocess": {"scheme": ["W-E"], "group_size": 1, "scenario_len": 30}}))
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(cfg), "preprocess", str(raw), str(out_dir)]) == 0
+        summary = json.loads((out_dir / "catalog.json").read_text())
+        assert summary["tracks_kept"] == 3
+        assert summary["direction_counts"] == {"E": 1, "W": 2}
+        assert [e["tracks"] for e in summary["entries"]] == [["w2", "e1"]]
+        demos, _ = read_demonstrations(out_dir / summary["entries"][0]["file"])
+        assert demos[0].horizon == 29
 
     def test_catalog_rows_are_the_tracked_states_converted_once(self, tmp_path):
         # each written row is to_dataset_array of the tracked Cartesian states, bit for bit,

@@ -7,11 +7,11 @@ from crowdirl.errors import ValidationError
 from crowdirl.features import (
     FEATURE_ROWS,
     CostParams,
-    ProximityConfig,
     expected_features,
     state_features,
 )
 from crowdirl.trajectory import (
+    DEFAULT_SIGMA,
     AgentState,
     JointState,
     RolloutSet,
@@ -45,9 +45,9 @@ def _static_traj(positions, T=1, dt=0.1) -> Trajectory:
 GOAL_DIST, PROXIMITY, EFFORT = range(3)
 
 
-def _features(traj, agent, goal, cfg=ProximityConfig()) -> np.ndarray:
+def _features(traj, agent, goal, sigma=DEFAULT_SIGMA) -> np.ndarray:
     """One agent's features (goal_dist, proximity, effort) along one trajectory."""
-    return expected_features([traj], [agent], [goal], cfg)[0]
+    return expected_features([traj], [agent], [goal], sigma)[0]
 
 
 def test_features_vanish_on_goal_without_neighbors():
@@ -58,7 +58,7 @@ def test_features_vanish_on_goal_without_neighbors():
 
 def test_features_single_kernel_evaluation():
     traj = _static_traj([(0.0, 0.0), (1.0, 0.0)])
-    phi = _features(traj, 0, goal=(0.0, 0.0), cfg=ProximityConfig(sigma=1.0))
+    phi = _features(traj, 0, goal=(0.0, 0.0), sigma=1.0)
     assert phi[GOAL_DIST] == 0.0
     assert abs(phi[PROXIMITY] - math.exp(-1.0)) < 1e-12
     assert phi[EFFORT] == 0.0
@@ -89,7 +89,7 @@ def test_features_index_out_of_range():
 
 def _agent_features(trajs, agent, goal):
     """One agent's row of expected_features."""
-    return expected_features(trajs, [agent], [goal])[0]
+    return expected_features(trajs, [agent], [goal], DEFAULT_SIGMA)[0]
 
 
 def test_expected_features_mean_behavior():
@@ -111,15 +111,15 @@ def test_expected_features_mean_behavior():
 
 def test_expected_features_rejects_empty():
     with pytest.raises(ValidationError):
-        expected_features([], [0], [(0, 0)])
+        expected_features([], [0], [(0, 0)], DEFAULT_SIGMA)
 
 
 def test_expected_features_rejects_mixed_shapes():
     one_agent = _static_traj([(0, 0)], T=2)
     with pytest.raises(ValidationError, match="one k and T"):
-        expected_features([one_agent, _static_traj([(0, 0), (1, 0)], T=2)], [0], [(0, 0)])
+        expected_features([one_agent, _static_traj([(0, 0), (1, 0)], T=2)], [0], [(0, 0)], DEFAULT_SIGMA)
     with pytest.raises(ValidationError, match="one k and T"):
-        expected_features([one_agent, _static_traj([(0, 0)], T=3)], [0], [(0, 0)])
+        expected_features([one_agent, _static_traj([(0, 0)], T=3)], [0], [(0, 0)], DEFAULT_SIGMA)
 
 
 def _reference_expected_features(trajs, agent, goal, sigma):
@@ -143,15 +143,14 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit():
         for _ in range(33)
     ]
     goals = rng.uniform(-4, 4, (k, 2))
-    cfg = ProximityConfig(sigma=1.5)
     # a single trajectory exposes every per-trajectory rounding; sums over many can hide it
     for subset in (trajs[:1], trajs[:7], trajs):
-        every = expected_features(subset, range(k), goals, cfg)
+        every = expected_features(subset, range(k), goals, 1.5)
         assert every.shape == (k, 3)
         for agent in range(k):
             ref = _reference_expected_features(subset, agent, goals[agent], 1.5)
             assert every[agent].tobytes() == ref.tobytes()
-            one = expected_features(subset, [agent], goals[agent : agent + 1], cfg)
+            one = expected_features(subset, [agent], goals[agent : agent + 1], 1.5)
             assert one.shape == (1, 3) and one[0].tobytes() == ref.tobytes()
 
 
@@ -163,10 +162,10 @@ def test_row_blocked_features_equal_per_agent_and_per_trajectory_calls(N):
     k, T = 8, 30
     trajs = RolloutSet(rng.uniform(-4, 4, (N, T + 1, 4 * k)), rng.normal(size=(N, T, k, 2)), 0.1)
     goals = rng.uniform(-4, 4, (k, 2))
-    every = expected_features(trajs, range(k), goals)
-    one_agent = np.concatenate([expected_features(trajs, [i], goals[[i]]) for i in range(k)])
+    every = expected_features(trajs, range(k), goals, DEFAULT_SIGMA)
+    one_agent = np.concatenate([expected_features(trajs, [i], goals[[i]], DEFAULT_SIGMA) for i in range(k)])
     assert every.tobytes() == one_agent.tobytes()
-    rows = np.stack([expected_features([traj], range(k), goals) for traj in trajs])
+    rows = np.stack([expected_features([traj], range(k), goals, DEFAULT_SIGMA) for traj in trajs])
     assert every.tobytes() == (np.sum(rows, axis=0) / N).tobytes()
 
 
@@ -189,7 +188,7 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
         assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
         for N in (1, FEATURE_ROWS - 1, FEATURE_ROWS + 1, 128):
             trajs = RolloutSet(states[:N], controls[:N], 0.1)
-            got = expected_features(trajs, agents, g, ProximityConfig(sigma))
+            got = expected_features(trajs, agents, g, sigma)
             assert got.tobytes() == reference_expected_features(trajs, agents, g, sigma).tobytes()
     nominal = Trajectory(states[0], controls[0], 0.1)
     for model in agent_costs([CostParams.ones()] * k,
@@ -203,7 +202,7 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
 def test_expected_features_rejects_out_of_range_agent(agents):
     trajs = [_static_traj([(0, 0), (1, 0)])]
     with pytest.raises(ValidationError, match="agent indices"):
-        expected_features(trajs, agents, np.zeros((len(agents), 2)))
+        expected_features(trajs, agents, np.zeros((len(agents), 2)), DEFAULT_SIGMA)
 
 
 @pytest.mark.parametrize(
@@ -212,7 +211,7 @@ def test_expected_features_rejects_out_of_range_agent(agents):
 def test_expected_features_rejects_misshapen_goals(goals):
     trajs = [_static_traj([(0, 0), (1, 0)])]
     with pytest.raises(ValidationError, match="goals must be"):
-        expected_features(trajs, [0, 1], goals)
+        expected_features(trajs, [0, 1], goals, DEFAULT_SIGMA)
 
 
 def test_permutation_equivariance_in_neighbors():

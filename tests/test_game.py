@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from crowdirl.cli import scenario_preset
 from crowdirl.errors import SolverError, ValidationError
-from crowdirl.features import (
-    DEFAULT_SIGMA,
-    CostParams,
-    expected_features,
-    state_features,
-)
+from crowdirl.features import CostParams, expected_features, state_features
 from crowdirl.game import (
     FEEDBACK_TILE,
     MAX_GAIN_CONDITION,
@@ -86,8 +81,9 @@ def textbook_affine_lqr(A, B, Q_seq, q_seq, R_seq, r_seq, Qf, qf):
 
 
 def _expand_all(thetas, spec, nominal):
-    """Every agent's cost expansion along nominal, at the default kernel width."""
-    return [expand_model_along(nominal, i, spec.goals[i], DEFAULT_SIGMA, t.weights) for i, t in enumerate(thetas)]
+    """Every agent's cost expansion along nominal, at the scene's kernel width."""
+    goals, sigma = spec.goals, spec.sigma
+    return [expand_model_along(nominal, i, goals[i], sigma, t.weights) for i, t in enumerate(thetas)]
 
 
 def _solve_single_agent(spec, theta, cfg=SolverConfig()):
@@ -535,8 +531,8 @@ def test_sampled_features_match_the_exact_moments_of_the_coupled_game(theta_star
     spec, M = replace(scenario_preset("intersection_k3"), u_max=np.inf), 4000
     policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1.0))
     rollouts = sample_rollouts(policies, spec, M, seed=3)
-    got = expected_features(rollouts, range(3), spec.goals)
-    goal, crowd = state_features(rollouts.states, np.arange(3), spec.goals, DEFAULT_SIGMA)
+    got = expected_features(rollouts, range(3), spec.goals, spec.sigma)
+    goal, crowd = state_features(rollouts.states, np.arange(3), spec.goals, spec.sigma)
     effort = np.sum(rollouts.controls**2, axis=-1)
     per_traj = np.stack([goal.mean(axis=1), crowd.mean(axis=1), effort.mean(axis=1)], axis=-1)
     se = per_traj.std(axis=0, ddof=1) / np.sqrt(M)
@@ -547,7 +543,7 @@ def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
     spec = replace(scenario_preset("intersection_k3"), u_max=np.inf)
     policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
     mean = mean_rollout(policies, spec)
-    ref = expected_features([mean], range(3), spec.goals)
+    ref = expected_features([mean], range(3), spec.goals, spec.sigma)
     assert np.max(np.abs(exact_features(policies, spec) - ref)) <= 1e-9
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crowdirl.errors import ValidationError
-from crowdirl.features import CostParams, ProximityConfig, expected_features
+from crowdirl.features import CostParams, expected_features
 from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
 from crowdirl.irl import (
     SHARED_AGENT,
@@ -18,7 +18,7 @@ from crowdirl.irl import (
 )
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import derive_seed
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec, Trajectory
+from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, JointState, ScenarioSpec, Trajectory
 
 QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
 
@@ -26,7 +26,7 @@ QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
 def _cfg(**kw) -> TrainingConfig:
     base = dict(
         beta=0.03, max_iters=10, tol=0.0, M=8, seed=7,
-        solver=QUIET_SOLVER, proximity=ProximityConfig(),
+        solver=QUIET_SOLVER,
     )
     base.update(kw)
     return TrainingConfig(**base)
@@ -268,8 +268,14 @@ def _reference_update(trace, sweep, agent, theta, gap, beta, policies):
     return theta_new
 
 
-def _reference_multi_agent_irl(dataset, spec, cfg):
-    game, demo_phi = _training_game(dataset, spec, cfg)
+def _reference_game(dataset, spec, cfg, sigma):
+    """The training game at kernel width sigma, and the demo features with sigma passed explicitly."""
+    game, _ = _training_game(dataset, replace(spec, sigma=sigma), cfg)
+    return game, expected_features(dataset, range(spec.k), game.spec.goals, sigma)
+
+
+def _reference_multi_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
+    game, demo_phi = _reference_game(dataset, spec, cfg, sigma)
     goals = game.spec.goals
     thetas = [CostParams.ones() for _ in range(spec.k)]
     trace = TrainingTrace()
@@ -278,7 +284,7 @@ def _reference_multi_agent_irl(dataset, spec, cfg):
         seed = derive_seed(cfg.seed, sweep)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed)
         for i in range(spec.k):
-            gap = expected_features(rollouts, [i], goals[[i]], cfg.proximity)[0] - demo_phi[i]
+            gap = expected_features(rollouts, [i], goals[[i]], sigma)[0] - demo_phi[i]
             thetas[i] = _reference_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
         for i in range(spec.k):
             game.set_theta(i, thetas[i])
@@ -287,8 +293,8 @@ def _reference_multi_agent_irl(dataset, spec, cfg):
     return thetas, trace
 
 
-def _reference_single_agent_irl(dataset, spec, cfg):
-    game, demo_phi = _training_game(dataset, spec, cfg)
+def _reference_single_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
+    game, demo_phi = _reference_game(dataset, spec, cfg, sigma)
     goals = game.spec.goals
     theta = CostParams.ones()
     trace = TrainingTrace()
@@ -296,7 +302,7 @@ def _reference_single_agent_irl(dataset, spec, cfg):
         policies = game.solve()
         seed = derive_seed(cfg.seed, sweep)
         rollouts = sample_rollouts(policies, spec, cfg.M, seed)
-        gaps = expected_features(rollouts, range(spec.k), goals, cfg.proximity) - demo_phi
+        gaps = expected_features(rollouts, range(spec.k), goals, sigma) - demo_phi
         agg = np.mean(gaps, axis=0)
         theta = _reference_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)
         for i in range(spec.k):
@@ -326,3 +332,18 @@ def test_shared_loop_equals_the_separate_loops_bit_for_bit(
         assert r.gap.tobytes() == e.gap.tobytes() and r.gap_norm == e.gap_norm
         assert r.theta_before.tobytes() == e.theta_before.tobytes()
         assert r.theta_after.tobytes() == e.theta_after.tobytes()
+
+
+@pytest.mark.parametrize("train, reference", [
+    (multi_agent_irl, _reference_multi_agent_irl),
+    (single_agent_maxent_irl, _reference_single_agent_irl),
+], ids=["mairl", "sairl"])
+def test_training_reads_the_kernel_width_of_its_scene(intersection_spec, theta_star, train, reference):
+    demos = synth_generate(theta_star, intersection_spec, 5, seed=17, solver_cfg=QUIET_SOLVER)
+    cfg = _cfg(max_iters=2, M=4)
+    got, trace = train(demos, replace(intersection_spec, sigma=1.0), cfg)
+    _, ref_trace = reference(demos, intersection_spec, cfg, sigma=1.0)
+    _, default_trace = train(demos, intersection_spec, cfg)
+    rows = [[r.theta_after.tobytes(), r.gap.tobytes()] for r in trace.records]
+    assert rows == [[r.theta_after.tobytes(), r.gap.tobytes()] for r in ref_trace.records]
+    assert rows != [[r.theta_after.tobytes(), r.gap.tobytes()] for r in default_trace.records]

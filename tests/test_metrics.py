@@ -408,7 +408,7 @@ class TestPredictors:
         picks = []
         for demo, pred in zip(demos, got):
             demo_spec = intersection_spec.with_x0(demo.joint_state(0))
-            policies = build_policies(theta_star, demo_spec, ctx.solver, ctx.proximity)
+            policies = build_policies(theta_star, demo_spec, ctx.solver)
             if best_of == 1:
                 best = mean_rollout(policies, demo_spec)
             else:

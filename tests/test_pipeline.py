@@ -463,7 +463,7 @@ class TestInterchange:
         ("0,0,0", "block 1: row 2 has 3 values, expected 4"),
         ("0,0,1_0,0", "non-numeric value in block 1: digit-group underscore in row 2"),
         ("0,0,abc,0", "non-numeric value in block 1: could not convert string to float: 'abc'"),
-        ("0,0,-1,0", "dataset rows contain negative speed"),
+        ("0,0,-1,0", "block 1: row 2 has a negative speed"),
         ("0,0,nan,0", "block 1: row 2 has a non-finite value"),
         ("inf,0,1,0", "block 1: row 2 has a non-finite value"),
         ("0,1e400,1,0", "block 1: row 2 has a non-finite value"),
@@ -479,14 +479,15 @@ class TestInterchange:
         path.write_text(json.dumps(header) + "\n" + "\n".join(lines) + "\n")
         with pytest.raises(FormatError) as err:
             read_demonstrations(path)
-        assert str(err.value) == message
+        assert str(err.value) == f"{path}: {message}"
 
     def test_every_row_of_a_wide_block_is_named_by_the_first(self, tmp_path):
         path = tmp_path / "wide.traj"
         header = {"k": 1, "T": 2, "dt": 0.1, "goals": None, "count": 2, "provenance": {}}
         path.write_text(json.dumps(header) + "\n" + "0,0,0,0\n" * 2 + "0,0,0,0,0\n" * 2)
-        with pytest.raises(FormatError, match="^block 1: row 0 has 5 values, expected 4$"):
+        with pytest.raises(FormatError) as err:
             read_demonstrations(path)
+        assert str(err.value) == f"{path}: block 1: row 0 has 5 values, expected 4"
 
 
 def _awkward_dataset_rows(rng, n, k):

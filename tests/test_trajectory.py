@@ -6,6 +6,7 @@ import pytest
 
 from crowdirl.errors import FormatError, ValidationError
 from crowdirl.trajectory import (
+    DEFAULT_SIGMA,
     AgentState,
     JointState,
     RolloutSet,
@@ -421,11 +422,21 @@ def test_scenario_spec_rejects_a_bound_that_is_not_positive(u_max):
 def test_scenario_spec_keeps_its_bound_through_every_copy():
     spec = ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=2,
                         u_max=math.inf)
-    assert spec.u_max == math.inf
-    spec = dataclasses.replace(spec, u_max=0.5)
-    assert spec.u_max == 0.5
-    assert spec.with_goals(np.array([[1.0, 2.0]])).u_max == 0.5
-    assert spec.with_x0(JointState((AgentState(1, 0, 0, 0),))).u_max == 0.5
-    assert dataclasses.replace(spec, horizon=5).u_max == 0.5
+    assert (spec.u_max, spec.sigma) == (math.inf, DEFAULT_SIGMA)
+    spec = dataclasses.replace(spec, u_max=0.5, sigma=0.7)
+    assert (spec.u_max, spec.sigma) == (0.5, 0.7)
+    moved = JointState((AgentState(1, 0, 0, 0),))
+    for copy in (spec.with_goals(np.array([[1.0, 2.0]])), spec.with_x0(moved),
+                 dataclasses.replace(spec, horizon=5)):
+        assert (copy.u_max, copy.sigma) == (0.5, 0.7)
     with pytest.raises(ValidationError, match="u_max must be positive"):
         dataclasses.replace(spec, u_max=0.0)
+    with pytest.raises(ValidationError, match="sigma must be positive"):
+        dataclasses.replace(spec, sigma=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.0, -1.5, math.nan, math.inf, -math.inf])
+def test_scenario_spec_rejects_a_kernel_width_that_is_not_positive_and_finite(sigma):
+    with pytest.raises(ValidationError, match=f"^sigma must be positive, got {sigma!r}$"):
+        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1,
+                     sigma=sigma)
