@@ -18,8 +18,7 @@ from crowdirl import (
     PreprocessConfig,
     ScenarioSpec,
     SolverConfig,
-    assemble_joint,
-    combinatorial_scenarios,
+    direction_catalog,
     emit_report,
     filter_tracks,
     parse_frames,
@@ -30,7 +29,6 @@ from crowdirl import (
     write_demonstrations,
 )
 from crowdirl.cli import scenario_preset
-from crowdirl.pipeline import travel_direction
 
 workdir = tempfile.TemporaryDirectory(prefix="crowdirl_demo_")
 out = Path(workdir.name)
@@ -51,16 +49,14 @@ for j in range(40):
     lines.append(json.dumps({"t": t, "objects": objs}))
 
 frames = parse_frames(lines)
-cfg = PreprocessConfig()
+cfg = PreprocessConfig(scheme=("W-E-S", "S-N-W"), group_size=2)
 tracks = filter_tracks(tracks_from_frames(frames, cfg), cfg)
 print(f"parsed {len(frames)} frames into {len(tracks)} filtered tracks")
-groups = {}
-for trk in tracks.values():
-    groups.setdefault(travel_direction(trk), []).append(trk)
-print("direction groups:", {d: len(v) for d, v in sorted(groups.items())})
-catalog = combinatorial_scenarios(groups, ["W-E-S", "S-N-W"], T=30)
+direction_counts, catalog = direction_catalog(tracks, cfg)  # the catalog `preprocess` writes
+print("direction groups:", direction_counts)
 print(f"catalog: {catalog.size} joint scenarios "
-      f"({json.dumps(catalog.count_by_category())}), arrays {catalog.entries[0].array.shape}")
+      f"({json.dumps(catalog.count_by_category())}) of {catalog.T} rows, "
+      f"tracks {[t.track_id for t in catalog.entries[0].tracks]} first")
 
 print("\n== interchange files ==")
 spec = scenario_preset("intersection_k3")

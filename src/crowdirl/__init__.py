@@ -66,8 +66,8 @@ from .pipeline import (
     RawFrameObject,
     ScenarioCatalog,
     Track,
-    assemble_joint,
     combinatorial_scenarios,
+    direction_catalog,
     filter_tracks,
     parse_frames,
     read_demonstrations,

@@ -41,7 +41,7 @@ from .metrics import (
 )
 from .pipeline import (
     PreprocessConfig,
-    combinatorial_scenarios,
+    direction_catalog,
     filter_tracks,
     header_goals,
     json_kind,
@@ -51,7 +51,6 @@ from .pipeline import (
     synth_generate,
     synth_provenance,
     tracks_from_frames,
-    travel_direction,
     write_catalog,
     write_demonstrations,
 )
@@ -237,19 +236,19 @@ def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> 
     """Scenario of a demonstration file at cfg's u_max and sigma: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
-    predictors start each demo from its own x0. A file that records its bound is read only at it.
+    predictors start each demo from its own x0. A file that records its bound or sigma is read only at it.
     """
-    u_max = cfg["u_max"]
-    recorded = header["provenance"].get("u_max", u_max)
-    if recorded != u_max:
-        raise ValidationError(f"{path} was synthesized at u_max {recorded!r}, but the configured "
-                              f"bound is {u_max!r}; pass --u-max {recorded!r}")
+    u_max, sigma = cfg["u_max"], cfg["proximity"]["sigma"]
+    for key, what, configured in (("u_max", "bound", u_max), ("sigma", "kernel width", sigma)):
+        recorded = header["provenance"].get(key, configured)
+        if recorded != configured:
+            raise ValidationError(f"{path} was synthesized at {key} {recorded!r}, but the configured "
+                                  f"{what} is {configured!r}; pass --{key.replace('_', '-')} {recorded!r}")
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
     return ScenarioSpec(k=demos[0].k, x0=JointState.from_array(demos[0].states[0]), goals=goals,
-                        horizon=demos[0].horizon, dt=demos[0].dt, u_max=u_max,
-                        sigma=cfg["proximity"]["sigma"])
+                        horizon=demos[0].horizon, dt=demos[0].dt, u_max=u_max, sigma=sigma)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -261,21 +260,12 @@ def cmd_preprocess(args, cfg: dict) -> int:
     frames = parse_frames(read_text_lines(args.raw))
     tracks = filter_tracks(tracks_from_frames(frames, pre), pre)
 
-    groups: dict[str, list] = {}
-    for name in sorted(tracks):
-        groups.setdefault(travel_direction(tracks[name]), []).append(tracks[name])
-
+    direction_counts, catalog = direction_catalog(tracks, pre)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each direction's first group_size tracks that can fill a scene of scenario_len rows
-    fill = {d: [t for t in trks if len(t) >= pre.scenario_len] for d, trks in groups.items()}
-    usable = {d: trks[:pre.group_size] for d, trks in fill.items() if len(trks) >= pre.group_size}
-    feasible = [cat for cat in pre.scheme if all(d in usable for d in cat.split("-"))]
-    catalog = combinatorial_scenarios(usable, feasible, pre.scenario_len)  # empty when none is feasible
-
     summary = {
         "tracks_kept": len(tracks),
-        "direction_counts": {d: len(t) for d, t in sorted(groups.items())},
+        "direction_counts": direction_counts,
         "categories": catalog.count_by_category(),
         "total_entries": catalog.size,
         "entries": write_catalog(out_dir, catalog, pre.resample_dt),
@@ -299,7 +289,7 @@ def cmd_synth(args, cfg: dict) -> int:
         spec = dataclasses.replace(spec, horizon=int(args.horizon))
     thetas = parse_thetas(args.theta, spec.k)
     seed = cfg["seed"]
-    provenance = synth_provenance(thetas, seed, spec.u_max)
+    provenance = synth_provenance(thetas, seed, spec)
     if args.n == 0:
         write_demonstrations(args.out, [], goals=spec.goals, provenance=provenance, spec=spec)
         print(f"wrote header-only demonstration file to {args.out}")
@@ -375,11 +365,19 @@ def cmd_train(args, cfg: dict) -> int:
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def _load_thetas(path: str, k: int) -> list[CostParams]:
+def _load_thetas(path: str, k: int, sigma: float) -> list[CostParams]:
     payload = _read_json(path, "weight file")
     rows = payload.get("thetas") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise FormatError(f"weight file {path} must hold an object with a 'thetas' list")
+    config = payload.get("config", {})  # train's config; a file that records a sigma is read only at it
+    proximity = config.get("proximity", {}) if isinstance(config, dict) else None
+    if not isinstance(proximity, dict):
+        raise FormatError(f"weight file {path}: 'config' must be an object, and its 'proximity' one too")
+    trained = proximity.get("sigma", sigma)
+    if trained != sigma:
+        raise ValidationError(f"weight file {path} was trained at sigma {trained!r}, but the configured "
+                              f"kernel width is {sigma!r}; pass --sigma {trained!r}")
     try:
         weights = [np.array(t, dtype=float) for t in rows]
     except (TypeError, ValueError) as exc:
@@ -410,7 +408,7 @@ def cmd_eval(args, cfg: dict) -> int:
     if method in ("mairl", "sairl"):
         if not args.theta:
             raise ValidationError(f"--theta FILE is required for baseline {method!r}")
-        thetas = _load_thetas(args.theta, spec.k)
+        thetas = _load_thetas(args.theta, spec.k, spec.sigma)
 
     ctx = PredictorContext(spec=spec, train_demos=train_demos, thetas=thetas,
                            solver=SolverConfig(**cfg["solver"]), seed=cfg["seed"], **cfg["eval"])

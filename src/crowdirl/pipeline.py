@@ -3,20 +3,20 @@
 Raw input is a line-delimited stream of tracker frames (one JSON object per
 line carrying a timestamp and detected objects). Frames become per-id tracks
 resampled onto a uniform time grid, standstill and out-of-range data are
-dropped, and surviving tracks are stacked into T x 4k arrays of Cartesian
-joint states, either directly or combinatorially, crossing direction groups
-into scenario catalogs; only the writer converts them to the dataset layout,
-once. A catalog shares each track among many entries, so its writer checks,
-converts and formats each track's block once and joins every entry's rows
-from that text. A synthetic generator produces ground-truth demonstrations by
-rolling out game policies at known cost weights, emitted in the same
-interchange format the readers accept.
+dropped, and surviving tracks are grouped by travel direction and crossed
+into scenario catalogs (`direction_catalog` holds the policy), each entry a
+choice of tracks. A catalog shares each track among many entries, so its
+writer checks, converts to the dataset layout and formats each track's rows
+once and joins every entry's rows from that text. A synthetic generator
+produces ground-truth demonstrations by rolling out game policies at known
+cost weights, emitted in the same interchange format the readers accept.
 
 Interchange file layout: one JSON header line (k, T, dt, goals, count,
 provenance) followed by `count` blocks of T comma-separated rows, each row a
 4k dataset-layout state (position, speed, heading per agent). T counts rows,
 i.e. steps + 1. The provenance is an object; a synthesized file records in
-it the control bound `u_max` its demonstrations were clamped at.
+it the control bound `u_max` its demonstrations were clamped at and the
+crowding kernel width `sigma` of the games they were rolled out in.
 """
 from __future__ import annotations
 
@@ -133,9 +133,9 @@ class PreprocessConfig:
                 raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} repeats a "
                                       "direction or an earlier entry")
         object.__setattr__(self, "scheme", scheme)
-        for name in ("group_size", "scenario_len"):
-            if not getattr(self, name) >= 1:
-                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, least in (("group_size", 1), ("scenario_len", 2)):  # a scene needs one step
+            if not getattr(self, name) >= least:
+                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -323,34 +323,17 @@ def travel_direction(track: Track) -> str:
     return "N" if d[1] >= 0 else "S"
 
 
-def assemble_joint(tracks: Sequence[Track], T: int) -> np.ndarray:
-    """Stack k tracks (aligned from their own starts) into a (T, 4k) array.
-
-    Rows are Cartesian joint states (x, y, vx, vy per agent), converted to
-    the dataset layout only when written; column blocks follow the given
-    track order. Every track must supply at least T samples.
-    """
-    if not tracks:
-        raise ValidationError("need at least one track")
-    shortest = min(tracks, key=len)
-    if len(shortest) < T:
-        raise ValidationError(
-            f"track {shortest.track_id!r} covers only {len(shortest)} < {T} steps"
-        )
-    return np.concatenate([trk.states[:T] for trk in tracks], axis=1)
-
-
 @dataclass(frozen=True)
 class CatalogEntry:
     category: str
-    track_ids: tuple[str, ...]
-    array: np.ndarray  # (T, 4k) Cartesian joint states
+    tracks: tuple[Track, ...]  # one per agent, in column order; the scene is their first T rows
 
 
 @dataclass(frozen=True)
 class ScenarioCatalog:
     categories: tuple[str, ...]
     entries: tuple[CatalogEntry, ...]
+    T: int  # rows of every entry
 
     @property
     def size(self) -> int:
@@ -372,6 +355,7 @@ def combinatorial_scenarios(
 
     A category like 'W-E-S' takes the cross product of the named groups, so a
     scheme of c categories over groups of n tracks yields c * n^arity entries.
+    Every track the scheme names must supply at least T samples.
     """
     sizes = set()
     for cat in scheme:
@@ -381,19 +365,33 @@ def combinatorial_scenarios(
             sizes.add(len(groups[direction]))
     if len(sizes) > 1:
         raise ValidationError(f"direction groups must be equally sized, got sizes {sorted(sizes)}")
+    for trk in (t for cat in scheme for d in cat.split("-") for t in groups[d]):
+        if len(trk) < T:
+            raise ValidationError(f"track {trk.track_id!r} covers only {len(trk)} < {T} steps")
 
-    entries: list[CatalogEntry] = []
-    for cat in scheme:
-        directions = cat.split("-")
-        for combo in itertools.product(*(groups[d] for d in directions)):
-            entries.append(
-                CatalogEntry(
-                    category=cat,
-                    track_ids=tuple(trk.track_id for trk in combo),
-                    array=assemble_joint(combo, T),
-                )
-            )
-    return ScenarioCatalog(categories=tuple(scheme), entries=tuple(entries))
+    entries = [CatalogEntry(category=cat, tracks=combo) for cat in scheme
+               for combo in itertools.product(*(groups[d] for d in cat.split("-")))]
+    return ScenarioCatalog(categories=tuple(scheme), entries=tuple(entries), T=T)
+
+
+def direction_catalog(tracks: dict[str, Track],
+                      cfg: PreprocessConfig) -> tuple[dict[str, int], ScenarioCatalog]:
+    """The catalog `preprocess` writes, with the number of tracks per travel direction.
+
+    Tracks are grouped by direction in name order. Each direction offers its
+    first group_size tracks that cover scenario_len rows, and only the scheme's
+    categories whose every direction offers a full group are crossed. The
+    counts include the tracks too short for a scene.
+    """
+    groups: dict[str, list] = {}
+    for name in sorted(tracks):
+        groups.setdefault(travel_direction(tracks[name]), []).append(tracks[name])
+    # each direction's first group_size tracks that can fill a scene of scenario_len rows
+    fill = {d: [t for t in trks if len(t) >= cfg.scenario_len] for d, trks in groups.items()}
+    usable = {d: trks[:cfg.group_size] for d, trks in fill.items() if len(trks) >= cfg.group_size}
+    feasible = [cat for cat in cfg.scheme if all(d in usable for d in cat.split("-"))]
+    catalog = combinatorial_scenarios(usable, feasible, cfg.scenario_len)  # empty when none is feasible
+    return {d: len(t) for d, t in sorted(groups.items())}, catalog
 
 
 # --- synthetic ground truth --------------------------------------------------
@@ -413,12 +411,13 @@ def synth_generate(
     return list(sample_rollouts(policies, spec, n_demos, seed))
 
 
-def synth_provenance(theta_star: Sequence[CostParams], seed: int, u_max: float) -> dict:
+def synth_provenance(theta_star: Sequence[CostParams], seed: int, spec: ScenarioSpec) -> dict:
     return {
         "generator": "game-policy-rollout",
         "theta_star": [[float(v) for v in th.weights] for th in theta_star],
         "seed": int(seed),
-        "u_max": float(u_max),  # the bound the demos were clamped at; no clamp is written Infinity
+        "u_max": float(spec.u_max),  # the bound the demos were clamped at; no clamp is written Infinity
+        "sigma": float(spec.sigma),  # the crowding kernel width of their games
     }
 
 
@@ -476,31 +475,27 @@ def write_catalog(out_dir, catalog: ScenarioCatalog, dt: float) -> list[dict]:
     Each file holds what write_demonstrations writes for the entry's one
     trajectory (goals None, provenance its category), byte for byte. The
     dataset conversion is elementwise within an agent's column block, so each
-    distinct block is checked and formatted once per call, keyed by its
-    bytes, and an entry's rows are its blocks' row text joined by commas.
+    distinct track's first T rows are checked and formatted once per call, and
+    an entry's rows are its tracks' row text joined by commas.
     """
-    dt = float(dt)
-    block_rows: dict[bytes, list[str]] = {}
+    dt, T = float(dt), catalog.T
+    track_rows: dict[int, list[str]] = {}  # keyed by id(): a Track holding an array has no hash
     entries_meta = []
     for idx, entry in enumerate(catalog.entries):
-        k = entry.array.shape[1] // 4
-        per_agent = []
-        for block in (entry.array[:, 4 * j:4 * j + 4] for j in range(k)):
-            key = block.tobytes()
-            if key not in block_rows:
+        for trk in entry.tracks:
+            if id(trk) not in track_rows:
                 try:
-                    Trajectory.from_states(block, dt)  # the checks the entry's trajectory applies
-                except ValidationError:
-                    Trajectory.from_states(entry.array, dt)  # the entry's own message, states first
+                    Trajectory.from_states(trk.states[:T], dt)  # the checks the entry's trajectory applies
+                except ValidationError:  # the entry's own message, states first
+                    Trajectory.from_states(np.concatenate([t.states[:T] for t in entry.tracks], axis=1), dt)
                     raise
-                block_rows[key] = _dataset_rows(block)
-            per_agent.append(block_rows[key])
-        lines = [_header_line(k, len(entry.array), dt, None, 1, {"category": entry.category})]
-        lines.extend(map(",".join, zip(*per_agent)))
+                track_rows[id(trk)] = _dataset_rows(trk.states[:T])
+        lines = [_header_line(len(entry.tracks), T, dt, None, 1, {"category": entry.category})]
+        lines.extend(map(",".join, zip(*(track_rows[id(t)] for t in entry.tracks))))
         fname = f"{entry.category}_{idx:04d}.traj"
         with open(Path(out_dir) / fname, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        entries_meta.append({"category": entry.category, "tracks": list(entry.track_ids),
+        entries_meta.append({"category": entry.category, "tracks": [t.track_id for t in entry.tracks],
                              "file": fname})
     return entries_meta
 
@@ -564,6 +559,9 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
     bound = provenance.get("u_max", math.inf)  # a file may record no bound
     if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not bound > 0:
         raise FormatError(f"provenance key 'u_max' must be a positive number, got {bound!r}")
+    width = provenance.get("sigma", 1.0)  # nor a kernel width
+    if json_kind(width) != "a number" or not width > 0:
+        raise FormatError(f"provenance key 'sigma' must be a positive finite number, got {width!r}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count * rows_per:
         raise FormatError(

@@ -121,6 +121,7 @@ class TestConfig:
         ({"preprocess": {"scenario_len": 30.5}},
          "preprocess.scenario_len must be an integer >= 1, got 30.5"),
         ({"seed": 2**64}, "seed must be an integer below 2**64, got 18446744073709551616"),
+        ({"preprocess": {"scenario_len": 1}}, "scenario_len must be >= 2, got 1"),
     ])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override, message):
         cfg_path = tmp_path / "cfg.json"
@@ -453,11 +454,37 @@ class TestSynth:
             assert main(["--u-max", "0.5", *argv, "--out", str(out)]) == 0 and out.exists()
             out.unlink()
 
+    def test_the_kernel_width_travels_with_the_demonstrations(self, tmp_path, capsys):
+        path = tmp_path / "b.traj"
+        assert main(["--sigma", "1.0", "--entropy-temp", "0.001", "synth", str(path), "--n", "2"]) == 0
+        assert read_demonstrations(path)[1]["provenance"]["sigma"] == 1.0
+        train = [*FAST_TRAIN, "--iters", "1", "--tol", "100", "train", str(path)]
+        score = ["eval", str(path), "--baseline", "cv"]
+        for argv in (train, score):
+            out = tmp_path / "out"
+            capsys.readouterr()
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"{path} was synthesized at sigma 1.0, but the configured kernel width is 1.5" in err
+            assert "pass --sigma 1.0" in err and not out.exists()
+            assert main(["--sigma", "1.0", *argv, "--out", str(out)]) == 0 and out.exists()
+            out.unlink()
+
     def test_header_only_file_records_no_clamp_as_infinity(self, tmp_path):
         path = tmp_path / "b.traj"
         assert main(["--u-max", "inf", "synth", str(path), "--n", "0"]) == 0
         assert '"u_max": Infinity' in path.read_text().splitlines()[0]
         assert read_demonstrations(path)[1]["provenance"]["u_max"] == math.inf
+
+    def test_files_that_record_no_kernel_width_read_at_the_configured_one(self, tmp_path):
+        path = _synth(tmp_path, n=2)
+        header, *rows = path.read_text().splitlines()
+        header = json.loads(header)
+        assert header["provenance"].pop("sigma") == 1.5
+        path.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        for sigma in ("1.5", "1.0"):
+            assert main(["--sigma", sigma, "eval", str(path), "--baseline", "cv",
+                         "--out", str(tmp_path / f"r{sigma}.csv")]) == 0
 
     def test_files_that_record_no_bound_read_at_the_configured_one(self, tmp_path):
         path = _synth(tmp_path, n=2)
@@ -480,6 +507,13 @@ class TestSynth:
         ({"u_max": True}, "provenance key 'u_max' must be a positive number, got True"),
         ({"u_max": math.nan}, "provenance key 'u_max' must be a positive number, got nan"),
         ({"u_max": -math.inf}, "provenance key 'u_max' must be a positive number, got -inf"),
+        ({"sigma": 0}, "provenance key 'sigma' must be a positive finite number, got 0"),
+        ({"sigma": -1.0}, "provenance key 'sigma' must be a positive finite number, got -1.0"),
+        ({"sigma": "1.5"}, "provenance key 'sigma' must be a positive finite number, got '1.5'"),
+        ({"sigma": None}, "provenance key 'sigma' must be a positive finite number, got None"),
+        ({"sigma": True}, "provenance key 'sigma' must be a positive finite number, got True"),
+        ({"sigma": math.nan}, "provenance key 'sigma' must be a positive finite number, got nan"),
+        ({"sigma": math.inf}, "provenance key 'sigma' must be a positive finite number, got inf"),
     ])
     def test_malformed_provenance_exits_2(self, tmp_path, capsys, provenance, message):
         path = _synth(tmp_path, n=2)
@@ -799,15 +833,50 @@ class TestEval:
 
     def test_kernel_width_reaches_the_games_of_the_report(self, tmp_path):
         demos = _synth(tmp_path, n=3)
+        narrow = tmp_path / "narrow.traj"  # the same demonstrations, recorded at sigma 1.0
+        header, *rows = demos.read_text().splitlines()
+        header = json.loads(header)
+        header["provenance"]["sigma"] = 1.0
+        narrow.write_text("\n".join([json.dumps(header), *rows]) + "\n")
         theta = tmp_path / "w.json"
         theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
-        argv = ["eval", str(demos), "--baseline", "mairl", "--theta", str(theta), "--format", "jsonl"]
-        assert main([*argv, "--out", str(tmp_path / "default.jsonl")]) == 0
-        assert main(["--sigma", "1.5", *argv, "--out", str(tmp_path / "same.jsonl")]) == 0
-        assert main(["--sigma", "1.0", *argv, "--out", str(tmp_path / "narrow.jsonl")]) == 0
+        argv = ["--baseline", "mairl", "--theta", str(theta), "--format", "jsonl"]
+        assert main(["eval", str(demos), *argv, "--out", str(tmp_path / "default.jsonl")]) == 0
+        assert main(["--sigma", "1.5", "eval", str(demos), *argv,
+                     "--out", str(tmp_path / "same.jsonl")]) == 0
+        assert main(["--sigma", "1.0", "eval", str(narrow), *argv,
+                     "--out", str(tmp_path / "narrow.jsonl")]) == 0
         default = (tmp_path / "default.jsonl").read_bytes()
         assert (tmp_path / "same.jsonl").read_bytes() == default
         assert (tmp_path / "narrow.jsonl").read_bytes() != default
+
+    def test_weight_file_is_scored_only_at_the_kernel_width_it_was_trained_at(self, tmp_path, capsys):
+        demos = _synth(tmp_path, n=3)
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3,
+                                     "config": {"proximity": {"sigma": 1.0}}}))
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert main(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: weight file {theta} was trained at sigma 1.0, but the configured kernel "
+            "width is 1.5; pass --sigma 1.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", [[], "sigma", None, {"proximity": 1.0}])
+    def test_weight_file_config_that_is_no_object_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                                        config):
+        demos = _synth(tmp_path, n=3)
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3, "config": config}))
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert main(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: weight file {theta}: 'config' must be an object, and its 'proximity' one too\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
     def test_empty_training_file_exits_2(self, tmp_path, capsys, baseline):

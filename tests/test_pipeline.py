@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crowdirl import pipeline
 from crowdirl.errors import FormatError, ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig
@@ -11,8 +12,8 @@ from crowdirl.pipeline import (
     PreprocessConfig,
     ScenarioCatalog,
     Track,
-    assemble_joint,
     combinatorial_scenarios,
+    direction_catalog,
     filter_tracks,
     parse_frames,
     read_demonstrations,
@@ -184,9 +185,9 @@ class TestPreprocessConfig:
             PreprocessConfig(scheme=["W-X"])
         with pytest.raises(ValidationError, match='entry "W-E-S" repeats'):
             PreprocessConfig(scheme=["W-E-S", "W-E-S"])
-        for name in ("group_size", "scenario_len"):
-            with pytest.raises(ValidationError, match=f"{name} must be >= 1, got 0"):
-                PreprocessConfig(**{name: 0})
+        for name, bad, least in (("group_size", 0, 1), ("scenario_len", 1, 2)):
+            with pytest.raises(ValidationError, match=f"{name} must be >= {least}, got {bad}"):
+                PreprocessConfig(**{name: bad})
 
 
 class TestFilterTracks:
@@ -230,40 +231,20 @@ def test_travel_direction_labels():
     assert travel_direction(_track("s", flat, -line)) == "S"
 
 
-class TestAssembleJoint:
-    def test_shape_single_track(self):
-        arr = assemble_joint([_track("a", [0.0, 0.1, 0.2], [0.0, 0.0, 0.0])], T=2)
-        assert arr.shape == (2, 4)
-
-    def test_shape_three_tracks(self):
-        n = 40
-        line = np.linspace(0, 4, n)
-        tracks = [
-            _track("a", line, np.zeros(n)),
-            _track("b", np.zeros(n), line),
-            _track("c", -line, np.zeros(n)),
-        ]
-        assert assemble_joint(tracks, T=30).shape == (30, 12)
-
-    def test_insufficient_overlap_names_shortest(self):
-        long = _track("long", np.linspace(0, 2, 20), np.zeros(20))
-        short = _track("shorty", np.linspace(0, 0.4, 5), np.zeros(5))
-        with pytest.raises(ValidationError, match="shorty"):
-            assemble_joint([long, short], T=10)
+def _groups(n, length=40):
+    """n tracks per direction, named like 'E0', each walking `length` rows that way."""
+    line = np.linspace(0, 4, length)
+    flat = np.zeros(length)
+    mk = lambda d, j: _track(f"{d}{j}", *{
+        "E": (line, flat), "W": (-line, flat), "N": (flat, line), "S": (flat, -line),
+    }[d])
+    return {d: [mk(d, j) for j in range(n)] for d in "EWNS"}
 
 
 class TestCombinatorialScenarios:
-    def _groups(self, n, length=40):
-        line = np.linspace(0, 4, length)
-        flat = np.zeros(length)
-        mk = lambda d, j: _track(f"{d}{j}", *{
-            "E": (line, flat), "W": (-line, flat), "N": (flat, line), "S": (flat, -line),
-        }[d])
-        return {d: [mk(d, j) for j in range(n)] for d in "EWNS"}
-
     def test_paper_scale_catalog(self):
         catalog = combinatorial_scenarios(
-            self._groups(5), ["W-E-S", "W-E-N", "S-N-W", "S-N-E"], T=30
+            _groups(5), ["W-E-S", "W-E-N", "S-N-W", "S-N-E"], T=30
         )
         assert catalog.size == 500
         assert catalog.count_by_category() == {
@@ -271,23 +252,63 @@ class TestCombinatorialScenarios:
         }
 
     def test_single_track_groups(self):
-        catalog = combinatorial_scenarios(self._groups(1), ["W-E-S"], T=30)
-        assert catalog.size == 1
+        groups = _groups(1)
+        catalog = combinatorial_scenarios(groups, ["W-E-S"], T=30)
+        assert catalog.size == 1 and catalog.T == 30
+        assert all(a is b for a, b in zip(catalog.entries[0].tracks,
+                                          (groups["W"][0], groups["E"][0], groups["S"][0])))
 
     def test_cube_law(self):
-        catalog = combinatorial_scenarios(self._groups(2), ["S-N-W"], T=30)
+        catalog = combinatorial_scenarios(_groups(2), ["S-N-W"], T=30)
         assert catalog.size == 8
 
     def test_missing_direction_group(self):
-        groups = self._groups(2)
+        groups = _groups(2)
         del groups["S"]
         with pytest.raises(ValidationError, match="S"):
             combinatorial_scenarios(groups, ["W-E-S"], T=30)
 
+    def test_a_track_shorter_than_T_is_named(self):
+        long = _track("long", np.linspace(0, 2, 20), np.zeros(20))
+        short = _track("shorty", np.linspace(0, 0.4, 5), np.zeros(5))
+        shorter = _track("shorter", -np.linspace(0, 0.3, 4), np.zeros(4))
+        with pytest.raises(ValidationError, match="^track 'shorty' covers only 5 < 10 steps$"):
+            combinatorial_scenarios({"E": [long, short], "W": [shorter, long]}, ["E-W"], T=10)
+
+
+def _direction_tracks():
+    """E: e0, e2, e3 of 30 rows and e1 of 10; W: w0, w1 of 30; S: s0 of 30."""
+    line, flat = np.linspace(0, 3, 30), np.zeros(30)
+    walks = {"e3": (line, flat), "e1": (line[:10], flat[:10]), "e2": (line, flat),
+             "e0": (line, flat), "w1": (-line, flat), "w0": (-line, flat), "s0": (flat, -line)}
+    return {name: _track(name, *xy) for name, xy in walks.items()}
+
+
+class TestDirectionCatalog:
+    cfg = PreprocessConfig(scheme=("W-E-S", "E-W"), group_size=2, scenario_len=20)
+
+    def test_direction_counts_include_short_tracks(self):
+        counts, _ = direction_catalog(_direction_tracks(), self.cfg)
+        assert counts == {"E": 4, "S": 1, "W": 2}
+
+    def test_groups_take_the_first_full_length_tracks_in_name_order(self):
+        _, catalog = direction_catalog(_direction_tracks(), self.cfg)
+        assert catalog.T == 20
+        assert [[t.track_id for t in e.tracks] for e in catalog.entries] == [
+            ["e0", "w0"], ["e0", "w1"], ["e2", "w0"], ["e2", "w1"]]
+
+    def test_a_category_without_a_full_group_is_left_out(self):
+        _, catalog = direction_catalog(_direction_tracks(), self.cfg)
+        assert catalog.categories == ("E-W",)
+        assert catalog.count_by_category() == {"E-W": 4}
+        _, empty = direction_catalog(_direction_tracks(), PreprocessConfig(scheme=("W-E-S",)))
+        assert (empty.categories, empty.size) == ((), 0)
+
 
 class TestWriteCatalog:
-    def _reference(self, path, entry, dt=0.1):
-        write_demonstrations(path, [Trajectory.from_states(entry.array, dt)], goals=None,
+    def _reference(self, path, entry, T, dt=0.1):
+        states = np.concatenate([t.states[:T] for t in entry.tracks], axis=1)
+        write_demonstrations(path, [Trajectory.from_states(states, dt)], goals=None,
                              provenance={"category": entry.category})
         return path.read_bytes()
 
@@ -299,7 +320,8 @@ class TestWriteCatalog:
         assert meta == [{"category": "E-W", "tracks": ["p", "p"], "file": "E-W_0000.traj"},
                         {"category": "W-E", "tracks": ["p", "p"], "file": "W-E_0001.traj"}]
         for entry, m in zip(catalog.entries, meta):
-            assert (tmp_path / m["file"]).read_bytes() == self._reference(tmp_path / "ref", entry)
+            reference = self._reference(tmp_path / "ref", entry, 30)
+            assert (tmp_path / m["file"]).read_bytes() == reference
         rows = [r.split(",") for r in (tmp_path / "E-W_0000.traj").read_text().splitlines()[1:]]
         assert [r[:4] for r in rows] != [r[4:] for r in rows]
 
@@ -319,14 +341,28 @@ class TestWriteCatalog:
         broken = good.copy()
         for index, value in bad.items():
             broken[index] = value
-        catalog = ScenarioCatalog(("E-N",), (CatalogEntry("E-N", ("a", "b"), good),
-                                            CatalogEntry("E-N", ("a", "b"), broken)))
+        entries = [CatalogEntry("E-N", (Track("a", 0.0, 0.1, arr[:, :4]),
+                                        Track("b", 0.0, 0.1, arr[:, 4:])))
+                   for arr in (good, broken)]
+        catalog = ScenarioCatalog(("E-N",), tuple(entries), T=30)
         with pytest.raises(ValidationError) as before:
             Trajectory.from_states(broken, 0.1)
         with pytest.raises(ValidationError) as after:
             write_catalog(tmp_path, catalog, 0.1)
         assert str(after.value) == str(before.value) == message
         assert [p.name for p in tmp_path.iterdir()] == ["E-N_0000.traj"]
+
+    def test_each_distinct_track_is_formatted_once(self, tmp_path, monkeypatch):
+        calls = []
+        rows = pipeline._dataset_rows
+        monkeypatch.setattr(pipeline, "_dataset_rows",
+                            lambda states: calls.append(states) or rows(states))
+        catalog = combinatorial_scenarios(_groups(2), ["W-E-S", "S-N-W", "E-W"], T=30)
+        meta = write_catalog(tmp_path, catalog, 0.1)
+        assert (catalog.size, len(meta), len(calls)) == (20, 20, 8)
+        for entry, m in zip(catalog.entries, meta):
+            reference = self._reference(tmp_path / "ref", entry, 30)
+            assert (tmp_path / m["file"]).read_bytes() == reference
 
 
 class TestSynthGenerate:
