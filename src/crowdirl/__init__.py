@@ -76,7 +76,7 @@ from .pipeline import (
     write_catalog,
     write_demonstrations,
 )
-from .quadratic import CostExpansion, LinearDynamics, linearize_dynamics
+from .quadratic import CostExpansion
 from .trajectory import (
     AgentState,
     JointState,

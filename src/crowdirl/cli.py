@@ -232,18 +232,24 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
     return out
 
 
+def _check_recorded(recorded: dict, cfg: dict, made: str) -> None:
+    """Refuse a file recorded at a u_max or sigma other than cfg's (unrecorded ones pass); made says how."""
+    for key, what, configured in (("u_max", "bound", cfg["u_max"]),
+                                  ("sigma", "kernel width", cfg["proximity"]["sigma"])):
+        value = recorded.get(key, configured)
+        if value != configured:
+            raise ValidationError(f"{made} at {key} {value!r}, but the configured {what} is "
+                                  f"{configured!r}; pass --{key.replace('_', '-')} {value!r}")
+
+
 def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> ScenarioSpec:
     """Scenario of a demonstration file at cfg's u_max and sigma: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
     predictors start each demo from its own x0. A file that records its bound or sigma is read only at it.
     """
+    _check_recorded(header["provenance"], cfg, f"{path} was synthesized")
     u_max, sigma = cfg["u_max"], cfg["proximity"]["sigma"]
-    for key, what, configured in (("u_max", "bound", u_max), ("sigma", "kernel width", sigma)):
-        recorded = header["provenance"].get(key, configured)
-        if recorded != configured:
-            raise ValidationError(f"{path} was synthesized at {key} {recorded!r}, but the configured "
-                                  f"{what} is {configured!r}; pass --{key.replace('_', '-')} {recorded!r}")
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
@@ -365,19 +371,17 @@ def cmd_train(args, cfg: dict) -> int:
     return EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
 
-def _load_thetas(path: str, k: int, sigma: float) -> list[CostParams]:
+def _load_thetas(path: str, k: int, cfg: dict) -> list[CostParams]:
     payload = _read_json(path, "weight file")
     rows = payload.get("thetas") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise FormatError(f"weight file {path} must hold an object with a 'thetas' list")
-    config = payload.get("config", {})  # train's config; a file that records a sigma is read only at it
+    config = payload.get("config", {})  # train's config: weights are read only at its bound and sigma
     proximity = config.get("proximity", {}) if isinstance(config, dict) else None
     if not isinstance(proximity, dict):
         raise FormatError(f"weight file {path}: 'config' must be an object, and its 'proximity' one too")
-    trained = proximity.get("sigma", sigma)
-    if trained != sigma:
-        raise ValidationError(f"weight file {path} was trained at sigma {trained!r}, but the configured "
-                              f"kernel width is {sigma!r}; pass --sigma {trained!r}")
+    trained = {"u_max": config.get("u_max", cfg["u_max"]), **proximity}
+    _check_recorded(trained, cfg, f"weight file {path} was trained")
     try:
         weights = [np.array(t, dtype=float) for t in rows]
     except (TypeError, ValueError) as exc:
@@ -408,7 +412,7 @@ def cmd_eval(args, cfg: dict) -> int:
     if method in ("mairl", "sairl"):
         if not args.theta:
             raise ValidationError(f"--theta FILE is required for baseline {method!r}")
-        thetas = _load_thetas(args.theta, spec.k, spec.sigma)
+        thetas = _load_thetas(args.theta, spec.k, cfg)
 
     ctx = PredictorContext(spec=spec, train_demos=train_demos, thetas=thetas,
                            solver=SolverConfig(**cfg["solver"]), seed=cfg["seed"], **cfg["eval"])

@@ -4,12 +4,13 @@ A backward recursion stacks every agent's first-order optimality condition at
 each timestep into one coupled linear system, yielding simultaneous affine
 feedback laws (a feedback Nash point of the quadratic game). It runs on the
 augmented state [dx; 1] of deviations from the nominal the costs were
-expanded along, which every solve takes, and each agent's `CostExpansion`
-fills one (n+1, n+1) cost per step. Each step writes into buffers allocated
-once per solve: one LU of the right-hand side [B^T Z A | I] gives every
-agent's [K | alpha] and the inverse that screens the condition, and one
-symmetrized update every value matrix. Each policy is Gaussian around its
-feedback mean, with covariance the tempered inverse of the agent's
+expanded along, which every solve takes, with A and B read off the one
+definition of the step, the exactly linear `trajectory.propagate_joint`; each
+agent's `CostExpansion` fills one (n+1, n+1) cost per step. Each step writes
+into buffers allocated once per solve: one LU of the right-hand side
+[B^T Z A | I] gives every agent's [K | alpha] and the inverse that screens
+the condition, and one symmetrized update every value matrix. Each policy is
+Gaussian around its feedback mean, with covariance the tempered inverse of the agent's
 control-space curvature of its Q-function, formed for all T*k stages after
 the sweep. Where that curvature loses positive definiteness (near-straight
 nominals) the covariance is repaired by the smallest uniform diagonal shift
@@ -18,9 +19,9 @@ randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 
 stack, whose repaired stages the diagnostics record; each policy is factored once.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
-dynamics, the constant-velocity nominal, every agent's weight vector and its
-expansion along the nominal at the kernel width `spec.sigma` (formed once,
-re-weighted by `set_theta`) and the outer re-expansion loop.
+constant-velocity nominal, every agent's weight vector and its expansion
+along the nominal at the kernel width `spec.sigma` (formed once, re-weighted
+by `set_theta`) and the outer re-expansion loop.
 Synthesis and evaluation reach it through `build_policies`; the IRL loop
 holds a `Game` and sets every agent's weights once per sweep. Policies are
 arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
@@ -43,13 +44,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams
-from .quadratic import CostExpansion, LinearDynamics, expand_model_along, linearize_dynamics
+from .quadratic import CostExpansion, expand_model_along
 from .rng import substream
 from .trajectory import (
     CONTROL_DIM,
@@ -58,6 +60,7 @@ from .trajectory import (
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,
+    propagate_joint,
     rollout,
 )
 
@@ -235,9 +238,23 @@ def _has_cholesky(S: np.ndarray) -> np.ndarray:
         return np.array([_has_cholesky(s) for s in S])
 
 
+@lru_cache(maxsize=None)
+def _augmented_dynamics(k: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only A (4k+1, 4k+1) and Bt (k, 2, 4k+1) of k agents' step on [x; 1], read off `propagate_joint`.
+
+    The step is linear: column j of A is its image of unit state j, Bt[i, c] that of agent i's unit control c.
+    """
+    n, m = STATE_DIM * k, CONTROL_DIM * k
+    A, Bt = np.eye(n + 1), np.zeros((k, CONTROL_DIM, n + 1))
+    A[:n, :n] = propagate_joint(np.eye(n), np.zeros((n, k, CONTROL_DIM)), dt).T
+    Bt.reshape(m, n + 1)[:, :n] = propagate_joint(np.zeros((m, n)), np.eye(m).reshape(m, k, CONTROL_DIM), dt)
+    A.setflags(write=False)
+    Bt.setflags(write=False)
+    return A, Bt
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def solve_lq_game(
-    dyn: LinearDynamics,
     costs: Sequence[CostExpansion],
     cfg: SolverConfig = SolverConfig(),
     *,
@@ -246,21 +263,21 @@ def solve_lq_game(
     """Backward recursion over stacked first-order conditions, all agents at once.
 
     costs[i] is agent i's quadratic cost in deviations from the nominal; its
-    row T seeds the value recursion at the horizon end. The returned policies
-    act on deviations from the nominal trajectory.
+    row T seeds the value recursion at the horizon end. The nominal fixes k and
+    dt, and so the dynamics; the returned policies act on deviations from it.
 
     Steps write into buffers allocated once per call; overflow raises no numpy warning.
     """
-    k, n = dyn.k, dyn.state_dim
+    k, n = nominal.k, STATE_DIM * nominal.k
     if len(costs) != k:
         raise ValidationError(f"need cost expansions for {k} agents, got {len(costs)}")
     T = costs[0].horizon
     if any(e.horizon != T for e in costs):
         raise ValidationError("all agents must supply the same horizon T >= 1")
     if any(e.state_dim != n for e in costs):
-        raise ValidationError(f"cost expansions do not match the dynamics' state dimension {n}")
-    if nominal.horizon != T or nominal.states.shape[1] != n:
-        raise ValidationError("nominal trajectory does not match costs/dynamics")
+        raise ValidationError(f"cost expansions do not match the nominal's state dimension {n}")
+    if nominal.horizon != T:
+        raise ValidationError(f"nominal trajectory has horizon {nominal.horizon}, the costs {T}")
 
     # On the augmented state [dx; 1], agent i's stage cost is
     # Qa[t, i] = [[Q, q], [q^T, 2c]] and its policy u_i = -[K | alpha] [dx; 1].
@@ -271,10 +288,7 @@ def solve_lq_game(
     r = np.stack([e.r for e in costs], axis=1)  # (T, k, 2)
     m2r = -2.0 * r
     R = np.array([e.R for e in costs])[:, None, None]
-    A = np.zeros((n1, n1))
-    A[:n, :n], A[n, n] = dyn.A, 1.0
-    Bt = np.zeros((k, CONTROL_DIM, n1))
-    Bt[..., :n] = np.swapaxes(dyn.B, 1, 2)
+    A, Bt = _augmented_dynamics(k, nominal.dt)
     B_all = Bt.reshape(m, n1).T  # (n+1, 2k): every agent's B side by side
     # where each agent's own 2x2 block of the (2k, 2k) gain system sits in its ravel
     own = (2 * m + 2) * np.arange(k)[:, None, None] + m * np.arange(2)[:, None] + np.arange(2)
@@ -367,7 +381,7 @@ def _robust_inverse(M: np.ndarray) -> np.ndarray:
 
 
 class Game:
-    """One scenario's game: dynamics, nominal, per-agent costs and the solve.
+    """One scenario's game: nominal, per-agent costs and the solve.
 
     Every agent's cost is expanded once along the constant-velocity nominal
     at the kernel width spec.sigma and re-weighted when its weights change.
@@ -384,7 +398,6 @@ class Game:
         self.thetas = list(thetas)
         self.spec = spec
         self.cfg = cfg
-        self.dyn = linearize_dynamics(spec.k, spec.dt)
         self.nominal = constant_velocity_rollout(spec)
         self.costs = self._expand(self.nominal)
 
@@ -402,7 +415,7 @@ class Game:
         """Policies of the game at the current weights."""
         nominal, costs = self.nominal, self.costs
         for it in range(self.cfg.max_outer_iters):
-            policies = solve_lq_game(self.dyn, costs, self.cfg, nominal=nominal)
+            policies = solve_lq_game(costs, self.cfg, nominal=nominal)
             if it + 1 == self.cfg.max_outer_iters:
                 break
             refit = mean_rollout(policies, self.spec)

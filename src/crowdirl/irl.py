@@ -24,7 +24,7 @@ share its solve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +144,7 @@ def _training_game(
             f"the scenario (k={spec.k}, T={spec.horizon}, dt={spec.dt})"
         )
     if spec.goals is None:
-        spec = spec.with_goals(infer_goals(demos))
+        spec = replace(spec, goals=infer_goals(demos))
     demo_phi = expected_features(demos, range(spec.k), spec.goals, spec.sigma)
     return Game([CostParams.ones()] * spec.k, spec, cfg.solver), demo_phi
 

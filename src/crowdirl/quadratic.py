@@ -15,71 +15,13 @@ through `fill`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
 from .features import state_terms
-from .trajectory import CONTROL_DIM, STATE_DIM, Trajectory
-
-
-@dataclass(frozen=True)
-class LinearDynamics:
-    """Time-invariant joint double integrator: x' = A x + sum_i B[i] u_i."""
-
-    A: np.ndarray  # (4k, 4k)
-    B: np.ndarray  # (k, 4k, 2)
-
-    def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        B = np.array(self.B, dtype=float)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValidationError(f"A must be square, got {A.shape}")
-        if B.ndim != 3 or B.shape[0] < 1 or B.shape[1:] != (n, CONTROL_DIM):
-            raise ValidationError(f"B must be (k, {n}, 2) with k >= 1, got {B.shape}")
-        A.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-
-    @property
-    def k(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.A.shape[0]
-
-
-def linearize_dynamics(k: int, dt: float) -> LinearDynamics:
-    """Exact discrete double-integrator blocks for k agents at step dt."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    if not dt > 0:
-        raise ValidationError(f"dt must be positive, got {dt!r}")
-    a_blk = np.array(
-        [[1.0, 0.0, dt, 0.0],
-         [0.0, 1.0, 0.0, dt],
-         [0.0, 0.0, 1.0, 0.0],
-         [0.0, 0.0, 0.0, 1.0]]
-    )
-    b_blk = np.array(
-        [[0.5 * dt * dt, 0.0],
-         [0.0, 0.5 * dt * dt],
-         [dt, 0.0],
-         [0.0, dt]]
-    )
-    n = STATE_DIM * k
-    A = np.zeros((n, n))
-    B = np.zeros((k, n, CONTROL_DIM))
-    for i in range(k):
-        sl = slice(STATE_DIM * i, STATE_DIM * (i + 1))
-        A[sl, sl] = a_blk
-        B[i, sl] = b_blk
-    return LinearDynamics(A, B)
+from .trajectory import STATE_DIM, Trajectory
 
 
 def _eval_batch(f, probes: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ the `out=` buffers that the stepping functions fill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,12 +283,6 @@ class ScenarioSpec:
                 raise ValidationError("goals contain non-finite values")
             goals.setflags(write=False)
             object.__setattr__(self, "goals", goals)
-
-    def with_goals(self, goals: np.ndarray) -> "ScenarioSpec":
-        return replace(self, goals=goals)
-
-    def with_x0(self, x0: JointState) -> "ScenarioSpec":
-        return replace(self, x0=x0)
 
 
 def rollout(

@@ -13,6 +13,9 @@ reference for the expansion's fixed sparse pattern. `reference_state_features`
 and `reference_expected_features` are the feature half as broadcast from the
 strided position columns, the byte reference for `crowdirl.features`.
 `DenseCost` carries hand-built or finite-difference costs into `solve_lq_game`.
+`double_integrator` writes the textbook blocks of the joint double
+integrator by hand, the reference for the dynamics the solve reads off
+`crowdirl.trajectory.propagate_joint`.
 """
 from __future__ import annotations
 
@@ -78,6 +81,30 @@ class DenseCost:
         out[:, :n, :n] = self.Q
         out[:, :n, n] = out[:, n, :n] = self.q
         out[:, n, n] = 2.0 * self.c
+
+
+def double_integrator(k: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Textbook discrete double integrator of k agents: x' = A x + sum_i B[i] u_i, A (4k, 4k), B (k, 4k, 2)."""
+    a_blk = np.array(
+        [[1.0, 0.0, dt, 0.0],
+         [0.0, 1.0, 0.0, dt],
+         [0.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0]]
+    )
+    b_blk = np.array(
+        [[0.5 * dt * dt, 0.0],
+         [0.0, 0.5 * dt * dt],
+         [dt, 0.0],
+         [0.0, dt]]
+    )
+    n = STATE_DIM * k
+    A = np.zeros((n, n))
+    B = np.zeros((k, n, 2))
+    for i in range(k):
+        sl = slice(STATE_DIM * i, STATE_DIM * (i + 1))
+        A[sl, sl] = a_blk
+        B[i, sl] = b_blk
+    return A, B
 
 
 def reference_state_features(states: np.ndarray, agents, goals, sigma: float):

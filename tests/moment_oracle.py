@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from crowdirl.quadratic import linearize_dynamics
+from fd_oracle import double_integrator
 
 
 def state_control_moments(policies, spec):
     """Means and covariances of every state (T+1, n), (T+1, n, n) and control (T, 2k), (T, 2k, 2k)."""
     T, k = policies.horizon, policies.k
     n, m2 = 4 * k, 2 * k
-    dyn = linearize_dynamics(k, spec.dt)
-    A, B = dyn.A, np.concatenate(list(dyn.B), axis=1)
+    A, B = double_integrator(k, spec.dt)
+    B = np.concatenate(list(B), axis=1)
     m, P = spec.x0.as_array(), np.zeros((n, n))
     xm, xc, um, uc = [m], [P], [], []
     for t in range(T):

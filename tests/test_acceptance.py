@@ -37,7 +37,7 @@ from crowdirl.pipeline import (
     synth_generate,
     write_demonstrations,
 )
-from crowdirl.quadratic import expand_model_along, linearize_dynamics
+from crowdirl.quadratic import expand_model_along
 from crowdirl.trajectory import (
     AgentState,
     JointState,
@@ -45,6 +45,7 @@ from crowdirl.trajectory import (
     Trajectory,
     constant_velocity_rollout,
 )
+from fd_oracle import double_integrator
 from test_game import textbook_affine_lqr
 
 HARNESS_SOLVER = SolverConfig(entropy_temp=1e-3, eps_psd=1e-6)
@@ -69,11 +70,11 @@ def test_criterion_1_solver_oracle_equivalence():
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     nominal = constant_velocity_rollout(spec)
     e = expand_model_along(nominal, 0, spec.goals[0], spec.sigma, theta.weights)
-    dyn = linearize_dynamics(1, spec.dt)
-    policies = solve_lq_game(dyn, [e], SolverConfig(), nominal=nominal)
+    policies = solve_lq_game([e], SolverConfig(), nominal=nominal)
+    A, B = double_integrator(1, spec.dt)
     T = spec.horizon
     gains, ffs = textbook_affine_lqr(
-        dyn.A, dyn.B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
+        A, B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
     )
     err = max(
         max(np.max(np.abs(policies.K[t, 0] - gains[t])) for t in range(10)),

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ class TestStateFeedbackPredictors:
         got = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))(held)
         shape = (self.T + 1, self.K_AGENTS, 4)
         ref = np.stack([
-            constant_velocity_rollout(spec.with_x0(demo.joint_state(0))).states.reshape(shape)
+            constant_velocity_rollout(replace(spec, x0=demo.joint_state(0))).states.reshape(shape)
             for demo in held
         ])[..., :2]
         assert got.tobytes() == ref.tobytes()

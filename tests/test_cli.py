@@ -864,6 +864,25 @@ class TestEval:
             "width is 1.5; pass --sigma 1.0\n")
         assert not out.exists()
 
+    def test_weight_file_is_scored_only_at_the_bound_it_was_trained_at(self, tmp_path, capsys):
+        # demonstrations that record no bound, such as a catalog entry, read at either
+        demos = _synth(tmp_path, n=3)
+        header, *rows = demos.read_text().splitlines()
+        header = json.loads(header)
+        del header["provenance"]["u_max"]
+        demos.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3, "config": {"u_max": 0.5}}))
+        out = tmp_path / "r.csv"
+        argv = ["eval", str(demos), "--baseline", "mairl", "--theta", str(theta), "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: weight file {theta} was trained at u_max 0.5, but the configured bound "
+            "is 3.0; pass --u-max 0.5\n")
+        assert not out.exists()
+        assert main(["--u-max", "0.5", *argv]) == 0 and out.exists()
+
     @pytest.mark.parametrize("config", [[], "sigma", None, {"proximity": 1.0}])
     def test_weight_file_config_that_is_no_object_exits_2_naming_the_file(self, tmp_path, capsys,
                                                                         config):

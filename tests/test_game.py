@@ -17,6 +17,7 @@ from crowdirl.game import (
     Game,
     PolicySequence,
     SolverConfig,
+    _augmented_dynamics,
     _has_cholesky,
     _robust_inverse,
     _solve_gains,
@@ -31,7 +32,7 @@ from crowdirl.game import (
 from crowdirl.irl import TrainingConfig, multi_agent_irl
 from crowdirl.metrics import PredictorContext, make_predictor
 from crowdirl.pipeline import synth_generate
-from crowdirl.quadratic import expand_model_along, linearize_dynamics
+from crowdirl.quadratic import expand_model_along
 from crowdirl.trajectory import (
     DEFAULT_U_MAX,
     AgentState,
@@ -48,7 +49,7 @@ from crowdirl import irl as irl_module
 from crowdirl import metrics as metrics_module
 from crowdirl import trajectory as trajectory_module
 from crowdirl.rng import substream
-from fd_oracle import DenseCost, cost_expansion, expand_along
+from fd_oracle import DenseCost, cost_expansion, double_integrator, expand_along
 from moment_oracle import exact_features
 from test_trajectory import norm_where_clamp
 
@@ -89,16 +90,15 @@ def _expand_all(thetas, spec, nominal):
 def _solve_single_agent(spec, theta, cfg=SolverConfig()):
     nominal = constant_velocity_rollout(spec)
     [expansion] = _expand_all([theta], spec, nominal)
-    dyn = linearize_dynamics(1, spec.dt)
-    policies = solve_lq_game(dyn, [expansion], cfg, nominal=nominal)
-    return policies, expansion, dyn, nominal
+    policies = solve_lq_game([expansion], cfg, nominal=nominal)
+    return policies, expansion, double_integrator(1, spec.dt), nominal
 
 
 def _textbook_gains(dyn, e):
-    """Textbook LQR gains of a one-agent CostExpansion (row T is the terminal cost)."""
-    T = e.horizon
+    """Textbook LQR gains of a one-agent CostExpansion (row T is the terminal cost) under dyn = (A, B)."""
+    (A, B), T = dyn, e.horizon
     return textbook_affine_lqr(
-        dyn.A, dyn.B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
+        A, B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
     )
 
 
@@ -123,11 +123,12 @@ def test_single_agent_mean_rollout_matches_oracle_trajectory(single_agent_spec):
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     policies, expansion, dyn, nominal = _solve_single_agent(single_agent_spec, theta)
     gains, ffs = _textbook_gains(dyn, expansion)
+    A, B = dyn
     dx = np.zeros(4)
     oracle_states = [nominal.states[0] + dx]
     for t in range(single_agent_spec.horizon):
         u = -gains[t] @ dx - ffs[t]
-        dx = dyn.A @ dx + dyn.B[0] @ u
+        dx = A @ dx + B[0] @ u
         oracle_states.append(nominal.states[t + 1] + dx)
     traj = mean_rollout(policies, single_agent_spec)
     assert np.max(np.abs(traj.states - np.stack(oracle_states))) < 1e-8
@@ -143,8 +144,7 @@ def test_pure_effort_cost_gives_flat_policy_and_inverse_sigma():
     nominal = constant_velocity_rollout(spec)
     stages = expand_along(costfn, nominal, agent=0)
     expansion = cost_expansion(stages, (np.zeros((4, 4)), np.zeros(4), 0.0), 4)
-    dyn = linearize_dynamics(1, spec.dt)
-    policies = solve_lq_game(dyn, [expansion], SolverConfig(entropy_temp=2.0), nominal=nominal)
+    policies = solve_lq_game([expansion], SolverConfig(entropy_temp=2.0), nominal=nominal)
     assert np.allclose(policies.K, 0, atol=1e-9)
     assert np.allclose(policies.kff, 0, atol=1e-9)
     assert np.allclose(policies.Sigma, 2.0 / (2 * theta3) * np.eye(2), atol=1e-6)
@@ -550,8 +550,8 @@ def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
 def test_nash_first_order_stationarity(intersection_spec, theta_star):
     nominal = constant_velocity_rollout(intersection_spec)
     expansions = _expand_all(theta_star, intersection_spec, nominal)
-    dyn = linearize_dynamics(3, intersection_spec.dt)
-    policies = solve_lq_game(dyn, expansions, SolverConfig(), nominal=nominal)
+    policies = solve_lq_game(expansions, SolverConfig(), nominal=nominal)
+    A, B = double_integrator(3, intersection_spec.dt)
     assert policies.diagnostics.conditioned_stages == 0  # PD game, saddle-free
 
     def agent_cost(agent, K_override, dx0):
@@ -566,7 +566,7 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
             u = us[agent]
             total += e.c[t] + e.q[t] @ dx + 0.5 * dx @ e.Q[t] @ dx
             total += e.r[t] @ u + 0.5 * e.R * u @ u
-            dx = dyn.A @ dx + sum(dyn.B[j] @ us[j] for j in range(3))
+            dx = A @ dx + sum(B[j] @ us[j] for j in range(3))
         T = intersection_spec.horizon
         total += e.c[T] + e.q[T] @ dx + 0.5 * dx @ e.Q[T] @ dx
         return total
@@ -594,7 +594,7 @@ def test_singular_gain_system_raises_with_timestep():
     stages = expand_along(zero, nominal, agent=0)
     expansion = cost_expansion(stages, (np.zeros((4, 4)), np.zeros(4), 0.0), 4)
     with pytest.raises(SolverError) as err:
-        solve_lq_game(linearize_dynamics(1, 0.1), [expansion], SolverConfig(), nominal=nominal)
+        solve_lq_game([expansion], SolverConfig(), nominal=nominal)
     assert err.value.timestep == 2
 
 
@@ -629,13 +629,17 @@ def test_solve_screens_the_gain_condition_through_its_identity_columns():
     expansion = DenseCost(Q, np.zeros((T + 1, 4)), np.zeros(T + 1), R, np.zeros((T, 2)))
     nominal = Trajectory(np.zeros((T + 1, 4)), np.zeros((T, 1, 2)), dt)
     with pytest.raises(SolverError) as err:
-        solve_lq_game(linearize_dynamics(1, dt), [expansion], SolverConfig(), nominal=nominal)
+        solve_lq_game([expansion], SolverConfig(), nominal=nominal)
     assert err.value.timestep == T - 1
 
 
 def _per_step_reference(dyn, costs, cfg, nominal):
-    """The augmented recursion with the gain condition, solve and covariance formed stage by stage."""
-    k, n, T = dyn.k, dyn.state_dim, costs[0].horizon
+    """The augmented recursion with the gain condition, solve and covariance formed stage by stage.
+
+    dyn = (A, B) is the unaugmented double integrator, padded here onto [x; 1].
+    """
+    (A_x, B_x), T = dyn, costs[0].horizon
+    k, n = B_x.shape[:2]
     Qa = np.zeros((T + 1, k, n + 1, n + 1))
     for i, e in enumerate(costs):
         Qa[:, i, :n, :n] = e.Q
@@ -644,9 +648,9 @@ def _per_step_reference(dyn, costs, cfg, nominal):
     r = np.stack([e.r for e in costs], axis=1)
     R = np.array([e.R for e in costs])[:, None, None]
     A = np.eye(n + 1)
-    A[:n, :n] = dyn.A
+    A[:n, :n] = A_x
     Bt = np.zeros((k, 2, n + 1))
-    Bt[..., :n] = np.swapaxes(dyn.B, 1, 2)
+    Bt[..., :n] = np.swapaxes(B_x, 1, 2)
     B_all = Bt.reshape(2 * k, n + 1).T
     own, eye = np.arange(k), np.eye(2)
     Z = Qa[T]
@@ -681,13 +685,17 @@ def _per_step_reference(dyn, costs, cfg, nominal):
 
 
 def _unaugmented_reference(dyn, costs, cfg, nominal):
-    """The recursion on dx alone: [K | alpha] from [Yk | yff], then separate Z and zeta updates."""
-    k, n, T = dyn.k, dyn.state_dim, costs[0].horizon
+    """The recursion on dx alone: [K | alpha] from [Yk | yff], then separate Z and zeta updates.
+
+    dyn = (A, B) is the unaugmented double integrator.
+    """
+    (A, B), T = dyn, costs[0].horizon
+    k, n = B.shape[:2]
     Q = np.stack([e.Q for e in costs], axis=1)
     q = np.stack([e.q for e in costs], axis=1)
     r = np.stack([e.r for e in costs], axis=1)
     R = np.array([e.R for e in costs])[:, None, None]
-    A, Bt = dyn.A, np.swapaxes(dyn.B, 1, 2)
+    Bt = np.swapaxes(B, 1, 2)
     B_all = Bt.reshape(2 * k, n).T
     own, eye = np.arange(k), np.eye(2)
     Z, zeta = Q[T], q[T]
@@ -726,7 +734,7 @@ def _unaugmented_reference(dyn, costs, cfg, nominal):
 def _expanded_scene(spec, theta):
     nominal = constant_velocity_rollout(spec)
     costs = _expand_all([CostParams(np.array(theta))] * spec.k, spec, nominal)
-    return costs, linearize_dynamics(spec.k, spec.dt), nominal
+    return costs, double_integrator(spec.k, spec.dt), nominal
 
 
 _REPAIRED = [
@@ -750,7 +758,7 @@ _UNREPAIRED = [
 def test_solve_matches_the_per_step_recursion_bit_for_bit(spec, theta, temp, repaired):
     cfg = SolverConfig(entropy_temp=temp)
     costs, dyn, nominal = _expanded_scene(spec, theta)
-    policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
+    policies = solve_lq_game(costs, cfg, nominal=nominal)
     K, kff, Sigma, events = _per_step_reference(dyn, costs, cfg, nominal)
     assert np.array_equal(policies.K, K)
     assert np.array_equal(policies.kff, kff)
@@ -768,7 +776,7 @@ def test_successive_solves_of_one_game_share_no_storage():
     for i in range(3):
         game.set_theta(i, CostParams(np.array([0.5, 8.0, 0.01])))
     second = game.solve()
-    fresh = solve_lq_game(game.dyn, old_costs, cfg, nominal=game.nominal)
+    fresh = solve_lq_game(old_costs, cfg, nominal=game.nominal)
     for name in ("K", "kff", "Sigma"):
         assert np.array_equal(getattr(first, name), getattr(fresh, name))
         assert not np.array_equal(getattr(first, name), getattr(second, name))
@@ -796,7 +804,7 @@ def test_set_theta_then_reexpanded_solve_equals_a_fresh_game_bit_for_bit(interse
 
 def test_game_requires_goals_and_one_weight_vector_per_agent(intersection_spec, theta_star):
     with pytest.raises(ValidationError, match="^scenario has no goals; infer them before building costs$"):
-        Game(theta_star, intersection_spec.with_goals(None))
+        Game(theta_star, replace(intersection_spec, goals=None))
     with pytest.raises(ValidationError, match="^need 3 weight vectors, got 2$"):
         Game(theta_star[:2], intersection_spec)
 
@@ -830,7 +838,7 @@ def _relative_drift(got, ref):
 def test_augmented_recursion_stays_within_rounding_of_the_unaugmented_one(spec, theta):
     cfg = SolverConfig(entropy_temp=1e-3)
     costs, dyn, nominal = _expanded_scene(spec, theta)
-    policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
+    policies = solve_lq_game(costs, cfg, nominal=nominal)
     K, kff, Sigma, events = _unaugmented_reference(dyn, costs, cfg, nominal)
     assert policies.diagnostics.events == events == []
     for got, ref in ((policies.K, K), (policies.kff, kff), (policies.Sigma, Sigma)):
@@ -847,7 +855,7 @@ def test_augmented_recursion_keeps_every_repair_of_the_unaugmented_one(spec, the
     bounds = {15: (3e-10, 1e-11, 1e-9), 16: (3e-9, 1e-6, 3e-5), 60: (5e-10, 1e-7, 1e-8)}[repaired]
     cfg = SolverConfig(entropy_temp=temp)
     costs, dyn, nominal = _expanded_scene(spec, theta)
-    policies = solve_lq_game(dyn, costs, cfg, nominal=nominal)
+    policies = solve_lq_game(costs, cfg, nominal=nominal)
     K, kff, Sigma, events = _unaugmented_reference(dyn, costs, cfg, nominal)
     assert [(t, i) for t, i, _ in policies.diagnostics.events] == [(t, i) for t, i, _ in events]
     drift = [_relative_drift(got, ref) for got, ref in
@@ -993,15 +1001,55 @@ def test_feedback_rollouts_step_through_propagate_joint_once_per_step(
     assert len(calls) == T
 
 
+def test_double_integrator_reference_blocks():
+    A, B = double_integrator(1, dt=1.0)
+    assert np.array_equal(A[0], [1, 0, 1, 0])
+    assert np.array_equal(A[2:, 2:], np.eye(2))  # velocity rows persist velocity exactly
+    assert np.array_equal(B[0], [[0.5, 0], [0, 0.5], [1, 0], [0, 1]])
+    A, B = double_integrator(2, dt=0.3)
+    assert A.shape == (8, 8) and B.shape == (2, 8, 2)
+    assert np.array_equal(A[:4, :4], A[4:, 4:])
+    assert np.count_nonzero(A[:4, 4:]) == np.count_nonzero(A[4:, :4]) == 0
+    assert np.count_nonzero(B[0][4:]) == np.count_nonzero(B[1][:4]) == 0
+
+
+def test_double_integrator_reference_is_the_stepped_dynamics():
+    rng = np.random.default_rng(0)
+    A, B = double_integrator(2, dt=0.1)
+    for _ in range(20):
+        x = rng.standard_normal(8)
+        u = rng.standard_normal((2, 2))
+        assert np.allclose(A @ x + B[0] @ u[0] + B[1] @ u[1], propagate_joint(x, u, 0.1), atol=1e-14)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3, 1.0, 0.4, 1 / 3, 0.07])
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 12, 16])
+def test_augmented_dynamics_are_the_padded_textbook_blocks_bit_for_bit(k, dt):
+    # read off propagate_joint, the solve's A and B hold 1, dt and (0.5 * dt) * dt, as written by hand
+    A_x, B_x = double_integrator(k, dt)
+    n = 4 * k
+    ref_A, ref_Bt = np.eye(n + 1), np.zeros((k, 2, n + 1))
+    ref_A[:n, :n], ref_Bt[..., :n] = A_x, np.swapaxes(B_x, 1, 2)
+    A, Bt = _augmented_dynamics(k, dt)
+    assert A.tobytes() == ref_A.tobytes() and A.shape == ref_A.shape  # sign bits included
+    assert Bt.tobytes() == ref_Bt.tobytes() and Bt.shape == ref_Bt.shape
+    assert not A.flags.writeable and not Bt.flags.writeable
+
+
 def test_solver_rejects_mismatched_dimensions(single_agent_spec):
+    # the nominal fixes the agent count, the state dimension and the horizon
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     nominal = constant_velocity_rollout(single_agent_spec)
     [expansion] = _expand_all([theta], single_agent_spec, nominal)
-    with pytest.raises(ValidationError, match="2 agents"):
-        solve_lq_game(linearize_dynamics(2, 0.1), [expansion], SolverConfig(), nominal=nominal)
+    with pytest.raises(ValidationError, match="^need cost expansions for 1 agents, got 2$"):
+        solve_lq_game([expansion, expansion], SolverConfig(), nominal=nominal)
+    T = nominal.horizon
+    wide = DenseCost(np.zeros((T + 1, 8, 8)), np.zeros((T + 1, 8)), np.zeros(T + 1), 1.0, np.zeros((T, 2)))
+    with pytest.raises(ValidationError, match="^cost expansions do not match the nominal's state dimension 4$"):
+        solve_lq_game([wide], SolverConfig(), nominal=nominal)
     shorter = Trajectory(nominal.states[:-1], nominal.controls[:-1], nominal.dt)
-    with pytest.raises(ValidationError, match="nominal"):
-        solve_lq_game(linearize_dynamics(1, 0.1), [expansion], SolverConfig(), nominal=shorter)
+    with pytest.raises(ValidationError, match=f"^nominal trajectory has horizon {T - 1}, the costs {T}$"):
+        solve_lq_game([expansion], SolverConfig(), nominal=shorter)
 
 
 def test_policy_sequence_validates_and_freezes_arrays():

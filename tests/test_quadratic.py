@@ -8,7 +8,7 @@ from crowdirl.cli import scenario_preset
 from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout
-from crowdirl.quadratic import cost_pattern, expand_model_along, linearize_dynamics
+from crowdirl.quadratic import cost_pattern, expand_model_along
 from crowdirl.trajectory import Trajectory, constant_velocity_rollout
 from conftest import ring_spec
 from fd_oracle import (
@@ -27,36 +27,6 @@ from fd_oracle import (
     state_cost,
     taylor_expand,
 )
-
-
-def test_linearize_dynamics_blocks():
-    dyn = linearize_dynamics(1, dt=1.0)
-    assert np.allclose(dyn.A[0], [1, 0, 1, 0])
-    # velocity rows persist velocity exactly
-    assert np.allclose(dyn.A[2:, 2:], np.eye(2))
-    assert np.allclose(dyn.B[0], [[0.5, 0], [0, 0.5], [1, 0], [0, 1]])
-
-
-def test_linearize_dynamics_multi_agent_block_diagonal():
-    dyn = linearize_dynamics(2, dt=0.3)
-    assert dyn.A.shape == (8, 8)
-    assert np.allclose(dyn.A[:4, :4], dyn.A[4:, 4:])
-    assert np.count_nonzero(dyn.A[:4, 4:]) == 0
-    assert np.count_nonzero(dyn.B[0][4:]) == 0
-    assert np.count_nonzero(dyn.B[1][:4]) == 0
-
-
-def test_linearization_is_exact_for_double_integrator():
-    # A x + B u must equal the exact propagation step
-    from crowdirl.trajectory import propagate_joint
-
-    rng = np.random.default_rng(0)
-    dyn = linearize_dynamics(2, dt=0.1)
-    for _ in range(20):
-        x = rng.standard_normal(8)
-        u = rng.standard_normal((2, 2))
-        lin = dyn.A @ x + dyn.B[0] @ u[0] + dyn.B[1] @ u[1]
-        assert np.allclose(lin, propagate_joint(x, u, 0.1), atol=1e-14)
 
 
 def _quad_costfn(Q, q, c0):

@@ -426,8 +426,8 @@ def test_scenario_spec_keeps_its_bound_through_every_copy():
     spec = dataclasses.replace(spec, u_max=0.5, sigma=0.7)
     assert (spec.u_max, spec.sigma) == (0.5, 0.7)
     moved = JointState((AgentState(1, 0, 0, 0),))
-    for copy in (spec.with_goals(np.array([[1.0, 2.0]])), spec.with_x0(moved),
-                 dataclasses.replace(spec, horizon=5)):
+    for copy in (dataclasses.replace(spec, goals=np.array([[1.0, 2.0]])),
+                 dataclasses.replace(spec, x0=moved), dataclasses.replace(spec, horizon=5)):
         assert (copy.u_max, copy.sigma) == (0.5, 0.7)
     with pytest.raises(ValidationError, match="u_max must be positive"):
         dataclasses.replace(spec, u_max=0.0)
