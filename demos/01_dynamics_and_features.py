@@ -1,14 +1,13 @@
 """States, exact stepping, dataset layout, and the trajectory feature basis.
 
-Walk through the core value types: propagate an agent under acceleration,
-convert between the solver's Cartesian states and dataset rows (position,
-speed, heading), and compute the three trajectory features for a small scene.
+A joint state is one (4k,) array holding (px, py, vx, vy) per agent. Propagate
+an agent under acceleration, convert between the solver's Cartesian states and
+dataset rows (position, speed, heading), and compute the three trajectory
+features for a small scene.
 """
 import numpy as np
 
 from crowdirl import (
-    AgentState,
-    JointState,
     ScenarioSpec,
     CostParams,
     expected_features,
@@ -17,25 +16,25 @@ from crowdirl import (
 from crowdirl.trajectory import from_dataset_array, propagate_joint, to_dataset_array
 
 print("== exact double-integrator stepping ==")
-state = AgentState(px=0.0, py=0.0, vx=1.0, vy=0.0)
+state = np.array([0.0, 0.0, 1.0, 0.0])  # (px, py, vx, vy) of one agent
 push = np.array([[2.0, 0.0]])  # (ax, ay) per agent
-after = AgentState.from_array(propagate_joint(state.as_array(), push, dt=0.5))
-print(f"start {state}")
+after = propagate_joint(state, push, dt=0.5)
+print(f"start (px, py, vx, vy) = {state}")
 print(f"after 0.5 s under acceleration {push[0]}: {after}")
 print(f"(hand check: px = 0 + 1*0.5 + 0.5*2*0.25 = {0 + 0.5 + 0.25})")
 
 print("\n== dataset row layout: (px, py, speed, heading) per agent ==")
-joint = JointState((AgentState(0.0, 0.0, 0.0, 1.0), AgentState(3.0, 1.0, -1.0, 0.0)))
-row = to_dataset_array(joint.as_array())
+joint = np.array([0.0, 0.0, 0.0, 1.0, 3.0, 1.0, -1.0, 0.0])  # two agents
+row = to_dataset_array(joint)
 print(f"row: {np.round(row, 4)}")
-back = JointState.from_array(from_dataset_array(row))
-print(f"round trip error: {np.max(np.abs(back.as_array() - joint.as_array())):.2e}")
+back = from_dataset_array(row)
+print(f"round trip error: {np.max(np.abs(back - joint)):.2e}")
 
 print("\n== trajectory features ==")
 # two walkers heading toward each other for two seconds
 spec = ScenarioSpec(
     k=2,
-    x0=JointState((AgentState(-2.0, 0.0, 1.0, 0.0), AgentState(2.0, 0.3, -1.0, 0.0))),
+    x0=np.array([[-2.0, 0.0, 1.0, 0.0], [2.0, 0.3, -1.0, 0.0]]),  # (k, 4) rows, kept as (4k,)
     goals=np.array([[2.0, 0.0], [-2.0, 0.3]]),
     horizon=20,
     dt=0.1,

@@ -12,7 +12,6 @@ import numpy as np
 from crowdirl import (
     AgentState,
     CostParams,
-    JointState,
     ScenarioSpec,
     SolverConfig,
     build_policies,
@@ -22,7 +21,7 @@ from crowdirl import (
 
 spec = ScenarioSpec(
     k=2,
-    x0=JointState((AgentState(-1.5, 0.0, 1.0, 0.0), AgentState(1.5, 0.05, -1.0, 0.0))),
+    x0=(AgentState(-1.5, 0.0, 1.0, 0.0), AgentState(1.5, 0.05, -1.0, 0.0)),
     goals=np.array([[1.5, 0.0], [-1.5, 0.05]]),
     horizon=30,
     dt=0.1,

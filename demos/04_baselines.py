@@ -11,7 +11,6 @@ import numpy as np
 
 from crowdirl import (
     AgentState,
-    JointState,
     PredictorContext,
     ScenarioSpec,
     action_grid,
@@ -54,7 +53,7 @@ print(f"argmin over a 61x61 grid: {np.round(picked, 3)} "
       f"(within half a grid cell of the minimizer)")
 
 print("\n== constant velocity ==")
-spec = ScenarioSpec(k=1, x0=JointState((AgentState(0.0, 0.0, 1.2, -0.3),)), goals=None,
+spec = ScenarioSpec(k=1, x0=(AgentState(0.0, 0.0, 1.2, -0.3),), goals=None,
                     horizon=4, dt=0.5)
 # a walker who turns north; the predictor sees only the start state
 walker = rollout_openloop(spec, np.tile([0.0, 0.8], (4, 1, 1)))

@@ -79,7 +79,6 @@ from .pipeline import (
 from .quadratic import CostExpansion
 from .trajectory import (
     AgentState,
-    JointState,
     RolloutSet,
     ScenarioSpec,
     Trajectory,

@@ -59,7 +59,6 @@ from .trajectory import (
     DEFAULT_SIGMA,
     DEFAULT_U_MAX,
     AgentState,
-    JointState,
     ScenarioSpec,
     Trajectory,
     check_sigma,
@@ -191,21 +190,14 @@ def _training_config(cfg: dict) -> TrainingConfig:
 def scenario_preset(name: str) -> ScenarioSpec:
     """Built-in interaction scenes used by synth and the demos."""
     if name == "head_on_k2":
-        x0 = JointState(
-            (
-                AgentState(-3.0, 0.0, 1.2, 0.0),
-                AgentState(3.0, 0.15, -1.2, 0.0),
-            )
-        )
+        x0 = (AgentState(-3.0, 0.0, 1.2, 0.0), AgentState(3.0, 0.15, -1.2, 0.0))
         goals = np.array([[3.0, 0.0], [-3.0, 0.15]])
         return ScenarioSpec(k=2, x0=x0, goals=goals, horizon=50, dt=0.1)
     if name == "intersection_k3":
-        x0 = JointState(
-            (
-                AgentState(0.0, 2.2, 0.0, -1.2),  # heading south
-                AgentState(1.8, 0.3, -1.2, 0.0),  # heading west
-                AgentState(-1.8, -0.3, 1.2, 0.0),  # heading east
-            )
+        x0 = (
+            AgentState(0.0, 2.2, 0.0, -1.2),  # heading south
+            AgentState(1.8, 0.3, -1.2, 0.0),  # heading west
+            AgentState(-1.8, -0.3, 1.2, 0.0),  # heading east
         )
         goals = np.array([[0.0, -1.4], [-1.8, 0.3], [1.8, -0.3]])
         return ScenarioSpec(k=3, x0=x0, goals=goals, horizon=30, dt=0.1)
@@ -237,6 +229,8 @@ def _check_recorded(recorded: dict, cfg: dict, made: str) -> None:
     for key, what, configured in (("u_max", "bound", cfg["u_max"]),
                                   ("sigma", "kernel width", cfg["proximity"]["sigma"])):
         value = recorded.get(key, configured)
+        if not (json_kind(value) == "a number" or key == "u_max" and value == math.inf):
+            raise FormatError(f"{made} at {key} {value!r}, which is not a finite number")
         if value != configured:
             raise ValidationError(f"{made} at {key} {value!r}, but the configured {what} is "
                                   f"{configured!r}; pass --{key.replace('_', '-')} {value!r}")
@@ -253,7 +247,7 @@ def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> 
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
-    return ScenarioSpec(k=demos[0].k, x0=JointState.from_array(demos[0].states[0]), goals=goals,
+    return ScenarioSpec(k=demos[0].k, x0=demos[0].states[0], goals=goals,
                         horizon=demos[0].horizon, dt=demos[0].dt, u_max=u_max, sigma=sigma)
 
 
@@ -382,17 +376,15 @@ def _load_thetas(path: str, k: int, cfg: dict) -> list[CostParams]:
         raise FormatError(f"weight file {path}: 'config' must be an object, and its 'proximity' one too")
     trained = {"u_max": config.get("u_max", cfg["u_max"]), **proximity}
     _check_recorded(trained, cfg, f"weight file {path} was trained")
-    try:
-        weights = [np.array(t, dtype=float) for t in rows]
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"weight file {path}: 'thetas' entries must be lists of numbers") from exc
     thetas = []
-    for i, w in enumerate(weights):
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or any(json_kind(v) != "a number" for v in row):
+            raise FormatError(f"weight file {path}: 'thetas' row {i} must be a list of finite numbers")
         try:
-            thetas.append(CostParams(w))
+            thetas.append(CostParams(row))
         except ValidationError as exc:
             raise FormatError(f"weight file {path}: 'thetas' row {i}: {exc}") from exc
-        if np.any(w < 0):
+        if np.any(thetas[-1].weights < 0):
             raise FormatError(f"weight file {path}: 'thetas' row {i} has a negative weight")
     if len(thetas) != k:
         raise FormatError(f"weight file {path} holds {len(thetas)} agents, demos have {k}")

@@ -38,7 +38,7 @@ class CostParams:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).ravel()
+        w = np.array(self.weights, dtype=float)
         if w.shape != (NUM_FEATURES,):
             raise ValidationError(f"weights must have length {NUM_FEATURES}, got {w.shape}")
         if not np.all(np.isfinite(w)):

@@ -467,7 +467,7 @@ def _rollout_batch(
         np.subtract(policies.kff[t], feedback.reshape(u.shape), out=u)
         return np.add(u, eps[t], out=u)
 
-    states, controls = rollout(np.tile(spec.x0.as_array(), (Mp, 1)), T, spec.dt, act, spec.u_max)
+    states, controls = rollout(np.tile(spec.x0, (Mp, 1)), T, spec.dt, act, spec.u_max)
     return states[:M], controls[:M]
 
 

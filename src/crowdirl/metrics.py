@@ -320,7 +320,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
                 rows_by_start.setdefault(x0.tobytes(), []).append(j)
             out = np.empty(positions.shape)
             for rows in rows_by_start.values():
-                start_spec = replace(spec, x0=demos[rows[0]].joint_state(0))
+                start_spec = replace(spec, x0=demos.states[rows[0], 0])
                 policies = build_policies(ctx.thetas, start_spec, ctx.solver)
                 if ctx.best_of <= 1:
                     mean = mean_rollout(policies, start_spec)

@@ -557,7 +557,7 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
     if not isinstance(provenance, dict):
         raise FormatError(f"header key 'provenance' must be an object, got {provenance!r}")
     bound = provenance.get("u_max", math.inf)  # a file may record no bound
-    if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not bound > 0:
+    if not (bound == math.inf or json_kind(bound) == "a number") or not bound > 0:
         raise FormatError(f"provenance key 'u_max' must be a positive number, got {bound!r}")
     width = provenance.get("sigma", 1.0)  # nor a kernel width
     if json_kind(width) != "a number" or not width > 0:

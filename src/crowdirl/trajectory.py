@@ -7,17 +7,19 @@ per-agent layout (position, scalar speed, heading); the conversion helpers at
 the bottom of this module translate between the two. Heading is undefined at
 rest, so a stationary agent is written with heading 0 by convention.
 
-All types are frozen value objects and all functions are pure, apart from
-the `out=` buffers that the stepping functions fill.
+A joint state is a (4k,) array of (px, py, vx, vy) per agent; the track and
+scenario types hold theirs as frozen arrays. All functions are pure, apart
+from the `out=` buffers that the stepping functions fill.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import CostRangeError, FormatError, ValidationError
 
 STATE_DIM = 4  # per-agent (px, py, vx, vy)
 CONTROL_DIM = 2  # per-agent (ax, ay)
@@ -26,58 +28,16 @@ DEFAULT_U_MAX = 3.0
 DEFAULT_SIGMA = 1.5  # m, the width of the crowding kernel
 
 
-def _check_finite(obj: str, **fields: float) -> None:
-    for name, value in fields.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{obj}.{name} must be finite, got {value!r}")
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """Planar position (m) and velocity (m/s) of a single agent."""
+class AgentState(NamedTuple):
+    """Planar position (m) and velocity (m/s) of one agent: one row of a (k, 4) start state."""
 
     px: float
     py: float
     vx: float
     vy: float
 
-    def __post_init__(self):
-        _check_finite("AgentState", px=self.px, py=self.py, vx=self.vx, vy=self.vy)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.vx, self.vy], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "AgentState":
-        px, py, vx, vy = (float(v) for v in arr)
-        return cls(px, py, vx, vy)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Stacked states of k agents; agent order is fixed for a scenario."""
-
-    agents: tuple[AgentState, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if len(self.agents) < 1:
-            raise ValidationError("JointState requires at least one agent")
-
-    @property
-    def k(self) -> int:
-        return len(self.agents)
-
-    def as_array(self) -> np.ndarray:
-        """Flat (4k,) Cartesian layout: (px, py, vx, vy) per agent."""
-        return np.concatenate([a.as_array() for a in self.agents])
-
-    @classmethod
-    def from_array(cls, arr) -> "JointState":
-        arr = np.asarray(arr, dtype=float).ravel()
-        if arr.size % STATE_DIM != 0 or arr.size == 0:
-            raise ValidationError(f"joint state length must be a positive multiple of 4, got {arr.size}")
-        return cls(tuple(AgentState.from_array(arr[4 * i : 4 * i + 4]) for i in range(arr.size // 4)))
+JointState = tuple  # only bench/inputs.py spells a start this way; goes with ROADMAP item 1
 
 
 def check_u_max(u_max: float) -> float:
@@ -190,9 +150,6 @@ class Trajectory(_TrackArrays):
         vel = states.reshape(len(states), states.shape[-1] // STATE_DIM, STATE_DIM)[:, :, 2:]
         return cls(states, (vel[1:] - vel[:-1]) / dt, dt)
 
-    def joint_state(self, t: int) -> JointState:
-        return JointState.from_array(self.states[t])
-
     def positions(self, agent: int) -> np.ndarray:
         """(T+1, 2) position track of one agent."""
         self._check_agent(agent)
@@ -251,6 +208,8 @@ class RolloutSet(_TrackArrays):
 class ScenarioSpec:
     """Initial joint state, per-agent goals, horizon, control bound and kernel width of one interaction.
 
+    x0 is any array-like of shape (4k,) or (k, 4), such as a tuple of k
+    AgentState rows; it is kept as a frozen, finite (4k,) float copy.
     u_max (> 0, inf for none) bounds the norm of every control the scene's
     policies apply: synthesis, training samples, the outer re-expansion's
     refit and every prediction read it here, so they share one bound. The
@@ -259,7 +218,7 @@ class ScenarioSpec:
     """
 
     k: int
-    x0: JointState
+    x0: np.ndarray
     goals: np.ndarray | None  # (k, 2); None means "infer from demonstrations"
     horizon: int
     dt: float = DEFAULT_DT
@@ -267,8 +226,18 @@ class ScenarioSpec:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        if self.k < 1 or self.x0.k != self.k:
-            raise ValidationError(f"k={self.k} inconsistent with x0 holding {self.x0.k} agents")
+        x0 = np.array(self.x0, dtype=float)
+        if self.k < 1 or x0.shape not in ((STATE_DIM * self.k,), (self.k, STATE_DIM)):
+            raise ValidationError(f"x0 must be ({STATE_DIM * self.k},) or ({self.k}, 4) for "
+                                  f"k={self.k}, got {x0.shape}")
+        x0 = x0.reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(x0))
+        if bad.size:
+            agent, field = divmod(int(bad[0]), STATE_DIM)
+            raise ValidationError(f"x0 agent {agent}: {AgentState._fields[field]} must be finite, "
+                                  f"got {float(x0[bad[0]])!r}")
+        x0.setflags(write=False)
+        object.__setattr__(self, "x0", x0)
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -285,6 +254,7 @@ class ScenarioSpec:
             object.__setattr__(self, "goals", goals)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite path is refused by its caller
 def rollout(
     x0: np.ndarray, horizon: int, dt: float, act, u_max: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -310,6 +280,7 @@ def rollout(
     return np.swapaxes(states, 0, 1), np.swapaxes(controls, 0, 1)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite path is refused by its caller
 def integrate_controls(x0: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
     """States (n, T+1, 4k) from x0 (n, 4k) under open-loop tapes (n, T, k, 2), with no loop.
 
@@ -333,8 +304,10 @@ def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> Trajectory:
         raise ValidationError(
             f"controls must be ({spec.horizon}, {spec.k}, 2), got {controls.shape}"
         )
-    states = integrate_controls(spec.x0.as_array()[None], controls[None], spec.dt)
-    return Trajectory(states[0], controls, spec.dt)
+    states = integrate_controls(spec.x0[None], controls[None], spec.dt)[0]
+    if not np.all(np.isfinite(states)):  # a finite start and tape whose path overflows
+        raise CostRangeError("the open-loop path overflows", "states")
+    return Trajectory(states, controls, spec.dt)
 
 
 def constant_velocity_rollout(spec: ScenarioSpec) -> Trajectory:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crowdirl.features import CostParams
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec
+from crowdirl.trajectory import AgentState, ScenarioSpec
 
 
 @pytest.fixture
@@ -10,7 +10,7 @@ def single_agent_spec() -> ScenarioSpec:
     """One agent drifting near the origin with a goal at (0, 0)."""
     return ScenarioSpec(
         k=1,
-        x0=JointState((AgentState(2.0, -1.0, 0.3, 0.1),)),
+        x0=(AgentState(2.0, -1.0, 0.3, 0.1),),
         goals=np.array([[0.0, 0.0]]),
         horizon=10,
         dt=0.1,
@@ -22,12 +22,10 @@ def intersection_spec() -> ScenarioSpec:
     """Three pedestrians crossing paths: southbound, westbound, eastbound."""
     return ScenarioSpec(
         k=3,
-        x0=JointState(
-            (
-                AgentState(0.0, 2.2, 0.0, -1.2),
-                AgentState(1.8, 0.3, -1.2, 0.0),
-                AgentState(-1.8, -0.3, 1.2, 0.0),
-            )
+        x0=(
+            AgentState(0.0, 2.2, 0.0, -1.2),
+            AgentState(1.8, 0.3, -1.2, 0.0),
+            AgentState(-1.8, -0.3, 1.2, 0.0),
         ),
         goals=np.array([[0.0, -1.4], [-1.8, 0.3], [1.8, -0.3]]),
         horizon=30,
@@ -46,7 +44,7 @@ def ring_spec(k: int) -> ScenarioSpec:
     angles = 2 * np.pi * np.arange(k) / k
     unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
-    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
+    return ScenarioSpec(k=k, x0=agents, goals=-radius * unit, horizon=30, dt=0.1)
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ def state_control_moments(policies, spec):
     n, m2 = 4 * k, 2 * k
     A, B = double_integrator(k, spec.dt)
     B = np.concatenate(list(B), axis=1)
-    m, P = spec.x0.as_array(), np.zeros((n, n))
+    m, P = spec.x0, np.zeros((n, n))
     xm, xc, um, uc = [m], [P], [], []
     for t in range(T):
         K = policies.K[t].reshape(m2, n)

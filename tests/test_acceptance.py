@@ -40,7 +40,6 @@ from crowdirl.pipeline import (
 from crowdirl.quadratic import expand_model_along
 from crowdirl.trajectory import (
     AgentState,
-    JointState,
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,
@@ -62,7 +61,7 @@ def test_criterion_1_solver_oracle_equivalence():
     start = time.perf_counter()
     spec = ScenarioSpec(
         k=1,
-        x0=JointState((AgentState(2.0, -1.0, 0.3, 0.1),)),
+        x0=(AgentState(2.0, -1.0, 0.3, 0.1),),
         goals=np.array([[0.0, 0.0]]),
         horizon=10,
         dt=0.1,
@@ -93,7 +92,7 @@ def test_criterion_2_decoupling_equality(intersection_spec):
     for i in range(3):
         sub = ScenarioSpec(
             k=1,
-            x0=JointState((intersection_spec.x0.agents[i],)),
+            x0=intersection_spec.x0[4 * i : 4 * i + 4],
             goals=intersection_spec.goals[i : i + 1],
             horizon=intersection_spec.horizon,
             dt=intersection_spec.dt,

@@ -25,7 +25,6 @@ from crowdirl.metrics import PredictorContext, _demo_state_action_pairs, make_pr
 from crowdirl.pipeline import read_demonstrations
 from crowdirl.trajectory import (
     AgentState,
-    JointState,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -244,8 +243,7 @@ class TestStateFeedbackPredictors:
         k, T = self.K_AGENTS, self.T
         out = []
         for _ in range(n):
-            spec = ScenarioSpec(k=k, x0=JointState.from_array(rng.normal(0.0, 1.5, 4 * k)),
-                                goals=None, horizon=T, dt=0.1)
+            spec = ScenarioSpec(k=k, x0=rng.normal(0.0, 1.5, 4 * k), goals=None, horizon=T, dt=0.1)
             out.append(rollout_openloop(spec, rng.normal(0.0, 0.6, (T, k, 2))))
         return out
 
@@ -253,7 +251,7 @@ class TestStateFeedbackPredictors:
     @pytest.mark.parametrize("u_max", [0.05, 5.0])
     def test_matches_per_agent_loop(self, method, u_max):
         train, held = self._demos(6, seed=11), self._demos(5, seed=12)
-        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].joint_state(0), goals=None,
+        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].states[0], goals=None,
                             horizon=self.T, dt=0.1, u_max=u_max)
         ctx = PredictorContext(spec=spec, train_demos=train, seed=2)
         got = make_predictor(method, ctx)(held)
@@ -277,12 +275,12 @@ class TestStateFeedbackPredictors:
     def test_cv_matches_per_demo_constant_velocity_rollouts(self):
         held = self._demos(6, seed=14)
         assert len({demo.states[0].tobytes() for demo in held}) == 6
-        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].joint_state(0), goals=None,
+        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].states[0], goals=None,
                             horizon=self.T, dt=0.1)
         got = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))(held)
         shape = (self.T + 1, self.K_AGENTS, 4)
         ref = np.stack([
-            constant_velocity_rollout(replace(spec, x0=demo.joint_state(0))).states.reshape(shape)
+            constant_velocity_rollout(replace(spec, x0=demo.states[0])).states.reshape(shape)
             for demo in held
         ])[..., :2]
         assert got.tobytes() == ref.tobytes()
@@ -359,7 +357,7 @@ class TestConstantVelocity:
 
     @staticmethod
     def _predict(start, horizon, dt):
-        spec = ScenarioSpec(k=1, x0=JointState((start,)), goals=None, horizon=horizon, dt=dt)
+        spec = ScenarioSpec(k=1, x0=(start,), goals=None, horizon=horizon, dt=dt)
         predict = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))
         # the predictor reads only the demo's start state, so its controls are arbitrary
         wiggle = np.random.default_rng(0).standard_normal((horizon, 1, 2))

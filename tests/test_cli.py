@@ -23,6 +23,7 @@ from crowdirl.errors import FormatError
 from crowdirl.game import SolverConfig
 from crowdirl.irl import TrainingConfig
 from crowdirl.metrics import (
+    BASELINE_NAMES,
     PredictorContext,
     emit_report,
     evaluate_method,
@@ -68,6 +69,18 @@ def _far_demos(tmp_path, steps):
     path = tmp_path / "far.traj"
     write_demonstrations(path, far, goals=header_goals(header))
     return path
+
+
+def _refused(argv, capsys) -> str:
+    """stderr of main(argv), which must exit 2 with one message and without a warning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    assert err.count("\n") == 1 and "Traceback" not in err and "Warning" not in err
+    return err
 
 
 class TestConfig:
@@ -507,6 +520,8 @@ class TestSynth:
         ({"u_max": True}, "provenance key 'u_max' must be a positive number, got True"),
         ({"u_max": math.nan}, "provenance key 'u_max' must be a positive number, got nan"),
         ({"u_max": -math.inf}, "provenance key 'u_max' must be a positive number, got -inf"),
+        pytest.param({"u_max": 10**401}, f"provenance key 'u_max' must be a positive number, got {10**401!r}",
+                     id="u_max-beyond-float-range"),
         ({"sigma": 0}, "provenance key 'sigma' must be a positive finite number, got 0"),
         ({"sigma": -1.0}, "provenance key 'sigma' must be a positive finite number, got -1.0"),
         ({"sigma": "1.5"}, "provenance key 'sigma' must be a positive finite number, got '1.5'"),
@@ -523,7 +538,7 @@ class TestSynth:
         capsys.readouterr()
         out = tmp_path / "r.csv"
         assert main(["eval", str(path), "--baseline", "cv", "--out", str(out)]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
     def test_repeat_seed_identical_bytes(self, tmp_path):
@@ -622,7 +637,7 @@ class TestTrain:
         rc = main([*FAST_TRAIN, "--iters", "1", "train", str(tmp_path / "demos.traj"),
                    "--out", str(tmp_path / "t.json")])
         assert rc in (0, 3)
-        assert specs[0].x0.as_array().tobytes() == demos[0].states[0].tobytes()
+        assert specs[0].x0.tobytes() == demos[0].states[0].tobytes()
 
     def test_demonstrations_from_different_starts_exit_2(self, tmp_path, capsys):
         demos, header = read_demonstrations(_synth(tmp_path))
@@ -814,9 +829,13 @@ class TestEval:
     @pytest.mark.parametrize("rows, message", [
         ([[1.0, 0.5, 0.2], [1.0, 2.0], [1.0, 0.5, 0.2]],
          "'thetas' row 1: weights must have length 3, got (2,)"),
-        ([[1.0, 0.5, 0.2]] * 2 + [[1.0, math.nan, 0.2]], "'thetas' row 2: weights contain non-finite values"),
+        ([[1.0, 0.5, 0.2]] * 2 + [[1.0, math.nan, 0.2]], "'thetas' row 2 must be a list of finite numbers"),
+        ([[1.0, 0.5, 0.2], [10**401, 1, 1], [1.0, 0.5, 0.2]], "'thetas' row 1 must be a list of finite numbers"),
+        ([[1.0, 0.5, 0.2], [True, 1, 1], [1.0, 0.5, 0.2]], "'thetas' row 1 must be a list of finite numbers"),
+        ([[1.0, 0.5, 0.2], [[1, 2, 3]], [1.0, 0.5, 0.2]], "'thetas' row 1 must be a list of finite numbers"),
+        ([[1.0, 0.5, 0.2], 5, [1.0, 0.5, 0.2]], "'thetas' row 1 must be a list of finite numbers"),
         ([[1.0, 0.5, 0.2]] * 2, "holds 2 agents, demos have 3"),
-    ], ids=["short", "non-finite", "agents"])
+    ], ids=["short", "non-finite", "huge-integer", "boolean", "nested", "no-list", "agents"])
     def test_weight_file_row_that_is_no_weight_vector_exits_2_naming_the_row(
         self, tmp_path, capsys, rows, message
     ):
@@ -830,6 +849,43 @@ class TestEval:
         sep = " " if message.startswith("holds") else ": "
         assert capsys.readouterr().err == f"error: weight file {theta}{sep}{message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("config, key, value", [
+        ({"u_max": 10**401}, "u_max", 10**401),
+        ({"u_max": True}, "u_max", True),
+        ({"proximity": {"sigma": math.nan}}, "sigma", math.nan),
+        ({"proximity": {"sigma": math.inf}}, "sigma", math.inf),
+    ], ids=["huge-integer", "boolean", "nan", "inf-width"])
+    def test_weight_file_config_bound_or_width_that_is_no_number_exits_2_naming_the_file(
+        self, tmp_path, capsys, config, key, value
+    ):
+        demos = _synth(tmp_path, n=3)
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3, "config": config}))
+        out = tmp_path / "x.csv"
+        err = _refused(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
+                        "--out", str(out)], capsys)
+        assert err == f"error: weight file {theta} was trained at {key} {value!r}, which is not a finite number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], *(["eval", "--baseline", b] for b in BASELINE_NAMES)],
+                             ids=lambda command: command[-1])
+    def test_start_whose_open_loop_path_overflows_exits_2_naming_the_file(
+        self, tmp_path, capsys, command
+    ):
+        # at dt 1e308 every nominal, cv coast and feedback rollout overflows
+        demos = _synth(tmp_path, n=2)
+        header, *rows = demos.read_text().splitlines()
+        demos.write_text("\n".join([json.dumps({**json.loads(header), "dt": 1e308}), *rows]) + "\n")
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
+        out = tmp_path / "out"
+        argv = [command[0], str(demos), *command[1:], "--out", str(out)]
+        if command[-1] in ("mairl", "sairl"):
+            argv += ["--theta", str(theta)]
+        err = _refused(argv, capsys)
+        assert err.startswith(f"error: {demos} is out of range: ")
+        assert not out.exists()
 
     def test_kernel_width_reaches_the_games_of_the_report(self, tmp_path):
         demos = _synth(tmp_path, n=3)

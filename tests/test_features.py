@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from crowdirl.features import (
 from crowdirl.trajectory import (
     DEFAULT_SIGMA,
     AgentState,
-    JointState,
     RolloutSet,
     ScenarioSpec,
     Trajectory,
@@ -73,7 +73,7 @@ def test_features_squared_goal_distance():
 def test_features_control_averaging_excludes_terminal():
     # one step with ||u||^2 = 4, then check effort = 4 / T with T = 2
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=2, dt=0.1
+        k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=2, dt=0.1
     )
     controls = np.zeros((2, 1, 2))
     controls[0, 0] = [2.0, 0.0]
@@ -95,7 +95,7 @@ def _agent_features(trajs, agent, goal):
 def test_expected_features_mean_behavior():
     t_still = _static_traj([(1.0, 0.0)])
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(1, 0, 0, 0),)), goals=None, horizon=1, dt=0.1
+        k=1, x0=(AgentState(1, 0, 0, 0),), goals=None, horizon=1, dt=0.1
     )
     t_push = rollout_openloop(spec, np.full((1, 1, 2), [np.sqrt(2.0), 0.0][0]))
     one = _agent_features([t_still], 0, (0, 0))
@@ -192,7 +192,7 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
             assert got.tobytes() == reference_expected_features(trajs, agents, g, sigma).tobytes()
     nominal = Trajectory(states[0], controls[0], 0.1)
     for model in agent_costs([CostParams.ones()] * k,
-                             ScenarioSpec(k, JointState.from_array(states[0, 0]), goals, T)):
+                             ScenarioSpec(k, states[0, 0], goals, T)):
         e = expand(model, nominal)
         ref = np.ascontiguousarray(dense_feature_terms(model, nominal)[:, :, e.rows, e.cols])
         assert e.basis.tobytes() == ref.tobytes()
@@ -234,6 +234,13 @@ def test_proximity_monotone_in_pairwise_distance():
 def test_theta_projection():
     th = CostParams(np.array([-0.5, 0.2, 0.0])).project_nonneg()
     assert th.weights.tolist() == [0.0, 0.2, 0.0]
+
+
+@pytest.mark.parametrize("weights", [[[1.0, 2.0, 3.0]], [[1.0], [2.0], [3.0]], 1.0])
+def test_weights_that_are_no_vector_are_refused_not_flattened(weights):
+    shape = np.shape(weights)
+    with pytest.raises(ValidationError, match=re.escape(f"weights must have length 3, got {shape}")):
+        CostParams(weights)
 
 
 def test_stage_cost_model_reproduces_weighted_features(intersection_spec, theta_star):

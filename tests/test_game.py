@@ -36,7 +36,6 @@ from crowdirl.quadratic import expand_model_along
 from crowdirl.trajectory import (
     DEFAULT_U_MAX,
     AgentState,
-    JointState,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -106,7 +105,7 @@ def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
     angles = 2 * np.pi * np.arange(k) / k
     unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     agents = tuple(AgentState(*(radius * u), *(-1.2 * u)) for u in unit)
-    return ScenarioSpec(k=k, x0=JointState(agents), goals=-radius * unit, horizon=30, dt=0.1)
+    return ScenarioSpec(k=k, x0=agents, goals=-radius * unit, horizon=30, dt=0.1)
 
 
 def test_single_agent_matches_textbook_riccati(single_agent_spec):
@@ -136,7 +135,7 @@ def test_single_agent_mean_rollout_matches_oracle_trajectory(single_agent_spec):
 
 def test_pure_effort_cost_gives_flat_policy_and_inverse_sigma():
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0.5, 0),)), goals=np.array([[1.0, 0.0]]),
+        k=1, x0=(AgentState(0, 0, 0.5, 0),), goals=np.array([[1.0, 0.0]]),
         horizon=5, dt=0.1,
     )
     theta3 = 0.8
@@ -156,7 +155,7 @@ def test_decoupled_game_equals_independent_solves(intersection_spec):
     for i in range(3):
         sub = ScenarioSpec(
             k=1,
-            x0=JointState((intersection_spec.x0.agents[i],)),
+            x0=intersection_spec.x0[4 * i : 4 * i + 4],
             goals=intersection_spec.goals[i : i + 1],
             horizon=intersection_spec.horizon,
             dt=intersection_spec.dt,
@@ -318,7 +317,7 @@ def test_stacked_eigenvalues_refuse_any_asymmetric_member():
 def test_conditioning_engages_in_crowded_low_effort_game():
     spec = ScenarioSpec(
         k=2,
-        x0=JointState((AgentState(-1.5, 0, 1.0, 0), AgentState(1.5, 0.05, -1.0, 0))),
+        x0=(AgentState(-1.5, 0, 1.0, 0), AgentState(1.5, 0.05, -1.0, 0)),
         goals=np.array([[1.5, 0.0], [-1.5, 0.05]]),
         horizon=30,
         dt=0.1,
@@ -338,7 +337,7 @@ def test_small_curvature_already_above_the_floor_is_not_a_repair():
     # own-control curvature 2 * 1.5e-6 / T = 1e-7 sits below eps_psd, but its
     # covariance 1e7 I already clears the floor: nothing is shifted or logged
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(4.5, 0, -1.2, 0),)), goals=np.array([[-4.5, 0.0]]),
+        k=1, x0=(AgentState(4.5, 0, -1.2, 0),), goals=np.array([[-4.5, 0.0]]),
         horizon=30, dt=0.1,
     )
     policies = build_policies([CostParams(np.array([0.0, 0.0, 1.5e-6]))], spec)
@@ -398,7 +397,7 @@ def _per_step_rollouts(policies, spec, noise, clamp=clamp_control, feedback=tile
     chol = np.linalg.cholesky(policies.Sigma)
     states = np.empty((M, T + 1, 4 * k))
     controls = np.empty((M, T, k, 2))
-    states[:, 0] = spec.x0.as_array()
+    states[:, 0] = spec.x0
     for t in range(T):
         dx = states[:, t] - policies.nominal_states[t]
         u = policies.kff[t] - feedback(dx, policies.K[t])
@@ -458,7 +457,7 @@ def test_mean_rollout_equals_row_0_of_a_padded_tile_bit_for_bit(k, theta_star):
         dx = (states - policies.nominal_states[t]).reshape(-1, FEEDBACK_TILE, n)
         return policies.kff[t] - (dx @ gains[t]).reshape(FEEDBACK_TILE, k, 2)
 
-    x0 = np.tile(spec.x0.as_array(), (FEEDBACK_TILE, 1))
+    x0 = np.tile(spec.x0, (FEEDBACK_TILE, 1))
     states, controls = rollout(x0, spec.horizon, spec.dt, act, spec.u_max)
     mean = mean_rollout(policies, spec)
     assert mean.states.tobytes() == states[0].tobytes()
@@ -505,7 +504,7 @@ def test_sampled_control_mean_obeys_clt():
         nominal_states=np.zeros((2, 8)),
     )
     spec = ScenarioSpec(
-        k=2, x0=JointState((AgentState(0, 0, 0, 0),) * 2), goals=None, horizon=1, dt=1.0,
+        k=2, x0=(AgentState(0, 0, 0, 0),) * 2, goals=None, horizon=1, dt=1.0,
         u_max=np.inf,
     )
     M = 4000
@@ -587,7 +586,7 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
 def test_singular_gain_system_raises_with_timestep():
     # zero cost everywhere: the stacked stationarity system is singular
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=3, dt=0.1
+        k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=3, dt=0.1
     )
     zero = lambda x, u: np.zeros(x.shape[:-1])
     nominal = constant_velocity_rollout(spec)
@@ -743,7 +742,7 @@ _REPAIRED = [
     pytest.param(_ring_spec(12), (0.5, 8.0, 0.01), 1.0, 60, id="ring12"),
 ]
 REPAIRED_SCENES = pytest.mark.parametrize("spec, theta, temp, repaired", _REPAIRED)
-_ONE_AGENT = ScenarioSpec(k=1, x0=JointState((AgentState(2.0, -1.0, 0.3, 0.1),)),
+_ONE_AGENT = ScenarioSpec(k=1, x0=(AgentState(2.0, -1.0, 0.3, 0.1),),
                           goals=np.array([[0.0, 0.0]]), horizon=10, dt=0.1)
 # well-conditioned scenes: no repair runs, so only the recursion's reused
 # buffers stand between the solve and the reference
@@ -975,7 +974,7 @@ def test_game_nominal_equals_the_stepped_zero_tape_bit_for_bit(preset, ring8_spe
     spec = ring8_spec if preset == "ring8" else scenario_preset(preset)
     g = Game([theta_star[0]] * spec.k, spec, SolverConfig())
     zeros = np.zeros((spec.k, 2))
-    states, controls = rollout(spec.x0.as_array()[None], spec.horizon, spec.dt,
+    states, controls = rollout(spec.x0[None], spec.horizon, spec.dt,
                                lambda t, x: zeros, math.inf)
     assert g.nominal.states.tobytes() == states[0].tobytes()
     assert g.nominal.controls.tobytes() == controls[0].tobytes()
@@ -1138,7 +1137,7 @@ def test_zero_crowding_weight_decouples_the_game(thetas):
     thetas = [CostParams(np.array([g, 0.0, e])) for g, e in thetas]
     joint = build_policies(thetas, INTERSECTION)
     for i in range(3):
-        sub = ScenarioSpec(k=1, x0=JointState((INTERSECTION.x0.agents[i],)),
+        sub = ScenarioSpec(k=1, x0=INTERSECTION.x0[4 * i : 4 * i + 4],
                            goals=INTERSECTION.goals[i : i + 1],
                            horizon=INTERSECTION.horizon, dt=INTERSECTION.dt)
         solo = build_policies([thetas[i]], sub)

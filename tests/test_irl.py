@@ -18,7 +18,7 @@ from crowdirl.irl import (
 )
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import derive_seed
-from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, JointState, ScenarioSpec, Trajectory
+from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, ScenarioSpec, Trajectory
 
 QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
 
@@ -118,7 +118,7 @@ def test_feature_gap_zero_against_own_mean_rollout(single_agent_spec):
 def test_feature_gap_goal_component_sign(intersection_spec):
     # static demos stay far from the goals; goal-seeking policies end nearer:
     # policies accrue less goal_dist, so that gap component is negative.
-    x0 = intersection_spec.x0.as_array()
+    x0 = intersection_spec.x0
     static = np.tile(x0 * np.tile([1, 1, 0, 0], 3), (intersection_spec.horizon + 1, 1))
     demo = Trajectory(static, np.zeros((intersection_spec.horizon, 3, 2)), intersection_spec.dt)
     cfg = _cfg(max_iters=1, M=4)
@@ -187,7 +187,7 @@ def test_training_is_bitwise_reproducible(intersection_spec, theta_star):
 def test_k1_multi_and_single_agent_traces_coincide():
     spec = ScenarioSpec(
         k=1,
-        x0=JointState((AgentState(1.5, -0.5, -0.4, 0.2),)),
+        x0=(AgentState(1.5, -0.5, -0.4, 0.2),),
         goals=np.array([[0.0, 0.0]]),
         horizon=12,
         dt=0.1,

@@ -34,7 +34,6 @@ from crowdirl.metrics import (
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import substream
 from crowdirl.trajectory import (
-    JointState,
     RolloutSet,
     Trajectory,
     clamp_control,
@@ -293,9 +292,9 @@ class TestPredictors:
     def test_cv_equals_the_stepped_zero_action_bit_for_bit(self, intersection_spec, theta_star):
         # the zero tapes are integrated in closed form; the reference steps the
         # unbounded zero action through the state-feedback loop, as cv once did
-        x0 = intersection_spec.x0.as_array()
+        x0 = intersection_spec.x0.copy()
         x0[[1, 3]] = -0.0  # agent 0 starts at y = -0.0 with vy = -0.0
-        other = replace(intersection_spec, x0=JointState.from_array(x0))
+        other = replace(intersection_spec, x0=x0)
         demos = [*synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET),
                  *synth_generate(theta_star, other, 3, seed=2, solver_cfg=QUIET)]
         ctx = PredictorContext(spec=intersection_spec, train_demos=demos)
@@ -395,8 +394,7 @@ class TestPredictors:
 
     @pytest.mark.parametrize("best_of", [1, 3])
     def test_interleaved_starts_match_a_per_demo_solve(self, intersection_spec, theta_star, best_of):
-        other = replace(intersection_spec,
-                        x0=JointState.from_array(intersection_spec.x0.as_array() + 0.05))
+        other = replace(intersection_spec, x0=intersection_spec.x0 + 0.05)
         a = synth_generate(theta_star, intersection_spec, 2, seed=1)
         b = synth_generate(theta_star, other, 2, seed=2)
         demos = [a[0], b[0], a[1], b[1]]
@@ -407,7 +405,7 @@ class TestPredictors:
         # reference: one solve and one rollout (set) per demonstration
         picks = []
         for demo, pred in zip(demos, got):
-            demo_spec = replace(intersection_spec, x0=demo.joint_state(0))
+            demo_spec = replace(intersection_spec, x0=demo.states[0])
             policies = build_policies(theta_star, demo_spec, ctx.solver)
             if best_of == 1:
                 best = mean_rollout(policies, demo_spec)

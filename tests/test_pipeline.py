@@ -25,7 +25,6 @@ from crowdirl.pipeline import (
 )
 from crowdirl.trajectory import (
     AgentState,
-    JointState,
     ScenarioSpec,
     Trajectory,
     from_dataset_array,
@@ -382,7 +381,7 @@ class TestSynthGenerate:
     def test_proximity_weight_increases_separation(self):
         spec = ScenarioSpec(
             k=2,
-            x0=JointState((AgentState(-3, 0, 1.2, 0), AgentState(3, 0.15, -1.2, 0))),
+            x0=(AgentState(-3, 0, 1.2, 0), AgentState(3, 0.15, -1.2, 0)),
             goals=np.array([[3.0, 0.0], [-3.0, 0.15]]),
             horizon=50,
             dt=0.1,

@@ -10,7 +10,7 @@ import crowdirl
 from crowdirl.errors import ValidationError
 from crowdirl.game import PolicySequence, sample_rollouts
 from crowdirl.rng import derive_seed, substream
-from crowdirl.trajectory import AgentState, JointState, ScenarioSpec
+from crowdirl.trajectory import AgentState, ScenarioSpec
 
 
 @pytest.mark.parametrize(
@@ -34,7 +34,7 @@ def test_negative_seeds_are_rejected():
         nominal_states=np.zeros((2, 4)),
     )
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=1.0
+        k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1, dt=1.0
     )
     for call in (lambda: substream(-1), lambda: sample_rollouts(policies, spec, 2, seed=-1)):
         with pytest.raises(ValidationError, match="nonnegative"):

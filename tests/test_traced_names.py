@@ -10,8 +10,12 @@ names the package has dropped (`ProximityConfig`, `stage_cost_models`,
 """
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -75,3 +79,18 @@ def test_every_name_the_benchmark_command_takes_from_crowdirl_exists():
             "crowdirl.irl.multi_agent_irl", "crowdirl.game.SolverConfig", "crowdirl.quadratic"} <= names
     assert not _exists("crowdirl.metrics.NoSuchName") and not _exists("crowdirl.no_such_module")
     assert sorted(name for name in names if not _exists(name)) == []
+
+
+@pytest.mark.parametrize("k, seed", [(8, 1), (3, 2)])
+def test_the_benchmark_ring_scene_starts_from_a_frozen_flat_array(k, seed):
+    # inputs.py spells its start as JointState(tuple(AgentState(...) ...)); that
+    # spelling must still build the scene the benchmark measures
+    loader = importlib.util.spec_from_file_location("bench_inputs", BENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(inputs)
+    scene = inputs.ring_spec(k, seed)
+    assert scene.x0.shape == (4 * k,) and scene.x0.dtype == np.float64
+    assert not scene.x0.flags.writeable
+    rows = scene.x0.reshape(k, 4)
+    assert rows[:, :2].tobytes() == (-scene.goals).tobytes()
+    assert np.allclose(np.hypot(rows[:, 2], rows[:, 3]), 1.2, rtol=0.0, atol=1e-12)

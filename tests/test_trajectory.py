@@ -1,14 +1,14 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from crowdirl.errors import FormatError, ValidationError
+from crowdirl.errors import CostRangeError, FormatError, ValidationError
 from crowdirl.trajectory import (
     DEFAULT_SIGMA,
     AgentState,
-    JointState,
     RolloutSet,
     ScenarioSpec,
     Trajectory,
@@ -42,12 +42,8 @@ def test_propagate_hand_arithmetic():
 
 
 def test_propagate_rejects_nonfinite_named_field():
-    with pytest.raises(ValidationError, match="vx"):
-        AgentState(0, 0, float("nan"), 0)
-    with pytest.raises(ValidationError, match="py"):
-        AgentState(0, float("inf"), 0, 0)
     with pytest.raises(ValidationError, match="dt"):
-        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1, dt=0.0)
+        ScenarioSpec(k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1, dt=0.0)
 
 
 def test_propagate_is_affine_in_state_and_control():
@@ -83,26 +79,26 @@ def test_propagate_joint_matches_scalar_propagate():
 
 
 def test_to_dataset_row_axis_aligned():
-    row = to_dataset_array(JointState((AgentState(1, 2, 3, 0),)).as_array())
+    row = to_dataset_array(AgentState(1, 2, 3, 0))
     assert np.allclose(row, [1, 2, 3, 0])
 
 
 def test_to_dataset_row_quarter_turn():
-    row = to_dataset_array(JointState((AgentState(0, 0, 0, 1),)).as_array())
+    row = to_dataset_array(AgentState(0, 0, 0, 1))
     assert np.allclose(row, [0, 0, 1, math.pi / 2])
 
 
 def test_to_dataset_row_rest_convention():
-    row = to_dataset_array(JointState((AgentState(5, 5, 0, 0),)).as_array())
+    row = to_dataset_array(AgentState(5, 5, 0, 0))
     assert np.allclose(row, [5, 5, 0, 0])
 
 
 def test_from_dataset_row_inverse_cases():
-    st = AgentState.from_array(from_dataset_array([1, 2, 3, 0]))
+    st = AgentState(*from_dataset_array([1, 2, 3, 0]))
     assert (st.px, st.py, st.vx, st.vy) == (1, 2, 3, 0)
-    st = AgentState.from_array(from_dataset_array([0, 0, 1, math.pi / 2]))
+    st = AgentState(*from_dataset_array([0, 0, 1, math.pi / 2]))
     assert abs(st.vx) < 1e-12 and abs(st.vy - 1) < 1e-12
-    st = AgentState.from_array(from_dataset_array([0, 0, 0, 2.7]))
+    st = AgentState(*from_dataset_array([0, 0, 0, 2.7]))
     assert (st.vx, st.vy) == (0.0, 0.0)
 
 
@@ -138,7 +134,7 @@ def test_heading_range_is_half_open():
 
 def test_rollout_openloop_static():
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(1, 1, 0, 0),)), goals=None, horizon=1, dt=0.5
+        k=1, x0=(AgentState(1, 1, 0, 0),), goals=None, horizon=1, dt=0.5
     )
     traj = rollout_openloop(spec, np.zeros((1, 1, 2)))
     assert np.array_equal(traj.states[0], traj.states[1])
@@ -146,7 +142,7 @@ def test_rollout_openloop_static():
 
 def test_rollout_openloop_constant_push():
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=2, dt=1.0
+        k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=2, dt=1.0
     )
     controls = np.tile(np.array([1.0, 0.0]), (2, 1, 1))
     traj = rollout_openloop(spec, controls)
@@ -155,7 +151,7 @@ def test_rollout_openloop_constant_push():
 
 def test_rollout_openloop_rejects_length_mismatch():
     spec = ScenarioSpec(
-        k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=3, dt=1.0
+        k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=3, dt=1.0
     )
     with pytest.raises(ValidationError):
         rollout_openloop(spec, np.zeros((2, 1, 2)))
@@ -171,7 +167,7 @@ def test_trajectory_replay_consistency():
     rng = np.random.default_rng(8)
     spec = ScenarioSpec(
         k=2,
-        x0=JointState((AgentState(0, 0, 1, 0), AgentState(3, 1, -1, 0))),
+        x0=(AgentState(0, 0, 1, 0), AgentState(3, 1, -1, 0)),
         goals=None,
         horizon=20,
         dt=0.1,
@@ -202,7 +198,7 @@ def test_openloop_rollout_equals_the_per_step_loop_bit_for_bit():
     for j in range(n):
         ref = _per_step_openloop(x0[j], tapes[j], dt)
         assert states[j].tobytes() == ref.tobytes()
-        spec = ScenarioSpec(k=k, x0=JointState.from_array(x0[j]), goals=None, horizon=T, dt=dt)
+        spec = ScenarioSpec(k=k, x0=x0[j], goals=None, horizon=T, dt=dt)
         traj = rollout_openloop(spec, tapes[j])
         assert traj.states.tobytes() == ref.tobytes()
         assert traj.controls.tobytes() == tapes[j].tobytes()
@@ -255,8 +251,7 @@ def test_state_feedback_rollout_equals_the_per_step_loop_with_the_clamp_engaged(
 
 def test_from_states_reconstructs_the_controls_of_a_replay():
     rng = np.random.default_rng(33)
-    spec = ScenarioSpec(k=2, x0=JointState.from_array(rng.standard_normal(8)), goals=None,
-                        horizon=12, dt=0.1)
+    spec = ScenarioSpec(k=2, x0=rng.standard_normal(8), goals=None, horizon=12, dt=0.1)
     traj = rollout_openloop(spec, rng.standard_normal((12, 2, 2)))
     rebuilt = Trajectory.from_states(traj.states, traj.dt)
     assert rebuilt.states.tobytes() == traj.states.tobytes() and rebuilt.dt == traj.dt
@@ -272,7 +267,7 @@ def test_trajectory_shape_validation():
 
 def test_trajectory_arrays_frozen():
     traj = constant_velocity_rollout(
-        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 1, 0),)), goals=None, horizon=2, dt=0.1)
+        ScenarioSpec(k=1, x0=(AgentState(0, 0, 1, 0),), goals=None, horizon=2, dt=0.1)
     )
     with pytest.raises(ValueError):
         traj.states[0, 0] = 99.0
@@ -415,17 +410,17 @@ def test_rollout_rejects_a_bound_that_is_not_positive_before_any_step(u_max):
 @pytest.mark.parametrize("u_max", [0.0, -1.0, math.nan, -math.inf])
 def test_scenario_spec_rejects_a_bound_that_is_not_positive(u_max):
     with pytest.raises(ValidationError, match="u_max must be positive"):
-        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1,
+        ScenarioSpec(k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1,
                      u_max=u_max)
 
 
 def test_scenario_spec_keeps_its_bound_through_every_copy():
-    spec = ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=2,
+    spec = ScenarioSpec(k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=2,
                         u_max=math.inf)
     assert (spec.u_max, spec.sigma) == (math.inf, DEFAULT_SIGMA)
     spec = dataclasses.replace(spec, u_max=0.5, sigma=0.7)
     assert (spec.u_max, spec.sigma) == (0.5, 0.7)
-    moved = JointState((AgentState(1, 0, 0, 0),))
+    moved = (AgentState(1, 0, 0, 0),)
     for copy in (dataclasses.replace(spec, goals=np.array([[1.0, 2.0]])),
                  dataclasses.replace(spec, x0=moved), dataclasses.replace(spec, horizon=5)):
         assert (copy.u_max, copy.sigma) == (0.5, 0.7)
@@ -438,5 +433,48 @@ def test_scenario_spec_keeps_its_bound_through_every_copy():
 @pytest.mark.parametrize("sigma", [0.0, -0.0, -1.5, math.nan, math.inf, -math.inf])
 def test_scenario_spec_rejects_a_kernel_width_that_is_not_positive_and_finite(sigma):
     with pytest.raises(ValidationError, match=f"^sigma must be positive, got {sigma!r}$"):
-        ScenarioSpec(k=1, x0=JointState((AgentState(0, 0, 0, 0),)), goals=None, horizon=1,
+        ScenarioSpec(k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1,
                      sigma=sigma)
+
+
+def test_scenario_spec_keeps_one_frozen_flat_start_from_rows_or_a_flat_array():
+    rows = (AgentState(1.5, -0.0, 0.3, 0.1), AgentState(-2.0, 0.25, -1.2, 0.0))
+    flat = np.array(rows).ravel()
+    starts = [ScenarioSpec(k=2, x0=x0, goals=None, horizon=1).x0
+              for x0 in (rows, np.array(rows), flat, flat.tolist())]
+    for x0 in starts:
+        assert x0.shape == (8,) and x0.dtype == np.float64 and not x0.flags.writeable
+        assert x0.tobytes() == flat.tobytes()
+    flat[0] = 99.0  # the spec keeps a copy
+    assert starts[2][0] == 1.5
+
+
+@pytest.mark.parametrize("x0", [np.zeros(12), np.zeros((3, 4)), np.zeros((4, 2)), np.zeros((2, 4, 1)),
+                                (AgentState(0, 0, 0, 0),)])
+def test_scenario_spec_refuses_a_start_of_another_shape_naming_k(x0):
+    message = f"x0 must be (8,) or (2, 4) for k=2, got {np.shape(x0)}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ScenarioSpec(k=2, x0=x0, goals=None, horizon=1)
+
+
+@pytest.mark.parametrize("index, value, message", [
+    (2, math.nan, "x0 agent 0: vx must be finite, got nan"),
+    (5, math.inf, "x0 agent 1: py must be finite, got inf"),
+    (7, -math.inf, "x0 agent 1: vy must be finite, got -inf"),
+])
+def test_scenario_spec_refuses_a_non_finite_start_by_agent_and_field(index, value, message):
+    x0 = np.zeros(8)
+    x0[index] = value
+    for start in (x0, x0.reshape(2, 4)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ScenarioSpec(k=2, x0=start, goals=None, horizon=1)
+    spec = ScenarioSpec(k=2, x0=np.zeros(8), goals=None, horizon=1)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):  # a copy is checked again
+        dataclasses.replace(spec, x0=x0)
+
+
+def test_openloop_path_that_overflows_is_out_of_range_without_a_warning():
+    spec = ScenarioSpec(k=1, x0=(AgentState(1.0, 0.0, 1.0, 0.0),), goals=None, horizon=2, dt=1e308)
+    with pytest.raises(CostRangeError, match="^the open-loop path overflows$") as info:
+        constant_velocity_rollout(spec)  # pyproject turns any RuntimeWarning into an error
+    assert info.value.source == "states"
