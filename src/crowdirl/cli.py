@@ -81,28 +81,13 @@ def _defaults(cls, *names: str) -> dict:
 # every key a library dataclass declares takes its default from there
 DEFAULT_CONFIG: dict = {
     "seed": 0,
-    "u_max": DEFAULT_U_MAX,
+    "u_max": DEFAULT_U_MAX,  # u_max and sigma: the ScenarioSpec settings of every scene a command builds
+    "sigma": DEFAULT_SIGMA,
     "solver": _defaults(SolverConfig),
     "training": _defaults(TrainingConfig, "beta", "max_iters", "tol", "M"),
-    "proximity": {"sigma": DEFAULT_SIGMA},  # ScenarioSpec.sigma of every scene a command builds
     "preprocess": _defaults(PreprocessConfig),
     "eval": _defaults(PredictorContext, "best_of", "gmm_components"),
 }
-
-# flag destination -> config path
-_FLAG_PATHS = {
-    "seed": ("seed",),
-    "u_max": ("u_max",),
-    "eps_psd": ("solver", "eps_psd"),
-    "entropy_temp": ("solver", "entropy_temp"),
-    "beta": ("training", "beta"),
-    "iters": ("training", "max_iters"),
-    "tol": ("training", "tol"),
-    "rollouts": ("training", "M"),
-    "sigma": ("proximity", "sigma"),
-    "best_of": ("eval", "best_of"),
-}
-
 
 def _config_keys(tree: dict, prefix: str = "") -> list[str]:
     out = []
@@ -115,25 +100,24 @@ def _config_keys(tree: dict, prefix: str = "") -> list[str]:
     return out
 
 
-def _merge_config(base: dict, override: dict, path: str = "") -> dict:
+def _merge_config(base: dict, override, path: str = "") -> dict:
+    if not isinstance(override, dict):  # the whole config or one of its sections
+        raise FormatError(f"config key {path[:-1]!r} must be a section" if path
+                          else "config must be a JSON object")
     out = copy.deepcopy(base)
     for key, value in override.items():
         dotted = f"{path}{key}"
         if key not in base:
             raise FormatError(f"unknown config key {dotted!r}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise FormatError(f"config key {dotted!r} must be a section")
             out[key] = _merge_config(base[key], value, dotted + ".")
-        elif json_kind(value) != json_kind(base[key]) and (dotted, value) != ("u_max", math.inf):
-            # a finite number everywhere, but u_max also takes inf: no clamp
-            raise FormatError(
-                f"config key {dotted!r} must be {json_kind(base[key])}, got {json.dumps(value)}"
-            )
-        else:
-            if isinstance(base[key], int):
-                _check_integer(dotted, value)
-            out[key] = type(base[key])(value)  # a number takes its default's type
+            continue
+        kind = json_kind(type(base[key])())  # of the key's type, as a flag may have set u_max to inf
+        if json_kind(value) != kind and (dotted, value) != ("u_max", math.inf):  # inf: no clamp
+            raise FormatError(f"config key {dotted!r} must be {kind}, got {json.dumps(value)}")
+        if isinstance(base[key], int):
+            _check_integer(dotted, value)
+        out[key] = type(base[key])(value)  # a number takes its default's type
     return out
 
 
@@ -157,24 +141,24 @@ def _read_json(path: str, what: str):
 
 
 def load_config(path: str | None, flag_values: dict) -> dict:
+    """DEFAULT_CONFIG, the file at path merged over it, then every flag whose dest names a config key."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        file_cfg = _read_json(path, "config")
-        if not isinstance(file_cfg, dict):
-            raise FormatError("config file must hold a JSON object")
-        cfg = _merge_config(cfg, file_cfg)
+        cfg = _merge_config(cfg, _read_json(path, "config"))
     for dest, value in flag_values.items():
-        if value is None or dest not in _FLAG_PATHS:
-            continue
-        node = cfg
-        *parents, leaf = _FLAG_PATHS[dest]
-        for p in parents:
-            node = node[p]
-        node[leaf] = value
+        *parents, leaf = dest.split(".")
+        node = functools.reduce(dict.__getitem__, parents, cfg)
+        if value is not None and leaf in node:
+            node[leaf] = value
+    return _check_config(cfg)
+
+
+def _check_config(cfg: dict) -> dict:
+    """Run the checks every read config passes, flags applied; return it."""
     _check_integer("seed", cfg["seed"])  # the flags that set these skip the merge's check
     _check_integer("eval.best_of", cfg["eval"]["best_of"])
     check_u_max(cfg["u_max"])
-    check_sigma(cfg["proximity"]["sigma"])
+    check_sigma(cfg["sigma"])
     _training_config(cfg)  # checks the solver section too
     PreprocessConfig(**cfg["preprocess"])
     return cfg
@@ -226,14 +210,11 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
 
 def _check_recorded(recorded: dict, cfg: dict, made: str) -> None:
     """Refuse a file recorded at a u_max or sigma other than cfg's (unrecorded ones pass); made says how."""
-    for key, what, configured in (("u_max", "bound", cfg["u_max"]),
-                                  ("sigma", "kernel width", cfg["proximity"]["sigma"])):
-        value = recorded.get(key, configured)
-        if not (json_kind(value) == "a number" or key == "u_max" and value == math.inf):
-            raise FormatError(f"{made} at {key} {value!r}, which is not a finite number")
-        if value != configured:
+    for key, what in (("u_max", "bound"), ("sigma", "kernel width")):  # both records are checked
+        value = recorded.get(key, cfg[key])
+        if value != cfg[key]:
             raise ValidationError(f"{made} at {key} {value!r}, but the configured {what} is "
-                                  f"{configured!r}; pass --{key.replace('_', '-')} {value!r}")
+                                  f"{cfg[key]!r}; pass --{key.replace('_', '-')} {value!r}")
 
 
 def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> ScenarioSpec:
@@ -243,12 +224,11 @@ def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> 
     predictors start each demo from its own x0. A file that records its bound or sigma is read only at it.
     """
     _check_recorded(header["provenance"], cfg, f"{path} was synthesized")
-    u_max, sigma = cfg["u_max"], cfg["proximity"]["sigma"]
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
     return ScenarioSpec(k=demos[0].k, x0=demos[0].states[0], goals=goals,
-                        horizon=demos[0].horizon, dt=demos[0].dt, u_max=u_max, sigma=sigma)
+                        horizon=demos[0].horizon, dt=demos[0].dt, u_max=cfg["u_max"], sigma=cfg["sigma"])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -283,8 +263,7 @@ def cmd_preprocess(args, cfg: dict) -> int:
 def cmd_synth(args, cfg: dict) -> int:
     if args.n < 0:
         raise ValidationError(f"--n must be >= 0, got {args.n}")
-    spec = dataclasses.replace(scenario_preset(args.preset), u_max=cfg["u_max"],
-                               sigma=cfg["proximity"]["sigma"])
+    spec = dataclasses.replace(scenario_preset(args.preset), u_max=cfg["u_max"], sigma=cfg["sigma"])
     if args.horizon is not None:
         spec = dataclasses.replace(spec, horizon=int(args.horizon))
     thetas = parse_thetas(args.theta, spec.k)
@@ -370,12 +349,11 @@ def _load_thetas(path: str, k: int, cfg: dict) -> list[CostParams]:
     rows = payload.get("thetas") if isinstance(payload, dict) else None
     if not isinstance(rows, list):
         raise FormatError(f"weight file {path} must hold an object with a 'thetas' list")
-    config = payload.get("config", {})  # train's config: weights are read only at its bound and sigma
-    proximity = config.get("proximity", {}) if isinstance(config, dict) else None
-    if not isinstance(proximity, dict):
-        raise FormatError(f"weight file {path}: 'config' must be an object, and its 'proximity' one too")
-    trained = {"u_max": config.get("u_max", cfg["u_max"]), **proximity}
-    _check_recorded(trained, cfg, f"weight file {path} was trained")
+    try:  # train's config, read as a config file over cfg
+        trained = _check_config(_merge_config(cfg, payload.get("config", {})))
+    except CrowdIrlError as exc:
+        raise FormatError(f"weight file {path}: {exc}") from exc
+    _check_recorded(trained, cfg, f"weight file {path} was trained")  # weights hold at its bound and sigma
     thetas = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or any(json_kind(v) != "a number" for v in row):
@@ -480,14 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
+    # a config flag's dest is the dotted config path it sets
     parser.add_argument("--seed", type=int, help="global seed (uint64)")
-    parser.add_argument("--eps-psd", dest="eps_psd", type=float, help="covariance eigenvalue floor")
-    parser.add_argument("--entropy-temp", dest="entropy_temp", type=float, help="policy covariance scale")
-    parser.add_argument("--beta", type=float, help="weight-update learning rate")
-    parser.add_argument("--iters", type=int, help="max training sweeps")
-    parser.add_argument("--tol", type=float, help="feature-gap convergence threshold")
-    parser.add_argument("--rollouts", type=int, help="rollouts per feature expectation")
-    parser.add_argument("--best-of", dest="best_of", type=int, help="evaluate best of N sampled rollouts")
+    parser.add_argument("--eps-psd", dest="solver.eps_psd", type=float, help="covariance eigenvalue floor")
+    parser.add_argument("--entropy-temp", dest="solver.entropy_temp", type=float,
+                        help="policy covariance scale")
+    parser.add_argument("--beta", dest="training.beta", type=float, help="weight-update learning rate")
+    parser.add_argument("--iters", dest="training.max_iters", type=int, help="max training sweeps")
+    parser.add_argument("--tol", dest="training.tol", type=float, help="feature-gap convergence threshold")
+    parser.add_argument("--rollouts", dest="training.M", type=int, help="rollouts per feature expectation")
+    parser.add_argument("--best-of", dest="eval.best_of", type=int,
+                        help="evaluate best of N sampled rollouts")
     parser.add_argument(
         "--u-max", dest="u_max", type=float, help="control magnitude clamp (> 0; inf for none)"
     )

@@ -174,7 +174,11 @@ def _feature_matching(
         for b, agents in enumerate(blocks):
             gap = np.mean(gaps[agents], axis=0)
             theta = thetas[b]
-            thetas[b] = CostParams(theta.weights + cfg.beta * gap).project_nonneg()
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is refused next
+                step = theta.weights + cfg.beta * gap
+            if not np.all(np.isfinite(step)):
+                raise ValidationError(f"beta {cfg.beta!r} overflows the weight step of sweep {sweep}")
+            thetas[b] = CostParams(step).project_nonneg()
             trace.records.append(IterationRecord(
                 sweep=sweep, agent=SHARED_AGENT if shared else b,  # at k = 1 the labels differ
                 theta_before=theta.weights.copy(), theta_after=thetas[b].weights.copy(), gap=gap,

@@ -226,10 +226,17 @@ class ScenarioSpec:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        x0 = np.array(self.x0, dtype=float)
-        if self.k < 1 or x0.shape not in ((STATE_DIM * self.k,), (self.k, STATE_DIM)):
+        for name in ("k", "horizon"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
+        try:
+            shape = (x0 := np.array(self.x0, dtype=float)).shape
+        except (TypeError, ValueError):  # ragged rows or text
+            shape = "no array of numbers"
+        if shape not in ((STATE_DIM * self.k,), (self.k, STATE_DIM)):
             raise ValidationError(f"x0 must be ({STATE_DIM * self.k},) or ({self.k}, 4) for "
-                                  f"k={self.k}, got {x0.shape}")
+                                  f"k={self.k}, got {shape}")
         x0 = x0.reshape(-1)
         bad = np.flatnonzero(~np.isfinite(x0))
         if bad.size:
@@ -238,8 +245,6 @@ class ScenarioSpec:
                                   f"got {float(x0[bad[0]])!r}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive, got {self.dt!r}")
         object.__setattr__(self, "u_max", check_u_max(self.u_max))

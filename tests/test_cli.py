@@ -91,7 +91,7 @@ class TestConfig:
     def test_file_merge_and_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"seed": 5, "training": {"beta": 0.5}}))
-        cfg = load_config(str(cfg_path), {"beta": 0.25})
+        cfg = load_config(str(cfg_path), {"training.beta": 0.25})
         assert cfg["seed"] == 5
         assert cfg["training"]["beta"] == 0.25  # flag wins
 
@@ -206,9 +206,8 @@ class TestConfig:
         assert cfg["eval"] == as_json(PredictorContext(spec=None, train_demos=()),
                                       "best_of", "gmm_components")
         spec_defaults = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)}
-        assert cfg["proximity"] == json.dumps({"sigma": spec_defaults["sigma"]})
-        assert json.dumps({key: DEFAULT_CONFIG[key] for key in ("seed", "u_max")}) == json.dumps(
-            {"seed": TrainingConfig().seed, "u_max": spec_defaults["u_max"]})
+        assert json.dumps({key: DEFAULT_CONFIG[key] for key in ("seed", "u_max", "sigma")}) == json.dumps(
+            {"seed": TrainingConfig().seed, "u_max": spec_defaults["u_max"], "sigma": spec_defaults["sigma"]})
 
     def test_removed_threads_key_and_flag_exit_2(self, tmp_path, capsys):
         # no worker pool exists, so there is no thread count to configure
@@ -271,7 +270,7 @@ class TestConfig:
 
     def test_kernel_width_that_is_not_positive_in_a_config_file_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"proximity": {"sigma": -1}}))
+        cfg_path.write_text(json.dumps({"sigma": -1}))
         out = tmp_path / "d.traj"
         assert main(["--config", str(cfg_path), "synth", str(out), "--n", "2"]) == 2
         assert capsys.readouterr().err == "error: sigma must be positive, got -1.0\n"
@@ -371,11 +370,57 @@ class TestConfig:
             "solver.entropy_temp = 1.0",
             "training.beta = 0.0003",
             "training.M = 32",
-            "proximity.sigma = 1.5",
+            "sigma = 1.5",
             "preprocess.resample_dt = 0.1",
             "eval.best_of = 1",
         ):
             assert line in text
+
+    def test_removed_proximity_section_in_a_config_file_exits_2(self, tmp_path, capsys):
+        # sigma sits beside u_max now; the old section is never read at the default width
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"proximity": {"sigma": 1.0}}))
+        out = tmp_path / "d.traj"
+        err = _refused(["--config", str(cfg_path), "synth", str(out), "--n", "2"], capsys)
+        assert err == "error: unknown config key 'proximity'\n"
+        assert not out.exists()
+
+    def test_each_config_flag_sets_the_config_leaf_its_dest_names(self):
+        leaves = dict(line.split(" = ") for line in cli._config_keys(DEFAULT_CONFIG))
+        flags = {action.option_strings[0]: action.dest for parser in _parsers(build_parser())
+                 for action in parser._actions if action.dest in leaves or "." in action.dest}
+        assert flags == {
+            "--seed": "seed", "--u-max": "u_max", "--sigma": "sigma",
+            "--eps-psd": "solver.eps_psd", "--entropy-temp": "solver.entropy_temp",
+            "--beta": "training.beta", "--iters": "training.max_iters", "--tol": "training.tol",
+            "--rollouts": "training.M", "--best-of": "eval.best_of",
+        }
+        for flag, dest in flags.items():
+            cfg = load_config(None, vars(build_parser().parse_args([flag, "7", "compare", "r.csv"])))
+            node = cfg
+            for part in dest.split("."):
+                node = node[part]
+            assert node == 7, flag
+
+    def test_help_lists_every_config_leaf_with_its_default(self):
+        text = build_parser().format_help()
+        for line in cli._config_keys(DEFAULT_CONFIG):
+            assert f"\n  {line}\n" in text
+
+    def test_weight_file_config_block_reads_back_as_a_config_file(self, tmp_path):
+        flags = ["--u-max", "inf", "--sigma", "1.0", "--entropy-temp", "1e-3"]
+        demos, theta = tmp_path / "d.traj", tmp_path / "w.json"
+        assert main([*flags, "--seed", "1", "synth", str(demos), "--n", "2"]) == 0
+        assert main([*flags, "--beta", "0.03", "--rollouts", "8", "--iters", "1",
+                     "train", str(demos), "--out", str(theta)]) in (0, 3)
+        block = json.loads(theta.read_text())["config"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(block))
+        assert load_config(str(cfg_path), {}) == block
+        assert block["u_max"] == math.inf and block["sigma"] == 1.0
+        # read over a command's config that holds u_max inf too, the block is scored as it stands
+        assert main([*flags, "eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
+                     "--out", str(tmp_path / "r.csv")]) == 0
 
     def test_parse_thetas(self):
         [one] = parse_thetas("1,2,3", 1)
@@ -595,6 +640,16 @@ class TestTrain:
                    str(demos), "--method", "mairl", "--out", str(out)])
         assert rc == 3
         assert json.loads(out.read_text())["converged"] is False  # still written
+
+    @pytest.mark.parametrize("method", ["mairl", "sairl"])
+    def test_learning_rate_that_overflows_the_weights_exits_2_naming_beta(self, tmp_path, capsys, method):
+        # the step used to warn of an overflow in multiply, then name neither beta nor the cause
+        demos = _synth(tmp_path, n=2)
+        out = tmp_path / "t.json"
+        err = _refused([*FAST_TRAIN, "--beta", "1e308", "--iters", "3", "train", str(demos),
+                        "--method", method, "--out", str(out)], capsys)
+        assert err == "error: beta 1e+308 overflows the weight step of sweep 0\n"
+        assert not out.exists()
 
     def test_missing_demo_file_exits_2(self, tmp_path):
         rc = main(["train", str(tmp_path / "nope.traj"), "--out", str(tmp_path / "t.json")])
@@ -853,8 +908,8 @@ class TestEval:
     @pytest.mark.parametrize("config, key, value", [
         ({"u_max": 10**401}, "u_max", 10**401),
         ({"u_max": True}, "u_max", True),
-        ({"proximity": {"sigma": math.nan}}, "sigma", math.nan),
-        ({"proximity": {"sigma": math.inf}}, "sigma", math.inf),
+        ({"sigma": math.nan}, "sigma", math.nan),
+        ({"sigma": math.inf}, "sigma", math.inf),
     ], ids=["huge-integer", "boolean", "nan", "inf-width"])
     def test_weight_file_config_bound_or_width_that_is_no_number_exits_2_naming_the_file(
         self, tmp_path, capsys, config, key, value
@@ -865,7 +920,7 @@ class TestEval:
         out = tmp_path / "x.csv"
         err = _refused(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
                         "--out", str(out)], capsys)
-        assert err == f"error: weight file {theta} was trained at {key} {value!r}, which is not a finite number\n"
+        assert err == f"error: weight file {theta}: config key {key!r} must be a number, got {json.dumps(value)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["train"], *(["eval", "--baseline", b] for b in BASELINE_NAMES)],
@@ -910,7 +965,7 @@ class TestEval:
         demos = _synth(tmp_path, n=3)
         theta = tmp_path / "w.json"
         theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3,
-                                     "config": {"proximity": {"sigma": 1.0}}}))
+                                     "config": {"sigma": 1.0}}))
         out = tmp_path / "r.csv"
         capsys.readouterr()
         assert main(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
@@ -939,9 +994,14 @@ class TestEval:
         assert not out.exists()
         assert main(["--u-max", "0.5", *argv]) == 0 and out.exists()
 
-    @pytest.mark.parametrize("config", [[], "sigma", None, {"proximity": 1.0}])
+    @pytest.mark.parametrize("config, message", [
+        ([], "config must be a JSON object"),
+        ("sigma", "config must be a JSON object"),
+        (None, "config must be a JSON object"),
+        ({"training": 1.0}, "config key 'training' must be a section"),
+    ], ids=["list", "string", "null", "section"])
     def test_weight_file_config_that_is_no_object_exits_2_naming_the_file(self, tmp_path, capsys,
-                                                                        config):
+                                                                        config, message):
         demos = _synth(tmp_path, n=3)
         theta = tmp_path / "w.json"
         theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3, "config": config}))
@@ -950,8 +1010,48 @@ class TestEval:
         assert main(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: weight file {theta}: 'config' must be an object, and its 'proximity' one too\n")
+            f"error: weight file {theta}: {message}\n")
         assert not out.exists()
+
+    def test_weight_file_trained_at_a_bound_is_refused_without_a_clamp_by_the_mismatch_message(
+        self, tmp_path, capsys
+    ):
+        # read over a config whose u_max is inf, the recorded finite bound is a number as ever
+        demos = _synth(tmp_path, n=3)
+        header, *rows = demos.read_text().splitlines()
+        header = json.loads(header)
+        del header["provenance"]["u_max"]
+        demos.write_text("\n".join([json.dumps(header), *rows]) + "\n")
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3, "config": {"u_max": 3.0}}))
+        out = tmp_path / "r.csv"
+        err = _refused(["--u-max", "inf", "eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
+                        "--out", str(out)], capsys)
+        assert err == (f"error: weight file {theta} was trained at u_max 3.0, but the configured bound "
+                       "is inf; pass --u-max 3.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"u_max": 0}, "u_max must be positive (inf for no clamp), got 0.0"),
+        ({"sigma": -1}, "sigma must be positive, got -1.0"),
+        ({"training": {"M": "lots"}}, "config key 'training.M' must be a number, got \"lots\""),
+        ({"seed": -4}, "seed must be an integer >= 0, got -4"),
+        ({"solver": {"entropy": 1.0}}, "unknown config key 'solver.entropy'"),
+        ({"proximity": {"sigma": 1.5}}, "unknown config key 'proximity'"),
+    ], ids=["zero-bound", "negative-width", "count-text", "negative-seed", "unknown-key", "proximity"])
+    def test_weight_file_config_that_fails_as_a_config_file_exits_2_naming_the_file_and_key(
+        self, tmp_path, capsys, config, message
+    ):
+        # the first two were refused with advice (pass --u-max 0) that is refused in turn,
+        # the others scored with exit 0, though the block reads back as a --config file
+        demos = _synth(tmp_path, n=3)
+        theta = tmp_path / "w.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3, "config": config}))
+        out = tmp_path / "r.csv"
+        err = _refused(["eval", str(demos), "--baseline", "mairl", "--theta", str(theta),
+                        "--out", str(out)], capsys)
+        assert err == f"error: weight file {theta}: {message}\n"
+        assert "pass --" not in err and not out.exists()
 
     @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
     def test_empty_training_file_exits_2(self, tmp_path, capsys, baseline):

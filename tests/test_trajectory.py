@@ -457,6 +457,21 @@ def test_scenario_spec_refuses_a_start_of_another_shape_naming_k(x0):
         ScenarioSpec(k=2, x0=x0, goals=None, horizon=1)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
+    ({"k": True, "x0": np.zeros(4)}, "k must be an integer >= 1, got True"),
+    ({"k": 0, "x0": ()}, "k must be an integer >= 1, got 0"),
+    ({"horizon": 2.5}, "horizon must be an integer >= 1, got 2.5"),
+    ({"horizon": 0}, "horizon must be an integer >= 1, got 0"),
+    ({"x0": ((1, 2, 3, 4), (1, 2, 3))}, "x0 must be (8,) or (2, 4) for k=2, got no array of numbers"),
+    ({"x0": "abcd"}, "x0 must be (8,) or (2, 4) for k=2, got no array of numbers"),
+], ids=["float-k", "boolean-k", "zero-k", "float-horizon", "zero-horizon", "ragged-x0", "text-x0"])
+def test_scenario_spec_refuses_what_it_cannot_hold_with_a_validation_error(fields, message):
+    # each used to pass, failing later with a TypeError, or to raise numpy's own ValueError
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ScenarioSpec(**{"k": 2, "x0": np.zeros(8), "goals": None, "horizon": 1, **fields})
+
+
 @pytest.mark.parametrize("index, value, message", [
     (2, math.nan, "x0 agent 0: vx must be finite, got nan"),
     (5, math.inf, "x0 agent 1: py must be finite, got inf"),
