@@ -2,8 +2,10 @@
 
 Two families: a Gaussian mixture over (state, action) pairs fitted with EM
 and queried through conditioning, and an implicit behavior-cloning policy
-that picks actions by minimizing a quadratic energy. The third baseline,
-constant velocity, is the zero-control `cv` predictor in
+that picks actions by minimizing a quadratic energy. Each EM iteration works
+on every mixture component at once; a model's conditioning constants are
+formed once (`gmm_conditioner`), so a query does elementwise work only. The
+third baseline, constant velocity, is the zero-control `cv` predictor in
 `metrics.make_predictor`. Each one predicts agents independently, which is
 exactly the failure mode that interaction-aware models are meant to expose.
 """
@@ -11,10 +13,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import CostRangeError, ValidationError
+from .errors import CostRangeError, InternalError, ValidationError
 from .rng import substream
 
 logger = logging.getLogger(__name__)
@@ -50,11 +53,11 @@ class GmmModel:
         d = mu.shape[1]
         if cov.shape != (K, d, d):
             raise ValidationError(f"covariances must be ({K}, {d}, {d}), got {cov.shape}")
+        _check_finite(weights=w, means=mu, covariances=cov)
         if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
             raise ValidationError("mixture weights must be nonnegative and sum to 1")
-        for c in cov:
-            if np.linalg.eigvalsh(c)[0] < COV_FLOOR * 0.5:
-                raise ValidationError("component covariance below the PD floor")
+        if np.linalg.eigvalsh(cov)[:, 0].min() < COV_FLOOR * 0.5:
+            raise ValidationError("component covariance below the PD floor")
         for arr in (w, mu, cov):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -70,19 +73,26 @@ class GmmModel:
         return self.means.shape[1]
 
 
-def _log_gaussian(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = mean.size
-    L = np.linalg.cholesky(cov)
-    # one product by the d x d inv(L) whitens all n samples; an n-column LU solve costs far more
-    sol = np.linalg.inv(L) @ (x - mean).T
-    maha = np.sum(sol * sol, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+def _check_finite(**fields):
+    """Refuse a NaN or infinite entry, naming the field it is in."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValidationError(f"{name} must be finite")
 
 
-def _log_components(weights, means, covs, x: np.ndarray) -> np.ndarray:
-    """(K, n) stack of log w_c + log N(x; mu_c, Sigma_c) over the rows of x."""
-    return np.stack([np.log(w) + _log_gaussian(x, mu, cov) for w, mu, cov in zip(weights, means, covs)])
+def _log_gaussians(diff: np.ndarray, covs: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(K, n) log N(x_j; mu_c, Sigma_c) from the deviations diff[c, :, j] = x_j - mu_c.
+
+    Every component at once: one batched Cholesky and inverse, then one product
+    by the d x d inverse factors whitens all n deviations (an n-column LU solve
+    costs far more). work, of diff's shape, is overwritten; the EM loop passes
+    the same one each iteration instead of allocating it.
+    """
+    L = np.linalg.cholesky(covs)
+    sol = np.matmul(np.linalg.inv(L), diff, out=work)
+    sol *= sol
+    logdet = 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    return -0.5 * ((diff.shape[1] * np.log(2.0 * np.pi) + logdet)[:, None] + sol.sum(axis=1))
 
 
 def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
@@ -92,7 +102,8 @@ def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
     pts = x[None, :] if single else x
     if pts.shape[1] != model.dim:
         raise ValidationError(f"x has dimension {pts.shape[1]}, model expects {model.dim}")
-    logs = _log_components(model.weights, model.means, model.covariances, pts)
+    diff = pts.T - model.means[:, :, None]
+    logs = np.log(model.weights)[:, None] + _log_gaussians(diff, model.covariances, np.empty_like(diff))
     m = logs.max(axis=0)
     dens = np.exp(m) * np.sum(np.exp(logs - m), axis=0)
     return float(dens[0]) if single else dens
@@ -105,10 +116,15 @@ def _check_sum(value, fit: str):
     return value
 
 
-def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(cov)
-    return (vecs * np.maximum(vals, COV_FLOOR)) @ vecs.T
+def _floor_covariances(covs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Symmetrized (..., d, d) covariances with every eigenvalue raised to COV_FLOOR.
+
+    Also returns whether any eigenvalue was below the floor.
+    """
+    covs = 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    vals, vecs = np.linalg.eigh(covs)
+    floored = (vecs * np.maximum(vals, COV_FLOOR)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return floored, bool(np.any(vals < COV_FLOOR))
 
 
 def _kmeans_pp_init(samples: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,10 +152,19 @@ def gmm_fit(
 ) -> GmmModel:
     """EM fit with k-means++ initialization and an eigenvalue floor.
 
-    The per-iteration log-likelihood trace is stored on the returned model;
-    it is checked to be non-decreasing (1e-9 slack) as an internal invariant.
-    Samples whose sums of squares overflow raise CostRangeError.
+    Each iteration works on all K components at once, on one (d, n) copy of
+    the samples. A component whose responsibilities sum below 1e-12 is
+    reseeded at the sample farthest from the other means, with the sample
+    covariance and one sample's share of the weight.
+
+    The per-iteration log-likelihood trace is stored on the returned model.
+    EM never lowers it, so a drop of more than 1e-9 after an M-step that
+    floored no eigenvalue and reseeded no component raises InternalError.
+    Flooring and reseeding leave EM's update, so the step after either is not
+    checked. Samples whose sums of squares overflow raise CostRangeError.
     """
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
+        raise ValidationError(f"K must be an integer >= 1, got {K!r}")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -148,45 +173,50 @@ def gmm_fit(
         raise ValidationError(
             f"need at least K*(d+1)={K * (d + 1)} samples to fit {K} components, got {n}"
         )
+    xt = np.ascontiguousarray(samples.T)  # (d, n)
     rng = substream(seed, 0xE11)
     means = _kmeans_pp_init(samples, K, rng)
-    cov = _check_sum(np.cov(samples.T).reshape(d, d), "gmm fit")
-    covs = np.stack([_floor_covariance(cov)] * K)
+    sample_cov, _ = _floor_covariances(_check_sum(np.cov(xt).reshape(d, d), "gmm fit"))
+    covs = np.stack([sample_cov] * K)
     weights = np.full(K, 1.0 / K)
+    diff = xt - means[:, :, None]  # (K, d, n), kept at the current means
+    work = np.empty_like(diff)
 
     loglik_trace = []
     prev = -np.inf
+    constrained = True  # whether the last M-step floored or reseeded; none ran yet
     converged = False
     for _ in range(max_em_iters):
         # E-step in log space.
-        logs = _log_components(weights, means, covs, samples)  # (K, n)
+        logs = np.log(weights)[:, None] + _log_gaussians(diff, covs, work)  # (K, n)
         m = logs.max(axis=0)
         norm = m + np.log(np.sum(np.exp(logs - m), axis=0))
         loglik = float(_check_sum(np.sum(norm), "gmm fit"))
         resp = np.exp(logs - norm)  # (K, n)
 
-        if loglik_trace and loglik < loglik_trace[-1] - 1e-9:
-            raise ValidationError(
+        if not constrained and loglik < loglik_trace[-1] - 1e-9:
+            raise InternalError(
                 f"EM log-likelihood decreased: {loglik_trace[-1]} -> {loglik}"
             )
         loglik_trace.append(loglik)
 
-        # M-step with empty-component reseeding.
+        # M-step; an empty component's mean and covariance are replaced below
         nk = resp.sum(axis=1)
-        for c in range(K):
-            if nk[c] < 1e-12:
-                far = int(np.argmax(np.min(
-                    np.sum((samples[None, :, :] - means[:, None, :]) ** 2, axis=2), axis=0
-                )))
-                means[c] = samples[far]
-                covs[c] = _floor_covariance(np.cov(samples.T).reshape(d, d))
-                weights[c] = 1.0 / n
-                nk[c] = 1e-12
-                logger.warning("reseeded empty mixture component %d from farthest point", c)
-                continue
-            means[c] = resp[c] @ samples / nk[c]
-            diff = samples - means[c]
-            covs[c] = _floor_covariance((resp[c] * diff.T) @ diff / nk[c])
+        live = nk >= 1e-12
+        scale = np.where(live, nk, 1.0)
+        means = (resp @ samples) / scale[:, None]
+        np.subtract(xt, means[:, :, None], out=diff)
+        weighted = np.multiply(resp[:, None, :], diff, out=work)
+        covs, constrained = _floor_covariances(
+            weighted @ np.swapaxes(diff, 1, 2) / scale[:, None, None])
+        for c in np.flatnonzero(~live):
+            far = int(np.argmax(np.min(np.sum(diff[live] ** 2, axis=1), axis=0)))
+            means[c] = samples[far]
+            np.subtract(xt, means[c][:, None], out=diff[c])
+            covs[c] = sample_cov
+            nk[c] = nk.sum() / n
+            live[c] = constrained = True
+            logger.warning("reseeded empty mixture component %d from farthest point", c)
         weights = nk / nk.sum()
 
         if abs(loglik - prev) < tol:
@@ -222,35 +252,52 @@ def gmm_sample(model: GmmModel, seed: int, n: int | None = None) -> np.ndarray:
     return out[0] if n is None else out
 
 
+def gmm_conditioner(model: GmmModel, n_cond: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x_obs -> E[tail | first n_cond coordinates = x_obs] under the mixture.
+
+    The per-model constants are formed here, once: for each component c the
+    gain W_c = Sigma_ba Sigma_aa^-1 (one batched solve), the inverse Cholesky
+    factor of Sigma_aa and c_c = log w_c - (n_cond log 2 pi + log|Sigma_aa|) / 2.
+    The map takes x_obs (..., n_cond) to (..., dim - n_cond), one row per row,
+    with elementwise products over the n_cond observed coordinates: no LAPACK
+    call per query, and a row's value does not depend on the rows beside it.
+    """
+    if not 0 < n_cond < model.dim:
+        raise ValidationError("conditioning slice does not match the model dimension")
+    mu_a, mu_b = model.means[:, :n_cond], model.means[:, n_cond:]
+    S_aa = model.covariances[:, :n_cond, :n_cond]
+    S_ba = model.covariances[:, n_cond:, :n_cond]
+    gain = np.swapaxes(np.linalg.solve(np.swapaxes(S_aa, 1, 2), np.swapaxes(S_ba, 1, 2)), 1, 2)
+    L = np.linalg.cholesky(S_aa)
+    whiten = np.linalg.inv(L)  # (K, n_cond, n_cond)
+    log_norm = np.log(model.weights) - 0.5 * (
+        n_cond * np.log(2.0 * np.pi) + 2.0 * np.sum(np.log(np.diagonal(L, axis1=1, axis2=2)), axis=1)
+    )
+
+    def conditional_mean(x_obs) -> np.ndarray:
+        x_obs = np.asarray(x_obs, dtype=float)
+        if x_obs.ndim == 0 or x_obs.shape[-1] != n_cond:
+            raise ValidationError("conditioning slice does not match the model dimension")
+        diff = (x_obs[..., None, :] - mu_a)[..., None, :]  # (..., K, 1, n_cond)
+        z = np.sum(whiten * diff, axis=-1)  # (..., K, n_cond)
+        log_post = log_norm - 0.5 * np.sum(z * z, axis=-1)  # (..., K)
+        log_post -= log_post.max(axis=-1, keepdims=True)
+        post = np.exp(log_post)
+        post /= post.sum(axis=-1, keepdims=True)
+        cond_means = mu_b + np.sum(gain * diff, axis=-1)  # (..., K, dim - n_cond)
+        return np.sum(post[..., None] * cond_means, axis=-2)
+
+    return conditional_mean
+
+
 def gmm_conditional_mean(model: GmmModel, x_obs: np.ndarray, n_cond: int) -> np.ndarray:
     """E[tail | first n_cond coordinates = x_obs] under the mixture.
 
     x_obs is (..., n_cond); the result is (..., dim - n_cond), one row per row.
+    One call of `gmm_conditioner`; a caller with many queries of one model
+    keeps the conditioner instead.
     """
-    x_obs = np.asarray(x_obs, dtype=float)
-    if not 0 < n_cond < model.dim or x_obs.ndim == 0 or x_obs.shape[-1] != n_cond:
-        raise ValidationError("conditioning slice does not match the model dimension")
-    log_post = np.empty(x_obs.shape[:-1] + (model.n_components,))
-    cond_means = np.empty(x_obs.shape[:-1] + (model.n_components, model.dim - n_cond))
-    for c in range(model.n_components):
-        mu, cov = model.means[c], model.covariances[c]
-        a, b = mu[:n_cond], mu[n_cond:]
-        Saa = cov[:n_cond, :n_cond]
-        Sba = cov[n_cond:, :n_cond]
-        diff = (x_obs - a)[..., None]  # (..., n_cond, 1)
-        cond_means[..., c, :] = b + (Sba @ np.linalg.solve(Saa, diff))[..., 0]
-        # log N(x_obs; a, Saa) like _log_gaussian, but with one single-column solve
-        # per row, so that a row's value does not depend on the rows beside it
-        L = np.linalg.cholesky(Saa)
-        z = np.linalg.solve(L, diff)[..., 0]
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        log_post[..., c] = np.log(model.weights[c]) - 0.5 * (
-            n_cond * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=-1)
-        )
-    log_post -= log_post.max(axis=-1, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=-1, keepdims=True)
-    return (post[..., None, :] @ cond_means)[..., 0, :]
+    return gmm_conditioner(model, n_cond)(x_obs)
 
 
 # --- implicit (energy-based) behavior cloning -------------------------------
@@ -271,6 +318,7 @@ class EnergyParams:
         du = b.size
         if W.shape != (du, du) or L.shape[0] != du:
             raise ValidationError("energy parameter shapes are inconsistent")
+        _check_finite(W=W, L=L, b=b)
         if np.max(np.abs(W - W.T)) > 1e-9 or np.linalg.eigvalsh(W)[0] <= 0:
             raise ValidationError("W must be symmetric positive definite")
         for arr in (W, L, b):

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import ebm_minimizer, ebm_train, gmm_conditional_mean, gmm_fit
+from .baselines import ebm_minimizer, ebm_train, gmm_conditioner, gmm_fit
 from .errors import CostRangeError, FormatError, ValidationError
 from .features import CostParams
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
@@ -300,8 +300,8 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     if method == "gmm":
         pairs = np.concatenate(_demo_state_action_pairs(ctx.train_demos), axis=1)
         model = gmm_fit(pairs, K=ctx.gmm_components, seed=ctx.seed)
-        return lambda demos: _rollout_state_feedback(
-            demos, spec, lambda s: gmm_conditional_mean(model, s, STATE_DIM))
+        act = gmm_conditioner(model, STATE_DIM)
+        return lambda demos: _rollout_state_feedback(demos, spec, act)
 
     if method == "ebm":
         params = ebm_train(*_demo_state_action_pairs(ctx.train_demos))

@@ -15,14 +15,16 @@ from crowdirl.baselines import (
     ebm_minimizer,
     ebm_train,
     gmm_conditional_mean,
+    gmm_conditioner,
     gmm_fit,
     gmm_pdf,
     gmm_sample,
 )
 from crowdirl.cli import main
-from crowdirl.errors import ValidationError
+from crowdirl.errors import InternalError, ValidationError
 from crowdirl.metrics import PredictorContext, _demo_state_action_pairs, make_predictor
 from crowdirl.pipeline import read_demonstrations
+from crowdirl.rng import substream
 from crowdirl.trajectory import (
     AgentState,
     ScenarioSpec,
@@ -140,35 +142,182 @@ def _lu_log_gaussian(x, mean, cov):
     return -0.5 * (mean.size * np.log(2.0 * np.pi) + logdet + np.sum(sol * sol, axis=0))
 
 
+def _floor_one(cov):
+    """One covariance with its eigenvalues raised to the floor, as gmm_fit floors them."""
+    cov = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(cov)
+    return (vecs * np.maximum(vals, baselines.COV_FLOOR)) @ vecs.T
+
+
+def _reference_gmm_fit(samples, K, seed, max_em_iters=200, tol=1e-6):
+    """EM one component at a time, each E-step whitening by an LU solve.
+
+    Starts from gmm_fit's k-means++ draw and floored sample covariance. It has
+    no reseeding: the data it is run on never empties a component.
+    """
+    means = baselines._kmeans_pp_init(samples, K, substream(seed, 0xE11))
+    covs = np.stack([_floor_one(np.cov(samples.T))] * K)
+    weights = np.full(K, 1.0 / K)
+    trace, prev = [], -np.inf
+    for _ in range(max_em_iters):
+        logs = np.stack([np.log(w) + _lu_log_gaussian(samples, mu, cov)
+                         for w, mu, cov in zip(weights, means, covs)])
+        m = logs.max(axis=0)
+        norm = m + np.log(np.sum(np.exp(logs - m), axis=0))
+        loglik = float(np.sum(norm))
+        trace.append(loglik)
+        resp = np.exp(logs - norm)
+        nk = resp.sum(axis=1)
+        assert np.all(nk >= 1e-12)
+        for c in range(K):
+            means[c] = resp[c] @ samples / nk[c]
+            diff = samples - means[c]
+            covs[c] = _floor_one((resp[c] * diff.T) @ diff / nk[c])
+        weights = nk / nk.sum()
+        if abs(loglik - prev) < tol:
+            break
+        prev = loglik
+    return GmmModel(weights=weights, means=means, covariances=covs, log_likelihoods=np.array(trace))
+
+
+def _lu_conditional_mean(model, x_obs, n_cond):
+    """E[tail | head = x_obs] with LU solves per row and component."""
+    x_obs = np.asarray(x_obs, dtype=float)
+    log_post = np.empty(x_obs.shape[:-1] + (model.n_components,))
+    cond_means = np.empty(x_obs.shape[:-1] + (model.n_components, model.dim - n_cond))
+    for c in range(model.n_components):
+        mu, cov = model.means[c], model.covariances[c]
+        a, b = mu[:n_cond], mu[n_cond:]
+        Saa = cov[:n_cond, :n_cond]
+        Sba = cov[n_cond:, :n_cond]
+        diff = (x_obs - a)[..., None]
+        cond_means[..., c, :] = b + (Sba @ np.linalg.solve(Saa, diff))[..., 0]
+        L = np.linalg.cholesky(Saa)
+        z = np.linalg.solve(L, diff)[..., 0]
+        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+        log_post[..., c] = np.log(model.weights[c]) - 0.5 * (
+            n_cond * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=-1)
+        )
+    log_post -= log_post.max(axis=-1, keepdims=True)
+    post = np.exp(log_post)
+    post /= post.sum(axis=-1, keepdims=True)
+    return (post[..., None, :] @ cond_means)[..., 0, :]
+
+
+@pytest.fixture(scope="module")
+def round_trip_pairs(tmp_path_factory):
+    """The README round trip's gmm training pairs: 20 of 30 synthesized demos."""
+    path = tmp_path_factory.mktemp("round_trip") / "demos.traj"
+    assert main(["--seed", "11", "--entropy-temp", "1e-3", "synth", str(path),
+                 "--preset", "intersection_k3", "--theta", "1.0,0.5,0.2", "--n", "30"]) == 0
+    return np.concatenate(_demo_state_action_pairs(read_demonstrations(path)[0][:20]), axis=1)
+
+
 class TestWhitening:
-    """_log_gaussian whitens with one product by inv(L); an LU solve differs by rounding."""
+    """Every component whitens with one product by inv(L); an LU solve differs by rounding."""
 
     def test_random_well_conditioned_covariances_stay_within_rounding(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            d = int(rng.integers(1, 8))
-            A = rng.normal(size=(d, d))
-            cov = A @ A.T + d * np.eye(d)
-            mean = rng.normal(size=d)
-            x = mean + 2.0 * rng.normal(size=(50, d))
-            ref = _lu_log_gaussian(x, mean, cov)
-            got = baselines._log_gaussian(x, mean, cov)
-            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+            d, K = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            A = rng.normal(size=(K, d, d))
+            covs = A @ A.transpose(0, 2, 1) + d * np.eye(d)
+            means = rng.normal(size=(K, d))
+            x = means[0] + 2.0 * rng.normal(size=(50, d))
+            diff = x.T - means[:, :, None]
+            got = baselines._log_gaussians(diff, covs, np.empty_like(diff))
+            for c in range(K):
+                ref = _lu_log_gaussian(x, means[c], covs[c])
+                assert np.max(np.abs(got[c] - ref) / np.abs(ref)) <= 4e-15
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_round_trip_fit_keeps_its_em_count(self, tmp_path, monkeypatch, seed):
-        # the README round trip's gmm training pairs: 20 of 30 synthesized demos
-        path = tmp_path / "demos.traj"
-        assert main(["--seed", "11", "--entropy-temp", "1e-3", "synth", str(path),
-                     "--preset", "intersection_k3", "--theta", "1.0,0.5,0.2", "--n", "30"]) == 0
-        pairs = np.concatenate(_demo_state_action_pairs(read_demonstrations(path)[0][:20]), axis=1)
-        got = gmm_fit(pairs, K=3, seed=seed)
-        monkeypatch.setattr(baselines, "_log_gaussian", _lu_log_gaussian)
-        ref = gmm_fit(pairs, K=3, seed=seed)
+    def test_round_trip_fit_keeps_its_em_count(self, round_trip_pairs, seed):
+        got = gmm_fit(round_trip_pairs, K=3, seed=seed)
+        ref = _reference_gmm_fit(round_trip_pairs, K=3, seed=seed)
         assert len(got.log_likelihoods) == len(ref.log_likelihoods)
         for name in ("weights", "means", "covariances", "log_likelihoods"):
             a, b = getattr(got, name), getattr(ref, name)
             assert np.max(np.abs(a - b)) <= 1e-11 * np.max(np.abs(b)), name
+
+
+class TestConditionalMeanReference:
+    """The conditioner's per-model constants give the per-row LU answer to rounding."""
+
+    @staticmethod
+    def _within(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_round_trip_model(self, round_trip_pairs):
+        model = gmm_fit(round_trip_pairs, K=3, seed=1)
+        states = round_trip_pairs[:, :4]
+        self._within(gmm_conditional_mean(model, states, 4), _lu_conditional_mean(model, states, 4))
+
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    @pytest.mark.parametrize("n_cond", [1, 2, 4])
+    def test_random_models(self, K, n_cond):
+        rng = np.random.default_rng(10 * K + n_cond)
+        dim = n_cond + 2
+        A = rng.normal(size=(K, dim, dim))
+        model = GmmModel(weights=rng.dirichlet(np.ones(K)), means=rng.normal(size=(K, dim)),
+                         covariances=A @ A.transpose(0, 2, 1) + 0.5 * np.eye(dim))
+        rows = rng.normal(0.0, 2.0, size=(5, 8, n_cond))
+        self._within(gmm_conditioner(model, n_cond)(rows), _lu_conditional_mean(model, rows, n_cond))
+
+
+class TestEmInvariant:
+    """Only an M-step that floored no eigenvalue and reseeded nothing must raise the likelihood."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_floored_collapse_onto_a_far_point_fits(self, seed):
+        X = np.concatenate([np.random.default_rng(125).normal(size=(60, 2)), [[1e4, 1e4]]])
+        model = gmm_fit(X, K=3, seed=seed)
+        assert model.converged
+        assert np.isclose(model.weights.min(), 1 / 61)  # the far point, alone, at the floor
+
+    def test_decrease_after_an_unconstrained_step_is_refused(self, monkeypatch):
+        log_gaussians = baselines._log_gaussians
+        calls = []
+
+        def drop_on_third_call(*args):
+            calls.append(1)
+            out = log_gaussians(*args)
+            return out - 1.0 if len(calls) == 3 else out
+
+        monkeypatch.setattr(baselines, "_log_gaussians", drop_on_third_call)
+        with pytest.raises(InternalError, match="decreased"):
+            gmm_fit(_two_clusters(), K=2, seed=4)
+
+    def test_reseeded_component_keeps_a_sample_share(self, caplog):
+        rng = np.random.default_rng(145)
+        X = np.concatenate([rng.normal(size=(40, 2)), np.full((2, 2), 1e3),
+                            rng.normal(size=(40, 2)) + 50])
+        with caplog.at_level(logging.WARNING, logger="crowdirl.baselines"):
+            model = gmm_fit(X, K=6, seed=145)
+        assert caplog.text.count("reseeded empty mixture component 4") == 1
+        assert model.converged
+        assert model.weights[4] > 1 / len(X)
+
+
+class TestLibraryInputs:
+    @pytest.mark.parametrize("field", ["weights", "means", "covariances"])
+    def test_gmm_model_refuses_nan(self, field):
+        fields = dict(weights=[1.0], means=[[0.0]], covariances=[[[1.0]]])
+        fields[field] = np.full(np.shape(fields[field]), np.nan)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            GmmModel(**fields)
+
+    @pytest.mark.parametrize("field", ["W", "L", "b"])
+    def test_energy_params_refuse_nan(self, field):
+        fields = dict(W=np.eye(2), L=np.zeros((2, 3)), b=np.zeros(2))
+        fields[field] = np.full(fields[field].shape, np.nan)
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            EnergyParams(**fields)
+
+    @pytest.mark.parametrize("K", [0, -1, 2.5, True, "3"])
+    def test_gmm_fit_refuses_a_non_integer_or_empty_k(self, K):
+        with pytest.raises(ValidationError, match="K must be an integer >= 1"):
+            gmm_fit(_two_clusters(), K=K, seed=0)
 
 
 def test_gmm_conditional_mean_tracks_regression_line():
