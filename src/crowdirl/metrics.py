@@ -24,7 +24,7 @@ from .baselines import ebm_minimizer, ebm_train, gmm_conditioner, gmm_fit
 from .errors import CostRangeError, FormatError, ValidationError
 from .features import CostParams
 from .game import SolverConfig, build_policies, mean_rollout, sample_rollouts
-from .pipeline import read_text_lines
+from .pipeline import json_kind, read_text_lines
 from .trajectory import (
     CONTROL_DIM,
     STATE_DIM,
@@ -433,7 +433,8 @@ def read_report(path) -> tuple[list[dict], dict[str, list[float]]]:
 
     A path ending in .jsonl is read as JSON lines, any other as CSV, which
     holds no RMSE lists. A CSV row needs all six fields; a JSON row needs
-    ade_m and fde_m, and efe_m is checked only where present.
+    string method and scenario and number ade_m and fde_m, and efe_m is
+    checked only where present.
     """
     if not str(path).endswith(".jsonl"):
         return parse_report_csv(path), {}
@@ -446,14 +447,31 @@ def read_report(path) -> tuple[list[dict], dict[str, list[float]]]:
             if not isinstance(rec, dict):
                 raise TypeError(f"not a JSON object: {line.strip()}")
             if "rmse_per_traj" in rec:
-                rmse_lists[str(rec["method"])] = report_errors(rec["rmse_per_traj"])
+                rmse_lists[_json_string(rec, "method")] = _json_errors(rec["rmse_per_traj"])
             elif "method" in rec:
                 keys = ("ade_m", "fde_m", "efe_m") if "efe_m" in rec else ("ade_m", "fde_m")
-                rows.append({**rec, "method": str(rec["method"]), "scenario": str(rec["scenario"]),
-                             **dict(zip(keys, report_errors([rec[key] for key in keys])))})
+                rows.append({**rec, "method": _json_string(rec, "method"),
+                             "scenario": _json_string(rec, "scenario"),
+                             **dict(zip(keys, _json_errors([rec[key] for key in keys])))})
         except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise FormatError(f"{path} line {line_no}: malformed report line ({exc!r})") from exc
     return rows, rmse_lists
+
+
+def _json_string(rec: dict, key: str) -> str:
+    if not isinstance(rec[key], str):
+        raise TypeError(f"{key!r} must be a string, got {json_kind(rec[key])}")
+    return rec[key]
+
+
+def _json_errors(values) -> list[float]:
+    """report_errors of a JSON list of numbers; a string or a boolean is no number."""
+    if not isinstance(values, list):
+        raise TypeError(f"errors must be a list, got {json_kind(values)}")
+    for v in values:
+        if json_kind(v) != "a number":
+            raise ValueError(f"errors must be finite and >= 0, got {json_kind(v)} {v!r}")
+    return report_errors(values)
 
 
 # --- deterministic SVG ----------------------------------------------------------

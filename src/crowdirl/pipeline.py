@@ -50,6 +50,9 @@ _HEADER_KEYS = {"k", "T", "dt", "goals", "count", "provenance"}
 GAP_SPLIT_FACTOR = 5
 DIRECTIONS = ("E", "W", "N", "S")  # every value travel_direction returns
 _FLOAT_MAX = sys.float_info.max
+# numpy's C reader strips these around a number and float() refuses them; a scan of every
+# code point, before, after and inside a number, found no other one the C reader alone accepts
+_C_PADDING = "\x1c\x1d\x1e\x1f"
 
 
 def json_kind(value) -> str:
@@ -568,22 +571,13 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
             f"expected {count * rows_per} data rows ({count} blocks of {rows_per}), got {len(body)}"
         )
 
-    # every row is checked and parsed into one list and the whole file converted at once;
-    # the conversion is elementwise, so each block reads bit for bit as it would alone
+    # the whole body is converted at once, elementwise, so each block reads bit for bit as it
+    # would alone; the row loop names what the C reader refuses, or reads what only float() reads
     width = 4 * k
-    values: list[float] = []
-    for i, ln in enumerate(body):
-        b, row = divmod(i, rows_per)
-        if "_" in ln:  # float() reads "1_0" as 10.0; repr never writes an underscore
-            raise FormatError(f"non-numeric value in block {b}: digit-group underscore in row {row}")
-        fields = ln.split(",")
-        if len(fields) != width:
-            raise FormatError(f"block {b}: row {row} has {len(fields)} values, expected {width}")
-        try:
-            values += map(float, fields)
-        except ValueError as exc:
-            raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
-    data = np.array(values).reshape(count, rows_per, width)
+    data = _read_body_c(body, width)
+    if data is None:
+        data = _read_body_rows(body, rows_per, width)
+    data = data.reshape(count, rows_per, width)
     # float() reads nan, inf and 1e400; speeds are every fourth value from the third
     for what, bad in (("a non-finite value", ~np.isfinite(data)), ("a negative speed", data[..., 2::4] < 0)):
         if np.any(bad):
@@ -597,6 +591,39 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
             except ValidationError as exc:
                 raise FormatError(f"block {b}: reconstructed {exc}") from exc
     return trajs, header
+
+
+def _read_body_c(body: list[str], width: int) -> np.ndarray | None:
+    """The body as one (rows, width) array by numpy's C reader, or None.
+
+    The reader rounds each field as float() does. None marks a body it refuses, one of
+    another shape, one holding _C_PADDING, or an empty one (loadtxt warns on it).
+    """
+    text = "\n".join(body)
+    if not body or any(c in text for c in _C_PADDING):
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(body), width) else None
+
+
+def _read_body_rows(body: list[str], rows_per: int, width: int) -> np.ndarray:
+    """The body as one flat array by float(); FormatError names the first bad row."""
+    values: list[float] = []
+    for i, ln in enumerate(body):
+        b, row = divmod(i, rows_per)
+        if "_" in ln:  # float() reads "1_0" as 10.0; repr never writes an underscore
+            raise FormatError(f"non-numeric value in block {b}: digit-group underscore in row {row}")
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise FormatError(f"block {b}: row {row} has {len(fields)} values, expected {width}")
+        try:
+            values += map(float, fields)
+        except ValueError as exc:
+            raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
+    return np.array(values)
 
 
 def header_goals(header: dict) -> np.ndarray | None:

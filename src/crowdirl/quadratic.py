@@ -15,7 +15,7 @@ through `fill`.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class CostExpansion:
     entry e at state t; the effort feature reads the nominal controls (T, 2).
     Formed and checked finite here: the entries (w0 basis[0] + w1 basis[1]) / (T+1)
     plus R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly
-    symmetric because the terms are; dense Q, q and c are formed only when read.
+    symmetric because the terms are; the solve reads the cost only through `fill`.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
@@ -80,17 +80,6 @@ class CostExpansion:
         """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
         out[...] = 0.0
         out[:, self.rows, self.cols] = self._entries
-
-    @cached_property
-    def _dense(self) -> np.ndarray:
-        out = np.empty((self.horizon + 1, self.state_dim + 1, self.state_dim + 1))
-        self.fill(out)
-        out.setflags(write=False)
-        return out
-
-    Q = property(lambda self: self._dense[:, :-1, :-1])
-    q = property(lambda self: self._dense[:, :-1, -1])
-    c = property(lambda self: self._dense[:, -1, -1] / 2.0)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ other; `stage_cost` is the per-step cost it differences.
 reference for the expansion's fixed sparse pattern. `reference_state_features`
 and `reference_expected_features` are the feature half as broadcast from the
 strided position columns, the byte reference for `crowdirl.features`.
-`DenseCost` carries hand-built or finite-difference costs into `solve_lq_game`.
+`DenseCost` carries hand-built or finite-difference costs into `solve_lq_game`,
+and `dense_arrays` reads any cost's dense Q, q and c back through its `fill`.
 `double_integrator` writes the textbook blocks of the joint double
 integrator by hand, the reference for the dynamics the solve reads off
 `crowdirl.trajectory.propagate_joint`.
@@ -81,6 +82,14 @@ class DenseCost:
         out[:, :n, :n] = self.Q
         out[:, :n, n] = out[:, n, :n] = self.q
         out[:, n, n] = 2.0 * self.c
+
+
+def dense_arrays(cost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, q, c) of a CostExpansion or DenseCost, read off the augmented cost its fill writes."""
+    n = cost.state_dim
+    out = np.empty((cost.horizon + 1, n + 1, n + 1))
+    cost.fill(out)
+    return out[:, :n, :n], out[:, :n, n], out[:, n, n] / 2.0
 
 
 def double_integrator(k: int, dt: float) -> tuple[np.ndarray, np.ndarray]:

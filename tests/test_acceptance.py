@@ -44,7 +44,7 @@ from crowdirl.trajectory import (
     Trajectory,
     constant_velocity_rollout,
 )
-from fd_oracle import double_integrator
+from fd_oracle import dense_arrays, double_integrator
 from test_game import textbook_affine_lqr
 
 HARNESS_SOLVER = SolverConfig(entropy_temp=1e-3, eps_psd=1e-6)
@@ -72,9 +72,8 @@ def test_criterion_1_solver_oracle_equivalence():
     policies = solve_lq_game([e], SolverConfig(), nominal=nominal)
     A, B = double_integrator(1, spec.dt)
     T = spec.horizon
-    gains, ffs = textbook_affine_lqr(
-        A, B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
-    )
+    Q, q, _ = dense_arrays(e)
+    gains, ffs = textbook_affine_lqr(A, B[0], Q[:T], q[:T], [e.R * np.eye(2)] * T, e.r, Q[T], q[T])
     err = max(
         max(np.max(np.abs(policies.K[t, 0] - gains[t])) for t in range(10)),
         max(np.max(np.abs(policies.kff[t, 0] + ffs[t])) for t in range(10)),

@@ -1119,6 +1119,11 @@ class TestEval:
          "non-numeric value in block 1: digit-group underscore in row 4"),
         (lambda ln: "nan," + ln.split(",", 1)[1], "block 1: row 4 has a non-finite value"),
         (lambda ln: "1e400," + ln.split(",", 1)[1], "block 1: row 4 has a non-finite value"),
+        # numpy's reader strips \x1c-\x1f around a number; float() refuses them
+        (lambda ln: "\x1c1," + ln.split(",", 1)[1],
+         "non-numeric value in block 1: could not convert string to float: '\\x1c1'"),
+        (lambda ln: ln.rsplit(",", 1)[0] + ",1\x1f",
+         "non-numeric value in block 1: could not convert string to float: '1\\x1f'"),
         # a finite speed whose change over dt overflows the reconstructed control
         (lambda ln: ",".join(ln.split(",")[:2] + ["1e308"] + ln.split(",")[3:]),
          "block 1: reconstructed controls contain non-finite values"),
@@ -1464,6 +1469,24 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
      "finite and >= 0"),
     ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": [-0.5]}\n', "line 1: malformed"),
     ("r.jsonl", '{"note": "x"}\n[1, 2]\n', "line 2: malformed report line (TypeError('not a JSON"),
+    # a JSON error value is a number, not a string or a boolean; a name is a string
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "ade_m": "0.25", "fde_m": 0.7}\n'
+     '{"method": "cv", "scenario": "s", "rmse_per_traj": [0.1]}\n',
+     "line 1: malformed report line (ValueError(\"errors must be finite and >= 0, got a string '0.25'"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "ade_m": true, "fde_m": 0.7}\n'
+     '{"method": "cv", "scenario": "s", "rmse_per_traj": [0.1]}\n', "got a boolean True"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "agent": "all", "ade_m": 1, "fde_m": 1, '
+     '"efe_m": [1]}\n', "(ValueError('errors must be finite and >= 0, got a list [1]"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": ["0.1", true]}\n',
+     "line 1: malformed report line (ValueError(\"errors must be finite and >= 0, got a string '0.1'"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": "5"}\n',
+     "line 1: malformed report line (TypeError('errors must be a list, got a string"),
+    ("r.jsonl", '{"method": "cv", "scenario": "s", "rmse_per_traj": [10' + "0" * 400 + ']}\n',
+     "got a non-finite number"),
+    ("r.jsonl", '{"method": 1, "scenario": "s", "rmse_per_traj": [0.1]}\n',
+     "line 1: malformed report line (TypeError(\"'method' must be a string, got a number"),
+    ("r.jsonl", '{"method": "cv", "scenario": null, "agent": "all", "ade_m": 1, "fde_m": 1}\n',
+     "'scenario' must be a string, got null"),
     ("r.jsonl", NOT_UTF8, "is not UTF-8"),
     ("r.csv", NOT_UTF8, "is not UTF-8"),
 ])

@@ -48,7 +48,7 @@ from crowdirl import irl as irl_module
 from crowdirl import metrics as metrics_module
 from crowdirl import trajectory as trajectory_module
 from crowdirl.rng import substream
-from fd_oracle import DenseCost, cost_expansion, double_integrator, expand_along
+from fd_oracle import DenseCost, cost_expansion, dense_arrays, double_integrator, expand_along
 from moment_oracle import exact_features
 from test_trajectory import norm_where_clamp
 
@@ -96,9 +96,8 @@ def _solve_single_agent(spec, theta, cfg=SolverConfig()):
 def _textbook_gains(dyn, e):
     """Textbook LQR gains of a one-agent CostExpansion (row T is the terminal cost) under dyn = (A, B)."""
     (A, B), T = dyn, e.horizon
-    return textbook_affine_lqr(
-        A, B[0], e.Q[:T], e.q[:T], [e.R * np.eye(2)] * T, e.r, e.Q[T], e.q[T]
-    )
+    Q, q, _ = dense_arrays(e)
+    return textbook_affine_lqr(A, B[0], Q[:T], q[:T], [e.R * np.eye(2)] * T, e.r, Q[T], q[T])
 
 
 def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
@@ -555,6 +554,7 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
 
     def agent_cost(agent, K_override, dx0):
         e = expansions[agent]
+        Q, q, c = dense_arrays(e)
         dx = dx0.copy()
         total = 0.0
         for t in range(intersection_spec.horizon):
@@ -563,11 +563,11 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
                 K = K_override.get((j, t), policies.K[t, j])
                 us.append(policies.kff[t, j] - K @ dx)
             u = us[agent]
-            total += e.c[t] + e.q[t] @ dx + 0.5 * dx @ e.Q[t] @ dx
+            total += c[t] + q[t] @ dx + 0.5 * dx @ Q[t] @ dx
             total += e.r[t] @ u + 0.5 * e.R * u @ u
             dx = A @ dx + sum(B[j] @ us[j] for j in range(3))
         T = intersection_spec.horizon
-        total += e.c[T] + e.q[T] @ dx + 0.5 * dx @ e.Q[T] @ dx
+        total += c[T] + q[T] @ dx + 0.5 * dx @ Q[T] @ dx
         return total
 
     rng = np.random.default_rng(31)
@@ -641,9 +641,10 @@ def _per_step_reference(dyn, costs, cfg, nominal):
     k, n = B_x.shape[:2]
     Qa = np.zeros((T + 1, k, n + 1, n + 1))
     for i, e in enumerate(costs):
-        Qa[:, i, :n, :n] = e.Q
-        Qa[:, i, :n, n] = Qa[:, i, n, :n] = e.q
-        Qa[:, i, n, n] = 2.0 * e.c
+        Q, q, c = dense_arrays(e)
+        Qa[:, i, :n, :n] = Q
+        Qa[:, i, :n, n] = Qa[:, i, n, :n] = q
+        Qa[:, i, n, n] = 2.0 * c
     r = np.stack([e.r for e in costs], axis=1)
     R = np.array([e.R for e in costs])[:, None, None]
     A = np.eye(n + 1)
@@ -690,8 +691,9 @@ def _unaugmented_reference(dyn, costs, cfg, nominal):
     """
     (A, B), T = dyn, costs[0].horizon
     k, n = B.shape[:2]
-    Q = np.stack([e.Q for e in costs], axis=1)
-    q = np.stack([e.q for e in costs], axis=1)
+    dense = [dense_arrays(e) for e in costs]
+    Q = np.stack([d[0] for d in dense], axis=1)
+    q = np.stack([d[1] for d in dense], axis=1)
     r = np.stack([e.r for e in costs], axis=1)
     R = np.array([e.R for e in costs])[:, None, None]
     Bt = np.swapaxes(B, 1, 2)

@@ -398,6 +398,12 @@ class TestSynthGenerate:
         assert mean_min_dist(1.5) > mean_min_dist(0.0)
 
 
+# fields float() and numpy's C reader may read apart: padding, signs, specials, underscores,
+# hex, non-ASCII digits, separator characters and a carriage return
+AWKWARD_FIELDS = (" 1.0", "+2", "-0", "1e400", "nan", "Infinity", "1_0", "", "0x10", "٣.٥", "１",
+                  "\x1c1", "1\x1f", "1\r")
+
+
 class TestInterchange:
     def test_roundtrip_lossless(self, tmp_path, intersection_spec, theta_star):
         demos = synth_generate(
@@ -523,6 +529,105 @@ class TestInterchange:
         with pytest.raises(FormatError) as err:
             read_demonstrations(path)
         assert str(err.value) == f"{path}: block 1: row 0 has 5 values, expected 4"
+
+    @pytest.mark.parametrize("row, width", [("0,0,1", 3), ("0,0,1,0,0", 5)])
+    def test_a_body_all_of_one_wrong_width_is_named_by_its_first_row(self, tmp_path, row, width):
+        path = tmp_path / "wide.traj"
+        path.write_text("\n".join([_header_line(1, 2, 2)] + [row] * 4) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_demonstrations(path)
+        assert str(err.value) == f"{path}: block 0: row 0 has {width} values, expected 4"
+
+    @pytest.mark.parametrize("field", AWKWARD_FIELDS)
+    @pytest.mark.parametrize("column", [0, 2, 5, 7])  # first, a speed, mid-row, row end
+    def test_an_awkward_field_reads_as_the_row_loop_reads_it(self, monkeypatch, field, column):
+        rows = [",".join(map(repr, row)) for row in
+                _awkward_dataset_rows(np.random.default_rng(column), 6, 2).tolist()]
+        fields = rows[4].split(",")
+        fields[column] = field
+        rows[4] = ",".join(fields)
+        got, want = _read_both(monkeypatch, [_header_line(2, 3, 2)] + rows)
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bodies_of_mixed_fields_read_as_the_row_loop_reads_them(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        values = _awkward_dataset_rows(rng, 6, 2).tolist()
+        rows = [",".join(AWKWARD_FIELDS[rng.integers(len(AWKWARD_FIELDS))] if rng.random() < 0.03
+                         else repr(v) for v in row) for row in values]
+        got, want = _read_both(monkeypatch, [_header_line(2, 3, 2)] + rows)
+        assert got == want
+
+    @pytest.mark.parametrize("count", [1, 40])
+    def test_the_c_reader_reads_repr_floats_with_float_bits(self, count):
+        rows = _awkward_dataset_rows(np.random.default_rng(count), count * 3, 2)
+        body = [",".join(map(repr, row)) for row in rows.tolist()]
+        fast = pipeline._read_body_c(body, 8)
+        assert fast is not None  # the fast path is the one read, not the row loop
+        assert fast.tobytes() == _row_loop_body(body, 3, 8).tobytes() == rows.tobytes()
+
+    def test_crlf_and_non_ascii_digit_files_read_as_their_ascii_text(self, tmp_path):
+        rows = _awkward_dataset_rows(np.random.default_rng(7), 2 * 3, 1)
+        path = tmp_path / "plain.traj"
+        _write_rows(path, 1, 3, 2, rows, 0.1)
+        header, *body = path.read_text().splitlines()
+        arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+        (tmp_path / "crlf.traj").write_bytes(path.read_text().replace("\n", "\r\n").encode())
+        digits = [header] + [ln.translate(arabic) for ln in body]
+        (tmp_path / "digits.traj").write_text("\n".join(digits))
+        want, _ = read_demonstrations(path)
+        for name in ("crlf.traj", "digits.traj"):
+            got, _ = read_demonstrations(tmp_path / name)
+            assert [t.states.tobytes() for t in got] == [t.states.tobytes() for t in want]
+
+    @pytest.mark.parametrize("field", ["\x1c0", "0\x1d", "\x1e0\x1f"])
+    def test_a_value_padded_with_a_separator_character_is_refused(self, tmp_path, field):
+        # numpy's reader would strip these; float() refuses them, and so does the file
+        path = tmp_path / "pad.traj"
+        lines = [_header_line(1, 2, 1), "0,0,0,0", f"0,{field},0,0"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            read_demonstrations(path)
+        assert str(err.value) == (f"{path}: non-numeric value in block 0: "
+                                  f"could not convert string to float: {field!r}")
+
+
+def _header_line(k, rows_per, count):
+    return json.dumps({"k": k, "T": rows_per, "dt": 0.1, "goals": None, "count": count,
+                       "provenance": {}})
+
+
+def _row_loop_body(body, rows_per, width):
+    """The body as the reader converted it before numpy's C reader: float() of every field."""
+    values = []
+    for i, ln in enumerate(body):
+        b, row = divmod(i, rows_per)
+        if "_" in ln:
+            raise FormatError(f"non-numeric value in block {b}: digit-group underscore in row {row}")
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise FormatError(f"block {b}: row {row} has {len(fields)} values, expected {width}")
+        try:
+            values += map(float, fields)
+        except ValueError as exc:
+            raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
+    return np.array(values)
+
+
+def _read_both(monkeypatch, lines):
+    """The reader's trajectory bytes or message, then the same with the body read by the row loop."""
+    out = []
+    for row_loop in (False, True):
+        with monkeypatch.context() as m:
+            if row_loop:
+                m.setattr(pipeline, "_read_body_c", lambda body, width: None)
+                m.setattr(pipeline, "_read_body_rows", _row_loop_body)
+            try:
+                trajs, _ = pipeline._parse_demonstrations(lines)
+                out.append([(t.states.tobytes(), t.controls.tobytes()) for t in trajs])
+            except FormatError as exc:
+                out.append(str(exc))
+    return out
 
 
 def _awkward_dataset_rows(rng, n, k):

@@ -16,6 +16,7 @@ from fd_oracle import (
     DenseCost,
     agent_costs,
     control_weight,
+    dense_arrays,
     dense_feature_terms,
     expand,
     expand_along,
@@ -145,11 +146,12 @@ def test_expand_model_along_terminal(intersection_spec, theta_star):
     nominal = constant_velocity_rollout(intersection_spec)
     expansion = expand(model, nominal)
     assert expansion.horizon == intersection_spec.horizon
-    assert expansion.Q.shape == (intersection_spec.horizon + 1, 12, 12)
+    Q, q, _ = dense_arrays(expansion)
+    assert Q.shape == (intersection_spec.horizon + 1, 12, 12)
     # row T equals a direct expansion of the state cost at the last state
     H, l, _ = expand_terminal(lambda x: state_cost(model, x), nominal.states[-1])
-    assert np.allclose(expansion.Q[-1], H)
-    assert np.allclose(expansion.q[-1], l)
+    assert np.allclose(Q[-1], H)
+    assert np.allclose(q[-1], l)
 
 
 # --- closed-form expansion against the finite-difference oracle -------------
@@ -159,9 +161,10 @@ def _assert_matches_oracle(model, nominal):
     got = expand(model, nominal)
     ref = fd_expand_model_along(model, nominal)
     assert got.horizon == ref.horizon == nominal.horizon
-    assert np.max(np.abs(got.Q - ref.Q)) <= 1e-6
-    assert np.max(np.abs(got.q - ref.q)) <= 1e-6
-    assert np.max(np.abs(got.c - ref.c)) <= 1e-12
+    Q, q, c = dense_arrays(got)
+    assert np.max(np.abs(Q - ref.Q)) <= 1e-6
+    assert np.max(np.abs(q - ref.q)) <= 1e-6
+    assert np.max(np.abs(c - ref.c)) <= 1e-12
     assert got.R == ref.R
     assert np.max(np.abs(got.r - ref.r)) <= 1e-6
 
@@ -243,10 +246,11 @@ def _dense_expansion(model, nominal):
 
 
 def _assert_matches_dense(expansion, model, nominal):
-    for name, got, ref in zip("QqcRr", (expansion.Q, expansion.q, expansion.c, expansion.R,
-                                        expansion.r), _dense_expansion(model, nominal)):
+    Q, q, c = dense_arrays(expansion)
+    for name, got, ref in zip("QqcRr", (Q, q, c, expansion.R, expansion.r),
+                              _dense_expansion(model, nominal)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), name
-    assert np.array_equal(expansion.Q, np.swapaxes(expansion.Q, 1, 2))
+    assert np.array_equal(Q, np.swapaxes(Q, 1, 2))
 
 
 @pytest.mark.parametrize("preset", ["intersection_k3", "ring8"])
@@ -260,17 +264,18 @@ def test_weighted_feature_terms_match_the_dense_expansion(preset, ring8_spec):
 
 
 def test_fill_writes_the_augmented_cost_of_the_dense_arrays(intersection_spec, theta_star):
-    # fill writes the augmented cost [[Q, q], [q^T, 2c]] that the dense arrays read back
+    # fill writes the augmented cost [[Q, q], [q^T, 2c]]; a DenseCost of the Q, q and c read off it
+    # writes it again
     nominal = constant_velocity_rollout(intersection_spec)
     for model in agent_costs(theta_star, intersection_spec):
         e = expand(model, nominal)
         out = np.full((e.horizon + 1, e.state_dim + 1, e.state_dim + 1), np.nan)
         e.fill(out)
         dense = np.zeros_like(out)
-        DenseCost(e.Q, e.q, e.c, e.R, e.r).fill(dense)
+        DenseCost(*dense_arrays(e), e.R, e.r).fill(dense)
         assert np.array_equal(out, dense)
         assert np.array_equal(out, np.swapaxes(out, 1, 2))
-        assert not any(a.flags.writeable for a in (e.Q, e.q, e.r))
+        assert not e.r.flags.writeable
 
 
 def _pattern_nominals(spec):
@@ -340,16 +345,18 @@ def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a
         return AgentCost(theta=CostParams(w), agent=agent, goal=goal, k=nominal.k,
                          horizon=nominal.horizon, sigma=sigma)
 
+    def parts(e):  # Q, q, c, R, r
+        return (*dense_arrays(e), e.R, e.r)
+
     _assert_matches_oracle(model(w1), nominal)
     mixed = expand(model(a * w1 + b * w2), nominal)
     e1 = expand(model(w1), nominal)
     e2 = expand(model(w2), nominal)
-    for name in ("Q", "q", "c", "R", "r"):
-        combined = a * getattr(e1, name) + b * getattr(e2, name)
-        assert np.max(np.abs(getattr(mixed, name) - combined)) <= 1e-12
+    for got, one, two in zip(parts(mixed), parts(e1), parts(e2)):
+        assert np.max(np.abs(got - (a * one + b * two))) <= 1e-12
     # the terms expanded at w1 and re-weighted to a w1 + b w2 give that expansion
     # bit for bit, and the dense formula within rounding
     reweighted = e1.reweighted(a * w1 + b * w2)
-    for name in ("Q", "q", "c", "R", "r"):
-        assert np.array_equal(getattr(reweighted, name), getattr(mixed, name))
+    for got, want in zip(parts(reweighted), parts(mixed)):
+        assert np.array_equal(got, want)
     _assert_matches_dense(reweighted, model(a * w1 + b * w2), nominal)
