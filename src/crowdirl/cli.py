@@ -401,14 +401,14 @@ def cmd_eval(args, cfg: dict) -> int:
         culprit = f"weight file {args.theta}" if exc.source == "weights" else args.demos
         raise ValidationError(f"{culprit} is out of range: {exc}") from exc
     emit_report([report], args.format, args.out)
-    print(
-        f"{method} on {args.scenario}: ADE {report.ade:.4f} m, FDE {report.fde:.4f} m "
-        f"-> {args.out}"
-    )
     if args.overlay:
         svg = render_overlay_svg(demos, predictions)
         with open(args.overlay, "w", encoding="utf-8") as fh:
             fh.write(svg)
+    print(  # only once the report and the overlay are both written
+        f"{method} on {args.scenario}: ADE {report.ade:.4f} m, FDE {report.fde:.4f} m "
+        f"-> {args.out}"
+    )
     return EXIT_OK
 
 

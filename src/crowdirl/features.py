@@ -20,7 +20,7 @@ from .errors import CostRangeError, ValidationError
 from .trajectory import STATE_DIM, RolloutSet, Trajectory, check_sigma
 
 NUM_FEATURES = 3
-FEATURE_ROWS = 16  # trajectories per expected_features block; bounds its (rows, T+1, a, k) arrays
+FEATURE_BUDGET = 2**16  # kernel elements per expected_features block: its (rows, T+1, a, k) arrays
 
 
 def _check_features(phi: np.ndarray) -> np.ndarray:
@@ -88,6 +88,11 @@ def state_features(
     return goal_dist, np.sum(kernel, axis=-1) - 1.0
 
 
+def feature_rows(horizon: int, agents: int, k: int) -> int:
+    """Trajectories per `expected_features` block: as many as keep its kernel within FEATURE_BUDGET."""
+    return max(1, FEATURE_BUDGET // ((horizon + 1) * agents * k))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as an error
 def expected_features(
     trajs: RolloutSet | Sequence[Trajectory],
@@ -99,7 +104,7 @@ def expected_features(
 
     goals is (len(agents), 2), one row per index; a sequence is stacked once.
     sigma is the crowding kernel's width, a scene's `ScenarioSpec.sigma`.
-    The per-trajectory rows are formed FEATURE_ROWS trajectories at a time,
+    The per-trajectory rows are formed `feature_rows` trajectories at a time,
     each on its own, so the block size never changes a bit of the result:
     `state_features` on the block's states, and the effort as each control's
     sum of squares u_x**2 + u_y**2.
@@ -112,10 +117,11 @@ def expected_features(
     if goals.shape != (idx.size, 2):
         raise ValidationError(f"goals must be ({idx.size}, 2), got shape {goals.shape}")
     per_traj = np.empty((len(trajs), idx.size, NUM_FEATURES))
-    for start in range(0, len(trajs), FEATURE_ROWS):
-        rows = slice(start, start + FEATURE_ROWS)
+    step = feature_rows(trajs.horizon, idx.size, trajs.k)
+    for start in range(0, len(trajs), step):
+        rows = slice(start, start + step)
         goal_dist, proximity = state_features(trajs.states[rows], idx, goals, sigma)
-        sq = trajs.controls[rows, :, idx]
+        sq = np.take(trajs.controls[rows], idx, axis=2)  # a copy, faster than fancy indexing
         sq *= sq
         effort = sq[..., 0] + sq[..., 1]  # the pair sum np.sum forms
         for j, f in enumerate((goal_dist, proximity, effort)):

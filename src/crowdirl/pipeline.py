@@ -35,6 +35,7 @@ from .errors import FormatError, ValidationError
 from .features import CostParams
 from .game import SolverConfig, build_policies, sample_rollouts
 from .trajectory import (
+    STATE_DIM,
     ScenarioSpec,
     Trajectory,
     from_dataset_array,
@@ -583,13 +584,17 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
         if np.any(bad):
             b, row = np.argwhere(bad)[0][:2]
             raise FormatError(f"block {b}: row {row} has {what}")
-    trajs = []
+    # every block's controls in one pass, each the velocity change over its step / dt
+    states = from_dataset_array(data)
+    vel = states.reshape(count, rows_per, k, STATE_DIM)[..., 2:]
     with np.errstate(over="ignore"):  # finite velocities whose change / dt overflows are refused here
-        for b, s in enumerate(from_dataset_array(data)):
-            try:
-                trajs.append(Trajectory.from_states(s, dt))
-            except ValidationError as exc:
-                raise FormatError(f"block {b}: reconstructed {exc}") from exc
+        controls = (vel[:, 1:] - vel[:, :-1]) / dt
+    trajs = []
+    for b in range(count):
+        try:
+            trajs.append(Trajectory(states[b], controls[b], dt))
+        except ValidationError as exc:
+            raise FormatError(f"block {b}: reconstructed {exc}") from exc
     return trajs, header
 
 

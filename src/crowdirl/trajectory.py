@@ -70,22 +70,41 @@ def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) ->
     return np.multiply(u, (u_max / np.maximum(norm, u_max))[..., None], out=out)
 
 
+def _halves(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous copies (..., k, 2) of the position and velocity columns of states (..., 4k)."""
+    s = states.reshape(states.shape[:-1] + (states.shape[-1] // STATE_DIM, STATE_DIM))
+    return s[..., :2].copy(), s[..., 2:].copy()
+
+
 def propagate_joint(
-    states: np.ndarray, controls: np.ndarray, dt: float, out: np.ndarray | None = None
+    states: np.ndarray,
+    controls: np.ndarray,
+    dt: float,
+    out: np.ndarray | None = None,
+    halves: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k), or into a C-contiguous out."""
+    """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k), or into a C-contiguous out.
+
+    The step advances contiguous position and velocity halves p, v (..., k, 2)
+    in place, as p + v*dt + 0.5*u*dt*dt and v + u*dt in that order, then
+    interleaves them. Without `halves` they are copies of states' columns; a
+    caller stepping one set passes its own (p, v) equal to states' columns,
+    and they hold the next state's columns afterwards.
+    """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    k = states.shape[-1] // STATE_DIM
-    s = states.reshape(states.shape[:-1] + (k, STATE_DIM))
-    p, v = s[..., :2], s[..., 2:]
-    p_next = p + v * dt + 0.5 * controls * dt * dt
-    v_next = v + controls * dt
-    if out is None:
-        return np.concatenate([p_next, v_next], axis=-1).reshape(states.shape)
-    if not out.flags.c_contiguous:  # its reshape would be a copy
+    shape = states.shape[:-1] + (states.shape[-1] // STATE_DIM, STATE_DIM)
+    if out is not None and not out.flags.c_contiguous:  # its reshape would be a copy
         raise ValidationError("propagate_joint needs a C-contiguous out array")
-    np.concatenate([p_next, v_next], axis=-1, out=out.reshape(s.shape))
+    if halves is None:
+        halves = _halves(states)
+    p, v = halves
+    p += v * dt
+    p += 0.5 * controls * dt * dt
+    v += controls * dt
+    if out is None:
+        return np.concatenate(halves, axis=-1).reshape(states.shape)
+    np.concatenate(halves, axis=-1, out=out.reshape(shape))
     return out
 
 
@@ -268,10 +287,12 @@ def rollout(
     Per step, act(t, states (n, 4k)) gives controls that broadcast to
     (n, k, 2), possibly in a buffer it reuses: they are clamped to u_max (> 0,
     checked once) into the step's own block and propagated by one
-    `propagate_joint` call for all n rows. Both arrays are kept time-major,
-    contiguous per step, and returned as transposed views; a Trajectory or
-    RolloutSet copies them into (n, T+1, ...) order. A tape fixed in advance
-    needs no loop: `integrate_controls` gives the same bits.
+    `propagate_joint` call for all n rows, which advances contiguous
+    position and velocity copies (n, k, 2) kept from step to step. Both
+    arrays are kept time-major, contiguous per step, and returned as
+    transposed views; a Trajectory or RolloutSet copies them into
+    (n, T+1, ...) order. A tape fixed in advance needs no loop:
+    `integrate_controls` gives the same bits.
     """
     u_max = check_u_max(u_max)
     x0 = np.asarray(x0, dtype=float)
@@ -279,9 +300,10 @@ def rollout(
     states = np.empty((horizon + 1, n, x0.shape[1]))
     controls = np.empty((horizon, n, k, CONTROL_DIM))
     states[0] = x0
+    halves = _halves(x0)  # kept equal to the columns of states[t]
     for t in range(horizon):
         clamp_control(act(t, states[t]), u_max, out=controls[t])
-        propagate_joint(states[t], controls[t], dt, out=states[t + 1])
+        propagate_joint(states[t], controls[t], dt, out=states[t + 1], halves=halves)
     return np.swapaxes(states, 0, 1), np.swapaxes(controls, 0, 1)
 
 

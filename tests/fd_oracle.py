@@ -16,7 +16,8 @@ strided position columns, the byte reference for `crowdirl.features`.
 and `dense_arrays` reads any cost's dense Q, q and c back through its `fill`.
 `double_integrator` writes the textbook blocks of the joint double
 integrator by hand, the reference for the dynamics the solve reads off
-`crowdirl.trajectory.propagate_joint`.
+`crowdirl.trajectory.propagate_joint`; `reference_step` is that step as one
+expression over the strided columns, its byte reference.
 """
 from __future__ import annotations
 
@@ -114,6 +115,14 @@ def double_integrator(k: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
         A[sl, sl] = a_blk
         B[i, sl] = b_blk
     return A, B
+
+
+def reference_step(states: np.ndarray, controls: np.ndarray, dt: float) -> np.ndarray:
+    """One step (..., 4k) from the strided position and velocity columns, interleaved again."""
+    s = states.reshape(states.shape[:-1] + (-1, STATE_DIM))
+    p, v = s[..., :2], s[..., 2:]
+    return np.concatenate([p + v * dt + 0.5 * controls * dt * dt, v + controls * dt],
+                          axis=-1).reshape(states.shape)
 
 
 def reference_state_features(states: np.ndarray, agents, goals, sigma: float):

@@ -1210,6 +1210,15 @@ class TestEval:
         assert report.read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
         assert overlay.read_text() == render_overlay_svg(eval_demos, predict(eval_demos))
 
+    def test_an_overlay_that_cannot_be_written_prints_no_success_line(self, tmp_path, capsys):
+        demos = _synth(tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "r.jsonl"
+        assert main(["eval", str(demos), "--baseline", "cv", "--out", str(report),
+                     "--overlay", str(tmp_path / "missing" / "o.svg")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "o.svg" in err
+
 
 class TestPlotCompare:
     def _reports(self, tmp_path):

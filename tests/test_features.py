@@ -6,9 +6,9 @@ import pytest
 
 from crowdirl.errors import ValidationError
 from crowdirl.features import (
-    FEATURE_ROWS,
     CostParams,
     expected_features,
+    feature_rows,
     state_features,
 )
 from crowdirl.trajectory import (
@@ -154,12 +154,18 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit():
             assert one.shape == (1, 3) and one[0].tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("N", [1, FEATURE_ROWS - 1, FEATURE_ROWS, FEATURE_ROWS + 1, 128])
-def test_row_blocked_features_equal_per_agent_and_per_trajectory_calls(N):
+def _block_edges(k: int, T: int = 30) -> list[tuple[int, int]]:
+    """(k, N) pairs for N on both sides of the derived block of all k agents."""
+    rows = feature_rows(T, k, k)
+    return [(k, N) for N in sorted({1, max(1, rows - 1), rows, rows + 1})]
+
+
+@pytest.mark.parametrize("k, N", [e for k in (1, 3, 8) for e in _block_edges(k)])
+def test_row_blocked_features_equal_per_agent_and_per_trajectory_calls(k, N):
     # sets on both sides of a row block: every agent at once, one agent at a
     # time and one trajectory at a time (summed in order) give the same bytes
-    rng = np.random.default_rng(N)
-    k, T = 8, 30
+    rng = np.random.default_rng(100 * k + N)
+    T = 30
     trajs = RolloutSet(rng.uniform(-4, 4, (N, T + 1, 4 * k)), rng.normal(size=(N, T, k, 2)), 0.1)
     goals = rng.uniform(-4, 4, (k, 2))
     every = expected_features(trajs, range(k), goals, DEFAULT_SIGMA)
@@ -174,9 +180,10 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
     # the last agent sits 1 km out, where its kernel underflows to exactly 0.0
     rng = np.random.default_rng(40 + k)
     T, sigma = 30, 1.5
-    states = rng.uniform(-4, 4, (128, T + 1, 4 * k))
+    size = feature_rows(T, 1, k) + 1  # past one block of any choice of agents
+    states = rng.uniform(-4, 4, (size, T + 1, 4 * k))
     states[..., -4] += 1000.0 * (k > 1)
-    controls = rng.normal(size=(128, T, k, 2))
+    controls = rng.normal(size=(size, T, k, 2))
     controls.flat[::5] = -0.0
     goals = rng.uniform(-4, 4, (k, 2))
     if k > 1:  # every kernel term of the far agent is 0.0
@@ -186,7 +193,8 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
         got = state_features(states, agents, g, sigma)
         ref = reference_state_features(states, agents, g, sigma)
         assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
-        for N in (1, FEATURE_ROWS - 1, FEATURE_ROWS + 1, 128):
+        rows = feature_rows(T, len(agents), k)
+        for N in sorted({1, max(1, rows - 1), rows + 1, size}):
             trajs = RolloutSet(states[:N], controls[:N], 0.1)
             got = expected_features(trajs, agents, g, sigma)
             assert got.tobytes() == reference_expected_features(trajs, agents, g, sigma).tobytes()

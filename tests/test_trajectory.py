@@ -21,6 +21,7 @@ from crowdirl.trajectory import (
     rollout_openloop,
     to_dataset_array,
 )
+from fd_oracle import reference_step
 
 
 def _step(state, control, dt):
@@ -376,6 +377,64 @@ def test_out_arguments_return_the_buffer_holding_the_bytes_of_the_plain_call(u_m
     assert xbuf.tobytes() == propagate_joint(x, u, dt).tobytes()
     with pytest.raises(ValidationError, match="C-contiguous"):
         propagate_joint(x, u, dt, out=np.empty((4 * k, n)).T)
+
+
+def _awkward(rng, shape, scale):
+    """Normals with -0.0, subnormals, values whose products fall subnormal and values that overflow."""
+    a = rng.normal(0.0, scale, shape)
+    kind = rng.choice(5, shape, p=[0.4, 0.15, 0.15, 0.25, 0.05])
+    a[kind == 1] = -0.0
+    a[kind == 2] = 5e-324 * rng.integers(-4, 5, np.count_nonzero(kind == 2))
+    a[kind == 3] *= 1e-306
+    a[kind == 4] = 1.7e308 * rng.choice([-1.0, 1.0], np.count_nonzero(kind == 4))
+    return a
+
+
+@pytest.mark.parametrize("u_max", [3.0, math.inf])
+@pytest.mark.parametrize("n", [1, 8, 33])
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_rollout_equals_a_loop_of_the_reference_step_byte_for_byte(k, n, u_max):
+    rng = np.random.default_rng(100 * k + n)
+    T, dt = 12, 0.1
+    x0 = _awkward(rng, (n, 4 * k), 5.0)
+    tapes = _awkward(rng, (n, T, k, 2), 2.0)
+    x0[0, [0, 2]] = 1.7e308  # p + v*dt overflows on the first step
+
+    def act(t, x):  # feedback on the positions, so every stored state is read
+        return tapes[:, t] - 1e-3 * x.reshape(n, k, 4)[..., :2]
+
+    states, controls = rollout(x0, T, dt, act, u_max)
+    ref = np.empty((n, T + 1, 4 * k))
+    ref_u = np.empty((n, T, k, 2))
+    ref[:, 0] = x0
+    with np.errstate(all="ignore"):
+        for t in range(T):
+            ref_u[:, t] = clamp_control(act(t, ref[:, t]), u_max)
+            ref[:, t + 1] = reference_step(ref[:, t], ref_u[:, t], dt)
+    assert np.isinf(ref[0, 1, 0])
+    assert states.tobytes() == ref.tobytes()
+    assert controls.tobytes() == ref_u.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_propagate_joint_gives_the_same_bytes_with_and_without_halves(k):
+    rng = np.random.default_rng(36 + k)
+    n, dt = 12, 0.1
+    x = _awkward(rng, (n, 4 * k), 5.0)
+    u = _awkward(rng, (n, k, 2), 2.0)
+    x[0, [0, 2]] = 1.7e308  # p + v*dt overflows
+    with np.errstate(all="ignore"):
+        plain = propagate_joint(x, u, dt)
+        assert plain.tobytes() == reference_step(x, u, dt).tobytes()
+        s = x.reshape(n, k, 4)
+        halves = s[..., :2].copy(), s[..., 2:].copy()
+        out = np.full((n, 4 * k), np.nan)
+        assert propagate_joint(x, u, dt, out=out, halves=halves) is out
+    assert out.tobytes() == plain.tobytes()
+    o = out.reshape(n, k, 4)
+    assert halves[0].tobytes() == np.ascontiguousarray(o[..., :2]).tobytes()
+    assert halves[1].tobytes() == np.ascontiguousarray(o[..., 2:]).tobytes()
+    assert np.isinf(out[0, 0])
 
 
 @pytest.mark.parametrize("u_max", [1e-300, 0.05, 3.0, 1e300])
