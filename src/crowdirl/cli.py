@@ -59,8 +59,8 @@ from .trajectory import (
     DEFAULT_SIGMA,
     DEFAULT_U_MAX,
     AgentState,
+    RolloutSet,
     ScenarioSpec,
-    Trajectory,
     check_sigma,
     check_u_max,
 )
@@ -217,7 +217,7 @@ def _check_recorded(recorded: dict, cfg: dict, made: str) -> None:
                                   f"{cfg[key]!r}; pass --{key.replace('_', '-')} {value!r}")
 
 
-def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> ScenarioSpec:
+def _spec_from_demos(path, demos: RolloutSet, header: dict, cfg: dict) -> ScenarioSpec:
     """Scenario of a demonstration file at cfg's u_max and sigma: demo 0's x0, header or inferred goals.
 
     train admits only files whose demonstrations share one start; eval's
@@ -227,8 +227,8 @@ def _spec_from_demos(path, demos: list[Trajectory], header: dict, cfg: dict) -> 
     goals = header_goals(header)
     if goals is None:
         goals = infer_goals(demos)
-    return ScenarioSpec(k=demos[0].k, x0=demos[0].states[0], goals=goals,
-                        horizon=demos[0].horizon, dt=demos[0].dt, u_max=cfg["u_max"], sigma=cfg["sigma"])
+    return ScenarioSpec(k=demos.k, x0=demos.states[0, 0], goals=goals,
+                        horizon=demos.horizon, dt=demos.dt, u_max=cfg["u_max"], sigma=cfg["sigma"])
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -284,23 +284,13 @@ def cmd_synth(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _read_demos(path) -> tuple[list, dict]:
-    """read_demonstrations, refusing a file without a single demonstration."""
-    demos, header = read_demonstrations(path)
-    if not demos:
-        raise FormatError(f"{path} holds no demonstrations")
-    return demos, header
-
-
 def cmd_train(args, cfg: dict) -> int:
-    demos, header = _read_demos(args.demos)
+    demos, header = read_demonstrations(args.demos)
     # training solves one game from one start; a mean start is no demo's scene
-    for j, demo in enumerate(demos):
-        if not np.array_equal(demo.states[0], demos[0].states[0]):
-            raise FormatError(
-                f"{args.demos}: demonstration {j} starts from a different joint state than "
-                "demonstration 0; train needs demonstrations of one start"
-            )
+    moved = np.flatnonzero(np.any(demos.states[:, 0] != demos.states[0, 0], axis=1))
+    if moved.size:
+        raise FormatError(f"{args.demos}: demonstration {moved[0]} starts from a different joint state "
+                          "than demonstration 0; train needs demonstrations of one start")
     spec = _spec_from_demos(args.demos, demos, header, cfg)
     tcfg = _training_config(cfg)
 
@@ -370,14 +360,14 @@ def _load_thetas(path: str, k: int, cfg: dict) -> list[CostParams]:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    demos, header = _read_demos(args.demos)
+    demos, header = read_demonstrations(args.demos)
     spec = _spec_from_demos(args.demos, demos, header, cfg)
     method = args.baseline
     if method not in BASELINE_NAMES:
         raise ValidationError(f"unknown baseline {method!r}; choose from {BASELINE_NAMES}")
     train_demos = demos  # a --train file is read only by the baselines that fit on it
     if args.train_demos and method in FITTED_BASELINES:
-        train_demos, _ = _read_demos(args.train_demos)
+        train_demos, _ = read_demonstrations(args.train_demos)
     thetas = None
     if method in ("mairl", "sairl"):
         if not args.theta:

@@ -38,6 +38,7 @@ from .trajectory import (
 EFE_NOTE = "efe_m is full-horizon ADE on tracker-derived inputs (artifact interpretation)"
 BASELINE_NAMES = ("cv", "gmm", "ebm", "mairl", "sairl")
 FITTED_BASELINES = ("gmm", "ebm")  # the only ones that read PredictorContext.train_demos
+Demos = RolloutSet | Sequence[Trajectory]  # a list is stacked into one set where it is read
 
 
 # --- metric math -------------------------------------------------------------
@@ -157,8 +158,8 @@ class MetricReport:
     def __post_init__(self):
         for name in ("per_agent_ade", "per_agent_fde", "rmse_per_traj"):
             arr = np.array(getattr(self, name), dtype=float)
-            if np.any(arr < 0):
-                raise ValidationError(f"{name} contains negative values")
+            if not np.all((arr >= 0) & (arr < math.inf)):  # NaN fails both comparisons
+                raise ValidationError(f"{name} must be finite and >= 0")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -200,27 +201,24 @@ def _positions(states: np.ndarray) -> np.ndarray:
 def score_predictions(
     method: str,
     scenario: str,
-    demos: Sequence[Trajectory],
-    predictions: Sequence[np.ndarray],
+    demos: Demos,
+    predictions: np.ndarray,
 ) -> MetricReport:
     """Aggregate displacement errors of per-demo position predictions.
 
-    predictions[j] has shape (T+1, k, 2) and is compared stepwise against
-    demonstration j (the demonstrations share k, T and dt); per-agent errors
+    predictions (n, T+1, k, 2) holds one position track per demonstration
+    and is compared stepwise against them; per-agent errors
     are summed over demonstrations in order and averaged, and each demo's
     mean squared errors summed over agents in order. An error that overflows
     raises CostRangeError (source "states"), silently.
     """
-    if not demos or len(predictions) != len(demos):
-        raise ValidationError("need one prediction per demonstration")
     demos = RolloutSet.stack(demos)
     n, T, k = len(demos), demos.horizon, demos.k
-    preds = [np.asarray(pred, dtype=float) for pred in predictions]
-    for pred in preds:
-        if pred.shape != (T + 1, k, 2):
-            raise ValidationError(f"prediction shape {pred.shape} != ({T + 1}, {k}, 2)")
+    preds = np.asarray(predictions, dtype=float)
+    if preds.shape != (n, T + 1, k, 2):
+        raise ValidationError(f"predictions shape {preds.shape} != ({n}, {T + 1}, {k}, 2)")
     with np.errstate(over="ignore", invalid="ignore"):
-        ades, fdes, msq = _displacement_rows(np.stack(preds), _positions(demos.states))
+        ades, fdes, msq = _displacement_rows(preds, _positions(demos.states))
         rmses = np.sqrt(np.add.accumulate(msq, axis=1)[:, -1] / k)
         ades, fdes = (np.add.accumulate(rows, axis=0)[-1] for rows in (ades, fdes))
     if not np.all(np.isfinite([*ades, *fdes, *rmses])):
@@ -247,18 +245,23 @@ class PredictorContext:
     """
 
     spec: ScenarioSpec
-    train_demos: Sequence[Trajectory]
+    train_demos: Demos
     thetas: Sequence[CostParams] | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     best_of: int = 1
     seed: int = 0
     gmm_components: int = 3
 
+    def __post_init__(self):
+        best_of = self.best_of
+        if isinstance(best_of, bool) or not isinstance(best_of, (int, np.integer)) or best_of < 1:
+            raise ValidationError(f"best_of must be an integer >= 1, got {best_of!r}")
 
-Predictor = Callable[[Sequence[Trajectory]], np.ndarray]  # demos -> (n, T+1, k, 2) positions
+
+Predictor = Callable[[Demos], np.ndarray]  # demos -> (n, T+1, k, 2) positions
 
 
-def _demo_state_action_pairs(demos: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray]:
+def _demo_state_action_pairs(demos: Demos) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent (state, action) rows of the demonstrations, in demo, agent, step order."""
     demos = RolloutSet.stack(demos)
     X = demos.states[:, :-1].reshape(len(demos), demos.horizon, demos.k, STATE_DIM)
@@ -266,7 +269,7 @@ def _demo_state_action_pairs(demos: Sequence[Trajectory]) -> tuple[np.ndarray, n
             demos.controls.transpose(0, 2, 1, 3).reshape(-1, CONTROL_DIM))
 
 
-def _rollout_state_feedback(demos: Sequence[Trajectory], spec: ScenarioSpec, act: Callable) -> np.ndarray:
+def _rollout_state_feedback(demos: Demos, spec: ScenarioSpec, act: Callable) -> np.ndarray:
     """Positions (n, T+1, k, 2) rolled out from each demo's start state, clamped at spec.u_max.
 
     act maps (n, k, 4) agent states to (n, k, 2) actions: one call per step
@@ -290,7 +293,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     """
     spec = ctx.spec
     if method == "cv":
-        def predict_cv(demos: Sequence[Trajectory]) -> np.ndarray:
+        def predict_cv(demos: Demos) -> np.ndarray:
             x0 = RolloutSet.stack(demos).states[:, 0]
             tapes = np.zeros((len(x0), spec.horizon, spec.k, CONTROL_DIM))
             return _positions(integrate_controls(x0, tapes, spec.dt))
@@ -312,7 +315,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
         if ctx.thetas is None or len(ctx.thetas) != spec.k:
             raise ValidationError(f"method {method!r} needs {spec.k} weight vectors")
 
-        def predict_irl(demos: Sequence[Trajectory]) -> np.ndarray:
+        def predict_irl(demos: Demos) -> np.ndarray:
             demos = RolloutSet.stack(demos)
             positions = _positions(demos.states)
             rows_by_start: dict[bytes, list[int]] = {}
@@ -339,7 +342,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
 
 
 def evaluate_method(
-    method: str, scenario: str, eval_demos: Sequence[Trajectory], ctx: PredictorContext
+    method: str, scenario: str, eval_demos: Demos, ctx: PredictorContext
 ) -> MetricReport:
     predictions = make_predictor(method, ctx)(eval_demos)
     return score_predictions(method, scenario, eval_demos, predictions)
@@ -541,35 +544,20 @@ def render_cdf_svg(series_by_method: dict[str, CdfSeries]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_overlay_svg(
-    demos: Sequence[Trajectory], predictions: Sequence[np.ndarray]
-) -> str:
-    """Demonstrations as solid faded lines, predictions dashed, color per agent."""
-    if not demos:
-        raise ValidationError("nothing to plot")
-    k = demos[0].k
-    all_pts = np.concatenate([np.asarray(d.states).reshape(-1, STATE_DIM)[:, :2] for d in demos])
-    lo = all_pts.min(axis=0) - 0.5
-    hi = all_pts.max(axis=0) + 0.5
+def render_overlay_svg(demos: Demos, predictions: np.ndarray) -> str:
+    """Demonstrations as solid faded lines, predictions (n, T+1, k, 2) dashed, color per agent."""
+    demos = RolloutSet.stack(demos)  # refuses an empty list
+    positions = _positions(demos.states)  # (n, T+1, k, 2)
+    lo = positions.min(axis=(0, 1, 2)) - 0.5
+    hi = positions.max(axis=(0, 1, 2)) + 0.5
     span = np.maximum(hi - lo, 1e-9)
-    inner_w = SVG_W - 2 * SVG_MARGIN
-    inner_h = SVG_H - 2 * SVG_MARGIN
-
-    def to_px(p):
-        return (
-            SVG_MARGIN + inner_w * (p[0] - lo[0]) / span[0],
-            SVG_H - SVG_MARGIN - inner_h * (p[1] - lo[1]) / span[1],
-        )
-
+    # x grows right from the left margin, y up from the bottom one
+    origin = np.array([SVG_MARGIN, SVG_H - SVG_MARGIN])
+    scale = np.array([SVG_W - 2 * SVG_MARGIN, -(SVG_H - 2 * SVG_MARGIN)])
     parts = _svg_head("demonstrations vs predictions")
-    for demo in demos:
-        for i in range(k):
-            pts = np.array([to_px(p) for p in demo.positions(i)])
-            parts.append(_polyline(pts, PALETTE[i % len(PALETTE)], dashed=False, opacity=0.35))
-    for pred in predictions:
-        pred = np.asarray(pred)
-        for i in range(k):
-            pts = np.array([to_px(p) for p in pred[:, i]])
-            parts.append(_polyline(pts, PALETTE[i % len(PALETTE)], dashed=True))
+    for tracks, dashed, opacity in ((positions, False, 0.35), (np.asarray(predictions), True, 1.0)):
+        pixels = origin + scale * (tracks - lo) / span
+        parts.extend(_polyline(pixels[j, :, i], PALETTE[i % len(PALETTE)], dashed, opacity)
+                     for j in range(len(pixels)) for i in range(demos.k))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,6 +10,9 @@ writer checks, converts to the dataset layout and formats each track's rows
 once and joins every entry's rows from that text. A synthetic generator
 produces ground-truth demonstrations by rolling out game policies at known
 cost weights, emitted in the same interchange format the readers accept.
+A demonstration set is one `RolloutSet` throughout: the generator returns
+the set it sampled, the reader builds one from the whole body, and the
+writer formats a whole set at once.
 
 Interchange file layout: one JSON header line (k, T, dt, goals, count,
 provenance) followed by `count` blocks of T comma-separated rows, each row a
@@ -36,6 +39,7 @@ from .features import CostParams
 from .game import SolverConfig, build_policies, sample_rollouts
 from .trajectory import (
     STATE_DIM,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     from_dataset_array,
@@ -407,12 +411,12 @@ def synth_generate(
     n_demos: int,
     seed: int,
     solver_cfg: SolverConfig = SolverConfig(),
-) -> list[Trajectory]:
+) -> RolloutSet:
     """Roll out demonstrations from known weights, clamped at spec.u_max; deterministic per seed."""
     if n_demos < 1:
         raise ValidationError("n_demos must be >= 1")
     policies = build_policies(theta_star, spec, solver_cfg)
-    return list(sample_rollouts(policies, spec, n_demos, seed))
+    return sample_rollouts(policies, spec, n_demos, seed)
 
 
 def synth_provenance(theta_star: Sequence[CostParams], seed: int, spec: ScenarioSpec) -> dict:
@@ -430,28 +434,32 @@ def synth_provenance(theta_star: Sequence[CostParams], seed: int, spec: Scenario
 
 def write_demonstrations(
     path,
-    trajs: Sequence[Trajectory],
+    trajs: RolloutSet | Sequence[Trajectory],
     goals: np.ndarray | None,
     provenance: dict | None = None,
     spec: ScenarioSpec | None = None,
 ) -> None:
     """Write a demonstration set in the interchange format (see module doc).
 
-    An empty set is allowed (header-only file) when a spec supplies the
-    header dimensions.
+    A list of trajectories is stacked into one set, so they must share k, T
+    and dt exactly. goals are None or a finite (k, 2) array. An empty set is
+    allowed (header-only file) when a spec supplies the header dimensions.
     """
     if not trajs:
         if spec is None:
             raise ValidationError("an empty demonstration set needs an explicit spec")
-        k, T_steps, dt = spec.k, spec.horizon, spec.dt
+        k, T_steps, dt, rows = spec.k, spec.horizon, spec.dt, []
     else:
-        k, T_steps, dt = trajs[0].k, trajs[0].horizon, trajs[0].dt
-    for traj in trajs:
-        if traj.k != k or traj.horizon != T_steps or abs(traj.dt - dt) > 1e-12:
-            raise ValidationError("all trajectories in one file must share (k, T, dt)")
-    lines = [_header_line(k, T_steps + 1, dt, goals, len(trajs), provenance)]
-    for traj in trajs:
-        lines.extend(_dataset_rows(traj.states))
+        demos = RolloutSet.stack(trajs)
+        k, T_steps, dt = demos.k, demos.horizon, demos.dt
+        rows = _dataset_rows(demos.states.reshape(-1, STATE_DIM * k))
+    try:  # ragged rows and text raise
+        readable = goals is None or (np.shape(goals) == (k, 2) and bool(np.all(np.isfinite(goals))))
+    except (TypeError, ValueError):
+        readable = False
+    if not readable:  # the header would hold goals its reader refuses
+        raise ValidationError(f"goals must be None or a finite ({k}, 2) array")
+    lines = [_header_line(k, T_steps + 1, dt, goals, len(trajs), provenance), *rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -513,21 +521,25 @@ def read_text_lines(path) -> list[str]:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def read_demonstrations(path) -> tuple[list[Trajectory], dict]:
-    """Read an interchange file back into trajectories plus its header.
+def read_demonstrations(path) -> tuple[RolloutSet, dict]:
+    """Read an interchange file back into one demonstration set plus its header.
 
     Controls are reconstructed from consecutive velocities (u = dv / dt);
     they are exact for generated data and estimates for resampled data.
-    Every FormatError names the file.
+    A header-only file is refused. Every FormatError names the file.
     """
     lines = read_text_lines(path)
     try:
-        return _parse_demonstrations(lines)
+        demos, header = _parse_demonstrations(lines)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    if demos is None:
+        raise FormatError(f"{path} holds no demonstrations")
+    return demos, header
 
 
-def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
+def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet | None, dict]:
+    """The file's set, None if it holds no block, and its header."""
     if not lines or not lines[0].strip():
         raise FormatError("missing header line")
     try:
@@ -571,6 +583,8 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
         raise FormatError(
             f"expected {count * rows_per} data rows ({count} blocks of {rows_per}), got {len(body)}"
         )
+    if count == 0:
+        return None, header
 
     # the whole body is converted at once, elementwise, so each block reads bit for bit as it
     # would alone; the row loop names what the C reader refuses, or reads what only float() reads
@@ -589,13 +603,10 @@ def _parse_demonstrations(lines: list[str]) -> tuple[list[Trajectory], dict]:
     vel = states.reshape(count, rows_per, k, STATE_DIM)[..., 2:]
     with np.errstate(over="ignore"):  # finite velocities whose change / dt overflows are refused here
         controls = (vel[:, 1:] - vel[:, :-1]) / dt
-    trajs = []
-    for b in range(count):
-        try:
-            trajs.append(Trajectory(states[b], controls[b], dt))
-        except ValidationError as exc:
-            raise FormatError(f"block {b}: reconstructed {exc}") from exc
-    return trajs, header
+    finite = np.isfinite(controls).reshape(count, -1).all(axis=1)
+    if not finite.all():  # argmin names the first block that is not
+        raise FormatError(f"block {np.argmin(finite)}: reconstructed controls contain non-finite values")
+    return RolloutSet(states, controls, dt), header
 
 
 def _read_body_c(body: list[str], width: int) -> np.ndarray | None:

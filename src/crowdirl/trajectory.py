@@ -191,8 +191,10 @@ class Trajectory(_TrackArrays):
 class RolloutSet(_TrackArrays):
     """M trajectories of one k and T as frozen arrays (M, T+1, 4k) and (M, T, k, 2).
 
-    Checked once as a whole. Like a list of M trajectories it has len() and
-    iteration; [m] builds rollout m as a Trajectory, a slice a list of them.
+    The one in-memory form of a set of rollouts or demonstrations, checked
+    once as a whole. Like a list of M trajectories it has len(), iteration
+    and +; [m] builds rollout m as a Trajectory, a nonempty slice is a set,
+    and so is the sum of two sets of one k, T and dt.
     """
 
     SET_AXES = 1
@@ -202,7 +204,7 @@ class RolloutSet(_TrackArrays):
 
     @classmethod
     def stack(cls, trajs) -> "RolloutSet":
-        """One set from a nonempty sequence of trajectories sharing k, T and dt."""
+        """A set as it is, or one set from a nonempty sequence of trajectories or sets of one k, T and dt."""
         if isinstance(trajs, RolloutSet):
             return trajs
         if not trajs:
@@ -210,17 +212,21 @@ class RolloutSet(_TrackArrays):
         first = trajs[0]
         if any((t.k, t.horizon) != (first.k, first.horizon) or t.dt != first.dt for t in trajs):
             raise ValidationError("a rollout set needs trajectories of one k and T and one dt")
-        return cls(
-            np.stack([t.states for t in trajs]), np.stack([t.controls for t in trajs]), first.dt
-        )
+        # a trajectory's arrays are one rollout's, a set's already have the set axis
+        return cls(np.concatenate([t.states.reshape(-1, *first.states.shape[-2:]) for t in trajs]),
+                   np.concatenate([t.controls.reshape(-1, *first.controls.shape[-3:]) for t in trajs]),
+                   first.dt)
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
     def __getitem__(self, m):
         if isinstance(m, slice):
-            return [self[i] for i in range(*m.indices(len(self)))]
+            return RolloutSet(self.states[m], self.controls[m], self.dt)
         return Trajectory(self.states[m], self.controls[m], self.dt)
+
+    def __add__(self, other):
+        return RolloutSet.stack([self, other]) if isinstance(other, RolloutSet) else NotImplemented
 
 
 @dataclass(frozen=True)

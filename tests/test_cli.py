@@ -492,8 +492,11 @@ class TestSynth:
 
     def test_zero_count_header_only(self, tmp_path):
         path = _synth(tmp_path, name="empty.traj", n=0)
-        demos, header = read_demonstrations(path)
-        assert demos == [] and header["count"] == 0
+        header, *body = path.read_text().splitlines()
+        assert json.loads(header)["count"] == 0 and body == []
+        with pytest.raises(FormatError) as err:
+            read_demonstrations(path)
+        assert str(err.value) == f"{path} holds no demonstrations"
 
     def test_the_control_bound_travels_with_the_demonstrations(self, tmp_path, capsys):
         # a file synthesized at --u-max 0.5 used to train and score at 3.0 without a word
@@ -531,8 +534,9 @@ class TestSynth:
     def test_header_only_file_records_no_clamp_as_infinity(self, tmp_path):
         path = tmp_path / "b.traj"
         assert main(["--u-max", "inf", "synth", str(path), "--n", "0"]) == 0
-        assert '"u_max": Infinity' in path.read_text().splitlines()[0]
-        assert read_demonstrations(path)[1]["provenance"]["u_max"] == math.inf
+        header = path.read_text().splitlines()[0]
+        assert '"u_max": Infinity' in header
+        assert json.loads(header)["provenance"]["u_max"] == math.inf
 
     def test_files_that_record_no_kernel_width_read_at_the_configured_one(self, tmp_path):
         path = _synth(tmp_path, n=2)
@@ -696,6 +700,7 @@ class TestTrain:
 
     def test_demonstrations_from_different_starts_exit_2(self, tmp_path, capsys):
         demos, header = read_demonstrations(_synth(tmp_path))
+        demos = list(demos)
         moved = demos[2].states.copy()
         moved[:, 0::4] += 0.5  # every agent starts half a metre further east
         demos[2] = Trajectory.from_states(moved, demos[2].dt)

@@ -213,6 +213,29 @@ class TestReports:
         return [score_predictions(m, "scene", demos, [p + off for p in perfect])
                 for m, off in (("near", 0.1), ("far", [0.3, -0.4]))]
 
+    @pytest.mark.parametrize("name", ["per_agent_ade", "per_agent_fde", "rmse_per_traj"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_report_errors_must_be_finite_and_non_negative(self, name, bad):
+        # a NaN error once passed here and was written to a report its reader refuses
+        errors = {"per_agent_ade": [0.1, 0.2], "per_agent_fde": [0.3, 0.4], "rmse_per_traj": [0.5]}
+        errors[name] = [bad, *errors[name][1:]]
+        with pytest.raises(ValidationError, match=f"^{name} must be finite and >= 0$"):
+            MetricReport(method="m", scenario="s", **errors)
+
+    def test_predictions_are_one_array_of_one_track_per_demo(self, intersection_spec, theta_star):
+        demos, perfect = self._demo_and_pred(intersection_spec, theta_star)
+        T = intersection_spec.horizon
+        assert score_predictions("m", "s", demos, np.stack(perfect)).ade == 0.0
+        for bad in (np.stack(perfect[:2]), np.stack(perfect)[:, :-1], np.stack(perfect)[..., :1]):
+            with pytest.raises(ValidationError, match=rf"predictions shape .* != \(3, {T + 1}, 3, 2\)"):
+                score_predictions("m", "s", demos, bad)
+
+    def test_overlay_maps_every_point_as_one_at_a_time(self, intersection_spec, theta_star):
+        demos, perfect = self._demo_and_pred(intersection_spec, theta_star)
+        preds = np.stack(perfect) + np.random.default_rng(0).normal(size=np.shape(perfect))
+        preds[0, 0, 0] = -0.0
+        assert render_overlay_svg(demos, preds) == _overlay_point_by_point(demos, preds)
+
     def test_report_rows_hold_each_agent_then_the_aggregate(self):
         rep = MetricReport(method="m", scenario="s", per_agent_ade=np.array([1.0, 2.0]),
                            per_agent_fde=np.array([3.0, 5.0]), rmse_per_traj=np.array([0.5]))
@@ -277,7 +300,37 @@ class TestReports:
         assert (tmp_path / "cdf.svg").read_text().startswith("<svg")
 
 
+def _overlay_point_by_point(demos, predictions) -> str:
+    """The overlay with each point mapped to pixels on its own, one agent's track at a time."""
+    W, H, m = metrics.SVG_W, metrics.SVG_H, metrics.SVG_MARGIN
+    pts = np.concatenate([d.states.reshape(-1, 4)[:, :2] for d in demos])
+    lo, hi = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
+    span = np.maximum(hi - lo, 1e-9)
+
+    def to_px(p):
+        return (m + (W - 2 * m) * (p[0] - lo[0]) / span[0],
+                H - m - (H - 2 * m) * (p[1] - lo[1]) / span[1])
+
+    k = demos[0].k
+    demo_tracks = [np.stack([d.positions(i) for i in range(k)], axis=1) for d in demos]
+    parts = metrics._svg_head("demonstrations vs predictions")
+    for tracks, dashed, opacity in ((demo_tracks, False, 0.35), (predictions, True, 1.0)):
+        for track in tracks:
+            for i in range(k):
+                pixels = np.array([to_px(p) for p in track[:, i]])
+                parts.append(metrics._polyline(pixels, metrics.PALETTE[i % len(metrics.PALETTE)],
+                                               dashed, opacity))
+    return "\n".join(parts + ["</svg>"]) + "\n"
+
+
 class TestPredictors:
+    @pytest.mark.parametrize("best_of", [0, -3, 2.5, True, "2", None])
+    def test_best_of_must_be_an_integer_of_at_least_one(self, intersection_spec, best_of):
+        # 0 and -3 once scored the feedback mean, and 2.5 failed inside numpy
+        with pytest.raises(ValidationError, match="^best_of must be an integer >= 1, got "):
+            PredictorContext(spec=intersection_spec, train_demos=[], best_of=best_of)
+        assert PredictorContext(spec=intersection_spec, train_demos=[], best_of=np.int64(2)).best_of == 2
+
     def test_cv_exact_on_constant_velocity_demo(self, intersection_spec):
         # zero-cost agents keep their initial velocity; cv predicts exactly
         thetas = [CostParams(np.array([0.0, 0.0, 1.0]))] * 3
@@ -436,7 +489,7 @@ def test_split_dataset_is_seeded_partition(intersection_spec, theta_star):
     demos = synth_generate(theta_star, intersection_spec, 10, seed=4, solver_cfg=QUIET)
     train, val = split_dataset(demos, 0.6, seed=8)
     assert len(train) == 6 and len(val) == 4
-    ids = {id(t) for t in train} | {id(v) for v in val}
-    assert len(ids) == 10
+    rows = {t.states.tobytes() for t in [*train, *val]}
+    assert len(rows) == 10 and rows == {t.states.tobytes() for t in demos}
     train2, val2 = split_dataset(demos, 0.6, seed=8)
-    assert [id(t) for t in train] == [id(t) for t in train2]
+    assert [t.states.tobytes() for t in train] == [t.states.tobytes() for t in train2]

@@ -25,6 +25,7 @@ from crowdirl.pipeline import (
 )
 from crowdirl.trajectory import (
     AgentState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     from_dataset_array,
@@ -422,6 +423,42 @@ class TestInterchange:
         write_demonstrations(path2, demos, intersection_spec.goals, {"note": "test"})
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_a_set_writes_reads_and_writes_again_with_identical_bytes(self, tmp_path):
+        rows = _awkward_dataset_rows(np.random.default_rng(3), 4 * 5, 2)
+        rows[:, 3::4] = 0.0  # heading east: the dataset layout converts both ways exactly
+        _write_rows(tmp_path / "a.traj", 2, 5, 4, rows, 0.1)
+        demos, header = read_demonstrations(tmp_path / "a.traj")
+        assert isinstance(demos, RolloutSet) and len(demos) == 4
+        write_demonstrations(tmp_path / "b.traj", demos, None, header["provenance"])
+        again, _ = read_demonstrations(tmp_path / "b.traj")
+        write_demonstrations(tmp_path / "c.traj", again, None, header["provenance"])
+        assert again.states.tobytes() == demos.states.tobytes()
+        assert again.controls.tobytes() == demos.controls.tobytes()
+        assert (tmp_path / "b.traj").read_bytes() == (tmp_path / "c.traj").read_bytes()
+
+    def test_a_set_and_its_list_write_the_same_bytes(self, tmp_path, intersection_spec, theta_star):
+        demos = synth_generate(theta_star, intersection_spec, 3, seed=2, solver_cfg=SolverConfig())
+        assert isinstance(demos, RolloutSet)
+        write_demonstrations(tmp_path / "set.traj", demos, intersection_spec.goals, {"n": 3})
+        write_demonstrations(tmp_path / "list.traj", list(demos), intersection_spec.goals, {"n": 3})
+        assert (tmp_path / "set.traj").read_bytes() == (tmp_path / "list.traj").read_bytes()
+
+    @pytest.mark.parametrize("goals", [
+        [[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]],  # non-finite
+        [[0.0, 1.0], [2.0, 3.0]],  # 2 goals for k = 3
+        np.zeros((3, 3)),  # triples, not pairs
+        [[0.0, 1.0], [2.0], [3.0, 4.0]],  # ragged
+    ])
+    def test_goals_the_reader_would_refuse_are_not_written(self, tmp_path, intersection_spec,
+                                                          theta_star, goals):
+        demos = synth_generate(theta_star, intersection_spec, 1, seed=2, solver_cfg=SolverConfig())
+        path = tmp_path / "g.traj"
+        with pytest.raises(ValidationError, match=r"goals must be None or a finite \(3, 2\) array"):
+            write_demonstrations(path, demos, goals)
+        with pytest.raises(ValidationError, match="goals must be"):  # a header-only file too
+            write_demonstrations(path, [], goals, spec=intersection_spec)
+        assert not path.exists()
+
     def test_rows_are_the_repr_of_every_value(self, tmp_path):
         # -0.0, a subnormal, 1e16 and integral values, in positions and in speeds
         states = np.array([
@@ -481,8 +518,11 @@ class TestInterchange:
     def test_header_only_file(self, tmp_path, intersection_spec):
         path = tmp_path / "empty.traj"
         write_demonstrations(path, [], intersection_spec.goals, {}, spec=intersection_spec)
-        trajs, header = read_demonstrations(path)
-        assert trajs == [] and header["count"] == 0
+        header, *body = path.read_text().splitlines()
+        assert json.loads(header)["count"] == 0 and body == []
+        with pytest.raises(FormatError) as err:
+            read_demonstrations(path)
+        assert str(err.value) == f"{path} holds no demonstrations"
 
     @pytest.mark.parametrize("count", [0, 1, 40])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -491,13 +531,17 @@ class TestInterchange:
         rows = _awkward_dataset_rows(np.random.default_rng(seed), count * rows_per, k)
         path = tmp_path / "r.traj"
         _write_rows(path, k, rows_per, count, rows, dt)
-        trajs, _ = read_demonstrations(path)
         ref = _per_block_read(path)
-        assert len(trajs) == len(ref) == count
-        for got, want in zip(trajs, ref):
-            assert got.states.tobytes() == want.states.tobytes()
-            assert got.controls.tobytes() == want.controls.tobytes()
-            assert got.dt == want.dt
+        if count == 0:
+            with pytest.raises(FormatError) as err:
+                read_demonstrations(path)
+            assert str(err.value) == f"{path} holds no demonstrations" and ref == []
+            return
+        demos, _ = read_demonstrations(path)
+        assert isinstance(demos, RolloutSet) and len(demos) == len(ref) == count
+        assert demos.states.tobytes() == np.stack([t.states for t in ref]).tobytes()
+        assert demos.controls.tobytes() == np.stack([t.controls for t in ref]).tobytes()
+        assert demos.dt == ref[0].dt
 
     @pytest.mark.parametrize("row, message", [
         ("0,0,0,0,0", "block 1: row 2 has 5 values, expected 4"),

@@ -7,6 +7,9 @@ workloads.py, inputs.py, tracer.py and speed.py. `bench/sweep.py` is not part
 of that command and is not covered here: it still fails at its imports of
 names the package has dropped (`ProximityConfig`, `stage_cost_models`,
 `linearize_dynamics`), which stays open until the sweep is mended.
+
+The benchmark's own tests cannot run in the same pytest session as these, so
+the operations the benchmark applies to library results are pinned here too.
 """
 import ast
 import importlib
@@ -16,6 +19,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from crowdirl import pipeline
+from crowdirl.game import SolverConfig
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -94,3 +100,27 @@ def test_the_benchmark_ring_scene_starts_from_a_frozen_flat_array(k, seed):
     rows = scene.x0.reshape(k, 4)
     assert rows[:, :2].tobytes() == (-scene.goals).tobytes()
     assert np.allclose(np.hypot(rows[:, 2], rows[:, 3]), 1.2, rtol=0.0, atol=1e-12)
+
+
+def test_demonstration_sets_take_every_operation_the_benchmark_applies(tmp_path, intersection_spec,
+                                                                       theta_star):
+    # workloads.py tests the truth of synth_generate's result, takes its len and
+    # iterates it, and trains and scores on slices of it; bench/tests adds two
+    # read_demonstrations results and iterates the sum
+    demos = pipeline.synth_generate(theta_star, intersection_spec, 5, 3, solver_cfg=SolverConfig())
+    pipeline.write_demonstrations(tmp_path / "a.traj", demos[:2], intersection_spec.goals)
+    pipeline.write_demonstrations(tmp_path / "b.traj", demos[2:], intersection_spec.goals)
+    pipeline.write_demonstrations(tmp_path / "all.traj", demos, intersection_spec.goals)
+    a, b, whole = (pipeline.read_demonstrations(tmp_path / f"{name}.traj")[0]
+                   for name in ("a", "b", "all"))
+    for got, n in ((demos, 5), (a, 2), (b, 3), (whole, 5)):
+        assert got and len(got) == n
+        assert [d.states.tobytes() for d in got] == [s.tobytes() for s in got.states]
+        assert got[n - 1].states.tobytes() == got.states[-1].tobytes()
+        head, tail = got[:1], got[1:]
+        assert (len(head), len(tail)) == (1, n - 1)
+        assert tail[0].controls.tobytes() == got.controls[1].tobytes()
+        joined = head + tail
+        assert joined.states.tobytes() == got.states.tobytes()
+        assert joined.controls.tobytes() == got.controls.tobytes()
+    assert [d.states.tobytes() for d in a + b] == [d.states.tobytes() for d in whole]

@@ -289,11 +289,30 @@ def test_rollout_set_indexes_into_trajectories():
         assert np.array_equal(traj.controls, rs.controls[m])
     assert np.array_equal(rs[-1].states, rs.states[2])
     tail = rs[1:]
-    assert isinstance(tail, list) and len(tail) == 2
+    assert isinstance(tail, RolloutSet) and len(tail) == 2
     assert np.array_equal(tail[0].controls, rs.controls[1])
-    assert [t.dt for t in rs[::2]] == [0.1, 0.1]
+    assert tail.states.tobytes() == rs.states[1:].tobytes()
+    assert not tail.states.flags.writeable  # a frozen copy, as every set holds
+    every_other = rs[::2]
+    assert every_other.dt == 0.1 and every_other.controls.tobytes() == rs.controls[::2].tobytes()
     with pytest.raises(IndexError):
         rs[3]
+    with pytest.raises(ValidationError):  # a set holds at least one trajectory
+        rs[3:]
+
+
+def test_rollout_set_sum_is_the_joined_set():
+    rs = _rollout_set()
+    joined = rs[:1] + rs[1:]
+    assert isinstance(joined, RolloutSet)
+    assert joined.states.tobytes() == rs.states.tobytes()
+    assert joined.controls.tobytes() == rs.controls.tobytes()
+    with pytest.raises(ValidationError, match="one k and T"):
+        rs + _rollout_set(M=1, T=2, k=1)
+    with pytest.raises(ValidationError, match="one dt"):
+        rs + RolloutSet(rs.states, rs.controls, 0.2)
+    with pytest.raises(TypeError):  # a list is no set; stack it first
+        rs + list(rs)
 
 
 def test_rollout_set_arrays_are_frozen_copies():
@@ -313,6 +332,9 @@ def test_rollout_set_stack_round_trips_and_passes_sets_through():
     assert np.array_equal(again.states, rs.states)
     assert np.array_equal(again.controls, rs.controls)
     assert RolloutSet.stack(rs) is rs
+    mixed = RolloutSet.stack([rs[0], rs[1:]])  # a set in the sequence keeps its rows in order
+    assert mixed.states.tobytes() == rs.states.tobytes()
+    assert mixed.controls.tobytes() == rs.controls.tobytes()
 
 
 def test_rollout_set_rejects_mixed_shapes_and_bad_values():
