@@ -12,6 +12,7 @@ import numpy as np
 from crowdirl import (
     AgentState,
     PredictorContext,
+    RolloutSet,
     ScenarioSpec,
     action_grid,
     ebm_argmin,
@@ -57,6 +58,7 @@ spec = ScenarioSpec(k=1, x0=(AgentState(0.0, 0.0, 1.2, -0.3),), goals=None,
                     horizon=4, dt=0.5)
 # a walker who turns north; the predictor sees only the start state
 walker = rollout_openloop(spec, np.tile([0.0, 0.8], (4, 1, 1)))
-coast = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))([walker])[0]
+walkers = RolloutSet.stack([walker])
+coast = make_predictor("cv", PredictorContext(spec=spec, train_demos=walkers))(walkers)[0]
 print("next four positions, predicted:", np.round(coast[1:, 0], 2).tolist())
 print("next four positions, walked:   ", np.round(walker.positions(0)[1:], 2).tolist())

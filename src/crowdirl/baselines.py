@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
 from .rng import substream
+from .trajectory import check_count
 
 logger = logging.getLogger(__name__)
 
@@ -163,8 +164,7 @@ def gmm_fit(
     Flooring and reseeding leave EM's update, so the step after either is not
     checked. Samples whose sums of squares overflow raise CostRangeError.
     """
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 1:
-        raise ValidationError(f"K must be an integer >= 1, got {K!r}")
+    check_count("K", K)
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]

@@ -261,18 +261,14 @@ def cmd_preprocess(args, cfg: dict) -> int:
 
 
 def cmd_synth(args, cfg: dict) -> int:
-    if args.n < 0:
-        raise ValidationError(f"--n must be >= 0, got {args.n}")
+    if args.n < 1:
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
     spec = dataclasses.replace(scenario_preset(args.preset), u_max=cfg["u_max"], sigma=cfg["sigma"])
     if args.horizon is not None:
         spec = dataclasses.replace(spec, horizon=int(args.horizon))
     thetas = parse_thetas(args.theta, spec.k)
     seed = cfg["seed"]
     provenance = synth_provenance(thetas, seed, spec)
-    if args.n == 0:
-        write_demonstrations(args.out, [], goals=spec.goals, provenance=provenance, spec=spec)
-        print(f"wrote header-only demonstration file to {args.out}")
-        return EXIT_OK
     try:
         demos = synth_generate(thetas, spec, args.n, seed, SolverConfig(**cfg["solver"]))
     except SolverError as exc:  # the weights are the user's, so this is an input error

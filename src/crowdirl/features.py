@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CostRangeError, ValidationError
-from .trajectory import STATE_DIM, RolloutSet, Trajectory, check_sigma
+from .trajectory import STATE_DIM, RolloutSet, check_sigma
 
 NUM_FEATURES = 3
 FEATURE_BUDGET = 2**16  # kernel elements per expected_features block: its (rows, T+1, a, k) arrays
@@ -95,21 +95,21 @@ def feature_rows(horizon: int, agents: int, k: int) -> int:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as an error
 def expected_features(
-    trajs: RolloutSet | Sequence[Trajectory],
+    trajs: RolloutSet,
     agents: Sequence[int],
     goals,
     sigma: float,
 ) -> np.ndarray:
     """Mean feature vectors (len(agents), 3) of the given agents over a rollout set.
 
-    goals is (len(agents), 2), one row per index; a sequence is stacked once.
+    goals is (len(agents), 2), one row per index.
     sigma is the crowding kernel's width, a scene's `ScenarioSpec.sigma`.
     The per-trajectory rows are formed `feature_rows` trajectories at a time,
     each on its own, so the block size never changes a bit of the result:
     `state_features` on the block's states, and the effort as each control's
     sum of squares u_x**2 + u_y**2.
     """
-    trajs, sigma = RolloutSet.stack(trajs), check_sigma(sigma)
+    sigma = check_sigma(sigma)
     idx = np.asarray(agents)
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < trajs.k)):
         raise ValidationError(f"agent indices {agents!r} must be integers in [0, {trajs.k})")

@@ -59,6 +59,7 @@ from .trajectory import (
     RolloutSet,
     ScenarioSpec,
     Trajectory,
+    check_count,
     constant_velocity_rollout,
     propagate_joint,
     rollout,
@@ -88,8 +89,7 @@ class SolverConfig:
         for key, value in (("eps_psd", self.eps_psd), ("entropy_temp", self.entropy_temp)):
             if not (value > 0 and np.isfinite(value)):
                 raise ValidationError(f"{key} must be positive and finite, got {value!r}")
-        if self.max_outer_iters < 1:
-            raise ValidationError("max_outer_iters must be >= 1")
+        check_count("max_outer_iters", self.max_outer_iters)
         if not 0 <= self.outer_tol < np.inf:
             raise ValidationError(f"outer_tol must be nonnegative and finite, got {self.outer_tol!r}")
 
@@ -486,8 +486,7 @@ def sample_rollouts(policies: PolicySequence, spec: ScenarioSpec, M: int, seed: 
     m*S to (m+1)*S - 1 of that stream, S = T*k*2, so its bits do not depend
     on M.
     """
-    if M < 1:
-        raise ValidationError(f"M must be >= 1, got {M}")
+    M = check_count("M", M)
     noise = substream(seed).standard_normal((M, policies.horizon, policies.k, CONTROL_DIM))
     states, controls = _rollout_batch(policies, spec, noise)
     return RolloutSet(states, controls, spec.dt)

@@ -16,16 +16,15 @@ orthant to keep every agent's control cost convex.
 The loop hands its weight vectors to one `game.Game` (the game synthesis
 and evaluation solve, outer re-expansion included) and takes every agent's
 row from one `features.expected_features` call per sweep; the
-demonstrations are stacked and featurized once, both at the scene's kernel
-width `spec.sigma`. Each update record in the trace holds the sampled gap
-and theta_after = max(theta_before + beta * gap, 0); the records of a sweep
-share its solve.
+demonstrations, one `RolloutSet`, are featurized once, both at the scene's
+kernel width `spec.sigma`. Each update record in the trace holds the sampled
+gap and theta_after = max(theta_before + beta * gap, 0); the records of a
+sweep share its solve.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .features import CostParams, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import derive_seed
-from .trajectory import RolloutSet, ScenarioSpec, Trajectory
+from .trajectory import RolloutSet, ScenarioSpec, check_count
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
@@ -59,10 +58,8 @@ class TrainingConfig:
             raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
         if not 0 <= self.tol < np.inf:
             raise ValidationError(f"tol must be nonnegative and finite, got {self.tol!r}")
-        if self.M < 1:
-            raise ValidationError(f"M must be >= 1, got {self.M}")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        check_count("M", self.M)
+        check_count("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -127,18 +124,17 @@ class TrainingTrace:
             )
 
 
-def infer_goals(dataset: Sequence[Trajectory]) -> np.ndarray:
+def infer_goals(demos: RolloutSet) -> np.ndarray:
     """Per-agent goal estimate: mean final demonstrated position."""
-    finals = RolloutSet.stack(dataset).states[:, -1]  # (N, 4k)
+    finals = demos.states[:, -1]  # (N, 4k)
     return finals.reshape(len(finals), -1, 4)[..., :2].mean(axis=0)
 
 
 def _training_game(
-    dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig
+    demos: RolloutSet, spec: ScenarioSpec, cfg: TrainingConfig
 ) -> tuple[Game, np.ndarray]:
     """All-ones start game (goals inferred if the spec has none) and the (k, 3) demo features."""
-    demos = RolloutSet.stack(dataset)
-    if (demos.k, demos.horizon) != (spec.k, spec.horizon) or abs(demos.dt - spec.dt) > 1e-12:
+    if (demos.k, demos.horizon, demos.dt) != (spec.k, spec.horizon, spec.dt):
         raise ValidationError(
             f"demonstrations (k={demos.k}, T={demos.horizon}, dt={demos.dt}) do not match "
             f"the scenario (k={spec.k}, T={spec.horizon}, dt={spec.dt})"
@@ -150,7 +146,7 @@ def _training_game(
 
 
 def _feature_matching(
-    dataset: Sequence[Trajectory], spec: ScenarioSpec, cfg: TrainingConfig, shared: bool
+    demos: RolloutSet, spec: ScenarioSpec, cfg: TrainingConfig, shared: bool
 ) -> tuple[list[CostParams], TrainingTrace]:
     """The one training loop: Jacobi sweeps, one theta per weight block.
 
@@ -160,7 +156,7 @@ def _feature_matching(
     each block's theta along the mean gap of its agents; the game takes the
     new weights only after every block has moved.
     """
-    game, demo_phi = _training_game(dataset, spec, cfg)
+    game, demo_phi = _training_game(demos, spec, cfg)
     blocks = [list(range(spec.k))] if shared else [[i] for i in range(spec.k)]
     thetas = [CostParams.ones() for _ in blocks]
 
@@ -194,7 +190,7 @@ def _feature_matching(
 
 
 def multi_agent_irl(
-    dataset: Sequence[Trajectory],
+    demos: RolloutSet,
     spec: ScenarioSpec,
     cfg: TrainingConfig = TrainingConfig(),
 ) -> tuple[list[CostParams], TrainingTrace]:
@@ -202,15 +198,15 @@ def multi_agent_irl(
 
     Every sweep solves the game once and draws one rollout set, seeded from
     (cfg.seed, sweep); each agent's theta moves along its own feature gap
-    under that joint sample. Deterministic given (dataset, cfg).
+    under that joint sample. Deterministic given (demos, cfg).
     Non-convergence within cfg.max_iters sweeps is reported via
     trace.converged, not an error.
     """
-    return _feature_matching(dataset, spec, cfg, shared=False)
+    return _feature_matching(demos, spec, cfg, shared=False)
 
 
 def single_agent_maxent_irl(
-    dataset: Sequence[Trajectory],
+    demos: RolloutSet,
     spec: ScenarioSpec,
     cfg: TrainingConfig = TrainingConfig(),
 ) -> tuple[CostParams, TrainingTrace]:
@@ -219,5 +215,5 @@ def single_agent_maxent_irl(
     Per sweep the game is solved once, one rollout set is drawn, each agent's
     gap is measured and the mean gap drives a single shared update.
     """
-    (theta,), trace = _feature_matching(dataset, spec, cfg, shared=True)
+    (theta,), trace = _feature_matching(demos, spec, cfg, shared=True)
     return theta, trace

@@ -30,7 +30,7 @@ from .trajectory import (
     STATE_DIM,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
+    check_count,
     integrate_controls,
     rollout,
 )
@@ -38,7 +38,6 @@ from .trajectory import (
 EFE_NOTE = "efe_m is full-horizon ADE on tracker-derived inputs (artifact interpretation)"
 BASELINE_NAMES = ("cv", "gmm", "ebm", "mairl", "sairl")
 FITTED_BASELINES = ("gmm", "ebm")  # the only ones that read PredictorContext.train_demos
-Demos = RolloutSet | Sequence[Trajectory]  # a list is stacked into one set where it is read
 
 
 # --- metric math -------------------------------------------------------------
@@ -121,17 +120,15 @@ class EntropyReport:
             )
 
 
-def trajectory_entropy(dataset: Sequence[Trajectory], bins: int = 8) -> EntropyReport:
+def trajectory_entropy(dataset: RolloutSet, bins: int = 8) -> EntropyReport:
     """Shannon entropy (bits) of per-step headings pooled across the dataset.
 
     Headings fall into `bins` equal circular sectors of (-pi, pi]; the number
     is only comparable across datasets binned identically.
     """
-    if not dataset:
-        raise ValidationError("trajectory_entropy needs a nonempty dataset")
     if bins < 2:
         raise ValidationError("bins must be >= 2")
-    v = np.concatenate([traj.states.reshape(-1, STATE_DIM)[:, 2:] for traj in dataset])
+    v = dataset.states.reshape(-1, STATE_DIM)[:, 2:]  # demo, step, agent order
     speed = np.linalg.norm(v, axis=1)
     pooled = np.where(speed > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)
     width = 2.0 * np.pi / bins
@@ -201,7 +198,7 @@ def _positions(states: np.ndarray) -> np.ndarray:
 def score_predictions(
     method: str,
     scenario: str,
-    demos: Demos,
+    demos: RolloutSet,
     predictions: np.ndarray,
 ) -> MetricReport:
     """Aggregate displacement errors of per-demo position predictions.
@@ -212,7 +209,6 @@ def score_predictions(
     mean squared errors summed over agents in order. An error that overflows
     raises CostRangeError (source "states"), silently.
     """
-    demos = RolloutSet.stack(demos)
     n, T, k = len(demos), demos.horizon, demos.k
     preds = np.asarray(predictions, dtype=float)
     if preds.shape != (n, T + 1, k, 2):
@@ -245,7 +241,7 @@ class PredictorContext:
     """
 
     spec: ScenarioSpec
-    train_demos: Demos
+    train_demos: RolloutSet
     thetas: Sequence[CostParams] | None = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     best_of: int = 1
@@ -253,29 +249,26 @@ class PredictorContext:
     gmm_components: int = 3
 
     def __post_init__(self):
-        best_of = self.best_of
-        if isinstance(best_of, bool) or not isinstance(best_of, (int, np.integer)) or best_of < 1:
-            raise ValidationError(f"best_of must be an integer >= 1, got {best_of!r}")
+        check_count("best_of", self.best_of)
 
 
-Predictor = Callable[[Demos], np.ndarray]  # demos -> (n, T+1, k, 2) positions
+Predictor = Callable[[RolloutSet], np.ndarray]  # demos -> (n, T+1, k, 2) positions
 
 
-def _demo_state_action_pairs(demos: Demos) -> tuple[np.ndarray, np.ndarray]:
+def _demo_state_action_pairs(demos: RolloutSet) -> tuple[np.ndarray, np.ndarray]:
     """Per-agent (state, action) rows of the demonstrations, in demo, agent, step order."""
-    demos = RolloutSet.stack(demos)
     X = demos.states[:, :-1].reshape(len(demos), demos.horizon, demos.k, STATE_DIM)
     return (X.transpose(0, 2, 1, 3).reshape(-1, STATE_DIM),
             demos.controls.transpose(0, 2, 1, 3).reshape(-1, CONTROL_DIM))
 
 
-def _rollout_state_feedback(demos: Demos, spec: ScenarioSpec, act: Callable) -> np.ndarray:
+def _rollout_state_feedback(demos: RolloutSet, spec: ScenarioSpec, act: Callable) -> np.ndarray:
     """Positions (n, T+1, k, 2) rolled out from each demo's start state, clamped at spec.u_max.
 
     act maps (n, k, 4) agent states to (n, k, 2) actions: one call per step
     moves every demo and agent at once.
     """
-    x0 = RolloutSet.stack(demos).states[:, 0]
+    x0 = demos.states[:, 0]
     states, _ = rollout(x0, spec.horizon, spec.dt,
                         lambda t, x: act(x.reshape(len(x), spec.k, STATE_DIM)), spec.u_max)
     return _positions(states)
@@ -293,8 +286,8 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
     """
     spec = ctx.spec
     if method == "cv":
-        def predict_cv(demos: Demos) -> np.ndarray:
-            x0 = RolloutSet.stack(demos).states[:, 0]
+        def predict_cv(demos: RolloutSet) -> np.ndarray:
+            x0 = demos.states[:, 0]
             tapes = np.zeros((len(x0), spec.horizon, spec.k, CONTROL_DIM))
             return _positions(integrate_controls(x0, tapes, spec.dt))
 
@@ -315,8 +308,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
         if ctx.thetas is None or len(ctx.thetas) != spec.k:
             raise ValidationError(f"method {method!r} needs {spec.k} weight vectors")
 
-        def predict_irl(demos: Demos) -> np.ndarray:
-            demos = RolloutSet.stack(demos)
+        def predict_irl(demos: RolloutSet) -> np.ndarray:
             positions = _positions(demos.states)
             rows_by_start: dict[bytes, list[int]] = {}
             for j, x0 in enumerate(demos.states[:, 0]):
@@ -342,7 +334,7 @@ def make_predictor(method: str, ctx: PredictorContext) -> Predictor:
 
 
 def evaluate_method(
-    method: str, scenario: str, eval_demos: Demos, ctx: PredictorContext
+    method: str, scenario: str, eval_demos: RolloutSet, ctx: PredictorContext
 ) -> MetricReport:
     predictions = make_predictor(method, ctx)(eval_demos)
     return score_predictions(method, scenario, eval_demos, predictions)
@@ -544,9 +536,8 @@ def render_cdf_svg(series_by_method: dict[str, CdfSeries]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_overlay_svg(demos: Demos, predictions: np.ndarray) -> str:
+def render_overlay_svg(demos: RolloutSet, predictions: np.ndarray) -> str:
     """Demonstrations as solid faded lines, predictions (n, T+1, k, 2) dashed, color per agent."""
-    demos = RolloutSet.stack(demos)  # refuses an empty list
     positions = _positions(demos.states)  # (n, T+1, k, 2)
     lo = positions.min(axis=(0, 1, 2)) - 0.5
     hi = positions.max(axis=(0, 1, 2)) + 0.5

@@ -15,10 +15,10 @@ the set it sampled, the reader builds one from the whole body, and the
 writer formats a whole set at once.
 
 Interchange file layout: one JSON header line (k, T, dt, goals, count,
-provenance) followed by `count` blocks of T comma-separated rows, each row a
-4k dataset-layout state (position, speed, heading per agent). T counts rows,
-i.e. steps + 1. The provenance is an object; a synthesized file records in
-it the control bound `u_max` its demonstrations were clamped at and the
+provenance) followed by `count` >= 1 blocks of T comma-separated rows, each
+row a 4k dataset-layout state (position, speed, heading per agent). T counts
+rows, i.e. steps + 1. The provenance is an object; a synthesized file records
+in it the control bound `u_max` its demonstrations were clamped at and the
 crowding kernel width `sigma` of the games they were rolled out in.
 """
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .trajectory import (
     RolloutSet,
     ScenarioSpec,
     Trajectory,
+    check_count,
     from_dataset_array,
     to_dataset_array,
 )
@@ -141,9 +142,8 @@ class PreprocessConfig:
                 raise ValidationError(f"preprocess.scheme entry {json.dumps(cat)} repeats a "
                                       "direction or an earlier entry")
         object.__setattr__(self, "scheme", scheme)
-        for name, least in (("group_size", 1), ("scenario_len", 2)):  # a scene needs one step
-            if not getattr(self, name) >= least:
-                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        for name, least in (("min_track_len", 1), ("group_size", 1), ("scenario_len", 2)):
+            check_count(name, getattr(self, name), least)  # a scene of scenario_len rows needs one step
 
 
 @dataclass(frozen=True)
@@ -413,8 +413,7 @@ def synth_generate(
     solver_cfg: SolverConfig = SolverConfig(),
 ) -> RolloutSet:
     """Roll out demonstrations from known weights, clamped at spec.u_max; deterministic per seed."""
-    if n_demos < 1:
-        raise ValidationError("n_demos must be >= 1")
+    n_demos = check_count("n_demos", n_demos)
     policies = build_policies(theta_star, spec, solver_cfg)
     return sample_rollouts(policies, spec, n_demos, seed)
 
@@ -433,33 +432,22 @@ def synth_provenance(theta_star: Sequence[CostParams], seed: int, spec: Scenario
 
 
 def write_demonstrations(
-    path,
-    trajs: RolloutSet | Sequence[Trajectory],
-    goals: np.ndarray | None,
-    provenance: dict | None = None,
-    spec: ScenarioSpec | None = None,
+    path, demos: RolloutSet, goals: np.ndarray | None, provenance: dict | None = None
 ) -> None:
     """Write a demonstration set in the interchange format (see module doc).
 
-    A list of trajectories is stacked into one set, so they must share k, T
-    and dt exactly. goals are None or a finite (k, 2) array. An empty set is
-    allowed (header-only file) when a spec supplies the header dimensions.
+    goals are None or a finite (k, 2) array; other goals are refused before
+    the file is opened.
     """
-    if not trajs:
-        if spec is None:
-            raise ValidationError("an empty demonstration set needs an explicit spec")
-        k, T_steps, dt, rows = spec.k, spec.horizon, spec.dt, []
-    else:
-        demos = RolloutSet.stack(trajs)
-        k, T_steps, dt = demos.k, demos.horizon, demos.dt
-        rows = _dataset_rows(demos.states.reshape(-1, STATE_DIM * k))
+    k = demos.k
     try:  # ragged rows and text raise
         readable = goals is None or (np.shape(goals) == (k, 2) and bool(np.all(np.isfinite(goals))))
     except (TypeError, ValueError):
         readable = False
     if not readable:  # the header would hold goals its reader refuses
         raise ValidationError(f"goals must be None or a finite ({k}, 2) array")
-    lines = [_header_line(k, T_steps + 1, dt, goals, len(trajs), provenance), *rows]
+    lines = [_header_line(k, demos.horizon + 1, demos.dt, goals, len(demos), provenance),
+             *_dataset_rows(demos.states.reshape(-1, STATE_DIM * k))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -526,20 +514,17 @@ def read_demonstrations(path) -> tuple[RolloutSet, dict]:
 
     Controls are reconstructed from consecutive velocities (u = dv / dt);
     they are exact for generated data and estimates for resampled data.
-    A header-only file is refused. Every FormatError names the file.
+    The header's count must be at least 1. Every FormatError names the file.
     """
     lines = read_text_lines(path)
     try:
-        demos, header = _parse_demonstrations(lines)
+        return _parse_demonstrations(lines)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if demos is None:
-        raise FormatError(f"{path} holds no demonstrations")
-    return demos, header
 
 
-def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet | None, dict]:
-    """The file's set, None if it holds no block, and its header."""
+def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet, dict]:
+    """The file's set and its header."""
     if not lines or not lines[0].strip():
         raise FormatError("missing header line")
     try:
@@ -555,7 +540,7 @@ def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet | None, dict]:
     if missing:
         raise FormatError(f"missing header keys {sorted(missing)}")
 
-    for key, least in (("k", 1), ("T", 2), ("count", 0)):
+    for key, least in (("k", 1), ("T", 2), ("count", 1)):
         value = header[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise FormatError(f"header key {key!r} must be an integer >= {least}, got {value!r}")
@@ -583,9 +568,6 @@ def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet | None, dict]:
         raise FormatError(
             f"expected {count * rows_per} data rows ({count} blocks of {rows_per}), got {len(body)}"
         )
-    if count == 0:
-        return None, header
-
     # the whole body is converted at once, elementwise, so each block reads bit for bit as it
     # would alone; the row loop names what the C reader refuses, or reads what only float() reads
     width = 4 * k
@@ -613,10 +595,10 @@ def _read_body_c(body: list[str], width: int) -> np.ndarray | None:
     """The body as one (rows, width) array by numpy's C reader, or None.
 
     The reader rounds each field as float() does. None marks a body it refuses, one of
-    another shape, one holding _C_PADDING, or an empty one (loadtxt warns on it).
+    another shape, or one holding _C_PADDING. The body holds at least one block of two rows.
     """
     text = "\n".join(body)
-    if not body or any(c in text for c in _C_PADDING):
+    if any(c in text for c in _C_PADDING):
         return None
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)

@@ -48,6 +48,13 @@ def check_u_max(u_max: float) -> float:
     return u_max
 
 
+def check_count(name: str, value, least: int = 1) -> int:
+    """A count setting as an int; it must be an integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def check_sigma(sigma: float) -> float:
     """The crowding kernel width as a float; it must be positive and finite."""
     if not 0 < float(sigma) < math.inf:  # also rejects NaN
@@ -194,7 +201,9 @@ class RolloutSet(_TrackArrays):
     The one in-memory form of a set of rollouts or demonstrations, checked
     once as a whole. Like a list of M trajectories it has len(), iteration
     and +; [m] builds rollout m as a Trajectory, a nonempty slice is a set,
-    and so is the sum of two sets of one k, T and dt.
+    and so is the sum of two sets of one k, T and dt. Every library function
+    that reads demonstrations or rollouts takes one; a caller holding a list
+    of trajectories stacks it once.
     """
 
     SET_AXES = 1
@@ -204,9 +213,7 @@ class RolloutSet(_TrackArrays):
 
     @classmethod
     def stack(cls, trajs) -> "RolloutSet":
-        """A set as it is, or one set from a nonempty sequence of trajectories or sets of one k, T and dt."""
-        if isinstance(trajs, RolloutSet):
-            return trajs
+        """One set from a nonempty sequence of trajectories or sets of one k, T and dt."""
         if not trajs:
             raise ValidationError("a rollout set needs at least one trajectory")
         first = trajs[0]
@@ -251,10 +258,8 @@ class ScenarioSpec:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self):
-        for name in ("k", "horizon"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {count!r}")
+        check_count("k", self.k)
+        check_count("horizon", self.horizon)
         try:
             shape = (x0 := np.array(self.x0, dtype=float)).shape
         except (TypeError, ValueError):  # ragged rows or text

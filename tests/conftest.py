@@ -48,5 +48,15 @@ def ring_spec(k: int) -> ScenarioSpec:
 
 
 @pytest.fixture
+def make_ring_spec():
+    """ring_spec, for tests that build rings of several sizes.
+
+    A fixture rather than an import: in a session that also collects
+    bench/tests, `import conftest` may find that directory's conftest.
+    """
+    return ring_spec
+
+
+@pytest.fixture
 def ring8_spec() -> ScenarioSpec:
     return ring_spec(8)

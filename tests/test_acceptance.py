@@ -40,6 +40,7 @@ from crowdirl.pipeline import (
 from crowdirl.quadratic import expand_model_along
 from crowdirl.trajectory import (
     AgentState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     constant_velocity_rollout,
@@ -195,7 +196,7 @@ def test_criterion_6_metric_exactness():
     for t, h in enumerate(centers * 2):
         states[t, 2:] = [np.cos(h), np.sin(h)]
     traj = Trajectory(states, np.zeros((len(centers) * 2 - 1, 1, 2)), 0.1)
-    ent = trajectory_entropy([traj], bins=8)
+    ent = trajectory_entropy(RolloutSet.stack([traj]), bins=8)
     ok &= ent.bits == 3.0
     _report(6, "metric exactness", bool(ok), f"entropy {ent.bits} bits")
 

@@ -27,6 +27,7 @@ from crowdirl.pipeline import read_demonstrations
 from crowdirl.rng import substream
 from crowdirl.trajectory import (
     AgentState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -394,7 +395,7 @@ class TestStateFeedbackPredictors:
         for _ in range(n):
             spec = ScenarioSpec(k=k, x0=rng.normal(0.0, 1.5, 4 * k), goals=None, horizon=T, dt=0.1)
             out.append(rollout_openloop(spec, rng.normal(0.0, 0.6, (T, k, 2))))
-        return out
+        return RolloutSet.stack(out)
 
     @pytest.mark.parametrize("method", ["gmm", "ebm"])
     @pytest.mark.parametrize("u_max", [0.05, 5.0])
@@ -510,7 +511,7 @@ class TestConstantVelocity:
         predict = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))
         # the predictor reads only the demo's start state, so its controls are arbitrary
         wiggle = np.random.default_rng(0).standard_normal((horizon, 1, 2))
-        return spec, predict([rollout_openloop(spec, wiggle)])[0, :, 0]
+        return spec, predict(RolloutSet.stack([rollout_openloop(spec, wiggle)]))[0, :, 0]
 
     def test_at_rest_stays(self):
         _, out = self._predict(AgentState(1, 1, 0, 0), horizon=4, dt=0.1)

@@ -39,7 +39,7 @@ from crowdirl.pipeline import (
     tracks_from_frames,
     write_demonstrations,
 )
-from crowdirl.trajectory import ScenarioSpec, Trajectory, to_dataset_array
+from crowdirl.trajectory import RolloutSet, ScenarioSpec, Trajectory, to_dataset_array
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAST_TRAIN = [
@@ -67,7 +67,7 @@ def _far_demos(tmp_path, steps):
         states[steps, 0] = 1e160  # finite, but its square overflows
         far.append(Trajectory.from_states(states, demo.dt))
     path = tmp_path / "far.traj"
-    write_demonstrations(path, far, goals=header_goals(header))
+    write_demonstrations(path, RolloutSet.stack(far), goals=header_goals(header))
     return path
 
 
@@ -134,7 +134,7 @@ class TestConfig:
         ({"preprocess": {"scenario_len": 30.5}},
          "preprocess.scenario_len must be an integer >= 1, got 30.5"),
         ({"seed": 2**64}, "seed must be an integer below 2**64, got 18446744073709551616"),
-        ({"preprocess": {"scenario_len": 1}}, "scenario_len must be >= 2, got 1"),
+        ({"preprocess": {"scenario_len": 1}}, "scenario_len must be an integer >= 2, got 1"),
     ])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, override, message):
         cfg_path = tmp_path / "cfg.json"
@@ -313,10 +313,9 @@ class TestConfig:
         assert not out.exists()
 
     def test_negative_demo_count_exits_2_naming_the_flag(self, tmp_path, capsys):
-        # --n 0 writes a header-only file, so the bound is 0, not the library's 1
         out = tmp_path / "d.traj"
         assert main(["synth", str(out), "--n", "-1"]) == 2
-        assert "--n must be >= 0, got -1" in capsys.readouterr().err
+        assert "--n must be >= 1, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("best_of", ["0", "-3"])
@@ -490,13 +489,12 @@ class TestSynth:
         assert header["provenance"]["seed"] == 11
         assert header["provenance"]["theta_star"][0] == [1.0, 0.5, 0.2]
 
-    def test_zero_count_header_only(self, tmp_path):
-        path = _synth(tmp_path, name="empty.traj", n=0)
-        header, *body = path.read_text().splitlines()
-        assert json.loads(header)["count"] == 0 and body == []
-        with pytest.raises(FormatError) as err:
-            read_demonstrations(path)
-        assert str(err.value) == f"{path} holds no demonstrations"
+    def test_zero_count_exits_2_writing_nothing(self, tmp_path, capsys):
+        # a header-only file is one that no command reads
+        path = tmp_path / "empty.traj"
+        assert main(["synth", str(path), "--n", "0"]) == 2
+        assert capsys.readouterr().err == "error: --n must be >= 1, got 0\n"
+        assert not path.exists()
 
     def test_the_control_bound_travels_with_the_demonstrations(self, tmp_path, capsys):
         # a file synthesized at --u-max 0.5 used to train and score at 3.0 without a word
@@ -531,9 +529,9 @@ class TestSynth:
             assert main(["--sigma", "1.0", *argv, "--out", str(out)]) == 0 and out.exists()
             out.unlink()
 
-    def test_header_only_file_records_no_clamp_as_infinity(self, tmp_path):
+    def test_synthesized_file_records_no_clamp_as_infinity(self, tmp_path):
         path = tmp_path / "b.traj"
-        assert main(["--u-max", "inf", "synth", str(path), "--n", "0"]) == 0
+        assert main(["--u-max", "inf", "--entropy-temp", "0.001", "synth", str(path), "--n", "1"]) == 0
         header = path.read_text().splitlines()[0]
         assert '"u_max": Infinity' in header
         assert json.loads(header)["provenance"]["u_max"] == math.inf
@@ -705,7 +703,7 @@ class TestTrain:
         moved[:, 0::4] += 0.5  # every agent starts half a metre further east
         demos[2] = Trajectory.from_states(moved, demos[2].dt)
         mixed = tmp_path / "mixed.traj"
-        write_demonstrations(mixed, demos, goals=header_goals(header))
+        write_demonstrations(mixed, RolloutSet.stack(demos), goals=header_goals(header))
         capsys.readouterr()
         rc = main(["train", str(mixed), "--out", str(tmp_path / "t.json")])
         assert rc == 2
@@ -1061,20 +1059,22 @@ class TestEval:
     @pytest.mark.parametrize("baseline", ["gmm", "ebm"])
     def test_empty_training_file_exits_2(self, tmp_path, capsys, baseline):
         held = _synth(tmp_path)
-        empty = _synth(tmp_path, name="empty.traj", n=0)
+        header = json.loads(held.read_text().splitlines()[0])
+        empty = tmp_path / "empty.traj"  # the held file's header, with no block
+        empty.write_text(json.dumps({**header, "count": 0}) + "\n")
         capsys.readouterr()
         rc = main(["eval", str(held), "--train", str(empty), "--baseline", baseline,
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {empty} holds no demonstrations\n"
+        assert capsys.readouterr().err == f"error: {empty}: header key 'count' must be an integer >= 1, got 0\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_too_few_training_pairs_for_gmm_exits_2_naming_the_train_file(self, tmp_path, capsys):
         held = _synth(tmp_path)
         demos, header = read_demonstrations(_synth(tmp_path, name="long.traj", n=1))
         short = tmp_path / "short.traj"  # 3 steps of 3 agents: 9 state-action pairs
-        write_demonstrations(short, [Trajectory(demos[0].states[:4], demos[0].controls[:3], demos[0].dt)],
-                             goals=header_goals(header))
+        write_demonstrations(short, RolloutSet.stack([Trajectory(demos[0].states[:4], demos[0].controls[:3],
+                                                                 demos[0].dt)]), goals=header_goals(header))
         capsys.readouterr()
         rc = main(["eval", str(held), "--train", str(short), "--baseline", "gmm",
                    "--out", str(tmp_path / "x.csv")])
@@ -1392,7 +1392,7 @@ class TestPreprocess:
         ref = tmp_path / "ref.traj"
         for entry in summary["entries"]:
             joint = np.concatenate([tracks[t].states[:30] for t in entry["tracks"]], axis=1)
-            write_demonstrations(ref, [Trajectory.from_states(joint, 0.1)], goals=None,
+            write_demonstrations(ref, RolloutSet.stack([Trajectory.from_states(joint, 0.1)]), goals=None,
                                  provenance={"category": entry["category"]})
             assert (out_dir / entry["file"]).read_bytes() == ref.read_bytes()
 
@@ -1598,7 +1598,7 @@ class TestRepeatedCalls:
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
         cli._shared_parser.cache_clear()
         for n in range(4):
-            assert main(["synth", str(tmp_path / f"{n}.traj"), "--n", "0"]) == 0
+            assert main(["synth", str(tmp_path / f"{n}.traj"), "--n", "1", "--horizon", "1"]) == 0
         assert main(["compare", str(tmp_path / "missing.csv")]) == 2
         assert len(builds) == 1
 
@@ -1649,7 +1649,7 @@ class TestRepeatedCalls:
 
     def test_help_is_the_fresh_parsers_after_other_commands(self, tmp_path, capsys):
         # the shared parser first serves a command, an input error and a usage error
-        _synth(tmp_path, n=0)
+        _synth(tmp_path, n=1)
         assert main(["compare", str(tmp_path / "missing.csv")]) == 2
         with pytest.raises(SystemExit):
             main(["eval", str(tmp_path / "d.traj")])

@@ -47,7 +47,7 @@ GOAL_DIST, PROXIMITY, EFFORT = range(3)
 
 def _features(traj, agent, goal, sigma=DEFAULT_SIGMA) -> np.ndarray:
     """One agent's features (goal_dist, proximity, effort) along one trajectory."""
-    return expected_features([traj], [agent], [goal], sigma)[0]
+    return expected_features(RolloutSet.stack([traj]), [agent], [goal], sigma)[0]
 
 
 def test_features_vanish_on_goal_without_neighbors():
@@ -88,8 +88,8 @@ def test_features_index_out_of_range():
 
 
 def _agent_features(trajs, agent, goal):
-    """One agent's row of expected_features."""
-    return expected_features(trajs, [agent], [goal], DEFAULT_SIGMA)[0]
+    """One agent's row of expected_features over a list of trajectories."""
+    return expected_features(RolloutSet.stack(trajs), [agent], [goal], DEFAULT_SIGMA)[0]
 
 
 def test_expected_features_mean_behavior():
@@ -110,16 +110,18 @@ def test_expected_features_mean_behavior():
 
 
 def test_expected_features_rejects_empty():
-    with pytest.raises(ValidationError):
-        expected_features([], [0], [(0, 0)], DEFAULT_SIGMA)
+    with pytest.raises(ValidationError, match="at least one trajectory"):
+        expected_features(RolloutSet.stack([]), [0], [(0, 0)], DEFAULT_SIGMA)
 
 
 def test_expected_features_rejects_mixed_shapes():
     one_agent = _static_traj([(0, 0)], T=2)
     with pytest.raises(ValidationError, match="one k and T"):
-        expected_features([one_agent, _static_traj([(0, 0), (1, 0)], T=2)], [0], [(0, 0)], DEFAULT_SIGMA)
+        expected_features(RolloutSet.stack([one_agent, _static_traj([(0, 0), (1, 0)], T=2)]),
+                          [0], [(0, 0)], DEFAULT_SIGMA)
     with pytest.raises(ValidationError, match="one k and T"):
-        expected_features([one_agent, _static_traj([(0, 0)], T=3)], [0], [(0, 0)], DEFAULT_SIGMA)
+        expected_features(RolloutSet.stack([one_agent, _static_traj([(0, 0)], T=3)]),
+                          [0], [(0, 0)], DEFAULT_SIGMA)
 
 
 def _reference_expected_features(trajs, agent, goal, sigma):
@@ -145,12 +147,12 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit():
     goals = rng.uniform(-4, 4, (k, 2))
     # a single trajectory exposes every per-trajectory rounding; sums over many can hide it
     for subset in (trajs[:1], trajs[:7], trajs):
-        every = expected_features(subset, range(k), goals, 1.5)
+        every = expected_features(RolloutSet.stack(subset), range(k), goals, 1.5)
         assert every.shape == (k, 3)
         for agent in range(k):
             ref = _reference_expected_features(subset, agent, goals[agent], 1.5)
             assert every[agent].tobytes() == ref.tobytes()
-            one = expected_features(subset, [agent], goals[agent : agent + 1], 1.5)
+            one = expected_features(RolloutSet.stack(subset), [agent], goals[agent : agent + 1], 1.5)
             assert one.shape == (1, 3) and one[0].tobytes() == ref.tobytes()
 
 
@@ -171,7 +173,7 @@ def test_row_blocked_features_equal_per_agent_and_per_trajectory_calls(k, N):
     every = expected_features(trajs, range(k), goals, DEFAULT_SIGMA)
     one_agent = np.concatenate([expected_features(trajs, [i], goals[[i]], DEFAULT_SIGMA) for i in range(k)])
     assert every.tobytes() == one_agent.tobytes()
-    rows = np.stack([expected_features([traj], range(k), goals, DEFAULT_SIGMA) for traj in trajs])
+    rows = np.stack([expected_features(trajs[j : j + 1], range(k), goals, DEFAULT_SIGMA) for j in range(N)])
     assert every.tobytes() == (np.sum(rows, axis=0) / N).tobytes()
 
 
@@ -208,7 +210,7 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
 
 @pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5]])
 def test_expected_features_rejects_out_of_range_agent(agents):
-    trajs = [_static_traj([(0, 0), (1, 0)])]
+    trajs = RolloutSet.stack([_static_traj([(0, 0), (1, 0)])])
     with pytest.raises(ValidationError, match="agent indices"):
         expected_features(trajs, agents, np.zeros((len(agents), 2)), DEFAULT_SIGMA)
 
@@ -217,7 +219,7 @@ def test_expected_features_rejects_out_of_range_agent(agents):
     "goals", [np.zeros(2), np.zeros((1, 2)), np.zeros((2, 3)), np.zeros((3, 2))]
 )
 def test_expected_features_rejects_misshapen_goals(goals):
-    trajs = [_static_traj([(0, 0), (1, 0)])]
+    trajs = RolloutSet.stack([_static_traj([(0, 0), (1, 0)])])
     with pytest.raises(ValidationError, match="goals must be"):
         expected_features(trajs, [0, 1], goals, DEFAULT_SIGMA)
 

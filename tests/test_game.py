@@ -36,6 +36,7 @@ from crowdirl.quadratic import expand_model_along
 from crowdirl.trajectory import (
     DEFAULT_U_MAX,
     AgentState,
+    RolloutSet,
     ScenarioSpec,
     Trajectory,
     clamp_control,
@@ -541,7 +542,7 @@ def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
     spec = replace(scenario_preset("intersection_k3"), u_max=np.inf)
     policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
     mean = mean_rollout(policies, spec)
-    ref = expected_features([mean], range(3), spec.goals, spec.sigma)
+    ref = expected_features(RolloutSet.stack([mean]), range(3), spec.goals, spec.sigma)
     assert np.max(np.abs(exact_features(policies, spec) - ref)) <= 1e-9
 
 
@@ -1115,6 +1116,18 @@ def test_solver_config_refuses_an_outer_tolerance_that_is_negative_or_not_finite
     with pytest.raises(ValidationError, match="outer_tol must be nonnegative and finite"):
         SolverConfig(max_outer_iters=3, outer_tol=outer_tol)
     assert SolverConfig(outer_tol=0.0).outer_tol == 0.0
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0])
+@pytest.mark.parametrize("site", ["max_outer_iters", "M"])
+def test_solver_and_sample_counts_must_be_integers_of_at_least_one(single_agent_spec, site, value):
+    # SolverConfig took 2.5 and True; sample_rollouts handed them to numpy, which raised a TypeError
+    policies = build_policies([CostParams.ones()], single_agent_spec)
+    call = {"max_outer_iters": lambda: SolverConfig(max_outer_iters=value),
+            "M": lambda: sample_rollouts(policies, single_agent_spec, value, 0)}[site]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == f"{site} must be an integer >= 1, got {value!r}"
 
 
 # --- property tests -----------------------------------------------------------

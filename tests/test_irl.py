@@ -18,7 +18,7 @@ from crowdirl.irl import (
 )
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import derive_seed
-from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, ScenarioSpec, Trajectory
+from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, RolloutSet, ScenarioSpec, Trajectory
 
 QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
 
@@ -94,6 +94,31 @@ def test_training_config_rejects_out_of_range_knobs(knob, value):
     _cfg(tol=0.0)  # the workloads train with --tol 0
 
 
+@pytest.mark.parametrize("value", [2.5, True, 0])
+@pytest.mark.parametrize("count", ["M", "max_iters"])
+def test_training_counts_must_be_integers_of_at_least_one(count, value):
+    # 2.5 used to construct and fail inside numpy during training
+    with pytest.raises(ValidationError) as err:
+        _cfg(**{count: value})
+    assert str(err.value) == f"{count} must be an integer >= 1, got {value!r}"
+
+
+@pytest.mark.parametrize("change", ["k", "T", "dt"])
+def test_demonstrations_of_another_scene_shape_are_refused(intersection_spec, theta_star, change):
+    demos = synth_generate(theta_star, intersection_spec, 2, seed=0, solver_cfg=QUIET_SOLVER)
+    spec = {
+        "k": ScenarioSpec(k=2, x0=intersection_spec.x0[:8], goals=intersection_spec.goals[:2],
+                          horizon=30, dt=0.1),
+        "T": replace(intersection_spec, horizon=29),
+        "dt": replace(intersection_spec, dt=0.1 + 1e-13),  # a dt compares exactly, as the files' do
+    }[change]
+    for train in (multi_agent_irl, single_agent_maxent_irl):
+        with pytest.raises(ValidationError) as err:
+            train(demos, spec, _cfg(max_iters=1))
+        assert str(err.value) == ("demonstrations (k=3, T=30, dt=0.1) do not match the scenario "
+                                  f"(k={spec.k}, T={spec.horizon}, dt={spec.dt})")
+
+
 def test_feature_gap_exactly_zero_on_matched_draws(intersection_spec):
     # Demos drawn from the game at the training start with the first visit's
     # seed: the first gap compares identical trajectory sets and is exactly
@@ -111,7 +136,7 @@ def test_feature_gap_zero_against_own_mean_rollout(single_agent_spec):
     cfg = _cfg(max_iters=1, M=4, solver=SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
     policies = build_policies([CostParams.ones()], single_agent_spec, cfg.solver)
     demo = mean_rollout(policies, single_agent_spec)
-    _, trace = multi_agent_irl([demo], single_agent_spec, cfg)
+    _, trace = multi_agent_irl(RolloutSet.stack([demo]), single_agent_spec, cfg)
     assert trace.records[0].gap_norm < 1e-9
 
 
@@ -123,7 +148,7 @@ def test_feature_gap_goal_component_sign(intersection_spec):
     demo = Trajectory(static, np.zeros((intersection_spec.horizon, 3, 2)), intersection_spec.dt)
     cfg = _cfg(max_iters=1, M=4)
     for train in (multi_agent_irl, single_agent_maxent_irl):
-        _, trace = train([demo], intersection_spec, cfg)
+        _, trace = train(RolloutSet.stack([demo]), intersection_spec, cfg)
         assert all(r.gap[0] < 0 for r in trace.records)
 
 
@@ -133,7 +158,7 @@ def test_feature_gap_rejects_mismatched_dataset(single_agent_spec, intersection_
         with pytest.raises(ValidationError):
             train(demos, single_agent_spec, _cfg())
         with pytest.raises(ValidationError):
-            train([], intersection_spec, _cfg())
+            train(RolloutSet.stack([]), intersection_spec, _cfg())
 
 
 def test_multi_agent_irl_reduces_gap(intersection_spec, theta_star):

@@ -118,18 +118,18 @@ def _heading_traj(headings, dt=0.1) -> Trajectory:
 
 class TestTrajectoryEntropy:
     def test_identical_headings_zero_bits(self):
-        rep = trajectory_entropy([_heading_traj([0.4] * 9)], bins=8)
+        rep = trajectory_entropy(RolloutSet.stack([_heading_traj([0.4] * 9)]), bins=8)
         assert rep.bits == 0.0
 
     def test_two_opposite_sectors_one_bit(self):
         # equal mass in two bins: exactly 1 bit
-        rep = trajectory_entropy([_heading_traj([0.0, np.pi] * 5)], bins=8)
+        rep = trajectory_entropy(RolloutSet.stack([_heading_traj([0.0, np.pi] * 5)]), bins=8)
         assert abs(rep.bits - 1.0) < 1e-12
 
     def test_uniform_eight_bins_three_bits(self):
         width = 2 * np.pi / 8
         centers = [-np.pi + (j + 0.5) * width for j in range(8)]
-        rep = trajectory_entropy([_heading_traj(centers * 3)], bins=8)
+        rep = trajectory_entropy(RolloutSet.stack([_heading_traj(centers * 3)]), bins=8)
         assert rep.bits == 3.0
 
     def test_rotation_by_bin_width_invariant(self):
@@ -137,21 +137,21 @@ class TestTrajectoryEntropy:
         headings = rng.uniform(-np.pi, np.pi, 200)
         width = 2 * np.pi / 8
         rotated = ((headings + width + np.pi) % (2 * np.pi)) - np.pi
-        a = trajectory_entropy([_heading_traj(list(headings))], bins=8)
-        b = trajectory_entropy([_heading_traj(list(rotated))], bins=8)
+        a = trajectory_entropy(RolloutSet.stack([_heading_traj(list(headings))]), bins=8)
+        b = trajectory_entropy(RolloutSet.stack([_heading_traj(list(rotated))]), bins=8)
         assert abs(a.bits - b.bits) < 1e-9
 
     def test_bound(self):
         rng = np.random.default_rng(7)
         headings = list(rng.uniform(-np.pi, np.pi, 500))
-        rep = trajectory_entropy([_heading_traj(headings)], bins=8)
+        rep = trajectory_entropy(RolloutSet.stack([_heading_traj(headings)]), bins=8)
         assert 0.0 <= rep.bits <= 3.0
         with pytest.raises(ValidationError):
             EntropyReport(bits=3.5, bins=8)
 
     def test_empty_dataset(self):
         with pytest.raises(ValidationError):
-            trajectory_entropy([], bins=8)
+            trajectory_entropy(RolloutSet.stack([]), bins=8)
 
 
 class TestReports:
@@ -187,7 +187,7 @@ class TestReports:
                     fdes[i] += fde(pred[:, i], gt)
                     sq += float(np.mean(np.sum((pred[:, i] - gt) ** 2, axis=1)))
                 rmses.append(math.sqrt(sq / k))
-            rep = score_predictions("m", "s", demos, list(preds))
+            rep = score_predictions("m", "s", RolloutSet.stack(demos), list(preds))
             assert rep.per_agent_ade.tobytes() == (ades / n).tobytes()
             assert rep.per_agent_fde.tobytes() == (fdes / n).tobytes()
             assert rep.rmse_per_traj.tobytes() == np.array(rmses).tobytes()
@@ -348,8 +348,8 @@ class TestPredictors:
         x0 = intersection_spec.x0.copy()
         x0[[1, 3]] = -0.0  # agent 0 starts at y = -0.0 with vy = -0.0
         other = replace(intersection_spec, x0=x0)
-        demos = [*synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET),
-                 *synth_generate(theta_star, other, 3, seed=2, solver_cfg=QUIET)]
+        demos = (synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET)
+                 + synth_generate(theta_star, other, 3, seed=2, solver_cfg=QUIET))
         ctx = PredictorContext(spec=intersection_spec, train_demos=demos)
         got = make_predictor("cv", ctx)(demos)
         ref = metrics._rollout_state_feedback(
@@ -389,7 +389,7 @@ class TestPredictors:
         demos = synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET)
         states = demos[1].states.copy()
         states[2, 0] = 1e160  # finite, but its square overflows
-        far = [demos[0], Trajectory.from_states(states, demos[1].dt)]
+        far = RolloutSet.stack([demos[0], Trajectory.from_states(states, demos[1].dt)])
         ctx = PredictorContext(spec=intersection_spec, train_demos=far)
         with pytest.raises(CostRangeError, match="displacement errors overflow") as info:
             evaluate_method("cv", "scene", far, ctx)
@@ -450,7 +450,7 @@ class TestPredictors:
         other = replace(intersection_spec, x0=intersection_spec.x0 + 0.05)
         a = synth_generate(theta_star, intersection_spec, 2, seed=1)
         b = synth_generate(theta_star, other, 2, seed=2)
-        demos = [a[0], b[0], a[1], b[1]]
+        demos = RolloutSet.stack([a[0], b[0], a[1], b[1]])
         ctx = PredictorContext(spec=intersection_spec, train_demos=demos, thetas=theta_star,
                                best_of=best_of, seed=4)
         got = make_predictor("mairl", ctx)(demos)

@@ -185,9 +185,17 @@ class TestPreprocessConfig:
             PreprocessConfig(scheme=["W-X"])
         with pytest.raises(ValidationError, match='entry "W-E-S" repeats'):
             PreprocessConfig(scheme=["W-E-S", "W-E-S"])
-        for name, bad, least in (("group_size", 0, 1), ("scenario_len", 1, 2)):
-            with pytest.raises(ValidationError, match=f"{name} must be >= {least}, got {bad}"):
+        for name, bad, least in (("min_track_len", -5, 1), ("group_size", 0, 1), ("scenario_len", 1, 2)):
+            with pytest.raises(ValidationError, match=f"{name} must be an integer >= {least}, got {bad}"):
                 PreprocessConfig(**{name: bad})
+
+    @pytest.mark.parametrize("value", [2.5, True, 0])
+    @pytest.mark.parametrize("name, least", [("min_track_len", 1), ("group_size", 1), ("scenario_len", 2)])
+    def test_catalog_counts_must_be_integers(self, name, least, value):
+        # 2.5 and True were accepted: 2.5 failed later, True counted as 1
+        with pytest.raises(ValidationError) as err:
+            PreprocessConfig(**{name: value})
+        assert str(err.value) == f"{name} must be an integer >= {least}, got {value!r}"
 
 
 class TestFilterTracks:
@@ -308,7 +316,7 @@ class TestDirectionCatalog:
 class TestWriteCatalog:
     def _reference(self, path, entry, T, dt=0.1):
         states = np.concatenate([t.states[:T] for t in entry.tracks], axis=1)
-        write_demonstrations(path, [Trajectory.from_states(states, dt)], goals=None,
+        write_demonstrations(path, RolloutSet.stack([Trajectory.from_states(states, dt)]), goals=None,
                              provenance={"category": entry.category})
         return path.read_bytes()
 
@@ -398,6 +406,13 @@ class TestSynthGenerate:
 
         assert mean_min_dist(1.5) > mean_min_dist(0.0)
 
+    @pytest.mark.parametrize("n_demos", [2.5, True, 0])
+    def test_demo_count_must_be_an_integer_of_at_least_one(self, intersection_spec, theta_star, n_demos):
+        # 2.5 failed inside numpy, True with "an integer is required"
+        with pytest.raises(ValidationError) as err:
+            synth_generate(theta_star, intersection_spec, n_demos, seed=0)
+        assert str(err.value) == f"n_demos must be an integer >= 1, got {n_demos!r}"
+
 
 # fields float() and numpy's C reader may read apart: padding, signs, specials, underscores,
 # hex, non-ASCII digits, separator characters and a carriage return
@@ -440,7 +455,8 @@ class TestInterchange:
         demos = synth_generate(theta_star, intersection_spec, 3, seed=2, solver_cfg=SolverConfig())
         assert isinstance(demos, RolloutSet)
         write_demonstrations(tmp_path / "set.traj", demos, intersection_spec.goals, {"n": 3})
-        write_demonstrations(tmp_path / "list.traj", list(demos), intersection_spec.goals, {"n": 3})
+        write_demonstrations(tmp_path / "list.traj", RolloutSet.stack(list(demos)), intersection_spec.goals,
+                             {"n": 3})
         assert (tmp_path / "set.traj").read_bytes() == (tmp_path / "list.traj").read_bytes()
 
     @pytest.mark.parametrize("goals", [
@@ -455,8 +471,6 @@ class TestInterchange:
         path = tmp_path / "g.traj"
         with pytest.raises(ValidationError, match=r"goals must be None or a finite \(3, 2\) array"):
             write_demonstrations(path, demos, goals)
-        with pytest.raises(ValidationError, match="goals must be"):  # a header-only file too
-            write_demonstrations(path, [], goals, spec=intersection_spec)
         assert not path.exists()
 
     def test_rows_are_the_repr_of_every_value(self, tmp_path):
@@ -466,8 +480,8 @@ class TestInterchange:
             [1e16, -7.0, 5e-324, 0.0, -0.0, 1.5e-310, -1e16, 2.0],
             [0.1, 2.0**-1074 * 3, 4.0, 3.0, 123456789.0, -1e-300, 0.0, 1.0],
         ])
-        demos = [Trajectory(states, np.zeros((2, 2, 2)), 0.1),
-                 Trajectory(states[::-1], np.ones((2, 2, 2)), 0.1)]
+        demos = RolloutSet.stack([Trajectory(states, np.zeros((2, 2, 2)), 0.1),
+                                  Trajectory(states[::-1], np.ones((2, 2, 2)), 0.1)])
         path = tmp_path / "edge.traj"
         write_demonstrations(path, demos, None, {"note": "edge"})
         header = {"k": 2, "T": 3, "dt": 0.1, "goals": None, "count": 2,
@@ -515,14 +529,12 @@ class TestInterchange:
         with pytest.raises(FormatError, match="expected 3"):
             read_demonstrations(path)
 
-    def test_header_only_file(self, tmp_path, intersection_spec):
+    def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.traj"
-        write_demonstrations(path, [], intersection_spec.goals, {}, spec=intersection_spec)
-        header, *body = path.read_text().splitlines()
-        assert json.loads(header)["count"] == 0 and body == []
+        path.write_text(_header_line(3, 31, 0) + "\n")
         with pytest.raises(FormatError) as err:
             read_demonstrations(path)
-        assert str(err.value) == f"{path} holds no demonstrations"
+        assert str(err.value) == f"{path}: header key 'count' must be an integer >= 1, got 0"
 
     @pytest.mark.parametrize("count", [0, 1, 40])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -535,7 +547,8 @@ class TestInterchange:
         if count == 0:
             with pytest.raises(FormatError) as err:
                 read_demonstrations(path)
-            assert str(err.value) == f"{path} holds no demonstrations" and ref == []
+            assert str(err.value) == f"{path}: header key 'count' must be an integer >= 1, got 0"
+            assert ref == []
             return
         demos, _ = read_demonstrations(path)
         assert isinstance(demos, RolloutSet) and len(demos) == len(ref) == count

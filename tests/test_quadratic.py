@@ -10,7 +10,6 @@ from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout
 from crowdirl.quadratic import cost_pattern, expand_model_along
 from crowdirl.trajectory import Trajectory, constant_velocity_rollout
-from conftest import ring_spec
 from fd_oracle import (
     AgentCost,
     DenseCost,
@@ -289,8 +288,8 @@ def _pattern_nominals(spec):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
-def test_cost_pattern_is_fixed_by_k_and_agent(k):
-    spec = ring_spec(k)
+def test_cost_pattern_is_fixed_by_k_and_agent(make_ring_spec, k):
+    spec = make_ring_spec(k)
     n = 4 * k
     nominals = _pattern_nominals(spec)
     assert np.max(np.abs(nominals[1].controls)) > 0.1

@@ -326,12 +326,13 @@ def test_rollout_set_arrays_are_frozen_copies():
         rs.controls[0, 0, 0, 0] = 1.0
 
 
-def test_rollout_set_stack_round_trips_and_passes_sets_through():
+def test_rollout_set_stack_round_trips_and_stacks_sets():
     rs = _rollout_set()
     again = RolloutSet.stack(list(rs))
     assert np.array_equal(again.states, rs.states)
     assert np.array_equal(again.controls, rs.controls)
-    assert RolloutSet.stack(rs) is rs
+    restacked = RolloutSet.stack(rs)  # a set is a sequence of its trajectories: a new set of its rows
+    assert restacked is not rs and restacked.states.tobytes() == rs.states.tobytes()
     mixed = RolloutSet.stack([rs[0], rs[1:]])  # a set in the sequence keeps its rows in order
     assert mixed.states.tobytes() == rs.states.tobytes()
     assert mixed.controls.tobytes() == rs.controls.tobytes()
@@ -544,9 +545,11 @@ def test_scenario_spec_refuses_a_start_of_another_shape_naming_k(x0):
     ({"k": 0, "x0": ()}, "k must be an integer >= 1, got 0"),
     ({"horizon": 2.5}, "horizon must be an integer >= 1, got 2.5"),
     ({"horizon": 0}, "horizon must be an integer >= 1, got 0"),
+    ({"horizon": True}, "horizon must be an integer >= 1, got True"),
     ({"x0": ((1, 2, 3, 4), (1, 2, 3))}, "x0 must be (8,) or (2, 4) for k=2, got no array of numbers"),
     ({"x0": "abcd"}, "x0 must be (8,) or (2, 4) for k=2, got no array of numbers"),
-], ids=["float-k", "boolean-k", "zero-k", "float-horizon", "zero-horizon", "ragged-x0", "text-x0"])
+], ids=["float-k", "boolean-k", "zero-k", "float-horizon", "zero-horizon", "boolean-horizon", "ragged-x0",
+        "text-x0"])
 def test_scenario_spec_refuses_what_it_cannot_hold_with_a_validation_error(fields, message):
     # each used to pass, failing later with a TypeError, or to raise numpy's own ValueError
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
