@@ -32,7 +32,7 @@ from .errors import ValidationError
 from .features import CostParams, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
-from .rng import derive_seed
+from .rng import check_key, derive_seed
 from .trajectory import RolloutSet, ScenarioSpec, check_count
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
@@ -60,6 +60,7 @@ class TrainingConfig:
             raise ValidationError(f"tol must be nonnegative and finite, got {self.tol!r}")
         check_count("M", self.M)
         check_count("max_iters", self.max_iters)
+        check_key(self.seed)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
-from .features import state_terms
+from .features import agent_sum, state_terms
 from .trajectory import STATE_DIM, Trajectory
 
 
@@ -113,8 +113,8 @@ def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weig
 
     Every nominal state is expanded at once. With r_j = p_i - p_j and
     e_j = exp(-|r_j|^2 / sigma^2), read off `features.state_terms` (which
-    also gives the goal distance and, summed, the crowding offset; there
-    p_j - p_i = -r_j exactly), the kernel e_j has gradient -2 e_j r_j / sigma^2
+    also gives the goal distance and, summed by `agent_sum`, the crowding
+    offset; there p_j - p_i = -r_j exactly), the kernel e_j has gradient -2 e_j r_j / sigma^2
     in p_i and +2 e_j r_j / sigma^2 in p_j, and curvature
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
     position blocks, -M_j on (i, j) and (j, i). The goal term |p_i - g|^2 has
@@ -132,8 +132,8 @@ def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weig
         raise ValidationError(f"agent index {i} out of range for k={k}")
     s2 = sigma * sigma
     goal_value, kernel = state_terms(nominal.states, [i], g[None], sigma)
-    e = kernel[:, 0]  # (T+1, k)
-    crowd_value = np.sum(e, axis=-1) - 1.0  # the crowding feature, as state_features forms it
+    crowd_value = agent_sum(kernel)[0] - 1.0  # the crowding feature, as state_features forms it
+    e = kernel[:, 0].T.copy()  # (T+1, k)
     e[:, i] = 0.0  # no self term
 
     pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
@@ -161,7 +161,7 @@ def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weig
     l[1] = grad
     l[1, :, i] = -grad.sum(axis=1)
     basis[..., 4 + 3 * m + 2 * k : -1] = edge
-    goal[:, -1] = 2.0 * goal_value[:, 0]
+    goal[:, -1] = 2.0 * goal_value[0]
     crowd[:, -1] = 2.0 * crowd_value
     if not np.all(np.isfinite(basis)):
         raise CostRangeError("cost function returned non-finite values along the nominal", "states")

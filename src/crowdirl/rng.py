@@ -15,15 +15,19 @@ from .errors import ValidationError
 KEY_LIMIT = 1 << 64  # stream keys are uint64
 
 
-def _key(k: int) -> int:
-    k = int(k)
-    if not 0 <= k < KEY_LIMIT:
-        raise ValidationError(f"stream keys must be nonnegative and below 2**64, got {k}")
-    return k
+def check_key(k: int) -> int:
+    """A stream key (or seed) as an int: an integer, not a bool, in [0, 2**64).
+
+    A float, bool or str is refused, not converted, so that 1.5, True and '1'
+    never alias the stream of seed 1.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= int(k) < KEY_LIMIT:
+        raise ValidationError(f"stream keys must be integers, nonnegative and below 2**64, got {k!r}")
+    return int(k)
 
 
 def _seed_sequence(keys: tuple[int, ...]) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=[_key(k) for k in keys])
+    return np.random.SeedSequence(entropy=[check_key(k) for k in keys])
 
 
 def substream(*keys: int) -> np.random.Generator:

@@ -63,12 +63,13 @@ def check_sigma(sigma: float) -> float:
 
 
 def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Scale control vectors so that ||u|| <= u_max (> 0); shape (..., 2) preserved.
+    """Scale control vectors so that ||u|| <= u_max (> 0, checked); shape (..., 2) preserved.
 
     The scale u_max / max(||u||, u_max) is u_max / ||u|| where the bound binds
     and exactly 1.0 elsewhere; ||u|| is sqrt(u_x**2 + u_y**2), the sum of
     squares np.linalg.norm forms for a pair. An out that u broadcasts to is filled and returned.
     """
+    u_max = check_u_max(u_max)
     u = np.asarray(u, dtype=float)
     if u_max == math.inf:  # inf / inf would be NaN; no norm exceeds it, so the scale is 1.0
         return np.multiply(u, 1.0, out=out)
@@ -77,10 +78,15 @@ def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) ->
     return np.multiply(u, (u_max / np.maximum(norm, u_max))[..., None], out=out)
 
 
-def _halves(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous copies (..., k, 2) of the position and velocity columns of states (..., 4k)."""
+def _halves(states: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Contiguous copies p, v (..., k, 2) of the position and velocity columns of states (..., 4k).
+
+    With them come their views (..., k) as complex128, one 16-byte (x, y)
+    pair per agent, so that copying the pairs moves their bytes unchanged.
+    """
     s = states.reshape(states.shape[:-1] + (states.shape[-1] // STATE_DIM, STATE_DIM))
-    return s[..., :2].copy(), s[..., 2:].copy()
+    p, v = s[..., :2].copy(), s[..., 2:].copy()
+    return p, v, p.view(np.complex128)[..., 0], v.view(np.complex128)[..., 0]
 
 
 def propagate_joint(
@@ -88,30 +94,33 @@ def propagate_joint(
     controls: np.ndarray,
     dt: float,
     out: np.ndarray | None = None,
-    halves: tuple[np.ndarray, np.ndarray] | None = None,
+    halves: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k), or into a C-contiguous out.
 
     The step advances contiguous position and velocity halves p, v (..., k, 2)
     in place, as p + v*dt + 0.5*u*dt*dt and v + u*dt in that order, then
-    interleaves them. Without `halves` they are copies of states' columns; a
-    caller stepping one set passes its own (p, v) equal to states' columns,
-    and they hold the next state's columns afterwards.
+    interleaves them: the result, read as complex128, holds agent j's (x, y)
+    position pair at 2j and its velocity pair at 2j + 1, and two copies of
+    16-byte pairs fill it bit for bit. Without `halves` they are copies of
+    states' columns; a caller stepping one set passes its own `_halves` of
+    states, formed once, and they hold the next state's columns afterwards.
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
-    shape = states.shape[:-1] + (states.shape[-1] // STATE_DIM, STATE_DIM)
-    if out is not None and not out.flags.c_contiguous:  # its reshape would be a copy
-        raise ValidationError("propagate_joint needs a C-contiguous out array")
+    if out is None:
+        out = np.empty(states.shape)
+    elif out.shape != states.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValidationError(f"propagate_joint needs a C-contiguous float out of shape {states.shape}")
     if halves is None:
         halves = _halves(states)
-    p, v = halves
+    p, v, p_pairs, v_pairs = halves
     p += v * dt
     p += 0.5 * controls * dt * dt
     v += controls * dt
-    if out is None:
-        return np.concatenate(halves, axis=-1).reshape(states.shape)
-    np.concatenate(halves, axis=-1, out=out.reshape(shape))
+    pairs = out.view(np.complex128)
+    pairs[..., 0::2] = p_pairs
+    pairs[..., 1::2] = v_pairs
     return out
 
 
@@ -297,9 +306,10 @@ def rollout(
 
     Per step, act(t, states (n, 4k)) gives controls that broadcast to
     (n, k, 2), possibly in a buffer it reuses: they are clamped to u_max (> 0,
-    checked once) into the step's own block and propagated by one
-    `propagate_joint` call for all n rows, which advances contiguous
-    position and velocity copies (n, k, 2) kept from step to step. Both
+    checked before the first step) into the step's own block and propagated
+    by one `propagate_joint` call for all n rows, which advances contiguous
+    position and velocity copies (n, k, 2) kept from step to step, their
+    (x, y) pair views formed once. Both
     arrays are kept time-major, contiguous per step, and returned as
     transposed views; a Trajectory or RolloutSet copies them into
     (n, T+1, ...) order. A tape fixed in advance needs no loop:
@@ -311,7 +321,7 @@ def rollout(
     states = np.empty((horizon + 1, n, x0.shape[1]))
     controls = np.empty((horizon, n, k, CONTROL_DIM))
     states[0] = x0
-    halves = _halves(x0)  # kept equal to the columns of states[t]
+    halves = _halves(x0)  # kept equal to the columns of states[t], with their pair views
     for t in range(horizon):
         clamp_control(act(t, states[t]), u_max, out=controls[t])
         propagate_joint(states[t], controls[t], dt, out=states[t + 1], halves=halves)

@@ -7,6 +7,7 @@ import pytest
 from crowdirl.errors import ValidationError
 from crowdirl.features import (
     CostParams,
+    agent_sum,
     expected_features,
     feature_rows,
     state_features,
@@ -137,9 +138,10 @@ def _reference_expected_features(trajs, agent, goal, sigma):
     return acc / len(trajs)
 
 
-def test_expected_features_match_per_trajectory_loop_bit_for_bit():
+@pytest.mark.parametrize("k", [1, 3, 8, 9, 16, 17])
+def test_expected_features_match_per_trajectory_loop_bit_for_bit(k):
     rng = np.random.default_rng(8)
-    k, T = 8, 30
+    T = 30
     trajs = [
         Trajectory(rng.uniform(-4, 4, (T + 1, 4 * k)), rng.normal(size=(T, k, 2)), 0.1)
         for _ in range(33)
@@ -206,6 +208,38 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
         e = expand(model, nominal)
         ref = np.ascontiguousarray(dense_feature_terms(model, nominal)[:, :, e.rows, e.cols])
         assert e.basis.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_agent_sum_equals_np_sum_over_a_contiguous_axis_byte_for_byte(positive):
+    # np.add.reduce's pairwise order fixes every crowding bit; if numpy changes
+    # it, this fails instead of the feature digests moving silently
+    rng = np.random.default_rng(7 + positive)
+    for n in [*range(1, 201), 255, 256, 257, 513]:
+        x = np.exp(rng.normal(0.0, 8.0, (3, 5, n)))  # terms spread over many binades
+        if not positive:
+            x *= rng.choice([-1.0, 1.0], x.shape)
+        terms = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        assert agent_sum(terms).tobytes() == np.sum(x, axis=-1).tobytes(), n
+        scratch = np.full_like(terms, np.nan)
+        assert agent_sum(terms, scratch).tobytes() == np.sum(x, axis=-1).tobytes(), n
+    for n in (1, 7, 8, 9, 200):  # only negative zeros: the identity 0.0 makes the sum 0.0
+        zeros = np.full((n, 4), -0.0)
+        assert agent_sum(zeros).tobytes() == np.sum(zeros.T, axis=-1).tobytes() == np.zeros(4).tobytes()
+
+
+def test_state_features_check_their_inputs_as_expected_features_does():
+    states = np.random.default_rng(3).uniform(-4, 4, (5, 8))  # k = 2
+    goals = [[0.0, 1.0], [2.0, -1.0]]
+    with pytest.raises(ValidationError, match="sigma must be positive"):
+        state_features(states, [0, 1], goals, 0.0)
+    with pytest.raises(ValidationError, match="agent indices"):
+        state_features(states, [5], goals[:1], DEFAULT_SIGMA)
+    with pytest.raises(ValidationError, match="goals must be"):
+        state_features(states, [0, 1], goals[:1], DEFAULT_SIGMA)
+    as_list = state_features(states, [0, 1], goals, DEFAULT_SIGMA)  # goals as a list
+    as_array = state_features(states, np.arange(2), np.array(goals), DEFAULT_SIGMA)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(as_list, as_array))
 
 
 @pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5]])

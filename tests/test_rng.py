@@ -9,6 +9,7 @@ import pytest
 import crowdirl
 from crowdirl.errors import ValidationError
 from crowdirl.game import PolicySequence, sample_rollouts
+from crowdirl.irl import TrainingConfig
 from crowdirl.rng import derive_seed, substream
 from crowdirl.trajectory import AgentState, ScenarioSpec
 
@@ -28,7 +29,7 @@ def test_rows_of_one_stream_do_not_depend_on_the_draw_size(seed, M):
     assert np.array_equal(np.concatenate(chunks), ref)
 
 
-def test_negative_seeds_are_rejected():
+def _one_step_scene() -> tuple[PolicySequence, ScenarioSpec]:
     policies = PolicySequence(
         K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), Sigma=np.eye(2)[None, None],
         nominal_states=np.zeros((2, 4)),
@@ -36,9 +37,31 @@ def test_negative_seeds_are_rejected():
     spec = ScenarioSpec(
         k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1, dt=1.0
     )
+    return policies, spec
+
+
+def test_negative_seeds_are_rejected():
+    policies, spec = _one_step_scene()
     for call in (lambda: substream(-1), lambda: sample_rollouts(policies, spec, 2, seed=-1)):
         with pytest.raises(ValidationError, match="nonnegative"):
             call()
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", np.float64(1.0), np.bool_(True)])
+def test_keys_that_are_not_integers_are_refused_not_converted(seed):
+    # int() would hand 1.5, True and '1' the stream of seed 1
+    policies, spec = _one_step_scene()
+    for call in (lambda: substream(seed), lambda: derive_seed(3, seed),
+                 lambda: sample_rollouts(policies, spec, 2, seed=seed),
+                 lambda: TrainingConfig(seed=seed)):
+        with pytest.raises(ValidationError, match="stream keys must be integers"):
+            call()
+
+
+@pytest.mark.parametrize("seed", [np.int64(1), np.uint8(7), np.uint64(2**64 - 1)])
+def test_numpy_integer_keys_draw_the_stream_of_the_same_int(seed):
+    assert substream(seed).standard_normal(8).tobytes() == substream(int(seed)).standard_normal(8).tobytes()
+    assert TrainingConfig(seed=seed).seed == seed
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():

@@ -12,6 +12,7 @@ from crowdirl.trajectory import (
     RolloutSet,
     ScenarioSpec,
     Trajectory,
+    _halves,
     clamp_control,
     constant_velocity_rollout,
     from_dataset_array,
@@ -366,6 +367,13 @@ def test_rollout_set_rejects_mixed_shapes_and_bad_values():
         RolloutSet(states, controls, 0.0)
 
 
+@pytest.mark.parametrize("u_max", [-1.0, 0.0, math.nan])
+def test_clamp_control_rejects_a_bound_that_is_not_positive(u_max):
+    # -1.0 would reverse and double the control, 0.0 zero it and nan give NaN
+    with pytest.raises(ValidationError, match="u_max must be positive"):
+        clamp_control(np.array([[0.3, 0.4]]), u_max)
+
+
 def test_clamp_control_scales_norm():
     u = np.array([4.0, 3.0])  # norm 5
     clamped = clamp_control(u, u_max=3.0)
@@ -439,25 +447,43 @@ def test_rollout_equals_a_loop_of_the_reference_step_byte_for_byte(k, n, u_max):
     assert controls.tobytes() == ref_u.tobytes()
 
 
+def _with_nan_payloads(rng, a, frac=0.15):
+    """a with a share of its entries replaced by quiet NaNs of random payloads and signs."""
+    a = a.copy()
+    hit = rng.random(a.shape) < frac
+    bits = (np.uint64(0x7FF8000000000000) | rng.integers(1, 2**51, hit.sum(), dtype=np.uint64)
+            | (rng.integers(0, 2, hit.sum(), dtype=np.uint64) << np.uint64(63)))
+    a[hit] = bits.view(np.float64)
+    return a
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_propagate_joint_gives_the_same_bytes_with_and_without_halves(k):
+def test_propagate_joint_equals_the_concatenate_form_with_and_without_out_and_halves(k):
     rng = np.random.default_rng(36 + k)
     n, dt = 12, 0.1
-    x = _awkward(rng, (n, 4 * k), 5.0)
-    u = _awkward(rng, (n, k, 2), 2.0)
+    x = _with_nan_payloads(rng, _awkward(rng, (n, 4 * k), 5.0))
+    u = _with_nan_payloads(rng, _awkward(rng, (n, k, 2), 2.0))
     x[0, [0, 2]] = 1.7e308  # p + v*dt overflows
+    x[1], u[1] = np.tile([5e-324, -0.0, 5e-324, -0.0], k), -0.0  # a row the step leaves as it is
     with np.errstate(all="ignore"):
-        plain = propagate_joint(x, u, dt)
-        assert plain.tobytes() == reference_step(x, u, dt).tobytes()
-        s = x.reshape(n, k, 4)
-        halves = s[..., :2].copy(), s[..., 2:].copy()
-        out = np.full((n, 4 * k), np.nan)
-        assert propagate_joint(x, u, dt, out=out, halves=halves) is out
-    assert out.tobytes() == plain.tobytes()
-    o = out.reshape(n, k, 4)
-    assert halves[0].tobytes() == np.ascontiguousarray(o[..., :2]).tobytes()
-    assert halves[1].tobytes() == np.ascontiguousarray(o[..., 2:]).tobytes()
-    assert np.isinf(out[0, 0])
+        ref = reference_step(x, u, dt)  # the step interleaved by np.concatenate
+        assert propagate_joint(x[0], u[0], dt).tobytes() == ref[0].tobytes()
+        for with_out in (False, True):
+            for with_halves in (False, True):
+                out = np.full((n, 4 * k), np.nan) if with_out else None
+                halves = _halves(x) if with_halves else None
+                got = propagate_joint(x, u, dt, out=out, halves=halves)
+                assert got.tobytes() == ref.tobytes()
+                assert got is out or not with_out
+                if with_halves:  # they hold the next state's columns
+                    o = ref.reshape(n, k, 4)
+                    assert halves[0].tobytes() == np.ascontiguousarray(o[..., :2]).tobytes()
+                    assert halves[1].tobytes() == np.ascontiguousarray(o[..., 2:]).tobytes()
+    nan_bits = set(ref[np.isnan(ref)].view(np.uint64).tolist())
+    assert len(nan_bits) > 2 and np.isinf(ref[0, 0])  # payloads and signs survive the step
+    assert ref[1].tobytes() == x[1].tobytes()  # subnormals and -0.0
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        propagate_joint(x, u, dt, out=np.empty((n, 4 * k + 4)))
 
 
 @pytest.mark.parametrize("u_max", [1e-300, 0.05, 3.0, 1e300])
