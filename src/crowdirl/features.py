@@ -12,9 +12,9 @@ solver expands.
 
 The kernel is laid out agent-major, (k, a, N) over N joint states with the
 other agent j on the leading axis, so every elementwise pass is one long
-contiguous run; `agent_sum` adds its k rows in the order np.add.reduce
-would sum them along a contiguous axis, which keeps every feature bit of
-the (..., a, k) layout that `np.sum(kernel, axis=-1)` reduced.
+contiguous run. `agent_sum` adds its k rows one after another, so each
+element's sum depends only on its own k terms and no feature bit depends on
+how many states or trajectories a block holds.
 """
 from __future__ import annotations
 
@@ -65,53 +65,21 @@ def _check_terms(k: int, agents, goals, sigma: float) -> tuple[np.ndarray, np.nd
     """The agent indices, goals (a, 2) and kernel width of a feature call over k agents, checked."""
     sigma = check_sigma(sigma)
     idx = np.asarray(agents)
-    if idx.ndim != 1 or idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < k)):
-        raise ValidationError(f"agent indices {agents!r} must be integers in [0, {k})")
+    if idx.ndim != 1 or not idx.size or idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < k)):
+        raise ValidationError(f"agent indices {agents!r} must be one or more integers in [0, {k})")
     goals = np.asarray(goals, dtype=float)
     if goals.shape != (idx.size, 2):
         raise ValidationError(f"goals must be ({idx.size}, 2), got shape {goals.shape}")
     return idx, goals, sigma
 
 
-def agent_sum(terms: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Sum of terms (n, ...) over axis 0: the bits of np.sum(x, axis=-1) where x[..., j] = terms[j].
-
-    np.add.reduce sums n contiguous numbers pairwise: below 8 terms one after
-    another; from 8 to 128 as eight running sums r0..r7 over strides of 8,
-    joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remaining n % 8
-    terms one at a time; above 128 as the sum of two parts split at a multiple
-    of 8; and it adds the result to its identity 0.0 (adding it to each part
-    instead gives the same bits). Here every step adds whole terms, so each
-    pass runs along their contiguous trailing axes. scratch, shaped like terms
-    (a new one if None), holds the running sums; the result is scratch[0].
-    """
-    if scratch is None:
-        scratch = np.empty_like(terms)
-    n, out = len(terms), scratch[0]
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        agent_sum(terms[:half], scratch)
-        out += agent_sum(terms[half:], scratch[1:])
-        return out
-    if n < 8:  # one after another
-        rest = terms[2:]
-        if n == 1:
-            np.copyto(out, terms[0])
-        else:
-            np.add(terms[0], terms[1], out=out)
-    else:  # no call's output overlaps its inputs, so none needs a temporary copy
-        whole = n - n % 8
-        rest, r = terms[whole:], terms[:8]
-        if whole > 8:
-            r = np.add(terms[:8], terms[8:16], out=scratch[4:12])
-            for i in range(16, whole, 8):
-                r += terms[i : i + 8]
-        pairs = np.add(r[0::2], r[1::2], out=scratch[:4])  # r0+r1, r2+r3, r4+r5, r6+r7
-        quads = np.add(pairs[0::2], pairs[1::2], out=scratch[4:6])
-        np.add(quads[0], quads[1], out=out)
-    for t in rest:
+def agent_sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of terms (n, ...) over axis 0, the rows added in order into out (a new array if None)."""
+    if out is None:
+        out = np.empty_like(terms[0])
+    np.copyto(out, terms[0])
+    for t in terms[1:]:
         out += t
-    out += 0.0  # the identity: a sum of -0.0 terms is 0.0
     return out
 
 
@@ -153,7 +121,7 @@ def _state_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Goal distance and crowding (a, N) at N joint states, unchecked; out as `state_terms` takes it."""
     goal_dist, kernel = state_terms(states, agents, goals, sigma, out)
-    crowding = agent_sum(kernel, out[kernel.size : 2 * kernel.size].reshape(kernel.shape))
+    crowding = agent_sum(kernel, out[kernel.size : kernel.size + kernel[0].size].reshape(kernel.shape[1:]))
     crowding -= 1.0  # the self term exp(0)
     return goal_dist, crowding
 
@@ -211,7 +179,7 @@ def expected_features(
             per_traj[rows, :, j] = np.mean(f.reshape(a, -1, steps), axis=-1).T
         sq = np.take(trajs.controls[rows], idx, axis=2)  # a copy, faster than fancy indexing
         sq *= sq
-        effort = sq[..., 0] + sq[..., 1]  # the pair sum np.sum forms
+        effort = sq[..., 0] + sq[..., 1]
         # the copy makes each time series contiguous, so its mean sums in one agent's order
         per_traj[rows, :, 2] = np.mean(np.swapaxes(effort, 1, 2).copy(), axis=-1)
     return _check_features(np.sum(per_traj, axis=0) / len(trajs))

@@ -354,7 +354,7 @@ def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
     The last m = len(S) columns of rhs must be the identity: their solution is
     S^-1. The exact (SVD) condition is computed only if the bound
     ||S||_F ||S^-1||_F exceeds MAX_GAIN_CONDITION; each Frobenius norm is the
-    square root of the raveled dot product, as np.linalg.norm forms it.
+    square root of the raveled dot product.
     """
     m = S.shape[0]
     try:

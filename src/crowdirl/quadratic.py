@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
-from .features import agent_sum, state_terms
+from .features import _check_terms, agent_sum, state_terms
 from .trajectory import STATE_DIM, Trajectory
 
 
@@ -122,16 +122,13 @@ def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weig
     the entries of `cost_pattern(k, i)`, where an entry that is 0.0 along this
     nominal stays as 0.0. They are checked once, finite and each equal to its
     mirror, then weighted by theta = weights. goal is the agent's 2-vector
-    and sigma the crowding kernel's width.
+    and sigma the crowding kernel's width; the agent index, goal and sigma
+    are checked as `features.expected_features` checks them.
     """
-    g = np.array(goal, dtype=float).ravel()
-    if g.shape != (2,):
-        raise ValidationError(f"goal must be a 2-vector, got shape {g.shape}")
-    T, k, i = nominal.horizon, nominal.k, agent
-    if not 0 <= i < k:
-        raise ValidationError(f"agent index {i} out of range for k={k}")
-    s2 = sigma * sigma
-    goal_value, kernel = state_terms(nominal.states, [i], g[None], sigma)
+    T, k = nominal.horizon, nominal.k
+    idx, goals, sigma = _check_terms(k, [agent], [goal], sigma)
+    i, g, s2 = int(idx[0]), goals[0], sigma * sigma
+    goal_value, kernel = state_terms(nominal.states, idx, goals, sigma)
     crowd_value = agent_sum(kernel)[0] - 1.0  # the crowding feature, as state_features forms it
     e = kernel[:, 0].T.copy()  # (T+1, k)
     e[:, i] = 0.0  # no self term

@@ -66,8 +66,8 @@ def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) ->
     """Scale control vectors so that ||u|| <= u_max (> 0, checked); shape (..., 2) preserved.
 
     The scale u_max / max(||u||, u_max) is u_max / ||u|| where the bound binds
-    and exactly 1.0 elsewhere; ||u|| is sqrt(u_x**2 + u_y**2), the sum of
-    squares np.linalg.norm forms for a pair. An out that u broadcasts to is filled and returned.
+    and exactly 1.0 elsewhere; ||u|| is sqrt(u_x**2 + u_y**2). An out that u
+    broadcasts to is filled and returned.
     """
     u_max = check_u_max(u_max)
     u = np.asarray(u, dtype=float)

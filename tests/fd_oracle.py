@@ -11,7 +11,8 @@ other; `stage_cost` is the per-step cost it differences.
 `dense_feature_terms` lays the closed-form feature terms out densely, the
 reference for the expansion's fixed sparse pattern. `reference_state_features`
 and `reference_expected_features` are the feature half as broadcast from the
-strided position columns, the byte reference for `crowdirl.features`.
+strided position columns, the crowding kernel summed over the other agents in
+order by `in_order_sum`: the byte reference for `crowdirl.features`.
 `DenseCost` carries hand-built or finite-difference costs into `solve_lq_game`,
 and `dense_arrays` reads any cost's dense Q, q and c back through its `fill`.
 `double_integrator` writes the textbook blocks of the joint double
@@ -125,6 +126,14 @@ def reference_step(states: np.ndarray, controls: np.ndarray, dt: float) -> np.nd
                           axis=-1).reshape(states.shape)
 
 
+def in_order_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of x over its last axis, the terms added one after another."""
+    total = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        total += x[..., j]
+    return total
+
+
 def reference_state_features(states: np.ndarray, agents, goals, sigma: float):
     """Goal distance and crowding (..., a): the kernel broadcast from strided position columns."""
     s = np.asarray(states, dtype=float)
@@ -133,7 +142,7 @@ def reference_state_features(states: np.ndarray, agents, goals, sigma: float):
     ox, oy = px[..., agents], py[..., agents]
     goal_dist = (ox - goals[:, 0]) ** 2 + (oy - goals[:, 1]) ** 2
     dx, dy = px[..., None, :] - ox[..., None], py[..., None, :] - oy[..., None]
-    return goal_dist, np.sum(np.exp(-(dx * dx + dy * dy) / (sigma * sigma)), axis=-1) - 1.0
+    return goal_dist, in_order_sum(np.exp(-(dx * dx + dy * dy) / (sigma * sigma))) - 1.0
 
 
 def reference_expected_features(trajs: RolloutSet, agents, goals, sigma: float) -> np.ndarray:

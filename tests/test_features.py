@@ -1,9 +1,11 @@
+import functools
 import math
 import re
 
 import numpy as np
 import pytest
 
+from crowdirl import features
 from crowdirl.errors import ValidationError
 from crowdirl.features import (
     CostParams,
@@ -26,6 +28,7 @@ from fd_oracle import (
     control_weight,
     dense_feature_terms,
     expand,
+    in_order_sum,
     reference_expected_features,
     reference_state_features,
     stage_cost,
@@ -125,14 +128,17 @@ def test_expected_features_rejects_mixed_shapes():
                           [0], [(0, 0)], DEFAULT_SIGMA)
 
 
-def _reference_expected_features(trajs, agent, goal, sigma):
-    """Per-trajectory loop: each feature a mean along one trajectory, summed in order."""
+def _reference_expected_features(trajs, agent, goal, sigma, crowd_sum=in_order_sum):
+    """Per-trajectory loop: each feature a mean along one trajectory, summed in order.
+
+    crowd_sum sums the kernel over the other agents, its last axis.
+    """
     acc = np.zeros(3)
     for traj in trajs:
         pos = traj.states.reshape(traj.horizon + 1, traj.k, 4)[..., :2]
         goal_dist = float(np.mean(np.sum((pos[:, agent] - goal) ** 2, axis=-1)))
         d2 = np.sum((pos - pos[:, agent : agent + 1]) ** 2, axis=-1)
-        proximity = float(np.mean(np.sum(np.exp(-d2 / (sigma * sigma)), axis=-1) - 1.0))
+        proximity = float(np.mean(crowd_sum(np.exp(-d2 / (sigma * sigma))) - 1.0))
         effort = float(np.mean(np.sum(traj.agent_controls(agent) ** 2, axis=-1)))
         acc += np.array([goal_dist, proximity, effort])
     return acc / len(trajs)
@@ -154,6 +160,10 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit(k):
         for agent in range(k):
             ref = _reference_expected_features(subset, agent, goals[agent], 1.5)
             assert every[agent].tobytes() == ref.tobytes()
+            # np.sum may add the kernel terms in another order: the same sums up to rounding
+            np_sum = _reference_expected_features(subset, agent, goals[agent], 1.5,
+                                                  functools.partial(np.sum, axis=-1))
+            np.testing.assert_allclose(every[agent], np_sum, rtol=1e-14, atol=0.0)
             one = expected_features(RolloutSet.stack(subset), [agent], goals[agent : agent + 1], 1.5)
             assert one.shape == (1, 3) and one[0].tobytes() == ref.tobytes()
 
@@ -211,21 +221,43 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
 
 
 @pytest.mark.parametrize("positive", [True, False])
-def test_agent_sum_equals_np_sum_over_a_contiguous_axis_byte_for_byte(positive):
-    # np.add.reduce's pairwise order fixes every crowding bit; if numpy changes
-    # it, this fails instead of the feature digests moving silently
+def test_agent_sum_adds_the_rows_in_order_byte_for_byte(positive):
+    # each element's sum is its own n terms added in one fixed order, whatever the block shape
     rng = np.random.default_rng(7 + positive)
     for n in [*range(1, 201), 255, 256, 257, 513]:
-        x = np.exp(rng.normal(0.0, 8.0, (3, 5, n)))  # terms spread over many binades
+        terms = np.exp(rng.normal(0.0, 8.0, (n, 3, 5)))  # terms spread over many binades
         if not positive:
-            x *= rng.choice([-1.0, 1.0], x.shape)
-        terms = np.ascontiguousarray(np.moveaxis(x, -1, 0))
-        assert agent_sum(terms).tobytes() == np.sum(x, axis=-1).tobytes(), n
-        scratch = np.full_like(terms, np.nan)
-        assert agent_sum(terms, scratch).tobytes() == np.sum(x, axis=-1).tobytes(), n
-    for n in (1, 7, 8, 9, 200):  # only negative zeros: the identity 0.0 makes the sum 0.0
-        zeros = np.full((n, 4), -0.0)
-        assert agent_sum(zeros).tobytes() == np.sum(zeros.T, axis=-1).tobytes() == np.zeros(4).tobytes()
+            terms *= rng.choice([-1.0, 1.0], terms.shape)
+        ref = functools.reduce(np.add, terms).tobytes()
+        assert agent_sum(terms).tobytes() == ref, n
+        out = np.full(terms.shape[1:], np.nan)
+        assert agent_sum(terms, out) is out and out.tobytes() == ref, n
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 48])
+def test_the_block_budget_never_moves_a_feature_bit(monkeypatch, k):
+    rng = np.random.default_rng(900 + k)
+    T, M = 10, 6
+    trajs = RolloutSet(rng.uniform(-4, 4, (M, T + 1, 4 * k)), rng.normal(size=(M, T, k, 2)), 0.1)
+    goals = rng.uniform(-4, 4, (k, 2))
+    calls = [(range(k), goals), ([k - 1], goals[-1:])]
+    default = [expected_features(trajs, a, g, 1.5).tobytes() for a, g in calls]
+    for budget in (1, 2**30):  # one trajectory per block, and the whole set in one
+        monkeypatch.setattr(features, "FEATURE_BUDGET", budget)
+        assert [expected_features(trajs, a, g, 1.5).tobytes() for a, g in calls] == default, budget
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 200])
+def test_a_one_state_slice_has_the_feature_bits_of_its_row_in_a_full_call(k):
+    rng = np.random.default_rng(950 + k)
+    states = rng.uniform(-4, 4, (3, 4, 4 * k))
+    goals = rng.uniform(-4, 4, (k, 2))
+    for agents in (list(range(k)), [k // 2]):  # the single agent gives (1, 1) slices
+        full = state_features(states, agents, goals[agents], 1.5)
+        for n in np.ndindex(states.shape[:-1]):
+            one = state_features(states[n][None], agents, goals[agents], 1.5)
+            for f, row in zip(full, one):
+                assert row.shape == (1, len(agents)) and row.tobytes() == f[n].tobytes(), (agents, n)
 
 
 def test_state_features_check_their_inputs_as_expected_features_does():
@@ -237,12 +269,14 @@ def test_state_features_check_their_inputs_as_expected_features_does():
         state_features(states, [5], goals[:1], DEFAULT_SIGMA)
     with pytest.raises(ValidationError, match="goals must be"):
         state_features(states, [0, 1], goals[:1], DEFAULT_SIGMA)
+    with pytest.raises(ValidationError, match="must be one or more integers"):
+        state_features(states, np.array([], int), np.zeros((0, 2)), DEFAULT_SIGMA)
     as_list = state_features(states, [0, 1], goals, DEFAULT_SIGMA)  # goals as a list
     as_array = state_features(states, np.arange(2), np.array(goals), DEFAULT_SIGMA)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(as_list, as_array))
 
 
-@pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5]])
+@pytest.mark.parametrize("agents", [[2], [0, 2], [-1], [0, 1, 5], np.array([], int)])
 def test_expected_features_rejects_out_of_range_agent(agents):
     trajs = RolloutSet.stack([_static_traj([(0, 0), (1, 0)])])
     with pytest.raises(ValidationError, match="agent indices"):

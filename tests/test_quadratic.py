@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,14 +205,28 @@ def test_expansion_rejects_nonfinite_cost(single_agent_spec):
 @pytest.mark.parametrize("agent", [-1, 3])
 def test_expansion_rejects_an_agent_out_of_range(intersection_spec, agent):
     nominal = constant_velocity_rollout(intersection_spec)
-    with pytest.raises(ValidationError, match=f"^agent index {agent} out of range for k=3$"):
+    with pytest.raises(ValidationError, match=rf"^agent indices \[{agent}\] must be one or more integers in \[0, 3\)$"):
         expand_model_along(nominal, agent, intersection_spec.goals[0], 1.5, np.ones(3))
+
+
+@pytest.mark.parametrize("agent", [True, 1.0, np.array([], int)], ids=["True", "1.0", "empty"])
+def test_expansion_rejects_an_agent_that_is_not_one_integer_index(intersection_spec, agent):
+    nominal = constant_velocity_rollout(intersection_spec)
+    with pytest.raises(ValidationError, match="^agent indices .* must be one or more integers"):
+        expand_model_along(nominal, agent, intersection_spec.goals[0], 1.5, np.ones(3))
+
+
+@pytest.mark.parametrize("sigma", [-1.5, 0.0, math.nan, math.inf])
+def test_expansion_rejects_a_kernel_width_that_is_not_positive_and_finite(intersection_spec, sigma):
+    nominal = constant_velocity_rollout(intersection_spec)
+    with pytest.raises(ValidationError, match="^sigma must be positive"):
+        expand_model_along(nominal, 0, intersection_spec.goals[0], sigma, np.ones(3))
 
 
 @pytest.mark.parametrize("goal", [[1.0], np.zeros(3), np.zeros((2, 2))])
 def test_expansion_rejects_a_goal_that_is_not_a_2_vector(single_agent_spec, goal):
     nominal = constant_velocity_rollout(single_agent_spec)
-    with pytest.raises(ValidationError, match="^goal must be a 2-vector"):
+    with pytest.raises(ValidationError, match=r"^goals must be \(1, 2\)"):
         expand_model_along(nominal, 0, goal, 1.5, np.ones(3))
 
 
