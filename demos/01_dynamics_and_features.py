@@ -8,7 +8,6 @@ features for a small scene.
 import numpy as np
 
 from crowdirl import (
-    RolloutSet,
     ScenarioSpec,
     CostParams,
     expected_features,
@@ -41,9 +40,9 @@ spec = ScenarioSpec(
     dt=0.1,
     sigma=1.5,  # width (m) of the crowding kernel
 )
-traj = rollout_openloop(spec, np.zeros((spec.horizon, spec.k, 2)))
-# one row (goal_dist, proximity, effort) per agent, here over a set of one trajectory
-phi = expected_features(RolloutSet.stack([traj]), range(spec.k), spec.goals, spec.sigma)
+traj = rollout_openloop(spec, np.zeros((spec.horizon, spec.k, 2)))  # a set of one row
+# one row (goal_dist, proximity, effort) per agent, here over that one trajectory
+phi = expected_features(traj, range(spec.k), spec.goals, spec.sigma)
 for i, (goal_dist, proximity, effort) in enumerate(phi):
     print(
         f"agent {i}: goal_dist {goal_dist:7.3f} m^2 | "

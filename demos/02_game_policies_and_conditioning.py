@@ -45,11 +45,12 @@ print(f"largest shift: {worst[2]:.3g} at t={worst[0]}, agent {worst[1]}")
 
 print("\n== rollouts stay usable either way ==")
 mean = mean_rollout(policies, spec)
-closest = np.min(np.linalg.norm(mean.positions(0) - mean.positions(1), axis=1))
+path = mean.states[0]  # the mean rollout is a set of one row: (T+1, 4k), agent i at 4i:4i+2
+closest = np.min(np.linalg.norm(path[:, 0:2] - path[:, 4:6], axis=1))
 print(f"mean-rollout closest approach: {closest:.3f} m")
 draws = sample_rollouts(policies, spec, M=5, seed=42)
-spread = np.std([r.positions(0)[-1] for r in draws], axis=0)
+spread = np.std(draws.states[:, -1, 0:2], axis=0)  # agent 0's final position in each draw
 print(f"final-position spread over 5 sampled rollouts: {np.round(spread, 3)} m")
 again = sample_rollouts(policies, spec, M=5, seed=42)
-identical = all(np.array_equal(a.states, b.states) for a, b in zip(draws, again))
+identical = np.array_equal(draws.states, again.states)
 print(f"same seed reproduces the sample set bit-for-bit: {identical}")

@@ -12,7 +12,6 @@ import numpy as np
 from crowdirl import (
     AgentState,
     PredictorContext,
-    RolloutSet,
     ScenarioSpec,
     action_grid,
     ebm_argmin,
@@ -57,8 +56,7 @@ print("\n== constant velocity ==")
 spec = ScenarioSpec(k=1, x0=(AgentState(0.0, 0.0, 1.2, -0.3),), goals=None,
                     horizon=4, dt=0.5)
 # a walker who turns north; the predictor sees only the start state
-walker = rollout_openloop(spec, np.tile([0.0, 0.8], (4, 1, 1)))
-walkers = RolloutSet.stack([walker])
-coast = make_predictor("cv", PredictorContext(spec=spec, train_demos=walkers))(walkers)[0]
+walker = rollout_openloop(spec, np.tile([0.0, 0.8], (4, 1, 1)))  # a set of one row
+coast = make_predictor("cv", PredictorContext(spec=spec, train_demos=walker))(walker)[0]
 print("next four positions, predicted:", np.round(coast[1:, 0], 2).tolist())
-print("next four positions, walked:   ", np.round(walker.positions(0)[1:], 2).tolist())
+print("next four positions, walked:   ", np.round(walker.states[0, 1:, :2], 2).tolist())

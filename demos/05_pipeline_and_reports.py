@@ -66,12 +66,12 @@ demos = synth_generate([theta] * 3, spec, 6, seed=11,
 demo_file = out / "demos.traj"
 write_demonstrations(demo_file, demos, spec.goals, {"origin": "demo script"})
 back, header = read_demonstrations(demo_file)
-err = max(float(np.max(np.abs(a.states - b.states))) for a, b in zip(demos, back))
+err = float(np.max(np.abs(demos.states - back.states)))
 print(f"wrote {header['count']} demonstrations, round-trip error {err:.1e}")
 print(f"heading entropy of the set: {trajectory_entropy(back).bits:.3f} bits (8 bins)")
 
 print("\n== reports ==")
-perfect = [np.stack([d.positions(i) for i in range(3)], axis=1) for d in demos]
+perfect = list(demos.states.reshape(len(demos), -1, 3, 4)[..., :2])  # (T+1, k, 2) positions per demo
 noisy = [p + 0.25 for p in perfect]
 from crowdirl.metrics import score_predictions
 

@@ -81,7 +81,6 @@ from .trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     constant_velocity_rollout,
     rollout_openloop,
 )

@@ -58,7 +58,6 @@ from .trajectory import (
     STATE_DIM,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     check_count,
     constant_velocity_rollout,
     propagate_joint,
@@ -258,16 +257,19 @@ def solve_lq_game(
     costs: Sequence[CostExpansion],
     cfg: SolverConfig = SolverConfig(),
     *,
-    nominal: Trajectory,
+    nominal: RolloutSet,
 ) -> PolicySequence:
     """Backward recursion over stacked first-order conditions, all agents at once.
 
     costs[i] is agent i's quadratic cost in deviations from the nominal; its
-    row T seeds the value recursion at the horizon end. The nominal fixes k and
-    dt, and so the dynamics; the returned policies act on deviations from it.
+    row T seeds the value recursion at the horizon end. The nominal, a
+    one-row set, fixes k and dt, and so the dynamics; the returned policies
+    act on deviations from it.
 
     Steps write into buffers allocated once per call; overflow raises no numpy warning.
     """
+    if len(nominal) != 1:
+        raise ValidationError(f"the nominal must be one row, got {len(nominal)} rows")
     k, n = nominal.k, STATE_DIM * nominal.k
     if len(costs) != k:
         raise ValidationError(f"need cost expansions for {k} agents, got {len(costs)}")
@@ -335,7 +337,7 @@ def solve_lq_game(
         np.multiply(np.add(P, Pt, out=Z), 0.5, out=Z)
 
     K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
-    kff_out = nominal.controls - gains_out[..., n].reshape(T, k, CONTROL_DIM)
+    kff_out = nominal.controls[0] - gains_out[..., n].reshape(T, k, CONTROL_DIM)
     # Nothing in the recursion reads the covariances, so they are formed and
     # repaired for all stages at once; repairs are logged in recursion order.
     Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
@@ -345,7 +347,7 @@ def solve_lq_game(
         t = T - 1 - int(t_rev)
         diag.events.append((t, int(i), float(shift[t, i])))
 
-    return PolicySequence(K_out, kff_out, Sigma, nominal.states, diag)
+    return PolicySequence(K_out, kff_out, Sigma, nominal.states[0], diag)
 
 
 def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
@@ -401,7 +403,7 @@ class Game:
         self.nominal = constant_velocity_rollout(spec)
         self.costs = self._expand(self.nominal)
 
-    def _expand(self, nominal: Trajectory) -> list[CostExpansion]:
+    def _expand(self, nominal: RolloutSet) -> list[CostExpansion]:
         """Every agent's cost at its current weights, expanded along nominal."""
         goals, sigma = self.spec.goals, self.spec.sigma
         return [expand_model_along(nominal, i, goals[i], sigma, t.weights) for i, t in enumerate(self.thetas)]
@@ -471,11 +473,10 @@ def _rollout_batch(
     return states[:M], controls[:M]
 
 
-def mean_rollout(policies: PolicySequence, spec: ScenarioSpec) -> Trajectory:
-    """Deterministic rollout under the feedback means, clamped at spec.u_max: row 0 of a zero-noise set."""
+def mean_rollout(policies: PolicySequence, spec: ScenarioSpec) -> RolloutSet:
+    """Deterministic rollout under the feedback means, clamped at spec.u_max: a zero-noise set of one."""
     noise = np.zeros((1, policies.horizon, policies.k, CONTROL_DIM))
-    states, controls = _rollout_batch(policies, spec, noise)
-    return Trajectory(states[0], controls[0], spec.dt)
+    return RolloutSet(*_rollout_batch(policies, spec, noise), spec.dt)
 
 
 def sample_rollouts(policies: PolicySequence, spec: ScenarioSpec, M: int, seed: int) -> RolloutSet:

@@ -41,7 +41,6 @@ from .trajectory import (
     STATE_DIM,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     check_count,
     from_dataset_array,
     to_dataset_array,
@@ -485,9 +484,10 @@ def write_catalog(out_dir, catalog: ScenarioCatalog, dt: float) -> list[dict]:
         for trk in entry.tracks:
             if id(trk) not in track_rows:
                 try:
-                    Trajectory.from_states(trk.states[:T], dt)  # the checks the entry's trajectory applies
+                    RolloutSet.from_states(trk.states[None, :T], dt)  # the checks the entry's set applies
                 except ValidationError:  # the entry's own message, states first
-                    Trajectory.from_states(np.concatenate([t.states[:T] for t in entry.tracks], axis=1), dt)
+                    joint = np.concatenate([t.states[:T] for t in entry.tracks], axis=1)
+                    RolloutSet.from_states(joint[None], dt)
                     raise
                 track_rows[id(trk)] = _dataset_rows(trk.states[:T])
         lines = [_header_line(len(entry.tracks), T, dt, None, 1, {"category": entry.category})]

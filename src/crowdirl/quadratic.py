@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
 from .features import _check_terms, agent_sum, state_terms
-from .trajectory import STATE_DIM, Trajectory
+from .trajectory import STATE_DIM, RolloutSet
 
 
 def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
@@ -108,10 +108,10 @@ def cost_pattern(k: int, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
-def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weights) -> CostExpansion:
+def expand_model_along(nominal: RolloutSet, agent: int, goal, sigma: float, weights) -> CostExpansion:
     """Exact quadratic expansion of one agent's cost theta . phi along a nominal.
 
-    Every nominal state is expanded at once. With r_j = p_i - p_j and
+    Every state of the one-row nominal is expanded at once. With r_j = p_i - p_j and
     e_j = exp(-|r_j|^2 / sigma^2), read off `features.state_terms` (which
     also gives the goal distance and, summed by `agent_sum`, the crowding
     offset; there p_j - p_i = -r_j exactly), the kernel e_j has gradient -2 e_j r_j / sigma^2
@@ -125,15 +125,17 @@ def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weig
     and sigma the crowding kernel's width; the agent index, goal and sigma
     are checked as `features.expected_features` checks them.
     """
-    T, k = nominal.horizon, nominal.k
+    if len(nominal) != 1:
+        raise ValidationError(f"the nominal must be one row, got {len(nominal)} rows")
+    T, k, states = nominal.horizon, nominal.k, nominal.states[0]
     idx, goals, sigma = _check_terms(k, [agent], [goal], sigma)
     i, g, s2 = int(idx[0]), goals[0], sigma * sigma
-    goal_value, kernel = state_terms(nominal.states, idx, goals, sigma)
+    goal_value, kernel = state_terms(states, idx, goals, sigma)
     crowd_value = agent_sum(kernel)[0] - 1.0  # the crowding feature, as state_features forms it
     e = kernel[:, 0].T.copy()  # (T+1, k)
     e[:, i] = 0.0  # no self term
 
-    pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
+    pos = states.reshape(T + 1, k, STATE_DIM)[..., :2]
     r = pos[:, i : i + 1] - pos  # (T+1, k, 2); zero at j == i
     grad = (2.0 / s2) * e[..., None] * r  # d e_j / d p_j
     # r r^T is formed before scaling, so that each M_j is exactly symmetric
@@ -165,4 +167,4 @@ def expand_model_along(nominal: Trajectory, agent: int, goal, sigma: float, weig
     if not np.array_equal(basis, basis[..., mirror]):
         raise InternalError("feature curvature is not exactly symmetric")
     basis.setflags(write=False)
-    return CostExpansion(rows, cols, basis, nominal.agent_controls(i), weights)
+    return CostExpansion(rows, cols, basis, nominal.controls[0, :, i], weights)

@@ -7,8 +7,9 @@ per-agent layout (position, scalar speed, heading); the conversion helpers at
 the bottom of this module translate between the two. Heading is undefined at
 rest, so a stationary agent is written with heading 0 by convention.
 
-A joint state is a (4k,) array of (px, py, vx, vy) per agent; the track and
-scenario types hold theirs as frozen arrays. All functions are pure, apart
+A joint state is a (4k,) array of (px, py, vx, vy) per agent. `RolloutSet`
+is the one track type: M paths of joint states and controls as frozen
+arrays, a single path being a set of one row. All functions are pure, apart
 from the `out=` buffers that the stepping functions fill.
 """
 from __future__ import annotations
@@ -124,26 +125,37 @@ def propagate_joint(
     return out
 
 
-class _TrackArrays:
-    """Shared checks: finite states/controls stored as frozen C-order float copies (SET_AXES set axes)."""
+@dataclass(frozen=True)
+class RolloutSet:
+    """M trajectories of one k and T as frozen arrays (M, T+1, 4k) and (M, T, k, 2) at step dt.
 
-    SET_AXES = 0
+    The one track type: a set of rollouts or demonstrations, or a single
+    path (a game's nominal, its mean rollout) as a set of one row, checked
+    once as a whole and held as finite, frozen C-order float copies. Solver
+    rows satisfy states[m, t+1] == propagate_joint(states[m, t], controls[m, t], dt);
+    ingested controls are reconstructed estimates. Like a list of M
+    trajectories it has len(), iteration and +: [m] is the one-row set
+    [m:m+1] (IndexError past either end), and a nonempty slice, or the sum of
+    two sets of one k, T and dt, is a set. A caller holding a list of sets
+    stacks it once.
+    """
+
+    states: np.ndarray
+    controls: np.ndarray
+    dt: float
 
     def __post_init__(self):
         states = np.array(self.states, dtype=float, order="C")
         controls = np.array(self.controls, dtype=float, order="C")
-        b = self.SET_AXES
-        lead, m = states.shape[:b], "M, " * b
         n = states.shape[-1] if states.ndim else 0
-        if states.ndim != 2 + b or 0 in lead or n % STATE_DIM != 0 or n == 0:
-            raise ValidationError(f"states must be ({m}T+1, 4k), got {states.shape}")
+        if states.ndim != 3 or len(states) == 0 or n % STATE_DIM != 0 or n == 0:
+            raise ValidationError(f"states must be (M, T+1, 4k), got {states.shape}")
         k = n // STATE_DIM
-        want = (*lead, k, CONTROL_DIM)
-        if controls.ndim != 3 + b or controls.shape[:b] + controls.shape[-2:] != want:
-            raise ValidationError(f"controls must be ({m}T, {k}, 2), got {controls.shape}")
-        T = controls.shape[b]
-        if states.shape[b] != T + 1:
-            raise ValidationError(f"lengths inconsistent: {states.shape[b]} states vs {T} controls")
+        if controls.ndim != 4 or (len(controls), *controls.shape[2:]) != (len(states), k, CONTROL_DIM):
+            raise ValidationError(f"controls must be (M, T, {k}, 2), got {controls.shape}")
+        T = controls.shape[1]
+        if states.shape[1] != T + 1:
+            raise ValidationError(f"lengths inconsistent: {states.shape[1]} states vs {T} controls")
         if T < 1:
             raise ValidationError("a trajectory needs at least one step")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -157,89 +169,38 @@ class _TrackArrays:
 
     @property
     def horizon(self) -> int:
-        return self.controls.shape[-3]
+        return self.controls.shape[1]
 
     @property
     def k(self) -> int:
-        return self.controls.shape[-2]
-
-
-@dataclass(frozen=True)
-class Trajectory(_TrackArrays):
-    """Joint states (T+1, 4k) plus per-agent controls (T, k, 2) at step dt.
-
-    Solver-generated trajectories satisfy states[t+1] ==
-    propagate_joint(states[t], controls[t], dt); ingested data need not
-    (controls there are reconstructed estimates). Arrays are frozen after
-    construction.
-    """
-
-    states: np.ndarray
-    controls: np.ndarray
-    dt: float
+        return self.controls.shape[2]
 
     @classmethod
-    def from_states(cls, states, dt: float) -> "Trajectory":
-        """Tracked states (T+1, 4k); each control is the velocity change over its step / dt."""
+    def from_states(cls, states, dt: float) -> "RolloutSet":
+        """Tracked states (M, T+1, 4k); each control is the velocity change over its step / dt."""
         states = np.asarray(states, dtype=float)
-        vel = states.reshape(len(states), states.shape[-1] // STATE_DIM, STATE_DIM)[:, :, 2:]
-        return cls(states, (vel[1:] - vel[:-1]) / dt, dt)
-
-    def positions(self, agent: int) -> np.ndarray:
-        """(T+1, 2) position track of one agent."""
-        self._check_agent(agent)
-        return self.states[:, 4 * agent : 4 * agent + 2]
-
-    def velocities(self, agent: int) -> np.ndarray:
-        self._check_agent(agent)
-        return self.states[:, 4 * agent + 2 : 4 * agent + 4]
-
-    def agent_controls(self, agent: int) -> np.ndarray:
-        self._check_agent(agent)
-        return self.controls[:, agent, :]
-
-    def _check_agent(self, agent: int) -> None:
-        if not 0 <= agent < self.k:
-            raise ValidationError(f"agent index {agent} out of range for k={self.k}")
-
-
-@dataclass(frozen=True)
-class RolloutSet(_TrackArrays):
-    """M trajectories of one k and T as frozen arrays (M, T+1, 4k) and (M, T, k, 2).
-
-    The one in-memory form of a set of rollouts or demonstrations, checked
-    once as a whole. Like a list of M trajectories it has len(), iteration
-    and +; [m] builds rollout m as a Trajectory, a nonempty slice is a set,
-    and so is the sum of two sets of one k, T and dt. Every library function
-    that reads demonstrations or rollouts takes one; a caller holding a list
-    of trajectories stacks it once.
-    """
-
-    SET_AXES = 1
-    states: np.ndarray
-    controls: np.ndarray
-    dt: float
+        vel = states.reshape(*states.shape[:-1], states.shape[-1] // STATE_DIM, STATE_DIM)[..., 2:]
+        return cls(states, (vel[:, 1:] - vel[:, :-1]) / dt, dt)
 
     @classmethod
-    def stack(cls, trajs) -> "RolloutSet":
-        """One set from a nonempty sequence of trajectories or sets of one k, T and dt."""
-        if not trajs:
+    def stack(cls, sets) -> "RolloutSet":
+        """One set from a nonempty sequence of sets of one k, T and dt."""
+        if not sets:
             raise ValidationError("a rollout set needs at least one trajectory")
-        first = trajs[0]
-        if any((t.k, t.horizon) != (first.k, first.horizon) or t.dt != first.dt for t in trajs):
+        first = sets[0]
+        if any((s.k, s.horizon) != (first.k, first.horizon) or s.dt != first.dt for s in sets):
             raise ValidationError("a rollout set needs trajectories of one k and T and one dt")
-        # a trajectory's arrays are one rollout's, a set's already have the set axis
-        return cls(np.concatenate([t.states.reshape(-1, *first.states.shape[-2:]) for t in trajs]),
-                   np.concatenate([t.controls.reshape(-1, *first.controls.shape[-3:]) for t in trajs]),
-                   first.dt)
+        return cls(np.concatenate([s.states for s in sets]),
+                   np.concatenate([s.controls for s in sets]), first.dt)
 
     def __len__(self) -> int:
         return self.states.shape[0]
 
     def __getitem__(self, m):
-        if isinstance(m, slice):
-            return RolloutSet(self.states[m], self.controls[m], self.dt)
-        return Trajectory(self.states[m], self.controls[m], self.dt)
+        if not isinstance(m, slice):
+            m = range(len(self))[m]  # IndexError out of range, so iteration stops after the last row
+            m = slice(m, m + 1)
+        return RolloutSet(self.states[m], self.controls[m], self.dt)
 
     def __add__(self, other):
         return RolloutSet.stack([self, other]) if isinstance(other, RolloutSet) else NotImplemented
@@ -309,11 +270,10 @@ def rollout(
     checked before the first step) into the step's own block and propagated
     by one `propagate_joint` call for all n rows, which advances contiguous
     position and velocity copies (n, k, 2) kept from step to step, their
-    (x, y) pair views formed once. Both
-    arrays are kept time-major, contiguous per step, and returned as
-    transposed views; a Trajectory or RolloutSet copies them into
-    (n, T+1, ...) order. A tape fixed in advance needs no loop:
-    `integrate_controls` gives the same bits.
+    (x, y) pair views formed once. Both arrays are kept time-major,
+    contiguous per step, and returned as transposed views; a RolloutSet
+    copies them into (n, T+1, ...) order. A tape fixed in advance needs no
+    loop: `integrate_controls` gives the same bits.
     """
     u_max = check_u_max(u_max)
     x0 = np.asarray(x0, dtype=float)
@@ -345,21 +305,21 @@ def integrate_controls(x0: np.ndarray, controls: np.ndarray, dt: float) -> np.nd
     return np.concatenate([p, v], axis=-1).reshape(n, T + 1, k * STATE_DIM)
 
 
-def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> Trajectory:
-    """Integrate a fixed (T, k, 2) control tape from spec.x0 (`integrate_controls`, no clamp)."""
+def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> RolloutSet:
+    """The one-row set of a fixed (T, k, 2) control tape from spec.x0 (`integrate_controls`, no clamp)."""
     controls = np.asarray(controls, dtype=float)
     if controls.shape != (spec.horizon, spec.k, CONTROL_DIM):
         raise ValidationError(
             f"controls must be ({spec.horizon}, {spec.k}, 2), got {controls.shape}"
         )
-    states = integrate_controls(spec.x0[None], controls[None], spec.dt)[0]
+    states = integrate_controls(spec.x0[None], controls[None], spec.dt)
     if not np.all(np.isfinite(states)):  # a finite start and tape whose path overflows
         raise CostRangeError("the open-loop path overflows", "states")
-    return Trajectory(states, controls, spec.dt)
+    return RolloutSet(states, controls[None], spec.dt)
 
 
-def constant_velocity_rollout(spec: ScenarioSpec) -> Trajectory:
-    """Zero-control rollout; the nominal around which costs are expanded."""
+def constant_velocity_rollout(spec: ScenarioSpec) -> RolloutSet:
+    """Zero-control one-row set; the nominal around which costs are expanded."""
     return rollout_openloop(spec, np.zeros((spec.horizon, spec.k, CONTROL_DIM)))
 
 

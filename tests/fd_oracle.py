@@ -28,7 +28,7 @@ import numpy as np
 
 from crowdirl.features import CostParams
 from crowdirl.quadratic import CostExpansion, _eval_batch, expand_model_along
-from crowdirl.trajectory import DEFAULT_SIGMA, STATE_DIM, RolloutSet, ScenarioSpec, Trajectory
+from crowdirl.trajectory import DEFAULT_SIGMA, STATE_DIM, RolloutSet, ScenarioSpec
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -50,7 +50,7 @@ def agent_costs(thetas, spec: ScenarioSpec) -> list[AgentCost]:
     return [AgentCost(thetas[i], i, spec.goals[i], spec.k, spec.horizon, spec.sigma) for i in range(spec.k)]
 
 
-def expand(model: AgentCost, nominal: Trajectory) -> CostExpansion:
+def expand(model: AgentCost, nominal: RolloutSet) -> CostExpansion:
     """crowdirl's closed-form expansion of the record's cost along nominal."""
     return expand_model_along(nominal, model.agent, model.goal, model.sigma, model.theta.weights)
 
@@ -176,7 +176,7 @@ def stage_cost(model: AgentCost):
     return cost
 
 
-def dense_feature_terms(model: AgentCost, nominal: Trajectory) -> np.ndarray:
+def dense_feature_terms(model: AgentCost, nominal: RolloutSet) -> np.ndarray:
     """The goal (0) and crowding (1) features' augmented costs [[H, l], [l^T, 2c]], (2, T+1, n+1, n+1).
 
     Laid out densely by the same expressions, in the same order, as
@@ -187,8 +187,8 @@ def dense_feature_terms(model: AgentCost, nominal: Trajectory) -> np.ndarray:
     n = STATE_DIM * k
     s2 = model.sigma * model.sigma
     goal_value, crowd_value = reference_state_features(
-        nominal.states, [i], model.goal[None], model.sigma)
-    pos = nominal.states.reshape(T + 1, k, STATE_DIM)[..., :2]
+        nominal.states[0], [i], model.goal[None], model.sigma)
+    pos = nominal.states[0].reshape(T + 1, k, STATE_DIM)[..., :2]
     r = pos[:, i : i + 1] - pos
     e = np.exp(-np.sum(r * r, axis=-1) / s2)
     e[:, i] = 0.0
@@ -282,12 +282,12 @@ def taylor_expand(costfn, x_nom, u_nom, h: float = DEFAULT_FD_STEP):
 
 def expand_along(
     costfn,
-    nominal: Trajectory,
+    nominal: RolloutSet,
     agent: int,
     h: float = DEFAULT_FD_STEP,
     control_weight: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked (H, l, c) of every step of the nominal trajectory: (T, d, d), (T, d), (T,).
+    """Stacked (H, l, c) of every step of the one-row nominal set: (T, d, d), (T, d), (T,).
 
     With control_weight given, the control dependence is taken as exactly
     w*||u||^2 with no state coupling: only the state block is differenced,
@@ -295,8 +295,8 @@ def expand_along(
     """
     stages = []
     for t in range(nominal.horizon):
-        x_nom = nominal.states[t]
-        u_nom = nominal.agent_controls(agent)[t]
+        x_nom = nominal.states[0, t]
+        u_nom = nominal.controls[0, t, agent]
         if control_weight is None:
             stages.append(taylor_expand(costfn, x_nom, u_nom, h))
         else:
@@ -354,11 +354,11 @@ def cost_expansion(stages, terminal, state_dim: int) -> DenseCost:
 
 
 def fd_expand_model_along(
-    model: AgentCost, nominal: Trajectory, h: float = DEFAULT_FD_STEP
+    model: AgentCost, nominal: RolloutSet, h: float = DEFAULT_FD_STEP
 ) -> DenseCost:
     """Finite-difference counterpart of quadratic.expand_model_along."""
     stages = expand_along(
         stage_cost(model), nominal, model.agent, h, control_weight=control_weight(model)
     )
-    terminal = expand_terminal(lambda x: state_cost(model, x), nominal.states[-1], h)
-    return cost_expansion(stages, terminal, nominal.states.shape[1])
+    terminal = expand_terminal(lambda x: state_cost(model, x), nominal.states[0, -1], h)
+    return cost_expansion(stages, terminal, nominal.states.shape[2])

@@ -42,7 +42,6 @@ from crowdirl.trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     constant_velocity_rollout,
 )
 from fd_oracle import dense_arrays, double_integrator
@@ -195,8 +194,8 @@ def test_criterion_6_metric_exactness():
     states = np.zeros((len(centers) * 2, 4))
     for t, h in enumerate(centers * 2):
         states[t, 2:] = [np.cos(h), np.sin(h)]
-    traj = Trajectory(states, np.zeros((len(centers) * 2 - 1, 1, 2)), 0.1)
-    ent = trajectory_entropy(RolloutSet.stack([traj]), bins=8)
+    traj = RolloutSet(states[None], np.zeros((1, len(centers) * 2 - 1, 1, 2)), 0.1)
+    ent = trajectory_entropy(traj, bins=8)
     ok &= ent.bits == 3.0
     _report(6, "metric exactness", bool(ok), f"entropy {ent.bits} bits")
 

@@ -29,7 +29,6 @@ from crowdirl.trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     clamp_control,
     constant_velocity_rollout,
     propagate_joint,
@@ -401,7 +400,7 @@ class TestStateFeedbackPredictors:
     @pytest.mark.parametrize("u_max", [0.05, 5.0])
     def test_matches_per_agent_loop(self, method, u_max):
         train, held = self._demos(6, seed=11), self._demos(5, seed=12)
-        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].states[0], goals=None,
+        spec = ScenarioSpec(k=self.K_AGENTS, x0=held.states[0, 0], goals=None,
                             horizon=self.T, dt=0.1, u_max=u_max)
         ctx = PredictorContext(spec=spec, train_demos=train, seed=2)
         got = make_predictor(method, ctx)(held)
@@ -416,21 +415,21 @@ class TestStateFeedbackPredictors:
             act = lambda s: ebm_minimizer(params, s)  # noqa: E731
         engaged = False
         for demo, pred in zip(held, got):
-            ref = _per_agent_rollout(demo.states[0], spec, act, u_max)
+            ref = _per_agent_rollout(demo.states[0, 0], spec, act, u_max)
             assert pred.tobytes() == ref.tobytes()
-            raw = act(demo.states[0].reshape(self.K_AGENTS, 4))
+            raw = act(demo.states[0, 0].reshape(self.K_AGENTS, 4))
             engaged |= bool(np.any(np.linalg.norm(raw, axis=-1) > u_max))
         assert engaged == (u_max < 1.0)
 
     def test_cv_matches_per_demo_constant_velocity_rollouts(self):
         held = self._demos(6, seed=14)
-        assert len({demo.states[0].tobytes() for demo in held}) == 6
-        spec = ScenarioSpec(k=self.K_AGENTS, x0=held[0].states[0], goals=None,
+        assert len({demo.states[0, 0].tobytes() for demo in held}) == 6
+        spec = ScenarioSpec(k=self.K_AGENTS, x0=held.states[0, 0], goals=None,
                             horizon=self.T, dt=0.1)
         got = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))(held)
         shape = (self.T + 1, self.K_AGENTS, 4)
         ref = np.stack([
-            constant_velocity_rollout(replace(spec, x0=demo.states[0])).states.reshape(shape)
+            constant_velocity_rollout(replace(spec, x0=demo.states[0, 0])).states.reshape(shape)
             for demo in held
         ])[..., :2]
         assert got.tobytes() == ref.tobytes()
@@ -441,8 +440,8 @@ class TestStateFeedbackPredictors:
         xs, us = [], []
         for demo in train:
             for i in range(demo.k):
-                xs.append(np.concatenate([demo.positions(i), demo.velocities(i)], axis=1)[:-1])
-                us.append(demo.agent_controls(i))
+                xs.append(demo.states[0, :-1, 4 * i : 4 * i + 4])
+                us.append(demo.controls[0, :, i])
         assert X.tobytes() == np.concatenate(xs).tobytes()
         assert U.tobytes() == np.concatenate(us).tobytes()
 
@@ -511,7 +510,7 @@ class TestConstantVelocity:
         predict = make_predictor("cv", PredictorContext(spec=spec, train_demos=[]))
         # the predictor reads only the demo's start state, so its controls are arbitrary
         wiggle = np.random.default_rng(0).standard_normal((horizon, 1, 2))
-        return spec, predict(RolloutSet.stack([rollout_openloop(spec, wiggle)]))[0, :, 0]
+        return spec, predict(rollout_openloop(spec, wiggle))[0, :, 0]
 
     def test_at_rest_stays(self):
         _, out = self._predict(AgentState(1, 1, 0, 0), horizon=4, dt=0.1)
@@ -525,4 +524,4 @@ class TestConstantVelocity:
     def test_matches_zero_control_rollout(self):
         spec, out = self._predict(AgentState(0.5, -0.2, 0.8, -0.3), horizon=6, dt=0.25)
         roll = rollout_openloop(spec, np.zeros((6, 1, 2)))
-        assert np.array_equal(out, roll.positions(0))
+        assert np.array_equal(out, roll.states[0, :, :2])

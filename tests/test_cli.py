@@ -39,7 +39,7 @@ from crowdirl.pipeline import (
     tracks_from_frames,
     write_demonstrations,
 )
-from crowdirl.trajectory import RolloutSet, ScenarioSpec, Trajectory, to_dataset_array
+from crowdirl.trajectory import RolloutSet, ScenarioSpec, to_dataset_array
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAST_TRAIN = [
@@ -61,13 +61,10 @@ def _synth(tmp_path, name="demos.traj", n=6, theta="1.0,0.5,0.2", temp="0.001", 
 def _far_demos(tmp_path, steps):
     """Synthesized demonstrations with agent 0 at x = 1e160 at the given steps of every demo."""
     demos, header = read_demonstrations(_synth(tmp_path))
-    far = []
-    for demo in demos:
-        states = demo.states.copy()
-        states[steps, 0] = 1e160  # finite, but its square overflows
-        far.append(Trajectory.from_states(states, demo.dt))
+    states = demos.states.copy()
+    states[:, steps, 0] = 1e160  # finite, but its square overflows
     path = tmp_path / "far.traj"
-    write_demonstrations(path, RolloutSet.stack(far), goals=header_goals(header))
+    write_demonstrations(path, RolloutSet.from_states(states, demos.dt), goals=header_goals(header))
     return path
 
 
@@ -683,7 +680,7 @@ class TestTrain:
     def test_trains_from_demo_0s_start_bit_for_bit(self, tmp_path, monkeypatch):
         # the mean of six equal starts is an ulp off them; training must not see it
         demos, _ = read_demonstrations(_synth(tmp_path))
-        assert not np.array_equal(np.mean([d.states[0] for d in demos], axis=0), demos[0].states[0])
+        assert not np.array_equal(np.mean(demos.states[:, 0], axis=0), demos.states[0, 0])
         specs, train = [], cli.multi_agent_irl
 
         def recording(dataset, spec, cfg):
@@ -694,14 +691,14 @@ class TestTrain:
         rc = main([*FAST_TRAIN, "--iters", "1", "train", str(tmp_path / "demos.traj"),
                    "--out", str(tmp_path / "t.json")])
         assert rc in (0, 3)
-        assert specs[0].x0.tobytes() == demos[0].states[0].tobytes()
+        assert specs[0].x0.tobytes() == demos.states[0, 0].tobytes()
 
     def test_demonstrations_from_different_starts_exit_2(self, tmp_path, capsys):
         demos, header = read_demonstrations(_synth(tmp_path))
         demos = list(demos)
         moved = demos[2].states.copy()
-        moved[:, 0::4] += 0.5  # every agent starts half a metre further east
-        demos[2] = Trajectory.from_states(moved, demos[2].dt)
+        moved[..., 0::4] += 0.5  # every agent starts half a metre further east
+        demos[2] = RolloutSet.from_states(moved, demos[2].dt)
         mixed = tmp_path / "mixed.traj"
         write_demonstrations(mixed, RolloutSet.stack(demos), goals=header_goals(header))
         capsys.readouterr()
@@ -1073,8 +1070,8 @@ class TestEval:
         held = _synth(tmp_path)
         demos, header = read_demonstrations(_synth(tmp_path, name="long.traj", n=1))
         short = tmp_path / "short.traj"  # 3 steps of 3 agents: 9 state-action pairs
-        write_demonstrations(short, RolloutSet.stack([Trajectory(demos[0].states[:4], demos[0].controls[:3],
-                                                                 demos[0].dt)]), goals=header_goals(header))
+        write_demonstrations(short, RolloutSet(demos.states[:1, :4], demos.controls[:1, :3], demos.dt),
+                             goals=header_goals(header))
         capsys.readouterr()
         rc = main(["eval", str(held), "--train", str(short), "--baseline", "gmm",
                    "--out", str(tmp_path / "x.csv")])
@@ -1392,7 +1389,7 @@ class TestPreprocess:
         ref = tmp_path / "ref.traj"
         for entry in summary["entries"]:
             joint = np.concatenate([tracks[t].states[:30] for t in entry["tracks"]], axis=1)
-            write_demonstrations(ref, RolloutSet.stack([Trajectory.from_states(joint, 0.1)]), goals=None,
+            write_demonstrations(ref, RolloutSet.from_states(joint[None], 0.1), goals=None,
                                  provenance={"category": entry["category"]})
             assert (out_dir / entry["file"]).read_bytes() == ref.read_bytes()
 

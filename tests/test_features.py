@@ -19,7 +19,6 @@ from crowdirl.trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     constant_velocity_rollout,
     rollout_openloop,
 )
@@ -36,22 +35,22 @@ from fd_oracle import (
 )
 
 
-def _static_traj(positions, T=1, dt=0.1) -> Trajectory:
-    """k agents sitting still at the given positions for T steps."""
+def _static_traj(positions, T=1, dt=0.1) -> RolloutSet:
+    """One-row set of k agents sitting still at the given positions for T steps."""
     k = len(positions)
     state = np.zeros(4 * k)
     for i, (x, y) in enumerate(positions):
         state[4 * i], state[4 * i + 1] = x, y
-    states = np.tile(state, (T + 1, 1))
-    return Trajectory(states=states, controls=np.zeros((T, k, 2)), dt=dt)
+    states = np.tile(state, (1, T + 1, 1))
+    return RolloutSet(states=states, controls=np.zeros((1, T, k, 2)), dt=dt)
 
 
 GOAL_DIST, PROXIMITY, EFFORT = range(3)
 
 
 def _features(traj, agent, goal, sigma=DEFAULT_SIGMA) -> np.ndarray:
-    """One agent's features (goal_dist, proximity, effort) along one trajectory."""
-    return expected_features(RolloutSet.stack([traj]), [agent], [goal], sigma)[0]
+    """One agent's features (goal_dist, proximity, effort) along a one-row set."""
+    return expected_features(traj, [agent], [goal], sigma)[0]
 
 
 def test_features_vanish_on_goal_without_neighbors():
@@ -92,7 +91,7 @@ def test_features_index_out_of_range():
 
 
 def _agent_features(trajs, agent, goal):
-    """One agent's row of expected_features over a list of trajectories."""
+    """One agent's row of expected_features over a list of one-row sets."""
     return expected_features(RolloutSet.stack(trajs), [agent], [goal], DEFAULT_SIGMA)[0]
 
 
@@ -139,7 +138,7 @@ def _reference_expected_features(trajs, agent, goal, sigma, crowd_sum=in_order_s
         goal_dist = float(np.mean(np.sum((pos[:, agent] - goal) ** 2, axis=-1)))
         d2 = np.sum((pos - pos[:, agent : agent + 1]) ** 2, axis=-1)
         proximity = float(np.mean(crowd_sum(np.exp(-d2 / (sigma * sigma))) - 1.0))
-        effort = float(np.mean(np.sum(traj.agent_controls(agent) ** 2, axis=-1)))
+        effort = float(np.mean(np.sum(traj.controls[0, :, agent] ** 2, axis=-1)))
         acc += np.array([goal_dist, proximity, effort])
     return acc / len(trajs)
 
@@ -149,7 +148,7 @@ def test_expected_features_match_per_trajectory_loop_bit_for_bit(k):
     rng = np.random.default_rng(8)
     T = 30
     trajs = [
-        Trajectory(rng.uniform(-4, 4, (T + 1, 4 * k)), rng.normal(size=(T, k, 2)), 0.1)
+        RolloutSet(rng.uniform(-4, 4, (1, T + 1, 4 * k)), rng.normal(size=(1, T, k, 2)), 0.1)
         for _ in range(33)
     ]
     goals = rng.uniform(-4, 4, (k, 2))
@@ -212,7 +211,7 @@ def test_feature_half_equals_the_strided_broadcast_reference_byte_for_byte(k):
             trajs = RolloutSet(states[:N], controls[:N], 0.1)
             got = expected_features(trajs, agents, g, sigma)
             assert got.tobytes() == reference_expected_features(trajs, agents, g, sigma).tobytes()
-    nominal = Trajectory(states[0], controls[0], 0.1)
+    nominal = RolloutSet(states[:1], controls[:1], 0.1)
     for model in agent_costs([CostParams.ones()] * k,
                              ScenarioSpec(k, states[0, 0], goals, T)):
         e = expand(model, nominal)
@@ -335,9 +334,9 @@ def test_stage_cost_model_reproduces_weighted_features(intersection_spec, theta_
 
 
 def trajectory_cost(model, traj):
-    """Total cost of a trajectory under a stage model, summed term by term."""
-    u = traj.agent_controls(model.agent)
-    return float(np.sum(state_cost(model, traj.states)) + control_weight(model) * np.sum(u * u))
+    """Total cost of a one-row set under a stage model, summed term by term."""
+    u = traj.controls[0, :, model.agent]
+    return float(np.sum(state_cost(model, traj.states[0])) + control_weight(model) * np.sum(u * u))
 
 
 def test_stage_cost_model_control_weight(intersection_spec, theta_star):
@@ -348,7 +347,7 @@ def test_stage_cost_model_control_weight(intersection_spec, theta_star):
 def test_stage_cost_batched_evaluation(intersection_spec, theta_star):
     model = agent_costs(theta_star, intersection_spec)[1]
     nominal = constant_velocity_rollout(intersection_spec)
-    batch = np.tile(nominal.states[0], (7, 1))
+    batch = np.tile(nominal.states[0, 0], (7, 1))
     u = np.zeros((7, 2))
     vals = stage_cost(model)(batch, u)
     assert vals.shape == (7,)

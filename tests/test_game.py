@@ -38,7 +38,6 @@ from crowdirl.trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     clamp_control,
     constant_velocity_rollout,
     propagate_joint,
@@ -124,13 +123,13 @@ def test_single_agent_mean_rollout_matches_oracle_trajectory(single_agent_spec):
     gains, ffs = _textbook_gains(dyn, expansion)
     A, B = dyn
     dx = np.zeros(4)
-    oracle_states = [nominal.states[0] + dx]
+    oracle_states = [nominal.states[0, 0] + dx]
     for t in range(single_agent_spec.horizon):
         u = -gains[t] @ dx - ffs[t]
         dx = A @ dx + B[0] @ u
-        oracle_states.append(nominal.states[t + 1] + dx)
+        oracle_states.append(nominal.states[0, t + 1] + dx)
     traj = mean_rollout(policies, single_agent_spec)
-    assert np.max(np.abs(traj.states - np.stack(oracle_states))) < 1e-8
+    assert np.max(np.abs(traj.states[0] - np.stack(oracle_states))) < 1e-8
 
 
 def test_pure_effort_cost_gives_flat_policy_and_inverse_sigma():
@@ -542,7 +541,7 @@ def test_exact_moments_collapse_to_the_mean_rollout_without_noise(theta_star):
     spec = replace(scenario_preset("intersection_k3"), u_max=np.inf)
     policies = build_policies(theta_star, spec, SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
     mean = mean_rollout(policies, spec)
-    ref = expected_features(RolloutSet.stack([mean]), range(3), spec.goals, spec.sigma)
+    ref = expected_features(mean, range(3), spec.goals, spec.sigma)
     assert np.max(np.abs(exact_features(policies, spec) - ref)) <= 1e-9
 
 
@@ -627,10 +626,19 @@ def test_solve_screens_the_gain_condition_through_its_identity_columns():
     Q[T, 0, 0] = 1.0
     R = dt**4 / 4 / 1.5e12
     expansion = DenseCost(Q, np.zeros((T + 1, 4)), np.zeros(T + 1), R, np.zeros((T, 2)))
-    nominal = Trajectory(np.zeros((T + 1, 4)), np.zeros((T, 1, 2)), dt)
+    nominal = RolloutSet(np.zeros((1, T + 1, 4)), np.zeros((1, T, 1, 2)), dt)
     with pytest.raises(SolverError) as err:
         solve_lq_game([expansion], SolverConfig(), nominal=nominal)
     assert err.value.timestep == T - 1
+
+
+def test_solve_refuses_a_nominal_of_more_than_one_row(single_agent_spec):
+    # a nominal is one path until the solve takes a scene axis; row 0 alone must not be solved along
+    theta = CostParams(np.array([1.0, 0.0, 1.0]))
+    policies, expansion, _, nominal = _solve_single_agent(single_agent_spec, theta)
+    assert policies.nominal_states.tobytes() == nominal.states.tobytes()
+    with pytest.raises(ValidationError, match=r"^the nominal must be one row, got 2 rows$"):
+        solve_lq_game([expansion], SolverConfig(), nominal=nominal + nominal)
 
 
 def _per_step_reference(dyn, costs, cfg, nominal):
@@ -676,7 +684,7 @@ def _per_step_reference(dyn, costs, cfg, nominal):
         for i in np.flatnonzero(shift > 0.0):
             sigma[i] = condition_covariance(sigma[i], cfg.eps_psd)
             events.append((t, int(i), float(shift[i])))
-        K_out[t], kff_out[t], Sigma_out[t] = G[..., :n], nominal.controls[t] - G[..., n], sigma
+        K_out[t], kff_out[t], Sigma_out[t] = G[..., :n], nominal.controls[0, t] - G[..., n], sigma
         F = A - B_all @ sol
         RG = R * G
         RG[..., n] -= 2.0 * r[t]
@@ -721,7 +729,7 @@ def _unaugmented_reference(dyn, costs, cfg, nominal):
         for i in np.flatnonzero(shift > 0.0):
             sigma[i] = condition_covariance(sigma[i], cfg.eps_psd)
             events.append((t, int(i), float(shift[i])))
-        K_out[t], kff_out[t], Sigma_out[t] = K, nominal.controls[t] - alpha, sigma
+        K_out[t], kff_out[t], Sigma_out[t] = K, nominal.controls[0, t] - alpha, sigma
         F = A - B_all @ K_all
         beta = -B_all @ alpha_all
         Kt = np.swapaxes(K, 1, 2)
@@ -1049,7 +1057,7 @@ def test_solver_rejects_mismatched_dimensions(single_agent_spec):
     wide = DenseCost(np.zeros((T + 1, 8, 8)), np.zeros((T + 1, 8)), np.zeros(T + 1), 1.0, np.zeros((T, 2)))
     with pytest.raises(ValidationError, match="^cost expansions do not match the nominal's state dimension 4$"):
         solve_lq_game([wide], SolverConfig(), nominal=nominal)
-    shorter = Trajectory(nominal.states[:-1], nominal.controls[:-1], nominal.dt)
+    shorter = RolloutSet(nominal.states[:, :-1], nominal.controls[:, :-1], nominal.dt)
     with pytest.raises(ValidationError, match=f"^nominal trajectory has horizon {T - 1}, the costs {T}$"):
         solve_lq_game([expansion], SolverConfig(), nominal=shorter)
 

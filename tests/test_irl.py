@@ -18,7 +18,7 @@ from crowdirl.irl import (
 )
 from crowdirl.pipeline import synth_generate
 from crowdirl.rng import derive_seed
-from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, RolloutSet, ScenarioSpec, Trajectory
+from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, RolloutSet, ScenarioSpec
 
 QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
 
@@ -79,7 +79,7 @@ def test_update_theta_clamps_at_orthant_boundary(intersection_spec, theta_star):
 def test_infer_goals_mean_final_position(intersection_spec, theta_star):
     demos = synth_generate(theta_star, intersection_spec, 6, seed=3, solver_cfg=QUIET_SOLVER)
     goals = infer_goals(demos)
-    finals = np.mean([d.states[-1] for d in demos], axis=0)
+    finals = np.mean(demos.states[:, -1], axis=0)
     for i in range(3):
         assert np.allclose(goals[i], finals[4 * i : 4 * i + 2])
 
@@ -136,7 +136,7 @@ def test_feature_gap_zero_against_own_mean_rollout(single_agent_spec):
     cfg = _cfg(max_iters=1, M=4, solver=SolverConfig(entropy_temp=1e-300, eps_psd=1e-30))
     policies = build_policies([CostParams.ones()], single_agent_spec, cfg.solver)
     demo = mean_rollout(policies, single_agent_spec)
-    _, trace = multi_agent_irl(RolloutSet.stack([demo]), single_agent_spec, cfg)
+    _, trace = multi_agent_irl(demo, single_agent_spec, cfg)
     assert trace.records[0].gap_norm < 1e-9
 
 
@@ -144,11 +144,11 @@ def test_feature_gap_goal_component_sign(intersection_spec):
     # static demos stay far from the goals; goal-seeking policies end nearer:
     # policies accrue less goal_dist, so that gap component is negative.
     x0 = intersection_spec.x0
-    static = np.tile(x0 * np.tile([1, 1, 0, 0], 3), (intersection_spec.horizon + 1, 1))
-    demo = Trajectory(static, np.zeros((intersection_spec.horizon, 3, 2)), intersection_spec.dt)
+    static = np.tile(x0 * np.tile([1, 1, 0, 0], 3), (1, intersection_spec.horizon + 1, 1))
+    demo = RolloutSet(static, np.zeros((1, intersection_spec.horizon, 3, 2)), intersection_spec.dt)
     cfg = _cfg(max_iters=1, M=4)
     for train in (multi_agent_irl, single_agent_maxent_irl):
-        _, trace = train(RolloutSet.stack([demo]), intersection_spec, cfg)
+        _, trace = train(demo, intersection_spec, cfg)
         assert all(r.gap[0] < 0 for r in trace.records)
 
 

@@ -35,7 +35,6 @@ from crowdirl.pipeline import synth_generate
 from crowdirl.rng import substream
 from crowdirl.trajectory import (
     RolloutSet,
-    Trajectory,
     clamp_control,
     propagate_joint,
 )
@@ -106,30 +105,35 @@ class TestRmseCdf:
             CdfSeries(thresholds=np.array([1.0, 0.5]), fractions=np.array([0.0, 1.0]))
 
 
-def _heading_traj(headings, dt=0.1) -> Trajectory:
-    """One agent whose T+1 states carry exactly the given unit-speed headings."""
+def _xy(row: RolloutSet, i: int) -> np.ndarray:
+    """(T+1, 2) positions of agent i in a one-row set."""
+    return row.states[0, :, 4 * i : 4 * i + 2]
+
+
+def _heading_traj(headings, dt=0.1) -> RolloutSet:
+    """One-row set of one agent whose T+1 states carry exactly the given unit-speed headings."""
     n = len(headings)
-    states = np.zeros((n, 4))
+    states = np.zeros((1, n, 4))
     for t, h in enumerate(headings):
-        states[t, 2] = math.cos(h)
-        states[t, 3] = math.sin(h)
-    return Trajectory(states, np.zeros((n - 1, 1, 2)), dt)
+        states[0, t, 2] = math.cos(h)
+        states[0, t, 3] = math.sin(h)
+    return RolloutSet(states, np.zeros((1, n - 1, 1, 2)), dt)
 
 
 class TestTrajectoryEntropy:
     def test_identical_headings_zero_bits(self):
-        rep = trajectory_entropy(RolloutSet.stack([_heading_traj([0.4] * 9)]), bins=8)
+        rep = trajectory_entropy(_heading_traj([0.4] * 9), bins=8)
         assert rep.bits == 0.0
 
     def test_two_opposite_sectors_one_bit(self):
         # equal mass in two bins: exactly 1 bit
-        rep = trajectory_entropy(RolloutSet.stack([_heading_traj([0.0, np.pi] * 5)]), bins=8)
+        rep = trajectory_entropy(_heading_traj([0.0, np.pi] * 5), bins=8)
         assert abs(rep.bits - 1.0) < 1e-12
 
     def test_uniform_eight_bins_three_bits(self):
         width = 2 * np.pi / 8
         centers = [-np.pi + (j + 0.5) * width for j in range(8)]
-        rep = trajectory_entropy(RolloutSet.stack([_heading_traj(centers * 3)]), bins=8)
+        rep = trajectory_entropy(_heading_traj(centers * 3), bins=8)
         assert rep.bits == 3.0
 
     def test_rotation_by_bin_width_invariant(self):
@@ -137,14 +141,14 @@ class TestTrajectoryEntropy:
         headings = rng.uniform(-np.pi, np.pi, 200)
         width = 2 * np.pi / 8
         rotated = ((headings + width + np.pi) % (2 * np.pi)) - np.pi
-        a = trajectory_entropy(RolloutSet.stack([_heading_traj(list(headings))]), bins=8)
-        b = trajectory_entropy(RolloutSet.stack([_heading_traj(list(rotated))]), bins=8)
+        a = trajectory_entropy(_heading_traj(list(headings)), bins=8)
+        b = trajectory_entropy(_heading_traj(list(rotated)), bins=8)
         assert abs(a.bits - b.bits) < 1e-9
 
     def test_bound(self):
         rng = np.random.default_rng(7)
         headings = list(rng.uniform(-np.pi, np.pi, 500))
-        rep = trajectory_entropy(RolloutSet.stack([_heading_traj(headings)]), bins=8)
+        rep = trajectory_entropy(_heading_traj(headings), bins=8)
         assert 0.0 <= rep.bits <= 3.0
         with pytest.raises(ValidationError):
             EntropyReport(bits=3.5, bins=8)
@@ -158,7 +162,7 @@ class TestReports:
     def _demo_and_pred(self, intersection_spec, theta_star):
         demos = synth_generate(theta_star, intersection_spec, 3, seed=0, solver_cfg=QUIET)
         perfect = [
-            np.stack([d.positions(i) for i in range(3)], axis=1) for d in demos
+            np.stack([_xy(d, i) for i in range(3)], axis=1) for d in demos
         ]
         return demos, perfect
 
@@ -175,14 +179,14 @@ class TestReports:
         rng = np.random.default_rng(100 * k + n)
         T = int(rng.integers(5, 40))
         for scale in (0.01, 1.0, 100.0):
-            demos = [Trajectory.from_states(rng.normal(0.0, scale, (T + 1, 4 * k)), 0.1)
+            demos = [RolloutSet.from_states(rng.normal(0.0, scale, (1, T + 1, 4 * k)), 0.1)
                      for _ in range(n)]
             preds = rng.normal(0.0, scale, (n, T + 1, k, 2))
             ades, fdes, rmses = np.zeros(k), np.zeros(k), []
             for demo, pred in zip(demos, preds):
                 sq = 0.0
                 for i in range(k):
-                    gt = demo.positions(i)
+                    gt = _xy(demo, i)
                     ades[i] += ade(pred[:, i], gt)
                     fdes[i] += fde(pred[:, i], gt)
                     sq += float(np.mean(np.sum((pred[:, i] - gt) ** 2, axis=1)))
@@ -192,7 +196,7 @@ class TestReports:
             assert rep.per_agent_fde.tobytes() == (fdes / n).tobytes()
             assert rep.rmse_per_traj.tobytes() == np.array(rmses).tobytes()
             # the best-of pick's error of every demo, as a candidate, against demo 0
-            errs = [np.mean([ade(c.positions(i), demos[0].positions(i)) for i in range(k)])
+            errs = [np.mean([ade(_xy(c, i), _xy(demos[0], i)) for i in range(k)])
                     for c in demos]
             positions = metrics._positions(RolloutSet.stack(demos).states)
             rows = metrics._displacement_rows(positions, positions[0])[0]
@@ -312,7 +316,7 @@ def _overlay_point_by_point(demos, predictions) -> str:
                 H - m - (H - 2 * m) * (p[1] - lo[1]) / span[1])
 
     k = demos[0].k
-    demo_tracks = [np.stack([d.positions(i) for i in range(k)], axis=1) for d in demos]
+    demo_tracks = [np.stack([_xy(d, i) for i in range(k)], axis=1) for d in demos]
     parts = metrics._svg_head("demonstrations vs predictions")
     for tracks, dashed, opacity in ((demo_tracks, False, 0.35), (predictions, True, 1.0)):
         for track in tracks:
@@ -388,8 +392,8 @@ class TestPredictors:
     def test_overflowing_errors_raise_cost_range_error(self, intersection_spec, theta_star):
         demos = synth_generate(theta_star, intersection_spec, 2, seed=1, solver_cfg=QUIET)
         states = demos[1].states.copy()
-        states[2, 0] = 1e160  # finite, but its square overflows
-        far = RolloutSet.stack([demos[0], Trajectory.from_states(states, demos[1].dt)])
+        states[0, 2, 0] = 1e160  # finite, but its square overflows
+        far = demos[0] + RolloutSet.from_states(states, demos.dt)
         ctx = PredictorContext(spec=intersection_spec, train_demos=far)
         with pytest.raises(CostRangeError, match="displacement errors overflow") as info:
             evaluate_method("cv", "scene", far, ctx)
@@ -458,13 +462,13 @@ class TestPredictors:
         # reference: one solve and one rollout (set) per demonstration
         picks = []
         for demo, pred in zip(demos, got):
-            demo_spec = replace(intersection_spec, x0=demo.states[0])
+            demo_spec = replace(intersection_spec, x0=demo.states[0, 0])
             policies = build_policies(theta_star, demo_spec, ctx.solver)
             if best_of == 1:
                 best = mean_rollout(policies, demo_spec)
             else:
                 cands = sample_rollouts(policies, demo_spec, best_of, ctx.seed)
-                errs = [np.mean([ade(c.positions(i), demo.positions(i)) for i in range(3)])
+                errs = [np.mean([ade(_xy(c, i), _xy(demo, i)) for i in range(3)])
                         for c in cands]
                 picks.append(int(np.argmin(errs)))
                 best = cands[picks[-1]]

@@ -27,7 +27,6 @@ from crowdirl.trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     from_dataset_array,
     to_dataset_array,
 )
@@ -316,7 +315,7 @@ class TestDirectionCatalog:
 class TestWriteCatalog:
     def _reference(self, path, entry, T, dt=0.1):
         states = np.concatenate([t.states[:T] for t in entry.tracks], axis=1)
-        write_demonstrations(path, RolloutSet.stack([Trajectory.from_states(states, dt)]), goals=None,
+        write_demonstrations(path, RolloutSet.from_states(states[None], dt), goals=None,
                              provenance={"category": entry.category})
         return path.read_bytes()
 
@@ -354,7 +353,7 @@ class TestWriteCatalog:
                    for arr in (good, broken)]
         catalog = ScenarioCatalog(("E-N",), tuple(entries), T=30)
         with pytest.raises(ValidationError) as before:
-            Trajectory.from_states(broken, 0.1)
+            RolloutSet.from_states(broken[None], 0.1)
         with pytest.raises(ValidationError) as after:
             write_catalog(tmp_path, catalog, 0.1)
         assert str(after.value) == str(before.value) == message
@@ -401,7 +400,7 @@ class TestSynthGenerate:
             th = CostParams(np.array([1.0, w, 0.2]))
             demos = synth_generate([th, th], spec, 5, seed=77, solver_cfg=cfg)
             return np.mean(
-                [np.min(np.linalg.norm(t.positions(0) - t.positions(1), axis=1)) for t in demos]
+                [np.min(np.linalg.norm(t.states[0, :, 0:2] - t.states[0, :, 4:6], axis=1)) for t in demos]
             )
 
         assert mean_min_dist(1.5) > mean_min_dist(0.0)
@@ -480,15 +479,15 @@ class TestInterchange:
             [1e16, -7.0, 5e-324, 0.0, -0.0, 1.5e-310, -1e16, 2.0],
             [0.1, 2.0**-1074 * 3, 4.0, 3.0, 123456789.0, -1e-300, 0.0, 1.0],
         ])
-        demos = RolloutSet.stack([Trajectory(states, np.zeros((2, 2, 2)), 0.1),
-                                  Trajectory(states[::-1], np.ones((2, 2, 2)), 0.1)])
+        demos = RolloutSet(np.stack([states, states[::-1]]),
+                           np.stack([np.zeros((2, 2, 2)), np.ones((2, 2, 2))]), 0.1)
         path = tmp_path / "edge.traj"
         write_demonstrations(path, demos, None, {"note": "edge"})
         header = {"k": 2, "T": 3, "dt": 0.1, "goals": None, "count": 2,
                   "provenance": {"note": "edge"}}
         lines = [json.dumps(header, sort_keys=True)]
-        for traj in demos:
-            for row in to_dataset_array(traj.states):
+        for block in demos.states:
+            for row in to_dataset_array(block):
                 lines.append(",".join(repr(float(v)) for v in row))
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
         assert {"-0.0", "5e-324", "1e+16", "3.0", "-2.0"} <= set(lines[1].split(","))
@@ -552,8 +551,8 @@ class TestInterchange:
             return
         demos, _ = read_demonstrations(path)
         assert isinstance(demos, RolloutSet) and len(demos) == len(ref) == count
-        assert demos.states.tobytes() == np.stack([t.states for t in ref]).tobytes()
-        assert demos.controls.tobytes() == np.stack([t.controls for t in ref]).tobytes()
+        assert demos.states.tobytes() == RolloutSet.stack(ref).states.tobytes()
+        assert demos.controls.tobytes() == RolloutSet.stack(ref).controls.tobytes()
         assert demos.dt == ref[0].dt
 
     @pytest.mark.parametrize("row, message", [
@@ -717,5 +716,5 @@ def _per_block_read(path):
     for b in range(header["count"]):
         block = lines[1 + b * rows_per : 1 + (b + 1) * rows_per]
         rows = np.array([[float(v) for v in ln.split(",")] for ln in block])
-        out.append(Trajectory.from_states(from_dataset_array(rows), header["dt"]))
+        out.append(RolloutSet.from_states(from_dataset_array(rows)[None], header["dt"]))
     return out

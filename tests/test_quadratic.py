@@ -11,7 +11,7 @@ from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout
 from crowdirl.quadratic import cost_pattern, expand_model_along
-from crowdirl.trajectory import Trajectory, constant_velocity_rollout
+from crowdirl.trajectory import RolloutSet, constant_velocity_rollout
 from fd_oracle import (
     AgentCost,
     DenseCost,
@@ -150,7 +150,7 @@ def test_expand_model_along_terminal(intersection_spec, theta_star):
     Q, q, _ = dense_arrays(expansion)
     assert Q.shape == (intersection_spec.horizon + 1, 12, 12)
     # row T equals a direct expansion of the state cost at the last state
-    H, l, _ = expand_terminal(lambda x: state_cost(model, x), nominal.states[-1])
+    H, l, _ = expand_terminal(lambda x: state_cost(model, x), nominal.states[0, -1])
     assert np.allclose(Q[-1], H)
     assert np.allclose(q[-1], l)
 
@@ -223,6 +223,13 @@ def test_expansion_rejects_a_kernel_width_that_is_not_positive_and_finite(inters
         expand_model_along(nominal, 0, intersection_spec.goals[0], sigma, np.ones(3))
 
 
+def test_expansion_refuses_a_nominal_of_more_than_one_row(intersection_spec):
+    # a nominal is one path until the solve takes a scene axis
+    nominal = constant_velocity_rollout(intersection_spec)
+    with pytest.raises(ValidationError, match=r"^the nominal must be one row, got 2 rows$"):
+        expand_model_along(nominal + nominal, 0, intersection_spec.goals[0], 1.5, np.ones(3))
+
+
 @pytest.mark.parametrize("goal", [[1.0], np.zeros(3), np.zeros((2, 2))])
 def test_expansion_rejects_a_goal_that_is_not_a_2_vector(single_agent_spec, goal):
     nominal = constant_velocity_rollout(single_agent_spec)
@@ -232,7 +239,7 @@ def test_expansion_rejects_a_goal_that_is_not_a_2_vector(single_agent_spec, goal
 
 def _dense_expansion(model, nominal):
     """The expansion formed directly as dense weighted arrays, with no theta-free terms."""
-    states = nominal.states
+    states = nominal.states[0]
     T, k, i = nominal.horizon, model.k, model.agent
     s2 = model.sigma * model.sigma
     w_goal, w_prox, _ = model.theta.weights
@@ -253,7 +260,7 @@ def _dense_expansion(model, nominal):
     H[:, agents, :2, agents, :2] = w_prox * M.transpose(1, 0, 2, 3)
     H[:, i, :2, i, :2] = 2.0 * w_goal * np.eye(2) + w_prox * M.sum(axis=1)
     R = 2.0 * control_weight(model)
-    u = nominal.agent_controls(i)
+    u = nominal.controls[0, :, i]
     c = state_cost(model, states)
     c[:T] += 0.5 * R * np.sum(u * u, axis=-1)
     return (H.reshape(T + 1, 4 * k, 4 * k) / (T + 1), l.reshape(T + 1, 4 * k) / (T + 1), c, R,
@@ -299,8 +306,8 @@ def _pattern_nominals(spec):
     thetas = [CostParams(np.array([1.0, 0.5, 0.2]))] * spec.k
     controlled = mean_rollout(build_policies(thetas, spec, SolverConfig(entropy_temp=1e-3)), spec)
     far = coasting.states.copy()
-    far[:, -4] += 1000.0  # exp(-(1 km / sigma)^2) is exactly 0.0
-    return coasting, controlled, Trajectory(far, coasting.controls, coasting.dt)
+    far[..., -4] += 1000.0  # exp(-(1 km / sigma)^2) is exactly 0.0
+    return coasting, controlled, RolloutSet(far, coasting.controls, coasting.dt)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 8])
@@ -344,7 +351,7 @@ def _scenes(draw):
     states = draw(arrays(float, (T + 1, k, 4), elements=coords)).reshape(T + 1, 4 * k)
     controls = draw(arrays(float, (T, k, 2), elements=coords))
     goal = draw(arrays(float, 2, elements=st.floats(-5.0, 5.0)))
-    return Trajectory(states, controls, 0.1), draw(st.integers(0, k - 1)), goal
+    return RolloutSet(states[None], controls[None], 0.1), draw(st.integers(0, k - 1)), goal
 
 
 _weights = arrays(float, 3, elements=st.floats(0.0, 1.0))

@@ -11,7 +11,6 @@ from crowdirl.trajectory import (
     AgentState,
     RolloutSet,
     ScenarioSpec,
-    Trajectory,
     _halves,
     clamp_control,
     constant_velocity_rollout,
@@ -139,7 +138,7 @@ def test_rollout_openloop_static():
         k=1, x0=(AgentState(1, 1, 0, 0),), goals=None, horizon=1, dt=0.5
     )
     traj = rollout_openloop(spec, np.zeros((1, 1, 2)))
-    assert np.array_equal(traj.states[0], traj.states[1])
+    assert len(traj) == 1 and np.array_equal(traj.states[0, 0], traj.states[0, 1])
 
 
 def test_rollout_openloop_constant_push():
@@ -148,7 +147,7 @@ def test_rollout_openloop_constant_push():
     )
     controls = np.tile(np.array([1.0, 0.0]), (2, 1, 1))
     traj = rollout_openloop(spec, controls)
-    assert np.allclose(traj.positions(0)[:, 0], [0.0, 0.5, 2.0])
+    assert np.allclose(traj.states[0, :, 0], [0.0, 0.5, 2.0])
 
 
 def test_rollout_openloop_rejects_length_mismatch():
@@ -160,9 +159,9 @@ def test_rollout_openloop_rejects_length_mismatch():
 
 
 def propagation_residual(traj):
-    """Max deviation between recorded states and a replay of the controls."""
-    replay = propagate_joint(traj.states[:-1], traj.controls, traj.dt)
-    return float(np.max(np.abs(replay - traj.states[1:])))
+    """Max deviation between a set's recorded states and a replay of its controls."""
+    replay = propagate_joint(traj.states[:, :-1], traj.controls, traj.dt)
+    return float(np.max(np.abs(replay - traj.states[:, 1:])))
 
 
 def test_trajectory_replay_consistency():
@@ -202,7 +201,7 @@ def test_openloop_rollout_equals_the_per_step_loop_bit_for_bit():
         assert states[j].tobytes() == ref.tobytes()
         spec = ScenarioSpec(k=k, x0=x0[j], goals=None, horizon=T, dt=dt)
         traj = rollout_openloop(spec, tapes[j])
-        assert traj.states.tobytes() == ref.tobytes()
+        assert traj.states.shape == (1, *ref.shape) and traj.states.tobytes() == ref.tobytes()
         assert traj.controls.tobytes() == tapes[j].tobytes()
 
 
@@ -255,16 +254,22 @@ def test_from_states_reconstructs_the_controls_of_a_replay():
     rng = np.random.default_rng(33)
     spec = ScenarioSpec(k=2, x0=rng.standard_normal(8), goals=None, horizon=12, dt=0.1)
     traj = rollout_openloop(spec, rng.standard_normal((12, 2, 2)))
-    rebuilt = Trajectory.from_states(traj.states, traj.dt)
+    rebuilt = RolloutSet.from_states(traj.states, traj.dt)
     assert rebuilt.states.tobytes() == traj.states.tobytes() and rebuilt.dt == traj.dt
     assert np.allclose(rebuilt.controls, traj.controls, rtol=0, atol=1e-12)
+    # two rows at once: each row's controls are those it gets alone
+    pair = traj + rollout_openloop(spec, rng.standard_normal((12, 2, 2)))
+    rows = RolloutSet.from_states(pair.states, pair.dt)
+    alone = RolloutSet.stack([RolloutSet.from_states(row.states, row.dt) for row in pair])
+    assert rows.controls.tobytes() == alone.controls.tobytes()
+    assert np.allclose(rows.controls, pair.controls, rtol=0, atol=1e-12)
 
 
 def test_trajectory_shape_validation():
     with pytest.raises(ValidationError):
-        Trajectory(states=np.zeros((3, 4)), controls=np.zeros((1, 1, 2)), dt=0.1)
+        RolloutSet(states=np.zeros((1, 3, 4)), controls=np.zeros((1, 1, 1, 2)), dt=0.1)
     with pytest.raises(ValidationError):
-        Trajectory(states=np.zeros((3, 4)), controls=np.zeros((2, 1, 2)), dt=-1.0)
+        RolloutSet(states=np.zeros((1, 3, 4)), controls=np.zeros((1, 2, 1, 2)), dt=-1.0)
 
 
 def test_trajectory_arrays_frozen():
@@ -272,7 +277,7 @@ def test_trajectory_arrays_frozen():
         ScenarioSpec(k=1, x0=(AgentState(0, 0, 1, 0),), goals=None, horizon=2, dt=0.1)
     )
     with pytest.raises(ValueError):
-        traj.states[0, 0] = 99.0
+        traj.states[0, 0, 0] = 99.0
 
 
 def _rollout_set(M=3, T=2, k=2):
@@ -281,17 +286,17 @@ def _rollout_set(M=3, T=2, k=2):
     return RolloutSet(states, controls, 0.1)
 
 
-def test_rollout_set_indexes_into_trajectories():
+def test_rollout_set_indexes_into_one_row_sets():
     rs = _rollout_set()
     assert (len(rs), rs.horizon, rs.k, rs.dt) == (3, 2, 2, 0.1)
     for m, traj in enumerate(rs):
-        assert isinstance(traj, Trajectory)
-        assert np.array_equal(traj.states, rs.states[m])
-        assert np.array_equal(traj.controls, rs.controls[m])
-    assert np.array_equal(rs[-1].states, rs.states[2])
+        assert isinstance(traj, RolloutSet) and len(traj) == 1
+        assert np.array_equal(traj.states[0], rs.states[m])
+        assert np.array_equal(traj.controls[0], rs.controls[m])
+    assert np.array_equal(rs[-1].states[0], rs.states[2])
     tail = rs[1:]
     assert isinstance(tail, RolloutSet) and len(tail) == 2
-    assert np.array_equal(tail[0].controls, rs.controls[1])
+    assert np.array_equal(tail[0].controls[0], rs.controls[1])
     assert tail.states.tobytes() == rs.states[1:].tobytes()
     assert not tail.states.flags.writeable  # a frozen copy, as every set holds
     every_other = rs[::2]
@@ -300,6 +305,23 @@ def test_rollout_set_indexes_into_trajectories():
         rs[3]
     with pytest.raises(ValidationError):  # a set holds at least one trajectory
         rs[3:]
+
+
+@pytest.mark.parametrize("M", [1, 3])
+def test_an_int_index_is_the_one_row_slice_and_stops_at_either_end(M):
+    rs = _rollout_set(M=M)
+    for m in [*range(-M, M), np.int64(M - 1)]:
+        row, piece = rs[m], rs[m : m + 1 or None]  # m = -1 slices to the end
+        assert (row.states.shape, row.dt) == ((1, 3, 8), rs.dt)
+        assert row.states.tobytes() == piece.states.tobytes() == rs.states[m].tobytes()
+        assert row.controls.tobytes() == piece.controls.tobytes() == rs.controls[m].tobytes()
+    for m in (M, -M - 1):
+        with pytest.raises(IndexError):
+            rs[m]
+    with pytest.raises(TypeError):
+        rs[1.0]
+    rows = list(rs)  # iteration stops at the IndexError after the last row
+    assert len(rows) == M and RolloutSet.stack(rows).states.tobytes() == rs.states.tobytes()
 
 
 def test_rollout_set_sum_is_the_joined_set():
@@ -346,7 +368,7 @@ def test_rollout_set_rejects_mixed_shapes_and_bad_values():
     with pytest.raises(ValidationError, match="one k and T"):
         RolloutSet.stack([one, _rollout_set(M=1, T=3, k=1)[0]])
     with pytest.raises(ValidationError, match="one dt"):
-        RolloutSet.stack([one, Trajectory(one.states, one.controls, 0.2)])
+        RolloutSet.stack([one, RolloutSet(one.states, one.controls, 0.2)])
     with pytest.raises(ValidationError, match="at least one"):
         RolloutSet.stack([])
     states, controls = np.zeros((2, 3, 4)), np.zeros((2, 2, 1, 2))
