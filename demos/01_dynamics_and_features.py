@@ -1,19 +1,25 @@
 """States, exact stepping, dataset layout, and the trajectory feature basis.
 
 A joint state is one (4k,) array holding (px, py, vx, vy) per agent. Propagate
-an agent under acceleration, convert between the solver's Cartesian states and
-dataset rows (position, speed, heading), and compute the three trajectory
-features for a small scene.
+an agent under acceleration, write a two-agent path to an interchange file to
+see its dataset rows (position, speed, heading) and read it back, and compute
+the three trajectory features for a small scene.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from crowdirl import (
     ScenarioSpec,
     CostParams,
+    RolloutSet,
     expected_features,
+    read_demonstrations,
     rollout_openloop,
+    write_demonstrations,
 )
-from crowdirl.trajectory import from_dataset_array, propagate_joint, to_dataset_array
+from crowdirl.trajectory import propagate_joint
 
 print("== exact double-integrator stepping ==")
 state = np.array([0.0, 0.0, 1.0, 0.0])  # (px, py, vx, vy) of one agent
@@ -25,10 +31,14 @@ print(f"(hand check: px = 0 + 1*0.5 + 0.5*2*0.25 = {0 + 0.5 + 0.25})")
 
 print("\n== dataset row layout: (px, py, speed, heading) per agent ==")
 joint = np.array([0.0, 0.0, 0.0, 1.0, 3.0, 1.0, -1.0, 0.0])  # two agents
-row = to_dataset_array(joint)
-print(f"row: {np.round(row, 4)}")
-back = from_dataset_array(row)
-print(f"round trip error: {np.max(np.abs(back - joint)):.2e}")
+# one step of coasting, as a set of one path
+coast = RolloutSet.from_states([[joint, propagate_joint(joint, np.zeros((2, 2)), dt=0.1)]], 0.1)
+with tempfile.TemporaryDirectory() as tmp:
+    file = Path(tmp) / "path.traj"
+    write_demonstrations(file, coast, goals=None)
+    print(f"first body row of the file: {file.read_text().splitlines()[1]}")
+    back, _ = read_demonstrations(file)
+print(f"round trip error: {np.max(np.abs(back.states - coast.states)):.2e}")
 
 print("\n== trajectory features ==")
 # two walkers heading toward each other for two seconds

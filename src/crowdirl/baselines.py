@@ -165,6 +165,9 @@ def gmm_fit(
     checked. Samples whose sums of squares overflow raise CostRangeError.
     """
     check_count("K", K)
+    max_em_iters = check_count("max_em_iters", max_em_iters)
+    if not 0 <= tol < np.inf:  # also rejects NaN, which would never stop EM
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]

@@ -126,8 +126,7 @@ def trajectory_entropy(dataset: RolloutSet, bins: int = 8) -> EntropyReport:
     Headings fall into `bins` equal circular sectors of (-pi, pi]; the number
     is only comparable across datasets binned identically.
     """
-    if bins < 2:
-        raise ValidationError("bins must be >= 2")
+    bins = check_count("bins", bins, 2)
     v = dataset.states.reshape(-1, STATE_DIM)[:, 2:]  # demo, step, agent order
     speed = np.linalg.norm(v, axis=1)
     pooled = np.where(speed > 0, np.arctan2(v[:, 1], v[:, 0]), 0.0)

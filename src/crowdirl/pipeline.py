@@ -14,12 +14,16 @@ A demonstration set is one `RolloutSet` throughout: the generator returns
 the set it sampled, the reader builds one from the whole body, and the
 writer formats a whole set at once.
 
-Interchange file layout: one JSON header line (k, T, dt, goals, count,
-provenance) followed by `count` >= 1 blocks of T comma-separated rows, each
-row a 4k dataset-layout state (position, speed, heading per agent). T counts
-rows, i.e. steps + 1. The provenance is an object; a synthesized file records
-in it the control bound `u_max` its demonstrations were clamped at and the
-crowding kernel width `sigma` of the games they were rolled out in.
+This module is the one definition of the interchange file: one JSON header
+line (k, T, dt, goals, count, provenance) followed by `count` >= 1 blocks of
+T comma-separated rows, each row a 4k dataset-layout state (position, speed,
+heading per agent, heading in (-pi, pi]). T counts rows, i.e. steps + 1. The
+provenance is an object; a synthesized file records in it the control bound
+`u_max` its demonstrations were clamped at and the crowding kernel width
+`sigma` of the games they were rolled out in. The writer and the reader run
+one header check, so the writer refuses what the reader would, and a body is
+read by numpy's C reader alone: a field it cannot read is refused, naming
+its block and row.
 """
 from __future__ import annotations
 
@@ -37,14 +41,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .features import CostParams
 from .game import SolverConfig, build_policies, sample_rollouts
-from .trajectory import (
-    STATE_DIM,
-    RolloutSet,
-    ScenarioSpec,
-    check_count,
-    from_dataset_array,
-    to_dataset_array,
-)
+from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, check_count
 
 logger = logging.getLogger(__name__)
 
@@ -55,8 +52,8 @@ _HEADER_KEYS = {"k", "T", "dt", "goals", "count", "provenance"}
 GAP_SPLIT_FACTOR = 5
 DIRECTIONS = ("E", "W", "N", "S")  # every value travel_direction returns
 _FLOAT_MAX = sys.float_info.max
-# numpy's C reader strips these around a number and float() refuses them; a scan of every
-# code point, before, after and inside a number, found no other one the C reader alone accepts
+# numpy's C reader strips these information separators around a number as if they were
+# blanks; no field of the format holds one, so a body that does is refused
 _C_PADDING = "\x1c\x1d\x1e\x1f"
 
 
@@ -129,8 +126,12 @@ class PreprocessConfig:
                 raise ValidationError(
                     f"{name} must be two finite numbers lo < hi, got {list(lo_hi)}")
             object.__setattr__(self, name, lo_hi)  # a JSON list is stored as the tuple it means
-        if self.resample_dt <= 0:
-            raise ValidationError("resample_dt must be positive")
+        if not 0 < self.resample_dt < math.inf:  # also rejects NaN
+            raise ValidationError(
+                f"resample_dt must be positive and finite, got {self.resample_dt!r}")
+        if not 0 <= self.standstill_speed < math.inf:
+            raise ValidationError(
+                f"standstill_speed must be finite and >= 0, got {self.standstill_speed!r}")
         scheme = tuple(self.scheme)
         for i, cat in enumerate(scheme):
             if not (isinstance(cat, str) and all(d in DIRECTIONS for d in cat.split("-"))):
@@ -430,42 +431,58 @@ def synth_provenance(theta_star: Sequence[CostParams], seed: int, spec: Scenario
 # --- interchange files -------------------------------------------------------
 
 
+def _to_dataset_array(states: np.ndarray) -> np.ndarray:
+    """Cartesian (..., 4k) -> dataset layout (..., 4k): px, py, speed, heading in (-pi, pi]."""
+    states = np.asarray(states, dtype=float)
+    s = states.reshape(states.shape[:-1] + (states.shape[-1] // STATE_DIM, STATE_DIM))
+    vx, vy = s[..., 2], s[..., 3]
+    speed = np.hypot(vx, vy)
+    # heading is undefined at rest: a stationary agent is written with heading 0
+    heading = np.where(speed > 0.0, np.arctan2(vy, vx), 0.0)
+    heading = np.where(heading <= -np.pi, np.pi, heading)
+    return np.stack([s[..., 0], s[..., 1], speed, heading], axis=-1).reshape(states.shape)
+
+
+def _from_dataset_array(rows: np.ndarray) -> np.ndarray:
+    """Dataset layout (..., 4k), its speeds >= 0 -> Cartesian (..., 4k)."""
+    r = rows.reshape(rows.shape[:-1] + (rows.shape[-1] // STATE_DIM, STATE_DIM))
+    speed, heading = r[..., 2], r[..., 3]
+    # exact rest: a zero speed must not leak heading rounding into velocity
+    vx = np.where(speed == 0.0, 0.0, speed * np.cos(heading))
+    vy = np.where(speed == 0.0, 0.0, speed * np.sin(heading))
+    return np.stack([r[..., 0], r[..., 1], vx, vy], axis=-1).reshape(rows.shape)
+
+
 def write_demonstrations(
     path, demos: RolloutSet, goals: np.ndarray | None, provenance: dict | None = None
 ) -> None:
     """Write a demonstration set in the interchange format (see module doc).
 
-    goals are None or a finite (k, 2) array; other goals are refused before
-    the file is opened.
+    goals are None or a finite (k, 2) array. The header passes the reader's
+    check before the file is opened; ValidationError carries the reader's
+    message, and so a header the reader would refuse is never written.
     """
-    k = demos.k
-    try:  # ragged rows and text raise
-        readable = goals is None or (np.shape(goals) == (k, 2) and bool(np.all(np.isfinite(goals))))
+    try:  # ragged or non-numeric goals stay as given, for the check to refuse
+        goals = None if goals is None else np.asarray(goals, dtype=float).tolist()
     except (TypeError, ValueError):
-        readable = False
-    if not readable:  # the header would hold goals its reader refuses
-        raise ValidationError(f"goals must be None or a finite ({k}, 2) array")
-    lines = [_header_line(k, demos.horizon + 1, demos.dt, goals, len(demos), provenance),
-             *_dataset_rows(demos.states.reshape(-1, STATE_DIM * k))]
+        pass
+    header = {"k": demos.k, "T": demos.horizon + 1, "dt": demos.dt, "goals": goals,
+              "count": len(demos), "provenance": {} if provenance is None else provenance}
+    try:
+        _check_header(header)
+        line = json.dumps(header, sort_keys=True)
+    except FormatError as exc:
+        raise ValidationError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:  # json.dumps: a value with no JSON form, or a cycle
+        raise ValidationError(f"header key 'provenance' has no JSON form: {exc}") from exc
+    lines = [line, *_dataset_rows(demos.states.reshape(-1, STATE_DIM * demos.k))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _header_line(k: int, rows: int, dt: float, goals, count: int, provenance: dict | None) -> str:
-    header = {
-        "k": k,
-        "T": rows,  # rows per block
-        "dt": dt,
-        "goals": None if goals is None else [[float(g[0]), float(g[1])] for g in np.asarray(goals)],
-        "count": count,
-        "provenance": provenance or {},
-    }
-    return json.dumps(header, sort_keys=True)
-
-
 def _dataset_rows(states: np.ndarray) -> list[str]:
     # repr of a Python float is the shortest string that reads back exactly
-    return [",".join(map(repr, row)) for row in to_dataset_array(states).tolist()]
+    return [",".join(map(repr, row)) for row in _to_dataset_array(states).tolist()]
 
 
 def write_catalog(out_dir, catalog: ScenarioCatalog, dt: float) -> list[dict]:
@@ -490,7 +507,9 @@ def write_catalog(out_dir, catalog: ScenarioCatalog, dt: float) -> list[dict]:
                     RolloutSet.from_states(joint[None], dt)
                     raise
                 track_rows[id(trk)] = _dataset_rows(trk.states[:T])
-        lines = [_header_line(len(entry.tracks), T, dt, None, 1, {"category": entry.category})]
+        header = {"k": len(entry.tracks), "T": T, "dt": dt, "goals": None, "count": 1,
+                  "provenance": {"category": entry.category}}
+        lines = [json.dumps(header, sort_keys=True)]
         lines.extend(map(",".join, zip(*(track_rows[id(t)] for t in entry.tracks))))
         fname = f"{entry.category}_{idx:04d}.traj"
         with open(Path(out_dir) / fname, "w", encoding="utf-8") as fh:
@@ -523,14 +542,8 @@ def read_demonstrations(path) -> tuple[RolloutSet, dict]:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet, dict]:
-    """The file's set and its header."""
-    if not lines or not lines[0].strip():
-        raise FormatError("missing header line")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid header JSON: {exc.msg}") from exc
+def _check_header(header) -> tuple[int, int, int, float]:
+    """k, rows per block, count and dt of a parsed header; FormatError names what is wrong."""
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")
     unknown = set(header) - _HEADER_KEYS
@@ -563,25 +576,32 @@ def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet, dict]:
     width = provenance.get("sigma", 1.0)  # nor a kernel width
     if json_kind(width) != "a number" or not width > 0:
         raise FormatError(f"provenance key 'sigma' must be a positive finite number, got {width!r}")
+    return k, rows_per, count, dt
+
+
+def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet, dict]:
+    """The file's set and its header."""
+    if not lines or not lines[0].strip():
+        raise FormatError("missing header line")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid header JSON: {exc.msg}") from exc
+    k, rows_per, count, dt = _check_header(header)
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != count * rows_per:
         raise FormatError(
             f"expected {count * rows_per} data rows ({count} blocks of {rows_per}), got {len(body)}"
         )
-    # the whole body is converted at once, elementwise, so each block reads bit for bit as it
-    # would alone; the row loop names what the C reader refuses, or reads what only float() reads
-    width = 4 * k
-    data = _read_body_c(body, width)
-    if data is None:
-        data = _read_body_rows(body, rows_per, width)
-    data = data.reshape(count, rows_per, width)
-    # float() reads nan, inf and 1e400; speeds are every fourth value from the third
+    # read whole and converted elementwise, each block reads bit for bit as it would alone
+    data = _read_body(body, rows_per, STATE_DIM * k).reshape(count, rows_per, STATE_DIM * k)
+    # the C reader reads nan, inf and 1e400; speeds are every fourth value from the third
     for what, bad in (("a non-finite value", ~np.isfinite(data)), ("a negative speed", data[..., 2::4] < 0)):
         if np.any(bad):
             b, row = np.argwhere(bad)[0][:2]
             raise FormatError(f"block {b}: row {row} has {what}")
     # every block's controls in one pass, each the velocity change over its step / dt
-    states = from_dataset_array(data)
+    states = _from_dataset_array(data)
     vel = states.reshape(count, rows_per, k, STATE_DIM)[..., 2:]
     with np.errstate(over="ignore"):  # finite velocities whose change / dt overflows are refused here
         controls = (vel[:, 1:] - vel[:, :-1]) / dt
@@ -591,37 +611,33 @@ def _parse_demonstrations(lines: list[str]) -> tuple[RolloutSet, dict]:
     return RolloutSet(states, controls, dt), header
 
 
-def _read_body_c(body: list[str], width: int) -> np.ndarray | None:
-    """The body as one (rows, width) array by numpy's C reader, or None.
+def _read_body(body: list[str], rows_per: int, width: int) -> np.ndarray:
+    """The body as one (rows, width) array, read whole by numpy's C reader.
 
-    The reader rounds each field as float() does. None marks a body it refuses, one of
-    another shape, or one holding _C_PADDING. The body holds at least one block of two rows.
+    The reader rounds each field as float() does. When it refuses the body,
+    reads another width or meets a _C_PADDING character, some row has another
+    field count, is refused by the reader alone or holds padding, and the row
+    loop raises FormatError naming the first such row.
     """
     text = "\n".join(body)
-    if any(c in text for c in _C_PADDING):
-        return None
     try:
         data = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        if data.shape == (len(body), width) and not any(c in text for c in _C_PADDING):
+            return data
     except ValueError:
-        return None
-    return data if data.shape == (len(body), width) else None
-
-
-def _read_body_rows(body: list[str], rows_per: int, width: int) -> np.ndarray:
-    """The body as one flat array by float(); FormatError names the first bad row."""
-    values: list[float] = []
+        pass
     for i, ln in enumerate(body):
         b, row = divmod(i, rows_per)
-        if "_" in ln:  # float() reads "1_0" as 10.0; repr never writes an underscore
-            raise FormatError(f"non-numeric value in block {b}: digit-group underscore in row {row}")
-        fields = ln.split(",")
-        if len(fields) != width:
-            raise FormatError(f"block {b}: row {row} has {len(fields)} values, expected {width}")
+        fields = ln.count(",") + 1
+        if fields != width:
+            raise FormatError(f"block {b}: row {row} has {fields} values, expected {width}")
         try:
-            values += map(float, fields)
-        except ValueError as exc:
-            raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
-    return np.array(values)
+            np.loadtxt([ln], delimiter=",", comments=None, dtype=float)
+            readable = not any(c in ln for c in _C_PADDING)
+        except ValueError:
+            readable = False
+        if not readable:
+            raise FormatError(f"block {b}: row {row} has a non-numeric value")
 
 
 def header_goals(header: dict) -> np.ndarray | None:

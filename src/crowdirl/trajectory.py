@@ -2,10 +2,8 @@
 
 Internally each agent is a planar double integrator: position and velocity
 evolve exactly under piecewise-constant acceleration over a step, which keeps
-the dynamics linear in both state and control. Dataset files use a different
-per-agent layout (position, scalar speed, heading); the conversion helpers at
-the bottom of this module translate between the two. Heading is undefined at
-rest, so a stationary agent is written with heading 0 by convention.
+the dynamics linear in both state and control. (Interchange files hold
+another per-agent layout; `pipeline` converts to and from it.)
 
 A joint state is a (4k,) array of (px, py, vx, vy) per agent. `RolloutSet`
 is the one track type: M paths of joint states and controls as frozen
@@ -20,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CostRangeError, FormatError, ValidationError
+from .errors import CostRangeError, ValidationError
 
 STATE_DIM = 4  # per-agent (px, py, vx, vy)
 CONTROL_DIM = 2  # per-agent (ax, ay)
@@ -125,6 +123,14 @@ def propagate_joint(
     return out
 
 
+def _agents_of(states: np.ndarray) -> int:
+    """k of states shaped (M, T+1, 4k) with M, k >= 1; ValidationError otherwise."""
+    n = states.shape[-1] if states.ndim else 0
+    if states.ndim != 3 or len(states) == 0 or n % STATE_DIM != 0 or n == 0:
+        raise ValidationError(f"states must be (M, T+1, 4k), got {states.shape}")
+    return n // STATE_DIM
+
+
 @dataclass(frozen=True)
 class RolloutSet:
     """M trajectories of one k and T as frozen arrays (M, T+1, 4k) and (M, T, k, 2) at step dt.
@@ -147,10 +153,7 @@ class RolloutSet:
     def __post_init__(self):
         states = np.array(self.states, dtype=float, order="C")
         controls = np.array(self.controls, dtype=float, order="C")
-        n = states.shape[-1] if states.ndim else 0
-        if states.ndim != 3 or len(states) == 0 or n % STATE_DIM != 0 or n == 0:
-            raise ValidationError(f"states must be (M, T+1, 4k), got {states.shape}")
-        k = n // STATE_DIM
+        k = _agents_of(states)
         if controls.ndim != 4 or (len(controls), *controls.shape[2:]) != (len(states), k, CONTROL_DIM):
             raise ValidationError(f"controls must be (M, T, {k}, 2), got {controls.shape}")
         T = controls.shape[1]
@@ -179,7 +182,7 @@ class RolloutSet:
     def from_states(cls, states, dt: float) -> "RolloutSet":
         """Tracked states (M, T+1, 4k); each control is the velocity change over its step / dt."""
         states = np.asarray(states, dtype=float)
-        vel = states.reshape(*states.shape[:-1], states.shape[-1] // STATE_DIM, STATE_DIM)[..., 2:]
+        vel = states.reshape(*states.shape[:-1], _agents_of(states), STATE_DIM)[..., 2:]
         return cls(states, (vel[:, 1:] - vel[:, :-1]) / dt, dt)
 
     @classmethod
@@ -321,40 +324,3 @@ def rollout_openloop(spec: ScenarioSpec, controls: np.ndarray) -> RolloutSet:
 def constant_velocity_rollout(spec: ScenarioSpec) -> RolloutSet:
     """Zero-control one-row set; the nominal around which costs are expanded."""
     return rollout_openloop(spec, np.zeros((spec.horizon, spec.k, CONTROL_DIM)))
-
-
-# --- dataset-layout conversions -------------------------------------------
-#
-# Dataset rows store (px, py, speed, heading) per agent, heading in (-pi, pi].
-
-
-def to_dataset_array(states: np.ndarray) -> np.ndarray:
-    """Cartesian (..., 4k) -> dataset layout (..., 4k)."""
-    states = np.asarray(states, dtype=float)
-    k = states.shape[-1] // STATE_DIM
-    s = states.reshape(states.shape[:-1] + (k, STATE_DIM))
-    vx, vy = s[..., 2], s[..., 3]
-    speed = np.hypot(vx, vy)
-    heading = np.where(speed > 0.0, np.arctan2(vy, vx), 0.0)
-    heading = np.where(heading <= -np.pi, np.pi, heading)
-    out = np.stack([s[..., 0], s[..., 1], speed, heading], axis=-1)
-    return out.reshape(states.shape)
-
-
-def from_dataset_array(rows: np.ndarray) -> np.ndarray:
-    """Dataset layout (..., 4k) -> Cartesian (..., 4k)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[-1] % STATE_DIM != 0 or rows.shape[-1] == 0:
-        raise FormatError(f"row length must be a positive multiple of 4, got {rows.shape[-1]}")
-    k = rows.shape[-1] // STATE_DIM
-    r = rows.reshape(rows.shape[:-1] + (k, STATE_DIM))
-    speed, heading = r[..., 2], r[..., 3]
-    if np.any(speed < 0):
-        raise FormatError("dataset rows contain negative speed")
-    vx = speed * np.cos(heading)
-    vy = speed * np.sin(heading)
-    # exact rest: a zero speed must not leak heading rounding into velocity
-    vx = np.where(speed == 0.0, 0.0, vx)
-    vy = np.where(speed == 0.0, 0.0, vy)
-    out = np.stack([r[..., 0], r[..., 1], vx, vy], axis=-1)
-    return out.reshape(rows.shape)

@@ -100,6 +100,18 @@ class TestGmmFit:
         assert len(model.log_likelihoods) == 2
         assert "max_em_iters=2" in caplog.text
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_em_iters": 2.5}, "max_em_iters must be an integer >= 1, got 2.5"),
+        ({"max_em_iters": 0}, "max_em_iters must be an integer >= 1, got 0"),
+        ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
+        ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
+        ({"tol": -1e-6}, "tol must be finite and >= 0, got -1e-06"),
+    ])
+    def test_iteration_cap_and_tolerance_are_checked(self, setting, message):
+        with pytest.raises(ValidationError) as err:
+            gmm_fit(_two_clusters(), K=2, seed=4, **setting)
+        assert str(err.value) == message
+
     def test_k1_closed_form_mle(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((200, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]])

@@ -32,6 +32,7 @@ from crowdirl.metrics import (
 )
 from crowdirl.pipeline import (
     PreprocessConfig,
+    _to_dataset_array,
     filter_tracks,
     header_goals,
     parse_frames,
@@ -39,7 +40,7 @@ from crowdirl.pipeline import (
     tracks_from_frames,
     write_demonstrations,
 )
-from crowdirl.trajectory import RolloutSet, ScenarioSpec, to_dataset_array
+from crowdirl.trajectory import RolloutSet, ScenarioSpec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FAST_TRAIN = [
@@ -307,6 +308,14 @@ class TestConfig:
         out = tmp_path / "d.traj"
         assert main(["--config", str(cfg_path), "synth", str(out), "--n", "2"]) == 2
         assert "outer_tol must be nonnegative and finite, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_standstill_speed_in_a_config_file_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preprocess": {"standstill_speed": -0.5}}))
+        out = tmp_path / "d.traj"
+        assert main(["--config", str(cfg_path), "synth", str(out), "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: standstill_speed must be finite and >= 0, got -0.5\n"
         assert not out.exists()
 
     def test_negative_demo_count_exits_2_naming_the_flag(self, tmp_path, capsys):
@@ -1117,15 +1126,12 @@ class TestEval:
     @pytest.mark.parametrize("edit, message", [
         (lambda ln: ln + ",0.5", "block 1: row 4 has 13 values, expected 12"),
         (lambda ln: ln.split(",", 1)[1], "block 1: row 4 has 11 values, expected 12"),
-        (lambda ln: "1_0," + ln.split(",", 1)[1],
-         "non-numeric value in block 1: digit-group underscore in row 4"),
+        (lambda ln: "1_0," + ln.split(",", 1)[1], "block 1: row 4 has a non-numeric value"),
         (lambda ln: "nan," + ln.split(",", 1)[1], "block 1: row 4 has a non-finite value"),
         (lambda ln: "1e400," + ln.split(",", 1)[1], "block 1: row 4 has a non-finite value"),
-        # numpy's reader strips \x1c-\x1f around a number; float() refuses them
-        (lambda ln: "\x1c1," + ln.split(",", 1)[1],
-         "non-numeric value in block 1: could not convert string to float: '\\x1c1'"),
-        (lambda ln: ln.rsplit(",", 1)[0] + ",1\x1f",
-         "non-numeric value in block 1: could not convert string to float: '1\\x1f'"),
+        # numpy's reader strips \x1c-\x1f around a number; the file refuses them
+        (lambda ln: "\x1c1," + ln.split(",", 1)[1], "block 1: row 4 has a non-numeric value"),
+        (lambda ln: ln.rsplit(",", 1)[0] + ",1\x1f", "block 1: row 4 has a non-numeric value"),
         # a finite speed whose change over dt overflows the reconstructed control
         (lambda ln: ",".join(ln.split(",")[:2] + ["1e308"] + ln.split(",")[3:]),
          "block 1: reconstructed controls contain non-finite values"),
@@ -1354,7 +1360,7 @@ class TestPreprocess:
         assert demos[0].horizon == 29
 
     def test_catalog_rows_are_the_tracked_states_converted_once(self, tmp_path):
-        # each written row is to_dataset_array of the tracked Cartesian states, bit for bit,
+        # each written row is the dataset layout of the tracked Cartesian states, bit for bit,
         # not a dataset -> Cartesian -> dataset round trip of them
         raw = tmp_path / "raw.jsonl"
         frames = _walker_frames(wobble=0.3)
@@ -1369,7 +1375,7 @@ class TestPreprocess:
         for entry in summary["entries"]:
             joint = np.concatenate([tracks[t].states[:30] for t in entry["tracks"]], axis=1)
             rows = (out_dir / entry["file"]).read_text().splitlines()[1:]
-            assert rows == [",".join(map(repr, row)) for row in to_dataset_array(joint).tolist()]
+            assert rows == [",".join(map(repr, row)) for row in _to_dataset_array(joint).tolist()]
 
     def _two_scheme_catalog(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
@@ -1395,8 +1401,8 @@ class TestPreprocess:
 
     def test_each_track_is_converted_once(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(pipeline, "to_dataset_array",
-                            lambda states: calls.append(states.shape) or to_dataset_array(states))
+        monkeypatch.setattr(pipeline, "_to_dataset_array",
+                            lambda states: calls.append(states.shape) or _to_dataset_array(states))
         _, out_dir = self._two_scheme_catalog(tmp_path)
         assert len(list(out_dir.glob("*.traj"))) == 16
         assert calls == [(30, 4)] * 8  # the 6 W, E and S tracks for W-E-S, then N0 and N1

@@ -157,6 +157,12 @@ class TestTrajectoryEntropy:
         with pytest.raises(ValidationError):
             trajectory_entropy(RolloutSet.stack([]), bins=8)
 
+    @pytest.mark.parametrize("bins", [2.5, 1, True])
+    def test_bins_must_be_an_integer_of_at_least_two(self, bins):
+        with pytest.raises(ValidationError) as err:
+            trajectory_entropy(_heading_traj([0.4] * 9), bins=bins)
+        assert str(err.value) == f"bins must be an integer >= 2, got {bins!r}"
+
 
 class TestReports:
     def _demo_and_pred(self, intersection_spec, theta_star):

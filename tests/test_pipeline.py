@@ -1,7 +1,12 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdirl import pipeline
 from crowdirl.errors import FormatError, ValidationError
@@ -22,14 +27,10 @@ from crowdirl.pipeline import (
     travel_direction,
     write_catalog,
     write_demonstrations,
+    _from_dataset_array,
+    _to_dataset_array,
 )
-from crowdirl.trajectory import (
-    AgentState,
-    RolloutSet,
-    ScenarioSpec,
-    from_dataset_array,
-    to_dataset_array,
-)
+from crowdirl.trajectory import AgentState, RolloutSet, ScenarioSpec
 
 
 def _frame_line(t, objects):
@@ -195,6 +196,19 @@ class TestPreprocessConfig:
         with pytest.raises(ValidationError) as err:
             PreprocessConfig(**{name: value})
         assert str(err.value) == f"{name} must be an integer >= {least}, got {value!r}"
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("resample_dt", math.nan, "positive and finite"),
+        ("resample_dt", math.inf, "positive and finite"),
+        ("resample_dt", 0.0, "positive and finite"),
+        ("standstill_speed", math.nan, "finite and >= 0"),
+        ("standstill_speed", math.inf, "finite and >= 0"),
+        ("standstill_speed", -0.1, "finite and >= 0"),
+    ])
+    def test_grid_and_standstill_settings_must_be_finite(self, name, value, rule):
+        with pytest.raises(ValidationError) as err:
+            PreprocessConfig(**{name: value})
+        assert str(err.value) == f"{name} must be {rule}, got {value!r}"
 
 
 class TestFilterTracks:
@@ -417,6 +431,19 @@ class TestSynthGenerate:
 # hex, non-ASCII digits, separator characters and a carriage return
 AWKWARD_FIELDS = (" 1.0", "+2", "-0", "1e400", "nan", "Infinity", "1_0", "", "0x10", "٣.٥", "１",
                   "\x1c1", "1\x1f", "1\r")
+# the ones numpy's C reader reads, with float()'s bits; "1\r" only at the end of a row
+READ_FIELDS = (" 1.0", "+2", "-0", "1e400", "nan", "Infinity", "1\r")
+
+
+def _east_demos():
+    """Three 2-agent demonstrations of 4 rows heading east: their dataset layout converts exactly."""
+    states = np.random.default_rng(5).normal(size=(3, 4, 2, 4))
+    states[..., 2] = np.abs(states[..., 2])
+    states[..., 3] = 0.0
+    return RolloutSet.from_states(states.reshape(3, 4, 8), 0.1)
+
+
+_EAST_DEMOS = _east_demos()
 
 
 class TestInterchange:
@@ -463,14 +490,59 @@ class TestInterchange:
         [[0.0, 1.0], [2.0, 3.0]],  # 2 goals for k = 3
         np.zeros((3, 3)),  # triples, not pairs
         [[0.0, 1.0], [2.0], [3.0, 4.0]],  # ragged
+        [[0.0, 1.0], [2.0, "a"], [3.0, 4.0]],  # non-numeric
     ])
     def test_goals_the_reader_would_refuse_are_not_written(self, tmp_path, intersection_spec,
                                                           theta_star, goals):
         demos = synth_generate(theta_star, intersection_spec, 1, seed=2, solver_cfg=SolverConfig())
         path = tmp_path / "g.traj"
-        with pytest.raises(ValidationError, match=r"goals must be None or a finite \(3, 2\) array"):
+        with pytest.raises(ValidationError) as err:
             write_demonstrations(path, demos, goals)
+        assert str(err.value) == "header key 'goals' must be null or 3 pairs of finite numbers"
         assert not path.exists()
+
+    @pytest.mark.parametrize("provenance, message", [
+        ([1, 2], "header key 'provenance' must be an object, got [1, 2]"),
+        ({"u_max": -1.0}, "provenance key 'u_max' must be a positive number, got -1.0"),
+        ({"sigma": math.nan}, "provenance key 'sigma' must be a positive finite number, got nan"),
+        ({"tags": {1, 2}}, "header key 'provenance' has no JSON form: "
+                           "Object of type set is not JSON serializable"),
+    ])
+    def test_a_provenance_the_reader_would_refuse_is_not_written(self, tmp_path, provenance, message):
+        path = tmp_path / "p.traj"
+        with pytest.raises(ValidationError) as err:
+            write_demonstrations(path, _EAST_DEMOS, None, provenance)
+        assert str(err.value) == message
+        assert not path.exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(goals=st.one_of(
+        st.none(),
+        st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=2),
+        st.just([[0.0, 1.0], [math.nan, 2.0]]),  # non-finite
+        st.sampled_from([[[0.0, 1.0]], np.zeros((2, 3)), [[0.0, 1.0], [2.0]], "xy"]),  # shape, ragged
+    ), provenance=st.one_of(
+        st.none(),
+        st.just({}),
+        st.fixed_dictionaries({}, optional={
+            key: st.sampled_from([2.5, 0.0, -1.0, math.nan, math.inf]) for key in ("u_max", "sigma")}),
+        st.just([1, 2]),
+        st.just("note"),
+        st.just({"tags": {1, 2}}),
+    ))
+    def test_anything_written_reads_back(self, goals, provenance):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.traj"
+            try:
+                write_demonstrations(path, _EAST_DEMOS, goals, provenance)
+            except ValidationError:
+                assert not path.exists()
+                return
+            demos, header = read_demonstrations(path)
+        assert demos.states.tobytes() == _EAST_DEMOS.states.tobytes()
+        assert header == {"k": 2, "T": 4, "dt": 0.1, "count": 3,
+                          "goals": None if goals is None else np.asarray(goals, dtype=float).tolist(),
+                          "provenance": {} if provenance is None else provenance}
 
     def test_rows_are_the_repr_of_every_value(self, tmp_path):
         # -0.0, a subnormal, 1e16 and integral values, in positions and in speeds
@@ -487,7 +559,7 @@ class TestInterchange:
                   "provenance": {"note": "edge"}}
         lines = [json.dumps(header, sort_keys=True)]
         for block in demos.states:
-            for row in to_dataset_array(block):
+            for row in _to_dataset_array(block):
                 lines.append(",".join(repr(float(v)) for v in row))
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
         assert {"-0.0", "5e-324", "1e+16", "3.0", "-2.0"} <= set(lines[1].split(","))
@@ -558,8 +630,8 @@ class TestInterchange:
     @pytest.mark.parametrize("row, message", [
         ("0,0,0,0,0", "block 1: row 2 has 5 values, expected 4"),
         ("0,0,0", "block 1: row 2 has 3 values, expected 4"),
-        ("0,0,1_0,0", "non-numeric value in block 1: digit-group underscore in row 2"),
-        ("0,0,abc,0", "non-numeric value in block 1: could not convert string to float: 'abc'"),
+        ("0,0,1_0,0", "block 1: row 2 has a non-numeric value"),
+        ("0,0,abc,0", "block 1: row 2 has a non-numeric value"),
         ("0,0,-1,0", "block 1: row 2 has a negative speed"),
         ("0,0,nan,0", "block 1: row 2 has a non-finite value"),
         ("inf,0,1,0", "block 1: row 2 has a non-finite value"),
@@ -596,56 +668,96 @@ class TestInterchange:
 
     @pytest.mark.parametrize("field", AWKWARD_FIELDS)
     @pytest.mark.parametrize("column", [0, 2, 5, 7])  # first, a speed, mid-row, row end
-    def test_an_awkward_field_reads_as_the_row_loop_reads_it(self, monkeypatch, field, column):
+    def test_an_awkward_field_reads_with_float_bits_or_is_refused_naming_its_row(self, field, column):
         rows = [",".join(map(repr, row)) for row in
                 _awkward_dataset_rows(np.random.default_rng(column), 6, 2).tolist()]
         fields = rows[4].split(",")
         fields[column] = field
         rows[4] = ",".join(fields)
-        got, want = _read_both(monkeypatch, [_header_line(2, 3, 2)] + rows)
-        assert got == want
+        lines = [_header_line(2, 3, 2)] + rows
+        assert _read(lines) == _promise(lines)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_bodies_of_mixed_fields_read_as_the_row_loop_reads_them(self, monkeypatch, seed):
+    def test_bodies_of_mixed_fields_read_with_float_bits_or_name_the_first_bad_row(self, seed):
         rng = np.random.default_rng(seed)
         values = _awkward_dataset_rows(rng, 6, 2).tolist()
         rows = [",".join(AWKWARD_FIELDS[rng.integers(len(AWKWARD_FIELDS))] if rng.random() < 0.03
                          else repr(v) for v in row) for row in values]
-        got, want = _read_both(monkeypatch, [_header_line(2, 3, 2)] + rows)
-        assert got == want
+        lines = [_header_line(2, 3, 2)] + rows
+        assert _read(lines) == _promise(lines)
 
     @pytest.mark.parametrize("count", [1, 40])
     def test_the_c_reader_reads_repr_floats_with_float_bits(self, count):
         rows = _awkward_dataset_rows(np.random.default_rng(count), count * 3, 2)
         body = [",".join(map(repr, row)) for row in rows.tolist()]
-        fast = pipeline._read_body_c(body, 8)
-        assert fast is not None  # the fast path is the one read, not the row loop
-        assert fast.tobytes() == _row_loop_body(body, 3, 8).tobytes() == rows.tobytes()
+        by_float = np.array([[float(f) for f in ln.split(",")] for ln in body])
+        assert pipeline._read_body(body, 3, 8).tobytes() == by_float.tobytes() == rows.tobytes()
 
-    def test_crlf_and_non_ascii_digit_files_read_as_their_ascii_text(self, tmp_path):
+    def test_a_crlf_file_reads_as_its_lf_text(self, tmp_path):
+        rows = _awkward_dataset_rows(np.random.default_rng(7), 2 * 3, 1)
+        path = tmp_path / "plain.traj"
+        _write_rows(path, 1, 3, 2, rows, 0.1)
+        (tmp_path / "crlf.traj").write_bytes(path.read_text().replace("\n", "\r\n").encode())
+        want, _ = read_demonstrations(path)
+        got, _ = read_demonstrations(tmp_path / "crlf.traj")
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.controls.tobytes() == want.controls.tobytes()
+
+    def test_a_file_of_non_ascii_digits_is_refused_naming_its_first_row(self, tmp_path):
         rows = _awkward_dataset_rows(np.random.default_rng(7), 2 * 3, 1)
         path = tmp_path / "plain.traj"
         _write_rows(path, 1, 3, 2, rows, 0.1)
         header, *body = path.read_text().splitlines()
         arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
-        (tmp_path / "crlf.traj").write_bytes(path.read_text().replace("\n", "\r\n").encode())
-        digits = [header] + [ln.translate(arabic) for ln in body]
-        (tmp_path / "digits.traj").write_text("\n".join(digits))
-        want, _ = read_demonstrations(path)
-        for name in ("crlf.traj", "digits.traj"):
-            got, _ = read_demonstrations(tmp_path / name)
-            assert [t.states.tobytes() for t in got] == [t.states.tobytes() for t in want]
+        path.write_text("\n".join([header] + [ln.translate(arabic) for ln in body]))
+        with pytest.raises(FormatError) as err:
+            read_demonstrations(path)
+        assert str(err.value) == f"{path}: block 0: row 0 has a non-numeric value"
 
     @pytest.mark.parametrize("field", ["\x1c0", "0\x1d", "\x1e0\x1f"])
     def test_a_value_padded_with_a_separator_character_is_refused(self, tmp_path, field):
-        # numpy's reader would strip these; float() refuses them, and so does the file
+        # numpy's reader would strip these; the file refuses them
         path = tmp_path / "pad.traj"
         lines = [_header_line(1, 2, 1), "0,0,0,0", f"0,{field},0,0"]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError) as err:
             read_demonstrations(path)
-        assert str(err.value) == (f"{path}: non-numeric value in block 0: "
-                                  f"could not convert string to float: {field!r}")
+        assert str(err.value) == f"{path}: block 0: row 1 has a non-numeric value"
+
+
+class TestDatasetLayout:
+    def test_axis_aligned(self):
+        assert np.allclose(_to_dataset_array(AgentState(1, 2, 3, 0)), [1, 2, 3, 0])
+
+    def test_quarter_turn(self):
+        assert np.allclose(_to_dataset_array(AgentState(0, 0, 0, 1)), [0, 0, 1, math.pi / 2])
+
+    def test_rest_convention(self):
+        assert np.allclose(_to_dataset_array(AgentState(5, 5, 0, 0)), [5, 5, 0, 0])
+
+    def test_inverse_cases(self):
+        agent = AgentState(*_from_dataset_array(np.array([1.0, 2, 3, 0])))
+        assert (agent.px, agent.py, agent.vx, agent.vy) == (1, 2, 3, 0)
+        agent = AgentState(*_from_dataset_array(np.array([0, 0, 1, math.pi / 2])))
+        assert abs(agent.vx) < 1e-12 and abs(agent.vy - 1) < 1e-12
+        agent = AgentState(*_from_dataset_array(np.array([0, 0, 0, 2.7])))
+        assert (agent.vx, agent.vy) == (0.0, 0.0)
+
+    def test_roundtrip_moving_states(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            state = rng.standard_normal(8)
+            state[[2, 3, 6, 7]] += np.sign(state[[2, 3, 6, 7]]) * 0.1  # keep speeds > 0
+            row = _to_dataset_array(state)
+            back = _from_dataset_array(row)
+            assert np.allclose(back, state, atol=1e-12)
+            # row-side round trip too
+            assert np.allclose(_to_dataset_array(back), row, atol=1e-12)
+
+    def test_heading_range_is_half_open(self):
+        # velocity pointing exactly along -x: atan2 gives pi, never -pi
+        assert _to_dataset_array(np.array([0.0, 0.0, -1.0, 0.0]))[3] == math.pi
+        assert _to_dataset_array(np.array([0.0, 0.0, -1.0, -0.0]))[3] == math.pi
 
 
 def _header_line(k, rows_per, count):
@@ -653,37 +765,31 @@ def _header_line(k, rows_per, count):
                        "provenance": {}})
 
 
-def _row_loop_body(body, rows_per, width):
-    """The body as the reader converted it before numpy's C reader: float() of every field."""
-    values = []
+def _read(lines):
+    """The reader's states and controls bytes for lines, or its FormatError's message."""
+    try:
+        demos, _ = pipeline._parse_demonstrations(lines)
+    except FormatError as exc:
+        return str(exc)
+    return demos.states.tobytes(), demos.controls.tobytes()
+
+
+def _promise(lines):
+    """What the format promises for a body of reprs and AWKWARD_FIELDS.
+
+    A body whose every field numpy's C reader reads (a repr or one of
+    READ_FIELDS) reads as the same body with each field written as
+    repr(float(field)), non-finite values refused as there; any other body is
+    refused, naming its first bad row.
+    """
+    header, *body = lines
+    rows_per = json.loads(header)["T"]
     for i, ln in enumerate(body):
-        b, row = divmod(i, rows_per)
-        if "_" in ln:
-            raise FormatError(f"non-numeric value in block {b}: digit-group underscore in row {row}")
         fields = ln.split(",")
-        if len(fields) != width:
-            raise FormatError(f"block {b}: row {row} has {len(fields)} values, expected {width}")
-        try:
-            values += map(float, fields)
-        except ValueError as exc:
-            raise FormatError(f"non-numeric value in block {b}: {exc}") from exc
-    return np.array(values)
-
-
-def _read_both(monkeypatch, lines):
-    """The reader's trajectory bytes or message, then the same with the body read by the row loop."""
-    out = []
-    for row_loop in (False, True):
-        with monkeypatch.context() as m:
-            if row_loop:
-                m.setattr(pipeline, "_read_body_c", lambda body, width: None)
-                m.setattr(pipeline, "_read_body_rows", _row_loop_body)
-            try:
-                trajs, _ = pipeline._parse_demonstrations(lines)
-                out.append([(t.states.tobytes(), t.controls.tobytes()) for t in trajs])
-            except FormatError as exc:
-                out.append(str(exc))
-    return out
+        if any(f in AWKWARD_FIELDS and f not in READ_FIELDS or f == "1\r" and j < len(fields) - 1
+               for j, f in enumerate(fields)):
+            return f"block {i // rows_per}: row {i % rows_per} has a non-numeric value"
+    return _read([header] + [",".join(repr(float(f)) for f in ln.split(",")) for ln in body])
 
 
 def _awkward_dataset_rows(rng, n, k):
@@ -716,5 +822,5 @@ def _per_block_read(path):
     for b in range(header["count"]):
         block = lines[1 + b * rows_per : 1 + (b + 1) * rows_per]
         rows = np.array([[float(v) for v in ln.split(",")] for ln in block])
-        out.append(RolloutSet.from_states(from_dataset_array(rows)[None], header["dt"]))
+        out.append(RolloutSet.from_states(_from_dataset_array(rows)[None], header["dt"]))
     return out

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from crowdirl.errors import CostRangeError, FormatError, ValidationError
+from crowdirl.errors import CostRangeError, ValidationError
 from crowdirl.trajectory import (
     DEFAULT_SIGMA,
     AgentState,
@@ -14,12 +14,10 @@ from crowdirl.trajectory import (
     _halves,
     clamp_control,
     constant_velocity_rollout,
-    from_dataset_array,
     integrate_controls,
     propagate_joint,
     rollout,
     rollout_openloop,
-    to_dataset_array,
 )
 from fd_oracle import reference_step
 
@@ -74,60 +72,6 @@ def test_propagate_joint_matches_scalar_propagate():
             ref = [px + vx * dt + 0.5 * ax * dt * dt, py + vy * dt + 0.5 * ay * dt * dt,
                    vx + ax * dt, vy + ay * dt]
             assert np.allclose(out[r, 4 * i : 4 * i + 4], ref, atol=1e-14)
-
-
-# --- dataset layout -----------------------------------------------------------
-
-
-def test_to_dataset_row_axis_aligned():
-    row = to_dataset_array(AgentState(1, 2, 3, 0))
-    assert np.allclose(row, [1, 2, 3, 0])
-
-
-def test_to_dataset_row_quarter_turn():
-    row = to_dataset_array(AgentState(0, 0, 0, 1))
-    assert np.allclose(row, [0, 0, 1, math.pi / 2])
-
-
-def test_to_dataset_row_rest_convention():
-    row = to_dataset_array(AgentState(5, 5, 0, 0))
-    assert np.allclose(row, [5, 5, 0, 0])
-
-
-def test_from_dataset_row_inverse_cases():
-    st = AgentState(*from_dataset_array([1, 2, 3, 0]))
-    assert (st.px, st.py, st.vx, st.vy) == (1, 2, 3, 0)
-    st = AgentState(*from_dataset_array([0, 0, 1, math.pi / 2]))
-    assert abs(st.vx) < 1e-12 and abs(st.vy - 1) < 1e-12
-    st = AgentState(*from_dataset_array([0, 0, 0, 2.7]))
-    assert (st.vx, st.vy) == (0.0, 0.0)
-
-
-def test_from_dataset_row_rejects_bad_rows():
-    with pytest.raises(FormatError):
-        from_dataset_array([1, 2, 3])
-    with pytest.raises(FormatError):
-        from_dataset_array([0, 0, -1.0, 0])
-
-
-def test_dataset_roundtrip_moving_states():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        state = rng.standard_normal(8)
-        state[[2, 3, 6, 7]] += np.sign(state[[2, 3, 6, 7]]) * 0.1  # keep speeds > 0
-        row = to_dataset_array(state)
-        back = from_dataset_array(row)
-        assert np.allclose(back, state, atol=1e-12)
-        # row-side round trip too
-        assert np.allclose(to_dataset_array(back), row, atol=1e-12)
-
-
-def test_heading_range_is_half_open():
-    # velocity pointing exactly along -x: atan2 gives pi, never -pi
-    row = to_dataset_array(np.array([0.0, 0.0, -1.0, 0.0]))
-    assert row[3] == math.pi
-    row = to_dataset_array(np.array([0.0, 0.0, -1.0, -0.0]))
-    assert row[3] == math.pi
 
 
 # --- trajectories ----------------------------------------------------------------
@@ -263,6 +207,13 @@ def test_from_states_reconstructs_the_controls_of_a_replay():
     alone = RolloutSet.stack([RolloutSet.from_states(row.states, row.dt) for row in pair])
     assert rows.controls.tobytes() == alone.controls.tobytes()
     assert np.allclose(rows.controls, pair.controls, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 3, 5), (1, 3, 0), (3, 8), ()])
+def test_from_states_refuses_states_that_are_no_set_by_their_shape(shape):
+    with pytest.raises(ValidationError) as err:
+        RolloutSet.from_states(np.zeros(shape), 0.1)
+    assert str(err.value) == f"states must be (M, T+1, 4k), got {shape}"
 
 
 def test_trajectory_shape_validation():
