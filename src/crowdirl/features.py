@@ -6,9 +6,10 @@ over the other agents, and squared control effort. State features average
 over all T+1 states, control effort over the T controls; `expected_features`
 forms them for any list of agents over a whole `RolloutSet` in one pass. An
 agent's cost is the dot product of its weight vector `CostParams` with this
-feature vector; `quadratic.expand_model_along` re-expresses the same cost,
-through the same `state_terms` and `agent_sum`, as per-step terms the game
-solver expands.
+feature vector; `quadratic.expand_model_along` re-expresses the same costs
+of any list of agents, through one `state_terms` call for all of them (the
+argument shapes of `expected_features`) and `agent_sum`, as per-step terms
+the game solver expands.
 
 The kernel is laid out agent-major, (k, a, N) over N joint states with the
 other agent j on the leading axis, so every elementwise pass is one long

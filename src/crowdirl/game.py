@@ -5,9 +5,11 @@ each timestep into one coupled linear system, yielding simultaneous affine
 feedback laws (a feedback Nash point of the quadratic game). It runs on the
 augmented state [dx; 1] of deviations from the nominal the costs were
 expanded along, which every solve takes, with A and B read off the one
-definition of the step, the exactly linear `trajectory.propagate_joint`; each
-agent's `CostExpansion` fills one (n+1, n+1) cost per step. Each step writes
-into buffers allocated once per solve: one LU of the right-hand side
+definition of the step, the exactly linear `trajectory.propagate_joint`; one
+`CostExpansion`, the stack of every agent's cost, fills the (n+1, n+1) cost of
+every agent and step in one scatter. Each step writes into buffers allocated
+once per solve, each ufunc's out passed positionally (a keyword out costs
+numpy a keyword parse per call): one LU of the right-hand side
 [B^T Z A | I] gives every agent's [K | alpha] and the inverse that screens
 the condition, and one symmetrized update every value matrix. Each policy is
 Gaussian around its feedback mean, with covariance the tempered inverse of the agent's
@@ -19,11 +21,12 @@ randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 
 stack, whose repaired stages the diagnostics record; each policy is factored once.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
-constant-velocity nominal, every agent's weight vector and its expansion
-along the nominal at the kernel width `spec.sigma` (formed once, re-weighted
-by `set_theta`) and the outer re-expansion loop.
-Synthesis and evaluation reach it through `build_policies`; the IRL loop
-holds a `Game` and sets every agent's weights once per sweep. Policies are
+constant-velocity nominal, every agent's weight vector, the stack of all
+agents' expansions along the nominal at the kernel width `spec.sigma` (formed
+in one pass, re-weighted all at once by `set_thetas`) and the outer
+re-expansion loop. Synthesis and evaluation reach it through
+`build_policies`; the IRL loop holds a `Game` and sets every agent's weights
+with one `set_thetas` per sweep. Policies are
 arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
 and covariances Sigma (T, k, 2, 2).
 
@@ -48,6 +51,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams
@@ -252,19 +256,19 @@ def _augmented_dynamics(k: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return A, Bt
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_lq_game(
-    costs: Sequence[CostExpansion],
+    costs: CostExpansion,
     cfg: SolverConfig = SolverConfig(),
     *,
     nominal: RolloutSet,
 ) -> PolicySequence:
     """Backward recursion over stacked first-order conditions, all agents at once.
 
-    costs[i] is agent i's quadratic cost in deviations from the nominal; its
-    row T seeds the value recursion at the horizon end. The nominal, a
-    one-row set, fixes k and dt, and so the dynamics; the returned policies
-    act on deviations from it.
+    costs is one stack whose member i is agent i's quadratic cost in
+    deviations from the nominal, for agents 0..k-1 in order; its row T seeds
+    the value recursion at the horizon end. The nominal, a one-row set, fixes
+    k and dt, and so the dynamics; the returned policies act on deviations from it.
 
     Steps write into buffers allocated once per call; overflow raises no numpy warning.
     """
@@ -273,11 +277,11 @@ def solve_lq_game(
     k, n = nominal.k, STATE_DIM * nominal.k
     if len(costs) != k:
         raise ValidationError(f"need cost expansions for {k} agents, got {len(costs)}")
-    T = costs[0].horizon
-    if any(e.horizon != T for e in costs):
-        raise ValidationError("all agents must supply the same horizon T >= 1")
-    if any(e.state_dim != n for e in costs):
+    if not np.array_equal(costs.agents, np.arange(k)):
+        raise ValidationError(f"cost expansions must be of agents 0..{k - 1} in order, got {costs.agents.tolist()}")
+    if costs.state_dim != n:
         raise ValidationError(f"cost expansions do not match the nominal's state dimension {n}")
+    T = costs.horizon
     if nominal.horizon != T:
         raise ValidationError(f"nominal trajectory has horizon {nominal.horizon}, the costs {T}")
 
@@ -285,11 +289,10 @@ def solve_lq_game(
     # Qa[t, i] = [[Q, q], [q^T, 2c]] and its policy u_i = -[K | alpha] [dx; 1].
     m, n1 = CONTROL_DIM * k, n + 1
     Qa = np.empty((T + 1, k, n1, n1))
-    for i, e in enumerate(costs):
-        e.fill(Qa[:, i])
-    r = np.stack([e.r for e in costs], axis=1)  # (T, k, 2)
+    costs.fill(Qa)
+    r = costs.r  # (T, k, 2)
     m2r = -2.0 * r
-    R = np.array([e.R for e in costs])[:, None, None]
+    R = costs.R[:, None, None]
     A, Bt = _augmented_dynamics(k, nominal.dt)
     B_all = Bt.reshape(m, n1).T  # (n+1, 2k): every agent's B side by side
     # where each agent's own 2x2 block of the (2k, 2k) gain system sits in its ravel
@@ -302,39 +305,50 @@ def solve_lq_game(
     rhs[:, n1:] = np.eye(m)
     gains_out = np.empty((T, m, n1))
     Huu_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
-    # Every step writes into these buffers; each product keeps its operand
-    # shapes and each sum its association, so the bits are those of fresh arrays.
+    # Every step writes into these buffers, each passed as the ufunc's
+    # positional out; each product keeps its operand shapes and each sum its
+    # association, so the bits are those of fresh arrays.
     Z, P, FtZ, S = Qa[T].copy(), np.empty((k, n1, n1)), np.empty((k, n1, n1)), np.empty((m, m))
-    BtZ, RG, F, Huu_T = np.empty_like(Bt), np.empty_like(Bt), np.empty_like(A), np.empty_like(R_eye)
+    BtZ, RG, F, Huu_2 = np.empty_like(Bt), np.empty_like(Bt), np.empty_like(A), np.empty_like(R_eye)
     G = gains_out.reshape(T, k, CONTROL_DIM, n1)  # G[t, i] = [K | alpha] of agent i
     S_flat, Ft, Pt, Gt = S.reshape(-1), F.T, P.swapaxes(1, 2), G.swapaxes(2, 3)
+    BtZ_m, rhs_r, RG_r = BtZ.reshape(m, n1), rhs_A[..., n], RG[..., n]
 
     for t in range(T - 1, -1, -1):
-        np.matmul(Bt, Z, out=BtZ)  # (k, 2, n+1)
+        np.matmul(Bt, Z, BtZ)  # (k, 2, n+1)
         # Stacked stationarity system: row block i is agent i's gradient wrt
         # its own control, column block j the coupling to agent j's control.
-        np.matmul(BtZ.reshape(m, n1), B_all, out=S)
-        # Control-space curvature of each agent's Q-function.
-        Huu_q = np.add(S_flat[own], R_eye, out=Huu_out[t])
-        Huu_T[...] = Huu_q.swapaxes(1, 2)
-        Huu_q += Huu_T
-        Huu_q *= 0.5
+        np.matmul(BtZ_m, B_all, S)
+        # Control-space curvature of each agent's Q-function, symmetrized.
+        Huu_q = np.add(S_flat[own], R_eye, Huu_out[t])
+        np.add(Huu_q, Huu_q.swapaxes(1, 2), Huu_2)
+        np.multiply(Huu_2, 0.5, Huu_q)
         S_flat[own] = Huu_q
         # S [K | alpha] = B^T Z A, with each agent's r added to the last column
-        np.matmul(BtZ, A, out=rhs_A)
-        rhs_A[..., n] += r[t]
-        gains_out[t] = _solve_gains(S, rhs, t)  # (2k, n+1)
+        np.matmul(BtZ, A, rhs_A)
+        rhs_r += r[t]
+        # One LU of [B^T Z A | I], by the LAPACK gufunc behind np.linalg.solve
+        # (half its time at k = 3 is the wrapper); a singular S leaves NaN,
+        # which fails the screen ||S||_F ||S^-1||_F <= MAX_GAIN_CONDITION on
+        # cond_2(S), and `_check_gain_condition` takes the exact condition
+        # where it fails. Each Frobenius norm is the root of a raveled dot.
+        X = _umath_linalg.solve(S, rhs, signature="dd->d")
+        x = X[:, n1:].ravel(order="K")
+        if not math.sqrt(S_flat.dot(S_flat)) * math.sqrt(x.dot(x)) <= MAX_GAIN_CONDITION:
+            _check_gain_condition(S, X, t)
+        gains_out[t] = X[:, :n1]  # (2k, n+1)
 
         # Closed-loop value recursion for every agent; the stage cost of
         # u_i = -G_i [dx; 1] is G_i^T (R G_i - 2 r e_n^T) before symmetrization.
-        np.subtract(A, np.matmul(B_all, gains_out[t], out=F), out=F)
-        np.multiply(R, G[t], out=RG)
-        RG[..., n] += m2r[t]
-        np.matmul(Gt[t], RG, out=P)
-        np.matmul(np.matmul(Ft, Z, out=FtZ), F, out=Z)
+        np.matmul(B_all, gains_out[t], F)
+        np.subtract(A, F, F)
+        np.multiply(R, G[t], RG)
+        RG_r += m2r[t]
+        np.matmul(Gt[t], RG, P)
+        np.matmul(np.matmul(Ft, Z, FtZ), F, Z)
         P += Qa[t]  # Z_new = (Qa[t] + G^T RG) + F^T Z F
         P += Z
-        np.multiply(np.add(P, Pt, out=Z), 0.5, out=Z)
+        np.multiply(np.add(P, Pt, Z), 0.5, Z)
 
     K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
     kff_out = nominal.controls[0] - gains_out[..., n].reshape(T, k, CONTROL_DIM)
@@ -350,26 +364,16 @@ def solve_lq_game(
     return PolicySequence(K_out, kff_out, Sigma, nominal.states[0], diag)
 
 
-def _solve_gains(S: np.ndarray, rhs: np.ndarray, t: int) -> np.ndarray:
-    """X with S X = B from one LU, where rhs is [B | I]; SolverError(t) if cond_2(S) > 1e12.
+def _check_gain_condition(S: np.ndarray, X: np.ndarray, t: int) -> None:
+    """SolverError(t) if cond_2(S) > 1e12, where the screen ||S||_F ||S^-1||_F has failed.
 
-    The last m = len(S) columns of rhs must be the identity: their solution is
-    S^-1. The exact (SVD) condition is computed only if the bound
-    ||S||_F ||S^-1||_F exceeds MAX_GAIN_CONDITION; each Frobenius norm is the
-    square root of the raveled dot product.
+    X solves S X = [B | I], so its last m = len(S) columns are S^-1; where
+    cond_2(S) passes they must be finite, else the LU met a zero pivot.
     """
-    m = S.shape[0]
-    try:
-        X = np.linalg.solve(S, rhs)
-        s, x = S.ravel(order="K"), X[:, -m:].ravel(order="K")
-        bound = math.sqrt(s.dot(s)) * math.sqrt(x.dot(x))
-    except np.linalg.LinAlgError:
-        X, bound = None, math.inf
-    if not bound <= MAX_GAIN_CONDITION and np.linalg.cond(S) > MAX_GAIN_CONDITION:
+    if np.linalg.cond(S) > MAX_GAIN_CONDITION:
         raise SolverError("coupled gain system is numerically singular", timestep=t)
-    if X is None:
+    if not np.all(np.isfinite(X[:, -len(S):])):
         raise InternalError(f"gain system at timestep {t} has a zero pivot yet cond_2 <= 1e12")
-    return X[:, :-m]
 
 
 def _robust_inverse(M: np.ndarray) -> np.ndarray:
@@ -383,35 +387,42 @@ def _robust_inverse(M: np.ndarray) -> np.ndarray:
 
 
 class Game:
-    """One scenario's game: nominal, per-agent costs and the solve.
+    """One scenario's game: nominal, the stack of every agent's cost and the solve.
 
-    Every agent's cost is expanded once along the constant-velocity nominal
-    at the kernel width spec.sigma and re-weighted when its weights change.
-    With cfg.max_outer_iters > 1 each solve re-expands the costs around the
-    latest mean rollout until it moves less than cfg.outer_tol; that refit
-    is clamped at spec.u_max, the bound of every rollout of the scene.
+    Every agent's cost is expanded in one pass along the constant-velocity
+    nominal at the kernel width spec.sigma, and all are re-weighted at once
+    when the weights change. With cfg.max_outer_iters > 1 each solve
+    re-expands the costs around the latest mean rollout until it moves less
+    than cfg.outer_tol; that refit is clamped at spec.u_max, the bound of
+    every rollout of the scene.
     """
 
     def __init__(self, thetas: Sequence[CostParams], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()):
         if spec.goals is None:
             raise ValidationError("scenario has no goals; infer them before building costs")
-        if len(thetas) != spec.k:
-            raise ValidationError(f"need {spec.k} weight vectors, got {len(thetas)}")
-        self.thetas = list(thetas)
         self.spec = spec
         self.cfg = cfg
+        self.thetas = self._checked(thetas)
         self.nominal = constant_velocity_rollout(spec)
         self.costs = self._expand(self.nominal)
 
-    def _expand(self, nominal: RolloutSet) -> list[CostExpansion]:
-        """Every agent's cost at its current weights, expanded along nominal."""
-        goals, sigma = self.spec.goals, self.spec.sigma
-        return [expand_model_along(nominal, i, goals[i], sigma, t.weights) for i, t in enumerate(self.thetas)]
+    def _checked(self, thetas: Sequence[CostParams]) -> list[CostParams]:
+        """One CostParams per agent, as a list."""
+        if len(thetas) != self.spec.k:
+            raise ValidationError(f"need {self.spec.k} weight vectors, got {len(thetas)}")
+        if not all(isinstance(t, CostParams) for t in thetas):
+            raise ValidationError("weight vectors must be CostParams")
+        return list(thetas)
 
-    def set_theta(self, agent: int, theta: CostParams) -> None:
-        """Replace one agent's cost weights; the next solve uses them."""
-        self.thetas[agent] = theta
-        self.costs[agent] = self.costs[agent].reweighted(theta.weights)
+    def _expand(self, nominal: RolloutSet) -> CostExpansion:
+        """Every agent's cost at its current weights, expanded along nominal."""
+        weights = np.array([t.weights for t in self.thetas])
+        return expand_model_along(nominal, range(self.spec.k), self.spec.goals, self.spec.sigma, weights)
+
+    def set_thetas(self, thetas: Sequence[CostParams]) -> None:
+        """Replace every agent's cost weights, one CostParams per agent; the next solve uses them."""
+        self.thetas = self._checked(thetas)
+        self.costs = self.costs.reweighted(np.array([t.weights for t in self.thetas]))
 
     def solve(self) -> PolicySequence:
         """Policies of the game at the current weights."""
@@ -463,11 +474,13 @@ def _rollout_batch(
     feedback = np.empty((Mp // FEEDBACK_TILE, FEEDBACK_TILE, CONTROL_DIM * k))
     u = np.empty((Mp, k, CONTROL_DIM))
 
+    nominal, kff, feedback_u = policies.nominal_states, policies.kff, feedback.reshape(u.shape)
+
     def act(t: int, states: np.ndarray) -> np.ndarray:
-        np.subtract(states.reshape(dx.shape), policies.nominal_states[t], out=dx)
-        np.matmul(dx, gains[t], out=feedback)  # gains[t]: (4k, 2k)
-        np.subtract(policies.kff[t], feedback.reshape(u.shape), out=u)
-        return np.add(u, eps[t], out=u)
+        np.subtract(states.reshape(dx.shape), nominal[t], dx)
+        np.matmul(dx, gains[t], feedback)  # gains[t]: (4k, 2k)
+        np.subtract(kff[t], feedback_u, u)
+        return np.add(u, eps[t], u)
 
     states, controls = rollout(np.tile(spec.x0, (Mp, 1)), T, spec.dt, act, spec.u_max)
     return states[:M], controls[:M]

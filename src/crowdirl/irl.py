@@ -14,8 +14,9 @@ must become more expensive. Updates are projected onto the nonnegative
 orthant to keep every agent's control cost convex.
 
 The loop hands its weight vectors to one `game.Game` (the game synthesis
-and evaluation solve, outer re-expansion included) and takes every agent's
-row from one `features.expected_features` call per sweep; the
+and evaluation solve, outer re-expansion included), all of them in one
+`Game.set_thetas` call per sweep, and takes every agent's row from one
+`features.expected_features` call per sweep; the
 demonstrations, one `RolloutSet`, are featurized once, both at the scene's
 kernel width `spec.sigma`. Each update record in the trace holds the sampled
 gap and theta_after = max(theta_before + beta * gap, 0); the records of a
@@ -160,6 +161,7 @@ def _feature_matching(
     game, demo_phi = _training_game(demos, spec, cfg)
     blocks = [list(range(spec.k))] if shared else [[i] for i in range(spec.k)]
     thetas = [CostParams.ones() for _ in blocks]
+    block_of = {i: b for b, agents in enumerate(blocks) for i in agents}
 
     trace = TrainingTrace()
     for sweep in range(cfg.max_iters):
@@ -182,9 +184,7 @@ def _feature_matching(
                 gap_norm=float(np.linalg.norm(gap)),
                 conditioned_stages=policies.diagnostics.conditioned_stages,
             ))
-        for b, agents in enumerate(blocks):
-            for i in agents:
-                game.set_theta(i, thetas[b])
+        game.set_thetas([thetas[block_of[i]] for i in range(spec.k)])
         if trace.close_sweep(sweep, cfg.tol):
             break
     return thetas, trace

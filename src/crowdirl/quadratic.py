@@ -1,17 +1,18 @@
 """Stagewise quadratic expansion of trajectory costs.
 
-Each agent's cost is expanded along a nominal trajectory into a quadratic in
-the deviations (dx, du) at every step, held as one `CostExpansion` over the
-whole horizon: state curvature Q, gradient q and offset c for steps 0..T
-(row T is the terminal cost), plus the control curvature R and control
-gradient r. The cost is theta . phi over three closed-form features with no
-state-control coupling, so the expansion is exact and linear in theta. Agent
-i's goal and crowding terms occupy 16k - 7 entries of the augmented cost
-[[Q, q], [q^T, 2c]], fixed by (k, i) alone (`cost_pattern`):
-`expand_model_along` takes the agent's goal, the kernel width sigma and its
-weight vector, writes the terms there once per nominal, theta-free,
-`CostExpansion.reweighted` weights them anew, and the solve reads each step
-through `fill`.
+The costs of any list of agents are expanded along a nominal trajectory into
+quadratics in the deviations (dx, du) at every step, held as one
+`CostExpansion`: a stack over the agents, the way a `RolloutSet` is a stack
+over trajectories. Each member holds state curvature Q, gradient q and
+offset c for steps 0..T (row T is the terminal cost), plus the control
+curvature R and control gradient r. The cost is theta . phi over three
+closed-form features with no state-control coupling, so the expansion is
+exact and linear in theta. Agent i's goal and crowding terms occupy 16k - 7
+entries of its augmented cost [[Q, q], [q^T, 2c]], fixed by (k, i) alone
+(`cost_pattern`): `expand_model_along` takes the agents' goals, the kernel
+width sigma and their weight vectors, writes the terms of every agent there
+in one pass per nominal, theta-free, `CostExpansion.reweighted` weights them
+all anew, and the solve reads every step of every agent through one `fill`.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
-from .features import _check_terms, agent_sum, state_terms
+from .features import NUM_FEATURES, _check_terms, agent_sum, state_terms
 from .trajectory import STATE_DIM, RolloutSet
 
 
@@ -37,36 +38,44 @@ def _eval_batch(f, probes: np.ndarray) -> np.ndarray:
 
 
 class CostExpansion:
-    """One agent's quadratic cost theta . phi along a nominal, in deviations (dx, du).
+    """The quadratic costs theta . phi of a agents along a nominal, in deviations (dx, du).
 
-    Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
-    row T is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2, with Q (T+1, n, n),
-    q (T+1, n), c (T+1,) and r (T, 2). The cost occupies the fixed entries
-    (rows[e], cols[e]) of the augmented cost [[Q, q], [q^T, 2c]] that
-    `expand_model_along` lays out, (n, n) last; every other entry is 0.
-    basis[f, t, e] is the goal (f = 0) or crowding (f = 1) feature's part of
-    entry e at state t; the effort feature reads the nominal controls (T, 2).
-    Formed and checked finite here: the entries (w0 basis[0] + w1 basis[1]) / (T+1)
+    Member x is agent agents[x]. Its step t < T costs
+    c[t] + q[t].dx + dx.Q[t].dx/2 + r[t, x].du + R[x] |du|^2/2 and its row T
+    is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2, with Q (T+1, n, n),
+    q (T+1, n), c (T+1,), R (a,) and r (T, a, 2). The cost occupies the
+    fixed entries (rows[x, e], cols[x, e]) of the member's augmented cost
+    [[Q, q], [q^T, 2c]] that `cost_pattern` lays out, (n, n) last; every
+    other entry is 0. basis[f, t, x, e] is the goal (f = 0) or crowding
+    (f = 1) feature's part of entry e at state t; the effort feature reads
+    the nominal controls (T, a, 2). Formed and checked finite here, for every
+    member at once from weights (a, 3): the entries (w0 basis[0] + w1 basis[1]) / (T+1)
     plus R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly
-    symmetric because the terms are; the solve reads the cost only through `fill`.
+    symmetric because the terms are; the solve reads the costs only through `fill`.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
-    def __init__(self, rows, cols, basis, controls, weights: np.ndarray):
-        w_goal, w_crowd, w_effort = (float(w) for w in weights)
-        entries = (w_goal * basis[0] + w_crowd * basis[1]) / (len(controls) + 1)
-        R = 2.0 * (w_effort / len(controls))
-        entries[:-1, -1] += R * np.sum(controls * controls, axis=-1)
-        r = R * controls
+    def __init__(self, agents, rows, cols, flat, basis, controls, weights):
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (len(agents), NUM_FEATURES):
+            raise ValidationError(f"weights must be ({len(agents)}, {NUM_FEATURES}), got {w.shape}")
+        entries = (w[:, 0, None] * basis[0] + w[:, 1, None] * basis[1]) / (len(controls) + 1)
+        R = 2.0 * (w[:, 2] / len(controls))
+        entries[:-1, :, -1] += R * np.sum(controls * controls, axis=-1)
+        r = R[:, None] * controls
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(r))):
             raise CostRangeError("cost expansion contains non-finite values", "weights")
+        R.setflags(write=False)
         r.setflags(write=False)
-        self.rows, self.cols, self.basis, self.controls = rows, cols, basis, controls
-        self._entries, self.R, self.r = entries, R, r
+        self.agents, self.rows, self.cols, self.basis, self.controls = agents, rows, cols, basis, controls
+        self._flat, self._entries, self.R, self.r = flat, entries, R, r
 
     def reweighted(self, weights: np.ndarray) -> "CostExpansion":
-        """The expansion of the same terms at new weights (theta0, theta1, theta2)."""
-        return CostExpansion(self.rows, self.cols, self.basis, self.controls, weights)
+        """The expansion of the same terms at new weights (a, 3), one row (theta0, theta1, theta2) per member."""
+        return CostExpansion(self.agents, self.rows, self.cols, self._flat, self.basis, self.controls, weights)
+
+    def __len__(self) -> int:
+        return len(self.agents)
 
     @property
     def horizon(self) -> int:
@@ -74,12 +83,15 @@ class CostExpansion:
 
     @property
     def state_dim(self) -> int:
-        return int(self.rows[-1])
+        return int(self.rows[0, -1])
 
     def fill(self, out: np.ndarray) -> None:
-        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
+        """Write every member's augmented cost [[Q, q], [q^T, 2c]] of every step into a C-contiguous out (T+1, a, n+1, n+1)."""
+        n1 = self.state_dim + 1
+        if out.shape != (self.horizon + 1, len(self), n1, n1) or not out.flags.c_contiguous:
+            raise ValidationError(f"fill needs a C-contiguous out of shape {(self.horizon + 1, len(self), n1, n1)}")
         out[...] = 0.0
-        out[:, self.rows, self.cols] = self._entries
+        out.reshape(len(out), -1)[:, self._flat] = self._entries.reshape(len(out), -1)
 
 
 @lru_cache(maxsize=None)
@@ -107,64 +119,100 @@ def cost_pattern(k: int, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return rows, cols, mirror
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
-def expand_model_along(nominal: RolloutSet, agent: int, goal, sigma: float, weights) -> CostExpansion:
-    """Exact quadratic expansion of one agent's cost theta . phi along a nominal.
+@lru_cache(maxsize=64)  # keyed by agent lists; a game asks for range(k) alone
+def _stack_pattern(k: int, agents: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The `cost_pattern`s of a stack of agents, read-only: the agents (a,), then (a, 16k - 7) arrays.
 
-    Every state of the one-row nominal is expanded at once. With r_j = p_i - p_j and
-    e_j = exp(-|r_j|^2 / sigma^2), read off `features.state_terms` (which
-    also gives the goal distance and, summed by `agent_sum`, the crowding
-    offset; there p_j - p_i = -r_j exactly), the kernel e_j has gradient -2 e_j r_j / sigma^2
+    rows and cols; flat, each entry's place in a flat (a, n+1, n+1) stack of
+    augmented costs; mirror, each entry's mirror in the flat (a * (16k - 7))
+    entries; and others (a, k - 1), the other agents of each member in order.
+    """
+    rows, cols, mirror = (np.stack([cost_pattern(k, i)[x] for i in agents]) for x in range(3))
+    a, n1, idx = len(agents), STATE_DIM * k + 1, np.array(agents)
+    member = np.arange(a)[:, None]
+    flat = (n1 * n1 * member + n1 * rows + cols).ravel()
+    mirror = (rows.shape[1] * member + mirror).ravel()
+    others = np.array([np.delete(np.arange(k), i) for i in agents]).reshape(a, k - 1)
+    for arr in (idx, rows, cols, flat, mirror, others):
+        arr.setflags(write=False)
+    return idx, rows, cols, flat, mirror, others
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
+def expand_model_along(nominal: RolloutSet, agents, goals, sigma: float, weights) -> CostExpansion:
+    """Exact quadratic expansion of the costs theta . phi of the given agents along a nominal.
+
+    Every state of the one-row nominal is expanded for every agent at once.
+    For agent i, with r_j = p_i - p_j and e_j = exp(-|r_j|^2 / sigma^2),
+    read off one `features.state_terms` call (which also gives the goal
+    distance and, summed by `agent_sum`, the crowding offset; there
+    p_j - p_i = -r_j exactly), the kernel e_j has gradient -2 e_j r_j / sigma^2
     in p_i and +2 e_j r_j / sigma^2 in p_j, and curvature
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
     position blocks, -M_j on (i, j) and (j, i). The goal term |p_i - g|^2 has
     gradient 2 (p_i - g) and curvature 2 I on p_i. These terms go straight into
     the entries of `cost_pattern(k, i)`, where an entry that is 0.0 along this
-    nominal stays as 0.0. They are checked once, finite and each equal to its
-    mirror, then weighted by theta = weights. goal is the agent's 2-vector
-    and sigma the crowding kernel's width; the agent index, goal and sigma
-    are checked as `features.expected_features` checks them.
+    nominal stays as 0.0. They are checked once for the whole stack, finite
+    and each equal to its mirror, then weighted by theta = weights (a, 3).
+    agents, goals (a, 2) and sigma are checked as
+    `features.expected_features` checks them; member x of the stack is agents[x].
     """
     if len(nominal) != 1:
         raise ValidationError(f"the nominal must be one row, got {len(nominal)} rows")
     T, k, states = nominal.horizon, nominal.k, nominal.states[0]
-    idx, goals, sigma = _check_terms(k, [agent], [goal], sigma)
-    i, g, s2 = int(idx[0]), goals[0], sigma * sigma
-    goal_value, kernel = state_terms(states, idx, goals, sigma)
-    crowd_value = agent_sum(kernel)[0] - 1.0  # the crowding feature, as state_features forms it
-    e = kernel[:, 0].T.copy()  # (T+1, k)
-    e[:, i] = 0.0  # no self term
+    idx, goals, sigma = _check_terms(k, agents, goals, sigma)
+    a, s2 = idx.size, sigma * sigma
+    idx, rows, cols, flat, mirror, others = _stack_pattern(k, tuple(idx.tolist()))
+    goal_value, kernel = state_terms(states, idx, goals, sigma)  # (a, T+1), (k, a, T+1)
+    crowd_value = agent_sum(kernel) - 1.0  # the crowding feature, as state_features forms it
+    member = np.arange(a)
+    e = kernel.T.copy()  # (T+1, a, k)
+    e[:, member, idx] = 0.0  # no self term
 
     pos = states.reshape(T + 1, k, STATE_DIM)[..., :2]
-    r = pos[:, i : i + 1] - pos  # (T+1, k, 2); zero at j == i
+    r = pos[:, idx, None] - pos[:, None]  # (T+1, a, k, 2); zero at j == i
     grad = (2.0 / s2) * e[..., None] * r  # d e_j / d p_j
-    # r r^T is formed before scaling, so that each M_j is exactly symmetric
-    M = e[..., None, None] * (
-        (4.0 / (s2 * s2)) * (r[..., :, None] * r[..., None, :]) - (2.0 / s2) * np.eye(2)
-    )  # (T+1, k, 2, 2)
+    # M_j row by row, (T+1, a, k, 4): r r^T is formed before scaling, so that
+    # each M_j is exactly symmetric, and 2 I / sigma^2 comes off the diagonal alone
+    M = np.empty(r.shape[:-1] + (4,))
+    rx, ry = r[..., 0], r[..., 1]
+    np.multiply(rx, rx, M[..., 0])
+    np.multiply(rx, ry, M[..., 1])
+    M[..., 2] = M[..., 1]
+    np.multiply(ry, ry, M[..., 3])
+    M *= 4.0 / (s2 * s2)
+    M[..., 0:4:3] -= 2.0 / s2
+    M *= e[..., None]
 
     # the goal (0) and crowding (1) features' parts of each entry, in pattern order
-    rows, cols, mirror = cost_pattern(k, i)
-    basis = np.zeros((2, T + 1, rows.size))
+    basis = np.zeros((2, T + 1, a, rows.shape[1]))
     goal, crowd = basis
     m = 4 * (k - 1)  # entries in all (i, j) blocks; as many in the (j, i) and (j, j) ones
-    goal[:, 0:4:3] = 2.0  # 2 I
-    crowd[:, :4] = M.sum(axis=1).reshape(T + 1, 4)
-    M_j = M[:, np.arange(k) != i].reshape(T + 1, m)
-    np.negative(M_j, out=crowd[:, 4 : 4 + m])
-    crowd[:, 4 + m : 4 + 2 * m] = crowd[:, 4 : 4 + m]
-    crowd[:, 4 + 2 * m : 4 + 3 * m] = M_j
+    goal[..., 0:4:3] = 2.0  # 2 I
+    # sums over j add the agents in order onto +0.0, as numpy's sum over a middle axis does
+    own_curv, own_grad = np.zeros((T + 1, a, 4)), np.zeros((T + 1, a, 2))
+    for j in range(k):
+        own_curv += M[:, :, j]
+        own_grad += grad[:, :, j]
+    crowd[..., :4] = own_curv
+    M_j = M[:, member[:, None], others].reshape(T + 1, a, m)
+    np.negative(M_j, crowd[..., 4 : 4 + m])
+    crowd[..., 4 + m : 4 + 2 * m] = crowd[..., 4 : 4 + m]
+    crowd[..., 4 + 2 * m : 4 + 3 * m] = M_j
     edge = basis[..., 4 + 3 * m : 4 + 3 * m + 2 * k]
-    l = edge.reshape(2, T + 1, k, 2)  # a view: the reshape splits the last axis
-    l[0, :, i] = 2.0 * (pos[:, i] - g)
+    l = edge.reshape(2, T + 1, a, k, 2)  # a view: the reshape splits the last axis
+    l[0][:, member, idx] = 2.0 * (pos[:, idx] - goals)
     l[1] = grad
-    l[1, :, i] = -grad.sum(axis=1)
+    l[1][:, member, idx] = -own_grad
     basis[..., 4 + 3 * m + 2 * k : -1] = edge
-    goal[:, -1] = 2.0 * goal_value[0]
-    crowd[:, -1] = 2.0 * crowd_value
+    goal[..., -1] = 2.0 * goal_value.T
+    crowd[..., -1] = 2.0 * crowd_value.T
     if not np.all(np.isfinite(basis)):
         raise CostRangeError("cost function returned non-finite values along the nominal", "states")
-    if not np.array_equal(basis, basis[..., mirror]):
+    entries = basis.reshape(2, T + 1, -1)
+    if not np.array_equal(entries, np.take(entries, mirror, axis=-1)):
         raise InternalError("feature curvature is not exactly symmetric")
-    basis.setflags(write=False)
-    return CostExpansion(rows, cols, basis, nominal.controls[0, :, i], weights)
+    controls = nominal.controls[0][:, idx]  # (T, a, 2)
+    for arr in (basis, controls):
+        arr.setflags(write=False)
+    return CostExpansion(idx, rows, cols, flat, basis, controls, weights)

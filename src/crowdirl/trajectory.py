@@ -54,6 +54,13 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def check_dt(dt: float) -> float:
+    """The time step as a float; it must be positive and finite."""
+    if not (math.isfinite(dt) and dt > 0):  # also rejects NaN
+        raise ValidationError(f"dt must be positive, got {dt!r}")
+    return float(dt)
+
+
 def check_sigma(sigma: float) -> float:
     """The crowding kernel width as a float; it must be positive and finite."""
     if not 0 < float(sigma) < math.inf:  # also rejects NaN
@@ -71,10 +78,13 @@ def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) ->
     u_max = check_u_max(u_max)
     u = np.asarray(u, dtype=float)
     if u_max == math.inf:  # inf / inf would be NaN; no norm exceeds it, so the scale is 1.0
-        return np.multiply(u, 1.0, out=out)
+        return np.multiply(u, 1.0, out)
     sq = u * u
-    norm = np.sqrt(sq[..., 0] + sq[..., 1])
-    return np.multiply(u, (u_max / np.maximum(norm, u_max))[..., None], out=out)
+    scale = np.add(sq[..., 0], sq[..., 1], np.empty(u.shape[:-1]))  # then ||u||, then the scale, in place
+    np.sqrt(scale, scale)
+    np.maximum(scale, u_max, out=scale)  # a positional out of np.maximum is deprecated
+    np.divide(u_max, scale, scale)
+    return np.multiply(u, scale[..., None], out)
 
 
 def _halves(states: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -161,14 +171,13 @@ class RolloutSet:
             raise ValidationError(f"lengths inconsistent: {states.shape[1]} states vs {T} controls")
         if T < 1:
             raise ValidationError("a trajectory needs at least one step")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
+        dt = check_dt(self.dt)
         for name, arr in (("states", states), ("controls", controls)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} contain non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", dt)
 
     @property
     def horizon(self) -> int:
@@ -180,7 +189,8 @@ class RolloutSet:
 
     @classmethod
     def from_states(cls, states, dt: float) -> "RolloutSet":
-        """Tracked states (M, T+1, 4k); each control is the velocity change over its step / dt."""
+        """Tracked states (M, T+1, 4k); each control is the velocity change over its step / dt, dt checked first."""
+        dt = check_dt(dt)
         states = np.asarray(states, dtype=float)
         vel = states.reshape(*states.shape[:-1], _agents_of(states), STATE_DIM)[..., 2:]
         return cls(states, (vel[:, 1:] - vel[:, :-1]) / dt, dt)
@@ -200,6 +210,8 @@ class RolloutSet:
         return self.states.shape[0]
 
     def __getitem__(self, m):
+        if isinstance(m, (bool, np.bool_)):  # True would pass range() as row 1
+            raise TypeError(f"a rollout set is indexed by an integer or a slice, not a bool, got {m!r}")
         if not isinstance(m, slice):
             m = range(len(self))[m]  # IndexError out of range, so iteration stops after the last row
             m = slice(m, m + 1)
@@ -248,8 +260,7 @@ class ScenarioSpec:
                                   f"got {float(x0[bad[0]])!r}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt!r}")
+        check_dt(self.dt)
         object.__setattr__(self, "u_max", check_u_max(self.u_max))
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
         if self.goals is not None:

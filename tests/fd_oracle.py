@@ -5,16 +5,19 @@ max(1, |coordinate|). Expansions are plain (H, l, c) arrays of the cost as a
 quadratic c + l.z + z.H.z/2 in z = (dx, du), or in dx alone for a terminal
 cost. `AgentCost` holds one agent's cost parameters and `agent_costs` makes
 one per agent of a scene; `expand` hands a record to
-`crowdirl.quadratic.expand_model_along`, and `fd_expand_model_along` expands
-it the same way, but numerically, so the two can be checked against each
-other; `stage_cost` is the per-step cost it differences.
+`crowdirl.quadratic.expand_model_along` (a stack of one), and
+`fd_expand_model_along` expands it the same way, but numerically, so the two
+can be checked against each other; `stage_cost` is the per-step cost it
+differences. `reference_expansion` is the expansion of one agent in a pass of
+its own, the byte reference for every member of the stacked expansion.
 `dense_feature_terms` lays the closed-form feature terms out densely, the
 reference for the expansion's fixed sparse pattern. `reference_state_features`
 and `reference_expected_features` are the feature half as broadcast from the
 strided position columns, the crowding kernel summed over the other agents in
 order by `in_order_sum`: the byte reference for `crowdirl.features`.
-`DenseCost` carries hand-built or finite-difference costs into `solve_lq_game`,
-and `dense_arrays` reads any cost's dense Q, q and c back through its `fill`.
+`DenseCost` carries hand-built or finite-difference costs of one agent into
+`solve_lq_game` as a stack of one, and `dense_arrays` reads any stack's dense
+Q, q and c back through its `fill`.
 `double_integrator` writes the textbook blocks of the joint double
 integrator by hand, the reference for the dynamics the solve reads off
 `crowdirl.trajectory.propagate_joint`; `reference_step` is that step as one
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdirl.features import CostParams
-from crowdirl.quadratic import CostExpansion, _eval_batch, expand_model_along
+from crowdirl.errors import CostRangeError, InternalError
+from crowdirl.features import CostParams, _check_terms, agent_sum, state_terms
+from crowdirl.quadratic import CostExpansion, _eval_batch, cost_pattern, expand_model_along
 from crowdirl.trajectory import DEFAULT_SIGMA, STATE_DIM, RolloutSet, ScenarioSpec
 
 DEFAULT_FD_STEP = 1e-3
@@ -51,17 +55,71 @@ def agent_costs(thetas, spec: ScenarioSpec) -> list[AgentCost]:
 
 
 def expand(model: AgentCost, nominal: RolloutSet) -> CostExpansion:
-    """crowdirl's closed-form expansion of the record's cost along nominal."""
-    return expand_model_along(nominal, model.agent, model.goal, model.sigma, model.theta.weights)
+    """crowdirl's closed-form expansion of the record's cost along nominal, a stack of one."""
+    return expand_model_along(nominal, [model.agent], model.goal[None], model.sigma, model.theta.weights[None])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_expansion(nominal: RolloutSet, agent: int, goal, sigma: float, weights):
+    """One agent's expansion in a pass of its own: rows, cols, basis (2, T+1, P), entries (T+1, P), R and r (T, 2).
+
+    The per-agent form that `expand_model_along` stacks: the same terms,
+    written into `cost_pattern(k, agent)`, checked and weighted as it checks
+    and weights each member.
+    """
+    T, k, states = nominal.horizon, nominal.k, nominal.states[0]
+    idx, goals, sigma = _check_terms(k, [agent], [goal], sigma)
+    i, g, s2 = int(idx[0]), goals[0], sigma * sigma
+    goal_value, kernel = state_terms(states, idx, goals, sigma)
+    crowd_value = agent_sum(kernel)[0] - 1.0
+    e = kernel[:, 0].T.copy()  # (T+1, k)
+    e[:, i] = 0.0
+
+    pos = states.reshape(T + 1, k, STATE_DIM)[..., :2]
+    r = pos[:, i : i + 1] - pos
+    grad = (2.0 / s2) * e[..., None] * r
+    M = e[..., None, None] * (
+        (4.0 / (s2 * s2)) * (r[..., :, None] * r[..., None, :]) - (2.0 / s2) * np.eye(2)
+    )  # (T+1, k, 2, 2)
+
+    rows, cols, mirror = cost_pattern(k, i)
+    basis = np.zeros((2, T + 1, rows.size))
+    goal, crowd = basis
+    m = 4 * (k - 1)
+    goal[:, 0:4:3] = 2.0
+    crowd[:, :4] = M.sum(axis=1).reshape(T + 1, 4)
+    M_j = M[:, np.arange(k) != i].reshape(T + 1, m)
+    np.negative(M_j, out=crowd[:, 4 : 4 + m])
+    crowd[:, 4 + m : 4 + 2 * m] = crowd[:, 4 : 4 + m]
+    crowd[:, 4 + 2 * m : 4 + 3 * m] = M_j
+    edge = basis[..., 4 + 3 * m : 4 + 3 * m + 2 * k]
+    l = edge.reshape(2, T + 1, k, 2)
+    l[0, :, i] = 2.0 * (pos[:, i] - g)
+    l[1] = grad
+    l[1, :, i] = -grad.sum(axis=1)
+    basis[..., 4 + 3 * m + 2 * k : -1] = edge
+    goal[:, -1] = 2.0 * goal_value[0]
+    crowd[:, -1] = 2.0 * crowd_value
+    if not np.all(np.isfinite(basis)):
+        raise CostRangeError("cost function returned non-finite values along the nominal", "states")
+    if not np.array_equal(basis, basis[..., mirror]):
+        raise InternalError("feature curvature is not exactly symmetric")
+
+    controls = nominal.controls[0, :, i]
+    w_goal, w_crowd, w_effort = (float(w) for w in weights)
+    entries = (w_goal * basis[0] + w_crowd * basis[1]) / (T + 1)
+    R = 2.0 * (w_effort / T)
+    entries[:-1, -1] += R * np.sum(controls * controls, axis=-1)
+    return rows, cols, basis, entries, R, R * controls
 
 
 @dataclass(frozen=True)
 class DenseCost:
-    """A cost held as dense arrays, read by the solve as a CostExpansion is; not validated.
+    """One agent's cost held as dense arrays, a stack of one to the solve as a CostExpansion is; not validated.
 
     Step t < T costs c[t] + q[t].dx + dx.Q[t].dx/2 + r[t].du + R |du|^2/2 and
-    row T is the terminal cost. Shapes: Q (T+1, n, n), q (T+1, n), c (T+1,),
-    r (T, 2).
+    row T is the terminal cost. Shapes: Q (T+1, n, n), q (T+1, n), c (T+1,);
+    R and r (T, 2) are held as the stack's R (1,) and r (T, 1, 2).
     """
 
     Q: np.ndarray
@@ -69,6 +127,14 @@ class DenseCost:
     c: np.ndarray
     R: float
     r: np.ndarray
+    agents = np.zeros(1, dtype=int)
+
+    def __post_init__(self):
+        object.__setattr__(self, "R", np.reshape(self.R, 1))
+        object.__setattr__(self, "r", np.reshape(self.r, (-1, 1, 2)))
+
+    def __len__(self) -> int:
+        return 1
 
     @property
     def horizon(self) -> int:
@@ -79,19 +145,19 @@ class DenseCost:
         return self.Q.shape[1]
 
     def fill(self, out: np.ndarray) -> None:
-        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, n+1, n+1)."""
-        n = self.state_dim
-        out[:, :n, :n] = self.Q
-        out[:, :n, n] = out[:, n, :n] = self.q
-        out[:, n, n] = 2.0 * self.c
+        """Write the augmented cost [[Q, q], [q^T, 2c]] of every step into out (T+1, 1, n+1, n+1)."""
+        n, one = self.state_dim, out[:, 0]
+        one[:, :n, :n] = self.Q
+        one[:, :n, n] = one[:, n, :n] = self.q
+        one[:, n, n] = 2.0 * self.c
 
 
 def dense_arrays(cost) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, q, c) of a CostExpansion or DenseCost, read off the augmented cost its fill writes."""
+    """(Q, q, c) (T+1, a, ...) of a CostExpansion or DenseCost stack, read off the augmented costs its fill writes."""
     n = cost.state_dim
-    out = np.empty((cost.horizon + 1, n + 1, n + 1))
+    out = np.empty((cost.horizon + 1, len(cost), n + 1, n + 1))
     cost.fill(out)
-    return out[:, :n, :n], out[:, :n, n], out[:, n, n] / 2.0
+    return out[..., :n, :n], out[..., :n, n], out[..., n, n] / 2.0
 
 
 def double_integrator(k: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +247,7 @@ def dense_feature_terms(model: AgentCost, nominal: RolloutSet) -> np.ndarray:
 
     Laid out densely by the same expressions, in the same order, as
     `expand_model_along` forms them; its CostExpansion holds these terms at
-    its entries, and every other entry here is 0.
+    the member's entries, and every other entry here is 0.
     """
     T, k, i = nominal.horizon, model.k, model.agent
     n = STATE_DIM * k

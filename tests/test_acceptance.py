@@ -68,12 +68,12 @@ def test_criterion_1_solver_oracle_equivalence():
     )
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     nominal = constant_velocity_rollout(spec)
-    e = expand_model_along(nominal, 0, spec.goals[0], spec.sigma, theta.weights)
-    policies = solve_lq_game([e], SolverConfig(), nominal=nominal)
+    e = expand_model_along(nominal, [0], spec.goals, spec.sigma, theta.weights[None])
+    policies = solve_lq_game(e, SolverConfig(), nominal=nominal)
     A, B = double_integrator(1, spec.dt)
     T = spec.horizon
-    Q, q, _ = dense_arrays(e)
-    gains, ffs = textbook_affine_lqr(A, B[0], Q[:T], q[:T], [e.R * np.eye(2)] * T, e.r, Q[T], q[T])
+    Q, q, _ = (x[:, 0] for x in dense_arrays(e))
+    gains, ffs = textbook_affine_lqr(A, B[0], Q[:T], q[:T], [e.R[0] * np.eye(2)] * T, e.r[:, 0], Q[T], q[T])
     err = max(
         max(np.max(np.abs(policies.K[t, 0] - gains[t])) for t in range(10)),
         max(np.max(np.abs(policies.kff[t, 0] + ffs[t])) for t in range(10)),

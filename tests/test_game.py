@@ -1,14 +1,16 @@
 import inspect
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from crowdirl.cli import scenario_preset
-from crowdirl.errors import SolverError, ValidationError
+from crowdirl.errors import InternalError, SolverError, ValidationError
 from crowdirl.features import CostParams, expected_features, state_features
 from crowdirl.game import (
     FEEDBACK_TILE,
@@ -19,8 +21,8 @@ from crowdirl.game import (
     SolverConfig,
     _augmented_dynamics,
     _has_cholesky,
+    _check_gain_condition,
     _robust_inverse,
-    _solve_gains,
     build_policies,
     condition_covariance,
     mean_rollout,
@@ -81,23 +83,23 @@ def textbook_affine_lqr(A, B, Q_seq, q_seq, R_seq, r_seq, Qf, qf):
 
 
 def _expand_all(thetas, spec, nominal):
-    """Every agent's cost expansion along nominal, at the scene's kernel width."""
-    goals, sigma = spec.goals, spec.sigma
-    return [expand_model_along(nominal, i, goals[i], sigma, t.weights) for i, t in enumerate(thetas)]
+    """The stack of every agent's cost expansion along nominal, at the scene's kernel width."""
+    weights = np.array([t.weights for t in thetas])
+    return expand_model_along(nominal, range(len(thetas)), spec.goals, spec.sigma, weights)
 
 
 def _solve_single_agent(spec, theta, cfg=SolverConfig()):
     nominal = constant_velocity_rollout(spec)
-    [expansion] = _expand_all([theta], spec, nominal)
-    policies = solve_lq_game([expansion], cfg, nominal=nominal)
+    expansion = _expand_all([theta], spec, nominal)
+    policies = solve_lq_game(expansion, cfg, nominal=nominal)
     return policies, expansion, double_integrator(1, spec.dt), nominal
 
 
 def _textbook_gains(dyn, e):
     """Textbook LQR gains of a one-agent CostExpansion (row T is the terminal cost) under dyn = (A, B)."""
     (A, B), T = dyn, e.horizon
-    Q, q, _ = dense_arrays(e)
-    return textbook_affine_lqr(A, B[0], Q[:T], q[:T], [e.R * np.eye(2)] * T, e.r, Q[T], q[T])
+    Q, q, _ = (x[:, 0] for x in dense_arrays(e))
+    return textbook_affine_lqr(A, B[0], Q[:T], q[:T], [e.R[0] * np.eye(2)] * T, e.r[:, 0], Q[T], q[T])
 
 
 def _ring_spec(k: int, radius: float = 4.5) -> ScenarioSpec:
@@ -142,7 +144,7 @@ def test_pure_effort_cost_gives_flat_policy_and_inverse_sigma():
     nominal = constant_velocity_rollout(spec)
     stages = expand_along(costfn, nominal, agent=0)
     expansion = cost_expansion(stages, (np.zeros((4, 4)), np.zeros(4), 0.0), 4)
-    policies = solve_lq_game([expansion], SolverConfig(entropy_temp=2.0), nominal=nominal)
+    policies = solve_lq_game(expansion, SolverConfig(entropy_temp=2.0), nominal=nominal)
     assert np.allclose(policies.K, 0, atol=1e-9)
     assert np.allclose(policies.kff, 0, atol=1e-9)
     assert np.allclose(policies.Sigma, 2.0 / (2 * theta3) * np.eye(2), atol=1e-6)
@@ -553,8 +555,8 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
     assert policies.diagnostics.conditioned_stages == 0  # PD game, saddle-free
 
     def agent_cost(agent, K_override, dx0):
-        e = expansions[agent]
-        Q, q, c = dense_arrays(e)
+        Q, q, c = (x[:, agent] for x in dense_arrays(expansions))
+        r, R = expansions.r[:, agent], expansions.R[agent]
         dx = dx0.copy()
         total = 0.0
         for t in range(intersection_spec.horizon):
@@ -564,7 +566,7 @@ def test_nash_first_order_stationarity(intersection_spec, theta_star):
                 us.append(policies.kff[t, j] - K @ dx)
             u = us[agent]
             total += c[t] + q[t] @ dx + 0.5 * dx @ Q[t] @ dx
-            total += e.r[t] @ u + 0.5 * e.R * u @ u
+            total += r[t] @ u + 0.5 * R * u @ u
             dx = A @ dx + sum(B[j] @ us[j] for j in range(3))
         T = intersection_spec.horizon
         total += c[T] + q[T] @ dx + 0.5 * dx @ Q[T] @ dx
@@ -593,8 +595,24 @@ def test_singular_gain_system_raises_with_timestep():
     stages = expand_along(zero, nominal, agent=0)
     expansion = cost_expansion(stages, (np.zeros((4, 4)), np.zeros(4), 0.0), 4)
     with pytest.raises(SolverError) as err:
-        solve_lq_game([expansion], SolverConfig(), nominal=nominal)
+        solve_lq_game(expansion, SolverConfig(), nominal=nominal)
     assert err.value.timestep == 2
+
+
+def _step_solve(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solve step's LU of S X = rhs: a singular S leaves NaN, as under the solve's errstate."""
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.solve(S, rhs, signature="dd->d")
+
+
+def test_the_steps_lu_is_np_linalg_solve_bit_for_bit():
+    # the step calls numpy's private gufunc to skip np.linalg.solve's wrapper;
+    # a numpy that renames it or changes its bits fails here
+    rng = np.random.default_rng(3)
+    for m in (2, 6, 16):
+        S, rhs = rng.standard_normal((m, m)), rng.standard_normal((m, 2 * m + 1))
+        assert _step_solve(S, rhs).tobytes() == np.linalg.solve(S, rhs).tobytes()
+    assert np.all(np.isnan(_step_solve(np.zeros((2, 2)), np.eye(2))))
 
 
 def test_gain_screen_falls_back_to_the_exact_condition():
@@ -603,7 +621,9 @@ def test_gain_screen_falls_back_to_the_exact_condition():
     assert np.linalg.norm(S) * np.linalg.norm(np.linalg.inv(S)) > MAX_GAIN_CONDITION
     assert np.linalg.cond(S) <= MAX_GAIN_CONDITION
     rhs = np.arange(12.0).reshape(6, 2)
-    got = _solve_gains(S, np.concatenate([rhs, np.eye(6)], axis=1), 4)
+    X = _step_solve(S, np.concatenate([rhs, np.eye(6)], axis=1))
+    _check_gain_condition(S, X, 4)
+    got = X[:, :2]
     assert np.array_equal(got, np.linalg.solve(S, rhs))
 
 
@@ -612,9 +632,15 @@ def test_gain_screen_falls_back_to_the_exact_condition():
     ids=["cond-2e12", "exactly-singular"],
 )
 def test_gain_screen_rejects_ill_conditioned_systems(S):
+    X = _step_solve(S, np.concatenate([np.ones((6, 2)), np.eye(6)], axis=1))
     with pytest.raises(SolverError) as err:
-        _solve_gains(S, np.concatenate([np.ones((6, 2)), np.eye(6)], axis=1), 7)
+        _check_gain_condition(S, X, 7)
     assert err.value.timestep == 7
+
+
+def test_gain_screen_flags_a_failed_lu_of_a_conditioned_system():
+    with pytest.raises(InternalError, match="timestep 5 has a zero pivot"):
+        _check_gain_condition(np.eye(2), np.full((2, 3), np.nan), 5)
 
 
 def test_solve_screens_the_gain_condition_through_its_identity_columns():
@@ -628,7 +654,7 @@ def test_solve_screens_the_gain_condition_through_its_identity_columns():
     expansion = DenseCost(Q, np.zeros((T + 1, 4)), np.zeros(T + 1), R, np.zeros((T, 2)))
     nominal = RolloutSet(np.zeros((1, T + 1, 4)), np.zeros((1, T, 1, 2)), dt)
     with pytest.raises(SolverError) as err:
-        solve_lq_game([expansion], SolverConfig(), nominal=nominal)
+        solve_lq_game(expansion, SolverConfig(), nominal=nominal)
     assert err.value.timestep == T - 1
 
 
@@ -638,7 +664,7 @@ def test_solve_refuses_a_nominal_of_more_than_one_row(single_agent_spec):
     policies, expansion, _, nominal = _solve_single_agent(single_agent_spec, theta)
     assert policies.nominal_states.tobytes() == nominal.states.tobytes()
     with pytest.raises(ValidationError, match=r"^the nominal must be one row, got 2 rows$"):
-        solve_lq_game([expansion], SolverConfig(), nominal=nominal + nominal)
+        solve_lq_game(expansion, SolverConfig(), nominal=nominal + nominal)
 
 
 def _per_step_reference(dyn, costs, cfg, nominal):
@@ -646,16 +672,15 @@ def _per_step_reference(dyn, costs, cfg, nominal):
 
     dyn = (A, B) is the unaugmented double integrator, padded here onto [x; 1].
     """
-    (A_x, B_x), T = dyn, costs[0].horizon
+    (A_x, B_x), T = dyn, costs.horizon
     k, n = B_x.shape[:2]
     Qa = np.zeros((T + 1, k, n + 1, n + 1))
-    for i, e in enumerate(costs):
-        Q, q, c = dense_arrays(e)
-        Qa[:, i, :n, :n] = Q
-        Qa[:, i, :n, n] = Qa[:, i, n, :n] = q
-        Qa[:, i, n, n] = 2.0 * c
-    r = np.stack([e.r for e in costs], axis=1)
-    R = np.array([e.R for e in costs])[:, None, None]
+    Q, q, c = dense_arrays(costs)
+    Qa[:, :, :n, :n] = Q
+    Qa[:, :, :n, n] = Qa[:, :, n, :n] = q
+    Qa[:, :, n, n] = 2.0 * c
+    r = costs.r
+    R = costs.R[:, None, None]
     A = np.eye(n + 1)
     A[:n, :n] = A_x
     Bt = np.zeros((k, 2, n + 1))
@@ -698,13 +723,11 @@ def _unaugmented_reference(dyn, costs, cfg, nominal):
 
     dyn = (A, B) is the unaugmented double integrator.
     """
-    (A, B), T = dyn, costs[0].horizon
+    (A, B), T = dyn, costs.horizon
     k, n = B.shape[:2]
-    dense = [dense_arrays(e) for e in costs]
-    Q = np.stack([d[0] for d in dense], axis=1)
-    q = np.stack([d[1] for d in dense], axis=1)
-    r = np.stack([e.r for e in costs], axis=1)
-    R = np.array([e.R for e in costs])[:, None, None]
+    Q, q, _ = dense_arrays(costs)
+    r = costs.r
+    R = costs.R[:, None, None]
     Bt = np.swapaxes(B, 1, 2)
     B_all = Bt.reshape(2 * k, n).T
     own, eye = np.arange(k), np.eye(2)
@@ -781,10 +804,9 @@ def test_successive_solves_of_one_game_share_no_storage():
     spec = scenario_preset("intersection_k3")
     cfg = SolverConfig(entropy_temp=1e-3)
     game = Game([CostParams(np.array([1.0, 0.5, 0.2]))] * 3, spec, cfg)
-    old_costs = list(game.costs)
+    old_costs = game.costs
     first = game.solve()
-    for i in range(3):
-        game.set_theta(i, CostParams(np.array([0.5, 8.0, 0.01])))
+    game.set_thetas([CostParams(np.array([0.5, 8.0, 0.01]))] * 3)
     second = game.solve()
     fresh = solve_lq_game(old_costs, cfg, nominal=game.nominal)
     for name in ("K", "kff", "Sigma"):
@@ -794,15 +816,14 @@ def test_successive_solves_of_one_game_share_no_storage():
             assert not np.shares_memory(getattr(first, name), getattr(second, other))
 
 
-def test_set_theta_then_reexpanded_solve_equals_a_fresh_game_bit_for_bit(intersection_spec):
-    # the outer re-expansion reads the weights set_theta stored, not the construction's
+def test_set_thetas_then_reexpanded_solve_equals_a_fresh_game_bit_for_bit(intersection_spec):
+    # the outer re-expansion reads the weights set_thetas stored, not the construction's
     spec = intersection_spec
     cfg = SolverConfig(entropy_temp=1e-3, max_outer_iters=3, outer_tol=0.0)
     new = [CostParams(np.array(w)) for w in ((0.5, 8.0, 0.01), (1.0, 2.5, 0.3), (2.0, 0.5, 0.2))]
     game = Game([CostParams.ones()] * spec.k, spec, cfg)
     game.solve()
-    for i, theta in enumerate(new):
-        game.set_theta(i, theta)
+    game.set_thetas(new)
     got, ref = game.solve(), Game(new, spec, cfg).solve()
     for name in ("K", "kff", "Sigma"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
@@ -817,6 +838,19 @@ def test_game_requires_goals_and_one_weight_vector_per_agent(intersection_spec, 
         Game(theta_star, replace(intersection_spec, goals=None))
     with pytest.raises(ValidationError, match="^need 3 weight vectors, got 2$"):
         Game(theta_star[:2], intersection_spec)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_set_thetas_takes_one_weight_vector_per_agent(intersection_spec, theta_star, count):
+    # a short or long list is refused, never read as a partial update, and the game keeps its costs
+    game = Game(theta_star, intersection_spec)
+    costs = game.costs
+    other = CostParams(np.array([0.5, 8.0, 0.01]))
+    with pytest.raises(ValidationError, match=f"^need 3 weight vectors, got {count}$"):
+        game.set_thetas([other] * count)
+    with pytest.raises(ValidationError, match="^weight vectors must be CostParams$"):
+        game.set_thetas([other, other, other.weights])
+    assert game.costs is costs and game.thetas == list(theta_star)
 
 
 def _masked_inverse(M):
@@ -949,14 +983,14 @@ def test_reexpansion_loop_is_stationary_for_quadratic_costs(single_agent_spec):
     assert np.max(np.abs(m1.states - m3.states)) < 1e-9
 
 
-def test_one_expansion_per_agent_per_nominal(monkeypatch, intersection_spec):
-    # Game construction expands every agent once along the constant-velocity
-    # nominal; each further outer iteration once along its refitted nominal
+def test_one_expansion_per_nominal_covers_every_agent(monkeypatch, intersection_spec):
+    # Game construction expands every agent in one call along the
+    # constant-velocity nominal; each further outer iteration in one call along its refitted nominal
     expanded, solves = [], []
 
-    def expand(nominal, agent, *args):
-        expanded.append((agent, nominal))  # holding the nominal keeps its id unique
-        return expand_model_along(nominal, agent, *args)
+    def expand(nominal, agents, *args):
+        expanded.append((list(agents), nominal))  # holding the nominal keeps its id unique
+        return expand_model_along(nominal, agents, *args)
 
     def solve(*args, **kwargs):
         solves.append(kwargs["nominal"])
@@ -966,14 +1000,14 @@ def test_one_expansion_per_agent_per_nominal(monkeypatch, intersection_spec):
     monkeypatch.setattr(game_module, "solve_lq_game", solve)
     thetas = [CostParams(np.array([1.0, 2.5, 0.3]))] * 3
     g = Game(thetas, intersection_spec, SolverConfig(entropy_temp=1e-3, max_outer_iters=4, outer_tol=1e-12))
-    assert [(i, id(nominal)) for i, nominal in expanded] == [(i, id(g.nominal)) for i in range(3)]
+    assert [(agents, id(nominal)) for agents, nominal in expanded] == [([0, 1, 2], id(g.nominal))]
     del expanded[:]
     g.solve()
     assert len(solves) == 4  # the mean path keeps moving by more than outer_tol
-    # the first solve reads the construction's expansions, each later one its own
+    # the first solve reads the construction's expansion, each later one its own
     assert solves[0] is g.nominal
-    assert [(i, id(nominal)) for i, nominal in expanded] == [
-        (i, id(nominal)) for nominal in solves[1:] for i in range(3)
+    assert [(agents, id(nominal)) for agents, nominal in expanded] == [
+        ([0, 1, 2], id(nominal)) for nominal in solves[1:]
     ]
     assert len({id(nominal) for nominal in solves}) == 4
 
@@ -1050,16 +1084,27 @@ def test_solver_rejects_mismatched_dimensions(single_agent_spec):
     # the nominal fixes the agent count, the state dimension and the horizon
     theta = CostParams(np.array([1.0, 0.0, 1.0]))
     nominal = constant_velocity_rollout(single_agent_spec)
-    [expansion] = _expand_all([theta], single_agent_spec, nominal)
+    expansion = _expand_all([theta], single_agent_spec, nominal)
+    twice = expand_model_along(nominal, [0, 0], single_agent_spec.goals[[0, 0]], 1.5, np.ones((2, 3)))
     with pytest.raises(ValidationError, match="^need cost expansions for 1 agents, got 2$"):
-        solve_lq_game([expansion, expansion], SolverConfig(), nominal=nominal)
+        solve_lq_game(twice, SolverConfig(), nominal=nominal)
     T = nominal.horizon
     wide = DenseCost(np.zeros((T + 1, 8, 8)), np.zeros((T + 1, 8)), np.zeros(T + 1), 1.0, np.zeros((T, 2)))
     with pytest.raises(ValidationError, match="^cost expansions do not match the nominal's state dimension 4$"):
-        solve_lq_game([wide], SolverConfig(), nominal=nominal)
+        solve_lq_game(wide, SolverConfig(), nominal=nominal)
     shorter = RolloutSet(nominal.states[:, :-1], nominal.controls[:, :-1], nominal.dt)
     with pytest.raises(ValidationError, match=f"^nominal trajectory has horizon {T - 1}, the costs {T}$"):
-        solve_lq_game([expansion], SolverConfig(), nominal=shorter)
+        solve_lq_game(expansion, SolverConfig(), nominal=shorter)
+
+
+def test_solver_takes_the_stack_of_agents_0_to_k_minus_1_in_order(intersection_spec):
+    # member i of the stack is read as agent i's cost, so a stack in another order is refused
+    nominal = constant_velocity_rollout(intersection_spec)
+    goals, sigma = intersection_spec.goals, intersection_spec.sigma
+    for agents in ([2, 0, 1], [0, 1, 1]):
+        costs = expand_model_along(nominal, agents, goals[agents], sigma, np.ones((3, 3)))
+        with pytest.raises(ValidationError, match=re.escape(f"cost expansions must be of agents 0..2 in order, got {agents}")):
+            solve_lq_game(costs, SolverConfig(), nominal=nominal)
 
 
 def test_policy_sequence_validates_and_freezes_arrays():

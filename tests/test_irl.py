@@ -311,8 +311,7 @@ def _reference_multi_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
         for i in range(spec.k):
             gap = expected_features(rollouts, [i], goals[[i]], sigma)[0] - demo_phi[i]
             thetas[i] = _reference_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
-        for i in range(spec.k):
-            game.set_theta(i, thetas[i])
+        game.set_thetas(thetas)
         if trace.close_sweep(sweep, cfg.tol):
             break
     return thetas, trace
@@ -330,8 +329,7 @@ def _reference_single_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
         gaps = expected_features(rollouts, range(spec.k), goals, sigma) - demo_phi
         agg = np.mean(gaps, axis=0)
         theta = _reference_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)
-        for i in range(spec.k):
-            game.set_theta(i, theta)
+        game.set_thetas([theta] * spec.k)
         if trace.close_sweep(sweep, cfg.tol):
             break
     return [theta], trace

@@ -11,6 +11,7 @@ from crowdirl.errors import ValidationError
 from crowdirl.features import CostParams
 from crowdirl.game import SolverConfig, build_policies, mean_rollout
 from crowdirl.quadratic import cost_pattern, expand_model_along
+from crowdirl.rng import substream
 from crowdirl.trajectory import RolloutSet, constant_velocity_rollout
 from fd_oracle import (
     AgentCost,
@@ -25,6 +26,7 @@ from fd_oracle import (
     fd_expand_model_along,
     fd_gradient,
     fd_hessian,
+    reference_expansion,
     stage_cost,
     state_cost,
     taylor_expand,
@@ -147,7 +149,7 @@ def test_expand_model_along_terminal(intersection_spec, theta_star):
     nominal = constant_velocity_rollout(intersection_spec)
     expansion = expand(model, nominal)
     assert expansion.horizon == intersection_spec.horizon
-    Q, q, _ = dense_arrays(expansion)
+    Q, q, _ = (x[:, 0] for x in dense_arrays(expansion))
     assert Q.shape == (intersection_spec.horizon + 1, 12, 12)
     # row T equals a direct expansion of the state cost at the last state
     H, l, _ = expand_terminal(lambda x: state_cost(model, x), nominal.states[0, -1])
@@ -162,11 +164,11 @@ def _assert_matches_oracle(model, nominal):
     got = expand(model, nominal)
     ref = fd_expand_model_along(model, nominal)
     assert got.horizon == ref.horizon == nominal.horizon
-    Q, q, c = dense_arrays(got)
+    Q, q, c = (x[:, 0] for x in dense_arrays(got))
     assert np.max(np.abs(Q - ref.Q)) <= 1e-6
     assert np.max(np.abs(q - ref.q)) <= 1e-6
     assert np.max(np.abs(c - ref.c)) <= 1e-12
-    assert got.R == ref.R
+    assert np.array_equal(got.R, ref.R)
     assert np.max(np.abs(got.r - ref.r)) <= 1e-6
 
 
@@ -206,35 +208,35 @@ def test_expansion_rejects_nonfinite_cost(single_agent_spec):
 def test_expansion_rejects_an_agent_out_of_range(intersection_spec, agent):
     nominal = constant_velocity_rollout(intersection_spec)
     with pytest.raises(ValidationError, match=rf"^agent indices \[{agent}\] must be one or more integers in \[0, 3\)$"):
-        expand_model_along(nominal, agent, intersection_spec.goals[0], 1.5, np.ones(3))
+        expand_model_along(nominal, [agent], intersection_spec.goals[:1], 1.5, np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("agent", [True, 1.0, np.array([], int)], ids=["True", "1.0", "empty"])
 def test_expansion_rejects_an_agent_that_is_not_one_integer_index(intersection_spec, agent):
     nominal = constant_velocity_rollout(intersection_spec)
     with pytest.raises(ValidationError, match="^agent indices .* must be one or more integers"):
-        expand_model_along(nominal, agent, intersection_spec.goals[0], 1.5, np.ones(3))
+        expand_model_along(nominal, agent, intersection_spec.goals[:1], 1.5, np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("sigma", [-1.5, 0.0, math.nan, math.inf])
 def test_expansion_rejects_a_kernel_width_that_is_not_positive_and_finite(intersection_spec, sigma):
     nominal = constant_velocity_rollout(intersection_spec)
     with pytest.raises(ValidationError, match="^sigma must be positive"):
-        expand_model_along(nominal, 0, intersection_spec.goals[0], sigma, np.ones(3))
+        expand_model_along(nominal, [0], intersection_spec.goals[:1], sigma, np.ones((1, 3)))
 
 
 def test_expansion_refuses_a_nominal_of_more_than_one_row(intersection_spec):
     # a nominal is one path until the solve takes a scene axis
     nominal = constant_velocity_rollout(intersection_spec)
     with pytest.raises(ValidationError, match=r"^the nominal must be one row, got 2 rows$"):
-        expand_model_along(nominal + nominal, 0, intersection_spec.goals[0], 1.5, np.ones(3))
+        expand_model_along(nominal + nominal, [0], intersection_spec.goals[:1], 1.5, np.ones((1, 3)))
 
 
 @pytest.mark.parametrize("goal", [[1.0], np.zeros(3), np.zeros((2, 2))])
 def test_expansion_rejects_a_goal_that_is_not_a_2_vector(single_agent_spec, goal):
     nominal = constant_velocity_rollout(single_agent_spec)
     with pytest.raises(ValidationError, match=r"^goals must be \(1, 2\)"):
-        expand_model_along(nominal, 0, goal, 1.5, np.ones(3))
+        expand_model_along(nominal, [0], [goal], 1.5, np.ones((1, 3)))
 
 
 def _dense_expansion(model, nominal):
@@ -268,8 +270,8 @@ def _dense_expansion(model, nominal):
 
 
 def _assert_matches_dense(expansion, model, nominal):
-    Q, q, c = dense_arrays(expansion)
-    for name, got, ref in zip("QqcRr", (Q, q, c, expansion.R, expansion.r),
+    Q, q, c = (x[:, 0] for x in dense_arrays(expansion))
+    for name, got, ref in zip("QqcRr", (Q, q, c, expansion.R[0], expansion.r[:, 0]),
                               _dense_expansion(model, nominal)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref))), name
     assert np.array_equal(Q, np.swapaxes(Q, 1, 2))
@@ -291,12 +293,12 @@ def test_fill_writes_the_augmented_cost_of_the_dense_arrays(intersection_spec, t
     nominal = constant_velocity_rollout(intersection_spec)
     for model in agent_costs(theta_star, intersection_spec):
         e = expand(model, nominal)
-        out = np.full((e.horizon + 1, e.state_dim + 1, e.state_dim + 1), np.nan)
+        out = np.full((e.horizon + 1, 1, e.state_dim + 1, e.state_dim + 1), np.nan)
         e.fill(out)
         dense = np.zeros_like(out)
-        DenseCost(*dense_arrays(e), e.R, e.r).fill(dense)
+        DenseCost(*(x[:, 0] for x in dense_arrays(e)), e.R, e.r).fill(dense)
         assert np.array_equal(out, dense)
-        assert np.array_equal(out, np.swapaxes(out, 1, 2))
+        assert np.array_equal(out, np.swapaxes(out, 2, 3))
         assert not e.r.flags.writeable
 
 
@@ -323,21 +325,82 @@ def test_cost_pattern_is_fixed_by_k_and_agent(make_ring_spec, k):
         assert np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
         for nominal in nominals:
             e = expand(model, nominal)
-            assert e.rows is rows and e.cols is cols
+            # every expansion of the agent shares one cached, read-only stacked pattern
+            assert e.rows is expand(model, nominals[0]).rows and e.cols is expand(model, nominals[0]).cols
+            assert np.array_equal(e.rows[0], rows) and np.array_equal(e.cols[0], cols)
+            assert not e.rows.flags.writeable and not e.cols.flags.writeable
             # fill is the dense feature terms weighted, bit for bit, zeros and their signs too
             aug = dense_feature_terms(model, nominal)
             w_goal, w_crowd, _ = model.theta.weights
             ref = (w_goal * aug[0] + w_crowd * aug[1]) / (nominal.horizon + 1)
-            ref[:-1, n, n] += e.R * np.sum(e.controls * e.controls, axis=-1)
-            out = np.full_like(ref, np.nan)
+            ref[:-1, n, n] += e.R[0] * np.sum(e.controls[:, 0] * e.controls[:, 0], axis=-1)
+            out = np.full((nominal.horizon + 1, 1, n + 1, n + 1), np.nan)
             e.fill(out)
-            assert out.tobytes() == ref.tobytes()
-            assert np.array_equal(e.basis, aug[:, :, rows, cols])
+            assert out[:, 0].tobytes() == ref.tobytes()
+            assert np.array_equal(e.basis[:, :, 0], aug[:, :, rows, cols])
     # far away, an agent's kernel and its derivatives are exactly 0.0, yet its entries stay
     if k > 1:
         e = expand(agent_costs([CostParams.ones()] * k, spec)[0], nominals[2])
-        far = (e.rows // 4 == k - 1) | (e.cols // 4 == k - 1)
+        far = (e.rows[0] // 4 == k - 1) | (e.cols[0] // 4 == k - 1)
         assert far.sum() == 16 and not np.any(e.basis[..., far])
+
+
+def _stacks(k):
+    """All k agents in order, and for k >= 3 a subset in unsorted order."""
+    return [list(range(k))] + ([[k - 1, 0, k // 2]] if k >= 3 else [])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
+def test_every_member_of_the_stack_is_its_agent_expanded_alone_bit_for_bit(make_ring_spec, k):
+    # one pass over all agents gives each agent's basis, entries, R and r as
+    # the per-agent pass does, zeros and their signs too, along every nominal
+    spec = make_ring_spec(k)
+    n1 = 4 * k + 1
+    weights = substream(k).uniform(0.0, 3.0, (k, 3))
+    for nominal in _pattern_nominals(spec):
+        for agents in _stacks(k):
+            e = expand_model_along(nominal, agents, spec.goals[agents], spec.sigma, weights[agents])
+            assert (len(e), e.horizon, e.state_dim) == (len(agents), spec.horizon, n1 - 1)
+            assert np.array_equal(e.agents, agents)
+            out = np.full((spec.horizon + 1, len(agents), n1, n1), np.nan)
+            e.fill(out)
+            for x, i in enumerate(agents):
+                rows, cols, basis, entries, R, r = reference_expansion(
+                    nominal, i, spec.goals[i], spec.sigma, weights[i])
+                assert np.array_equal(e.rows[x], rows) and np.array_equal(e.cols[x], cols)
+                assert e.basis[:, :, x].tobytes() == basis.tobytes()
+                assert e.R[x] == R and e.r[:, x].tobytes() == r.tobytes()
+                ref = np.zeros((spec.horizon + 1, n1, n1))
+                ref[:, rows, cols] = entries
+                assert out[:, x].tobytes() == ref.tobytes()
+            for a in (e.basis, e.controls, e.R, e.r):
+                assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_the_stack_reweighted_is_the_stack_expanded_at_those_weights(make_ring_spec, k):
+    spec = make_ring_spec(k)
+    nominal = constant_velocity_rollout(spec)
+    w1, w2 = substream(k).uniform(0.0, 3.0, (2, k, 3))
+    for agents in _stacks(k):
+        again = expand_model_along(nominal, agents, spec.goals[agents], spec.sigma, w1[agents])
+        again = again.reweighted(w2[agents])
+        fresh = expand_model_along(nominal, agents, spec.goals[agents], spec.sigma, w2[agents])
+        for got, want in zip((*dense_arrays(again), again.R, again.r), (*dense_arrays(fresh), fresh.R, fresh.r)):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_the_stack_refuses_weights_and_outs_of_another_shape(intersection_spec):
+    nominal = constant_velocity_rollout(intersection_spec)
+    with pytest.raises(ValidationError, match=r"^weights must be \(3, 3\), got \(3,\)$"):
+        expand_model_along(nominal, range(3), intersection_spec.goals, 1.5, np.ones(3))
+    e = expand_model_along(nominal, range(3), intersection_spec.goals, 1.5, np.ones((3, 3)))
+    with pytest.raises(ValidationError, match=r"^weights must be \(3, 3\), got \(1, 3\)$"):
+        e.reweighted(np.ones((1, 3)))
+    T, n1 = intersection_spec.horizon, 13
+    for out in (np.empty((T + 1, 2, n1, n1)), np.empty((T + 1, n1, 3, n1)).swapaxes(1, 2)):
+        with pytest.raises(ValidationError, match="^fill needs a C-contiguous out of shape"):
+            e.fill(out)
 
 
 @st.composite
@@ -378,7 +441,7 @@ def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a
         assert np.max(np.abs(got - (a * one + b * two))) <= 1e-12
     # the terms expanded at w1 and re-weighted to a w1 + b w2 give that expansion
     # bit for bit, and the dense formula within rounding
-    reweighted = e1.reweighted(a * w1 + b * w2)
+    reweighted = e1.reweighted((a * w1 + b * w2)[None])
     for got, want in zip(parts(reweighted), parts(mixed)):
         assert np.array_equal(got, want)
     _assert_matches_dense(reweighted, model(a * w1 + b * w2), nominal)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,15 @@ def test_from_states_refuses_states_that_are_no_set_by_their_shape(shape):
     assert str(err.value) == f"states must be (M, T+1, 4k), got {shape}"
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+def test_from_states_checks_dt_before_it_divides(dt):
+    # the division by a zero, NaN or infinite dt would warn before the set's own check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=re.escape(f"dt must be positive, got {dt!r}")):
+            RolloutSet.from_states(np.zeros((1, 3, 4)), dt)
+
+
 def test_trajectory_shape_validation():
     with pytest.raises(ValidationError):
         RolloutSet(states=np.zeros((1, 3, 4)), controls=np.zeros((1, 1, 1, 2)), dt=0.1)
@@ -273,6 +283,13 @@ def test_an_int_index_is_the_one_row_slice_and_stops_at_either_end(M):
         rs[1.0]
     rows = list(rs)  # iteration stops at the IndexError after the last row
     assert len(rows) == M and RolloutSet.stack(rows).states.tobytes() == rs.states.tobytes()
+
+
+@pytest.mark.parametrize("m", [True, False, np.True_, np.False_], ids=["True", "False", "np.True_", "np.False_"])
+def test_a_bool_is_no_row_index(m):
+    # True would otherwise pass range() as row 1
+    with pytest.raises(TypeError, match="^a rollout set is indexed by an integer or a slice, not a bool"):
+        _rollout_set()[m]
 
 
 def test_rollout_set_sum_is_the_joined_set():
