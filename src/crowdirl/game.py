@@ -35,9 +35,12 @@ control at the scene's `spec.u_max` and steps every agent of all M rollouts
 at once; the noise of the whole set is one
 (M, T, k, 2) draw from the Philox stream of the seed, read in row order, and
 is scaled by the lower-triangular covariance factors for every step before
-the time loop. The feedback of a step is one stacked GEMM over fixed tiles of
-FEEDBACK_TILE rows, the M rows padded with zero-noise rows from x0; the mean
-rollout is a set of one zero-noise row. Rollouts are returned
+the time loop. `sample_rollouts` fills that draw inline, or takes it already
+started by `rng.start_normals` (the training loop starts each sweep's draw,
+on a helper thread when it is large, before it solves the game). The
+feedback of a step is one stacked GEMM over fixed tiles of FEEDBACK_TILE
+rows, the M rows padded with zero-noise rows from x0; the mean rollout is a
+set of one zero-noise row. Rollouts are returned
 as one `RolloutSet`, bit-reproducible for a given seed regardless of the
 batch size: rollout m always reads the same stretch of the stream and sits
 at the same place in a product of the same shape. The bits depend on the
@@ -56,7 +59,7 @@ from numpy.linalg import _umath_linalg
 from .errors import InternalError, SolverError, ValidationError
 from .features import CostParams
 from .quadratic import CostExpansion, expand_model_along
-from .rng import substream
+from .rng import PendingNormals, check_key, normals
 from .trajectory import (
     CONTROL_DIM,
     STATE_DIM,
@@ -492,17 +495,27 @@ def mean_rollout(policies: PolicySequence, spec: ScenarioSpec) -> RolloutSet:
     return RolloutSet(*_rollout_batch(policies, spec, noise), spec.dt)
 
 
-def sample_rollouts(policies: PolicySequence, spec: ScenarioSpec, M: int, seed: int) -> RolloutSet:
+def sample_rollouts(policies: PolicySequence, spec: ScenarioSpec, M: int, seed: int,
+                    noise: PendingNormals | None = None) -> RolloutSet:
     """Draw M stochastic rollouts clamped at spec.u_max; bit-deterministic for a given seed.
 
     The set's noise is one (M, T, k, 2) draw of standard normals from the
     Philox stream keyed by seed, filled in row order: rollout m reads normals
     m*S to (m+1)*S - 1 of that stream, S = T*k*2, so its bits do not depend
-    on M.
+    on M. `noise` is that draw already started (`rng.start_normals`), for
+    exactly this seed and shape; without it the draw fills inline.
     """
     M = check_count("M", M)
-    noise = substream(seed).standard_normal((M, policies.horizon, policies.k, CONTROL_DIM))
-    states, controls = _rollout_batch(policies, spec, noise)
+    shape = (M, policies.horizon, policies.k, CONTROL_DIM)
+    if noise is None:
+        z = normals(seed, shape)
+    elif (noise.seed, noise.shape) != (check_key(seed), shape):
+        raise ValidationError(
+            f"the started draw is seed {noise.seed}, shape {noise.shape}; "
+            f"this set needs seed {seed}, shape {shape}")
+    else:
+        z = noise.result()
+    states, controls = _rollout_batch(policies, spec, z)
     return RolloutSet(states, controls, spec.dt)
 
 

@@ -18,7 +18,11 @@ and evaluation solve, outer re-expansion included), all of them in one
 `Game.set_thetas` call per sweep, and takes every agent's row from one
 `features.expected_features` call per sweep; the
 demonstrations, one `RolloutSet`, are featurized once, both at the scene's
-kernel width `spec.sigma`. Each update record in the trace holds the sampled
+kernel width `spec.sigma`. A sweep's noise draw depends only on
+(cfg.seed, sweep), so it starts before the game is solved: one of at least
+`rng.HELPER_FLOOR` normals (61,440 at k = 8, M = 128) fills on one helper
+thread during the solve, a smaller one fills inline in `sample_rollouts`.
+The bits are those of an inline draw. Each update record in the trace holds the sampled
 gap and theta_after = max(theta_before + beta * gap, 0); the records of a
 sweep share its solve.
 """
@@ -33,8 +37,8 @@ from .errors import ValidationError
 from .features import CostParams, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
-from .rng import check_key, derive_seed
-from .trajectory import RolloutSet, ScenarioSpec, check_count
+from .rng import check_key, derive_seed, start_normals
+from .trajectory import CONTROL_DIM, RolloutSet, ScenarioSpec, check_count
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
@@ -164,10 +168,13 @@ def _feature_matching(
     block_of = {i: b for b, agents in enumerate(blocks) for i in agents}
 
     trace = TrainingTrace()
+    shape = (cfg.M, spec.horizon, spec.k, CONTROL_DIM)
     for sweep in range(cfg.max_iters):
-        policies = game.solve()
         seed = derive_seed(cfg.seed, sweep)
-        rollouts = sample_rollouts(policies, spec, cfg.M, seed)
+        noise = start_normals(seed, shape)  # a large draw fills on the helper during the solve
+        policies = game.solve()
+        rollouts = sample_rollouts(policies, spec, cfg.M, seed, noise)
+        del noise  # its normals are in the rollouts; one array less under the features
         gaps = expected_features(rollouts, range(spec.k), game.spec.goals, game.spec.sigma) - demo_phi
         del rollouts  # one rollout set alive at a time keeps the peak memory down
         for b, agents in enumerate(blocks):

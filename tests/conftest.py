@@ -1,5 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
+
+from crowdirl import rng
 
 from crowdirl.features import CostParams
 from crowdirl.trajectory import AgentState, ScenarioSpec
@@ -60,3 +65,26 @@ def make_ring_spec():
 @pytest.fixture
 def ring8_spec() -> ScenarioSpec:
     return ring_spec(8)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A host with two usable CPUs, whatever this one has."""
+    monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def record_draw_threads(monkeypatch):
+    """Patch rng.normals to note the thread of every draw (and sleep delay seconds in it)."""
+    def record(delay=0.0):
+        threads, draw = [], rng.normals
+
+        def noted(seed, shape):
+            threads.append(threading.current_thread())
+            time.sleep(delay)
+            return draw(seed, shape)
+
+        monkeypatch.setattr(rng, "normals", noted)
+        return threads
+
+    return record

@@ -1,11 +1,15 @@
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crowdirl.errors import ValidationError
+from crowdirl import irl as irl_module
+from crowdirl import rng
+from crowdirl.errors import SolverError, ValidationError
 from crowdirl.features import CostParams, expected_features
-from crowdirl.game import SolverConfig, build_policies, mean_rollout, sample_rollouts
+from crowdirl.game import Game, SolverConfig, build_policies, mean_rollout, sample_rollouts
 from crowdirl.irl import (
     SHARED_AGENT,
     IterationRecord,
@@ -17,7 +21,7 @@ from crowdirl.irl import (
     single_agent_maxent_irl,
 )
 from crowdirl.pipeline import synth_generate
-from crowdirl.rng import derive_seed
+from crowdirl.rng import derive_seed, start_normals
 from crowdirl.trajectory import DEFAULT_SIGMA, AgentState, RolloutSet, ScenarioSpec
 
 QUIET_SOLVER = SolverConfig(entropy_temp=1e-3)
@@ -370,3 +374,56 @@ def test_training_reads_the_kernel_width_of_its_scene(intersection_spec, theta_s
     rows = [[r.theta_after.tobytes(), r.gap.tobytes()] for r in trace.records]
     assert rows == [[r.theta_after.tobytes(), r.gap.tobytes()] for r in ref_trace.records]
     assert rows != [[r.theta_after.tobytes(), r.gap.tobytes()] for r in default_trace.records]
+
+
+@pytest.mark.parametrize("floor, cpus, on_helper", [
+    (0, {0, 1}, True), (2**62, {0, 1}, False), (0, {0}, False),
+], ids=["helper", "above-every-draw", "one-cpu"])
+def test_training_on_the_ring_is_the_same_wherever_the_noise_is_drawn(
+    monkeypatch, record_draw_threads, tmp_path, ring8_spec, floor, cpus, on_helper
+):
+    # a crowd-sized draw (k = 8, M = 128: 61,440 normals) on the helper, or
+    # inline, gives the same weights and trace bytes as the reference loop
+    demos = synth_generate([CostParams(np.array([1.0, 0.5, 0.2]))] * 8, ring8_spec, 8, seed=5,
+                           solver_cfg=QUIET_SOLVER)
+    cfg = _cfg(beta=0.01, max_iters=2, M=128)
+    ref, ref_trace = _reference_multi_agent_irl(demos, ring8_spec, cfg)
+    ref_trace.to_jsonl(tmp_path / "ref.jsonl")
+
+    monkeypatch.setattr(rng, "HELPER_FLOOR", floor)
+    monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(rng.os, "cpu_count", lambda: len(cpus))
+    threads = record_draw_threads()
+    samples = []
+    sample = irl_module.sample_rollouts
+    monkeypatch.setattr(irl_module, "sample_rollouts", lambda *a: samples.append(a) or sample(*a))
+    got, trace = multi_agent_irl(demos, ring8_spec, cfg)
+    trace.to_jsonl(tmp_path / "got.jsonl")
+
+    assert [t.weights.tobytes() for t in got] == [t.weights.tobytes() for t in ref]
+    assert (tmp_path / "got.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    assert len(samples) == trace.sweeps == 2  # one sample_rollouts call per sweep
+    assert [t is not threading.main_thread() for t in threads] == [on_helper] * 2
+
+
+def test_a_solver_error_during_a_pending_draw_leaves_no_thread_behind(
+    monkeypatch, two_cpus, record_draw_threads, intersection_spec, theta_star
+):
+    demos = synth_generate(theta_star, intersection_spec, 4, seed=3, solver_cfg=QUIET_SOLVER)
+    monkeypatch.setattr(rng, "HELPER_FLOOR", 0)
+    start_normals(0, (8,)).result()  # the helper thread exists before the call
+    threads = record_draw_threads(delay=0.05)
+
+    def failing_solve(self):
+        deadline = time.monotonic() + 10
+        while not threads and time.monotonic() < deadline:  # fail while the draw runs
+            time.sleep(0.001)
+        raise SolverError("no policy")
+
+    monkeypatch.setattr(Game, "solve", failing_solve)
+    before = threading.enumerate()
+    with pytest.raises(SolverError, match="no policy"):
+        multi_agent_irl(demos, intersection_spec, _cfg(max_iters=2))
+    assert threading.active_count() == len(before)
+    assert set(threading.enumerate()) == set(before)
+    assert len(threads) == 1 and threads[0] is not threading.main_thread()
