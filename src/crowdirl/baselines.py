@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CostRangeError, InternalError, ValidationError
 from .rng import substream
-from .trajectory import check_count
+from .trajectory import check_count, check_real
 
 logger = logging.getLogger(__name__)
 
@@ -99,10 +99,10 @@ def _log_gaussians(diff: np.ndarray, covs: np.ndarray, work: np.ndarray) -> np.n
 def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
     """Mixture density at x; x may be (d,) or (n, d)."""
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
+        raise ValidationError(f"x must be ({model.dim},) or (n, {model.dim}), got shape {x.shape}")
     single = x.ndim == 1
     pts = x[None, :] if single else x
-    if pts.shape[1] != model.dim:
-        raise ValidationError(f"x has dimension {pts.shape[1]}, model expects {model.dim}")
     diff = pts.T - model.means[:, :, None]
     logs = np.log(model.weights)[:, None] + _log_gaussians(diff, model.covariances, np.empty_like(diff))
     m = logs.max(axis=0)
@@ -166,8 +166,7 @@ def gmm_fit(
     """
     check_count("K", K)
     max_em_iters = check_count("max_em_iters", max_em_iters)
-    if not 0 <= tol < np.inf:  # also rejects NaN, which would never stop EM
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    tol = check_real(tol, "tol must be finite and >= 0, got {!r}", positive=False)  # NaN would never stop EM
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
         samples = samples[:, None]
@@ -242,9 +241,9 @@ def gmm_fit(
 
 
 def gmm_sample(model: GmmModel, seed: int, n: int | None = None) -> np.ndarray:
-    """Draw from the mixture; (d,) for n=None, else (n, d). Seed-deterministic."""
+    """Draw from the mixture; (d,) for n=None, else (n, d) for a count n >= 1. Seed-deterministic."""
+    count = 1 if n is None else check_count("n", n)
     rng = substream(seed, 0x5A)
-    count = 1 if n is None else n
     comps = rng.choice(model.n_components, size=count, p=model.weights)
     out = np.empty((count, model.dim))
     for c in range(model.n_components):
@@ -348,19 +347,21 @@ def ebm_minimizer(params: EnergyParams, x) -> np.ndarray:
 
 
 def ebm_argmin(params: EnergyParams, x, candidates: np.ndarray) -> np.ndarray:
-    """Lowest-energy candidate action; ties break to the lowest index."""
+    """Lowest-energy candidate action for a state x (d_x,); ties break to the lowest index."""
     candidates = np.asarray(candidates, dtype=float)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
         raise ValidationError("candidates must be a nonempty (n, d_u) array")
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    if x.shape != (params.L.shape[1],):
+        raise ValidationError(f"x must be ({params.L.shape[1]},), got shape {x.shape}")
     r = candidates - (params.L @ x + params.b)
     energies = 0.5 * np.einsum("ni,ij,nj->n", r, params.W, r)
     return candidates[int(np.argmin(energies))]
 
 
 def action_grid(lo: float, hi: float, n: int, dim: int = 2) -> np.ndarray:
-    """Row-major regular grid of candidate actions over [lo, hi]^dim."""
-    axes = [np.linspace(lo, hi, n)] * dim
+    """Row-major regular grid of candidate actions over [lo, hi]^dim, n >= 1 points per axis."""
+    axes = [np.linspace(lo, hi, check_count("n", n))] * check_count("dim", dim)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 

@@ -18,7 +18,8 @@ the sweep. Where that curvature loses positive definiteness (near-straight
 nominals) the covariance is repaired by the smallest uniform diagonal shift
 that restores a configurable eigenvalue floor, trading modeled decision
 randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 2)
-stack, whose repaired stages the diagnostics record; each policy is factored once.
+stack, whose repaired stages the diagnostics record. That pass's screen forms
+every stage's Cholesky factor, and `PolicySequence` forms it again for sampling.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 constant-velocity nominal, every agent's weight vector, the stack of all
@@ -66,6 +67,7 @@ from .trajectory import (
     RolloutSet,
     ScenarioSpec,
     check_count,
+    check_real,
     constant_velocity_rollout,
     propagate_joint,
     rollout,
@@ -92,12 +94,12 @@ class SolverConfig:
     outer_tol: float = 1e-6
 
     def __post_init__(self):
-        for key, value in (("eps_psd", self.eps_psd), ("entropy_temp", self.entropy_temp)):
-            if not (value > 0 and np.isfinite(value)):
-                raise ValidationError(f"{key} must be positive and finite, got {value!r}")
+        for key in ("eps_psd", "entropy_temp"):
+            message = key + " must be positive and finite, got {!r}"
+            object.__setattr__(self, key, check_real(getattr(self, key), message))
         check_count("max_outer_iters", self.max_outer_iters)
-        if not 0 <= self.outer_tol < np.inf:
-            raise ValidationError(f"outer_tol must be nonnegative and finite, got {self.outer_tol!r}")
+        object.__setattr__(self, "outer_tol", check_real(
+            self.outer_tol, "outer_tol must be nonnegative and finite, got {!r}", positive=False))
 
 
 @dataclass

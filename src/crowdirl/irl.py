@@ -38,7 +38,7 @@ from .features import CostParams, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import check_key, derive_seed, start_normals
-from .trajectory import CONTROL_DIM, RolloutSet, ScenarioSpec, check_count
+from .trajectory import CONTROL_DIM, RolloutSet, ScenarioSpec, check_count, check_real
 
 SHARED_AGENT = -1  # trace marker for updates of a shared weight vector
 
@@ -59,10 +59,9 @@ class TrainingConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        if not 0 < self.beta < np.inf:
-            raise ValidationError(f"beta must be positive and finite, got {self.beta!r}")
-        if not 0 <= self.tol < np.inf:
-            raise ValidationError(f"tol must be nonnegative and finite, got {self.tol!r}")
+        object.__setattr__(self, "beta", check_real(self.beta, "beta must be positive and finite, got {!r}"))
+        object.__setattr__(self, "tol", check_real(
+            self.tol, "tol must be nonnegative and finite, got {!r}", positive=False))
         check_count("M", self.M)
         check_count("max_iters", self.max_iters)
         check_key(self.seed)

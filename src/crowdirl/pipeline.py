@@ -41,7 +41,7 @@ import numpy as np
 from .errors import FormatError, ValidationError
 from .features import CostParams
 from .game import SolverConfig, build_policies, sample_rollouts
-from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, check_count
+from .trajectory import STATE_DIM, RolloutSet, ScenarioSpec, check_count, check_real
 
 logger = logging.getLogger(__name__)
 
@@ -126,12 +126,10 @@ class PreprocessConfig:
                 raise ValidationError(
                     f"{name} must be two finite numbers lo < hi, got {list(lo_hi)}")
             object.__setattr__(self, name, lo_hi)  # a JSON list is stored as the tuple it means
-        if not 0 < self.resample_dt < math.inf:  # also rejects NaN
-            raise ValidationError(
-                f"resample_dt must be positive and finite, got {self.resample_dt!r}")
-        if not 0 <= self.standstill_speed < math.inf:
-            raise ValidationError(
-                f"standstill_speed must be finite and >= 0, got {self.standstill_speed!r}")
+        object.__setattr__(self, "resample_dt", check_real(
+            self.resample_dt, "resample_dt must be positive and finite, got {!r}"))
+        object.__setattr__(self, "standstill_speed", check_real(
+            self.standstill_speed, "standstill_speed must be finite and >= 0, got {!r}", positive=False))
         scheme = tuple(self.scheme)
         for i, cat in enumerate(scheme):
             if not (isinstance(cat, str) and all(d in DIRECTIONS for d in cat.split("-"))):

@@ -7,12 +7,13 @@ over trajectories. Each member holds state curvature Q, gradient q and
 offset c for steps 0..T (row T is the terminal cost), plus the control
 curvature R and control gradient r. The cost is theta . phi over three
 closed-form features with no state-control coupling, so the expansion is
-exact and linear in theta. Agent i's goal and crowding terms occupy 16k - 7
+exact and linear in theta. Agent i's goal and crowding terms occupy 10k - 3
 entries of its augmented cost [[Q, q], [q^T, 2c]], fixed by (k, i) alone
-(`cost_pattern`): `expand_model_along` takes the agents' goals, the kernel
-width sigma and their weight vectors, writes the terms of every agent there
-in one pass per nominal, theta-free, `CostExpansion.reweighted` weights them
-all anew, and the solve reads every step of every agent through one `fill`.
+(`cost_pattern`), each mirrored pair once: `expand_model_along` takes the
+agents' goals, the kernel width sigma and their weight vectors, writes the
+terms of every agent there in one pass per nominal, theta-free,
+`CostExpansion.reweighted` weights them all anew, and the solve reads every
+step of every agent through one `fill`, which writes each entry and its mirror.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CostRangeError, InternalError, ValidationError
+from .errors import CostRangeError, ValidationError
 from .features import NUM_FEATURES, _check_terms, agent_sum, state_terms
 from .trajectory import STATE_DIM, RolloutSet
 
@@ -45,13 +46,13 @@ class CostExpansion:
     is the terminal cost c[T] + q[T].dx + dx.Q[T].dx/2, with Q (T+1, n, n),
     q (T+1, n), c (T+1,), R (a,) and r (T, a, 2). The cost occupies the
     fixed entries (rows[x, e], cols[x, e]) of the member's augmented cost
-    [[Q, q], [q^T, 2c]] that `cost_pattern` lays out, (n, n) last; every
-    other entry is 0. basis[f, t, x, e] is the goal (f = 0) or crowding
-    (f = 1) feature's part of entry e at state t; the effort feature reads
-    the nominal controls (T, a, 2). Formed and checked finite here, for every
-    member at once from weights (a, 3): the entries (w0 basis[0] + w1 basis[1]) / (T+1)
-    plus R |u|^2 on 2c for t < T, R = 2 w2 / T and r = R u. Q is exactly
-    symmetric because the terms are; the solve reads the costs only through `fill`.
+    [[Q, q], [q^T, 2c]] that `cost_pattern` lays out, (n, n) last, and their
+    mirrors (cols[x, e], rows[x, e]); every other entry is 0. basis[f, t, x, e]
+    is the goal (f = 0) or crowding (f = 1) feature's part of entry e at
+    state t; the effort feature reads the nominal controls (T, a, 2). Formed
+    and checked finite here, for every member at once from weights (a, 3):
+    the entries (w0 basis[0] + w1 basis[1]) / (T+1) plus R |u|^2 on 2c for
+    t < T, R = 2 w2 / T and r = R u. The solve reads the costs only through `fill`.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
@@ -86,56 +87,53 @@ class CostExpansion:
         return int(self.rows[0, -1])
 
     def fill(self, out: np.ndarray) -> None:
-        """Write every member's augmented cost [[Q, q], [q^T, 2c]] of every step into a C-contiguous out (T+1, a, n+1, n+1)."""
+        """Write every member's augmented cost [[Q, q], [q^T, 2c]] of every step into a C-contiguous out (T+1, a, n+1, n+1).
+
+        One scatter writes each entry and its mirror, so Q is symmetric by construction.
+        """
         n1 = self.state_dim + 1
         if out.shape != (self.horizon + 1, len(self), n1, n1) or not out.flags.c_contiguous:
             raise ValidationError(f"fill needs a C-contiguous out of shape {(self.horizon + 1, len(self), n1, n1)}")
         out[...] = 0.0
-        out.reshape(len(out), -1)[:, self._flat] = self._entries.reshape(len(out), -1)
+        out.reshape(len(out), -1)[:, self._flat] = self._entries.reshape(len(out), 1, -1)
 
 
 @lru_cache(maxsize=None)
-def cost_pattern(k: int, agent: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols) of the 16k - 7 augmented-cost entries of an agent's cost, and their mirrors.
+def cost_pattern(k: int, agent: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the 10k - 3 augmented-cost entries of an agent's cost, each mirrored pair once.
 
     With i = agent, j over the other agents and n = 4k, in order: the (i, i),
-    (i, j), (j, i) and (j, j) position blocks, each 2x2 row by row, then row n
-    and column n over every position, (n, n) last. Entry mirror[e] sits at (cols[e], rows[e]).
+    (i, j) and (j, j) position blocks, each 2x2 row by row, then row n over
+    every position, (n, n) last; the (j, i) blocks and column n are their mirrors.
     """
     n = STATE_DIM * k
     pos = STATE_DIM * np.arange(k)[:, None] + np.arange(2)  # (k, 2): each agent's position rows
     own, others = pos[agent][None], np.delete(pos, agent, axis=0)
     mine, edge, every = np.broadcast_to(own, others.shape), np.array([[n]]), pos.reshape(1, -1)
     # block b holds the entries (a[b, x], c[b, y]) of its row set a and column set c
-    blocks = [(own, own), (mine, others), (others, mine), (others, others),
-              (edge, every), (every, edge), (edge, edge)]
+    blocks = [(own, own), (mine, others), (others, others), (edge, every), (edge, edge)]
     parts = [np.broadcast_arrays(a[:, :, None], c[:, None, :]) for a, c in blocks]
     rows, cols = (np.concatenate([part[x].ravel() for part in parts]) for x in (0, 1))
-    index = np.empty((n + 1, n + 1), dtype=np.intp)
-    index[rows, cols] = np.arange(rows.size)
-    mirror = index[cols, rows]
-    for a in (rows, cols, mirror):
+    for a in (rows, cols):
         a.setflags(write=False)
-    return rows, cols, mirror
+    return rows, cols
 
 
 @lru_cache(maxsize=64)  # keyed by agent lists; a game asks for range(k) alone
 def _stack_pattern(k: int, agents: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The `cost_pattern`s of a stack of agents, read-only: the agents (a,), then (a, 16k - 7) arrays.
+    """The `cost_pattern`s of a stack of agents, read-only: the agents (a,), then rows and cols (a, 10k - 3).
 
-    rows and cols; flat, each entry's place in a flat (a, n+1, n+1) stack of
-    augmented costs; mirror, each entry's mirror in the flat (a * (16k - 7))
-    entries; and others (a, k - 1), the other agents of each member in order.
+    flat (2, a * (10k - 3)) is each entry's place (row 0) and its mirror's (row 1) in a flat (a, n+1, n+1)
+    stack of augmented costs; others (a, k - 1) is the other agents of each member in order.
     """
-    rows, cols, mirror = (np.stack([cost_pattern(k, i)[x] for i in agents]) for x in range(3))
+    rows, cols = (np.stack([cost_pattern(k, i)[x] for i in agents]) for x in range(2))
     a, n1, idx = len(agents), STATE_DIM * k + 1, np.array(agents)
-    member = np.arange(a)[:, None]
-    flat = (n1 * n1 * member + n1 * rows + cols).ravel()
-    mirror = (rows.shape[1] * member + mirror).ravel()
+    member = n1 * n1 * np.arange(a)[:, None]
+    flat = np.stack([(member + n1 * rows + cols).ravel(), (member + n1 * cols + rows).ravel()])
     others = np.array([np.delete(np.arange(k), i) for i in agents]).reshape(a, k - 1)
-    for arr in (idx, rows, cols, flat, mirror, others):
+    for arr in (idx, rows, cols, flat, others):
         arr.setflags(write=False)
-    return idx, rows, cols, flat, mirror, others
+    return idx, rows, cols, flat, others
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
@@ -151,9 +149,9 @@ def expand_model_along(nominal: RolloutSet, agents, goals, sigma: float, weights
     M_j = e_j (4 r_j r_j^T / sigma^4 - 2 I / sigma^2) on the (i, i) and (j, j)
     position blocks, -M_j on (i, j) and (j, i). The goal term |p_i - g|^2 has
     gradient 2 (p_i - g) and curvature 2 I on p_i. These terms go straight into
-    the entries of `cost_pattern(k, i)`, where an entry that is 0.0 along this
-    nominal stays as 0.0. They are checked once for the whole stack, finite
-    and each equal to its mirror, then weighted by theta = weights (a, 3).
+    the entries of `cost_pattern(k, i)`, each mirrored pair once, where an
+    entry that is 0.0 along this nominal stays as 0.0. They are checked
+    finite once for the whole stack, then weighted by theta = weights (a, 3).
     agents, goals (a, 2) and sigma are checked as
     `features.expected_features` checks them; member x of the stack is agents[x].
     """
@@ -162,7 +160,7 @@ def expand_model_along(nominal: RolloutSet, agents, goals, sigma: float, weights
     T, k, states = nominal.horizon, nominal.k, nominal.states[0]
     idx, goals, sigma = _check_terms(k, agents, goals, sigma)
     a, s2 = idx.size, sigma * sigma
-    idx, rows, cols, flat, mirror, others = _stack_pattern(k, tuple(idx.tolist()))
+    idx, rows, cols, flat, others = _stack_pattern(k, tuple(idx.tolist()))
     goal_value, kernel = state_terms(states, idx, goals, sigma)  # (a, T+1), (k, a, T+1)
     crowd_value = agent_sum(kernel) - 1.0  # the crowding feature, as state_features forms it
     member = np.arange(a)
@@ -172,8 +170,8 @@ def expand_model_along(nominal: RolloutSet, agents, goals, sigma: float, weights
     pos = states.reshape(T + 1, k, STATE_DIM)[..., :2]
     r = pos[:, idx, None] - pos[:, None]  # (T+1, a, k, 2); zero at j == i
     grad = (2.0 / s2) * e[..., None] * r  # d e_j / d p_j
-    # M_j row by row, (T+1, a, k, 4): r r^T is formed before scaling, so that
-    # each M_j is exactly symmetric, and 2 I / sigma^2 comes off the diagonal alone
+    # M_j row by row, (T+1, a, k, 4): r r^T is formed before scaling, so each M_j is exactly
+    # symmetric and fill's two writes of its xy and yx agree; 2 I / sigma^2 comes off the diagonal alone
     M = np.empty(r.shape[:-1] + (4,))
     rx, ry = r[..., 0], r[..., 1]
     np.multiply(rx, rx, M[..., 0])
@@ -187,31 +185,20 @@ def expand_model_along(nominal: RolloutSet, agents, goals, sigma: float, weights
     # the goal (0) and crowding (1) features' parts of each entry, in pattern order
     basis = np.zeros((2, T + 1, a, rows.shape[1]))
     goal, crowd = basis
-    m = 4 * (k - 1)  # entries in all (i, j) blocks; as many in the (j, i) and (j, j) ones
+    m = 4 * (k - 1)  # entries in all (i, j) blocks; as many in the (j, j) ones
     goal[..., 0:4:3] = 2.0  # 2 I
-    # sums over j add the agents in order onto +0.0, as numpy's sum over a middle axis does
-    own_curv, own_grad = np.zeros((T + 1, a, 4)), np.zeros((T + 1, a, 2))
-    for j in range(k):
-        own_curv += M[:, :, j]
-        own_grad += grad[:, :, j]
-    crowd[..., :4] = own_curv
+    crowd[..., :4] = M.sum(axis=2)
     M_j = M[:, member[:, None], others].reshape(T + 1, a, m)
     np.negative(M_j, crowd[..., 4 : 4 + m])
-    crowd[..., 4 + m : 4 + 2 * m] = crowd[..., 4 : 4 + m]
-    crowd[..., 4 + 2 * m : 4 + 3 * m] = M_j
-    edge = basis[..., 4 + 3 * m : 4 + 3 * m + 2 * k]
-    l = edge.reshape(2, T + 1, a, k, 2)  # a view: the reshape splits the last axis
+    crowd[..., 4 + m : 4 + 2 * m] = M_j
+    l = basis[..., 4 + 2 * m : -1].reshape(2, T + 1, a, k, 2)  # a view: the reshape splits the last axis
     l[0][:, member, idx] = 2.0 * (pos[:, idx] - goals)
     l[1] = grad
-    l[1][:, member, idx] = -own_grad
-    basis[..., 4 + 3 * m + 2 * k : -1] = edge
+    l[1][:, member, idx] = -grad.sum(axis=2)
     goal[..., -1] = 2.0 * goal_value.T
     crowd[..., -1] = 2.0 * crowd_value.T
     if not np.all(np.isfinite(basis)):
         raise CostRangeError("cost function returned non-finite values along the nominal", "states")
-    entries = basis.reshape(2, T + 1, -1)
-    if not np.array_equal(entries, np.take(entries, mirror, axis=-1)):
-        raise InternalError("feature curvature is not exactly symmetric")
     controls = nominal.controls[0][:, idx]  # (T, a, 2)
     for arr in (basis, controls):
         arr.setflags(write=False)

@@ -41,10 +41,7 @@ JointState = tuple  # only bench/inputs.py spells a start this way; goes with RO
 
 def check_u_max(u_max: float) -> float:
     """The control bound as a float; it must be > 0, and inf means no clamp."""
-    u_max = float(u_max)
-    if not u_max > 0:  # also rejects NaN
-        raise ValidationError(f"u_max must be positive (inf for no clamp), got {u_max!r}")
-    return u_max
+    return check_real(u_max, "u_max must be positive (inf for no clamp), got {!r}", finite=False)
 
 
 def check_count(name: str, value, least: int = 1) -> int:
@@ -54,18 +51,27 @@ def check_count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
+def check_real(value, message: str, positive: bool = True, finite: bool = True) -> float:
+    """A real setting as a float; it must be an int or a float (numpy's too), not a bool or a string.
+
+    It must also be > 0 (>= 0 unless positive) and finite (or inf unless
+    finite), which refuses NaN; otherwise ValidationError(message), its {!r} the value.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        real = float(value)
+        if (real > 0 if positive else real >= 0) and (real < math.inf or not finite):
+            return real
+    raise ValidationError(message.format(value))
+
+
 def check_dt(dt: float) -> float:
     """The time step as a float; it must be positive and finite."""
-    if not (math.isfinite(dt) and dt > 0):  # also rejects NaN
-        raise ValidationError(f"dt must be positive, got {dt!r}")
-    return float(dt)
+    return check_real(dt, "dt must be positive, got {!r}")
 
 
 def check_sigma(sigma: float) -> float:
     """The crowding kernel width as a float; it must be positive and finite."""
-    if not 0 < float(sigma) < math.inf:  # also rejects NaN
-        raise ValidationError(f"sigma must be positive, got {sigma!r}")
-    return float(sigma)
+    return check_real(sigma, "sigma must be positive, got {!r}")
 
 
 def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -260,7 +266,7 @@ class ScenarioSpec:
                                   f"got {float(x0[bad[0]])!r}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
-        check_dt(self.dt)
+        object.__setattr__(self, "dt", check_dt(self.dt))
         object.__setattr__(self, "u_max", check_u_max(self.u_max))
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
         if self.goals is not None:

@@ -11,7 +11,8 @@ can be checked against each other; `stage_cost` is the per-step cost it
 differences. `reference_expansion` is the expansion of one agent in a pass of
 its own, the byte reference for every member of the stacked expansion.
 `dense_feature_terms` lays the closed-form feature terms out densely, the
-reference for the expansion's fixed sparse pattern. `reference_state_features`
+reference for the expansion's fixed sparse pattern, which holds each
+mirrored pair of entries once and has `fill` write both. `reference_state_features`
 and `reference_expected_features` are the feature half as broadcast from the
 strided position columns, the crowding kernel summed over the other agents in
 order by `in_order_sum`: the byte reference for `crowdirl.features`.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crowdirl.errors import CostRangeError, InternalError
+from crowdirl.errors import CostRangeError
 from crowdirl.features import CostParams, _check_terms, agent_sum, state_terms
 from crowdirl.quadratic import CostExpansion, _eval_batch, cost_pattern, expand_model_along
 from crowdirl.trajectory import DEFAULT_SIGMA, STATE_DIM, RolloutSet, ScenarioSpec
@@ -64,8 +65,8 @@ def reference_expansion(nominal: RolloutSet, agent: int, goal, sigma: float, wei
     """One agent's expansion in a pass of its own: rows, cols, basis (2, T+1, P), entries (T+1, P), R and r (T, 2).
 
     The per-agent form that `expand_model_along` stacks: the same terms,
-    written into `cost_pattern(k, agent)`, checked and weighted as it checks
-    and weights each member.
+    written into `cost_pattern(k, agent)` (each mirrored pair once), checked
+    and weighted as it checks and weights each member.
     """
     T, k, states = nominal.horizon, nominal.k, nominal.states[0]
     idx, goals, sigma = _check_terms(k, [agent], [goal], sigma)
@@ -82,7 +83,7 @@ def reference_expansion(nominal: RolloutSet, agent: int, goal, sigma: float, wei
         (4.0 / (s2 * s2)) * (r[..., :, None] * r[..., None, :]) - (2.0 / s2) * np.eye(2)
     )  # (T+1, k, 2, 2)
 
-    rows, cols, mirror = cost_pattern(k, i)
+    rows, cols = cost_pattern(k, i)
     basis = np.zeros((2, T + 1, rows.size))
     goal, crowd = basis
     m = 4 * (k - 1)
@@ -90,20 +91,15 @@ def reference_expansion(nominal: RolloutSet, agent: int, goal, sigma: float, wei
     crowd[:, :4] = M.sum(axis=1).reshape(T + 1, 4)
     M_j = M[:, np.arange(k) != i].reshape(T + 1, m)
     np.negative(M_j, out=crowd[:, 4 : 4 + m])
-    crowd[:, 4 + m : 4 + 2 * m] = crowd[:, 4 : 4 + m]
-    crowd[:, 4 + 2 * m : 4 + 3 * m] = M_j
-    edge = basis[..., 4 + 3 * m : 4 + 3 * m + 2 * k]
-    l = edge.reshape(2, T + 1, k, 2)
+    crowd[:, 4 + m : 4 + 2 * m] = M_j
+    l = basis[..., 4 + 2 * m : -1].reshape(2, T + 1, k, 2)
     l[0, :, i] = 2.0 * (pos[:, i] - g)
     l[1] = grad
     l[1, :, i] = -grad.sum(axis=1)
-    basis[..., 4 + 3 * m + 2 * k : -1] = edge
     goal[:, -1] = 2.0 * goal_value[0]
     crowd[:, -1] = 2.0 * crowd_value
     if not np.all(np.isfinite(basis)):
         raise CostRangeError("cost function returned non-finite values along the nominal", "states")
-    if not np.array_equal(basis, basis[..., mirror]):
-        raise InternalError("feature curvature is not exactly symmetric")
 
     controls = nominal.controls[0, :, i]
     w_goal, w_crowd, w_effort = (float(w) for w in weights)

@@ -332,6 +332,32 @@ class TestLibraryInputs:
             gmm_fit(_two_clusters(), K=K, seed=0)
 
 
+    @pytest.mark.parametrize("x", [np.zeros((2, 2, 2)), 0.0, np.zeros(3), np.zeros((4, 1))])
+    def test_gmm_pdf_refuses_an_x_that_is_not_d_or_n_by_d(self, x):
+        model = _single_gaussian([0.0, 0.0], np.eye(2))
+        with pytest.raises(ValidationError, match=r"^x must be \(2,\) or \(n, 2\), got shape"):
+            gmm_pdf(model, x)
+
+    @pytest.mark.parametrize("n, dim, name", [(-1, 2, "n"), (1.5, 2, "n"), (0, 2, "n"), (3, 0, "dim"),
+                                              (3, True, "dim")])
+    def test_action_grid_takes_counts(self, n, dim, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1"):
+            action_grid(-1.0, 1.0, n, dim=dim)
+
+    @pytest.mark.parametrize("n", [-1, 0, 1.5, True])
+    def test_gmm_sample_takes_none_or_a_count(self, n):
+        model = _single_gaussian([1.0, 2.0], np.eye(2))
+        with pytest.raises(ValidationError, match="^n must be an integer >= 1"):
+            gmm_sample(model, seed=5, n=n)
+        assert gmm_sample(model, seed=5, n=1).shape == (1, 2)
+
+    @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
+    def test_ebm_argmin_refuses_an_x_of_another_length(self, x):
+        p = EnergyParams(W=np.eye(2), L=np.zeros((2, 3)), b=np.zeros(2))
+        with pytest.raises(ValidationError, match=r"^x must be \(3,\), got shape"):
+            ebm_argmin(p, x, action_grid(-1.0, 1.0, 3))
+
+
 def test_gmm_conditional_mean_tracks_regression_line():
     # joint (x, u) with u = 2x: conditional mean must follow the line
     rng = np.random.default_rng(21)

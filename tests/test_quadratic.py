@@ -319,10 +319,14 @@ def test_cost_pattern_is_fixed_by_k_and_agent(make_ring_spec, k):
     nominals = _pattern_nominals(spec)
     assert np.max(np.abs(nominals[1].controls)) > 0.1
     for model in agent_costs([CostParams(np.array([1.0, 3.0, 0.2]))] * k, spec):
-        rows, cols, mirror = cost_pattern(k, model.agent)
-        assert rows.size == cols.size == 16 * k - 7 and (rows[-1], cols[-1]) == (n, n)
-        assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
-        assert np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
+        rows, cols = cost_pattern(k, model.agent)
+        assert rows.size == cols.size == 10 * k - 3 and (rows[-1], cols[-1]) == (n, n)
+        pairs = set(zip(rows.tolist(), cols.tolist()))
+        assert len(pairs) == rows.size
+        # each mirrored pair is listed once: off the diagonal, an entry's mirror is
+        # listed only when both lie in one agent's 2x2 position block
+        for r, c in pairs:
+            assert r == c or (c, r) not in pairs or (max(r, c) < n and r // 4 == c // 4)
         for nominal in nominals:
             e = expand(model, nominal)
             # every expansion of the agent shares one cached, read-only stacked pattern
@@ -342,7 +346,7 @@ def test_cost_pattern_is_fixed_by_k_and_agent(make_ring_spec, k):
     if k > 1:
         e = expand(agent_costs([CostParams.ones()] * k, spec)[0], nominals[2])
         far = (e.rows[0] // 4 == k - 1) | (e.cols[0] // 4 == k - 1)
-        assert far.sum() == 16 and not np.any(e.basis[..., far])
+        assert far.sum() == 10 and not np.any(e.basis[..., far])
 
 
 def _stacks(k):
@@ -371,10 +375,48 @@ def test_every_member_of_the_stack_is_its_agent_expanded_alone_bit_for_bit(make_
                 assert e.basis[:, :, x].tobytes() == basis.tobytes()
                 assert e.R[x] == R and e.r[:, x].tobytes() == r.tobytes()
                 ref = np.zeros((spec.horizon + 1, n1, n1))
-                ref[:, rows, cols] = entries
+                ref[:, rows, cols] = ref[:, cols, rows] = entries
                 assert out[:, x].tobytes() == ref.tobytes()
             for a in (e.basis, e.controls, e.R, e.r):
                 assert not a.flags.writeable
+
+
+@st.composite
+def _crowds(draw):
+    """A one-row nominal of 1-12 agents, some coinciding or 1 km away, with goals, weights (k, 3) and sigma."""
+    k, T = draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    coords = st.floats(-5.0, 5.0)
+    states = draw(arrays(float, (T + 1, k, 4), elements=coords))
+    if k > 1 and draw(st.booleans()):  # two agents coincide along the whole nominal
+        states[:, 1, :2] = states[:, 0, :2]
+    if k > 1 and draw(st.booleans()):  # exp(-(1 km / sigma)^2) is exactly 0.0
+        states[:, -1, :2] += 1000.0
+    controls = draw(arrays(float, (T, k, 2), elements=coords))
+    goals = draw(arrays(float, (k, 2), elements=coords))
+    weights = draw(arrays(float, (k, 3), elements=st.one_of(st.just(0.0), st.floats(0.0, 3.0))))
+    nominal = RolloutSet(states.reshape(1, T + 1, 4 * k), controls[None], 0.1)
+    return nominal, goals, weights, draw(st.floats(0.3, 3.0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(crowd=_crowds())
+def test_the_filled_stack_is_symmetric_by_construction(crowd):
+    # fill writes each stored entry and its mirror: finite, its own transpose
+    # byte for byte, and each member the weighted dense feature terms
+    nominal, goals, weights, sigma = crowd
+    T, k, n1 = nominal.horizon, nominal.k, 4 * nominal.k + 1
+    e = expand_model_along(nominal, range(k), goals, sigma, weights)
+    out = np.full((T + 1, k, n1, n1), np.nan)
+    e.fill(out)
+    assert np.all(np.isfinite(out))
+    assert out.tobytes() == np.ascontiguousarray(np.swapaxes(out, 2, 3)).tobytes()
+    for i in range(k):
+        aug = dense_feature_terms(AgentCost(CostParams(weights[i]), i, goals[i], k, T, sigma), nominal)
+        w_goal, w_crowd, w_effort = weights[i]
+        ref = (w_goal * aug[0] + w_crowd * aug[1]) / (T + 1)
+        controls = nominal.controls[0, :, i]
+        ref[:-1, -1, -1] += 2.0 * (w_effort / T) * np.sum(controls * controls, axis=-1)
+        assert out[:, i].tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("k", [3, 8])

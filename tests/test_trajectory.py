@@ -6,13 +6,20 @@ import warnings
 import numpy as np
 import pytest
 
+from crowdirl.baselines import gmm_fit
 from crowdirl.errors import CostRangeError, ValidationError
+from crowdirl.game import SolverConfig
+from crowdirl.irl import TrainingConfig
+from crowdirl.pipeline import PreprocessConfig
 from crowdirl.trajectory import (
     DEFAULT_SIGMA,
     AgentState,
     RolloutSet,
     ScenarioSpec,
     _halves,
+    check_dt,
+    check_sigma,
+    check_u_max,
     clamp_control,
     constant_velocity_rollout,
     integrate_controls,
@@ -533,6 +540,45 @@ def test_scenario_spec_rejects_a_kernel_width_that_is_not_positive_and_finite(si
     with pytest.raises(ValidationError, match=f"^sigma must be positive, got {sigma!r}$"):
         ScenarioSpec(k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1,
                      sigma=sigma)
+
+
+def _spec(**fields):
+    return ScenarioSpec(k=1, x0=(AgentState(0, 0, 0, 0),), goals=None, horizon=1, **fields)
+
+
+# every real setting, by the name its message starts with: a call that stores
+# the value and returns what it stored (None where nothing keeps it)
+REAL_SETTINGS = [
+    ("eps_psd", lambda v: SolverConfig(eps_psd=v).eps_psd),
+    ("entropy_temp", lambda v: SolverConfig(entropy_temp=v).entropy_temp),
+    ("outer_tol", lambda v: SolverConfig(outer_tol=v).outer_tol),
+    ("beta", lambda v: TrainingConfig(beta=v).beta),
+    ("tol", lambda v: TrainingConfig(tol=v).tol),
+    ("resample_dt", lambda v: PreprocessConfig(resample_dt=v).resample_dt),
+    ("standstill_speed", lambda v: PreprocessConfig(standstill_speed=v).standstill_speed),
+    ("tol", lambda v: gmm_fit(np.arange(4.0), K=1, tol=v) and None),
+    ("sigma", check_sigma),
+    ("u_max", check_u_max),
+    ("dt", check_dt),
+    ("dt", lambda v: _spec(dt=v).dt),
+    ("sigma", lambda v: _spec(sigma=v).sigma),
+    ("u_max", lambda v: _spec(u_max=v).u_max),
+    ("dt", lambda v: RolloutSet(np.zeros((1, 2, 4)), np.zeros((1, 1, 1, 2)), v).dt),
+]
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, [1.0]], ids=repr)
+@pytest.mark.parametrize("name, setting", REAL_SETTINGS)
+def test_a_real_setting_refuses_a_bool_a_string_none_and_a_list(name, setting, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+        setting(value)
+
+
+@pytest.mark.parametrize("name, setting", REAL_SETTINGS)
+def test_a_real_setting_stores_an_int_as_its_float(name, setting):
+    for value in (1, np.int64(1), np.float32(1.0)):
+        stored = setting(value)
+        assert stored is None or (type(stored) is float and stored == 1.0)
 
 
 def test_scenario_spec_keeps_one_frozen_flat_start_from_rows_or_a_flat_array():
