@@ -22,7 +22,6 @@ from crowdirl import (
     make_predictor,
     rollout_openloop,
 )
-from crowdirl.baselines import ebm_energy, gmm_pdf, gmm_sample
 
 rng = np.random.default_rng(5)
 
@@ -37,16 +36,13 @@ print(f"fitted 3 components over 4-d data; final log-likelihood "
 probe = np.array([2.0, -1.0])
 cond = gmm_conditional_mean(model, probe, n_cond=2)
 print(f"E[action | state {probe}] = {np.round(cond, 3)} (behavior says {-0.6 * probe})")
-draw = gmm_sample(model, seed=9)
-print(f"joint sample: {np.round(draw, 3)}, density there {gmm_pdf(model, draw):.4f}")
 
 print("\n== implicit behavior cloning with a quadratic energy ==")
 params = ebm_train(X, U)
 print(f"learned action map: u = Lx + b with L ~\n{np.round(params.L, 3)}")
 x = np.array([1.0, 1.0])
 u_star = ebm_minimizer(params, x)
-print(f"analytic minimizer at state {x}: {np.round(u_star, 3)} "
-      f"(energy {ebm_energy(params, x, u_star):.2e})")
+print(f"analytic minimizer at state {x}: {np.round(u_star, 3)}")
 grid = action_grid(-3.0, 3.0, 61)
 picked = ebm_argmin(params, x, grid)
 print(f"argmin over a 61x61 grid: {np.round(picked, 3)} "

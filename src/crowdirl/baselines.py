@@ -96,20 +96,6 @@ def _log_gaussians(diff: np.ndarray, covs: np.ndarray, work: np.ndarray) -> np.n
     return -0.5 * ((diff.shape[1] * np.log(2.0 * np.pi) + logdet)[:, None] + sol.sum(axis=1))
 
 
-def gmm_pdf(model: GmmModel, x) -> float | np.ndarray:
-    """Mixture density at x; x may be (d,) or (n, d)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.dim:
-        raise ValidationError(f"x must be ({model.dim},) or (n, {model.dim}), got shape {x.shape}")
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    diff = pts.T - model.means[:, :, None]
-    logs = np.log(model.weights)[:, None] + _log_gaussians(diff, model.covariances, np.empty_like(diff))
-    m = logs.max(axis=0)
-    dens = np.exp(m) * np.sum(np.exp(logs - m), axis=0)
-    return float(dens[0]) if single else dens
-
-
 def _check_sum(value, fit: str):
     """value, if finite; else the training pairs overflow the fit's sums of squares."""
     if not np.all(np.isfinite(value)):
@@ -240,20 +226,6 @@ def gmm_fit(
     )
 
 
-def gmm_sample(model: GmmModel, seed: int, n: int | None = None) -> np.ndarray:
-    """Draw from the mixture; (d,) for n=None, else (n, d) for a count n >= 1. Seed-deterministic."""
-    count = 1 if n is None else check_count("n", n)
-    rng = substream(seed, 0x5A)
-    comps = rng.choice(model.n_components, size=count, p=model.weights)
-    out = np.empty((count, model.dim))
-    for c in range(model.n_components):
-        idx = np.where(comps == c)[0]
-        if idx.size:
-            L = np.linalg.cholesky(model.covariances[c])
-            out[idx] = model.means[c] + rng.standard_normal((idx.size, model.dim)) @ L.T
-    return out[0] if n is None else out
-
-
 def gmm_conditioner(model: GmmModel, n_cond: int) -> Callable[[np.ndarray], np.ndarray]:
     """The map x_obs -> E[tail | first n_cond coordinates = x_obs] under the mixture.
 
@@ -330,14 +302,6 @@ class EnergyParams:
         object.__setattr__(self, "b", b)
 
 
-def ebm_energy(params: EnergyParams, x, u) -> float:
-    """Nonnegative energy, zero exactly at the analytic minimizer."""
-    x = np.asarray(x, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    r = u - (params.L @ x + params.b)
-    return float(0.5 * r @ params.W @ r)
-
-
 def ebm_minimizer(params: EnergyParams, x) -> np.ndarray:
     """Closed-form argmin of the energy in u; x is (..., d_x), the result (..., d_u)."""
     x = np.asarray(x, dtype=float)
@@ -349,8 +313,9 @@ def ebm_minimizer(params: EnergyParams, x) -> np.ndarray:
 def ebm_argmin(params: EnergyParams, x, candidates: np.ndarray) -> np.ndarray:
     """Lowest-energy candidate action for a state x (d_x,); ties break to the lowest index."""
     candidates = np.asarray(candidates, dtype=float)
-    if candidates.ndim != 2 or candidates.shape[0] == 0:
-        raise ValidationError("candidates must be a nonempty (n, d_u) array")
+    d_u = params.L.shape[0]
+    if candidates.ndim != 2 or candidates.shape[0] == 0 or candidates.shape[1] != d_u:
+        raise ValidationError(f"candidates must be a nonempty (n, {d_u}) array, got shape {candidates.shape}")
     x = np.asarray(x, dtype=float)
     if x.shape != (params.L.shape[1],):
         raise ValidationError(f"x must be ({params.L.shape[1]},), got shape {x.shape}")

@@ -203,8 +203,6 @@ def parse_thetas(text: str, k: int) -> list[CostParams]:
             raise ValidationError(f"weight group {g!r}: {exc}") from exc
         except ValueError:
             raise ValidationError(f"weight group {g!r} is not comma-separated numbers") from None
-        if np.any(out[-1].weights < 0):
-            raise ValidationError(f"weight group {g!r} has a negative weight")
     return out
 
 
@@ -348,8 +346,6 @@ def _load_thetas(path: str, k: int, cfg: dict) -> list[CostParams]:
             thetas.append(CostParams(row))
         except ValidationError as exc:
             raise FormatError(f"weight file {path}: 'thetas' row {i}: {exc}") from exc
-        if np.any(thetas[-1].weights < 0):
-            raise FormatError(f"weight file {path}: 'thetas' row {i} has a negative weight")
     if len(thetas) != k:
         raise FormatError(f"weight file {path} holds {len(thetas)} agents, demos have {k}")
     return thetas

@@ -41,7 +41,10 @@ def _check_features(phi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Weight vector over the feature basis; kept nonnegative by projection."""
+    """Weight vector over the feature basis: a read-only copy, finite and nonnegative.
+
+    The one owner of the weight rule: a negative entry (-0.0 is none) would make a cost nonconvex.
+    """
 
     weights: np.ndarray
 
@@ -51,15 +54,14 @@ class CostParams:
             raise ValidationError(f"weights must have length {NUM_FEATURES}, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValidationError("weights contain non-finite values")
+        if np.any(w < 0):
+            raise ValidationError(f"weights must be nonnegative, got {w.tolist()}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @classmethod
     def ones(cls) -> "CostParams":
         return cls(np.ones(NUM_FEATURES))
-
-    def project_nonneg(self) -> "CostParams":
-        return CostParams(np.maximum(self.weights, 0.0))
 
 
 def _check_terms(k: int, agents, goals, sigma: float) -> tuple[np.ndarray, np.ndarray, float]:

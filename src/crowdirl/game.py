@@ -22,10 +22,10 @@ stack, whose repaired stages the diagnostics record. That pass's screen forms
 every stage's Cholesky factor, and `PolicySequence` forms it again for sampling.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
-constant-velocity nominal, every agent's weight vector, the stack of all
-agents' expansions along the nominal at the kernel width `spec.sigma` (formed
-in one pass, re-weighted all at once by `set_thetas`) and the outer
-re-expansion loop. Synthesis and evaluation reach it through
+constant-velocity nominal, the stack of all agents' expansions along the
+nominal at the kernel width `spec.sigma` (formed in one pass, re-weighted all
+at once by `set_thetas`; the stack holds the one copy of every agent's
+weights) and the outer re-expansion loop. Synthesis and evaluation reach it through
 `build_policies`; the IRL loop holds a `Game` and sets every agent's weights
 with one `set_thetas` per sweep. Policies are
 arrays indexed [t, agent]: gains K (T, k, 2, 4k), feedforward kff (T, k, 2)
@@ -155,7 +155,7 @@ class PolicySequence:
         for name, arr in (("K", K), ("kff", kff), ("Sigma", Sigma)):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"PolicySequence.{name} contains non-finite values")
-        if np.max(np.abs(Sigma - np.swapaxes(Sigma, -1, -2))) > 1e-9:
+        if not _symmetric(Sigma):
             raise ValidationError("Sigma must be symmetric")
         try:
             L = np.linalg.cholesky(Sigma)
@@ -176,6 +176,15 @@ class PolicySequence:
         return self.K.shape[0]
 
 
+def _symmetric(M: np.ndarray) -> bool:
+    """Whether every finite matrix of a stack (..., n, n) is symmetric within 1e-9 * max(1, its largest |entry|)."""
+    MT = np.swapaxes(M, -1, -2)
+    if np.array_equal(M, MT):  # the tolerance is only needed where symmetry is not exact
+        return True
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), keepdims=True, initial=0.0))
+    return not np.any(np.abs(M - MT) > 1e-9 * scale)
+
+
 def min_eigenvalue(M: np.ndarray) -> float | np.ndarray:
     """Smallest eigenvalue of each symmetric matrix of a stack (..., n, n); a float for one matrix.
 
@@ -186,11 +195,8 @@ def min_eigenvalue(M: np.ndarray) -> float | np.ndarray:
     if not finite.all():
         where = f" {np.argwhere(~finite)[0].tolist()} of the stack" if M.ndim > 2 else ""
         raise ValidationError(f"matrix{where} has a non-finite entry")
-    MT = np.swapaxes(M, -1, -2)
-    if not np.array_equal(M, MT):  # the tolerance is only needed where symmetry is not exact
-        scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), keepdims=True, initial=0.0))
-        if np.any(np.abs(M - MT) > 1e-9 * scale):
-            raise ValidationError("matrix is not symmetric within tolerance")
+    if not _symmetric(M):
+        raise ValidationError("matrix is not symmetric within tolerance")
     lam = np.linalg.eigvalsh(M)[..., 0]
     return float(lam) if M.ndim == 2 else lam
 
@@ -396,10 +402,10 @@ class Game:
 
     Every agent's cost is expanded in one pass along the constant-velocity
     nominal at the kernel width spec.sigma, and all are re-weighted at once
-    when the weights change. With cfg.max_outer_iters > 1 each solve
-    re-expands the costs around the latest mean rollout until it moves less
-    than cfg.outer_tol; that refit is clamped at spec.u_max, the bound of
-    every rollout of the scene.
+    by `set_thetas`; the weights live only in that stack (`costs.weights`).
+    With cfg.max_outer_iters > 1 each solve re-expands the costs at them
+    around the latest mean rollout until it moves less than cfg.outer_tol;
+    that refit is clamped at spec.u_max, the bound of every rollout.
     """
 
     def __init__(self, thetas: Sequence[CostParams], spec: ScenarioSpec, cfg: SolverConfig = SolverConfig()):
@@ -407,27 +413,24 @@ class Game:
             raise ValidationError("scenario has no goals; infer them before building costs")
         self.spec = spec
         self.cfg = cfg
-        self.thetas = self._checked(thetas)
         self.nominal = constant_velocity_rollout(spec)
-        self.costs = self._expand(self.nominal)
+        self.costs = self._expand(self.nominal, self._weights(thetas))
 
-    def _checked(self, thetas: Sequence[CostParams]) -> list[CostParams]:
-        """One CostParams per agent, as a list."""
+    def _weights(self, thetas: Sequence[CostParams]) -> np.ndarray:
+        """The (k, 3) weights of one CostParams per agent."""
         if len(thetas) != self.spec.k:
             raise ValidationError(f"need {self.spec.k} weight vectors, got {len(thetas)}")
         if not all(isinstance(t, CostParams) for t in thetas):
             raise ValidationError("weight vectors must be CostParams")
-        return list(thetas)
+        return np.array([t.weights for t in thetas])
 
-    def _expand(self, nominal: RolloutSet) -> CostExpansion:
-        """Every agent's cost at its current weights, expanded along nominal."""
-        weights = np.array([t.weights for t in self.thetas])
+    def _expand(self, nominal: RolloutSet, weights: np.ndarray) -> CostExpansion:
+        """Every agent's cost at weights (k, 3), expanded along nominal."""
         return expand_model_along(nominal, range(self.spec.k), self.spec.goals, self.spec.sigma, weights)
 
     def set_thetas(self, thetas: Sequence[CostParams]) -> None:
         """Replace every agent's cost weights, one CostParams per agent; the next solve uses them."""
-        self.thetas = self._checked(thetas)
-        self.costs = self.costs.reweighted(np.array([t.weights for t in self.thetas]))
+        self.costs = self.costs.reweighted(self._weights(thetas))
 
     def solve(self) -> PolicySequence:
         """Policies of the game at the current weights."""
@@ -440,7 +443,7 @@ class Game:
             if float(np.max(np.abs(refit.states - nominal.states))) < self.cfg.outer_tol:
                 break
             nominal = refit
-            costs = self._expand(nominal)
+            costs = self._expand(nominal, costs.weights)
         return policies
 
 

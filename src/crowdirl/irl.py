@@ -1,17 +1,18 @@
 """Feature-matching inverse reinforcement learning over game rollouts.
 
-Both learners run one loop of Jacobi sweeps over weight blocks. A sweep
-solves the game at the current weights once, samples one rollout set from
-it, measures every agent's feature-expectation gap against the
-demonstrations under that one joint sample, and moves each block's weights
-along the mean gap of its agents; the game takes all the new weights at the
-end of the sweep. The multi-agent variant gives every agent its own block;
-the single-agent variant ties all agents to one shared block.
+Both learners run one loop of Jacobi sweeps over one (blocks, 3) weight
+array and a map from each agent to its block. A sweep solves the game once,
+samples one rollout set from it, measures every agent's feature-expectation
+gap against the demonstrations under that one joint sample, and moves each
+block's weights along the mean gap of its agents; the game takes all the new
+weights at the end of the sweep. The multi-agent variant gives every agent
+its own block; the single-agent variant ties all agents to one block.
 
 Weights multiply cost features, so matching requires moving *with* the gap:
 if the policy accrues more of a feature than the experts do, that feature
-must become more expensive. Updates are projected onto the nonnegative
-orthant to keep every agent's control cost convex.
+must become more expensive. Each sweep's step is projected once onto the
+nonnegative orthant, the weights `features.CostParams` admits, which keeps
+every agent's control cost convex.
 
 The loop hands its weight vectors to one `game.Game` (the game synthesis
 and evaluation solve, outer re-expansion included), all of them in one
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .features import CostParams, expected_features
+from .features import NUM_FEATURES, CostParams, expected_features
 from .game import Game, SolverConfig, sample_rollouts
 from .game import solve_lq_game  # noqa: F401  re-exported; bench/tests checks this alias
 from .rng import check_key, derive_seed, start_normals
@@ -153,18 +154,17 @@ def _training_game(
 def _feature_matching(
     demos: RolloutSet, spec: ScenarioSpec, cfg: TrainingConfig, shared: bool
 ) -> tuple[list[CostParams], TrainingTrace]:
-    """The one training loop: Jacobi sweeps, one theta per weight block.
+    """The one training loop: Jacobi sweeps over one (blocks, 3) weight array.
 
-    The blocks are [[0], ..., [k-1]], or [[0, ..., k-1]] when shared. A sweep
-    solves the game once, samples one rollout set with a seed derived from
-    (cfg.seed, sweep), takes every agent's feature gap from it and moves
-    each block's theta along the mean gap of its agents; the game takes the
-    new weights only after every block has moved.
+    owner[i] is agent i's block: its own, or block 0 when shared. A sweep
+    solves the game once, samples one rollout set seeded from (cfg.seed,
+    sweep), steps every block along its agents' mean feature gap, projects
+    the step once onto what `CostParams` admits, max(step, 0), and hands the
+    game weights[owner] in one `set_thetas` call.
     """
     game, demo_phi = _training_game(demos, spec, cfg)
-    blocks = [list(range(spec.k))] if shared else [[i] for i in range(spec.k)]
-    thetas = [CostParams.ones() for _ in blocks]
-    block_of = {i: b for b, agents in enumerate(blocks) for i in agents}
+    owner = np.zeros(spec.k, dtype=int) if shared else np.arange(spec.k)
+    weights = np.ones((owner[-1] + 1, NUM_FEATURES))
 
     trace = TrainingTrace()
     shape = (cfg.M, spec.horizon, spec.k, CONTROL_DIM)
@@ -176,24 +176,24 @@ def _feature_matching(
         del noise  # its normals are in the rollouts; one array less under the features
         gaps = expected_features(rollouts, range(spec.k), game.spec.goals, game.spec.sigma) - demo_phi
         del rollouts  # one rollout set alive at a time keeps the peak memory down
-        for b, agents in enumerate(blocks):
-            gap = np.mean(gaps[agents], axis=0)
-            theta = thetas[b]
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is refused next
-                step = theta.weights + cfg.beta * gap
-            if not np.all(np.isfinite(step)):
-                raise ValidationError(f"beta {cfg.beta!r} overflows the weight step of sweep {sweep}")
-            thetas[b] = CostParams(step).project_nonneg()
+        if shared:
+            gaps = np.mean(gaps, axis=0, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing step is refused next
+            step = weights + cfg.beta * gaps
+        if not np.all(np.isfinite(step)):
+            raise ValidationError(f"beta {cfg.beta!r} overflows the weight step of sweep {sweep}")
+        before, weights = weights, np.maximum(step, 0.0)
+        for b, gap in enumerate(gaps):
             trace.records.append(IterationRecord(
                 sweep=sweep, agent=SHARED_AGENT if shared else b,  # at k = 1 the labels differ
-                theta_before=theta.weights.copy(), theta_after=thetas[b].weights.copy(), gap=gap,
+                theta_before=before[b].copy(), theta_after=weights[b].copy(), gap=gap.copy(),
                 gap_norm=float(np.linalg.norm(gap)),
                 conditioned_stages=policies.diagnostics.conditioned_stages,
             ))
-        game.set_thetas([thetas[block_of[i]] for i in range(spec.k)])
+        game.set_thetas([CostParams(w) for w in weights[owner]])
         if trace.close_sweep(sweep, cfg.tol):
             break
-    return thetas, trace
+    return [CostParams(w) for w in weights], trace
 
 
 def multi_agent_irl(

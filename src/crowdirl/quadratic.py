@@ -53,11 +53,12 @@ class CostExpansion:
     and checked finite here, for every member at once from weights (a, 3):
     the entries (w0 basis[0] + w1 basis[1]) / (T+1) plus R |u|^2 on 2c for
     t < T, R = 2 w2 / T and r = R u. The solve reads the costs only through `fill`.
+    `weights` is a read-only copy of the (a, 3) weights the stack was formed at.
     """
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is reported below, as an error
     def __init__(self, agents, rows, cols, flat, basis, controls, weights):
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.shape != (len(agents), NUM_FEATURES):
             raise ValidationError(f"weights must be ({len(agents)}, {NUM_FEATURES}), got {w.shape}")
         entries = (w[:, 0, None] * basis[0] + w[:, 1, None] * basis[1]) / (len(controls) + 1)
@@ -66,10 +67,10 @@ class CostExpansion:
         r = R[:, None] * controls
         if not (np.all(np.isfinite(entries)) and np.all(np.isfinite(r))):
             raise CostRangeError("cost expansion contains non-finite values", "weights")
-        R.setflags(write=False)
-        r.setflags(write=False)
+        for arr in (w, R, r):
+            arr.setflags(write=False)
         self.agents, self.rows, self.cols, self.basis, self.controls = agents, rows, cols, basis, controls
-        self._flat, self._entries, self.R, self.r = flat, entries, R, r
+        self._flat, self._entries, self.weights, self.R, self.r = flat, entries, w, R, r
 
     def reweighted(self, weights: np.ndarray) -> "CostExpansion":
         """The expansion of the same terms at new weights (a, 3), one row (theta0, theta1, theta2) per member."""

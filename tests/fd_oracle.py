@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crowdirl.errors import CostRangeError
-from crowdirl.features import CostParams, _check_terms, agent_sum, state_terms
+from crowdirl.features import _check_terms, agent_sum, state_terms
 from crowdirl.quadratic import CostExpansion, _eval_batch, cost_pattern, expand_model_along
 from crowdirl.trajectory import DEFAULT_SIGMA, STATE_DIM, RolloutSet, ScenarioSpec
 
@@ -40,9 +40,9 @@ DEFAULT_FD_STEP = 1e-3
 
 @dataclass(frozen=True)
 class AgentCost:
-    """One agent's cost theta . phi: weights, agent index, goal (2,), agent count, horizon, kernel width."""
+    """One agent's cost theta . phi: weights (3,) of any sign, agent index, goal (2,), agent count, horizon, kernel width."""
 
-    theta: CostParams
+    weights: np.ndarray
     agent: int
     goal: np.ndarray
     k: int
@@ -51,13 +51,13 @@ class AgentCost:
 
 
 def agent_costs(thetas, spec: ScenarioSpec) -> list[AgentCost]:
-    """One AgentCost per agent of a scene with goals, at its kernel width."""
-    return [AgentCost(thetas[i], i, spec.goals[i], spec.k, spec.horizon, spec.sigma) for i in range(spec.k)]
+    """One AgentCost per agent of a scene with goals, at its kernel width; thetas is one CostParams per agent."""
+    return [AgentCost(thetas[i].weights, i, spec.goals[i], spec.k, spec.horizon, spec.sigma) for i in range(spec.k)]
 
 
 def expand(model: AgentCost, nominal: RolloutSet) -> CostExpansion:
     """crowdirl's closed-form expansion of the record's cost along nominal, a stack of one."""
-    return expand_model_along(nominal, [model.agent], model.goal[None], model.sigma, model.theta.weights[None])
+    return expand_model_along(nominal, [model.agent], model.goal[None], model.sigma, model.weights[None])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -218,13 +218,13 @@ def reference_expected_features(trajs: RolloutSet, agents, goals, sigma: float) 
 
 def control_weight(model: AgentCost) -> float:
     """Coefficient w of the model's per-step effort term w * ||u||^2."""
-    return float(model.theta.weights[2]) / model.horizon
+    return float(model.weights[2]) / model.horizon
 
 
 def state_cost(model: AgentCost, x: np.ndarray) -> np.ndarray:
     """The model's per-step state term; x has shape (..., 4k), result (...,)."""
     g, p = reference_state_features(x, [model.agent], model.goal[None], model.sigma)
-    w = model.theta.weights
+    w = model.weights
     return (w[0] * g[..., 0] + w[1] * p[..., 0]) / (model.horizon + 1)
 
 

@@ -11,14 +11,11 @@ from crowdirl.baselines import (
     GmmModel,
     action_grid,
     ebm_argmin,
-    ebm_energy,
     ebm_minimizer,
     ebm_train,
     gmm_conditional_mean,
     gmm_conditioner,
     gmm_fit,
-    gmm_pdf,
-    gmm_sample,
 )
 from crowdirl.cli import main
 from crowdirl.errors import InternalError, ValidationError
@@ -42,25 +39,23 @@ def _single_gaussian(mu, cov) -> GmmModel:
     return GmmModel(weights=np.array([1.0]), means=mu[None, :], covariances=cov[None, :, :])
 
 
-class TestGmmPdf:
-    def test_standard_normal_mode(self):
-        model = _single_gaussian([0.0], [[1.0]])
-        assert abs(gmm_pdf(model, [0.0]) - 1.0 / math.sqrt(2 * math.pi)) < 1e-12
+def _log_density(model: GmmModel, pts) -> np.ndarray:
+    """The mixture density at the rows of pts, through the E-step's per-component log-densities."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    diff = pts.T - model.means[:, :, None]
+    logs = np.log(model.weights)[:, None] + baselines._log_gaussians(diff, model.covariances, np.empty_like(diff))
+    return np.exp(logs).sum(axis=0)
 
-    def test_mixture_collapse_of_equal_components(self):
-        two = GmmModel(
-            weights=np.array([0.5, 0.5]),
-            means=np.zeros((2, 1)),
-            covariances=np.ones((2, 1, 1)),
-        )
-        one = _single_gaussian([0.0], [[1.0]])
-        for x in (-1.3, 0.0, 0.7):
-            assert abs(gmm_pdf(two, [x]) - gmm_pdf(one, [x])) < 1e-14
+
+class TestLogGaussians:
+    """Closed forms of the per-component log-density that gmm_fit's E-step reads."""
+
+    def test_standard_normal_mode(self):
+        assert abs(_log_density(_single_gaussian([0.0], [[1.0]]), [0.0])[0] - 1.0 / math.sqrt(2 * math.pi)) < 1e-12
 
     def test_isotropic_2d_closed_form(self):
         model = _single_gaussian([0.0, 0.0], np.eye(2))
-        expected = math.exp(-1.0) / (2 * math.pi)
-        assert abs(gmm_pdf(model, [1.0, 1.0]) - expected) < 1e-12
+        assert abs(_log_density(model, [1.0, 1.0])[0] - math.exp(-1.0) / (2 * math.pi)) < 1e-12
 
     def test_lattice_quadrature_integrates_to_one(self):
         """Midpoint-rule integral over a generous box, 1e6 points, within 2%."""
@@ -74,7 +69,7 @@ class TestGmmPdf:
         ys = np.linspace(-8.0, 8.0, n, endpoint=False) + 16.0 / (2 * n)
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        total = float(np.sum(gmm_pdf(model, pts))) * (19.0 / n) * (16.0 / n)
+        total = float(np.sum(_log_density(model, pts))) * (19.0 / n) * (16.0 / n)
         assert abs(total - 1.0) < 0.02
 
 
@@ -127,23 +122,6 @@ class TestGmmFit:
     def test_too_few_samples(self):
         with pytest.raises(ValidationError):
             gmm_fit(np.zeros((5, 2)), K=2, seed=0)
-
-
-class TestGmmSample:
-    def test_seed_repeat_identical(self):
-        model = _single_gaussian([1.0, 2.0], np.eye(2))
-        assert np.array_equal(gmm_sample(model, seed=5), gmm_sample(model, seed=5))
-
-    def test_floor_covariance_sticks_to_mean(self):
-        model = _single_gaussian([3.0, -1.0], 1e-8 * np.eye(2))
-        draw = gmm_sample(model, seed=11)
-        assert np.max(np.abs(draw - [3.0, -1.0])) < 1e-3
-
-    def test_moments_within_clt_bounds(self):
-        model = _single_gaussian([0.0], [[1.0]])
-        draws = gmm_sample(model, seed=99, n=10_000)
-        assert abs(float(np.mean(draws))) < 0.03  # 3 / sqrt(1e4)
-        assert abs(float(np.var(draws)) - 1.0) < 0.05
 
 
 def _lu_log_gaussian(x, mean, cov):
@@ -332,30 +310,30 @@ class TestLibraryInputs:
             gmm_fit(_two_clusters(), K=K, seed=0)
 
 
-    @pytest.mark.parametrize("x", [np.zeros((2, 2, 2)), 0.0, np.zeros(3), np.zeros((4, 1))])
-    def test_gmm_pdf_refuses_an_x_that_is_not_d_or_n_by_d(self, x):
-        model = _single_gaussian([0.0, 0.0], np.eye(2))
-        with pytest.raises(ValidationError, match=r"^x must be \(2,\) or \(n, 2\), got shape"):
-            gmm_pdf(model, x)
-
     @pytest.mark.parametrize("n, dim, name", [(-1, 2, "n"), (1.5, 2, "n"), (0, 2, "n"), (3, 0, "dim"),
                                               (3, True, "dim")])
     def test_action_grid_takes_counts(self, n, dim, name):
         with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1"):
             action_grid(-1.0, 1.0, n, dim=dim)
 
-    @pytest.mark.parametrize("n", [-1, 0, 1.5, True])
-    def test_gmm_sample_takes_none_or_a_count(self, n):
-        model = _single_gaussian([1.0, 2.0], np.eye(2))
-        with pytest.raises(ValidationError, match="^n must be an integer >= 1"):
-            gmm_sample(model, seed=5, n=n)
-        assert gmm_sample(model, seed=5, n=1).shape == (1, 2)
-
     @pytest.mark.parametrize("x", [np.zeros(2), np.zeros(4), np.zeros((1, 3))])
     def test_ebm_argmin_refuses_an_x_of_another_length(self, x):
         p = EnergyParams(W=np.eye(2), L=np.zeros((2, 3)), b=np.zeros(2))
         with pytest.raises(ValidationError, match=r"^x must be \(3,\), got shape"):
             ebm_argmin(p, x, action_grid(-1.0, 1.0, 3))
+
+    @pytest.mark.parametrize("n_cond", [-1, 0, 4])
+    def test_gmm_conditioner_refuses_a_slice_that_is_not_a_proper_head(self, n_cond):
+        model = _single_gaussian(np.zeros(4), np.eye(4))
+        with pytest.raises(ValidationError, match="^conditioning slice does not match the model dimension$"):
+            gmm_conditioner(model, n_cond)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_ebm_argmin_refuses_candidates_of_another_width(self, width):
+        p = EnergyParams(W=np.eye(2), L=np.zeros((2, 3)), b=np.zeros(2))
+        message = rf"^candidates must be a nonempty \(n, 2\) array, got shape \(4, {width}\)$"
+        with pytest.raises(ValidationError, match=message):
+            ebm_argmin(p, np.zeros(3), np.zeros((4, width)))
 
 
 def test_gmm_conditional_mean_tracks_regression_line():
@@ -374,6 +352,14 @@ def _random_state_actions(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     X = rng.normal(0.0, 1.5, size=(n, 4))
     U = X[:, 2:] * [-0.4, 0.3] + rng.normal(0.0, 0.2, size=(n, 2))
     return X, U
+
+
+def test_gmm_conditional_mean_of_equal_components_is_that_of_one():
+    cov = np.array([[1.0, 0.6], [0.6, 2.0]])
+    two = GmmModel(weights=np.array([0.5, 0.5]), means=np.array([[0.5, -1.0]] * 2), covariances=np.stack([cov, cov]))
+    one = _single_gaussian([0.5, -1.0], cov)
+    for x in (-1.3, 0.0, 0.7):
+        assert abs(gmm_conditional_mean(two, [x], 1)[0] - gmm_conditional_mean(one, [x], 1)[0]) < 1e-14
 
 
 class TestBatchedQueries:
@@ -485,21 +471,6 @@ class TestStateFeedbackPredictors:
 
 
 class TestEbm:
-    def test_energy_zero_at_minimizer(self):
-        p = EnergyParams(W=np.eye(2), L=np.array([[1.0, 0.0], [0.0, 1.0]]), b=np.zeros(2))
-        x = np.array([0.3, -0.4])
-        assert ebm_energy(p, x, ebm_minimizer(p, x)) == 0.0
-
-    def test_energy_unit_offset(self):
-        p = EnergyParams(W=np.eye(2), L=np.zeros((2, 2)), b=np.zeros(2))
-        assert abs(ebm_energy(p, np.zeros(2), [1.0, 0.0]) - 0.5) < 1e-15
-
-    def test_energy_scales_with_w(self):
-        p1 = EnergyParams(W=np.eye(2), L=np.zeros((2, 2)), b=np.zeros(2))
-        p2 = EnergyParams(W=2 * np.eye(2), L=np.zeros((2, 2)), b=np.zeros(2))
-        u = [0.7, -0.2]
-        assert abs(ebm_energy(p2, np.zeros(2), u) - 2 * ebm_energy(p1, np.zeros(2), u)) < 1e-15
-
     def test_argmin_returns_grid_member_and_respects_ties(self):
         p = EnergyParams(W=np.eye(1), L=np.zeros((1, 1)), b=np.zeros(1))
         # two candidates equidistant from the minimizer 0: tie -> lowest index
@@ -507,6 +478,26 @@ class TestEbm:
         assert ebm_argmin(p, [0.0], cands)[0] == 1.0
         with pytest.raises(ValidationError):
             ebm_argmin(p, [0.0], np.empty((0, 1)))
+
+    def test_argmin_picks_the_minimizer_when_it_is_a_candidate(self):
+        p = EnergyParams(W=np.eye(2), L=np.array([[1.0, 0.0], [0.0, 1.0]]), b=np.zeros(2))
+        x = np.array([0.3, -0.4])
+        cands = np.array([[0.3, -0.3], ebm_minimizer(p, x), [0.2, -0.4]])
+        assert ebm_argmin(p, x, cands).tobytes() == cands[1].tobytes()
+
+    def test_argmin_is_unchanged_by_scaling_w(self):
+        cands = np.random.default_rng(3).normal(size=(50, 2))
+        W = np.array([[2.0, 0.5], [0.5, 1.0]])
+        picks = [ebm_argmin(EnergyParams(W=s * W, L=np.zeros((2, 2)), b=np.array([0.2, -0.1])), np.zeros(2), cands)
+                 for s in (1.0, 2.0, 1e3)]
+        assert all(pick.tobytes() == picks[0].tobytes() for pick in picks)
+
+    def test_argmin_weighs_the_residual_by_w(self):
+        # [1, 0] is farther from the minimizer 0 than [0, 0.2], but W makes the second coordinate dearer
+        cands = np.array([[0.0, 0.2], [1.0, 0.0]])
+        for W, want in ((np.eye(2), 0), (np.diag([1.0, 100.0]), 1)):
+            p = EnergyParams(W=W, L=np.zeros((2, 2)), b=np.zeros(2))
+            assert ebm_argmin(p, np.zeros(2), cands).tobytes() == cands[want].tobytes()
 
     def test_argmin_grid_within_half_spacing(self):
         p = EnergyParams(W=np.eye(2), L=np.zeros((2, 2)), b=np.array([0.1, -0.2]))

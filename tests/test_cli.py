@@ -476,14 +476,15 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("theta, group", [
-        ("1,0.5,-0.2", "'1,0.5,-0.2'"), ("1,0,0;0,-1,0;0,0,1", "'0,-1,0'"),
+    @pytest.mark.parametrize("theta, message", [
+        ("1,0.5,-0.2", "weight group '1,0.5,-0.2': weights must be nonnegative, got [1.0, 0.5, -0.2]"),
+        ("1,0,0;0,-1,0;0,0,1", "weight group '0,-1,0': weights must be nonnegative, got [0.0, -1.0, 0.0]"),
     ])
-    def test_negative_theta_exits_2_naming_the_group(self, tmp_path, capsys, theta, group):
+    def test_negative_theta_exits_2_naming_the_group(self, tmp_path, capsys, theta, message):
         rc = main(["synth", str(tmp_path / "out.traj"), "--preset", "intersection_k3",
                    f"--theta={theta}", "--n", "1"])
         assert rc == 2
-        assert f"weight group {group} has a negative weight" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out.traj").exists()
 
 
@@ -887,7 +888,8 @@ class TestEval:
         rc = main(["eval", str(demos), "--baseline", "mairl",
                    "--theta", str(theta), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
-        assert f"weight file {theta}: 'thetas' row 1 has a negative weight" in capsys.readouterr().err
+        assert (f"weight file {theta}: 'thetas' row 1: weights must be nonnegative, got [1.0, 0.5, -0.2]"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("rows, message", [

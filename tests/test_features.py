@@ -308,9 +308,15 @@ def test_proximity_monotone_in_pairwise_distance():
     assert farther < base
 
 
-def test_theta_projection():
-    th = CostParams(np.array([-0.5, 0.2, 0.0])).project_nonneg()
-    assert th.weights.tolist() == [0.0, 0.2, 0.0]
+@pytest.mark.parametrize("weights", [[-0.5, 0.2, 0.0], [1.0, -1e-300, 0.0]])
+def test_a_negative_weight_is_refused(weights):
+    with pytest.raises(ValidationError, match=re.escape(f"weights must be nonnegative, got {weights}")):
+        CostParams(np.array(weights))
+
+
+def test_a_negative_zero_weight_passes():
+    th = CostParams(np.array([-0.0, 0.2, 0.0]))
+    assert th.weights.tolist() == [0.0, 0.2, 0.0] and np.signbit(th.weights[0])
 
 
 @pytest.mark.parametrize("weights", [[[1.0, 2.0, 3.0]], [[1.0], [2.0], [3.0]], 1.0])

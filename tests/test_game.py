@@ -850,7 +850,8 @@ def test_set_thetas_takes_one_weight_vector_per_agent(intersection_spec, theta_s
         game.set_thetas([other] * count)
     with pytest.raises(ValidationError, match="^weight vectors must be CostParams$"):
         game.set_thetas([other, other, other.weights])
-    assert game.costs is costs and game.thetas == list(theta_star)
+    assert game.costs is costs
+    assert np.array_equal(game.costs.weights, [t.weights for t in theta_star])
 
 
 def _masked_inverse(M):
@@ -1126,6 +1127,32 @@ def test_policy_sequence_validates_and_freezes_arrays():
     ):
         with pytest.raises(ValidationError):
             PolicySequence(**{**good, **override})
+
+
+def test_a_repaired_near_symmetric_covariance_builds_policies_and_an_asymmetric_one_is_refused():
+    # the repair and PolicySequence share one symmetry rule, relative to the largest entry
+    good = dict(K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), nominal_states=np.zeros((2, 4)))
+    repaired = condition_covariance(np.array([[2e6, 1.0], [1.0 + 1e-5, 3e6]]), 1e-6)
+    assert PolicySequence(Sigma=repaired[None, None], **good).Sigma.tobytes() == repaired.tobytes()
+    with pytest.raises(ValidationError, match="^Sigma must be symmetric$"):
+        PolicySequence(Sigma=np.array([[[[1.0, 0.1], [0.0, 1.0]]]]), **good)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_min_eigenvalue_and_policies_share_one_symmetry_tolerance(scale):
+    # an asymmetry of 1e-9 * max(1, the largest |entry|) passes both; twice that is refused by both
+    good = dict(K=np.zeros((1, 1, 2, 4)), kff=np.zeros((1, 1, 2)), nominal_states=np.zeros((2, 4)))
+    tol = 1e-9 * max(1.0, 2.0 * scale)
+    for skew, passes in ((0.5 * tol, True), (2.0 * tol, False)):
+        sigma = np.array([[2.0 * scale, 0.0], [skew, scale]])
+        if passes:
+            assert min_eigenvalue(sigma) > 0.0
+            PolicySequence(Sigma=sigma[None, None], **good)
+            continue
+        with pytest.raises(ValidationError, match="^matrix is not symmetric within tolerance$"):
+            min_eigenvalue(sigma)
+        with pytest.raises(ValidationError, match="^Sigma must be symmetric$"):
+            PolicySequence(Sigma=sigma[None, None], **good)
 
 
 def test_unconditioned_covariance_is_reported_with_its_stage():

@@ -288,7 +288,7 @@ def test_training_game_refits_under_the_training_clamp(intersection_spec, theta_
 # the sweep) and the single-agent loop as it was before both learners shared
 # one feature-matching loop.
 def _reference_update(trace, sweep, agent, theta, gap, beta, policies):
-    theta_new = CostParams(theta.weights + beta * gap).project_nonneg()
+    theta_new = CostParams(np.maximum(theta.weights + beta * gap, 0.0))
     trace.records.append(IterationRecord(
         sweep=sweep, agent=agent, theta_before=theta.weights.copy(),
         theta_after=theta_new.weights.copy(), gap=gap, gap_norm=float(np.linalg.norm(gap)),
@@ -344,11 +344,16 @@ def _reference_single_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
     (single_agent_maxent_irl, _reference_single_agent_irl),
 ], ids=["mairl", "sairl"])
 def test_shared_loop_equals_the_separate_loops_bit_for_bit(
-    intersection_spec, theta_star, train, reference
+    monkeypatch, intersection_spec, theta_star, train, reference
 ):
     demos = synth_generate(theta_star, intersection_spec, 5, seed=17, solver_cfg=QUIET_SOLVER)
     cfg = _cfg(max_iters=3, M=4)
+    calls, set_thetas = [], Game.set_thetas
+    monkeypatch.setattr(Game, "set_thetas",
+                        lambda game, thetas: calls.append(len(thetas)) or set_thetas(game, thetas))
     got, trace = train(demos, intersection_spec, cfg)
+    monkeypatch.undo()
+    assert calls == [intersection_spec.k] * 3  # the game takes every agent's weights once per sweep
     ref, ref_trace = reference(demos, intersection_spec, cfg)
     got = got if isinstance(got, list) else [got]
     assert [t.weights.tobytes() for t in got] == [t.weights.tobytes() for t in ref]

@@ -244,7 +244,7 @@ def _dense_expansion(model, nominal):
     states = nominal.states[0]
     T, k, i = nominal.horizon, model.k, model.agent
     s2 = model.sigma * model.sigma
-    w_goal, w_prox, _ = model.theta.weights
+    w_goal, w_prox, _ = model.weights
     pos = states.reshape(T + 1, k, 4)[..., :2]
     r = pos[:, i : i + 1] - pos
     e = np.exp(-np.sum(r * r, axis=-1) / s2)
@@ -335,7 +335,7 @@ def test_cost_pattern_is_fixed_by_k_and_agent(make_ring_spec, k):
             assert not e.rows.flags.writeable and not e.cols.flags.writeable
             # fill is the dense feature terms weighted, bit for bit, zeros and their signs too
             aug = dense_feature_terms(model, nominal)
-            w_goal, w_crowd, _ = model.theta.weights
+            w_goal, w_crowd, _ = model.weights
             ref = (w_goal * aug[0] + w_crowd * aug[1]) / (nominal.horizon + 1)
             ref[:-1, n, n] += e.R[0] * np.sum(e.controls[:, 0] * e.controls[:, 0], axis=-1)
             out = np.full((nominal.horizon + 1, 1, n + 1, n + 1), np.nan)
@@ -411,7 +411,7 @@ def test_the_filled_stack_is_symmetric_by_construction(crowd):
     assert np.all(np.isfinite(out))
     assert out.tobytes() == np.ascontiguousarray(np.swapaxes(out, 2, 3)).tobytes()
     for i in range(k):
-        aug = dense_feature_terms(AgentCost(CostParams(weights[i]), i, goals[i], k, T, sigma), nominal)
+        aug = dense_feature_terms(AgentCost(weights[i], i, goals[i], k, T, sigma), nominal)
         w_goal, w_crowd, w_effort = weights[i]
         ref = (w_goal * aug[0] + w_crowd * aug[1]) / (T + 1)
         controls = nominal.controls[0, :, i]
@@ -430,6 +430,16 @@ def test_the_stack_reweighted_is_the_stack_expanded_at_those_weights(make_ring_s
         fresh = expand_model_along(nominal, agents, spec.goals[agents], spec.sigma, w2[agents])
         for got, want in zip((*dense_arrays(again), again.R, again.r), (*dense_arrays(fresh), fresh.R, fresh.r)):
             assert got.tobytes() == want.tobytes()
+
+
+def test_the_stack_keeps_a_read_only_copy_of_its_weights(intersection_spec):
+    nominal = constant_velocity_rollout(intersection_spec)
+    w = np.array([[1.0, 0.5, 0.2], [2.0, 0.0, 0.3], [0.5, 1.5, 1.0]])
+    e = expand_model_along(nominal, range(3), intersection_spec.goals, 1.5, w)
+    w[0, 0] = 9.0
+    assert e.weights.tolist() == [[1.0, 0.5, 0.2], [2.0, 0.0, 0.3], [0.5, 1.5, 1.0]]
+    assert not e.weights.flags.writeable
+    assert e.reweighted(w).weights.tobytes() == w.tobytes()
 
 
 def test_the_stack_refuses_weights_and_outs_of_another_shape(intersection_spec):
@@ -469,7 +479,7 @@ def test_expansion_matches_oracle_and_is_linear_in_theta(scene, w1, w2, sigma, a
     nominal, agent, goal = scene
 
     def model(w):
-        return AgentCost(theta=CostParams(w), agent=agent, goal=goal, k=nominal.k,
+        return AgentCost(weights=w, agent=agent, goal=goal, k=nominal.k,
                          horizon=nominal.horizon, sigma=sigma)
 
     def parts(e):  # Q, q, c, R, r
