@@ -18,8 +18,11 @@ the sweep. Where that curvature loses positive definiteness (near-straight
 nominals) the covariance is repaired by the smallest uniform diagonal shift
 that restores a configurable eigenvalue floor, trading modeled decision
 randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 2)
-stack, whose repaired stages the diagnostics record. That pass's screen forms
-every stage's Cholesky factor, and `PolicySequence` forms it again for sampling.
+stack, whose repaired stages the diagnostics record. Closed-form 2x2 screens
+run first: where no stage is near-singular, short of the floor or without a
+Cholesky factor, the stack is inverted and factored once and the policies
+hold those arrays uncopied; otherwise that exact pass runs, with the
+public `PolicySequence` checks, and factors each covariance again for sampling.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 constant-velocity nominal, the stack of all agents' expansions along the
@@ -75,6 +78,8 @@ from .trajectory import (
 
 MAX_GAIN_CONDITION = 1e12
 PINV_CUTOFF = 1e-10
+DET_CUTOFF = 1e-300  # |det| below which `_robust_inverse` takes the pseudo-inverse
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 FEEDBACK_TILE = 8  # rollout rows per feedback GEMM (see _rollout_batch)
 
 
@@ -125,6 +130,8 @@ class PolicySequence:
     K (T, k, 2, 4k), kff (T, k, 2), Sigma (T, k, 2, 2) symmetric,
     nominal_states (T+1, 4k). All four arrays are read-only copies; L, set here and not an
     argument, is the read-only Cholesky factor of each Sigma[t, i] that every rollout reads.
+    A solve's policies hold the solve's own fresh arrays instead, not copies, and its factor L
+    (`solve_lq_game` hands them on once its screens have passed; see `_of_solve`).
     """
 
     K: np.ndarray
@@ -152,9 +159,7 @@ class PolicySequence:
             raise ValidationError(
                 f"nominal_states must be ({T + 1}, {n}), got {nominal.shape}"
             )
-        for name, arr in (("K", K), ("kff", kff), ("Sigma", Sigma)):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"PolicySequence.{name} contains non-finite values")
+        _refuse_non_finite(K=K, kff=kff, Sigma=Sigma)
         if not _symmetric(Sigma):
             raise ValidationError("Sigma must be symmetric")
         try:
@@ -163,7 +168,24 @@ class PolicySequence:
             t, i = np.argwhere(~_has_cholesky(Sigma))[0]
             raise ValidationError(f"Sigma at (t={t}, agent={i}) has no Cholesky factor; "
                                   "repair it with condition_covariance") from None
-        for name, arr in zip(("K", "kff", "Sigma", "nominal_states", "L"), (K, kff, Sigma, nominal, L)):
+        self._hold(K, kff, Sigma, nominal, L)
+
+    @classmethod
+    def _of_solve(cls, K, kff, Sigma, nominal_states, diagnostics, L) -> "PolicySequence":
+        """The policies of a solve, holding its fresh arrays as they are: no copy, no second factor.
+
+        The solve has made the shapes, the symmetric, screened Sigma and its
+        factor L; a non-finite K or kff, which overflowing weights give, is still refused.
+        """
+        _refuse_non_finite(K=K, kff=kff)
+        self = object.__new__(cls)
+        object.__setattr__(self, "diagnostics", diagnostics)
+        self._hold(K, kff, Sigma, nominal_states, L)
+        return self
+
+    def _hold(self, K, kff, Sigma, nominal_states, L) -> None:
+        """Hold the five arrays, read-only."""
+        for name, arr in zip(("K", "kff", "Sigma", "nominal_states", "L"), (K, kff, Sigma, nominal_states, L)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -174,6 +196,13 @@ class PolicySequence:
     @property
     def horizon(self) -> int:
         return self.K.shape[0]
+
+
+def _refuse_non_finite(**arrays: np.ndarray) -> None:
+    """ValidationError naming the first of the policy arrays given that holds a non-finite value."""
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"PolicySequence.{name} contains non-finite values")
 
 
 def _symmetric(M: np.ndarray) -> bool:
@@ -361,18 +390,76 @@ def solve_lq_game(
         P += Z
         np.multiply(np.add(P, Pt, Z), 0.5, Z)
 
-    K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n)
+    K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n).copy()
     kff_out = nominal.controls[0] - gains_out[..., n].reshape(T, k, CONTROL_DIM)
-    # Nothing in the recursion reads the covariances, so they are formed and
-    # repaired for all stages at once; repairs are logged in recursion order.
-    Sigma = cfg.entropy_temp * _robust_inverse(Huu_out)
-    Sigma, repaired, shift = _repair(0.5 * (Sigma + np.swapaxes(Sigma, -1, -2)), cfg.eps_psd)
+    return _policies(K_out, kff_out, Huu_out, cfg, nominal.states[0])
+
+
+def _policies(K: np.ndarray, kff: np.ndarray, Huu: np.ndarray, cfg: SolverConfig,
+              nominal_states: np.ndarray) -> PolicySequence:
+    """A solve's policies, each covariance the tempered inverse of its stage's curvature Huu (T, k, 2, 2).
+
+    Nothing in the recursion reads the covariances, so they are formed for
+    all stages at once. Where the closed-form screens pass every stage and
+    the stack has a Cholesky factor, it is inverted and factored once and
+    the policies hold these arrays. Otherwise the exact path runs:
+    `_robust_inverse`, `_repair` (whose repairs are logged in recursion
+    order) and the public constructor. Where the screens pass, the two give the same bits.
+    """
+    T, k = Huu.shape[:2]
     diag = SolverDiagnostics(horizon=T, k=k)
+    if _inverse_screen(Huu):
+        Sigma = cfg.entropy_temp * np.linalg.inv(Huu)
+        Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
+        if _floor_screen(Sigma, cfg.eps_psd):
+            try:
+                L = np.linalg.cholesky(Sigma)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                return PolicySequence._of_solve(K, kff, Sigma, nominal_states, diag, L)
+    Sigma = cfg.entropy_temp * _robust_inverse(Huu)
+    Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
+    finite = np.isfinite(Sigma).all(axis=(-2, -1))
+    if not finite.all():
+        t, i = np.argwhere(~finite)[0]
+        raise ValidationError(f"entropy_temp {cfg.entropy_temp!r} gives a non-finite policy "
+                              f"covariance at (t={t}, agent={i})")
+    Sigma, repaired, shift = _repair(Sigma, cfg.eps_psd)
     for t_rev, i in np.argwhere(repaired[::-1]):
         t = T - 1 - int(t_rev)
         diag.events.append((t, int(i), float(shift[t, i])))
+    return PolicySequence(K, kff, Sigma, nominal_states, diag)
 
-    return PolicySequence(K_out, kff_out, Sigma, nominal.states[0], diag)
+
+def _inverse_screen(M: np.ndarray) -> bool:
+    """Whether every symmetric 2x2 member of M (..., 2, 2) clears `_robust_inverse`'s determinant cutoff with room.
+
+    Each closed-form determinant a*c - b*b must be at least twice the cutoff
+    and 2**-20 of a*c: past that bound the cancellation is mild, and it and
+    LAPACK's LU determinant are within a relative 1e-9 of the exact value,
+    so every member takes the plain inverse. An indefinite or non-finite member fails.
+    """
+    ac = M[..., 0, 0] * M[..., 1, 1]
+    det = ac - M[..., 0, 1] * M[..., 0, 1]
+    return np.min(det - np.maximum(2.0**-20 * ac, 2.0 * DET_CUTOFF)) >= 0.0
+
+
+def _floor_screen(S: np.ndarray, eps_psd: float) -> bool:
+    """Whether every symmetric 2x2 member of S (..., 2, 2) clears the floor with room: no shift, a Cholesky factor.
+
+    The closed-form smallest eigenvalue s - hypot((a-c)/2, b), s = (a+c)/2,
+    formed from halves so that nothing overflows, must clear eps_psd by
+    5e-13 s plus the smallest normal float. Where it is positive,
+    |a| + |b| + |c| <= 5 s, so the room is at least 1e-13 (|a| + |b| + |c|),
+    some 450 ulps of the entries: more than the rounding of this formula,
+    of `eigvalsh` and of the factor's pivot c - b^2/a. A non-finite member fails.
+    """
+    a, b, c = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    ha, hc = 0.5 * a, 0.5 * c
+    s = ha + hc
+    lam = s - np.hypot(ha - hc, b)
+    return np.min(lam - 5e-13 * s) >= eps_psd + _TINY
 
 
 def _check_gain_condition(S: np.ndarray, X: np.ndarray, t: int) -> None:
@@ -389,7 +476,7 @@ def _check_gain_condition(S: np.ndarray, X: np.ndarray, t: int) -> None:
 
 def _robust_inverse(M: np.ndarray) -> np.ndarray:
     """Inverses of a stack of matrices; singular ones get a cutoff pseudo-inverse."""
-    ok = np.abs(np.linalg.det(M)) >= 1e-300
+    ok = np.abs(np.linalg.det(M)) >= DET_CUTOFF
     # singular members are inverted as the identity, then overwritten
     out = np.linalg.inv(np.where(ok[..., None, None], M, np.eye(M.shape[-1])))
     for i in zip(*np.nonzero(~ok)):

@@ -83,10 +83,19 @@ def clamp_control(u: np.ndarray, u_max: float, out: np.ndarray | None = None) ->
     """
     u_max = check_u_max(u_max)
     u = np.asarray(u, dtype=float)
+    return _clamp(u, u_max, out, np.empty(u.shape), np.empty(u.shape[:-1]))
+
+
+def _clamp(u: np.ndarray, u_max: float, out: np.ndarray | None, sq: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """clamp_control of a float u at a checked u_max, its squares and scales formed in sq and scale.
+
+    sq (..., 2) and scale (...) are the shape u broadcasts to; a caller
+    clamping every step of a set passes the same two each time.
+    """
     if u_max == math.inf:  # inf / inf would be NaN; no norm exceeds it, so the scale is 1.0
         return np.multiply(u, 1.0, out)
-    sq = u * u
-    scale = np.add(sq[..., 0], sq[..., 1], np.empty(u.shape[:-1]))  # then ||u||, then the scale, in place
+    np.multiply(u, u, sq)
+    np.add(sq[..., 0], sq[..., 1], scale)  # then ||u||, then the scale, in place
     np.sqrt(scale, scale)
     np.maximum(scale, u_max, out=scale)  # a positional out of np.maximum is deprecated
     np.divide(u_max, scale, scale)
@@ -97,11 +106,12 @@ def _halves(states: np.ndarray) -> tuple[np.ndarray, ...]:
     """Contiguous copies p, v (..., k, 2) of the position and velocity columns of states (..., 4k).
 
     With them come their views (..., k) as complex128, one 16-byte (x, y)
-    pair per agent, so that copying the pairs moves their bytes unchanged.
+    pair per agent, so that copying the pairs moves their bytes unchanged,
+    and a scratch array of p's shape for the step's products.
     """
     s = states.reshape(states.shape[:-1] + (states.shape[-1] // STATE_DIM, STATE_DIM))
     p, v = s[..., :2].copy(), s[..., 2:].copy()
-    return p, v, p.view(np.complex128)[..., 0], v.view(np.complex128)[..., 0]
+    return p, v, p.view(np.complex128)[..., 0], v.view(np.complex128)[..., 0], np.empty_like(p)
 
 
 def propagate_joint(
@@ -114,12 +124,14 @@ def propagate_joint(
     """Vectorized step: states (..., 4k), controls (..., k, 2) -> (..., 4k), or into a C-contiguous out.
 
     The step advances contiguous position and velocity halves p, v (..., k, 2)
-    in place, as p + v*dt + 0.5*u*dt*dt and v + u*dt in that order, then
-    interleaves them: the result, read as complex128, holds agent j's (x, y)
-    position pair at 2j and its velocity pair at 2j + 1, and two copies of
-    16-byte pairs fill it bit for bit. Without `halves` they are copies of
-    states' columns; a caller stepping one set passes its own `_halves` of
-    states, formed once, and they hold the next state's columns afterwards.
+    in place, as p + v*dt + 0.5*u*dt*dt and v + u*dt in that order, each
+    product formed in one scratch array of p's shape, then interleaves them:
+    the result, read as complex128, holds agent j's (x, y) position pair at
+    2j and its velocity pair at 2j + 1, and two copies of 16-byte pairs fill
+    it bit for bit. Without `halves` they are copies of states' columns and
+    a fresh scratch array; a caller stepping one set passes its own
+    `_halves` of states, formed once, and they hold the next state's columns
+    afterwards, so a step allocates no array memory.
     """
     states = np.asarray(states, dtype=float)
     controls = np.asarray(controls, dtype=float)
@@ -129,10 +141,12 @@ def propagate_joint(
         raise ValidationError(f"propagate_joint needs a C-contiguous float out of shape {states.shape}")
     if halves is None:
         halves = _halves(states)
-    p, v, p_pairs, v_pairs = halves
-    p += v * dt
-    p += 0.5 * controls * dt * dt
-    v += controls * dt
+    p, v, p_pairs, v_pairs, w = halves
+    p += np.multiply(v, dt, w)
+    np.multiply(0.5, controls, w)  # 0.5*u*dt*dt, multiplied left to right
+    np.multiply(w, dt, w)
+    p += np.multiply(w, dt, w)
+    v += np.multiply(controls, dt, w)
     pairs = out.view(np.complex128)
     pairs[..., 0::2] = p_pairs
     pairs[..., 1::2] = v_pairs
@@ -287,13 +301,15 @@ def rollout(
 
     Per step, act(t, states (n, 4k)) gives controls that broadcast to
     (n, k, 2), possibly in a buffer it reuses: they are clamped to u_max (> 0,
-    checked before the first step) into the step's own block and propagated
-    by one `propagate_joint` call for all n rows, which advances contiguous
-    position and velocity copies (n, k, 2) kept from step to step, their
-    (x, y) pair views formed once. Both arrays are kept time-major,
-    contiguous per step, and returned as transposed views; a RolloutSet
-    copies them into (n, T+1, ...) order. A tape fixed in advance needs no
-    loop: `integrate_controls` gives the same bits.
+    checked once, before the first step) into the step's own block and
+    propagated by one `propagate_joint` call for all n rows, which advances
+    contiguous position and velocity copies (n, k, 2) kept from step to
+    step, their (x, y) pair views formed once. The clamp's squares (n, k, 2)
+    and scales (n, k) and the step's products (the scratch array of the
+    halves) go into buffers made once per set, so no step allocates array memory.
+    Both arrays are kept time-major, contiguous per step, and returned as
+    transposed views; a RolloutSet copies them into (n, T+1, ...) order. A
+    tape fixed in advance needs no loop: `integrate_controls` gives the same bits.
     """
     u_max = check_u_max(u_max)
     x0 = np.asarray(x0, dtype=float)
@@ -302,9 +318,10 @@ def rollout(
     controls = np.empty((horizon, n, k, CONTROL_DIM))
     states[0] = x0
     halves = _halves(x0)  # kept equal to the columns of states[t], with their pair views
+    sq, scale = np.empty((n, k, CONTROL_DIM)), np.empty((n, k))
     for t in range(horizon):
-        clamp_control(act(t, states[t]), u_max, out=controls[t])
-        propagate_joint(states[t], controls[t], dt, out=states[t + 1], halves=halves)
+        _clamp(np.asarray(act(t, states[t]), dtype=float), u_max, controls[t], sq, scale)
+        propagate_joint(states[t], controls[t], dt, states[t + 1], halves)
     return np.swapaxes(states, 0, 1), np.swapaxes(controls, 0, 1)
 
 

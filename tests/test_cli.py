@@ -251,6 +251,25 @@ class TestConfig:
         assert f"{key} must be positive and finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train", "eval"])
+    def test_an_entropy_temp_whose_covariances_overflow_exits_2_naming_it(self, tmp_path, capsys, command):
+        # finite, so the config passes; min_eigenvalue used to refuse the solve's
+        # covariances as "matrix [0, 0] of the stack has a non-finite entry"
+        demos = _synth(tmp_path, n=2)
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"thetas": [[1.0, 0.5, 0.2]] * 3}))
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", str(out), "--n", "2"],
+            "train": ["train", str(demos), "--out", str(out)],
+            "eval": ["eval", str(demos), "--baseline", "mairl", "--theta", str(theta), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(["--entropy-temp", "1e308", "--iters", "1", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: entropy_temp 1e+308 gives a non-finite policy covariance at (t=0, agent=0)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["synth", "train", "eval"])
     def test_kernel_width_that_is_not_positive_exits_2(self, tmp_path, capsys, command, sigma):

@@ -13,15 +13,20 @@ from crowdirl.cli import scenario_preset
 from crowdirl.errors import InternalError, SolverError, ValidationError
 from crowdirl.features import CostParams, expected_features, state_features
 from crowdirl.game import (
+    DET_CUTOFF,
     FEEDBACK_TILE,
     MAX_GAIN_CONDITION,
     PINV_CUTOFF,
     Game,
     PolicySequence,
     SolverConfig,
+    SolverDiagnostics,
     _augmented_dynamics,
+    _floor_screen,
     _has_cholesky,
     _check_gain_condition,
+    _inverse_screen,
+    _policies,
     _robust_inverse,
     build_policies,
     condition_covariance,
@@ -1026,11 +1031,14 @@ def test_game_nominal_equals_the_stepped_zero_tape_bit_for_bit(preset, ring8_spe
     assert g.nominal.controls.tobytes() == controls[0].tobytes()
 
 
-def test_feedback_rollouts_step_through_propagate_joint_once_per_step(
-    monkeypatch, intersection_spec, theta_star
-):
-    # the traced trajectory.propagate span sits on this call: one per step of a rollout set
-    policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
+@pytest.mark.parametrize("spec", [scenario_preset("intersection_k3"), _ring_spec(8)],
+                         ids=["intersection_k3", "ring8"])
+@pytest.mark.parametrize("M", [1, 12])
+def test_feedback_rollouts_step_through_propagate_joint_once_per_step(monkeypatch, spec, M):
+    # the traced trajectory.propagate span sits on this call, read through the
+    # module binding: one per step of a rollout set, the step's buffers reused
+    policies = build_policies([CostParams(np.array([1.0, 0.5, 0.2]))] * spec.k, spec,
+                              SolverConfig(entropy_temp=1e-3))
     calls = []
 
     def counted(*args, **kwargs):
@@ -1038,12 +1046,11 @@ def test_feedback_rollouts_step_through_propagate_joint_once_per_step(
         return propagate_joint(*args, **kwargs)
 
     monkeypatch.setattr(trajectory_module, "propagate_joint", counted)
-    T = intersection_spec.horizon
-    sample_rollouts(policies, intersection_spec, 12, seed=3)
-    assert len(calls) == T
+    sample_rollouts(policies, spec, M, seed=3)
+    assert len(calls) == spec.horizon
     del calls[:]
-    mean_rollout(policies, intersection_spec)
-    assert len(calls) == T
+    mean_rollout(policies, spec)
+    assert len(calls) == spec.horizon
 
 
 def test_double_integrator_reference_blocks():
@@ -1177,8 +1184,8 @@ def test_policies_carry_the_read_only_factor_of_every_covariance(spec, theta, te
 
 
 def test_the_covariance_repair_has_one_path(monkeypatch, intersection_spec, theta_star):
-    # one stacked repair per solve, which alone decides it; one factor per
-    # policy, which rollouts read; no knob that nothing reads
+    # one stacked repair, run only where a screen fails, which alone decides
+    # it; one factor per policy, which rollouts read; no knob that nothing reads
     assert "dt" not in {f.name for f in fields(PolicySequence)}
     assert not hasattr(game_module, "_stage_cholesky")
     assert not {"speed", "heading"} & set(dir(AgentState))
@@ -1188,7 +1195,196 @@ def test_the_covariance_repair_has_one_path(monkeypatch, intersection_spec, thet
     repair = game_module._repair
     monkeypatch.setattr(game_module, "_repair", lambda *a: calls.append(a) or repair(*a))
     build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1.0))
+    assert calls == []  # every stage passes the screens
+    crowded = [CostParams(np.array([0.5, 8.0, 0.01]))] * 3
+    policies = build_policies(crowded, intersection_spec, SolverConfig(entropy_temp=1.0))
+    assert policies.diagnostics.conditioned_stages > 0
     assert len(calls) == 1 and calls[0][0].shape == (intersection_spec.horizon, 3, 2, 2)
+
+
+# --- the covariance stage: screens, one factor, policies handed on ------------
+
+
+def _exact_stage(K, kff, Huu, cfg, nominal_states):
+    """The covariance stage without its screens: `_robust_inverse`, `_repair` and the public constructor."""
+    T, k = Huu.shape[:2]
+    Sigma = cfg.entropy_temp * _robust_inverse(Huu)
+    Sigma, repaired, shift = game_module._repair(0.5 * (Sigma + np.swapaxes(Sigma, -1, -2)), cfg.eps_psd)
+    diag = SolverDiagnostics(horizon=T, k=k)
+    for t_rev, i in np.argwhere(repaired[::-1]):
+        t = T - 1 - int(t_rev)
+        diag.events.append((t, int(i), float(shift[t, i])))
+    return PolicySequence(K, kff, Sigma, nominal_states, diag)
+
+
+def _stage_inputs(Huu):
+    """Random K, kff and nominal states for a curvature stack Huu (T, k, 2, 2)."""
+    T, k = Huu.shape[:2]
+    rng = np.random.default_rng(T * k)
+    return (rng.standard_normal((T, k, 2, 4 * k)), rng.standard_normal((T, k, 2)),
+            rng.standard_normal((T + 1, 4 * k)))
+
+
+@pytest.mark.parametrize("spec", [scenario_preset("intersection_k3"), _ring_spec(8)],
+                         ids=["intersection_k3", "ring8"])
+def test_solved_policies_hold_the_public_constructors_bytes_in_arrays_of_their_own(monkeypatch, spec):
+    # every stage passes the screens: the stage factors once and hands its arrays on uncopied
+    costs, _, nominal = _expanded_scene(spec, (1.0, 0.5, 0.2))
+    handed = []
+    stage = game_module._policies
+    monkeypatch.setattr(game_module, "_policies", lambda *a: handed.append(a) or stage(*a))
+    policies = solve_lq_game(costs, SolverConfig(entropy_temp=1e-3), nominal=nominal)
+    assert policies.diagnostics.events == []
+    public = PolicySequence(policies.K, policies.kff, policies.Sigma, nominal.states[0])
+    names = ("K", "kff", "Sigma", "L", "nominal_states")
+    for name in names:
+        got = getattr(policies, name)
+        assert got.tobytes() == getattr(public, name).tobytes() and got.shape == getattr(public, name).shape
+        assert not got.flags.writeable
+    K, kff, Huu = handed[0][:3]
+    assert policies.K is K and policies.kff is kff  # held, not copied
+    owned = [getattr(policies, name) for name in names[:4]]
+    for i, arr in enumerate(owned):  # each its own allocation: no view of a buffer of the solve
+        assert arr.base is None and not np.shares_memory(arr, Huu)
+        assert not any(np.shares_memory(arr, other) for other in owned[i + 1:])
+    assert policies.nominal_states.tobytes() == nominal.states[0].tobytes()
+
+
+def test_an_unrepaired_solve_factors_once_and_skips_the_public_checks(monkeypatch, intersection_spec,
+                                                                      theta_star):
+    counts = {"cholesky": 0, "post_init": 0}
+    cholesky, post_init = np.linalg.cholesky, PolicySequence.__post_init__
+
+    def counted_cholesky(*args, **kwargs):
+        counts["cholesky"] += 1
+        return cholesky(*args, **kwargs)
+
+    def counted_post_init(self):
+        counts["post_init"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(PolicySequence, "__post_init__", counted_post_init)
+    policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
+    assert policies.diagnostics.conditioned_stages == 0
+    assert counts == {"cholesky": 1, "post_init": 0}
+    # a repaired stage sends the stack down the exact path, public constructor and all
+    crowded = [CostParams(np.array([0.5, 8.0, 0.01]))] * 3
+    assert build_policies(crowded, intersection_spec, SolverConfig(entropy_temp=1.0)).diagnostics.events
+    assert counts["post_init"] == 1 and counts["cholesky"] > 1
+
+
+_PASSING = [[2.0, 0.5], [0.5, 1.0]]
+# members among passing ones at eps_psd 1e-6, each with the first screen it fails
+_FAILING = [
+    ([[1.0, 2.0], [2.0, 1.0]], "inverse"),  # indefinite: a negative determinant
+    ([[-1.0, 0.0], [0.0, -2.0]], "floor"),  # negative definite
+    ([[1e-150, 0.0], [0.0, 1e-150]], "inverse"),  # |det| 1e-300, at the cutoff
+    ([[1e-150, 0.0], [0.0, 2.5e-151]], "inverse"),  # below it: the pseudo-inverse
+    ([[1e-150, 0.0], [0.0, 2.1e-150]], "none"),  # just clear of the screen: 1e150 covariances
+    ([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]], "inverse"),  # near-singular by cancellation
+    ([[1e6 * (1.0 - 1e-12), 0.0], [0.0, 1.0]], "floor"),  # just above the floor, not shifted
+    ([[1e6 * (1.0 + 1e-12), 0.0], [0.0, 1.0]], "floor"),  # just below it, shifted
+]
+
+
+@pytest.mark.parametrize("member, fails", _FAILING)
+def test_a_stack_failing_a_screen_takes_the_exact_path_bit_for_bit(member, fails):
+    Huu = np.tile(np.array(_PASSING), (3, 4, 1, 1))
+    Huu[1, 2] = member
+    cfg = SolverConfig(eps_psd=1e-6)
+    K, kff, nominal = _stage_inputs(Huu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got, ref = _policies(K, kff, Huu, cfg, nominal), _exact_stage(K, kff, Huu, cfg, nominal)
+        sigma = cfg.entropy_temp * np.linalg.inv(np.array(member))
+        passes = {"inverse": _inverse_screen(np.array(member)),
+                  "floor": _floor_screen(0.5 * (sigma + sigma.T), cfg.eps_psd)}
+    assert passes["inverse"] == (fails != "inverse")
+    assert passes["floor"] == (fails == "none") or fails == "inverse"
+    for name in ("K", "kff", "Sigma", "L", "nominal_states"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert got.diagnostics.events == ref.diagnostics.events
+
+
+def test_topped_up_members_take_the_exact_path_bit_for_bit():
+    # at a 1e-18 floor the shift 1 + 1e-18 of an eigenvalue -1 rounds to 1,
+    # which leaves a singular covariance; `_repair` tops each such member up
+    eps = 1e-18
+    Huu = np.tile(np.array(_PASSING), (2, 3, 1, 1))
+    Huu[0, 1] = [[1.0, 0.0], [0.0, -1.0]]
+    Huu[1, 2] = [[1.0, 2.0], [2.0, 1.0]]
+    cfg = SolverConfig(eps_psd=eps)
+    K, kff, nominal = _stage_inputs(Huu)
+    got, ref = _policies(K, kff, Huu, cfg, nominal), _exact_stage(K, kff, Huu, cfg, nominal)
+    assert got.Sigma.tobytes() == ref.Sigma.tobytes() and got.L.tobytes() == ref.L.tobytes()
+    assert got.diagnostics.events == ref.diagnostics.events
+    assert [(t, i) for t, i, _ in got.diagnostics.events] == [(1, 2), (0, 1)]
+    raw = cfg.entropy_temp * np.linalg.inv(Huu[0, 1])
+    assert got.Sigma[0, 1, 0, 0] - raw[0, 0] > max(0.0, eps - min_eigenvalue(raw))  # beyond the plain shift
+
+
+def test_an_overflowing_entropy_temp_is_refused_naming_it_and_the_first_stage(intersection_spec, theta_star):
+    # min_eigenvalue used to refuse it as "matrix [0, 0] of the stack has a non-finite entry"
+    with pytest.raises(ValidationError, match=r"^entropy_temp 1e\+308 gives a non-finite policy "
+                                              r"covariance at \(t=0, agent=0\)$"):
+        build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e308))
+    Huu = np.tile(np.eye(2), (4, 3, 1, 1))
+    Huu[3, 0] = Huu[2, 1] = 1e-10 * np.eye(2)  # covariances 1e310 at temperature 1e300
+    K, kff, nominal = _stage_inputs(Huu)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValidationError, match=r"^entropy_temp 1e\+300 gives a non-finite policy covariance "
+                                   r"at \(t=2, agent=1\)$"):
+        _policies(K, kff, Huu, SolverConfig(entropy_temp=1e300), nominal)
+
+
+def test_policies_handed_on_still_refuse_non_finite_gains():
+    # every stage passes the screens, so the hand-off alone checks K and kff: overflowing weights end there
+    Huu = np.tile(np.array(_PASSING), (2, 3, 1, 1))
+    K, kff, nominal = _stage_inputs(Huu)
+    for name in ("K", "kff"):
+        gains = {"K": K.copy(), "kff": kff.copy()}
+        gains[name].flat[5] = np.inf
+        with pytest.raises(ValidationError, match=f"^PolicySequence.{name} contains non-finite values$"):
+            _policies(gains["K"], gains["kff"], Huu, SolverConfig(), nominal)
+
+
+@st.composite
+def _symmetric_2x2(draw):
+    """(S, eps_psd): a symmetric 2x2 matrix at a scale from 1e-200 to 1e200 and a floor near its eigenvalues."""
+    scale = 10.0 ** draw(st.integers(-200, 200))
+    unit, positive = st.floats(-2.0, 2.0), st.floats(1e-3, 2.0)
+    kind = draw(st.sampled_from(["entries", "correlated", "eigenvalues", "floor", "rank_one"]))
+    eps = scale * 10.0 ** draw(st.integers(-20, 1)) * draw(st.floats(0.5, 2.0))
+    if kind == "entries":
+        a, b, c = (draw(unit) * scale for _ in range(3))
+    elif kind == "correlated":  # positive diagonal, |correlation| < 1: definite, some nearly singular
+        a, c = draw(positive) * scale, draw(positive) * scale * 10.0 ** draw(st.integers(-10, 10))
+        b = draw(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)) * math.sqrt(a) * math.sqrt(c)
+    elif kind == "eigenvalues":  # rotated eigenvalues, near-singular and near the floor among them
+        lam = [draw(st.sampled_from([eps, draw(positive) * scale, draw(unit) * scale * 1e-14])) for _ in range(2)]
+        angle = draw(st.floats(0.0, math.pi))
+        R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        S = R @ np.diag(lam) @ R.T
+        a, b, c = S[0, 0], 0.5 * (S[0, 1] + S[1, 0]), S[1, 1]
+    elif kind == "floor":  # a diagonal entry within a few ulps of the floor
+        a = eps + draw(st.integers(-4, 4)) * np.spacing(eps)
+        b, c = draw(unit) * eps * 10.0 ** draw(st.integers(-20, 0)), draw(st.floats(0.5, 1e6)) * eps
+    else:  # a rounded rank-one matrix, nudged by a few ulps
+        x, y = draw(unit) * math.sqrt(scale), draw(unit) * math.sqrt(scale)
+        a, b, c = x * x, x * y, y * y + draw(st.integers(-4, 4)) * np.spacing(y * y)
+    return np.array([[a, b], [b, c]]), eps
+
+
+@settings(deadline=None, max_examples=400)
+@given(drawn=_symmetric_2x2())
+def test_the_screens_pass_no_member_the_exact_path_would_treat_otherwise(drawn):
+    S, eps = drawn
+    with np.errstate(all="ignore"):
+        if _inverse_screen(S[None]):  # `_robust_inverse` inverts it, not its pseudo-inverse
+            assert abs(np.linalg.det(S)) >= DET_CUTOFF
+        if _floor_screen(S[None], eps):  # `_repair` leaves it as it is, and it has a factor
+            assert not game_module._repair(S, eps)[1] and _has_cholesky(S)
+            np.linalg.cholesky(S)
 
 
 @pytest.mark.parametrize("outer_tol", [-1.0, -1e-300, math.nan, math.inf])

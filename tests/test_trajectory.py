@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from crowdirl import trajectory as trajectory_module
 from crowdirl.baselines import gmm_fit
 from crowdirl.errors import CostRangeError, ValidationError
 from crowdirl.game import SolverConfig
@@ -497,6 +498,18 @@ def test_clamp_control_equals_the_norm_and_where_form_bit_for_bit(u_max):
     clamped = np.linalg.norm(u, axis=-1) > u_max
     assert (u_max == 1e300) == (not np.any(clamped))
     assert np.all(np.linalg.norm(got, axis=-1) <= u_max * (1 + 1e-15))
+
+
+@pytest.mark.parametrize("u_max", [3.0, math.inf])
+def test_rollout_checks_its_bound_once_and_clamps_a_broadcast_action_into_its_buffers(monkeypatch, u_max):
+    # one action for every row broadcasts into the set's scratch buffers as into clamp_control's own
+    checks = []
+    check = trajectory_module.check_u_max
+    monkeypatch.setattr(trajectory_module, "check_u_max", lambda u: checks.append(u) or check(u))
+    tape = np.random.default_rng(37).standard_normal((6, 2, 2)) * 3.0
+    states, controls = rollout(np.zeros((3, 8)), 6, 0.1, lambda t, x: tape[t], u_max)
+    assert checks == [u_max]
+    assert controls.tobytes() == np.broadcast_to(clamp_control(tape, u_max), (3, 6, 2, 2)).tobytes()
 
 
 @pytest.mark.parametrize("u_max", [0.0, -0.0, -1.0, math.nan, -math.inf])
