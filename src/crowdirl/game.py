@@ -9,20 +9,17 @@ definition of the step, the exactly linear `trajectory.propagate_joint`; one
 `CostExpansion`, the stack of every agent's cost, fills the (n+1, n+1) cost of
 every agent and step in one scatter. Each step writes into buffers allocated
 once per solve, each ufunc's out passed positionally (a keyword out costs
-numpy a keyword parse per call): one LU of the right-hand side
-[B^T Z A | I] gives every agent's [K | alpha] and the inverse that screens
-the condition, and one symmetrized update every value matrix. Each policy is
-Gaussian around its feedback mean, with covariance the tempered inverse of the agent's
-control-space curvature of its Q-function, formed for all T*k stages after
-the sweep. Where that curvature loses positive definiteness (near-straight
-nominals) the covariance is repaired by the smallest uniform diagonal shift
-that restores a configurable eigenvalue floor, trading modeled decision
-randomness for tractability: one `condition_covariance` pass over the (T, k, 2, 2)
-stack, whose repaired stages the diagnostics record. Closed-form 2x2 screens
-run first: where no stage is near-singular, short of the floor or without a
-Cholesky factor, the stack is inverted and factored once and the policies
-hold those arrays uncopied; otherwise that exact pass runs, with the
-public `PolicySequence` checks, and factors each covariance again for sampling.
+numpy a keyword parse per call): one LU of [B^T Z A] gives every agent's
+[K | alpha], and one symmetrized update every value matrix. The steps' gain
+systems are kept, and after the sweep one batched inverse screens their
+condition. Each policy is Gaussian around its feedback mean, its covariance
+the tempered inverse of the agent's control-space curvature of its
+Q-function, formed for all T*k stages after the sweep. Where that curvature
+loses positive definiteness (near-straight nominals) the covariance is
+repaired by the smallest uniform diagonal shift that restores a configurable
+eigenvalue floor, trading modeled decision randomness for tractability; the
+diagnostics record each repair. Closed-form 2x2 screens send only the stages
+they cannot clear to LAPACK's determinant and to the repair.
 
 `Game` is the one place a scenario's game is built and solved: it owns the
 constant-velocity nominal, the stack of all agents' expansions along the
@@ -52,7 +49,6 @@ BLAS kernel, as the solve's do.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -130,8 +126,7 @@ class PolicySequence:
     K (T, k, 2, 4k), kff (T, k, 2), Sigma (T, k, 2, 2) symmetric,
     nominal_states (T+1, 4k). All four arrays are read-only copies; L, set here and not an
     argument, is the read-only Cholesky factor of each Sigma[t, i] that every rollout reads.
-    A solve's policies hold the solve's own fresh arrays instead, not copies, and its factor L
-    (`solve_lq_game` hands them on once its screens have passed; see `_of_solve`).
+    A solve's policies hold the solve's own fresh arrays and factor L instead (see `_of_solve`).
     """
 
     K: np.ndarray
@@ -174,7 +169,7 @@ class PolicySequence:
     def _of_solve(cls, K, kff, Sigma, nominal_states, diagnostics, L) -> "PolicySequence":
         """The policies of a solve, holding its fresh arrays as they are: no copy, no second factor.
 
-        The solve has made the shapes, the symmetric, screened Sigma and its
+        The solve has made the shapes, the symmetric, repaired Sigma and its
         factor L; a non-finite K or kff, which overflowing weights give, is still refused.
         """
         _refuse_non_finite(K=K, kff=kff)
@@ -310,7 +305,8 @@ def solve_lq_game(
     the value recursion at the horizon end. The nominal, a one-row set, fixes
     k and dt, and so the dynamics; the returned policies act on deviations from it.
 
-    Steps write into buffers allocated once per call; overflow raises no numpy warning.
+    Steps write into buffers allocated once per call; overflow raises no numpy
+    warning. `_check_gains` screens every step's gain system after the sweep.
     """
     if len(nominal) != 1:
         raise ValidationError(f"the nominal must be one row, got {len(nominal)} rows")
@@ -338,45 +334,36 @@ def solve_lq_game(
     # where each agent's own 2x2 block of the (2k, 2k) gain system sits in its ravel
     own = (2 * m + 2) * np.arange(k)[:, None, None] + m * np.arange(2)[:, None] + np.arange(2)
     R_eye = R * np.eye(CONTROL_DIM)  # (k, 2, 2): the effort curvature of each agent
-    # One right-hand side [B^T Z A | I] for every step: the identity columns
-    # give S^-1 for the condition screen; the others are overwritten per step.
-    rhs = np.zeros((k, CONTROL_DIM, n1 + m))
-    rhs_A, rhs = rhs[..., :n1], rhs.reshape(m, n1 + m)
-    rhs[:, n1:] = np.eye(m)
     gains_out = np.empty((T, m, n1))
     Huu_out = np.empty((T, k, CONTROL_DIM, CONTROL_DIM))
+    S_out = np.empty((T, m, m))  # every step's gain system, screened after the sweep
     # Every step writes into these buffers, each passed as the ufunc's
     # positional out; each product keeps its operand shapes and each sum its
     # association, so the bits are those of fresh arrays.
-    Z, P, FtZ, S = Qa[T].copy(), np.empty((k, n1, n1)), np.empty((k, n1, n1)), np.empty((m, m))
+    Z, P, FtZ = Qa[T].copy(), np.empty((k, n1, n1)), np.empty((k, n1, n1))
     BtZ, RG, F, Huu_2 = np.empty_like(Bt), np.empty_like(Bt), np.empty_like(A), np.empty_like(R_eye)
+    rhs = np.empty_like(Bt)  # B^T Z A, with each agent's r added to the last column
     G = gains_out.reshape(T, k, CONTROL_DIM, n1)  # G[t, i] = [K | alpha] of agent i
-    S_flat, Ft, Pt, Gt = S.reshape(-1), F.T, P.swapaxes(1, 2), G.swapaxes(2, 3)
-    BtZ_m, rhs_r, RG_r = BtZ.reshape(m, n1), rhs_A[..., n], RG[..., n]
+    S_flat, Ft, Pt, Gt = S_out.reshape(T, -1), F.T, P.swapaxes(1, 2), G.swapaxes(2, 3)
+    BtZ_m, rhs_m, rhs_r, RG_r = BtZ.reshape(m, n1), rhs.reshape(m, n1), rhs[..., n], RG[..., n]
 
     for t in range(T - 1, -1, -1):
+        S, S_t = S_out[t], S_flat[t]  # views: a 1-d fancy index is a fifth of a 2-d one
         np.matmul(Bt, Z, BtZ)  # (k, 2, n+1)
         # Stacked stationarity system: row block i is agent i's gradient wrt
         # its own control, column block j the coupling to agent j's control.
         np.matmul(BtZ_m, B_all, S)
         # Control-space curvature of each agent's Q-function, symmetrized.
-        Huu_q = np.add(S_flat[own], R_eye, Huu_out[t])
+        Huu_q = np.add(S_t[own], R_eye, Huu_out[t])
         np.add(Huu_q, Huu_q.swapaxes(1, 2), Huu_2)
         np.multiply(Huu_2, 0.5, Huu_q)
-        S_flat[own] = Huu_q
-        # S [K | alpha] = B^T Z A, with each agent's r added to the last column
-        np.matmul(BtZ, A, rhs_A)
+        S_t[own] = Huu_q
+        # S [K | alpha] = B^T Z A + r e_n^T, one LU by the LAPACK gufunc behind
+        # np.linalg.solve (half its time at k = 3 is the wrapper); a singular
+        # S leaves NaN, here and in every step below it.
+        np.matmul(BtZ, A, rhs)
         rhs_r += r[t]
-        # One LU of [B^T Z A | I], by the LAPACK gufunc behind np.linalg.solve
-        # (half its time at k = 3 is the wrapper); a singular S leaves NaN,
-        # which fails the screen ||S||_F ||S^-1||_F <= MAX_GAIN_CONDITION on
-        # cond_2(S), and `_check_gain_condition` takes the exact condition
-        # where it fails. Each Frobenius norm is the root of a raveled dot.
-        X = _umath_linalg.solve(S, rhs, signature="dd->d")
-        x = X[:, n1:].ravel(order="K")
-        if not math.sqrt(S_flat.dot(S_flat)) * math.sqrt(x.dot(x)) <= MAX_GAIN_CONDITION:
-            _check_gain_condition(S, X, t)
-        gains_out[t] = X[:, :n1]  # (2k, n+1)
+        _umath_linalg.solve(S, rhs_m, gains_out[t], signature="dd->d")  # (2k, n+1)
 
         # Closed-loop value recursion for every agent; the stage cost of
         # u_i = -G_i [dx; 1] is G_i^T (R G_i - 2 r e_n^T) before symmetrization.
@@ -390,6 +377,7 @@ def solve_lq_game(
         P += Z
         np.multiply(np.add(P, Pt, Z), 0.5, Z)
 
+    _check_gains(S_out)
     K_out = gains_out[..., :n].reshape(T, k, CONTROL_DIM, n).copy()
     kff_out = nominal.controls[0] - gains_out[..., n].reshape(T, k, CONTROL_DIM)
     return _policies(K_out, kff_out, Huu_out, cfg, nominal.states[0])
@@ -399,54 +387,42 @@ def _policies(K: np.ndarray, kff: np.ndarray, Huu: np.ndarray, cfg: SolverConfig
               nominal_states: np.ndarray) -> PolicySequence:
     """A solve's policies, each covariance the tempered inverse of its stage's curvature Huu (T, k, 2, 2).
 
-    Nothing in the recursion reads the covariances, so they are formed for
-    all stages at once. Where the closed-form screens pass every stage and
-    the stack has a Cholesky factor, it is inverted and factored once and
-    the policies hold these arrays. Otherwise the exact path runs:
-    `_robust_inverse`, `_repair` (whose repairs are logged in recursion
-    order) and the public constructor. Where the screens pass, the two give the same bits.
+    Nothing in the recursion reads the covariances, so all stages are formed
+    at once: `_robust_inverse`, `_repair` of the members that fail the floor
+    screen (logged in recursion order) and one Cholesky factor, all held uncopied.
     """
     T, k = Huu.shape[:2]
-    diag = SolverDiagnostics(horizon=T, k=k)
-    if _inverse_screen(Huu):
-        Sigma = cfg.entropy_temp * np.linalg.inv(Huu)
-        Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
-        if _floor_screen(Sigma, cfg.eps_psd):
-            try:
-                L = np.linalg.cholesky(Sigma)
-            except np.linalg.LinAlgError:
-                pass
-            else:
-                return PolicySequence._of_solve(K, kff, Sigma, nominal_states, diag, L)
     Sigma = cfg.entropy_temp * _robust_inverse(Huu)
     Sigma = 0.5 * (Sigma + np.swapaxes(Sigma, -1, -2))
-    finite = np.isfinite(Sigma).all(axis=(-2, -1))
-    if not finite.all():
-        t, i = np.argwhere(~finite)[0]
-        raise ValidationError(f"entropy_temp {cfg.entropy_temp!r} gives a non-finite policy "
-                              f"covariance at (t={t}, agent={i})")
-    Sigma, repaired, shift = _repair(Sigma, cfg.eps_psd)
-    for t_rev, i in np.argwhere(repaired[::-1]):
-        t = T - 1 - int(t_rev)
-        diag.events.append((t, int(i), float(shift[t, i])))
-    return PolicySequence(K, kff, Sigma, nominal_states, diag)
+    short, diag = ~_floor_screen(Sigma, cfg.eps_psd), SolverDiagnostics(horizon=T, k=k)  # non-finite is short
+    if short.any():
+        finite = np.isfinite(Sigma).all(axis=(-2, -1))
+        if not finite.all():
+            t, i = np.argwhere(~finite)[0]
+            raise ValidationError(f"entropy_temp {cfg.entropy_temp!r} gives a non-finite policy "
+                                  f"covariance at (t={t}, agent={i})")
+        repaired, shift = np.zeros_like(short), np.zeros(short.shape)
+        Sigma[short], repaired[short], shift[short] = _repair(Sigma[short], cfg.eps_psd)
+        diag.events = [(T - 1 - t, i, float(shift[T - 1 - t, i]))  # in recursion order
+                       for t, i in np.argwhere(repaired[::-1]).tolist()]
+    return PolicySequence._of_solve(K, kff, Sigma, nominal_states, diag, np.linalg.cholesky(Sigma))
 
 
-def _inverse_screen(M: np.ndarray) -> bool:
-    """Whether every symmetric 2x2 member of M (..., 2, 2) clears `_robust_inverse`'s determinant cutoff with room.
+def _inverse_screen(M: np.ndarray) -> np.ndarray:
+    """Mask over the 2x2 members of M (..., 2, 2): which clear `_robust_inverse`'s cutoff with room.
 
-    Each closed-form determinant a*c - b*b must be at least twice the cutoff
-    and 2**-20 of a*c: past that bound the cancellation is mild, and it and
+    Each closed-form determinant a*d - b*c must be at least twice the cutoff
+    and 2**-20 of |a*d|: past that bound the cancellation is mild, and it and
     LAPACK's LU determinant are within a relative 1e-9 of the exact value,
-    so every member takes the plain inverse. An indefinite or non-finite member fails.
+    so the member takes the plain inverse. A non-finite member fails.
     """
-    ac = M[..., 0, 0] * M[..., 1, 1]
-    det = ac - M[..., 0, 1] * M[..., 0, 1]
-    return np.min(det - np.maximum(2.0**-20 * ac, 2.0 * DET_CUTOFF)) >= 0.0
+    ad = M[..., 0, 0] * M[..., 1, 1]
+    det = ad - M[..., 0, 1] * M[..., 1, 0]
+    return det - np.maximum(2.0**-20 * np.abs(ad), 2.0 * DET_CUTOFF) >= 0.0
 
 
-def _floor_screen(S: np.ndarray, eps_psd: float) -> bool:
-    """Whether every symmetric 2x2 member of S (..., 2, 2) clears the floor with room: no shift, a Cholesky factor.
+def _floor_screen(S: np.ndarray, eps_psd: float) -> np.ndarray:
+    """Mask over the symmetric 2x2 members of S (..., 2, 2): which clear the floor with room (no shift, a factor).
 
     The closed-form smallest eigenvalue s - hypot((a-c)/2, b), s = (a+c)/2,
     formed from halves so that nothing overflows, must clear eps_psd by
@@ -459,24 +435,32 @@ def _floor_screen(S: np.ndarray, eps_psd: float) -> bool:
     ha, hc = 0.5 * a, 0.5 * c
     s = ha + hc
     lam = s - np.hypot(ha - hc, b)
-    return np.min(lam - 5e-13 * s) >= eps_psd + _TINY
+    return lam - 5e-13 * s >= eps_psd + _TINY
 
 
-def _check_gain_condition(S: np.ndarray, X: np.ndarray, t: int) -> None:
-    """SolverError(t) if cond_2(S) > 1e12, where the screen ||S||_F ||S^-1||_F has failed.
+def _check_gains(S: np.ndarray) -> None:
+    """SolverError(t) at the first t from T-1 down whose gain system S[t] (T, m, m) has cond_2 > 1e12.
 
-    X solves S X = [B | I], so its last m = len(S) columns are S^-1; where
-    cond_2(S) passes they must be finite, else the LU met a zero pivot.
+    Steps below a singular one are NaN. One batched inverse (the gufunc behind np.linalg.inv; a singular
+    member gives NaN) screens all: cond_2(S) <= ||S||_F ||S^-1||_F, taken only where that exceeds 1e12.
+    Where cond_2 passes, the inverse must be finite.
     """
-    if np.linalg.cond(S) > MAX_GAIN_CONDITION:
-        raise SolverError("coupled gain system is numerically singular", timestep=t)
-    if not np.all(np.isfinite(X[:, -len(S):])):
-        raise InternalError(f"gain system at timestep {t} has a zero pivot yet cond_2 <= 1e12")
+    S_inv = _umath_linalg.inv(S, signature="d->d")
+    bound = np.sqrt(np.einsum("tij,tij->t", S, S)) * np.sqrt(np.einsum("tij,tij->t", S_inv, S_inv))
+    for t in np.flatnonzero(~(bound <= MAX_GAIN_CONDITION))[::-1]:
+        if np.linalg.cond(S[t]) > MAX_GAIN_CONDITION:
+            raise SolverError("coupled gain system is numerically singular", timestep=int(t))
+        if not np.all(np.isfinite(S_inv[t])):
+            raise InternalError(f"gain system at timestep {t} has no finite inverse yet cond_2 <= 1e12")
 
 
 def _robust_inverse(M: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of matrices; singular ones get a cutoff pseudo-inverse."""
-    ok = np.abs(np.linalg.det(M)) >= DET_CUTOFF
+    """Inverses of a stack of 2x2 matrices; singular ones get a cutoff pseudo-inverse.
+
+    LAPACK's determinant decides only the members `_inverse_screen` cannot clear.
+    """
+    ok = _inverse_screen(M)
+    ok[~ok] = np.abs(np.linalg.det(M[~ok])) >= DET_CUTOFF
     # singular members are inverted as the identity, then overwritten
     out = np.linalg.inv(np.where(ok[..., None, None], M, np.eye(M.shape[-1])))
     for i in zip(*np.nonzero(~ok)):

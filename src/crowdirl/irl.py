@@ -111,10 +111,10 @@ class TrainingTrace:
         """Repaired covariance stages of all solves; the records of a sweep share one."""
         return sum({r.sweep: r.conditioned_stages for r in self.records}.values())
 
-    def close_sweep(self, sweep: int, tol: float) -> bool:
-        """Count the sweep; converged once its largest gap norm is below tol."""
+    def close_sweep(self, sweep: int, max_gap: float, tol: float) -> bool:
+        """Count the sweep; converged once its largest gap norm, max_gap, is below tol."""
         self.sweeps = sweep + 1
-        self.converged = self.sweep_max_gap(sweep) < tol
+        self.converged = max_gap < tol
         return self.converged
 
     def to_jsonl(self, path) -> None:
@@ -183,15 +183,15 @@ def _feature_matching(
         if not np.all(np.isfinite(step)):
             raise ValidationError(f"beta {cfg.beta!r} overflows the weight step of sweep {sweep}")
         before, weights = weights, np.maximum(step, 0.0)
+        norms = [float(np.linalg.norm(gap)) for gap in gaps]
         for b, gap in enumerate(gaps):
             trace.records.append(IterationRecord(
                 sweep=sweep, agent=SHARED_AGENT if shared else b,  # at k = 1 the labels differ
                 theta_before=before[b].copy(), theta_after=weights[b].copy(), gap=gap.copy(),
-                gap_norm=float(np.linalg.norm(gap)),
-                conditioned_stages=policies.diagnostics.conditioned_stages,
+                gap_norm=norms[b], conditioned_stages=policies.diagnostics.conditioned_stages,
             ))
         game.set_thetas([CostParams(w) for w in weights[owner]])
-        if trace.close_sweep(sweep, cfg.tol):
+        if trace.close_sweep(sweep, max(norms), cfg.tol):
             break
     return [CostParams(w) for w in weights], trace
 

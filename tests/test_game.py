@@ -23,8 +23,8 @@ from crowdirl.game import (
     SolverDiagnostics,
     _augmented_dynamics,
     _floor_screen,
+    _check_gains,
     _has_cholesky,
-    _check_gain_condition,
     _inverse_screen,
     _policies,
     _robust_inverse,
@@ -620,16 +620,46 @@ def test_the_steps_lu_is_np_linalg_solve_bit_for_bit():
     assert np.all(np.isnan(_step_solve(np.zeros((2, 2)), np.eye(2))))
 
 
+def test_the_gain_screens_inverse_is_np_linalg_inv_bit_for_bit():
+    # the screen after the recursion calls the private gufunc behind np.linalg.inv
+    rng = np.random.default_rng(4)
+    for T, m in ((1, 2), (30, 6), (5, 16)):
+        S = rng.standard_normal((T, m, m))
+        assert _umath_linalg.inv(S, signature="d->d").tobytes() == np.linalg.inv(S).tobytes()
+    S[2] = 0.0
+    with np.errstate(invalid="ignore"):
+        got = _umath_linalg.inv(S, signature="d->d")
+    assert np.all(np.isnan(got[2])) and got[3].tobytes() == np.linalg.inv(S[3]).tobytes()
+
+
+def test_each_step_solves_only_its_gain_columns(monkeypatch, intersection_spec, theta_star):
+    # one LU of [B^T Z A] per step, n+1 right-hand sides: no identity columns ride along
+    shapes, solve = [], _umath_linalg.solve
+    monkeypatch.setattr(_umath_linalg, "solve", lambda S, rhs, *a, **kw: shapes.append(rhs.shape) or solve(
+        S, rhs, *a, **kw))
+    policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
+    n, m = 4 * intersection_spec.k, 2 * intersection_spec.k
+    assert shapes == [(m, n + 1)] * intersection_spec.horizon
+    monkeypatch.undo()
+    assert policies.K.tobytes() == build_policies(theta_star, intersection_spec,
+                                                  SolverConfig(entropy_temp=1e-3)).K.tobytes()
+
+
+def _check(S: np.ndarray) -> None:
+    """`_check_gains` on a stack, under the solve's errstate."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _check_gains(S)
+
+
+# ||S||_F ||S^-1||_F = 3 / 1.1e-12 overstates cond_2(S) = 1 / 1.1e-12 <= 1e12
+_FROBENIUS_ONLY = np.diag([1.0, 1.0, 1.0, 1.1e-12, 1.1e-12, 1.1e-12])
+
+
 def test_gain_screen_falls_back_to_the_exact_condition():
-    # ||S||_F ||S^-1||_F = 3 / 1.1e-12 overstates cond_2(S) = 1 / 1.1e-12 <= 1e12
-    S = np.diag([1.0, 1.0, 1.0, 1.1e-12, 1.1e-12, 1.1e-12])
+    S = _FROBENIUS_ONLY
     assert np.linalg.norm(S) * np.linalg.norm(np.linalg.inv(S)) > MAX_GAIN_CONDITION
     assert np.linalg.cond(S) <= MAX_GAIN_CONDITION
-    rhs = np.arange(12.0).reshape(6, 2)
-    X = _step_solve(S, np.concatenate([rhs, np.eye(6)], axis=1))
-    _check_gain_condition(S, X, 4)
-    got = X[:, :2]
-    assert np.array_equal(got, np.linalg.solve(S, rhs))
+    _check(np.stack([np.eye(6), S, np.eye(6)]))
 
 
 @pytest.mark.parametrize(
@@ -637,21 +667,46 @@ def test_gain_screen_falls_back_to_the_exact_condition():
     ids=["cond-2e12", "exactly-singular"],
 )
 def test_gain_screen_rejects_ill_conditioned_systems(S):
-    X = _step_solve(S, np.concatenate([np.ones((6, 2)), np.eye(6)], axis=1))
+    stack = np.tile(np.eye(6), (9, 1, 1))
+    stack[7] = S
     with pytest.raises(SolverError) as err:
-        _check_gain_condition(S, X, 7)
+        _check(stack)
     assert err.value.timestep == 7
 
 
-def test_gain_screen_flags_a_failed_lu_of_a_conditioned_system():
-    with pytest.raises(InternalError, match="timestep 5 has a zero pivot"):
-        _check_gain_condition(np.eye(2), np.full((2, 3), np.nan), 5)
+def test_gain_screen_names_a_singular_step_above_the_nan_steps_it_leaves():
+    # as the recursion leaves them: every step below a singular one is NaN
+    stack = np.tile(2.0 * np.eye(4), (6, 1, 1))
+    stack[3] = np.diag([1.0, 1.0, 1.0, 0.0])
+    stack[:3] = np.nan
+    with pytest.raises(SolverError) as err:
+        _check(stack)
+    assert err.value.timestep == 3
 
 
-def test_solve_screens_the_gain_condition_through_its_identity_columns():
+def test_gain_screen_passes_a_frobenius_only_failure_on_to_the_first_true_one():
+    # in recursion order t = 4 fails the screen alone, so the error names t = 1
+    stack = np.tile(np.eye(6), (6, 1, 1))
+    stack[4] = _FROBENIUS_ONLY
+    stack[1] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 5e-13])
+    with pytest.raises(SolverError) as err:
+        _check(stack)
+    assert err.value.timestep == 1
+
+
+def test_gain_screen_flags_a_conditioned_system_without_a_finite_inverse():
+    # cond_2 = 1, but the inverse of a subnormal diagonal overflows
+    stack = np.tile(np.eye(2), (4, 1, 1))
+    stack[2] = 1e-310 * np.eye(2)
+    assert np.linalg.cond(stack[2]) <= MAX_GAIN_CONDITION
+    with pytest.raises(InternalError, match="^gain system at timestep 2 has no finite inverse yet cond_2 <= 1e12$"):
+        _check(stack)
+
+
+def test_solve_screens_the_gain_condition_after_the_recursion():
     # terminal cost on px alone and a tiny effort weight: at t = T-1 the gain
     # system diag(dt^4/4 + R, R) has an LU but cond_2 = 1.5e12, which only the
-    # ||S||_F ||S^-1||_F screen over the solve's identity columns can flag
+    # ||S||_F ||S^-1||_F screen over the kept systems can flag
     T, dt = 3, 0.1
     Q = np.zeros((T + 1, 4, 4))
     Q[T, 0, 0] = 1.0
@@ -1198,8 +1253,9 @@ def test_the_covariance_repair_has_one_path(monkeypatch, intersection_spec, thet
     assert calls == []  # every stage passes the screens
     crowded = [CostParams(np.array([0.5, 8.0, 0.01]))] * 3
     policies = build_policies(crowded, intersection_spec, SolverConfig(entropy_temp=1.0))
-    assert policies.diagnostics.conditioned_stages > 0
-    assert len(calls) == 1 and calls[0][0].shape == (intersection_spec.horizon, 3, 2, 2)
+    # one call, on the 15 of 90 members that fail the floor screen, each of them repaired
+    assert policies.diagnostics.conditioned_stages == 15
+    assert len(calls) == 1 and calls[0][0].shape == (15, 2, 2)
 
 
 # --- the covariance stage: screens, one factor, policies handed on ------------
@@ -1268,10 +1324,31 @@ def test_an_unrepaired_solve_factors_once_and_skips_the_public_checks(monkeypatc
     policies = build_policies(theta_star, intersection_spec, SolverConfig(entropy_temp=1e-3))
     assert policies.diagnostics.conditioned_stages == 0
     assert counts == {"cholesky": 1, "post_init": 0}
-    # a repaired stage sends the stack down the exact path, public constructor and all
-    crowded = [CostParams(np.array([0.5, 8.0, 0.01]))] * 3
-    assert build_policies(crowded, intersection_spec, SolverConfig(entropy_temp=1.0)).diagnostics.events
-    assert counts["post_init"] == 1 and counts["cholesky"] > 1
+
+
+def test_a_repaired_solve_reads_eigenvalues_of_its_failing_members_alone(monkeypatch, intersection_spec):
+    # the repair runs on the members that fail the floor screen, and the policies
+    # skip the public checks, with the bytes of the stage without screens
+    cfg = SolverConfig(entropy_temp=1.0)
+    costs, _, nominal = _expanded_scene(intersection_spec, (0.5, 8.0, 0.01))
+    handed, members = [], []
+    stage, eigvalsh, post_init = game_module._policies, np.linalg.eigvalsh, PolicySequence.__post_init__
+    monkeypatch.setattr(game_module, "_policies", lambda *a: handed.append(a) or stage(*a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: members.append(M.shape[:-2]) or eigvalsh(M))
+    monkeypatch.setattr(PolicySequence, "__post_init__", lambda self: pytest.fail("public checks ran"))
+    policies = solve_lq_game(costs, cfg, nominal=nominal)
+    monkeypatch.setattr(PolicySequence, "__post_init__", post_init)
+    K, kff, Huu = handed[0][:3]
+    sigma = cfg.entropy_temp * _robust_inverse(Huu)
+    failing = int(np.sum(~_floor_screen(0.5 * (sigma + np.swapaxes(sigma, -1, -2)), cfg.eps_psd)))
+    assert len(policies.diagnostics.events) == 15 and 15 <= failing < Huu[..., 0, 0].size
+    assert members[0] == (failing,) and all(len(shape) == 1 and shape[0] <= failing for shape in members)
+    members.clear()
+    ref = _exact_stage(K, kff, Huu, cfg, nominal.states[0])
+    assert members[0] == Huu.shape[:2]  # the stage without screens reads every member
+    for name in ("K", "kff", "Sigma", "L"):
+        assert getattr(policies, name).tobytes() == getattr(ref, name).tobytes()
+    assert policies.diagnostics.events == ref.diagnostics.events
 
 
 _PASSING = [[2.0, 0.5], [0.5, 1.0]]

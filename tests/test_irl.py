@@ -274,6 +274,22 @@ def test_trace_jsonl_roundtrip(tmp_path, intersection_spec, theta_star):
     assert status == {"converged": trace.converged, "sweeps": trace.sweeps}
 
 
+@pytest.mark.parametrize("train", [multi_agent_irl, single_agent_maxent_irl], ids=["mairl", "sairl"])
+def test_each_sweep_closes_on_its_largest_gap_norm(monkeypatch, intersection_spec, theta_star, train):
+    # the loop hands close_sweep the largest norm it recorded: the full scan's value, read once
+    demos = synth_generate(theta_star, intersection_spec, 5, seed=17, solver_cfg=QUIET_SOLVER)
+    closed, close_sweep = [], TrainingTrace.close_sweep
+    monkeypatch.setattr(TrainingTrace, "close_sweep", lambda trace, sweep, max_gap, tol:
+                        closed.append((sweep, max_gap)) or close_sweep(trace, sweep, max_gap, tol))
+    _, trace = train(demos, intersection_spec, _cfg(max_iters=3, M=4))
+    assert closed == [(s, trace.sweep_max_gap(s)) for s in range(3)] and not trace.converged
+    # a tol just above a sweep's largest norm stops training at the first sweep below it
+    tol = float(np.nextafter(closed[1][1], np.inf))
+    stop = next(s for s, max_gap in closed if max_gap < tol)
+    _, trace = train(demos, intersection_spec, _cfg(max_iters=3, M=4, tol=tol))
+    assert trace.converged and trace.sweeps == stop + 1
+
+
 def test_training_game_refits_under_the_training_clamp(intersection_spec, theta_star):
     solver = SolverConfig(entropy_temp=1e-3, max_outer_iters=4)
     demos = synth_generate(theta_star, intersection_spec, 4, seed=3, solver_cfg=solver)
@@ -316,7 +332,7 @@ def _reference_multi_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
             gap = expected_features(rollouts, [i], goals[[i]], sigma)[0] - demo_phi[i]
             thetas[i] = _reference_update(trace, sweep, i, thetas[i], gap, cfg.beta, policies)
         game.set_thetas(thetas)
-        if trace.close_sweep(sweep, cfg.tol):
+        if trace.close_sweep(sweep, trace.sweep_max_gap(sweep), cfg.tol):
             break
     return thetas, trace
 
@@ -334,7 +350,7 @@ def _reference_single_agent_irl(dataset, spec, cfg, sigma=DEFAULT_SIGMA):
         agg = np.mean(gaps, axis=0)
         theta = _reference_update(trace, sweep, SHARED_AGENT, theta, agg, cfg.beta, policies)
         game.set_thetas([theta] * spec.k)
-        if trace.close_sweep(sweep, cfg.tol):
+        if trace.close_sweep(sweep, trace.sweep_max_gap(sweep), cfg.tol):
             break
     return [theta], trace
 
